@@ -1,8 +1,8 @@
 //! Shared harness for the Horse experiment suite (DESIGN.md §5).
 //!
-//! Each `exp_*` binary regenerates one experiment's table; the Criterion
-//! benches in `benches/` track the same code paths as regression
-//! benchmarks. EXPERIMENTS.md records paper-expectation vs measured.
+//! Each `exp_*` binary regenerates one experiment's table and
+//! `million_flow` prints the allocator scaling curve. Performance is
+//! measured by the standalone `benchmark/` package, not here.
 
 #![warn(missing_docs)]
 
@@ -44,11 +44,6 @@ pub fn lb_policy() -> PolicySpec {
     PolicySpec::new().with(PolicyRule::LoadBalancing { mode: LbMode::Ecmp })
 }
 
-/// "Basic forwarding based on source and destination MAC" (paper).
-pub fn mac_policy() -> PolicySpec {
-    PolicySpec::new().with(PolicyRule::MacForwarding)
-}
-
 /// Runs a scenario through the fluid plane and returns the results.
 pub fn run_fluid(scenario: Scenario, config: SimConfig) -> SimResults {
     let mut sim = Simulation::new(scenario, config).expect("valid scenario");
@@ -60,61 +55,6 @@ pub fn fast_config() -> SimConfig {
     SimConfig::default()
         .with_alloc_mode(AllocMode::Incremental)
         .with_stats_epoch(Some(SimDuration::from_secs(1)))
-}
-
-/// A large IXP scenario driven by synchronized *waves* of transfers —
-/// the shuffle-like shape that motivates epoch batching: every wave
-/// drops `flows_per_wave` greedy arrivals onto a single timestamp, and
-/// the edge→core uplinks are oversubscribed, so every arrival and every
-/// completion shifts the max-min shares of whole trunk components. The
-/// per-event cadence therefore pays one allocator run *and a round of
-/// completion rescheduling* per event, while the epoch-batched loop pays
-/// one run per wave; the flows are equal-sized, so completions arrive in
-/// waves too. Traffic is spread round-robin over the edges, so each wave
-/// decomposes into per-trunk allocation components — the shape the
-/// `engine_threads` worker pool parallelizes over.
-pub fn wave_ixp_scenario(
-    members: usize,
-    waves: usize,
-    flows_per_wave: usize,
-    size: ByteSize,
-    horizon: SimTime,
-) -> Scenario {
-    let fabric = builders::ixp_fabric(&builders::IxpFabricParams {
-        members,
-        edge_switches: (members / 25).clamp(2, 16),
-        core_switches: (members / 100).clamp(2, 4),
-        // uniform fast access ports + tight uplinks: the waves contend at
-        // the fabric trunks, not at a lucky member's slow port
-        member_port_speeds: vec![Rate::gbps(10.0)],
-        uplink_speed: Rate::gbps(40.0),
-        ..Default::default()
-    });
-    let mut s = Scenario::bare(fabric.topology, horizon);
-    s.members = fabric.members;
-    s.policy = lb_policy();
-    for w in 0..waves {
-        let at = SimTime::from_millis(50 + 100 * w as u64);
-        for i in 0..flows_per_wave {
-            // src walks the members; dst sits half the ring away, so
-            // every flow crosses the fabric and srcs/dsts stay spread.
-            let src = i % members;
-            let dst = (i + members / 2 + (i / members)) % members;
-            let dst = if dst == src { (dst + 1) % members } else { dst };
-            let spec = s
-                .flow_between(
-                    s.members[src],
-                    s.members[dst],
-                    AppClass::Https,
-                    (4000 + w * 1500 + i) as u16,
-                    Some(size),
-                    DemandModel::Greedy,
-                )
-                .expect("member pair resolves");
-            s.explicit_flows.push((at, spec));
-        }
-    }
-    s
 }
 
 /// One measured point of the million-flow scaling harness
@@ -300,56 +240,6 @@ pub fn million_flow_point(
     }
 }
 
-/// The packet-burst bench scenario (PR 10): the 6-member
-/// hybrid-accuracy fabric shape with uniform 40G access ports behind
-/// metro-scale propagation (50 µs access, 250 µs fabric) and the first
-/// `foreground` gravity arrivals at packet fidelity. The geometry is
-/// deliberate: serialization (0.3 µs per 1500 B segment) is
-/// parts-per-thousand of every RTT, so GSO-style burst batching — whose
-/// only timing skew is `(cap − 1)` serialization slots per delivery
-/// round — tracks the per-packet oracle within 1% FCT, and megabyte
-/// foreground flows stay far under the loss-free window ceiling
-/// (BDP ≈ 6 MB), so the comparison never crosses an RTO discontinuity.
-pub fn pkt_burst_scenario(seed: u64, n: usize, foreground: usize, horizon: SimTime) -> Scenario {
-    let f = builders::ixp_fabric(&builders::IxpFabricParams {
-        members: 6,
-        edge_switches: 4,
-        core_switches: 2,
-        member_port_speeds: vec![Rate::gbps(40.0)],
-        uplink_speed: Rate::gbps(400.0),
-        access_delay: SimDuration::from_micros(50),
-        fabric_delay: SimDuration::from_micros(250),
-    });
-    let mut s = Scenario::bare(f.topology, horizon);
-    s.members = f.members;
-    s.policy = lb_policy();
-    let weights = TrafficMatrix::zipf_weights(s.members.len(), 0.8);
-    s.workload = Some(WorkloadParams {
-        matrix: TrafficMatrix::gravity(&weights, 4e8),
-        // Under the slow-start queue ceiling: each delivery round the
-        // ack-clock offers 2× line rate into the sender's access port,
-        // so the queue peaks near half the largest full window. The
-        // Pareto body keeps most flows at a few hundred KB (windows
-        // ≤ 160 segments, peak queue well under the 174-segment buffer)
-        // and short enough that zipf-hot destinations rarely see two
-        // flows ramping at once — loss-free at the pinned seed below.
-        sizes: FlowSizeDist::Pareto {
-            alpha: 1.3,
-            min_bytes: 150_000,
-            max_bytes: 1_200_000,
-        },
-        apps: AppMix::default_ixp(),
-        diurnal: None,
-        udp_rate: Rate::mbps(4.0),
-        seed,
-    });
-    horse::compare::materialize_workload(&mut s, n);
-    for (_, spec) in s.explicit_flows.iter_mut().take(foreground) {
-        spec.fidelity = Fidelity::Packet;
-    }
-    s
-}
-
 /// Formats a wall-clock duration for table cells.
 pub fn fmt_wall(secs: f64) -> String {
     if secs < 1.0 {
@@ -372,32 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn policies_build() {
-        assert_eq!(lb_policy().policies.len(), 1);
-        assert_eq!(mac_policy().policies.len(), 1);
-    }
-
-    #[test]
-    fn wave_scenario_batches_arrivals() {
-        let s = wave_ixp_scenario(16, 2, 8, ByteSize::mib(4), SimTime::from_secs(1));
-        assert_eq!(s.explicit_flows.len(), 16);
-        let first_wave_at = s.explicit_flows[0].0;
-        assert_eq!(
-            s.explicit_flows
-                .iter()
-                .filter(|(at, _)| *at == first_wave_at)
-                .count(),
-            8,
-            "a whole wave shares one timestamp"
-        );
-        let r = run_fluid(s, SimConfig::default().with_stats_epoch(None));
-        assert_eq!(r.flows_admitted, 16);
-        assert_eq!(r.flows_completed, 16);
-        assert!(r.max_epoch_batch >= 8, "waves form epoch batches");
-        assert!(r.realloc_saved() > 0, "batching saves allocator runs");
-    }
-
-    #[test]
     fn million_flow_harness_aggregates_and_warms() {
         let s = million_flow_point(64, 4, 6);
         assert_eq!(s.flows, 256);
@@ -408,72 +272,6 @@ mod tests {
         assert!(s.warm_hits > 0, "warm cache never hit under churn");
         assert!(s.cold_solves > 0);
         assert!(s.churn_ns_per_epoch > 0.0 && s.full_solve_secs > 0.0);
-    }
-
-    #[test]
-    #[ignore]
-    fn debug_pkt_burst_seed_sweep() {
-        let horizon = SimTime::from_secs(10);
-        for seed in 1..=20u64 {
-            let run = |cfg: SimConfig| {
-                let s = pkt_burst_scenario(seed, 24, 8, horizon);
-                let mut sim = Simulation::new(s, cfg).expect("valid scenario");
-                let t = std::time::Instant::now();
-                sim.run();
-                let w = t.elapsed().as_secs_f64();
-                let h = sim.hybrid().expect("hybrid attached");
-                let fcts: Vec<Option<f64>> = h
-                    .pkt_records(horizon)
-                    .iter()
-                    .map(|r| r.completed.then(|| r.fct_secs()))
-                    .collect();
-                (h.plane().drops(), h.plane().tx_packets(), fcts, w)
-            };
-            let oracle_cfg = SimConfig::default()
-                .with_pkt_burst(1)
-                .with_pkt_decision_cache(false);
-            let (od, otx, ofcts, mut ow) = run(oracle_cfg);
-            let (bd, btx, bfcts, mut bw) = run(SimConfig::default());
-            for _ in 0..2 {
-                let (.., w) = run(oracle_cfg);
-                ow = ow.min(w);
-                let (.., w) = run(SimConfig::default());
-                bw = bw.min(w);
-            }
-            let devs: Vec<f64> = ofcts
-                .iter()
-                .zip(&bfcts)
-                .filter_map(|(o, b)| Some((b.as_ref()? - o.as_ref()?).abs() / o.as_ref()?))
-                .collect();
-            let mean_dev = devs.iter().sum::<f64>() / devs.len().max(1) as f64;
-            println!(
-                "seed {seed}: drops {od}/{bd} tx {otx}/{btx} wall {:.2}ms/{:.2}ms \
-                 speedup {:.2}x mean_dev {:.4}",
-                ow * 1e3,
-                bw * 1e3,
-                (btx as f64 / bw) / (otx as f64 / ow),
-                mean_dev
-            );
-        }
-    }
-
-    #[test]
-    fn pkt_burst_scenario_runs_loss_free_with_bursts() {
-        let horizon = SimTime::from_secs(10);
-        let s = pkt_burst_scenario(9, 24, 8, horizon);
-        assert_eq!(
-            s.explicit_flows
-                .iter()
-                .filter(|(_, f)| f.fidelity == Fidelity::Packet)
-                .count(),
-            8
-        );
-        let mut sim = Simulation::new(s, SimConfig::default()).expect("valid scenario");
-        let r = sim.run();
-        assert_eq!(r.pkt_flows, 8);
-        let h = sim.hybrid().expect("hybrid attached");
-        assert_eq!(h.plane().drops(), 0, "the loss-free premise must hold");
-        assert!(h.plane().bursts_formed() > 0, "batching must engage");
     }
 
     #[test]

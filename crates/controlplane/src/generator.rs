@@ -57,7 +57,6 @@ impl PolicyGenerator {
         if !report.is_ok() {
             return Err(report);
         }
-        let paths = PathDb::build(topo);
         let mut modules: Vec<Box<dyn PolicyModule>> = Vec::new();
         let mut meter_seq = 0u32;
         let mut reactive = false;
@@ -130,7 +129,9 @@ impl PolicyGenerator {
         Ok(PolicyGenerator {
             spec,
             modules,
-            paths,
+            // built by `on_start` against the topology the run starts
+            // on, or unsnapped by `restore_state`
+            paths: PathDb::default(),
             report,
             reactive,
             flow_ins: 0,

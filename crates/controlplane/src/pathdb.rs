@@ -9,7 +9,9 @@ use horse_topology::Topology;
 use horse_types::{MacAddr, NodeId, PortNo};
 use std::collections::HashMap;
 
-/// Cached paths over a topology snapshot.
+/// Cached paths over a topology snapshot. The default is the empty
+/// database: no hosts, every query answers `None`.
+#[derive(Default)]
 pub struct PathDb {
     /// All host node ids, sorted.
     hosts: Vec<NodeId>,

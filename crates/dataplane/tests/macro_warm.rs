@@ -213,3 +213,30 @@ proptest! {
 fn fixed_long_script_is_bit_identical() {
     run_script(0xC0FFEE, 64);
 }
+
+/// The million-flow scaling contract as a counter: the cold solve
+/// water-fills one weighted variable per path class, however many flows
+/// each class holds — 8× the population, the same variable count. (The
+/// wall-clock half is `dataplane.*_s` in `benchmark/`.)
+#[test]
+fn macro_variables_track_classes_not_flows() {
+    let classes = (MEMBERS * (MEMBERS - 1)) as u64;
+    for per_class in [4u16, 32] {
+        let mut net = star_net(true, true, 1);
+        for src in 0..MEMBERS {
+            for dst in (0..MEMBERS).filter(|&d| d != src) {
+                for sport in 0..per_class {
+                    let id = net.reserve_id();
+                    let s = spec(&net, src, dst, sport, DemandModel::Greedy);
+                    assert!(matches!(
+                        net.try_admit(id, s, SimTime::ZERO),
+                        AdmitOutcome::Admitted
+                    ));
+                }
+            }
+        }
+        net.reallocate(SimTime::ZERO);
+        assert_eq!(net.realloc_flows_touched, classes * u64::from(per_class));
+        assert_eq!(net.macro_flows, classes, "{per_class} flows per class");
+    }
+}

@@ -113,12 +113,13 @@ fn apply_axis(
 ) -> Result<(), LabError> {
     // "seed" is also a scenario field, so it resolves naturally below;
     // axes may not address the sweep-control fields.
-    if matches!(name, "replicates" | "threads" | "kind" | "name") {
+    const CONTROL: [&str; 4] = ["replicates", "threads", "kind", "name"];
+    if CONTROL.contains(&name) {
         return Err(LabError::spec(format!(
             "`{name}` cannot be swept as an axis (it controls the sweep itself)"
         )));
     }
-    for target in [scenario, config] {
+    for target in [&mut *scenario, &mut *config] {
         if let Value::Map(entries) = target {
             if let Some(slot) = entries.iter_mut().find(|(k, _)| k == name) {
                 slot.1 = value.clone();
@@ -126,13 +127,17 @@ fn apply_axis(
             }
         }
     }
+    let sweepable: Vec<&str> = [&*scenario, &*config]
+        .into_iter()
+        .filter_map(Value::as_map)
+        .flatten()
+        .map(|(k, _)| k.as_str())
+        .filter(|k| !CONTROL.contains(k))
+        .collect();
     Err(LabError::spec(format!(
         "unknown axis `{name}`; sweepable parameters are the scenario fields \
-         and the config fields of this spec (e.g. members, offered_gbps, \
-         zipf_alpha, horizon_secs, seed, fidelity, foreground_flows, \
-         topology, hosts, fat_tree_k, oversubscription, \
-         chaos_link_flaps, chaos_flap_rate_per_sec, chaos_switch_crashes, \
-         ctrl_latency_us, alloc_mode, stats_epoch_secs, admit_retry_limit)"
+         and the config fields of this spec: {}",
+        sweepable.join(", ")
     )))
 }
 
@@ -263,10 +268,9 @@ mod tests {
         .unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("warp_factor"), "{msg}");
-        assert!(
-            msg.contains("ctrl_latency_us"),
-            "suggests candidates: {msg}"
-        );
+        for candidate in ["ctrl_latency_us", "whatif_link_down"] {
+            assert!(msg.contains(candidate), "suggests candidates: {msg}");
+        }
     }
 
     #[test]
