@@ -12,6 +12,8 @@
 //! * `#[serde(rename_all = "snake_case")]` and field-level
 //!   `#[serde(default)]` / `#[serde(default = "path")]` (the path names a
 //!   nullary function visible at the derive site, as in real serde),
+//! * `#[serde(skip)]` on a named field: omitted on write,
+//!   `Default::default()` on read,
 //! * explicit discriminants (`Tcp = 6`) are accepted and ignored.
 //!
 //! Generics are intentionally unsupported — no workspace type needs them.
@@ -37,11 +39,13 @@ struct SerdeAttrs {
     rename_all: Option<String>,
     tag: Option<String>,
     default: FieldDefault,
+    skip: bool,
 }
 
 struct Field {
     name: String,
     default: FieldDefault,
+    skip: bool,
 }
 
 enum VariantKind {
@@ -176,6 +180,7 @@ fn parse_one_attr(stream: TokenStream, attrs: &mut SerdeAttrs) {
             ("tag", Some(v)) => attrs.tag = Some(v),
             ("default", None) => attrs.default = FieldDefault::Std,
             ("default", Some(path)) => attrs.default = FieldDefault::Path(path),
+            ("skip", None) => attrs.skip = true,
             (other, _) => {
                 panic!("serde derive (vendored): unsupported serde attribute `{other}`")
             }
@@ -234,6 +239,7 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
         fields.push(Field {
             name,
             default: attrs.default.clone(),
+            skip: attrs.skip,
         });
         if matches!(it.peek(), Some(TokenTree::Punct(p)) if p.as_char() == ',') {
             it.next();
@@ -246,9 +252,12 @@ fn count_tuple_fields(stream: TokenStream) -> usize {
     let mut it: Cursor = stream.into_iter().peekable();
     let mut count = 0;
     while it.peek().is_some() {
-        let _ = parse_attrs(&mut it);
+        let attrs = parse_attrs(&mut it);
         if it.peek().is_none() {
             break;
+        }
+        if attrs.skip {
+            panic!("serde derive (vendored): `skip` is not supported on tuple fields");
         }
         skip_visibility(&mut it);
         skip_type(&mut it);
@@ -338,7 +347,7 @@ fn gen_serialize(c: &Container) -> String {
             let mut s = String::from(
                 "let mut entries: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n",
             );
-            for f in fields {
+            for f in fields.iter().filter(|f| !f.skip) {
                 s.push_str(&format!(
                     "entries.push((\"{n}\".to_string(), ::serde::Serialize::to_value(&self.{n})));\n",
                     n = f.name
@@ -391,7 +400,7 @@ fn gen_serialize(c: &Container) -> String {
                         let binds: Vec<String> =
                             fields.iter().map(|f| f.name.clone()).collect();
                         let mut push = String::new();
-                        for f in fields {
+                        for f in fields.iter().filter(|f| !f.skip) {
                             push.push_str(&format!(
                                 "entries.push((\"{n}\".to_string(), ::serde::Serialize::to_value({n})));\n",
                                 n = f.name
@@ -446,6 +455,13 @@ fn missing_field_arm(container: &str, field: &Field) -> String {
 fn named_fields_from_map(path: &str, container: &str, fields: &[Field]) -> String {
     let mut inits = String::new();
     for f in fields {
+        if f.skip {
+            inits.push_str(&format!(
+                "{}: ::std::default::Default::default(),\n",
+                f.name
+            ));
+            continue;
+        }
         inits.push_str(&format!(
             "{n}: match ::serde::map_get(m, \"{n}\") {{\n\
              ::std::option::Option::Some(fv) => ::serde::Deserialize::from_value(fv)\

@@ -300,7 +300,12 @@ fn bits_eq(a: &[f64], b: &[f64]) -> bool {
 /// the core exports these as Chrome-trace spans, nothing else.
 #[derive(Clone, Debug, Default)]
 pub struct ReallocTiming {
-    /// Discovery pass (component walk + processing order + rate sync).
+    /// Discovery pass — exported as the `realloc.discovery` span. Three
+    /// things, in order: the link-sharing closure walk, the global
+    /// ascending-id processing order, and the byte sync of every touched
+    /// flow at its old rate (link bytes, OpenFlow entry and port
+    /// counters). The sync is O(touched flows × hops): each hop credits
+    /// its entries through remembered table positions, with no search.
     pub discovery_ns: u64,
     /// Build pass (dense subproblem construction).
     pub build_ns: u64,
@@ -707,12 +712,12 @@ impl FluidNet {
         arrived: SimTime,
     ) -> AdmitOutcome {
         match self.resolve_route(&spec, now) {
-            ResolveOutcome::Path { hops, links } => {
+            ResolveOutcome::Path { mut hops, links } => {
                 // Commit classification counters along the winning path —
                 // by borrow, without rebuilding pipeline results.
-                for hop in &hops {
+                for hop in &mut hops {
                     if let Some(sw) = self.switches.get_mut(&hop.node) {
-                        sw.commit_matched(&hop.matched, now);
+                        sw.commit_matched(&mut hop.matched, now);
                     }
                 }
                 // Tightest meter cap along the path.
@@ -1086,16 +1091,15 @@ impl FluidNet {
         let flow = self.flows.flow_at_mut(slot);
         let moved = flow.sync_to(now);
         if moved > 0.0 {
-            let flow = self.flows.flow_at(slot);
             for &l in &flow.route.links {
                 self.link_stats[l.index()].bytes += moved;
             }
             let avg = self.config.avg_packet;
             let moved_bytes = ByteSize::bytes(moved as u64);
             let switches = &mut self.switches;
-            for hop in &flow.route.hops {
+            for hop in &mut flow.route.hops {
                 if let Some(sw) = switches.get_mut(&hop.node) {
-                    sw.credit_bytes(&hop.matched, moved_bytes, avg, now);
+                    sw.credit_bytes(&mut hop.matched, moved_bytes, avg, now);
                     // Port counters follow the same integration, so
                     // port-stats polling (the adaptive LB's feedback
                     // signal) observes fluid traffic too.
@@ -2723,11 +2727,25 @@ mod tests {
         restored.snapshot_state(&mut w2);
         assert_eq!(blob, w2.into_bytes(), "canonical snapshot");
 
-        // Continuation: both planes evolve bit-identically.
+        // Table-position hints are not part of the snapshot: the live
+        // trail points at s1's default rule (position 1), the restored
+        // one comes back reset — and re-encoded to the same bytes above.
+        let hints = |n: &FluidNet| -> Vec<u32> {
+            n.active_flows()
+                .flat_map(|f| &f.route.hops)
+                .flat_map(|h| h.matched.iter().map(|m| m.pos))
+                .collect()
+        };
+        assert_eq!(hints(&net), vec![1, 0]);
+        assert_eq!(hints(&restored), vec![0, 0]);
+
+        // Continuation: both planes evolve bit-identically, and the
+        // first byte sync heals the reset hints.
         let t1 = SimTime::from_millis(60);
         let c1: Vec<RateChange> = net.reallocate(t1).to_vec();
         let c2: Vec<RateChange> = restored.reallocate(t1).to_vec();
         assert_eq!(format!("{c1:?}"), format!("{c2:?}"));
+        assert_eq!(hints(&restored), vec![1, 0]);
         net.remove_flow(b, SimTime::from_millis(80), true);
         restored.remove_flow(b, SimTime::from_millis(80), true);
         net.sync_all(SimTime::from_millis(90));

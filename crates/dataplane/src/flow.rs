@@ -1,8 +1,8 @@
 //! Flow specifications and resolved routes.
 
-use horse_openflow::flow_match::FlowMatch;
+use horse_openflow::table::MatchedEntry;
 use horse_types::id::MeterId;
-use horse_types::{ByteSize, FlowId, FlowKey, LinkId, NodeId, PortNo, Rate, SimTime, TableId};
+use horse_types::{ByteSize, FlowId, FlowKey, LinkId, NodeId, PortNo, Rate, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// How much the source *wants* to send.
@@ -84,8 +84,9 @@ pub struct RouteHop {
     pub in_port: PortNo,
     /// Egress port chosen by the pipeline.
     pub out_port: PortNo,
-    /// Entries matched (for byte crediting): `(table, priority, match, cookie)`.
-    pub matched: Vec<(TableId, u16, FlowMatch, u64)>,
+    /// Entries matched, with their verified table positions, so the byte
+    /// sync credits each one without searching its table.
+    pub matched: Vec<MatchedEntry>,
     /// Meters applied at this switch.
     pub meters: Vec<MeterId>,
 }

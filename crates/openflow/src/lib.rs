@@ -46,7 +46,7 @@ pub use messages::{
 };
 pub use meter::MeterEntry;
 pub use switch::{DropReason, OpenFlowSwitch, PipelineResult, Verdict};
-pub use table::{FlowEntry, FlowTable};
+pub use table::{FlowEntry, FlowTable, MatchedEntry};
 
 /// Re-export of the group id newtype (defined with the other ids).
 pub use horse_types::id::GroupId;

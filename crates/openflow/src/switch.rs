@@ -13,14 +13,14 @@
 //! deployments.
 
 use crate::actions::{Action, Instruction};
-use crate::flow_match::FlowMatch;
+use crate::counters::PortCounters;
 use crate::group::GroupEntry;
 use crate::messages::{
     CtrlMsg, FlowModCommand, FlowStatsEntry, GroupMod, PortStatsEntry, StatsReply, StatsRequest,
     SwitchMsg, TableStatsEntry,
 };
 use crate::meter::MeterEntry;
-use crate::table::{FlowTable, RemovalReason};
+use crate::table::{FlowTable, MatchedEntry, RemovalReason};
 use horse_types::id::{GroupId, MeterId};
 use horse_types::snap::{
     snap_via_serde, unsnap_via_serde, Snap, SnapError, SnapReader, SnapWriter,
@@ -61,9 +61,8 @@ pub enum Verdict {
 pub struct PipelineResult {
     /// The forwarding decision.
     pub verdict: Verdict,
-    /// `(table, priority, match, cookie)` of each entry traversed, for
-    /// later byte crediting.
-    pub matched: Vec<(TableId, u16, FlowMatch, u64)>,
+    /// Each entry traversed, for later counter crediting.
+    pub matched: Vec<MatchedEntry>,
     /// Meters the flow passes through, in order.
     pub meters: Vec<MeterId>,
     /// The (possibly rewritten) flow key leaving the switch.
@@ -87,7 +86,9 @@ pub struct OpenFlowSwitch {
     groups: BTreeMap<GroupId, GroupEntry>,
     meters: BTreeMap<MeterId, MeterEntry>,
     port_state: HashMap<PortNo, bool>,
-    port_counters: HashMap<PortNo, crate::counters::PortCounters>,
+    /// One slot per port number (ports are small 1-based integers, so
+    /// slot 0 is wasted); `None` = a port never configured nor credited.
+    port_counters: Vec<Option<PortCounters>>,
     /// Miss policy.
     pub miss_behavior: MissBehavior,
     /// Maximum table jumps per traversal (guards against goto loops).
@@ -101,19 +102,30 @@ pub struct OpenFlowSwitch {
     gen: u64,
 }
 
+/// The counters of `port` in a dense per-port table, created (growing the
+/// table) on first use.
+fn port_slot(slots: &mut Vec<Option<PortCounters>>, port: PortNo) -> &mut PortCounters {
+    let i = port.0 as usize;
+    if i >= slots.len() {
+        slots.resize(i + 1, None);
+    }
+    slots[i].get_or_insert_with(PortCounters::default)
+}
+
 impl OpenFlowSwitch {
     /// A switch with `num_tables` empty tables and reactive miss behaviour.
     pub fn new(id: NodeId, num_tables: usize, ports: &[PortNo]) -> Self {
+        let mut port_counters = Vec::new();
+        for &p in ports {
+            port_slot(&mut port_counters, p);
+        }
         OpenFlowSwitch {
             id,
             tables: (0..num_tables.max(1)).map(|_| FlowTable::new()).collect(),
             groups: BTreeMap::new(),
             meters: BTreeMap::new(),
             port_state: ports.iter().map(|&p| (p, true)).collect(),
-            port_counters: ports
-                .iter()
-                .map(|&p| (p, crate::counters::PortCounters::default()))
-                .collect(),
+            port_counters,
             miss_behavior: MissBehavior::ToController,
             max_table_jumps: 8,
             gen: 0,
@@ -190,8 +202,16 @@ impl OpenFlowSwitch {
     /// [`credit_port_bytes`]; port-stats replies serve them).
     ///
     /// [`credit_port_bytes`]: OpenFlowSwitch::credit_port_bytes
-    pub fn port_counters_mut(&mut self, port: PortNo) -> &mut crate::counters::PortCounters {
-        self.port_counters.entry(port).or_default()
+    pub fn port_counters_mut(&mut self, port: PortNo) -> &mut PortCounters {
+        port_slot(&mut self.port_counters, port)
+    }
+
+    /// Ports that have counters, ascending.
+    fn counted_ports(&self) -> impl Iterator<Item = (PortNo, &PortCounters)> {
+        self.port_counters
+            .iter()
+            .enumerate()
+            .filter_map(|(i, c)| Some((PortNo(i as u16), c.as_ref()?)))
     }
 
     /// Credits one switch traversal's worth of integrated bytes to the
@@ -225,8 +245,8 @@ impl OpenFlowSwitch {
     ///
     /// [`credit_bytes`]: OpenFlowSwitch::credit_bytes
     pub fn process(&mut self, in_port: PortNo, key: &FlowKey, now: SimTime) -> PipelineResult {
-        let result = self.classify(in_port, key);
-        self.commit_classification(&result, now);
+        let mut result = self.classify(in_port, key);
+        self.commit_matched(&mut result.matched, now);
         result
     }
 
@@ -255,7 +275,7 @@ impl OpenFlowSwitch {
             let Some(table) = self.tables.get(table_idx) else {
                 break;
             };
-            let Some(entry) = table.peek(in_port, &cur_key) else {
+            let Some((pos, entry)) = table.peek(in_port, &cur_key) else {
                 // Table miss in table 0 triggers the miss behaviour; a miss
                 // in a later table just ends the pipeline (OpenFlow
                 // semantics: no goto target matched, actions so far apply).
@@ -268,12 +288,13 @@ impl OpenFlowSwitch {
                 }
                 break;
             };
-            result.matched.push((
-                TableId(table_idx as u8),
-                entry.priority,
-                entry.matcher,
-                entry.cookie,
-            ));
+            result.matched.push(MatchedEntry {
+                table: TableId(table_idx as u8),
+                priority: entry.priority,
+                matcher: entry.matcher,
+                cookie: entry.cookie,
+                pos: pos as u32,
+            });
             let instructions = &entry.instructions;
             let mut next_table: Option<usize> = None;
             for ins in instructions {
@@ -359,17 +380,20 @@ impl OpenFlowSwitch {
         result.verdict = if let Some(r) = dropped {
             Verdict::Drop(r)
         } else if !out_ports.is_empty() {
-            // de-dup, keep live ports only
-            let mut seen = std::collections::HashSet::new();
-            let live: Vec<PortNo> = out_ports
-                .into_iter()
-                .filter(|p| seen.insert(*p))
-                .filter(|p| self.port_up(*p))
-                .collect();
-            if live.is_empty() {
+            // de-dup (first occurrence wins), keep live ports only
+            let mut kept = 0;
+            for i in 0..out_ports.len() {
+                let p = out_ports[i];
+                if !out_ports[..kept].contains(&p) && self.port_up(p) {
+                    out_ports[kept] = p;
+                    kept += 1;
+                }
+            }
+            out_ports.truncate(kept);
+            if out_ports.is_empty() {
                 Verdict::Drop(DropReason::PortDown)
             } else {
-                Verdict::Forward(live)
+                Verdict::Forward(out_ports)
             }
         } else if to_controller {
             Verdict::ToController
@@ -390,21 +414,14 @@ impl OpenFlowSwitch {
 
     /// Credits the counters a [`classify`] traversal would have updated:
     /// one lookup+match per traversed table, one packet per matched entry,
-    /// and a fresh `last_used` stamp (idle-timeout refresh). A miss credits
-    /// a lookup on table 0 only.
+    /// and a fresh `last_used` stamp (idle-timeout refresh). A miss (empty
+    /// trail) credits a lookup on table 0 only. Takes the trail by borrow
+    /// — the fluid engine's admission path commits from stored route hops
+    /// without rebuilding a [`PipelineResult`] — and mutably, because
+    /// crediting may heal the trail's position hints.
     ///
     /// [`classify`]: OpenFlowSwitch::classify
-    pub fn commit_classification(&mut self, res: &PipelineResult, now: SimTime) {
-        self.commit_matched(&res.matched, now);
-    }
-
-    /// Like [`commit_classification`], but takes the matched-entry trail
-    /// directly by borrow — the fluid engine's admission path commits from
-    /// stored route hops without rebuilding (or cloning into) a
-    /// [`PipelineResult`].
-    ///
-    /// [`commit_classification`]: OpenFlowSwitch::commit_classification
-    pub fn commit_matched(&mut self, matched: &[(TableId, u16, FlowMatch, u64)], now: SimTime) {
+    pub fn commit_matched(&mut self, matched: &mut [MatchedEntry], now: SimTime) {
         self.commit_matched_n(matched, 1, now);
     }
 
@@ -414,12 +431,7 @@ impl OpenFlowSwitch {
     /// stay identical to `n` per-packet walks.
     ///
     /// [`commit_matched`]: OpenFlowSwitch::commit_matched
-    pub fn commit_matched_n(
-        &mut self,
-        matched: &[(TableId, u16, FlowMatch, u64)],
-        n: u64,
-        now: SimTime,
-    ) {
+    pub fn commit_matched_n(&mut self, matched: &mut [MatchedEntry], n: u64, now: SimTime) {
         if n == 0 {
             return;
         }
@@ -429,21 +441,22 @@ impl OpenFlowSwitch {
             }
             return;
         }
-        for (t, prio, m, _) in matched {
-            if let Some(table) = self.tables.get_mut(t.0 as usize) {
+        for m in matched {
+            if let Some(table) = self.tables.get_mut(m.table.0 as usize) {
                 table.counters.lookups += n;
                 table.counters.matches += n;
-                table.credit(*prio, m, n, ByteSize::ZERO, now);
+                table.credit(m, n, ByteSize::ZERO, now);
             }
         }
     }
 
     /// Credits bytes (and derived packets) to previously matched entries —
     /// how the fluid plane keeps OpenFlow counters consistent with
-    /// integrated flow volumes.
+    /// integrated flow volumes. No table search while the trail's position
+    /// hints are current (see [`FlowTable::credit`]).
     pub fn credit_bytes(
         &mut self,
-        matched: &[(TableId, u16, FlowMatch, u64)],
+        matched: &mut [MatchedEntry],
         bytes: ByteSize,
         avg_packet: ByteSize,
         now: SimTime,
@@ -453,9 +466,9 @@ impl OpenFlowSwitch {
         } else {
             bytes.as_bytes() / avg_packet.as_bytes()
         };
-        for (t, prio, m, _) in matched {
-            if let Some(table) = self.tables.get_mut(t.0 as usize) {
-                table.credit(*prio, m, pkts, bytes, now);
+        for m in matched {
+            if let Some(table) = self.tables.get_mut(m.table.0 as usize) {
+                table.credit(m, pkts, bytes, now);
             }
         }
     }
@@ -562,12 +575,11 @@ impl OpenFlowSwitch {
                 StatsReply::Flow(rows)
             }
             StatsRequest::Port(which) => {
-                let mut rows: Vec<PortStatsEntry> = self
-                    .port_counters
-                    .iter()
-                    .filter(|(p, _)| which.map(|w| w == **p).unwrap_or(true))
-                    .map(|(p, c)| PortStatsEntry {
-                        port: *p,
+                let rows = self
+                    .counted_ports()
+                    .filter(|(p, _)| which.map(|w| w == *p).unwrap_or(true))
+                    .map(|(port, c)| PortStatsEntry {
+                        port,
                         rx_packets: c.rx_packets,
                         tx_packets: c.tx_packets,
                         rx_bytes: c.rx_bytes,
@@ -575,7 +587,6 @@ impl OpenFlowSwitch {
                         drops: c.drops,
                     })
                     .collect();
-                rows.sort_by_key(|r| r.port);
                 StatsReply::Port(rows)
             }
             StatsRequest::Table => StatsReply::Table(
@@ -643,12 +654,10 @@ impl OpenFlowSwitch {
             snap_via_serde(m, w);
         }
         self.port_state.snap(w);
-        let mut ports: Vec<&PortNo> = self.port_counters.keys().collect();
-        ports.sort();
-        w.len_prefix(ports.len());
-        for p in ports {
+        w.len_prefix(self.counted_ports().count());
+        for (p, c) in self.counted_ports() {
             p.snap(w);
-            snap_via_serde(&self.port_counters[p], w);
+            snap_via_serde(c, w);
         }
         w.u8(match self.miss_behavior {
             MissBehavior::ToController => 0,
@@ -681,10 +690,10 @@ impl OpenFlowSwitch {
         }
         let port_state = HashMap::<PortNo, bool>::unsnap(r)?;
         let n = r.len_prefix()?;
-        let mut port_counters = HashMap::with_capacity(n);
+        let mut port_counters = Vec::new();
         for _ in 0..n {
             let p = PortNo::unsnap(r)?;
-            port_counters.insert(p, unsnap_via_serde::<crate::counters::PortCounters>(r)?);
+            *port_slot(&mut port_counters, p) = unsnap_via_serde(r)?;
         }
         let at = r.position();
         let miss_behavior = match r.u8()? {
@@ -718,6 +727,7 @@ impl OpenFlowSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow_match::FlowMatch;
     use crate::group::{Bucket, GroupType};
     use crate::messages::{FlowMod, MeterMod};
     use crate::table::FlowEntry;
@@ -982,9 +992,9 @@ mod tests {
             ))),
             SimTime::ZERO,
         );
-        let r = sw.process(PortNo(1), &key(), SimTime::ZERO);
+        let mut r = sw.process(PortNo(1), &key(), SimTime::ZERO);
         sw.credit_bytes(
-            &r.matched,
+            &mut r.matched,
             ByteSize::bytes(15000),
             ByteSize::bytes(1500),
             SimTime::from_secs(1),
@@ -1084,9 +1094,20 @@ mod tests {
             )),
             SimTime::from_millis(1),
         );
-        let r = sw.process(PortNo(1), &key(), SimTime::from_millis(2));
+        // A higher-priority rule the traffic does not match, so the in-use
+        // entry sits at position 1 and a reset hint (0) is really stale.
+        sw.apply(
+            &CtrlMsg::FlowMod(FlowMod::add(FlowEntry::new(
+                20,
+                FlowMatch::ANY.with_tp_dst(443),
+                vec![Instruction::drop()],
+            ))),
+            SimTime::from_millis(1),
+        );
+        let mut r = sw.process(PortNo(1), &key(), SimTime::from_millis(2));
+        assert_eq!(r.matched[0].pos, 1);
         sw.credit_bytes(
-            &r.matched,
+            &mut r.matched,
             ByteSize::bytes(12_345),
             ByteSize::bytes(1000),
             SimTime::from_millis(2),
@@ -1139,6 +1160,31 @@ mod tests {
             restored.meter_mut(MeterId(7)).unwrap().tokens_at(t),
         );
         assert_eq!(ta.to_bits(), tb.to_bits(), "token state bit-identical");
+
+        // A trail decoded from a snapshot comes back with its position
+        // hints reset. Crediting the restored switch through it heals the
+        // hint and leaves it byte-identical to the original switch
+        // credited through the live trail.
+        let mut w = horse_types::SnapWriter::new();
+        r.matched.snap(&mut w);
+        let trail_bytes = w.into_bytes();
+        let mut reset =
+            Vec::<MatchedEntry>::unsnap(&mut horse_types::SnapReader::new(&trail_bytes)).unwrap();
+        assert_eq!((reset[0].pos, &reset), (0, &r.matched));
+        let credit = |s: &mut OpenFlowSwitch, m: &mut [MatchedEntry]| {
+            s.credit_bytes(m, ByteSize::bytes(5000), ByteSize::bytes(1000), t);
+            let mut w = horse_types::SnapWriter::new();
+            s.snapshot_state(&mut w);
+            w.into_bytes()
+        };
+        assert_eq!(
+            credit(&mut sw, &mut r.matched),
+            credit(&mut restored, &mut reset)
+        );
+        assert_eq!(reset[0].pos, 1, "healed on first touch");
+        let mut w = horse_types::SnapWriter::new();
+        reset.snap(&mut w);
+        assert_eq!(w.into_bytes(), trail_bytes, "the hint is never encoded");
     }
 
     #[test]
@@ -1152,7 +1198,7 @@ mod tests {
         // Classification and crediting are observations, not mutations.
         sw.process(PortNo(1), &key(), SimTime::ZERO);
         sw.credit_bytes(
-            &[],
+            &mut [],
             ByteSize::bytes(1500),
             ByteSize::bytes(1500),
             SimTime::ZERO,
@@ -1225,11 +1271,11 @@ mod tests {
         };
         let mut a = build();
         let mut b = build();
-        let res = a.classify(PortNo(1), &key());
+        let mut res = a.classify(PortNo(1), &key());
         let now = SimTime::from_millis(7);
-        a.commit_matched_n(&res.matched, 5, now);
+        a.commit_matched_n(&mut res.matched, 5, now);
         for _ in 0..5 {
-            b.commit_matched(&res.matched, now);
+            b.commit_matched(&mut res.matched, now);
         }
         assert_eq!(
             format!("{:?}", a.stats(StatsRequest::Table)),
@@ -1241,13 +1287,13 @@ mod tests {
         );
         // n == 0 is a strict no-op, even on a miss trail.
         let before = format!("{:?}", a.stats(StatsRequest::Table));
-        a.commit_matched_n(&[], 0, now);
+        a.commit_matched_n(&mut [], 0, now);
         assert_eq!(format!("{:?}", a.stats(StatsRequest::Table)), before);
         // An empty trail credits n lookups on table 0 (burst-sized miss).
-        a.commit_matched_n(&[], 3, now);
-        b.commit_matched(&[], now);
-        b.commit_matched(&[], now);
-        b.commit_matched(&[], now);
+        a.commit_matched_n(&mut [], 3, now);
+        b.commit_matched(&mut [], now);
+        b.commit_matched(&mut [], now);
+        b.commit_matched(&mut [], now);
         assert_eq!(
             format!("{:?}", a.stats(StatsRequest::Table)),
             format!("{:?}", b.stats(StatsRequest::Table))

@@ -3,7 +3,8 @@
 use crate::actions::Instruction;
 use crate::counters::{FlowCounters, TableCounters};
 use crate::flow_match::FlowMatch;
-use horse_types::{FlowKey, PortNo, SimDuration, SimTime};
+use horse_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use horse_types::{ByteSize, FlowKey, PortNo, SimDuration, SimTime, TableId};
 use serde::{Deserialize, Serialize};
 
 /// Why a flow entry was removed (reported in FlowRemoved messages).
@@ -92,6 +93,76 @@ impl FlowEntry {
     }
 }
 
+/// One step of a classification trail: the entry a traversal matched in
+/// `table`, remembered so its counters can be credited later. The entry
+/// is *identified* by `(priority, matcher)` (unique within a table);
+/// `pos` only remembers where it sat so [`FlowTable::credit`] can skip
+/// the search.
+#[derive(Clone, Copy, Debug)]
+pub struct MatchedEntry {
+    /// The table the entry lives in.
+    pub table: TableId,
+    /// The entry's priority.
+    pub priority: u16,
+    /// The entry's match.
+    pub matcher: FlowMatch,
+    /// The entry's cookie (identifies the owning policy module).
+    pub cookie: u64,
+    /// Position of the entry in its table when last seen. A hint, not
+    /// state: [`FlowTable::credit`] verifies it against the identity on
+    /// every use and rewrites it when inserts, deletes or expiry moved
+    /// the entry. It is therefore left out of equality, serde and
+    /// snapshots (a decoded trail starts at 0 and heals on first credit).
+    pub pos: u32,
+}
+
+/// A trail entry without its hint — the `(table, priority, match, cookie)`
+/// tuple that equality, serde and snapshots see.
+type Wire = (TableId, u16, FlowMatch, u64);
+
+impl MatchedEntry {
+    fn wire(&self) -> Wire {
+        (self.table, self.priority, self.matcher, self.cookie)
+    }
+
+    fn from_wire((table, priority, matcher, cookie): Wire) -> Self {
+        MatchedEntry {
+            table,
+            priority,
+            matcher,
+            cookie,
+            pos: 0,
+        }
+    }
+}
+
+impl PartialEq for MatchedEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.wire() == other.wire()
+    }
+}
+
+impl Serialize for MatchedEntry {
+    fn to_value(&self) -> serde::Value {
+        self.wire().to_value()
+    }
+}
+
+impl Deserialize for MatchedEntry {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        Wire::from_value(v).map(Self::from_wire)
+    }
+}
+
+impl Snap for MatchedEntry {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.wire().snap(w);
+    }
+    fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Wire::unsnap(r).map(Self::from_wire)
+    }
+}
+
 /// A single flow table: entries sorted by descending priority; insertion
 /// order breaks ties (first-installed wins), which keeps lookups
 /// deterministic.
@@ -100,6 +171,10 @@ pub struct FlowTable {
     entries: Vec<FlowEntry>,
     /// Lookup/match counters.
     pub counters: TableCounters,
+    /// Identity scans [`FlowTable::credit`] fell back to because a
+    /// position hint was stale. Host-side observability only.
+    #[serde(skip)]
+    rescans: u64,
 }
 
 impl FlowTable {
@@ -143,47 +218,50 @@ impl FlowTable {
         self.entries.insert(pos, entry);
     }
 
-    /// Highest-priority entry matching `(in_port, key)`; updates table
-    /// counters and the entry's packet counter / last-used stamp.
-    pub fn lookup(&mut self, in_port: PortNo, key: &FlowKey, now: SimTime) -> Option<&FlowEntry> {
-        self.counters.lookups += 1;
-        let idx = self
-            .entries
-            .iter()
-            .position(|e| e.matcher.matches(in_port, key))?;
-        self.counters.matches += 1;
-        let e = &mut self.entries[idx];
-        e.counters.credit(1, horse_types::ByteSize::ZERO, now);
-        Some(&self.entries[idx])
-    }
-
-    /// Read-only lookup: no counter updates (used by validators and tests).
-    pub fn peek(&self, in_port: PortNo, key: &FlowKey) -> Option<&FlowEntry> {
+    /// Read-only lookup: the highest-priority entry matching
+    /// `(in_port, key)` and its position in the table. No counter updates.
+    pub fn peek(&self, in_port: PortNo, key: &FlowKey) -> Option<(usize, &FlowEntry)> {
         self.entries
             .iter()
-            .find(|e| e.matcher.matches(in_port, key))
+            .enumerate()
+            .find(|(_, e)| e.matcher.matches(in_port, key))
     }
 
-    /// Credits bytes/packets to the entry identified by `(priority, match)`.
-    /// Returns `false` if no such entry exists (e.g. it expired meanwhile).
+    /// Credits bytes/packets to the entry identified by `m`'s
+    /// `(priority, match)`. Returns `false` if no such entry exists (e.g.
+    /// it expired meanwhile).
+    ///
+    /// `m.pos` is tried first; only when the entry there has a different
+    /// identity (positions shifted since the hint was taken) does this
+    /// scan for the identity — once, rewriting the hint. Which entry is
+    /// credited never depends on the hint.
     pub fn credit(
         &mut self,
-        priority: u16,
-        matcher: &FlowMatch,
+        m: &mut MatchedEntry,
         packets: u64,
-        bytes: horse_types::ByteSize,
+        bytes: ByteSize,
         now: SimTime,
     ) -> bool {
-        if let Some(e) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.priority == priority && e.matcher == *matcher)
-        {
-            e.counters.credit(packets, bytes, now);
-            true
-        } else {
-            false
+        let same = |e: &FlowEntry| e.priority == m.priority && e.matcher == m.matcher;
+        if !self.entries.get(m.pos as usize).is_some_and(same) {
+            self.rescans += 1;
+            match self.entries.iter().position(same) {
+                Some(pos) => m.pos = pos as u32,
+                None => return false,
+            }
         }
+        self.entries[m.pos as usize]
+            .counters
+            .credit(packets, bytes, now);
+        true
+    }
+
+    /// How many [`credit`] calls had to scan for their entry because the
+    /// position hint was stale (0 while the table is unchanged).
+    ///
+    /// [`credit`]: FlowTable::credit
+    pub fn rescans(&self) -> u64 {
+        self.rescans
     }
 
     /// Deletes entries. With `strict`, only an exact `(priority, match)`
@@ -231,7 +309,9 @@ impl FlowTable {
 mod tests {
     use super::*;
     use crate::actions::Instruction;
-    use horse_types::{ByteSize, MacAddr};
+    use crate::messages::{CtrlMsg, FlowMod, SwitchMsg};
+    use crate::switch::OpenFlowSwitch;
+    use horse_types::{MacAddr, NodeId};
     use std::net::Ipv4Addr;
 
     fn key() -> FlowKey {
@@ -249,13 +329,32 @@ mod tests {
         FlowEntry::new(priority, m, vec![Instruction::output(PortNo(port))])
     }
 
+    fn trail(priority: u16, matcher: FlowMatch, pos: u32) -> MatchedEntry {
+        MatchedEntry {
+            table: TableId(0),
+            priority,
+            matcher,
+            cookie: 0,
+            pos,
+        }
+    }
+
+    /// A one-table switch holding `e`, installed at time zero: the
+    /// counter-crediting tests drive `peek` + `credit` the way every
+    /// caller does, through `OpenFlowSwitch::process`.
+    fn switch_with(e: FlowEntry) -> OpenFlowSwitch {
+        let mut sw = OpenFlowSwitch::new(NodeId(1), 1, &[PortNo(1), PortNo(2)]);
+        sw.apply(&CtrlMsg::FlowMod(FlowMod::add(e)), SimTime::ZERO);
+        sw
+    }
+
     #[test]
     fn highest_priority_wins() {
         let mut t = FlowTable::new();
         t.insert(entry(10, FlowMatch::ANY, 1), SimTime::ZERO);
         t.insert(entry(100, FlowMatch::ANY.with_tp_dst(80), 2), SimTime::ZERO);
-        let e = t.lookup(PortNo(1), &key(), SimTime::ZERO).unwrap();
-        assert_eq!(e.priority, 100);
+        let (pos, e) = t.peek(PortNo(1), &key()).unwrap();
+        assert_eq!((pos, e.priority), (0, 100));
     }
 
     #[test]
@@ -270,7 +369,7 @@ mod tests {
             ),
             SimTime::ZERO,
         );
-        let e = t.peek(PortNo(1), &key()).unwrap();
+        let (_, e) = t.peek(PortNo(1), &key()).unwrap();
         assert_eq!(e.instructions, vec![Instruction::output(PortNo(1))]);
     }
 
@@ -280,15 +379,15 @@ mod tests {
         t.insert(entry(10, FlowMatch::ANY, 1), SimTime::ZERO);
         t.insert(entry(10, FlowMatch::ANY, 2), SimTime::from_secs(1));
         assert_eq!(t.len(), 1);
-        let e = t.peek(PortNo(1), &key()).unwrap();
+        let (_, e) = t.peek(PortNo(1), &key()).unwrap();
         assert_eq!(e.instructions, vec![Instruction::output(PortNo(2))]);
     }
 
     #[test]
     fn lookup_updates_counters() {
-        let mut t = FlowTable::new();
-        t.insert(entry(10, FlowMatch::ANY, 1), SimTime::ZERO);
-        t.lookup(PortNo(1), &key(), SimTime::from_secs(3));
+        let mut sw = switch_with(entry(10, FlowMatch::ANY, 1));
+        sw.process(PortNo(1), &key(), SimTime::from_secs(3));
+        let t = sw.table(TableId(0)).unwrap();
         let e = t.entries().next().unwrap();
         assert_eq!(e.counters.packets, 1);
         assert_eq!(e.counters.last_used, SimTime::from_secs(3));
@@ -298,9 +397,12 @@ mod tests {
 
     #[test]
     fn miss_counts_lookup_only() {
-        let mut t = FlowTable::new();
-        t.insert(entry(10, FlowMatch::ANY.with_tp_dst(443), 1), SimTime::ZERO);
-        assert!(t.lookup(PortNo(1), &key(), SimTime::ZERO).is_none());
+        let mut sw = switch_with(entry(10, FlowMatch::ANY.with_tp_dst(443), 1));
+        assert!(sw
+            .process(PortNo(1), &key(), SimTime::ZERO)
+            .matched
+            .is_empty());
+        let t = sw.table(TableId(0)).unwrap();
         assert_eq!(t.counters.lookups, 1);
         assert_eq!(t.counters.matches, 0);
     }
@@ -310,11 +412,36 @@ mod tests {
         let mut t = FlowTable::new();
         let m = FlowMatch::ANY.with_tp_dst(80);
         t.insert(entry(10, m, 1), SimTime::ZERO);
-        assert!(t.credit(10, &m, 5, ByteSize::bytes(7500), SimTime::from_secs(1)));
-        assert!(!t.credit(11, &m, 1, ByteSize::bytes(1), SimTime::from_secs(1)));
+        let now = SimTime::from_secs(1);
+        assert!(t.credit(&mut trail(10, m, 0), 5, ByteSize::bytes(7500), now));
+        assert!(!t.credit(&mut trail(11, m, 0), 1, ByteSize::bytes(1), now));
         let e = t.entries().next().unwrap();
         assert_eq!(e.counters.bytes, 7500);
         assert_eq!(e.counters.packets, 5);
+    }
+
+    #[test]
+    fn trail_wire_form_is_the_identity_tuple() {
+        let m = FlowMatch::ANY.with_tp_dst(80);
+        let tr = MatchedEntry {
+            table: TableId(1),
+            priority: 10,
+            matcher: m,
+            cookie: 7,
+            pos: 42,
+        };
+        let tuple = (TableId(1), 10u16, m, 7u64);
+        assert_eq!(tr.to_value(), tuple.to_value());
+        let mut w = SnapWriter::new();
+        tr.snap(&mut w);
+        let mut wt = SnapWriter::new();
+        tuple.snap(&mut wt);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes, wt.into_bytes());
+        let back = MatchedEntry::unsnap(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(back, tr, "equality ignores the hint");
+        assert_eq!(back.pos, 0);
+        assert_eq!(MatchedEntry::from_value(&tr.to_value()).unwrap().pos, 0);
     }
 
     #[test]
@@ -365,17 +492,23 @@ mod tests {
 
     #[test]
     fn idle_timeout_resets_on_traffic() {
-        let mut t = FlowTable::new();
-        t.insert(
-            entry(10, FlowMatch::ANY, 1).with_idle_timeout(SimDuration::from_secs(5)),
-            SimTime::ZERO,
+        let mut sw = switch_with(
+            entry(10, FlowMatch::ANY, 1)
+                .with_idle_timeout(SimDuration::from_secs(5))
+                .with_removal_notification(),
         );
         // traffic at t=4 pushes last_used forward
-        t.lookup(PortNo(1), &key(), SimTime::from_secs(4));
-        assert!(t.expire(SimTime::from_secs(8)).is_empty());
-        let ex = t.expire(SimTime::from_secs(9));
+        sw.process(PortNo(1), &key(), SimTime::from_secs(4));
+        assert!(sw.expire(SimTime::from_secs(8)).is_empty());
+        let ex = sw.expire(SimTime::from_secs(9));
         assert_eq!(ex.len(), 1);
-        assert_eq!(ex[0].1, RemovalReason::IdleTimeout);
+        assert!(matches!(
+            ex[0],
+            SwitchMsg::FlowRemoved {
+                reason: RemovalReason::IdleTimeout,
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -992,13 +992,14 @@ impl PacketPlane {
         ports.clear();
         // verdict kind: 0 = forward, 1 = to-controller, 2 = drop
         let (vk, key_out, pass) = if cached_valid {
-            let e = self.cache.get(&ck).expect("checked above");
-            let res = &e.res;
-            sw.commit_matched_n(&res.matched, count as u64, now);
+            // The entry's generation matches, so the trail's table
+            // positions are exact: both credits below are search-free.
+            let res = &mut self.cache.get_mut(&ck).expect("checked above").res;
+            sw.commit_matched_n(&mut res.matched, count as u64, now);
             let pass = Self::consume_meters(sw, &res.meters, pkt.size, count, now);
             if pass > 0 {
                 sw.credit_bytes(
-                    &res.matched,
+                    &mut res.matched,
                     ByteSize::bytes(pkt.size as u64 * pass as u64),
                     ByteSize::bytes(pkt.size as u64),
                     now,
@@ -1016,14 +1017,14 @@ impl PacketPlane {
         } else {
             // `process` commits one classification; the rest of the burst
             // rides along with one aggregate commit.
-            let res = sw.process(in_port, &pkt.key, now);
+            let mut res = sw.process(in_port, &pkt.key, now);
             if count > 1 {
-                sw.commit_matched_n(&res.matched, count as u64 - 1, now);
+                sw.commit_matched_n(&mut res.matched, count as u64 - 1, now);
             }
             let pass = Self::consume_meters(sw, &res.meters, pkt.size, count, now);
             if pass > 0 {
                 sw.credit_bytes(
-                    &res.matched,
+                    &mut res.matched,
                     ByteSize::bytes(pkt.size as u64 * pass as u64),
                     ByteSize::bytes(pkt.size as u64),
                     now,

@@ -134,7 +134,7 @@ fn app_peering_separates_http_from_other_traffic() {
     let http_ns: Vec<u64> = http.route.hops[0]
         .matched
         .iter()
-        .map(|(_, _, _, c)| cookies::namespace(*c))
+        .map(|m| cookies::namespace(m.cookie))
         .collect();
     assert!(
         http_ns.contains(&cookies::APP_PEERING),
@@ -143,7 +143,7 @@ fn app_peering_separates_http_from_other_traffic() {
     let https_ns: Vec<u64> = https.route.hops[0]
         .matched
         .iter()
-        .map(|(_, _, _, c)| cookies::namespace(*c))
+        .map(|m| cookies::namespace(m.cookie))
         .collect();
     assert!(
         !https_ns.contains(&cookies::APP_PEERING),
