@@ -5,14 +5,28 @@
 //! instantiates one [`PolicyModule`] per rule, and implements
 //! [`Controller`]:
 //!
-//! * `on_start` installs the pipeline plumbing (table-0 fall-through,
-//!   table-1 miss entry) and every module's proactive rules;
+//! * `on_start` is the full compile: the pipeline plumbing (table-0
+//!   fall-through, table-1 miss entry) and every module's proactive rules
+//!   for every switch;
 //! * `on_flow_in` dispatches to reactive modules (MAC learning);
-//! * `on_port_status` rebuilds the path database from the changed topology
-//!   and re-installs all modules — failed links disappear from paths, so
-//!   replacement rules route around them (the paper's "reaction of the
-//!   controller to specific network events");
+//! * `on_port_status` rebuilds the path database from the changed
+//!   topology, diffs it against the one it held, and installs the **path
+//!   delta**: the two O(switches × hosts) modules (MAC forwarding, load
+//!   balancing) re-emit only the `(switch, host)` cells whose next hop or
+//!   ECMP set changed, the per-pair modules re-emit their handful of
+//!   rules — failed links disappear from paths, so replacement rules
+//!   route around them (the paper's "reaction of the controller to
+//!   specific network events"), at a cost proportional to the fault;
+//! * `on_switch_up` is the full compile *for the rejoined switch* (it
+//!   comes back blank, plumbing included) plus the path delta for
+//!   everyone else;
 //! * `on_stats` / `on_timer` feed the adaptive load balancer.
+//!
+//! Entries whose cell did not change are not re-sent, so they keep their
+//! counters, and a fault no longer bumps every switch's generation (which
+//! would flush the packet plane's decision cache fabric-wide). The
+//! generator keeps no copy of the rules it sent: the previous [`PathDb`]
+//! is all the diff needs.
 
 use crate::api::{Controller, ControllerCtx, Outbox};
 use crate::modules::{
@@ -47,6 +61,12 @@ pub struct PolicyGenerator {
     pub unhandled_flow_ins: u64,
     /// Messages emitted (all callbacks).
     pub msgs_emitted: u64,
+    /// Path-database builds (the start compile, then one per port-status
+    /// or switch-rejoin callback).
+    pub pathdb_rebuilds: u64,
+    /// `(switch, host)` cells those rebuilds found changed and
+    /// re-installed (the start compile's cells are not counted).
+    pub cells_dirty: u64,
 }
 
 impl PolicyGenerator {
@@ -137,6 +157,8 @@ impl PolicyGenerator {
             flow_ins: 0,
             unhandled_flow_ins: 0,
             msgs_emitted: 0,
+            pathdb_rebuilds: 0,
+            cells_dirty: 0,
         })
     }
 
@@ -159,52 +181,61 @@ impl PolicyGenerator {
         out
     }
 
-    fn install_plumbing(&self, topo: &Topology, out: &mut Outbox) {
-        for sw in topo.switches() {
-            // table 0 fall-through: every flow continues into table 1
+    /// The pipeline plumbing of one switch (part of the full compile: a
+    /// switch needs it once, at start or when it rejoins blank).
+    fn install_plumbing(&self, sw: NodeId, out: &mut Outbox) {
+        // table 0 fall-through: every flow continues into table 1
+        out.send(
+            sw,
+            CtrlMsg::FlowMod(FlowMod {
+                table: TableId(0),
+                command: FlowModCommand::Add,
+                entry: FlowEntry::new(
+                    priorities::FALLTHROUGH,
+                    FlowMatch::ANY,
+                    vec![Instruction::GotoTable(TableId(1))],
+                )
+                .with_cookie(cookies::PLUMBING),
+            }),
+        );
+        // table 1 miss: reactive setups punt to the controller
+        if self.reactive {
             out.send(
                 sw,
                 CtrlMsg::FlowMod(FlowMod {
-                    table: TableId(0),
+                    table: TableId(1),
                     command: FlowModCommand::Add,
                     entry: FlowEntry::new(
-                        priorities::FALLTHROUGH,
+                        0,
                         FlowMatch::ANY,
-                        vec![Instruction::GotoTable(TableId(1))],
+                        vec![Instruction::ApplyActions(vec![Action::Output(
+                            PortNo::CONTROLLER,
+                        )])],
                     )
                     .with_cookie(cookies::PLUMBING),
                 }),
             );
-            // table 1 miss: reactive setups punt to the controller
-            if self.reactive {
-                out.send(
-                    sw,
-                    CtrlMsg::FlowMod(FlowMod {
-                        table: TableId(1),
-                        command: FlowModCommand::Add,
-                        entry: FlowEntry::new(
-                            0,
-                            FlowMatch::ANY,
-                            vec![Instruction::ApplyActions(vec![Action::Output(
-                                PortNo::CONTROLLER,
-                            )])],
-                        )
-                        .with_cookie(cookies::PLUMBING),
-                    }),
-                );
-            }
         }
     }
 
-    fn reinstall(&mut self, ctx: &ControllerCtx<'_>, out: &mut Outbox) {
-        self.install_plumbing(ctx.topo, out);
+    /// The scoped install after a topology change: rebuilds the path
+    /// database against `ctx.topo`, diffs it against the one held (what
+    /// the switches' rules were compiled from) and has every module
+    /// re-emit for the cells that differ (see
+    /// [`PolicyModule::reinstall`]).
+    fn install_delta(&mut self, ctx: &ControllerCtx<'_>, out: &mut Outbox) {
+        let new = PathDb::build(ctx.topo);
+        let dirty = new.dirty_cells(&self.paths);
+        let prev = std::mem::replace(&mut self.paths, new);
+        self.pathdb_rebuilds += 1;
+        self.cells_dirty += dirty.len() as u64;
         let cctx = CompileCtx {
             topo: ctx.topo,
             paths: &self.paths,
             now: ctx.now,
         };
         for m in self.modules.iter_mut() {
-            m.install(&cctx, out);
+            m.reinstall(&cctx, &prev, &dirty, out);
         }
     }
 }
@@ -216,8 +247,20 @@ impl Controller for PolicyGenerator {
 
     fn on_start(&mut self, ctx: &ControllerCtx<'_>, out: &mut Outbox) {
         self.paths = PathDb::build(ctx.topo);
-        self.reinstall(ctx, out);
-        self.msgs_emitted += out.msgs.len() as u64;
+        self.pathdb_rebuilds += 1;
+        let before = out.msgs.len();
+        for sw in ctx.topo.switches() {
+            self.install_plumbing(sw, out);
+        }
+        let cctx = CompileCtx {
+            topo: ctx.topo,
+            paths: &self.paths,
+            now: ctx.now,
+        };
+        for m in self.modules.iter_mut() {
+            m.install(&cctx, out);
+        }
+        self.msgs_emitted += (out.msgs.len() - before) as u64;
     }
 
     fn on_flow_in(
@@ -250,27 +293,17 @@ impl Controller for PolicyGenerator {
 
     fn on_port_status(
         &mut self,
-        switch: NodeId,
-        port: PortNo,
-        up: bool,
+        _switch: NodeId,
+        _port: PortNo,
+        _up: bool,
         ctx: &ControllerCtx<'_>,
         out: &mut Outbox,
     ) {
         // Topology in ctx already reflects the change; recompute paths and
-        // re-install so forwarding routes around the failure.
-        self.paths = PathDb::build(ctx.topo);
+        // install what moved so forwarding routes around the failure. The
+        // second endpoint's report of the same cable finds nothing dirty.
         let before = out.msgs.len();
-        {
-            let cctx = CompileCtx {
-                topo: ctx.topo,
-                paths: &self.paths,
-                now: ctx.now,
-            };
-            for m in self.modules.iter_mut() {
-                m.on_port_status(switch, port, up, &cctx, out);
-            }
-        }
-        self.reinstall(ctx, out);
+        self.install_delta(ctx, out);
         self.msgs_emitted += (out.msgs.len() - before) as u64;
     }
 
@@ -293,13 +326,14 @@ impl Controller for PolicyGenerator {
         self.msgs_emitted += (out.msgs.len() - before) as u64;
     }
 
-    fn on_switch_up(&mut self, _switch: NodeId, ctx: &ControllerCtx<'_>, out: &mut Outbox) {
-        // The rejoined switch is empty; rules are idempotent overwrites,
-        // so rebuild paths against the restored topology and reinstall
-        // everywhere (surviving switches just re-apply identical state).
-        self.paths = PathDb::build(ctx.topo);
+    fn on_switch_up(&mut self, switch: NodeId, ctx: &ControllerCtx<'_>, out: &mut Outbox) {
+        // The rejoined switch is blank: forgetting its row makes the diff
+        // re-install all of it (on top of its plumbing); everyone else
+        // gets the path delta against the restored topology.
         let before = out.msgs.len();
-        self.reinstall(ctx, out);
+        self.paths.forget_switch(switch);
+        self.install_plumbing(switch, out);
+        self.install_delta(ctx, out);
         self.msgs_emitted += (out.msgs.len() - before) as u64;
     }
 
@@ -326,6 +360,8 @@ impl Controller for PolicyGenerator {
         self.flow_ins.snap(w);
         self.unhandled_flow_ins.snap(w);
         self.msgs_emitted.snap(w);
+        self.pathdb_rebuilds.snap(w);
+        self.cells_dirty.snap(w);
         w.len_prefix(self.modules.len());
         for m in &self.modules {
             m.snapshot_state(w);
@@ -340,6 +376,8 @@ impl Controller for PolicyGenerator {
         self.flow_ins = horse_types::Snap::unsnap(r)?;
         self.unhandled_flow_ins = horse_types::Snap::unsnap(r)?;
         self.msgs_emitted = horse_types::Snap::unsnap(r)?;
+        self.pathdb_rebuilds = horse_types::Snap::unsnap(r)?;
+        self.cells_dirty = horse_types::Snap::unsnap(r)?;
         let n = r.len_prefix()?;
         if n != self.modules.len() {
             return Err(horse_types::SnapError::new(
@@ -492,6 +530,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn rejoin_recompiles_the_blank_switch_only() {
+        let f = fig1_fabric();
+        let spec = PolicySpec::new().with(PolicyRule::LoadBalancing { mode: LbMode::Ecmp });
+        let mut gen = PolicyGenerator::new(spec, &f.topology).unwrap();
+        let compiled = gen.compile(&f.topology);
+        let e1 = f.topology.node_by_name("e1").unwrap();
+        let ctx = ControllerCtx {
+            topo: &f.topology,
+            now: horse_types::SimTime::from_secs(1),
+        };
+        // Nothing moved while it was away: the rejoined switch gets
+        // exactly its share of the start compile, nobody else anything.
+        let mut out = Outbox::new();
+        gen.on_switch_up(e1, &ctx, &mut out);
+        let share: Vec<_> = compiled.msgs.iter().filter(|(sw, _)| *sw == e1).collect();
+        assert!(share.len() > 1 && share.len() < compiled.msgs.len());
+        assert_eq!(
+            format!("{:?}", out.msgs.iter().collect::<Vec<_>>()),
+            format!("{share:?}")
+        );
+        let row = gen.paths.hosts().len() as u64;
+        assert_eq!((gen.pathdb_rebuilds, gen.cells_dirty), (2, row));
+        assert_eq!(gen.msgs_emitted, (compiled.msgs.len() + share.len()) as u64);
+        // A port-status that changes no path costs a rebuild and nothing
+        // else.
+        let mut out = Outbox::new();
+        gen.on_port_status(e1, PortNo(1), true, &ctx, &mut out);
+        assert!(out.is_empty());
+        assert_eq!((gen.pathdb_rebuilds, gen.cells_dirty), (3, row));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! * [`api`] — the [`Controller`] trait (flow-in / flow-removed /
 //!   port-status / stats / timer callbacks) and the [`Outbox`] through
 //!   which a controller emits OpenFlow messages and timer requests.
-//! * [`pathdb`] — per-topology path database (shortest, ECMP sets,
-//!   k-shortest) shared by the policy modules.
+//! * [`pathdb`] — per-topology path database (a dense `switch × host`
+//!   table of next hops and ECMP sets, diffable cell by cell; k-shortest)
+//!   shared by the policy modules.
 //! * [`spec`] — the serde `PolicySpec`, mirroring the JSON-ish policy
 //!   configuration of the paper's Fig. 2.
 //! * [`validate`] — "basic policy validation of policy composition":

@@ -24,6 +24,7 @@
 
 use super::{CompileCtx, PolicyModule};
 use crate::api::Outbox;
+use crate::pathdb::PathDb;
 use crate::spec::LbMode;
 use crate::{cookies, priorities};
 use horse_openflow::actions::Instruction;
@@ -77,48 +78,51 @@ impl LoadBalanceModule {
         GroupId(host.0 + 1)
     }
 
-    /// True when `sw` should reach `host` through a select group: the
-    /// host is remote and the shortest-path DAG offers more than one
-    /// egress port.
-    fn wants_group(ctx: &CompileCtx<'_>, sw: NodeId, host: NodeId) -> bool {
-        ctx.paths.attachment(host).map(|(at, _)| at) != Some(sw)
-            && ctx.paths.ecmp(sw, host).len() > 1
+    /// True when, by `paths`, `sw` should reach `host` through a select
+    /// group: the host is remote and the shortest-path DAG offers more
+    /// than one egress port.
+    fn wants_group(paths: &PathDb, sw: NodeId, host: NodeId) -> bool {
+        paths.attachment(host).map(|(at, _)| at) != Some(sw) && paths.ecmp(sw, host).len() > 1
     }
 
-    fn publish_groups(&mut self, sw: NodeId, ctx: &CompileCtx<'_>, out: &mut Outbox) {
-        for &host in ctx.paths.hosts() {
-            if !Self::wants_group(ctx, sw, host) {
-                continue;
-            }
-            let buckets: Vec<Bucket> = ctx
-                .paths
-                .ecmp(sw, host)
-                .iter()
-                .map(|&p| {
-                    let w = *self.weights.get(&(sw, p)).unwrap_or(&1);
-                    Bucket::weighted_output(p, w)
-                })
-                .collect();
-            out.send(
-                sw,
-                CtrlMsg::GroupMod(GroupMod::Add(GroupEntry {
-                    id: Self::group_for(host),
-                    group_type: GroupType::Select,
-                    buckets,
-                })),
-            );
-            self.group_updates += 1;
+    /// What `sw`'s forwarding entry toward `host` does by `paths`: the
+    /// select group where it wants one, the next hop otherwise, `None`
+    /// while the host is unreachable.
+    fn instruction(paths: &PathDb, sw: NodeId, host: NodeId) -> Option<Instruction> {
+        if Self::wants_group(paths, sw, host) {
+            Some(Instruction::group(Self::group_for(host)))
+        } else {
+            paths.next_hop(sw, host).map(Instruction::output)
         }
     }
-}
 
-impl PolicyModule for LoadBalanceModule {
-    fn name(&self) -> &'static str {
-        "load_balancing"
+    /// Publishes `sw`'s select group toward `host` with the current
+    /// bucket weights.
+    fn publish_group(&mut self, sw: NodeId, host: NodeId, ctx: &CompileCtx<'_>, out: &mut Outbox) {
+        let buckets: Vec<Bucket> = ctx
+            .paths
+            .ecmp(sw, host)
+            .iter()
+            .map(|&p| {
+                let w = *self.weights.get(&(sw, p)).unwrap_or(&1);
+                Bucket::weighted_output(p, w)
+            })
+            .collect();
+        out.send(
+            sw,
+            CtrlMsg::GroupMod(GroupMod::Add(GroupEntry {
+                id: Self::group_for(host),
+                group_type: GroupType::Select,
+                buckets,
+            })),
+        );
+        self.group_updates += 1;
     }
 
-    fn install(&mut self, ctx: &CompileCtx<'_>, out: &mut Outbox) {
-        // Discover uplinks: edge-switch ports whose link lands on a core.
+    /// Discovers uplinks: live edge-switch ports whose link lands on a
+    /// core. Redone on every topology change — the adaptive poll reads
+    /// exactly these ports.
+    fn discover_uplinks(&mut self, ctx: &CompileCtx<'_>) {
         self.uplinks.clear();
         for sw in ctx.topo.switches() {
             let role = ctx.topo.node(sw).and_then(|n| n.role());
@@ -145,47 +149,87 @@ impl PolicyModule for LoadBalanceModule {
             }
             self.uplinks.insert(sw, ups);
         }
+    }
 
-        // Per switch (ascending id — edges precede cores in the canned
-        // fabrics, preserving the historical message order): publish the
-        // multipath groups, then the forwarding entries that reference
-        // them. Local hosts get direct output; remote hosts a group where
-        // the ECMP set is wider than one port, a next-hop rule otherwise.
-        let mut switches: Vec<NodeId> = ctx.topo.switches().collect();
-        switches.sort();
-        for sw in switches {
-            self.publish_groups(sw, ctx, out);
-            for &host in ctx.paths.hosts() {
-                let Some(mac) = ctx.topo.node(host).and_then(|n| n.mac()) else {
-                    continue;
-                };
-                let instruction = if Self::wants_group(ctx, sw, host) {
-                    Instruction::group(Self::group_for(host))
-                } else {
-                    match ctx.paths.next_hop(sw, host) {
-                        Some(p) => Instruction::output(p),
-                        None => continue,
-                    }
-                };
-                out.send(
-                    sw,
-                    CtrlMsg::FlowMod(FlowMod {
-                        table: TableId(1),
-                        command: FlowModCommand::Add,
-                        entry: FlowEntry::new(
-                            priorities::FORWARDING,
-                            FlowMatch::ANY.with_eth_dst(mac),
-                            vec![instruction],
-                        )
-                        .with_cookie(cookies::FORWARDING | host.0 as u64),
-                    }),
-                );
+    /// One switch's share of the compile, for the given destination
+    /// hosts: the multipath groups first, then the forwarding entries
+    /// that reference them — in both cases only those `prev` did not
+    /// already compile to. Local hosts get direct output; remote hosts a
+    /// group where the ECMP set is wider than one port, a next-hop rule
+    /// otherwise (none while the host is unreachable).
+    fn install_switch(
+        &mut self,
+        sw: NodeId,
+        hosts: impl Iterator<Item = NodeId> + Clone,
+        prev: &PathDb,
+        ctx: &CompileCtx<'_>,
+        out: &mut Outbox,
+    ) {
+        for host in hosts.clone() {
+            if Self::wants_group(ctx.paths, sw, host)
+                && !(Self::wants_group(prev, sw, host)
+                    && prev.ecmp(sw, host) == ctx.paths.ecmp(sw, host))
+            {
+                self.publish_group(sw, host, ctx, out);
             }
         }
+        for host in hosts {
+            let Some(mac) = ctx.topo.node(host).and_then(|n| n.mac()) else {
+                continue;
+            };
+            let Some(instruction) = Self::instruction(ctx.paths, sw, host) else {
+                continue;
+            };
+            if Self::instruction(prev, sw, host).as_ref() == Some(&instruction) {
+                continue;
+            }
+            out.send(
+                sw,
+                CtrlMsg::FlowMod(FlowMod {
+                    table: TableId(1),
+                    command: FlowModCommand::Add,
+                    entry: FlowEntry::new(
+                        priorities::FORWARDING,
+                        FlowMatch::ANY.with_eth_dst(mac),
+                        vec![instruction],
+                    )
+                    .with_cookie(cookies::FORWARDING | host.0 as u64),
+                }),
+            );
+        }
+    }
+}
 
-        // Adaptive mode: arm the polling timer.
+impl PolicyModule for LoadBalanceModule {
+    fn name(&self) -> &'static str {
+        "load_balancing"
+    }
+
+    fn install(&mut self, ctx: &CompileCtx<'_>, out: &mut Outbox) {
+        self.discover_uplinks(ctx);
+        // Per switch, ascending id — edges precede cores in the canned
+        // fabrics, preserving the historical message order.
+        let blank = PathDb::default();
+        for sw in ctx.topo.switches() {
+            self.install_switch(sw, ctx.paths.hosts().iter().copied(), &blank, ctx, out);
+        }
+        // Adaptive mode: arm the polling timer (once — a reinstall must
+        // not start a second polling chain).
         if self.mode == LbMode::Adaptive {
             out.set_timer(self.poll_interval, LB_TIMER_TOKEN);
+        }
+    }
+
+    fn reinstall(
+        &mut self,
+        ctx: &CompileCtx<'_>,
+        prev: &PathDb,
+        dirty: &[(NodeId, NodeId)],
+        out: &mut Outbox,
+    ) {
+        self.discover_uplinks(ctx);
+        for cells in dirty.chunk_by(|a, b| a.0 == b.0) {
+            self.install_switch(cells[0].0, cells.iter().map(|c| c.1), prev, ctx, out);
         }
     }
 
@@ -253,7 +297,11 @@ impl PolicyModule for LoadBalanceModule {
             }
         }
         if changed {
-            self.publish_groups(switch, ctx, out);
+            for &host in ctx.paths.hosts() {
+                if Self::wants_group(ctx.paths, switch, host) {
+                    self.publish_group(switch, host, ctx, out);
+                }
+            }
         }
     }
 
@@ -279,7 +327,6 @@ impl PolicyModule for LoadBalanceModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pathdb::PathDb;
     use horse_openflow::messages::PortStatsEntry;
     use horse_topology::builders;
     use horse_types::SimTime;

@@ -8,12 +8,13 @@
 
 use super::{CompileCtx, PolicyModule};
 use crate::api::Outbox;
+use crate::pathdb::PathDb;
 use crate::{cookies, priorities};
 use horse_openflow::actions::Instruction;
 use horse_openflow::flow_match::FlowMatch;
 use horse_openflow::messages::{CtrlMsg, FlowMod, FlowModCommand};
 use horse_openflow::table::FlowEntry;
-use horse_types::TableId;
+use horse_types::{NodeId, TableId};
 
 /// See module docs.
 #[derive(Debug, Default)]
@@ -25,36 +26,58 @@ impl PolicyModule for MacForwardingModule {
     }
 
     fn install(&mut self, ctx: &CompileCtx<'_>, out: &mut Outbox) {
+        let blank = PathDb::default();
         for sw in ctx.topo.switches() {
             for &host in ctx.paths.hosts() {
-                let Some(mac) = ctx.topo.node(host).and_then(|n| n.mac()) else {
-                    continue;
-                };
-                let Some(port) = ctx.paths.next_hop(sw, host) else {
-                    continue; // unreachable host (partitioned)
-                };
-                out.send(
-                    sw,
-                    CtrlMsg::FlowMod(FlowMod {
-                        table: TableId(1),
-                        command: FlowModCommand::Add,
-                        entry: FlowEntry::new(
-                            priorities::FORWARDING,
-                            FlowMatch::ANY.with_eth_dst(mac),
-                            vec![Instruction::output(port)],
-                        )
-                        .with_cookie(cookies::FORWARDING | host.0 as u64),
-                    }),
-                );
+                rule(ctx, &blank, sw, host, out);
             }
         }
     }
+
+    fn reinstall(
+        &mut self,
+        ctx: &CompileCtx<'_>,
+        prev: &PathDb,
+        dirty: &[(NodeId, NodeId)],
+        out: &mut Outbox,
+    ) {
+        for &(sw, host) in dirty {
+            rule(ctx, prev, sw, host, out);
+        }
+    }
+}
+
+/// The forwarding entry of one `(switch, host)` cell, unless `prev`
+/// already compiled to the same one. A cell with no path (partitioned)
+/// emits nothing and keeps whatever entry it had.
+fn rule(ctx: &CompileCtx<'_>, prev: &PathDb, sw: NodeId, host: NodeId, out: &mut Outbox) {
+    let Some(mac) = ctx.topo.node(host).and_then(|n| n.mac()) else {
+        return;
+    };
+    let Some(port) = ctx.paths.next_hop(sw, host) else {
+        return;
+    };
+    if prev.next_hop(sw, host) == Some(port) {
+        return;
+    }
+    out.send(
+        sw,
+        CtrlMsg::FlowMod(FlowMod {
+            table: TableId(1),
+            command: FlowModCommand::Add,
+            entry: FlowEntry::new(
+                priorities::FORWARDING,
+                FlowMatch::ANY.with_eth_dst(mac),
+                vec![Instruction::output(port)],
+            )
+            .with_cookie(cookies::FORWARDING | host.0 as u64),
+        }),
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pathdb::PathDb;
     use horse_topology::builders;
     use horse_types::SimTime;
 

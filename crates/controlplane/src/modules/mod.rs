@@ -1,11 +1,14 @@
 //! Policy modules — one per policy class of the paper's Fig. 1.
 //!
 //! Each module compiles its policy into OpenFlow messages through
-//! [`PolicyModule::install`] (idempotent: re-running after a topology
-//! change replaces the previous rules) and may react to flow-ins, port
-//! status, statistics and timers. The [`PolicyGenerator`] owns a list of
-//! modules and dispatches to them — the paper's "lightweight and modular
-//! controller".
+//! [`PolicyModule::install`] — the full compile, run once at start — and
+//! [`PolicyModule::reinstall`] — the scoped install after a topology
+//! change, which re-emits only what the change in the path database
+//! moved. Both emit `FlowMod::Add`s, which replace
+//! same-match-same-priority entries, so whatever is re-sent overwrites in
+//! place. A module may also react to flow-ins, statistics and timers. The
+//! [`PolicyGenerator`] owns a list of modules and dispatches to them —
+//! the paper's "lightweight and modular controller".
 //!
 //! [`PolicyGenerator`]: crate::generator::PolicyGenerator
 
@@ -46,10 +49,28 @@ pub trait PolicyModule {
     /// Module name (reports, validation messages).
     fn name(&self) -> &'static str;
 
-    /// Emits the module's proactive rules. Must be idempotent: the
-    /// generator re-invokes it after topology changes and `FlowMod::Add`
-    /// replaces same-match-same-priority entries.
+    /// Emits all of the module's proactive rules: the full compile, run
+    /// at simulation start.
     fn install(&mut self, ctx: &CompileCtx<'_>, out: &mut Outbox);
+
+    /// Re-emits rules after a topology change. `ctx.paths` is the rebuilt
+    /// database; `prev` is the one the switches' current rules were
+    /// compiled from (a switch that just rejoined blank has an empty row
+    /// in it); `dirty` lists, ascending, the `(switch, host)` cells where
+    /// the two differ. Modules whose rule count is O(switches × hosts)
+    /// override this to emit, for those cells only and in the relative
+    /// order `install` would, the messages that differ from what `prev`
+    /// compiled to; the default re-runs `install`, which is right for a
+    /// module with a handful of rules.
+    fn reinstall(
+        &mut self,
+        ctx: &CompileCtx<'_>,
+        _prev: &PathDb,
+        _dirty: &[(NodeId, NodeId)],
+        out: &mut Outbox,
+    ) {
+        self.install(ctx, out);
+    }
 
     /// Reactive hook. Returns `true` when this module handled the miss.
     fn on_flow_in(
@@ -61,17 +82,6 @@ pub trait PolicyModule {
         _out: &mut Outbox,
     ) -> bool {
         false
-    }
-
-    /// Port up/down notification (generator already rebuilt the path DB).
-    fn on_port_status(
-        &mut self,
-        _switch: NodeId,
-        _port: PortNo,
-        _up: bool,
-        _ctx: &CompileCtx<'_>,
-        _out: &mut Outbox,
-    ) {
     }
 
     /// Statistics reply (adaptive modules).

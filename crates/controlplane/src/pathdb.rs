@@ -1,104 +1,250 @@
 //! The path database policy modules consult.
 //!
-//! Built once per topology (and rebuilt on port-status changes), it caches
+//! Built once at start and rebuilt on every topology change, it caches
 //! host locations and answers "which egress port at switch S leads toward
 //! host H" — the primitive every forwarding policy compiles down to.
+//!
+//! The answers live in one dense `switch × host` table (rows and columns
+//! in ascending node id): a next-hop port per cell and the cells' ECMP
+//! port sets in one CSR. A rebuild is a millisecond on a k=8 fat-tree,
+//! and because two builds of the same fabric have the same shape,
+//! [`PathDb::dirty_cells`] compares them cell by cell — that diff is what
+//! the policy generator installs after a fault instead of recompiling
+//! everything.
 
-use horse_topology::routing::{dist_to, k_shortest_paths, shortest_path, sssp, Metric, Path};
+use horse_topology::routing::{k_shortest_paths, shortest_path, sssp, Metric, Path, ReverseAdj};
 use horse_topology::Topology;
-use horse_types::{MacAddr, NodeId, PortNo};
+use horse_types::{MacAddr, NodeId, PortNo, Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::HashMap;
+
+/// `slot` value of a node id that is neither a row nor a column.
+const NO_SLOT: u32 = u32::MAX;
 
 /// Cached paths over a topology snapshot. The default is the empty
 /// database: no hosts, every query answers `None`.
 #[derive(Default)]
 pub struct PathDb {
-    /// All host node ids, sorted.
+    /// All host node ids, ascending — the table's columns.
     hosts: Vec<NodeId>,
+    /// All switch node ids, ascending — the table's rows.
+    switches: Vec<NodeId>,
+    /// Node index → its row (switches) or column (hosts). Derived from
+    /// the two lists, so it is rebuilt rather than serialized.
+    slot: Vec<u32>,
     /// MAC → host node.
     mac_to_host: HashMap<MacAddr, NodeId>,
-    /// Host → the edge switch it attaches to (via its first up link).
-    attachment: HashMap<NodeId, (NodeId, PortNo)>,
-    /// `(switch, dst host)` → egress port on the deterministic shortest
-    /// path.
-    next_hop: HashMap<(NodeId, NodeId), PortNo>,
-    /// `(switch, dst host)` → every equal-cost egress port (ECMP set).
-    ecmp_ports: HashMap<(NodeId, NodeId), Vec<PortNo>>,
+    /// Per host column: the edge switch it attaches to (via its first up
+    /// link).
+    attachment: Vec<Option<(NodeId, PortNo)>>,
+    /// Per cell (`row * hosts + column`): egress port on the
+    /// deterministic shortest path, [`PortNo::NONE`] when unreachable.
+    next_hop: Vec<PortNo>,
+    /// Per cell: where its ECMP set starts in `ecmp_ports` (one trailing
+    /// entry closes the last cell).
+    ecmp_off: Vec<u32>,
+    /// Every cell's equal-cost egress ports, ascending within a cell.
+    ecmp_ports: Vec<PortNo>,
 }
 
 // Checkpoints serialize the database rather than rebuilding it: between a
 // port-status change and the (latency-delayed) controller callback the
 // cached paths intentionally reflect the OLD topology, and a resumed run
 // must reproduce that staleness window exactly.
-horse_types::impl_snap_struct!(PathDb {
-    hosts,
-    mac_to_host,
-    attachment,
-    next_hop,
-    ecmp_ports,
-});
+impl Snap for PathDb {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.hosts.snap(w);
+        self.switches.snap(w);
+        self.mac_to_host.snap(w);
+        self.attachment.snap(w);
+        self.next_hop.snap(w);
+        self.ecmp_off.snap(w);
+        self.ecmp_ports.snap(w);
+    }
+
+    /// Checks every dimension the queries index by, so a truncated or
+    /// bit-flipped blob is a [`SnapError`] here and never an index panic
+    /// on a later query.
+    fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
+        let at = r.position();
+        let bad = |what: &str| SnapError::new(format!("path database: {what}"), at);
+        let hosts: Vec<NodeId> = Snap::unsnap(r)?;
+        let switches: Vec<NodeId> = Snap::unsnap(r)?;
+        let slot = slots(&switches, &hosts).ok_or_else(|| bad("node lists are not a partition"))?;
+        let db = PathDb {
+            hosts,
+            switches,
+            slot,
+            mac_to_host: Snap::unsnap(r)?,
+            attachment: Snap::unsnap(r)?,
+            next_hop: Snap::unsnap(r)?,
+            ecmp_off: Snap::unsnap(r)?,
+            ecmp_ports: Snap::unsnap(r)?,
+        };
+        let cells = db.switches.len().checked_mul(db.hosts.len());
+        let Some(cells) =
+            cells.filter(|&c| db.attachment.len() == db.hosts.len() && db.next_hop.len() == c)
+        else {
+            return Err(bad("table dimensions disagree with the node lists"));
+        };
+        let offsets_ok = match db.ecmp_off.as_slice() {
+            [] => cells == 0 && db.ecmp_ports.is_empty(),
+            off => {
+                off.len() == cells + 1
+                    && off[0] == 0
+                    && off.windows(2).all(|w| w[0] <= w[1])
+                    && off[cells] as usize == db.ecmp_ports.len()
+            }
+        };
+        if !offsets_ok {
+            return Err(bad("ECMP offsets do not tile the port list"));
+        }
+        Ok(db)
+    }
+}
+
+/// The node-index → row/column map for the given rows and columns, or
+/// `None` unless each list is strictly ascending and together they are
+/// exactly the ids `0..n` (which also bounds the map by the lists read).
+fn slots(switches: &[NodeId], hosts: &[NodeId]) -> Option<Vec<u32>> {
+    let mut slot = vec![NO_SLOT; switches.len() + hosts.len()];
+    for list in [switches, hosts] {
+        if !list.windows(2).all(|w| w[0] < w[1]) {
+            return None;
+        }
+        for (i, n) in list.iter().enumerate() {
+            let s = slot.get_mut(n.index())?;
+            if *s != NO_SLOT {
+                return None;
+            }
+            *s = u32::try_from(i).ok()?;
+        }
+    }
+    Some(slot)
+}
 
 impl PathDb {
     /// Builds the database from the current topology state (down links are
     /// excluded, so rebuilding after a failure yields repaired paths).
     pub fn build(topo: &Topology) -> Self {
         let hosts: Vec<NodeId> = topo.hosts().collect();
+        let switches: Vec<NodeId> = topo.switches().collect();
+        let slot = slots(&switches, &hosts).expect("every node is a host or a switch");
         let mut mac_to_host = HashMap::new();
-        let mut attachment = HashMap::new();
+        let mut attachment = Vec::with_capacity(hosts.len());
         for &h in &hosts {
             if let Some(mac) = topo.node(h).and_then(|n| n.mac()) {
                 mac_to_host.insert(mac, h);
             }
-            if let Some((lid, l)) = topo.out_links(h).find(|(_, l)| l.is_up()) {
-                let _ = lid;
-                attachment.insert(h, (l.dst, l.dst_port));
-            }
+            attachment.push(
+                topo.out_links(h)
+                    .find(|(_, l)| l.is_up())
+                    .map(|(_, l)| (l.dst, l.dst_port)),
+            );
         }
-        let mut next_hop = HashMap::new();
-        let mut ecmp_ports = HashMap::new();
-        let switches: Vec<NodeId> = topo.switches().collect();
         // ECMP first-hop sets come from one *reverse* shortest-path tree
         // per host: an egress link is in the set iff it steps one unit
         // closer to the host. Identical sets to enumerating every
         // equal-cost path and keeping the first links — but without the
-        // enumeration, whose DFS walks the whole radius-d DAG ball and
-        // dominated the build on fat-trees (~700 ms at k=8; this build
-        // runs at simulation start *and* on every port-status change).
+        // enumeration, whose DFS walks the whole radius-d DAG ball.
+        let reverse_adj = ReverseAdj::new(topo);
         let reverse: Vec<_> = hosts
             .iter()
-            .map(|&h| dist_to(topo, h, Metric::Hops))
+            .map(|&h| reverse_adj.dist_to(topo, h, Metric::Hops))
             .collect();
+        let cells = switches.len() * hosts.len();
+        let mut next_hop = Vec::with_capacity(cells);
+        let mut ecmp_off = Vec::with_capacity(cells + 1);
+        let mut ecmp_ports: Vec<PortNo> = Vec::new();
+        ecmp_off.push(0);
         for &sw in &switches {
             // One forward tree per switch answers every next-hop query
             // with the same deterministic (lowest-link-id) path choice
             // as a per-pair `shortest_path` call.
             let tree = sssp(topo, sw, Metric::Hops);
             for (hi, &h) in hosts.iter().enumerate() {
-                if let Some(p) = tree.path_to(topo, h) {
-                    if let Some(&first_link) = p.links.first() {
-                        let port = topo.link(first_link).expect("link exists").src_port;
-                        next_hop.insert((sw, h), port);
-                    }
-                }
-                let links = reverse[hi].ecmp_links(topo, sw);
-                if !links.is_empty() {
-                    let mut ports: Vec<PortNo> = links
-                        .iter()
-                        .map(|&l| topo.link(l).expect("link exists").src_port)
-                        .collect();
-                    ports.sort();
-                    ports.dedup();
-                    ecmp_ports.insert((sw, h), ports);
-                }
+                next_hop.push(tree.first_link_to(h).map_or(PortNo::NONE, |l| {
+                    topo.link(l).expect("link exists").src_port
+                }));
+                let start = ecmp_ports.len();
+                ecmp_ports.extend(
+                    reverse[hi]
+                        .ecmp_out_links(topo, sw)
+                        .map(|(_, l)| l.src_port),
+                );
+                // a node's egress links leave through distinct ports, so
+                // sorted means duplicate-free
+                ecmp_ports[start..].sort_unstable();
+                ecmp_off.push(u32::try_from(ecmp_ports.len()).expect("ECMP list fits u32"));
             }
         }
         PathDb {
             hosts,
+            switches,
+            slot,
             mac_to_host,
             attachment,
             next_hop,
+            ecmp_off,
             ecmp_ports,
         }
+    }
+
+    /// The row of a switch / the column of a host.
+    fn index_in(&self, list: &[NodeId], node: NodeId) -> Option<usize> {
+        let i = *self.slot.get(node.index())? as usize;
+        (list.get(i) == Some(&node)).then_some(i)
+    }
+
+    fn cell(&self, switch: NodeId, host: NodeId) -> Option<usize> {
+        let row = self.index_in(&self.switches, switch)?;
+        let col = self.index_in(&self.hosts, host)?;
+        Some(row * self.hosts.len() + col)
+    }
+
+    fn ecmp_at(&self, cell: usize) -> &[PortNo] {
+        &self.ecmp_ports[self.ecmp_off[cell] as usize..self.ecmp_off[cell + 1] as usize]
+    }
+
+    /// Empties `switch`'s row (no next hop, no ECMP port toward any host):
+    /// what the database must say about a switch that rejoined blank, so
+    /// that a diff against it re-installs the whole row.
+    pub fn forget_switch(&mut self, switch: NodeId) {
+        let Some(row) = self.index_in(&self.switches, switch) else {
+            return;
+        };
+        let cols = self.hosts.len();
+        let (first, last) = (row * cols, (row + 1) * cols);
+        self.next_hop[first..last].fill(PortNo::NONE);
+        let (lo, hi) = (self.ecmp_off[first], self.ecmp_off[last]);
+        self.ecmp_ports.drain(lo as usize..hi as usize);
+        self.ecmp_off[first..=last].fill(lo);
+        for off in &mut self.ecmp_off[last + 1..] {
+            *off -= hi - lo;
+        }
+    }
+
+    /// The `(switch, host)` cells whose answers differ from `old`'s, in
+    /// ascending `(switch, host)` order: the next hop, the ECMP set, or
+    /// the host's attachment changed. Every cell when the two databases
+    /// do not describe the same switches and hosts (`old` is the empty
+    /// default, say).
+    pub fn dirty_cells(&self, old: &PathDb) -> Vec<(NodeId, NodeId)> {
+        let same_shape = self.switches == old.switches && self.hosts == old.hosts;
+        let cols = self.hosts.len();
+        let mut dirty = Vec::new();
+        for (row, &sw) in self.switches.iter().enumerate() {
+            for (col, &h) in self.hosts.iter().enumerate() {
+                let cell = row * cols + col;
+                if !same_shape
+                    || self.next_hop[cell] != old.next_hop[cell]
+                    || self.ecmp_at(cell) != old.ecmp_at(cell)
+                    || self.attachment[col] != old.attachment[col]
+                {
+                    dirty.push((sw, h));
+                }
+            }
+        }
+        dirty
     }
 
     /// All hosts.
@@ -113,20 +259,17 @@ impl PathDb {
 
     /// The `(edge switch, port)` a host attaches to.
     pub fn attachment(&self, host: NodeId) -> Option<(NodeId, PortNo)> {
-        self.attachment.get(&host).copied()
+        self.attachment[self.index_in(&self.hosts, host)?]
     }
 
     /// Deterministic shortest-path egress port at `switch` toward `host`.
     pub fn next_hop(&self, switch: NodeId, host: NodeId) -> Option<PortNo> {
-        self.next_hop.get(&(switch, host)).copied()
+        Some(self.next_hop[self.cell(switch, host)?]).filter(|&p| p != PortNo::NONE)
     }
 
     /// All equal-cost egress ports at `switch` toward `host`.
     pub fn ecmp(&self, switch: NodeId, host: NodeId) -> &[PortNo] {
-        self.ecmp_ports
-            .get(&(switch, host))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        self.cell(switch, host).map_or(&[], |c| self.ecmp_at(c))
     }
 
     /// An explicit path visiting `waypoints` in order (shortest segments
@@ -267,5 +410,129 @@ mod tests {
         let db2 = PathDb::build(&topo);
         let new_port = db2.next_hop(e0, m1).expect("alternate path exists");
         assert_ne!(new_port, old_port);
+    }
+    /// Every query, over every node id the topology knows plus one it
+    /// does not: must answer, whatever the database holds.
+    fn exercise(db: &PathDb, topo: &Topology) {
+        let ids: Vec<NodeId> = (0..=topo.node_count()).map(NodeId::from_index).collect();
+        for &a in &ids {
+            let _ = db.attachment(a);
+            for &b in &ids {
+                let _ = (db.next_hop(a, b), db.ecmp(a, b));
+            }
+        }
+        let _ = db.dirty_cells(&PathDb::build(topo));
+    }
+
+    fn snapped(db: &PathDb) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        db.snap(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn snapshot_round_trips_and_rejects_hostile_bytes() {
+        let f = builders::ixp_fabric(&builders::IxpFabricParams {
+            members: 6,
+            edge_switches: 3,
+            core_switches: 2,
+            ..Default::default()
+        });
+        let topo = &f.topology;
+        let db = PathDb::build(topo);
+        let bytes = snapped(&db);
+        let back = PathDb::unsnap(&mut SnapReader::new(&bytes)).expect("round trip");
+        assert!(back.dirty_cells(&db).is_empty());
+        assert_eq!(snapped(&back), bytes, "canonical re-encoding");
+        let empty = snapped(&PathDb::default());
+        let back = PathDb::unsnap(&mut SnapReader::new(&empty)).expect("empty round trip");
+        assert_eq!(snapped(&back), empty);
+
+        // Truncation anywhere is an error.
+        for cut in 0..bytes.len() {
+            assert!(
+                PathDb::unsnap(&mut SnapReader::new(&bytes[..cut])).is_err(),
+                "truncation at {cut} decoded"
+            );
+        }
+        // A flipped bit is an error or a database that still answers
+        // every query — never an index panic.
+        let mut rejected = 0;
+        for at in 0..bytes.len() {
+            for bit in [0, 3, 7] {
+                let mut hostile = bytes.clone();
+                hostile[at] ^= 1 << bit;
+                match PathDb::unsnap(&mut SnapReader::new(&hostile)) {
+                    Ok(db) => exercise(&db, topo),
+                    Err(_) => rejected += 1,
+                }
+            }
+        }
+        assert!(rejected > 0, "dimension checks must reject something");
+    }
+
+    #[test]
+    fn dirty_cells_name_exactly_what_moved() {
+        let f = builders::ixp_fabric(&builders::IxpFabricParams {
+            members: 4,
+            edge_switches: 2,
+            core_switches: 2,
+            ..Default::default()
+        });
+        let mut topo = f.topology.clone();
+        let before = PathDb::build(&topo);
+        assert!(PathDb::build(&topo).dirty_cells(&before).is_empty());
+        // against the empty database every cell is dirty
+        assert_eq!(before.dirty_cells(&PathDb::default()).len(), 4 * 4);
+
+        let uplink = topo
+            .out_links(f.edges[0])
+            .find(|(_, l)| l.dst == f.cores[0])
+            .map(|(id, _)| id)
+            .unwrap();
+        topo.set_cable_state(uplink, horse_topology::LinkState::Down)
+            .unwrap();
+        let after = PathDb::build(&topo);
+        let dirty = after.dirty_cells(&before);
+        assert!(dirty.windows(2).all(|w| w[0] < w[1]), "ascending");
+        for sw in topo.switches() {
+            for &h in after.hosts() {
+                let moved = after.next_hop(sw, h) != before.next_hop(sw, h)
+                    || after.ecmp(sw, h) != before.ecmp(sw, h);
+                assert_eq!(dirty.contains(&(sw, h)), moved, "cell ({sw}, {h})");
+            }
+        }
+        assert!(!dirty.is_empty() && dirty.len() < 4 * 4);
+    }
+
+    #[test]
+    fn forgetting_a_switch_empties_its_row_only() {
+        let f = builders::ixp_fabric(&builders::IxpFabricParams {
+            members: 4,
+            edge_switches: 2,
+            core_switches: 2,
+            ..Default::default()
+        });
+        let db = PathDb::build(&f.topology);
+        for &gone in f.edges.iter().chain(&f.cores) {
+            let mut forgot = PathDb::build(&f.topology);
+            forgot.forget_switch(gone);
+            for sw in f.topology.switches() {
+                for &h in db.hosts() {
+                    if sw == gone {
+                        assert_eq!(forgot.next_hop(sw, h), None);
+                        assert!(forgot.ecmp(sw, h).is_empty());
+                    } else {
+                        assert_eq!(forgot.next_hop(sw, h), db.next_hop(sw, h));
+                        assert_eq!(forgot.ecmp(sw, h), db.ecmp(sw, h));
+                    }
+                }
+            }
+            // the whole row (every host is reachable here) and nothing else
+            let row: Vec<_> = db.hosts().iter().map(|&h| (gone, h)).collect();
+            assert_eq!(db.dirty_cells(&forgot), row);
+            let bytes = snapped(&forgot);
+            PathDb::unsnap(&mut SnapReader::new(&bytes)).expect("still well-formed");
+        }
     }
 }

@@ -82,7 +82,7 @@ impl std::error::Error for BuildError {}
 /// Magic prefix of the checkpoint format.
 pub const SNAPSHOT_MAGIC: &[u8; 9] = b"HORSESNAP";
 /// Current checkpoint format version.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Errors raised while resuming or forking from a checkpoint.
 #[derive(Debug)]
@@ -191,9 +191,9 @@ pub struct Simulation {
     /// Controller outage nesting depth (overlapping chaos windows stack;
     /// the controller is up only at depth 0).
     ctrl_down_depth: u32,
-    /// Switch→controller messages that arrived during an outage, in
-    /// arrival order, replayed on recovery.
-    ctrl_buffer: Vec<(SwitchMsg, Option<FlowId>)>,
+    /// Controller inputs that arrived during an outage, in arrival
+    /// order, replayed on recovery.
+    ctrl_buffer: Vec<CtrlInput>,
     /// Control-channel latency multiplier (1.0 = the configured latency;
     /// chaos latency-spike windows raise it).
     ctrl_latency_factor: f64,
@@ -249,6 +249,46 @@ pub struct Simulation {
     msgs_to_controller: u64,
     msgs_to_switch: u64,
     flow_ins: u64,
+}
+
+/// One input the controller reacts to. Live inputs are handed over as
+/// they arrive; during an outage they wait in `ctrl_buffer`.
+enum CtrlInput {
+    /// A switch→controller message, and the pending flow to retry once
+    /// the reaction has landed.
+    Msg(SwitchMsg, Option<FlowId>),
+    /// A crashed switch rejoined blank (the out-of-band
+    /// [`Controller::on_switch_up`] hook).
+    Rejoin(NodeId),
+}
+
+impl Snap for CtrlInput {
+    fn snap(&self, w: &mut SnapWriter) {
+        match self {
+            CtrlInput::Msg(msg, retry) => {
+                w.u8(0);
+                msg.snap(w);
+                retry.snap(w);
+            }
+            CtrlInput::Rejoin(node) => {
+                w.u8(1);
+                node.snap(w);
+            }
+        }
+    }
+
+    fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(match r.u8()? {
+            0 => CtrlInput::Msg(Snap::unsnap(r)?, Snap::unsnap(r)?),
+            1 => CtrlInput::Rejoin(Snap::unsnap(r)?),
+            t => {
+                return Err(SnapError::new(
+                    format!("bad CtrlInput tag {t}"),
+                    r.position(),
+                ))
+            }
+        })
+    }
 }
 
 struct WorkloadAdapter {
@@ -628,7 +668,7 @@ impl Simulation {
                 break;
             }
             self.epochs += 1;
-            let span_start = self.tracer.as_ref().and_then(|t| t.epoch_start());
+            let span_start = self.tracer.as_ref().and_then(|t| t.span_start());
             let mut batch = 0u64;
             while let Some(ev) = self.queue.pop_if_at(epoch_time) {
                 self.events += 1;
@@ -816,20 +856,29 @@ impl Simulation {
         }
     }
 
-    fn dispatch_to_controller(&mut self, now: SimTime, msg: &SwitchMsg) -> Outbox {
+    /// Runs one controller callback and sends what it emitted on its way
+    /// (messages pay the control-channel latency). With spans enabled the
+    /// callback is one `controller.dispatch` span carrying the emitted
+    /// message count.
+    fn call_controller(
+        &mut self,
+        now: SimTime,
+        callback: impl FnOnce(&mut dyn Controller, &ControllerCtx<'_>, &mut Outbox),
+    ) {
+        let span_start = self.tracer.as_ref().and_then(|t| t.span_start());
         let mut out = Outbox::new();
         let ctx = ControllerCtx {
             topo: self.fluid.topology(),
             now,
         };
-        self.controller.dispatch(msg, &ctx, &mut out);
-        out
-    }
-
-    fn flush_outbox(&mut self, now: SimTime, out: Outbox) {
+        callback(self.controller.as_mut(), &ctx, &mut out);
+        if let (Some(start_ns), Some(t)) = (span_start, self.tracer.as_mut()) {
+            t.push_dispatch_span(start_ns, out.msgs.len() as u64);
+        }
+        let arrival = now + self.ctrl_latency();
         for (sw, msg) in out.msgs {
             self.queue.schedule_at(
-                now + self.ctrl_latency(),
+                arrival,
                 SimEvent::ToSwitch {
                     switch: sw,
                     msg: Box::new(msg),
@@ -842,17 +891,34 @@ impl Simulation {
         }
     }
 
-    /// Hands one switch→controller message to the controller and applies
-    /// its reaction (shared by live delivery and post-outage replay).
-    fn deliver_to_controller(&mut self, now: SimTime, msg: &SwitchMsg, retry: Option<FlowId>) {
-        let out = self.dispatch_to_controller(now, msg);
-        self.flush_outbox(now, out);
-        if let Some(id) = retry {
-            // Retry strictly after the controller's FlowMods land:
-            // they are scheduled at now + latency; FIFO ordering at
-            // equal timestamps applies them first.
-            self.queue
-                .schedule_at(now + self.ctrl_latency(), SimEvent::AdmitRetry { id });
+    /// Routes one controller input: straight to the controller, or — the
+    /// input reached the controller's side of the channel but the
+    /// controller is dark — into the outage backlog, in arrival order.
+    fn controller_input(&mut self, now: SimTime, input: CtrlInput) {
+        if self.ctrl_down_depth > 0 {
+            self.ctrl_buffer.push(input);
+        } else {
+            self.deliver_to_controller(now, &input);
+        }
+    }
+
+    /// Hands one input to the controller and applies its reaction (shared
+    /// by live delivery and post-outage replay).
+    fn deliver_to_controller(&mut self, now: SimTime, input: &CtrlInput) {
+        match input {
+            CtrlInput::Msg(msg, retry) => {
+                self.call_controller(now, |c, ctx, out| c.dispatch(msg, ctx, out));
+                if let Some(id) = *retry {
+                    // Retry strictly after the controller's FlowMods land:
+                    // they are scheduled at now + latency; FIFO ordering at
+                    // equal timestamps applies them first.
+                    self.queue
+                        .schedule_at(now + self.ctrl_latency(), SimEvent::AdmitRetry { id });
+                }
+            }
+            CtrlInput::Rejoin(node) => {
+                self.call_controller(now, |c, ctx, out| c.on_switch_up(*node, ctx, out));
+            }
         }
     }
 
@@ -909,14 +975,9 @@ impl Simulation {
             SimEvent::ToController { msg, retry } => {
                 self.msgs_to_controller += 1;
                 if self.ctrl_down_depth > 0 {
-                    // Outage: the message reached the controller's side of
-                    // the channel but the controller is dark — buffer in
-                    // arrival order, replay on recovery.
                     self.chaos_ctr.ctrl_msgs_buffered += 1;
-                    self.ctrl_buffer.push((*msg, retry));
-                } else {
-                    self.deliver_to_controller(now, &msg, retry);
                 }
+                self.controller_input(now, CtrlInput::Msg(*msg, retry));
             }
             SimEvent::ToSwitch { switch, msg } => {
                 // A stats request served here reads switch port/entry
@@ -936,13 +997,7 @@ impl Simulation {
                 }
             }
             SimEvent::ControllerTimer { token } => {
-                let mut out = Outbox::new();
-                let ctx = ControllerCtx {
-                    topo: self.fluid.topology(),
-                    now,
-                };
-                self.controller.on_timer(token, &ctx, &mut out);
-                self.flush_outbox(now, out);
+                self.call_controller(now, |c, ctx, out| c.on_timer(token, ctx, out));
             }
             SimEvent::CableDown(link) => {
                 self.chaos_ctr.cable_downs += 1;
@@ -992,19 +1047,9 @@ impl Simulation {
                 }
                 // Out-of-band rejoin hook: the controller reinstalls the
                 // blank switch (its messages pay the usual channel
-                // latency). Skipped while the controller is dark — then
-                // the buffered PortStatus replay is how it finds out.
-                if self.ctrl_down_depth == 0 {
-                    let mut out = Outbox::new();
-                    {
-                        let ctx = ControllerCtx {
-                            topo: self.fluid.topology(),
-                            now,
-                        };
-                        self.controller.on_switch_up(node, &ctx, &mut out);
-                    }
-                    self.flush_outbox(now, out);
-                }
+                // latency). While the controller is dark the notification
+                // waits its turn in the backlog like any other input.
+                self.controller_input(now, CtrlInput::Rejoin(node));
                 self.request_realloc(now);
             }
             SimEvent::GraySet {
@@ -1029,12 +1074,11 @@ impl Simulation {
             SimEvent::CtrlUp => {
                 if self.ctrl_down_depth > 0 {
                     self.ctrl_down_depth -= 1;
-                    if self.ctrl_down_depth == 0 && !self.ctrl_buffer.is_empty() {
+                    if self.ctrl_down_depth == 0 {
                         // Replay in arrival order: the controller works
                         // through its backlog the instant it comes back.
-                        let backlog: Vec<_> = self.ctrl_buffer.drain(..).collect();
-                        for (msg, retry) in backlog {
-                            self.deliver_to_controller(now, &msg, retry);
+                        for input in std::mem::take(&mut self.ctrl_buffer) {
+                            self.deliver_to_controller(now, &input);
                         }
                     }
                 }

@@ -204,10 +204,25 @@ impl SimTracer {
         }
     }
 
-    /// Span-clock timestamp for an epoch about to start (`None` when
-    /// spans are off) — pass back to [`SimTracer::push_epoch_span`].
-    pub(crate) fn epoch_start(&self) -> Option<u64> {
+    /// Span-clock timestamp for a span about to start (`None` when spans
+    /// are off) — pass back to [`SimTracer::push_epoch_span`] or
+    /// [`SimTracer::push_dispatch_span`].
+    pub(crate) fn span_start(&self) -> Option<u64> {
         self.spans.as_ref().map(|s| s.now_ns())
+    }
+
+    /// Records one controller callback with the messages it emitted.
+    pub(crate) fn push_dispatch_span(&mut self, start_ns: u64, msgs: u64) {
+        if let Some(s) = self.spans.as_mut() {
+            let end = s.now_ns();
+            s.push_args(
+                "controller.dispatch",
+                0,
+                start_ns,
+                end.saturating_sub(start_ns),
+                &[("msgs", msgs)],
+            );
+        }
     }
 
     /// Records one epoch span with its batch size and sim-time.

@@ -11,8 +11,9 @@
 //! * [`k_shortest_paths`] — Yen's algorithm for source-routing alternatives.
 
 use crate::graph::Topology;
+use crate::link::Link;
 use horse_types::{LinkId, NodeId};
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashSet};
 
 /// Cost metric for path computation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -87,77 +88,8 @@ impl PartialOrd for QueueEntry {
     }
 }
 
-/// Dijkstra from `src`, honouring link state and an optional ban-list of
-/// links/nodes (used by Yen's spur computation). Returns per-node best cost
-/// and the incoming link on the best path.
-fn dijkstra_metric(
-    topo: &Topology,
-    src: NodeId,
-    metric: Metric,
-    banned_links: &HashSet<LinkId>,
-    banned_nodes: &HashSet<NodeId>,
-) -> (HashMap<NodeId, u64>, HashMap<NodeId, LinkId>) {
-    let mut dist: HashMap<NodeId, u64> = HashMap::new();
-    let mut prev: HashMap<NodeId, LinkId> = HashMap::new();
-    let mut heap = BinaryHeap::new();
-    dist.insert(src, 0);
-    heap.push(QueueEntry { cost: 0, node: src });
-
-    while let Some(QueueEntry { cost, node }) = heap.pop() {
-        if cost > *dist.get(&node).unwrap_or(&u64::MAX) {
-            continue;
-        }
-        let mut edges: Vec<(LinkId, NodeId, u64)> = topo
-            .out_links(node)
-            .filter(|(id, l)| {
-                l.is_up() && !banned_links.contains(id) && !banned_nodes.contains(&l.dst)
-            })
-            .map(|(id, l)| (id, l.dst, metric.cost(topo, id)))
-            .collect();
-        // Deterministic relaxation order.
-        edges.sort_by_key(|(id, _, _)| *id);
-        for (lid, nxt, c) in edges {
-            let nc = cost.saturating_add(c);
-            let better = match dist.get(&nxt) {
-                None => true,
-                Some(&d) => nc < d || (nc == d && Some(lid) < prev.get(&nxt).copied()),
-            };
-            if better {
-                dist.insert(nxt, nc);
-                prev.insert(nxt, lid);
-                heap.push(QueueEntry {
-                    cost: nc,
-                    node: nxt,
-                });
-            }
-        }
-    }
-    (dist, prev)
-}
-
-fn extract_path(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    prev: &HashMap<NodeId, LinkId>,
-) -> Option<Path> {
-    let mut links_rev = Vec::new();
-    let mut nodes_rev = vec![dst];
-    let mut cur = dst;
-    while cur != src {
-        let lid = *prev.get(&cur)?;
-        let l = topo.link(lid)?;
-        links_rev.push(lid);
-        cur = l.src;
-        nodes_rev.push(cur);
-    }
-    nodes_rev.reverse();
-    links_rev.reverse();
-    Some(Path {
-        nodes: nodes_rev,
-        links: links_rev,
-    })
-}
+/// `dist` value of a node no live path reaches.
+const UNREACHED: u64 = u64::MAX;
 
 /// A single-source shortest-path tree: per-node best cost plus the
 /// deterministic incoming link, computed once and queried for every
@@ -165,23 +97,82 @@ fn extract_path(
 /// next-hops and ECMP sets for *every* host from *every* switch) share one
 /// tree per source instead of re-running Dijkstra per pair — identical
 /// results, orders of magnitude less work.
+///
+/// All per-node state is a `Vec` indexed by [`NodeId::index`]; a node id
+/// outside the topology is simply unreachable.
 pub struct SsspTree {
     src: NodeId,
     metric: Metric,
-    dist: HashMap<NodeId, u64>,
-    prev: HashMap<NodeId, LinkId>,
+    /// Best cost per node, [`UNREACHED`] where no live path exists.
+    dist: Vec<u64>,
+    /// Incoming link on the best path (lowest link id among ties).
+    prev: Vec<Option<LinkId>>,
+    /// First link of the best path from `src`, propagated down the tree
+    /// (`first[n] = first[prev[n].src]`) while it is built.
+    first: Vec<Option<LinkId>>,
+}
+
+/// Dijkstra from `src`, honouring link state and an optional ban-list of
+/// links/nodes (used by Yen's spur computation).
+fn dijkstra_metric(
+    topo: &Topology,
+    src: NodeId,
+    metric: Metric,
+    banned_links: &HashSet<LinkId>,
+    banned_nodes: &HashSet<NodeId>,
+) -> SsspTree {
+    let n = topo.node_count();
+    let mut tree = SsspTree {
+        src,
+        metric,
+        dist: vec![UNREACHED; n],
+        prev: vec![None; n],
+        first: vec![None; n],
+    };
+    let mut heap = BinaryHeap::new();
+    if src.index() < n {
+        tree.dist[src.index()] = 0;
+        heap.push(QueueEntry { cost: 0, node: src });
+    }
+    let mut edges: Vec<(LinkId, NodeId, u64)> = Vec::new();
+
+    while let Some(QueueEntry { cost, node }) = heap.pop() {
+        if cost > tree.dist[node.index()] {
+            continue;
+        }
+        edges.clear();
+        edges.extend(
+            topo.out_links(node)
+                .filter(|(id, l)| {
+                    l.is_up() && !banned_links.contains(id) && !banned_nodes.contains(&l.dst)
+                })
+                .map(|(id, l)| (id, l.dst, metric.cost(topo, id))),
+        );
+        // Deterministic relaxation order.
+        edges.sort_unstable_by_key(|(id, _, _)| *id);
+        // Costs are positive, so `node`'s own entries are final by now.
+        let first_here = tree.first[node.index()];
+        for &(lid, nxt, c) in &edges {
+            let nc = cost.saturating_add(c);
+            let d = tree.dist[nxt.index()];
+            if nc < d || (nc == d && Some(lid) < tree.prev[nxt.index()]) {
+                tree.dist[nxt.index()] = nc;
+                tree.prev[nxt.index()] = Some(lid);
+                tree.first[nxt.index()] = first_here.or(Some(lid));
+                heap.push(QueueEntry {
+                    cost: nc,
+                    node: nxt,
+                });
+            }
+        }
+    }
+    tree
 }
 
 /// Computes the shortest-path tree from `src` under `metric` (honouring
 /// link state, like every algorithm here).
 pub fn sssp(topo: &Topology, src: NodeId, metric: Metric) -> SsspTree {
-    let (dist, prev) = dijkstra_metric(topo, src, metric, &HashSet::new(), &HashSet::new());
-    SsspTree {
-        src,
-        metric,
-        dist,
-        prev,
-    }
+    dijkstra_metric(topo, src, metric, &HashSet::new(), &HashSet::new())
 }
 
 impl SsspTree {
@@ -192,20 +183,37 @@ impl SsspTree {
 
     /// Best-path cost to `dst`, if reachable.
     pub fn cost_to(&self, dst: NodeId) -> Option<u64> {
-        self.dist.get(&dst).copied()
+        self.dist
+            .get(dst.index())
+            .copied()
+            .filter(|&d| d != UNREACHED)
+    }
+
+    /// The first link of [`SsspTree::path_to`]`(dst)` without building the
+    /// path: `None` for the source itself and for unreachable nodes.
+    pub fn first_link_to(&self, dst: NodeId) -> Option<LinkId> {
+        self.first.get(dst.index()).copied().flatten()
     }
 
     /// The minimum-cost path to `dst` — exactly what
     /// [`shortest_path`] returns for the same endpoints.
     pub fn path_to(&self, topo: &Topology, dst: NodeId) -> Option<Path> {
-        if dst == self.src {
-            return Some(Path {
-                nodes: vec![self.src],
-                links: vec![],
-            });
+        self.cost_to(dst)?;
+        let mut links_rev = Vec::new();
+        let mut nodes_rev = vec![dst];
+        let mut cur = dst;
+        while cur != self.src {
+            let lid = self.prev[cur.index()]?;
+            links_rev.push(lid);
+            cur = topo.link(lid)?.src;
+            nodes_rev.push(cur);
         }
-        self.dist.get(&dst)?;
-        extract_path(topo, self.src, dst, &self.prev)
+        nodes_rev.reverse();
+        links_rev.reverse();
+        Some(Path {
+            nodes: nodes_rev,
+            links: links_rev,
+        })
     }
 
     /// Every minimum-hop path to `dst`, up to `max_paths` — exactly what
@@ -228,7 +236,7 @@ impl SsspTree {
                 links: vec![],
             }];
         }
-        let Some(&best) = self.dist.get(&dst) else {
+        let Some(best) = self.cost_to(dst) else {
             return vec![];
         };
         let mut out = Vec::new();
@@ -249,6 +257,53 @@ impl SsspTree {
     }
 }
 
+/// Live links grouped by their destination node — the adjacency reverse
+/// trees walk. Bulk consumers build it once and grow one [`DistTo`] per
+/// destination from it.
+pub struct ReverseAdj {
+    in_links: Vec<Vec<(LinkId, NodeId)>>,
+}
+
+impl ReverseAdj {
+    /// Groups the topology's live links by destination.
+    pub fn new(topo: &Topology) -> Self {
+        let mut in_links = vec![Vec::new(); topo.node_count()];
+        for (id, l) in topo.links() {
+            if l.is_up() {
+                in_links[l.dst.index()].push((id, l.src));
+            }
+        }
+        ReverseAdj { in_links }
+    }
+
+    /// The reverse shortest-path tree toward `dst` — what [`dist_to`]
+    /// returns, without regrouping the links.
+    pub fn dist_to(&self, topo: &Topology, dst: NodeId, metric: Metric) -> DistTo {
+        let mut dist = vec![UNREACHED; self.in_links.len()];
+        let mut heap = BinaryHeap::new();
+        if dst.index() < dist.len() {
+            dist[dst.index()] = 0;
+            heap.push(QueueEntry { cost: 0, node: dst });
+        }
+        while let Some(QueueEntry { cost, node }) = heap.pop() {
+            if cost > dist[node.index()] {
+                continue;
+            }
+            for &(lid, src) in &self.in_links[node.index()] {
+                let nc = cost.saturating_add(metric.cost(topo, lid));
+                if nc < dist[src.index()] {
+                    dist[src.index()] = nc;
+                    heap.push(QueueEntry {
+                        cost: nc,
+                        node: src,
+                    });
+                }
+            }
+        }
+        DistTo { dst, metric, dist }
+    }
+}
+
 /// Distances **to** one destination over live links: the reverse
 /// single-source tree. Where [`SsspTree`] answers "how far from S to
 /// everywhere", this answers "how far from everywhere to D" — and with
@@ -262,39 +317,16 @@ impl SsspTree {
 pub struct DistTo {
     dst: NodeId,
     metric: Metric,
-    dist: HashMap<NodeId, u64>,
+    /// Best cost per node ([`NodeId::index`]), [`UNREACHED`] where no
+    /// live path to `dst` exists.
+    dist: Vec<u64>,
 }
 
 /// Computes the reverse shortest-path tree toward `dst` (honouring link
-/// state, like every algorithm here).
+/// state, like every algorithm here). Callers that need one tree per
+/// destination share a [`ReverseAdj`] instead.
 pub fn dist_to(topo: &Topology, dst: NodeId, metric: Metric) -> DistTo {
-    // Reverse adjacency: links grouped by their destination node.
-    let mut in_adj: Vec<Vec<(LinkId, NodeId)>> = vec![Vec::new(); topo.node_count()];
-    for (id, l) in topo.links() {
-        if l.is_up() {
-            in_adj[l.dst.index()].push((id, l.src));
-        }
-    }
-    let mut dist: HashMap<NodeId, u64> = HashMap::new();
-    let mut heap = BinaryHeap::new();
-    dist.insert(dst, 0);
-    heap.push(QueueEntry { cost: 0, node: dst });
-    while let Some(QueueEntry { cost, node }) = heap.pop() {
-        if cost > *dist.get(&node).unwrap_or(&u64::MAX) {
-            continue;
-        }
-        for &(lid, src) in &in_adj[node.index()] {
-            let nc = cost.saturating_add(metric.cost(topo, lid));
-            if dist.get(&src).map(|&d| nc < d).unwrap_or(true) {
-                dist.insert(src, nc);
-                heap.push(QueueEntry {
-                    cost: nc,
-                    node: src,
-                });
-            }
-        }
-    }
-    DistTo { dst, metric, dist }
+    ReverseAdj::new(topo).dist_to(topo, dst, metric)
 }
 
 impl DistTo {
@@ -305,33 +337,37 @@ impl DistTo {
 
     /// Best-path cost from `node` to the destination, if reachable.
     pub fn cost_from(&self, node: NodeId) -> Option<u64> {
-        self.dist.get(&node).copied()
+        self.dist
+            .get(node.index())
+            .copied()
+            .filter(|&d| d != UNREACHED)
     }
 
-    /// Every egress link at `node` that lies on some minimum-cost path
-    /// to the destination, ascending by link id — exactly the first
-    /// links of the paths [`ecmp_paths`] enumerates for the same
+    /// Every live egress link at `node` that lies on some minimum-cost
+    /// path to the destination, in adjacency order, without allocating.
+    pub fn ecmp_out_links<'a>(
+        &'a self,
+        topo: &'a Topology,
+        node: NodeId,
+    ) -> impl Iterator<Item = (LinkId, &'a Link)> + 'a {
+        // the destination (and an unreachable node) has no such egress
+        let d_here = self.cost_from(node).filter(|_| node != self.dst);
+        topo.out_links(node).filter(move |(id, l)| {
+            l.is_up()
+                && d_here.is_some()
+                && self
+                    .cost_from(l.dst)
+                    .map(|d_next| self.metric.cost(topo, *id).saturating_add(d_next))
+                    == d_here
+        })
+    }
+
+    /// [`DistTo::ecmp_out_links`] as link ids, ascending — exactly the
+    /// first links of the paths [`ecmp_paths`] enumerates for the same
     /// endpoints (without the enumeration, and without its `max_paths`
     /// truncation).
     pub fn ecmp_links(&self, topo: &Topology, node: NodeId) -> Vec<LinkId> {
-        let Some(&d_here) = self.dist.get(&node) else {
-            return vec![];
-        };
-        if node == self.dst {
-            return vec![];
-        }
-        let mut out: Vec<LinkId> = topo
-            .out_links(node)
-            .filter(|(id, l)| {
-                l.is_up()
-                    && self
-                        .dist
-                        .get(&l.dst)
-                        .map(|&d_next| self.metric.cost(topo, *id).saturating_add(d_next) == d_here)
-                        .unwrap_or(false)
-            })
-            .map(|(id, _)| id)
-            .collect();
+        let mut out: Vec<LinkId> = self.ecmp_out_links(topo, node).map(|(id, _)| id).collect();
         out.sort();
         out
     }
@@ -373,7 +409,7 @@ fn ecmp_dfs(
     cur: NodeId,
     dst: NodeId,
     best: u64,
-    dist: &HashMap<NodeId, u64>,
+    dist: &[u64],
     stack_nodes: &mut Vec<NodeId>,
     stack_links: &mut Vec<LinkId>,
     out: &mut Vec<Path>,
@@ -389,7 +425,7 @@ fn ecmp_dfs(
         });
         return;
     }
-    let d_cur = *dist.get(&cur).unwrap_or(&u64::MAX);
+    let d_cur = dist[cur.index()];
     if d_cur >= best {
         return;
     }
@@ -400,24 +436,23 @@ fn ecmp_dfs(
         .collect();
     edges.sort_by_key(|(id, _)| *id);
     for (lid, nxt) in edges {
-        if let Some(&d_nxt) = dist.get(&nxt) {
-            if d_nxt == d_cur + 1 && d_nxt <= best {
-                stack_nodes.push(nxt);
-                stack_links.push(lid);
-                ecmp_dfs(
-                    topo,
-                    nxt,
-                    dst,
-                    best,
-                    dist,
-                    stack_nodes,
-                    stack_links,
-                    out,
-                    max_paths,
-                );
-                stack_nodes.pop();
-                stack_links.pop();
-            }
+        let d_nxt = dist[nxt.index()];
+        if d_nxt == d_cur + 1 && d_nxt <= best {
+            stack_nodes.push(nxt);
+            stack_links.push(lid);
+            ecmp_dfs(
+                topo,
+                nxt,
+                dst,
+                best,
+                dist,
+                stack_nodes,
+                stack_links,
+                out,
+                max_paths,
+            );
+            stack_nodes.pop();
+            stack_links.pop();
         }
     }
 }
@@ -459,18 +494,15 @@ pub fn k_shortest_paths(
             let banned_nodes: HashSet<NodeId> =
                 root_nodes[..root_nodes.len() - 1].iter().copied().collect();
 
-            let (dist, prev) =
-                dijkstra_metric(topo, spur_node, metric, &banned_links, &banned_nodes);
-            if dist.contains_key(&dst) {
-                if let Some(spur) = extract_path(topo, spur_node, dst, &prev) {
-                    let mut nodes = root_nodes.to_vec();
-                    nodes.extend_from_slice(&spur.nodes[1..]);
-                    let mut links = root_links.to_vec();
-                    links.extend_from_slice(&spur.links);
-                    let cand = Path { nodes, links };
-                    if !paths.contains(&cand) && !candidates.contains(&cand) {
-                        candidates.push(cand);
-                    }
+            let tree = dijkstra_metric(topo, spur_node, metric, &banned_links, &banned_nodes);
+            if let Some(spur) = tree.path_to(topo, dst) {
+                let mut nodes = root_nodes.to_vec();
+                nodes.extend_from_slice(&spur.nodes[1..]);
+                let mut links = root_links.to_vec();
+                links.extend_from_slice(&spur.links);
+                let cand = Path { nodes, links };
+                if !paths.contains(&cand) && !candidates.contains(&cand) {
+                    candidates.push(cand);
                 }
             }
         }
@@ -674,10 +706,12 @@ mod tests {
                     let direct: std::collections::BTreeSet<LinkId> =
                         rev.ecmp_links(t, src).into_iter().collect();
                     assert_eq!(enumerated, direct, "src {src} dst {m}");
+                    let tree = sssp(t, src, Metric::Hops);
+                    assert_eq!(rev.cost_from(src), tree.cost_to(m), "distances agree");
                     assert_eq!(
-                        rev.cost_from(src),
-                        sssp(t, src, Metric::Hops).cost_to(m),
-                        "distances agree"
+                        tree.first_link_to(m),
+                        tree.path_to(t, m).and_then(|p| p.links.first().copied()),
+                        "propagated first hop is the path's first link"
                     );
                 }
             }

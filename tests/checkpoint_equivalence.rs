@@ -20,7 +20,7 @@
 
 use horse::prelude::*;
 use horse::tracing::journal::SharedBuf;
-use horse::types::{ByteSize, LinkId, SimTime};
+use horse::types::{ByteSize, LinkId, SimTime, TableId};
 
 /// Everything deterministic a run produces, with floats as bit patterns.
 #[derive(PartialEq, Debug)]
@@ -392,6 +392,77 @@ fn mid_outage_buffered_messages_survive_the_snapshot() {
     assert_eq!(got_journal, want_journal);
 }
 
+/// A switch that crashes *and rejoins* while the controller is dark: its
+/// rejoin notification waits in the replay buffer behind the neighbors'
+/// port-status reports, and is what gets its tables back on recovery.
+fn rejoin_inside_outage_scenario() -> Scenario {
+    let f = builders::ixp_fabric(&IxpFabricParams {
+        members: 4,
+        edge_switches: 2,
+        core_switches: 2,
+        ..Default::default()
+    });
+    let mut s = Scenario::bare(f.topology.clone(), SimTime::from_secs(3));
+    s.members = f.members.clone();
+    s.policy = PolicySpec::new().with(PolicyRule::LoadBalancing { mode: LbMode::Ecmp });
+    for i in 0..4usize {
+        let spec = s
+            .flow_between(
+                f.members[i],
+                f.members[(i + 1) % 4],
+                AppClass::Http,
+                1000 + i as u16,
+                Some(ByteSize::mib(64)),
+                DemandModel::Greedy,
+            )
+            .expect("hosts have addresses");
+        s.explicit_flows
+            .push((SimTime::from_millis(100 + 600 * i as u64), spec));
+    }
+    let ms = SimTime::from_millis;
+    s.late_events = vec![
+        (ms(1000), LateEvent::CtrlDown),
+        (ms(1100), LateEvent::SwitchDown(f.cores[0])),
+        (ms(1300), LateEvent::SwitchUp(f.cores[0])),
+        (ms(2000), LateEvent::CtrlUp),
+    ];
+    s
+}
+
+#[test]
+fn rejoin_buffered_during_an_outage_survives_the_snapshot() {
+    let scenario = rejoin_inside_outage_scenario();
+    let rejoined = match scenario.late_events[1].1 {
+        LateEvent::SwitchDown(node) => node,
+        other => panic!("script changed: {other:?}"),
+    };
+    let (want, want_journal) = straight(scenario, SimConfig::default());
+    assert_eq!(want.chaos.switch_rejoins, 1);
+    // Cut while the rejoin sits in the buffer (outage depth 1).
+    let t_snap = SimTime::from_millis(1500);
+    let mut sim = Simulation::new(rejoin_inside_outage_scenario(), SimConfig::default()).unwrap();
+    sim.run_until(t_snap);
+    let bytes = sim.checkpoint();
+    let mut sim2 = Simulation::resume(&bytes).expect("mid-outage snapshot resumes");
+    assert_eq!(bytes, sim2.checkpoint(), "round-trip drifted");
+    // The resumed controller hears about the rejoin and refills the
+    // blank switch: plumbing plus a forwarding entry per member.
+    sim2.run();
+    let entries = |t: u8| {
+        let table = sim2.fluid().switch(rejoined).unwrap().table(TableId(t));
+        table.unwrap().entries().count()
+    };
+    assert_eq!((entries(0), entries(1)), (1, 4), "rejoined switch tables");
+    let (got, got_journal) = resumed(
+        rejoin_inside_outage_scenario(),
+        SimConfig::default(),
+        t_snap,
+        None,
+    );
+    assert_eq!(got, want);
+    assert_eq!(got_journal, want_journal);
+}
+
 // ---------------------------------------------------------------------
 // Fork: a what-if branch through the reserved band is bit-identical to
 // a straight-through run that scheduled the same events at build time.
@@ -526,5 +597,13 @@ fn malformed_snapshots_fail_loudly() {
     assert!(matches!(
         Simulation::resume(&versioned),
         Err(ResumeError::BadVersion(99))
+    ));
+    // So is the previous format: version 2 laid the path database and
+    // the outage buffer out differently, and must not be read as 3.
+    assert_eq!(horse::sim::SNAPSHOT_VERSION, 3);
+    versioned[17] = 2;
+    assert!(matches!(
+        Simulation::resume(&versioned),
+        Err(ResumeError::BadVersion(2))
     ));
 }

@@ -2,8 +2,10 @@
 //! status → controller path recomputation → rule replacement → traffic
 //! continues on the surviving path.
 
+use horse::controlplane::{PathDb, PolicyGenerator};
 use horse::dataplane::DemandModel;
 use horse::prelude::*;
+use horse::topology::LinkState;
 
 fn two_core_fabric() -> horse::topology::builders::FabricHandles {
     builders::ixp_fabric(&IxpFabricParams {
@@ -123,15 +125,27 @@ fn controller_sees_port_status_and_reinstalls() {
     let cable = uplink_of(&fabric, 0);
     let mut s = Scenario::bare(fabric.topology.clone(), SimTime::from_secs(10));
     s.members = fabric.members.clone();
-    s.policy = PolicySpec::new().with(PolicyRule::MacForwarding);
+    let policy = PolicySpec::new().with(PolicyRule::MacForwarding);
+    s.policy = policy.clone();
     s.failures.push((SimTime::from_secs(2), cable, false));
     let mut sim = Simulation::new(s, SimConfig::default()).expect("valid");
     let r = sim.run();
     // two PortStatus messages (one per endpoint switch) reached the
-    // controller, and its reinstall pushed rules back down
-    assert!(r.msgs_to_controller >= 2);
-    assert!(
-        r.msgs_to_switch > 0,
-        "controller must reinstall after the failure"
-    );
+    // controller
+    assert_eq!(r.msgs_to_controller, 2);
+
+    // What it pushed back down is the path delta, not a recompile: one
+    // entry per dirty (switch, member) cell — the cut uplink was every
+    // such cell's lowest-id next hop, so each one's entry moved. The
+    // first report finds them all; the second finds nothing left to do.
+    let compile = PolicyGenerator::new(policy, &fabric.topology)
+        .expect("valid")
+        .compile(&fabric.topology)
+        .msgs
+        .len() as u64;
+    let mut cut = fabric.topology.clone();
+    cut.set_cable_state(cable, LinkState::Down).unwrap();
+    let dirty = PathDb::build(&cut).dirty_cells(&PathDb::build(&fabric.topology));
+    assert_eq!((compile, dirty.len()), (20, 6));
+    assert_eq!(r.msgs_to_switch, compile + dirty.len() as u64);
 }

@@ -95,6 +95,41 @@ fn tracing_on_vs_off_yields_identical_results() {
     );
 }
 
+/// With spans on, every controller callback is one `controller.dispatch`
+/// span carrying the number of messages it emitted — here the two
+/// port-status reports of one cut uplink: the first installs the path
+/// delta, the second finds nothing left to do.
+#[test]
+fn controller_dispatch_spans_name_every_controller_input() {
+    let fabric = builders::ixp_fabric(&IxpFabricParams {
+        members: 4,
+        edge_switches: 2,
+        core_switches: 2,
+        ..Default::default()
+    });
+    let uplink = fabric
+        .topology
+        .out_links(fabric.edges[0])
+        .find(|(_, l)| l.dst == fabric.cores[0])
+        .map(|(id, _)| id)
+        .expect("uplink exists");
+    let mut s = Scenario::bare(fabric.topology.clone(), SimTime::from_secs(2));
+    s.policy = PolicySpec::new().with(PolicyRule::MacForwarding);
+    s.failures.push((SimTime::from_secs(1), uplink, false));
+    let mut sim = Simulation::new(s, SimConfig::default()).unwrap();
+    sim.set_tracer(SimTracer::new().with_spans());
+    let r = sim.run();
+    assert_eq!(r.msgs_to_controller, 2);
+    let spans = sim.take_tracer().unwrap().take_spans().unwrap();
+    let emitted: Vec<u64> = spans
+        .spans()
+        .iter()
+        .filter(|s| s.name == "controller.dispatch")
+        .map(|s| s.args.iter().find(|(k, _)| *k == "msgs").unwrap().1)
+        .collect();
+    assert_eq!(emitted, [6, 0]);
+}
+
 /// Seeded fault injection: run B is run A plus one cable-down at
 /// t = 2.5 s. The bisector must name that exact event as the first
 /// divergence — the workflow CI applies when determinism breaks.
