@@ -378,8 +378,10 @@ impl Controller for PolicyGenerator {
         self.msgs_emitted = horse_types::Snap::unsnap(r)?;
         self.pathdb_rebuilds = horse_types::Snap::unsnap(r)?;
         self.cells_dirty = horse_types::Snap::unsnap(r)?;
-        let n = r.len_prefix()?;
-        if n != self.modules.len() {
+        // Not `len_prefix`: stateless modules write nothing, so the count
+        // may exceed the bytes left.
+        let n = r.u64()?;
+        if n != self.modules.len() as u64 {
             return Err(horse_types::SnapError::new(
                 format!(
                     "snapshot has {n} policy modules, generator has {}",

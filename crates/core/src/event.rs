@@ -25,12 +25,11 @@ pub enum SimEvent {
         /// The reserved flow id.
         id: FlowId,
     },
-    /// A sized flow finished transferring (validated by generation).
+    /// A sized flow finished transferring. Each flow has at most one
+    /// pending: a rate change cancels it and schedules its successor.
     Completion {
         /// The flow.
         id: FlowId,
-        /// Rate-change generation this event belongs to.
-        generation: u64,
     },
     /// A switch→controller message crosses the control channel.
     ToController {
@@ -111,10 +110,9 @@ impl Snap for SimEvent {
                 w.u8(1);
                 id.snap(w);
             }
-            SimEvent::Completion { id, generation } => {
+            SimEvent::Completion { id } => {
                 w.u8(2);
                 id.snap(w);
-                generation.snap(w);
             }
             SimEvent::ToController { msg, retry } => {
                 w.u8(3);
@@ -182,7 +180,6 @@ impl Snap for SimEvent {
             },
             2 => SimEvent::Completion {
                 id: Snap::unsnap(r)?,
-                generation: Snap::unsnap(r)?,
             },
             3 => SimEvent::ToController {
                 msg: Box::new(Snap::unsnap(r)?),

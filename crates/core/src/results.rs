@@ -92,8 +92,9 @@ pub struct SimResults {
     /// `realloc_requests - realloc_runs` is the number of allocator runs
     /// batching saved.
     pub realloc_requests: u64,
-    /// Completion events that popped with a superseded rate generation
-    /// (scheduling overhead, not simulation progress).
+    /// Completion events that popped for a flow already gone. Expected 0:
+    /// a rate change cancels the completion it supersedes and a fault
+    /// cancels its victims', so every completion that fires is current.
     pub stale_completions: u64,
     /// Max-min allocator runs.
     pub realloc_runs: u64,
@@ -130,8 +131,8 @@ pub struct SimResults {
     pub recovery: Summary,
     /// Fault-injection counters (all zero in a fault-free run).
     pub chaos: ChaosCounters,
-    /// Event-queue statistics (scheduling volume, tombstone overhead,
-    /// heap compactions) — all deterministic counts.
+    /// Event-queue statistics (scheduling volume, cancellations, peak
+    /// pending events) — all deterministic counts.
     pub queue: QueueStats,
     /// Snapshot of the run's metrics registry (empty without a tracer).
     /// Contains only deterministic quantities, so it may be embedded in
@@ -151,11 +152,11 @@ impl SimResults {
         }
     }
 
-    /// *Useful* events per wall-clock second: stale completion pops are
-    /// scheduling overhead (a superseded rate's leftover event), so they
-    /// are excluded — the honest throughput metric when comparing the
-    /// epoch-batched loop against the per-event cadence, which schedules
-    /// far more of them.
+    /// *Useful* events per wall-clock second: events minus
+    /// [`SimResults::stale_completions`]. Superseded completions are
+    /// cancelled rather than popped, so this equals
+    /// [`SimResults::events_per_sec`] unless a stale completion slipped
+    /// through.
     pub fn useful_events_per_sec(&self) -> f64 {
         if self.wall_seconds > 0.0 {
             self.events.saturating_sub(self.stale_completions) as f64 / self.wall_seconds

@@ -32,7 +32,7 @@ use crate::trace::{event_fingerprint, SimTracer};
 use horse_controlplane::{Controller, ControllerCtx, Outbox, PolicyGenerator};
 use horse_dataplane::stats::DropCause;
 use horse_dataplane::{AdmitOutcome, DemandModel, Fidelity, FlowSpec, FluidNet, RateChange};
-use horse_events::{EventQueue, QueueSnapshot};
+use horse_events::{EventHandle, EventQueue, QueueSnapshot};
 use horse_monitoring::collector::StatsCollector;
 use horse_monitoring::series::summarize;
 use horse_openflow::messages::SwitchMsg;
@@ -82,7 +82,7 @@ impl std::error::Error for BuildError {}
 /// Magic prefix of the checkpoint format.
 pub const SNAPSHOT_MAGIC: &[u8; 9] = b"HORSESNAP";
 /// Current checkpoint format version.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Errors raised while resuming or forking from a checkpoint.
 #[derive(Debug)]
@@ -204,6 +204,10 @@ pub struct Simulation {
     /// Scratch for rate changes copied out of the fluid plane (reused so
     /// the per-epoch reallocation path stays allocation-free).
     realloc_buf: Vec<RateChange>,
+    /// Each fluid flow's pending completion event, indexed by
+    /// `FlowId::index()` (a stale or `NULL` handle when none is pending).
+    /// Not snapshotted: rebuilt from the restored queue.
+    completions: Vec<EventHandle>,
     /// An event of the current epoch asked for a reallocation; consumed
     /// by the end-of-epoch (or flush-point) allocator run.
     realloc_pending: bool,
@@ -289,6 +293,16 @@ impl Snap for CtrlInput {
             }
         })
     }
+}
+
+/// `id`'s entry in the per-flow completion-handle table, grown on first
+/// use.
+fn completion_slot(table: &mut Vec<EventHandle>, id: FlowId) -> &mut EventHandle {
+    let i = id.index();
+    if i >= table.len() {
+        table.resize(i + 1, EventHandle::NULL);
+    }
+    &mut table[i]
 }
 
 struct WorkloadAdapter {
@@ -455,6 +469,7 @@ impl Simulation {
             workload,
             collector,
             realloc_buf: Vec::new(),
+            completions: Vec::new(),
             realloc_pending: false,
             tracer: None,
             scenario,
@@ -798,10 +813,11 @@ impl Simulation {
         }
     }
 
-    /// Runs the allocator and (re)schedules completion events for every
-    /// flow whose rate changed. The fluid plane hands back a borrowed
-    /// slice of its scratch; it is copied into a reused buffer so the
-    /// queue can be scheduled against while iterating.
+    /// Runs the allocator and reschedules the completion event of every
+    /// flow whose rate changed: the superseded event is cancelled, so
+    /// each flow has at most one pending. The fluid plane hands back a
+    /// borrowed slice of its scratch; it is copied into a reused buffer
+    /// so the queue can be scheduled against while iterating.
     fn reallocate(&mut self, now: SimTime) {
         self.realloc_pending = false;
         // Piggybacked hybrid coupling point: refresh the packet plane's
@@ -835,23 +851,28 @@ impl Simulation {
                 // The applied rate changes are the allocator's state
                 // delta; fold them so the journal digest covers them.
                 for change in &self.realloc_buf {
-                    t.fold_rate_change(
-                        change.id.index() as u64,
-                        change.rate.as_bps().to_bits(),
-                        change.generation,
-                    );
+                    t.fold_rate_change(change.id.index() as u64, change.rate.as_bps().to_bits());
                 }
             }
         }
         for change in &self.realloc_buf {
-            if let Some(secs) = change.completes_in {
-                self.queue.schedule_at(
+            let pending = completion_slot(&mut self.completions, change.id);
+            self.queue.cancel(*pending);
+            *pending = match change.completes_in {
+                Some(secs) => self.queue.schedule_at(
                     now + SimDuration::from_secs_f64(secs),
-                    SimEvent::Completion {
-                        id: change.id,
-                        generation: change.generation,
-                    },
-                );
+                    SimEvent::Completion { id: change.id },
+                ),
+                None => EventHandle::NULL,
+            };
+        }
+    }
+
+    /// Cancels the pending completions of flows a fault detached.
+    fn cancel_completions(&mut self, detached: &[FlowId]) {
+        for id in detached {
+            if let Some(&h) = self.completions.get(id.index()) {
+                self.queue.cancel(h);
             }
         }
     }
@@ -960,15 +981,13 @@ impl Simulation {
                     self.request_realloc(now);
                 }
             }
-            SimEvent::Completion { id, generation } => {
-                if self.fluid.completion_is_current(id, generation) {
-                    self.fluid.remove_flow(id, now, true);
+            SimEvent::Completion { id } => {
+                if self.fluid.remove_flow(id, now, true).is_some() {
                     self.flows_completed += 1;
                     self.request_realloc(now);
                 } else {
-                    // An earlier event of this epoch (or a prior one)
-                    // rescheduled the flow's completion: this event is a
-                    // leftover of a superseded rate.
+                    // Unreachable while every removal cancels the flow's
+                    // completion; counted rather than assumed.
                     self.stale_completions += 1;
                 }
             }
@@ -1001,7 +1020,8 @@ impl Simulation {
             }
             SimEvent::CableDown(link) => {
                 self.chaos_ctr.cable_downs += 1;
-                let (victims, msgs, _) = self.fluid.cable_down(link, now);
+                let (victims, msgs, detached) = self.fluid.cable_down(link, now);
+                self.cancel_completions(&detached);
                 for m in msgs {
                     self.schedule_to_controller(now, m, None);
                 }
@@ -1024,7 +1044,8 @@ impl Simulation {
             }
             SimEvent::SwitchDown(node) => {
                 self.chaos_ctr.switch_crashes += 1;
-                let (victims, msgs, _) = self.fluid.switch_down(node, now);
+                let (victims, msgs, detached) = self.fluid.switch_down(node, now);
+                self.cancel_completions(&detached);
                 for m in msgs {
                     self.schedule_to_controller(now, m, None);
                 }
@@ -1324,6 +1345,19 @@ impl Simulation {
         let qsnap: QueueSnapshot<SimEvent> = Snap::unsnap(r)?;
         self.queue = EventQueue::restore(qsnap);
         self.fluid.restore_state(r)?;
+        self.completions.clear();
+        for (h, ev) in self.queue.pending() {
+            if let SimEvent::Completion { id } = ev {
+                // Also bounds the handle table by the restored flow set.
+                if self.fluid.flow(*id).is_none() {
+                    return Err(SnapError::new(
+                        format!("completion pending for inactive {id}"),
+                        r.position(),
+                    ));
+                }
+                *completion_slot(&mut self.completions, *id) = h;
+            }
+        }
         let has_hybrid = bool::unsnap(r)?;
         if has_hybrid {
             self.enable_hybrid();
@@ -1438,6 +1472,8 @@ impl Simulation {
                 reg.counter("queue.clamped").add(queue_stats.clamped);
                 reg.counter("queue.compactions")
                     .add(queue_stats.compactions);
+                reg.counter("queue.peak_pending")
+                    .add(queue_stats.peak_pending);
                 let (mut hits, mut misses) = (0u64, 0u64);
                 for &sw in self.fluid.switch_ids() {
                     if let Some(s) = self.fluid.switch(sw) {
@@ -1640,6 +1676,41 @@ mod tests {
     }
 
     #[test]
+    fn superseded_completion_never_fires() {
+        // Alone, the first flow would finish at ≈1.0084 s; the second
+        // arrives at 1.002 s and halves its rate, superseding that
+        // completion. Its departure then supersedes the second's.
+        let mut s = star_scenario(PolicySpec::new().with(PolicyRule::MacForwarding), 10);
+        for (i, at_ms) in [(0usize, 1000u64), (1, 1002)] {
+            let spec = s
+                .flow_between(
+                    s.members[i],
+                    s.members[3],
+                    AppClass::Https,
+                    6000 + i as u16,
+                    Some(ByteSize::mib(1)),
+                    DemandModel::Greedy,
+                )
+                .unwrap();
+            s.explicit_flows.push((SimTime::from_millis(at_ms), spec));
+        }
+        let config = SimConfig::default()
+            .with_stats_epoch(None)
+            .with_expiry_scan(None);
+        let mut sim = Simulation::new(s, config).unwrap();
+        let r = sim.run();
+        assert_eq!(r.flows_completed, 2);
+        assert_eq!(
+            r.events, 4,
+            "two arrivals and two completions, nothing stale"
+        );
+        assert_eq!((r.queue.cancelled, r.stale_completions), (2, 0));
+        let first = &sim.fluid().records()[0];
+        assert_eq!(first.id, FlowId(0));
+        assert!(first.finished > SimTime::from_micros(1_008_389 + 5_000));
+    }
+
+    #[test]
     fn workload_driven_run_is_deterministic() {
         let run = |seed: u64| {
             let s = Scenario::figure1(SimTime::from_secs(3), seed);
@@ -1716,6 +1787,47 @@ mod tests {
             delivered > 0.9 * (19.0 * 100e6 / 8.0),
             "delivered {delivered}"
         );
+    }
+
+    #[test]
+    fn fault_cancels_its_victims_completion() {
+        let f = builders::ixp_fabric(&builders::IxpFabricParams {
+            members: 4,
+            edge_switches: 2,
+            core_switches: 2,
+            ..Default::default()
+        });
+        let mut s = Scenario::bare(f.topology.clone(), SimTime::from_secs(10));
+        s.members = f.members.clone();
+        s.policy = PolicySpec::new().with(PolicyRule::LoadBalancing { mode: LbMode::Ecmp });
+        let spec = s
+            .flow_between(
+                f.members[0],
+                f.members[1],
+                AppClass::Https,
+                4000,
+                Some(ByteSize::gib(2)),
+                DemandModel::Greedy,
+            )
+            .unwrap();
+        s.explicit_flows.push((SimTime::from_secs(1), spec));
+        // Flap each uplink of the source edge in turn: whichever the flow
+        // hashed onto cuts it mid-transfer with its completion pending.
+        let uplinks = f
+            .topology
+            .out_links(f.edges[0])
+            .filter(|(_, l)| f.cores.contains(&l.dst))
+            .map(|(id, _)| id);
+        for (k, cable) in uplinks.enumerate() {
+            let down = 1100 + 200 * k as u64;
+            s.failures.push((SimTime::from_millis(down), cable, false));
+            s.failures.push((SimTime::from_millis(down + 50), cable, true));
+        }
+        let mut sim = Simulation::new(s, SimConfig::default()).unwrap();
+        let r = sim.run();
+        assert!(r.chaos.flows_rerouted >= 1, "the flow was cut and re-admitted");
+        assert_eq!(r.flows_completed, 1);
+        assert_eq!(r.stale_completions, 0, "the victim's completion never fires");
     }
 
     #[test]

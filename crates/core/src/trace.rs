@@ -43,10 +43,7 @@ pub fn event_fingerprint(ev: &SimEvent) -> (&'static str, u64) {
             ((spec.src.index() as u64) << 32) | spec.dst.index() as u64,
         ),
         SimEvent::AdmitRetry { id } => ("admit_retry", id.index() as u64),
-        SimEvent::Completion { id, generation } => (
-            "completion",
-            (id.index() as u64) ^ generation.rotate_left(32),
-        ),
+        SimEvent::Completion { id } => ("completion", id.index() as u64),
         SimEvent::ToController { retry, .. } => (
             "to_controller",
             retry.map(|id| id.index() as u64 + 1).unwrap_or(0),
@@ -291,10 +288,9 @@ impl SimTracer {
 
     /// Folds one applied rate change (a state delta) into the digest;
     /// it surfaces in the next journaled event's `d` field.
-    pub(crate) fn fold_rate_change(&mut self, id: u64, rate_bits: u64, generation: u64) {
+    pub(crate) fn fold_rate_change(&mut self, id: u64, rate_bits: u64) {
         self.digest = fold_digest(self.digest, id);
         self.digest = fold_digest(self.digest, rate_bits);
-        self.digest = fold_digest(self.digest, generation);
     }
 
     /// Prints the progress heartbeat if the wall interval elapsed.
@@ -389,7 +385,7 @@ mod tests {
         let buf = SharedBuf::new();
         let mut t = SimTracer::new().with_journal(buf.clone());
         t.journal_event(1_000, "stats_epoch", 0);
-        t.fold_rate_change(7, 0x3ff0, 2);
+        t.fold_rate_change(7, 0x3ff0);
         t.journal_event(2_000, "completion", 7);
         assert_eq!(t.finish_journal(), 2);
         let entries = parse_journal(&buf.contents()).unwrap();
@@ -401,7 +397,7 @@ mod tests {
         let buf2 = SharedBuf::new();
         let mut t2 = SimTracer::new().with_journal(buf2.clone());
         t2.journal_event(1_000, "stats_epoch", 0);
-        t2.fold_rate_change(7, 0x3ff0, 2);
+        t2.fold_rate_change(7, 0x3ff0);
         t2.journal_event(2_000, "completion", 7);
         t2.finish_journal();
         assert_eq!(buf2.contents(), buf.contents());
@@ -410,7 +406,7 @@ mod tests {
         let buf3 = SharedBuf::new();
         let mut t3 = SimTracer::new().with_journal(buf3.clone());
         t3.journal_event(1_000, "stats_epoch", 0);
-        t3.fold_rate_change(7, 0x3ff1, 2);
+        t3.fold_rate_change(7, 0x3ff1);
         t3.journal_event(2_000, "completion", 7);
         t3.finish_journal();
         let e3 = parse_journal(&buf3.contents()).unwrap();

@@ -21,8 +21,8 @@
 //! After any change (admission, completion, failure) the caller invokes
 //! [`FluidNet::reallocate`], which re-runs max-min fair allocation (full or
 //! incremental per [`AllocMode`]) and returns the flows whose rate changed
-//! together with fresh completion predictions; the caller reschedules
-//! completion events and invalidates stale ones by generation. The
+//! together with fresh completion predictions; the caller cancels each
+//! such flow's scheduled completion event and schedules the new one. The
 //! `horse-core` driver batches all events sharing one timestamp into an
 //! **epoch** and calls `reallocate` once per epoch.
 //!
@@ -146,10 +146,8 @@ pub struct RateChange {
     /// Its new rate.
     pub rate: Rate,
     /// Seconds until completion at this rate (`None`: open-ended/stalled).
+    /// It supersedes any earlier prediction for the flow.
     pub completes_in: Option<f64>,
-    /// Generation to stamp on the completion event; events carrying an
-    /// older generation are stale and must be ignored.
-    pub generation: u64,
 }
 
 enum ResolveOutcome {
@@ -750,7 +748,6 @@ impl FluidNet {
                     bytes_dropped: 0.0,
                     started: arrived,
                     last_update: now,
-                    completion_gen: 0,
                 };
                 self.flows.insert(flow);
                 AdmitOutcome::Admitted
@@ -1697,12 +1694,10 @@ impl FluidNet {
             if changed {
                 let delta = new_rate.as_bps() - flow.rate.as_bps();
                 flow.rate = new_rate;
-                flow.completion_gen += 1;
                 let change = RateChange {
                     id: flow.id,
                     rate: flow.rate,
                     completes_in: flow.time_to_complete(),
-                    generation: flow.completion_gen,
                 };
                 // Update link instantaneous rates.
                 let flow = self.flows.flow_at(slot);
@@ -1737,15 +1732,6 @@ impl FluidNet {
             }
         }
         &self.scratch.changes
-    }
-
-    /// Validates a completion event: true iff the flow exists and the
-    /// event's generation is current.
-    pub fn completion_is_current(&self, id: FlowId, generation: u64) -> bool {
-        self.flows
-            .get(id)
-            .map(|f| f.completion_gen == generation)
-            .unwrap_or(false)
     }
 
     /// Removes a flow (completion or teardown), producing its record.
@@ -2317,25 +2303,6 @@ mod tests {
         let changes = net.reallocate(SimTime::from_millis(100));
         let c = changes.iter().find(|c| c.id == b).expect("b updated");
         assert!((c.rate.as_gbps() - 1.0).abs() < 1e-9, "b gets everything");
-    }
-
-    #[test]
-    fn generation_invalidates_stale_completions() {
-        let (mut net, hl, hr) = linear_net();
-        install_forwarding(&mut net);
-        let a = net.reserve_id();
-        net.try_admit(a, spec(hl, hr, 1000), SimTime::ZERO);
-        let c1 = net.reallocate(SimTime::ZERO);
-        let g1 = c1[0].generation;
-        assert!(net.completion_is_current(a, g1));
-        // second flow changes a's rate => new generation
-        let b = net.reserve_id();
-        net.try_admit(b, spec(hl, hr, 2000), SimTime::from_millis(1));
-        let c2 = net.reallocate(SimTime::from_millis(1));
-        let g2 = c2.iter().find(|c| c.id == a).unwrap().generation;
-        assert!(g2 > g1);
-        assert!(!net.completion_is_current(a, g1), "old event is stale");
-        assert!(net.completion_is_current(a, g2));
     }
 
     #[test]

@@ -130,10 +130,6 @@ pub struct ActiveFlow {
     pub started: SimTime,
     /// Last lazy-accounting sync.
     pub last_update: SimTime,
-    /// Completion-event generation: stale completion events (scheduled
-    /// before the latest rate change) carry an older generation and are
-    /// ignored.
-    pub completion_gen: u64,
 }
 
 impl ActiveFlow {
@@ -211,7 +207,6 @@ horse_types::impl_snap_struct!(ActiveFlow {
     bytes_dropped,
     started,
     last_update,
-    completion_gen,
 });
 
 #[cfg(test)]
@@ -250,7 +245,6 @@ mod tests {
             bytes_dropped: 0.0,
             started: SimTime::ZERO,
             last_update: SimTime::ZERO,
-            completion_gen: 0,
         }
     }
 

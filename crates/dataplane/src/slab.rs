@@ -417,7 +417,6 @@ mod tests {
             bytes_dropped: 0.0,
             started: SimTime::ZERO,
             last_update: SimTime::ZERO,
-            completion_gen: 0,
         }
     }
 

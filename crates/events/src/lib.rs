@@ -4,9 +4,10 @@
 //! "a temporally ordered set of inputs for the topology" — this crate
 //! provides that ordering.
 //!
-//! * [`queue`] — the future event list: a binary-heap priority queue keyed
-//!   by `(SimTime, sequence)` so that events at equal timestamps pop in
-//!   scheduling (FIFO) order, making every run deterministic. The
+//! * [`queue`] — the future event list: an indexed binary heap keyed by
+//!   `(SimTime, sequence)` so that events at equal timestamps pop in
+//!   scheduling (FIFO) order, making every run deterministic, and any
+//!   pending event can be cancelled in O(log n). The
 //!   [`EventQueue::pop_if_at`](queue::EventQueue::pop_if_at) primitive
 //!   drains all events sharing one timestamp as a single **epoch batch**
 //!   (still in seq order), which is what lets the simulator run its

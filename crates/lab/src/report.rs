@@ -116,8 +116,8 @@ impl CampaignReport {
             "pkt_cache_hits",
             "pkt_cache_misses",
             "pkt_cache_invalidations",
-            "queue_compactions",
-            "queue_tombstones",
+            "queue_cancelled",
+            "queue_peak_pending",
             "recovery_time",
             "recovery_p99",
             "flows_rerouted",
@@ -170,8 +170,8 @@ impl CampaignReport {
                     m.pkt_cache_hits.to_string(),
                     m.pkt_cache_misses.to_string(),
                     m.pkt_cache_invalidations.to_string(),
-                    m.queue_compactions.to_string(),
-                    m.queue_tombstones.to_string(),
+                    m.queue_cancelled.to_string(),
+                    m.queue_peak_pending.to_string(),
                     f(m.recovery.mean),
                     f(m.recovery.p99),
                     m.chaos.flows_rerouted.to_string(),
@@ -339,7 +339,7 @@ mod tests {
         assert!(
             header.contains(
                 "cold_solves,pkt_bursts_formed,pkt_cache_hits,\
-                 pkt_cache_misses,pkt_cache_invalidations,queue_compactions"
+                 pkt_cache_misses,pkt_cache_invalidations,queue_cancelled"
             ),
             "packet-plane telemetry columns present: {header}"
         );

@@ -94,11 +94,10 @@ pub struct RunMetrics {
     /// Cached decisions invalidated by a switch-generation bump.
     #[serde(default)]
     pub pkt_cache_invalidations: u64,
-    /// Event-queue heap compactions (tombstone-pressure rebuilds).
-    pub queue_compactions: u64,
-    /// Events cancelled before firing (left as heap tombstones until a
-    /// pop skips them or a compaction drops them).
-    pub queue_tombstones: u64,
+    /// Events cancelled before firing (superseded flow completions).
+    pub queue_cancelled: u64,
+    /// High-water mark of pending events in the queue.
+    pub queue_peak_pending: u64,
     /// Recovery-time summary (seconds from a fault knocking a flow off
     /// its path to its re-admission); all-zero in a fault-free run.
     #[serde(default)]
@@ -148,8 +147,8 @@ impl RunMetrics {
             pkt_cache_hits: r.pkt_cache_hits,
             pkt_cache_misses: r.pkt_cache_misses,
             pkt_cache_invalidations: r.pkt_cache_invalidations,
-            queue_compactions: r.queue.compactions,
-            queue_tombstones: r.queue.cancelled,
+            queue_cancelled: r.queue.cancelled,
+            queue_peak_pending: r.queue.peak_pending,
             recovery: r.recovery,
             chaos: r.chaos.clone(),
             metrics: r.metrics.clone(),

@@ -598,12 +598,60 @@ fn malformed_snapshots_fail_loudly() {
         Simulation::resume(&versioned),
         Err(ResumeError::BadVersion(99))
     ));
-    // So is the previous format: version 2 laid the path database and
-    // the outage buffer out differently, and must not be read as 3.
-    assert_eq!(horse::sim::SNAPSHOT_VERSION, 3);
-    versioned[17] = 2;
+    // So is the previous format: version 3 laid the event queue out with
+    // tombstones and holds superseded completions that would now fire.
+    assert_eq!(horse::sim::SNAPSHOT_VERSION, 4);
+    versioned[17] = 3;
     assert!(matches!(
         Simulation::resume(&versioned),
-        Err(ResumeError::BadVersion(2))
+        Err(ResumeError::BadVersion(3))
     ));
+}
+
+/// A completion wave on a star: six equal flows and a short one into one
+/// sink at t = 1 s, four more into the same sink at 1.2 s. The short
+/// flow's departure (≈1.06 s) and the late arrivals each supersede, and
+/// so cancel, every pending wave completion.
+fn wave_scenario() -> Scenario {
+    let f = builders::star(10, horse::types::Rate::gbps(1.0));
+    let mut s = Scenario::bare(f.topology, SimTime::from_secs(4));
+    s.members = f.members;
+    s.policy = PolicySpec::new().with(PolicyRule::MacForwarding);
+    for i in 0..11usize {
+        let (at_ms, mib) = match i {
+            0..=5 => (1000, 8),
+            6 => (1000, 1),
+            _ => (1200, 4),
+        };
+        let spec = s
+            .flow_between(
+                s.members[i % 9],
+                s.members[9],
+                AppClass::Https,
+                5000 + i as u16,
+                Some(ByteSize::mib(mib)),
+                DemandModel::Greedy,
+            )
+            .expect("hosts have addresses");
+        s.explicit_flows.push((SimTime::from_millis(at_ms), spec));
+    }
+    s
+}
+
+#[test]
+fn mid_wave_snapshot_resumes_with_cancellations_on_both_sides() {
+    let (want, want_journal) = straight(wave_scenario(), SimConfig::default());
+    assert_eq!(want.stale_completions, 0);
+    let t_snap = SimTime::from_millis(1100);
+    let mut prefix = Simulation::new(wave_scenario(), SimConfig::default()).unwrap();
+    prefix.run_until(t_snap);
+    let at_cut = prefix.finish().queue.cancelled;
+    assert!(
+        at_cut > 0 && at_cut < want.queue.cancelled,
+        "cancellations before ({at_cut}) and after the cut (of {})",
+        want.queue.cancelled
+    );
+    let (got, got_journal) = resumed(wave_scenario(), SimConfig::default(), t_snap, None);
+    assert_eq!(got, want);
+    assert_eq!(got_journal, want_journal);
 }

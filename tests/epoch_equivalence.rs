@@ -128,14 +128,18 @@ fn assert_equivalent(seed: u64, alloc_mode: AllocMode) {
     let (oracle, oracle_recs) = run(random_scenario(seed), true, alloc_mode);
 
     // Event-for-event the *simulation* is the same: every arrival,
-    // control crossing and live completion happens in both runs. The
-    // per-event cadence merely schedules more superseded completion
-    // events; net of that overhead the counts must agree exactly.
+    // control crossing and completion happens in both runs. The per-event
+    // cadence merely supersedes (and cancels) more completion events, and
+    // a superseded completion never pops on either side.
     assert_eq!(
-        batched.events - batched.stale_completions,
-        oracle.events - oracle.stale_completions,
-        "useful event counts diverged (seed {seed})"
+        batched.events, oracle.events,
+        "event counts diverged (seed {seed})"
     );
+    assert_eq!(
+        (batched.stale_completions, oracle.stale_completions),
+        (0, 0)
+    );
+    assert!(batched.queue.cancelled <= oracle.queue.cancelled);
     assert_eq!(batched.flows_admitted, oracle.flows_admitted);
     assert_eq!(batched.flows_completed, oracle.flows_completed);
     assert_eq!(batched.flows_dropped, oracle.flows_dropped);
@@ -358,11 +362,105 @@ fn simultaneous_arrival_wave_matches_oracle() {
     // The wave is why batching wins: 4 arrival requests + 4 completion
     // requests collapse into one allocator run each, and no completion
     // is ever scheduled against a rate the same instant supersedes. The
-    // per-event side pays one run per request and pops 12 stale
-    // completions. (Wall-clock consequence: `ixp_waves` in `benchmark/`.)
-    assert_eq!((batched.realloc_runs, batched.stale_completions), (2, 0));
-    assert_eq!((oracle.realloc_runs, oracle.stale_completions), (8, 12));
+    // per-event side pays one run per request and supersedes 12
+    // completions, which are cancelled instead of popping stale.
+    // (Wall-clock consequence: `ixp_waves` in `benchmark/`.)
+    assert_eq!((batched.realloc_runs, batched.queue.cancelled), (2, 0));
+    assert_eq!((oracle.realloc_runs, oracle.queue.cancelled), (8, 12));
+    assert_eq!(
+        (batched.stale_completions, oracle.stale_completions),
+        (0, 0)
+    );
+    assert_eq!(batched.events, oracle.events);
     assert_eq!(oracle.realloc_runs, oracle.realloc_requests);
     assert_eq!(batched.realloc_requests, oracle.realloc_requests);
     assert!(batched.max_epoch_batch >= 4, "the wave forms one batch");
+}
+
+/// The nanosecond on which the wave of [`completion_wave`] finishes.
+const WAVE_NS: u64 = 1_411_041_792;
+
+/// Six equal flows into one sink plus a short seventh, all at t = 1 s:
+/// the short flow's departure re-divides the sink link, superseding the
+/// six completions, which then all land on [`WAVE_NS`]. Four more flows
+/// arrive on exactly that nanosecond, so the completion wave shares its
+/// epoch with arrivals.
+fn completion_wave() -> Scenario {
+    let f = builders::star(10, Rate::gbps(1.0));
+    let mut s = Scenario::bare(f.topology.clone(), SimTime::from_secs(5));
+    s.members = f.members.clone();
+    s.policy = PolicySpec::new().with(PolicyRule::MacForwarding);
+    let add = |s: &mut Scenario, at: SimTime, src: usize, dst: usize, port: u16, mib: u64| {
+        let spec = s
+            .flow_between(
+                f.members[src],
+                f.members[dst],
+                AppClass::Https,
+                port,
+                Some(ByteSize::mib(mib)),
+                DemandModel::Greedy,
+            )
+            .unwrap();
+        s.explicit_flows.push((at, spec));
+    };
+    for i in 0..6 {
+        add(&mut s, SimTime::from_secs(1), i, 9, 5000 + i as u16, 8);
+    }
+    add(&mut s, SimTime::from_secs(1), 6, 9, 5006, 1);
+    for i in 0..4 {
+        add(
+            &mut s,
+            SimTime::from_nanos(WAVE_NS),
+            7 + i % 2,
+            i,
+            5100 + i as u16,
+            2,
+        );
+    }
+    s
+}
+
+/// Pins the same-instant completion order: the `(finished, id)` sequence
+/// of flow records — the order completion events popped in — and every
+/// flow's completion time to the nanosecond (each one derives from the
+/// `RateChange` completion prediction that scheduled it).
+#[test]
+fn same_instant_completion_order_is_pinned() {
+    let mut sim = Simulation::new(
+        completion_wave(),
+        SimConfig::default()
+            .with_stats_epoch(None)
+            .with_expiry_scan(None),
+    )
+    .unwrap();
+    let r = sim.run();
+    assert_eq!(r.flows_completed, 11);
+    let got: Vec<(u64, u64, u64)> = sim
+        .fluid()
+        .records()
+        .iter()
+        .map(|rec| {
+            (
+                rec.finished.as_nanos(),
+                rec.id.0,
+                rec.finished.as_nanos() - rec.started.as_nanos(),
+            )
+        })
+        .collect();
+    // Recorded before completions became cancellable; ties pop in the
+    // order their events were scheduled (ascending id within one run).
+    let golden: Vec<(u64, u64, u64)> = vec![
+        (1_058_720_256, 6, 58_720_256),
+        (WAVE_NS, 0, 411_041_792),
+        (WAVE_NS, 1, 411_041_792),
+        (WAVE_NS, 2, 411_041_792),
+        (WAVE_NS, 3, 411_041_792),
+        (WAVE_NS, 4, 411_041_792),
+        (WAVE_NS, 5, 411_041_792),
+        (1_444_596_224, 7, 33_554_432),
+        (1_444_596_224, 8, 33_554_432),
+        (1_444_596_224, 9, 33_554_432),
+        (1_444_596_224, 10, 33_554_432),
+    ];
+    assert_eq!(got, golden);
 }
