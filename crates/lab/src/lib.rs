@@ -49,7 +49,7 @@ pub use runner::{
     execute_plan, execute_plan_opts, run_plans_opts, run_plans_with, run_sweep, run_sweep_with,
     RunMetrics, RunOptions, TraceOut,
 };
-pub use spec::{Axes, ScenarioSpec, SimConfigSpec, SweepSpec};
+pub use spec::{Axes, CommonKnobs, ScenarioFamily, ScenarioSpec, SimConfigSpec, SweepSpec};
 pub use sweep::{expand, RunPlan};
 pub use whatif::{fork_groups, run_forked, ForkGroup, ForkOptions, ForkStats};
 
@@ -99,7 +99,9 @@ pub mod prelude {
         execute_plan, execute_plan_opts, run_plans_opts, run_plans_with, run_sweep, run_sweep_with,
         RunMetrics, RunOptions, TraceOut,
     };
-    pub use crate::spec::{Axes, ScenarioSpec, SimConfigSpec, SweepSpec};
+    pub use crate::spec::{
+        Axes, CommonKnobs, ScenarioFamily, ScenarioSpec, SimConfigSpec, SweepSpec,
+    };
     pub use crate::sweep::{expand, RunPlan};
     pub use crate::whatif::{fork_groups, run_forked, ForkGroup, ForkOptions, ForkStats};
     pub use crate::LabError;

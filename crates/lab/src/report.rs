@@ -64,6 +64,67 @@ const AGGREGATED: &[(&str, MetricFn)] = &[
     ("recovery_time", |m| m.recovery.mean),
 ];
 
+/// Renders one per-run metric as a CSV cell.
+type CellFn = fn(&RunMetrics) -> String;
+
+/// The metric columns of [`CampaignReport::metrics_csv`], in order, as
+/// `(header, cell)` pairs; they follow the `run` and axis columns.
+const COLUMNS: &[(&str, CellFn)] = &[
+    ("sim_secs", |m| f(m.sim_secs)),
+    ("events", |m| m.events.to_string()),
+    ("flows_admitted", |m| m.flows_admitted.to_string()),
+    ("flows_completed", |m| m.flows_completed.to_string()),
+    ("flows_dropped", |m| m.flows_dropped.to_string()),
+    ("flows_active_at_end", |m| m.flows_active_at_end.to_string()),
+    ("bytes_delivered", |m| f(m.bytes_delivered)),
+    ("bytes_dropped", |m| f(m.bytes_dropped)),
+    ("throughput_bps", |m| f(m.throughput_bps)),
+    ("fct_mean", |m| f(m.fct.mean)),
+    ("fct_p50", |m| f(m.fct.p50)),
+    ("fct_p95", |m| f(m.fct.p95)),
+    ("fct_p99", |m| f(m.fct.p99)),
+    ("fct_p999", |m| f(m.fct.p999)),
+    ("goodput_mean_bps", |m| f(m.goodput.mean)),
+    ("msgs_to_controller", |m| m.msgs_to_controller.to_string()),
+    ("msgs_to_switch", |m| m.msgs_to_switch.to_string()),
+    ("flow_ins", |m| m.flow_ins.to_string()),
+    ("epochs", |m| m.epochs.to_string()),
+    ("epoch_batch_mean", |m| f(m.epoch_batch_mean)),
+    ("epoch_batch_max", |m| m.epoch_batch_max.to_string()),
+    ("realloc_runs", |m| m.realloc_runs.to_string()),
+    ("realloc_saved", |m| m.realloc_saved.to_string()),
+    ("realloc_flows_touched", |m| {
+        m.realloc_flows_touched.to_string()
+    }),
+    ("macro_flows", |m| m.macro_flows.to_string()),
+    ("warm_hits", |m| m.warm_hits.to_string()),
+    ("cold_solves", |m| m.cold_solves.to_string()),
+    ("pkt_bursts_formed", |m| m.pkt_bursts_formed.to_string()),
+    ("pkt_cache_hits", |m| m.pkt_cache_hits.to_string()),
+    ("pkt_cache_misses", |m| m.pkt_cache_misses.to_string()),
+    ("pkt_cache_invalidations", |m| {
+        m.pkt_cache_invalidations.to_string()
+    }),
+    ("queue_cancelled", |m| m.queue_cancelled.to_string()),
+    ("queue_peak_pending", |m| m.queue_peak_pending.to_string()),
+    ("recovery_time", |m| f(m.recovery.mean)),
+    ("recovery_p99", |m| f(m.recovery.p99)),
+    ("flows_rerouted", |m| m.chaos.flows_rerouted.to_string()),
+    ("flows_stranded", |m| m.chaos.flows_stranded.to_string()),
+    ("cable_downs", |m| m.chaos.cable_downs.to_string()),
+    ("cable_ups", |m| m.chaos.cable_ups.to_string()),
+    ("switch_crashes", |m| m.chaos.switch_crashes.to_string()),
+    ("switch_rejoins", |m| m.chaos.switch_rejoins.to_string()),
+    ("gray_events", |m| m.chaos.gray_events.to_string()),
+    ("ctrl_outages", |m| m.chaos.ctrl_outages.to_string()),
+    ("ctrl_latency_spikes", |m| {
+        m.chaos.ctrl_latency_spikes.to_string()
+    }),
+    ("ctrl_msgs_buffered", |m| {
+        m.chaos.ctrl_msgs_buffered.to_string()
+    }),
+];
+
 fn f(v: f64) -> String {
     format!("{v:?}")
 }
@@ -82,110 +143,18 @@ impl CampaignReport {
     /// across thread counts and machines for the same spec.
     pub fn metrics_csv(&self) -> String {
         let param_cols = self.param_columns();
-        let mut header: Vec<&str> = vec!["run"];
-        header.extend(param_cols.iter().map(String::as_str));
-        header.extend([
-            "sim_secs",
-            "events",
-            "flows_admitted",
-            "flows_completed",
-            "flows_dropped",
-            "flows_active_at_end",
-            "bytes_delivered",
-            "bytes_dropped",
-            "throughput_bps",
-            "fct_mean",
-            "fct_p50",
-            "fct_p95",
-            "fct_p99",
-            "fct_p999",
-            "goodput_mean_bps",
-            "msgs_to_controller",
-            "msgs_to_switch",
-            "flow_ins",
-            "epochs",
-            "epoch_batch_mean",
-            "epoch_batch_max",
-            "realloc_runs",
-            "realloc_saved",
-            "realloc_flows_touched",
-            "macro_flows",
-            "warm_hits",
-            "cold_solves",
-            "pkt_bursts_formed",
-            "pkt_cache_hits",
-            "pkt_cache_misses",
-            "pkt_cache_invalidations",
-            "queue_cancelled",
-            "queue_peak_pending",
-            "recovery_time",
-            "recovery_p99",
-            "flows_rerouted",
-            "flows_stranded",
-            "cable_downs",
-            "cable_ups",
-            "switch_crashes",
-            "switch_rejoins",
-            "gray_events",
-            "ctrl_outages",
-            "ctrl_latency_spikes",
-            "ctrl_msgs_buffered",
-        ]);
+        let header: Vec<&str> = std::iter::once("run")
+            .chain(param_cols.iter().map(String::as_str))
+            .chain(COLUMNS.iter().map(|(name, _)| *name))
+            .collect();
         let rows: Vec<Vec<String>> = self
             .runs
             .iter()
             .map(|r| {
-                let m = &r.metrics;
-                let mut row = vec![r.index.to_string()];
-                row.extend(r.params.iter().map(|(_, v)| value_text(v)));
-                row.extend([
-                    f(m.sim_secs),
-                    m.events.to_string(),
-                    m.flows_admitted.to_string(),
-                    m.flows_completed.to_string(),
-                    m.flows_dropped.to_string(),
-                    m.flows_active_at_end.to_string(),
-                    f(m.bytes_delivered),
-                    f(m.bytes_dropped),
-                    f(m.throughput_bps),
-                    f(m.fct.mean),
-                    f(m.fct.p50),
-                    f(m.fct.p95),
-                    f(m.fct.p99),
-                    f(m.fct.p999),
-                    f(m.goodput.mean),
-                    m.msgs_to_controller.to_string(),
-                    m.msgs_to_switch.to_string(),
-                    m.flow_ins.to_string(),
-                    m.epochs.to_string(),
-                    f(m.epoch_batch_mean),
-                    m.epoch_batch_max.to_string(),
-                    m.realloc_runs.to_string(),
-                    m.realloc_saved.to_string(),
-                    m.realloc_flows_touched.to_string(),
-                    m.macro_flows.to_string(),
-                    m.warm_hits.to_string(),
-                    m.cold_solves.to_string(),
-                    m.pkt_bursts_formed.to_string(),
-                    m.pkt_cache_hits.to_string(),
-                    m.pkt_cache_misses.to_string(),
-                    m.pkt_cache_invalidations.to_string(),
-                    m.queue_cancelled.to_string(),
-                    m.queue_peak_pending.to_string(),
-                    f(m.recovery.mean),
-                    f(m.recovery.p99),
-                    m.chaos.flows_rerouted.to_string(),
-                    m.chaos.flows_stranded.to_string(),
-                    m.chaos.cable_downs.to_string(),
-                    m.chaos.cable_ups.to_string(),
-                    m.chaos.switch_crashes.to_string(),
-                    m.chaos.switch_rejoins.to_string(),
-                    m.chaos.gray_events.to_string(),
-                    m.chaos.ctrl_outages.to_string(),
-                    m.chaos.ctrl_latency_spikes.to_string(),
-                    m.chaos.ctrl_msgs_buffered.to_string(),
-                ]);
-                row
+                std::iter::once(r.index.to_string())
+                    .chain(r.params.iter().map(|(_, v)| value_text(v)))
+                    .chain(COLUMNS.iter().map(|(_, cell)| cell(&r.metrics)))
+                    .collect()
             })
             .collect();
         table_to_csv(&header, &rows)

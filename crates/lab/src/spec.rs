@@ -22,96 +22,117 @@
 //! [`ScenarioSpec`] lowers to a concrete [`Scenario`] through the canned
 //! builders; [`SimConfigSpec`] folds onto [`SimConfig::default`]. Both are
 //! plain data with serde round-trips, so sweeps can rewrite any field.
+//!
+//! Every `kind` accepts the same [`CommonKnobs`] — `horizon_secs`,
+//! `seed`, `fidelity`, `foreground_flows`, the `chaos_*` fault schedule
+//! and the `whatif_*` fork knobs — next to its own [`ScenarioFamily`]
+//! keys, all flat under `[scenario]`. A key that no field of the root,
+//! `[scenario]` (for the given `kind`) or `[config]` table takes is an
+//! error naming the key and listing the accepted ones, so a typo cannot
+//! silently switch a knob off.
 
 use crate::LabError;
 use horse::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
-/// A declarative scenario: one of the canned experiment families.
+/// A declarative scenario: the knobs every family shares plus one canned
+/// experiment family. On disk both halves sit flat under `[scenario]`;
+/// the hand-written serde impls below merge and split them.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ScenarioSpec {
+    /// Knobs every `kind` accepts.
+    pub common: CommonKnobs,
+    /// The `kind`-selected family and its own knobs.
+    pub family: ScenarioFamily,
+}
+
+/// The `[scenario]` keys every family accepts: horizon, workload seed,
+/// fidelity, the `chaos_*` fault schedule and the `whatif_*` fork knobs.
+/// Every field except `horizon_secs` has a default.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct CommonKnobs {
+    /// Simulation horizon in seconds.
+    pub horizon_secs: f64,
+    /// Workload seed (default 1); also the jellyfish wiring seed.
+    pub seed: Option<u64>,
+    /// Fidelity mode: `"fluid"` (default), `"hybrid"` (packet
+    /// foreground over fluid background) or `"packet"` (every arrival
+    /// packet-level).
+    pub fidelity: Option<FidelityMode>,
+    /// Hybrid foreground size: how many leading workload arrivals run at
+    /// packet fidelity (default 8; only used by `"hybrid"`).
+    pub foreground_flows: Option<usize>,
+    /// Chaos: fault-schedule seed (default 0, independent of the
+    /// workload seed so one fault pattern replays against any traffic).
+    pub chaos_seed: Option<u64>,
+    /// Chaos: warm-up seconds before the first fault (default 0).
+    pub chaos_start_secs: Option<f64>,
+    /// Chaos: number of flapping switch-to-switch cables.
+    pub chaos_link_flaps: Option<u32>,
+    /// Chaos: mean flaps per second per flapping cable (default 1.0).
+    pub chaos_flap_rate_per_sec: Option<f64>,
+    /// Chaos: mean downtime of one flap in seconds (default 0.05).
+    pub chaos_flap_downtime_secs: Option<f64>,
+    /// Chaos: number of switches that crash once (tables wiped, ports
+    /// down) and later rejoin empty.
+    pub chaos_switch_crashes: Option<u32>,
+    /// Chaos: seconds a crashed switch stays down (default 0.5).
+    pub chaos_crash_downtime_secs: Option<f64>,
+    /// Chaos: number of controller outage windows (messages buffer and
+    /// replay in order on recovery).
+    pub chaos_ctrl_outages: Option<u32>,
+    /// Chaos: length of one controller outage in seconds (default 0.5).
+    pub chaos_ctrl_outage_secs: Option<f64>,
+    /// Chaos: number of control-latency spike windows.
+    pub chaos_ctrl_latency_spikes: Option<u32>,
+    /// Chaos: latency multiplier during a spike (default 10.0).
+    pub chaos_ctrl_latency_factor: Option<f64>,
+    /// Chaos: length of one latency spike in seconds (default 0.5).
+    pub chaos_ctrl_spike_secs: Option<f64>,
+    /// Chaos: number of cables suffering a gray-failure window (up, but
+    /// degraded).
+    pub chaos_gray_links: Option<u32>,
+    /// Chaos: capacity fraction a gray cable retains (default 0.5).
+    pub chaos_gray_capacity_factor: Option<f64>,
+    /// Chaos: extra loss fraction a gray cable drops (default 0).
+    pub chaos_gray_loss_frac: Option<f64>,
+    /// Chaos: length of one gray window in seconds (default 1.0).
+    pub chaos_gray_duration_secs: Option<f64>,
+    /// What-if: shared-prefix fork point in seconds. Runs whose specs
+    /// differ only in `whatif_*` event knobs (and `engine_threads`)
+    /// simulate the prefix `[0, T)` once and fork per variant.
+    pub whatif_at_secs: Option<f64>,
+    /// What-if: link (by [`LinkId`] index) to fail after the fork point.
+    /// Sweepable, so one spec compares candidate failures.
+    pub whatif_link_down: Option<u32>,
+    /// What-if: failure injection time in seconds (must lie after
+    /// `whatif_at_secs`).
+    pub whatif_fail_secs: Option<f64>,
+    /// What-if: repair time in seconds (after `whatif_fail_secs`); omit
+    /// to leave the cable down for the rest of the run.
+    pub whatif_repair_secs: Option<f64>,
+}
+
+/// One of the canned experiment families, selected by `kind`.
 ///
 /// `kind = "figure1"` is the paper's Figure-1 fabric with its full policy
 /// mix; `kind = "ixp"` is the parameterized two-tier IXP fabric behind
 /// experiments E1–E5; `kind = "fabric"` is the generated-topology
 /// suite (fat-tree / leaf-spine / jellyfish / linear / ring / WAN) with
-/// a sweepable `topology` axis. All fields except the family selector
-/// and `horizon_secs` have defaults matching the experiment harness.
+/// a sweepable `topology` axis. Fields other than `members` and
+/// `topology` have defaults matching the experiment harness.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "snake_case")]
 // the variant size gap is real but specs are built a handful at a time;
 // boxing would complicate the derive shim for no measurable win
 #[allow(clippy::large_enum_variant)]
-pub enum ScenarioSpec {
+pub enum ScenarioFamily {
     /// The paper's Figure-1 scenario (fixed fabric, all five policies).
-    Figure1 {
-        /// Simulation horizon in seconds.
-        horizon_secs: f64,
-        /// Workload seed.
-        seed: Option<u64>,
-        /// Fidelity mode: `"fluid"` (default), `"hybrid"` (packet
-        /// foreground over fluid background) or `"packet"` (every
-        /// arrival packet-level).
-        fidelity: Option<FidelityMode>,
-        /// Hybrid foreground size: how many leading workload arrivals
-        /// run at packet fidelity (default 8; only used by `"hybrid"`).
-        foreground_flows: Option<usize>,
-        /// Chaos: fault-schedule seed (default 0, independent of the
-        /// workload seed so one fault pattern replays against any
-        /// traffic).
-        chaos_seed: Option<u64>,
-        /// Chaos: warm-up seconds before the first fault (default 0).
-        chaos_start_secs: Option<f64>,
-        /// Chaos: number of flapping switch-to-switch cables.
-        chaos_link_flaps: Option<u32>,
-        /// Chaos: mean flaps per second per flapping cable (default 1.0).
-        chaos_flap_rate_per_sec: Option<f64>,
-        /// Chaos: mean downtime of one flap in seconds (default 0.05).
-        chaos_flap_downtime_secs: Option<f64>,
-        /// Chaos: number of switches that crash once (tables wiped,
-        /// ports down) and later rejoin empty.
-        chaos_switch_crashes: Option<u32>,
-        /// Chaos: seconds a crashed switch stays down (default 0.5).
-        chaos_crash_downtime_secs: Option<f64>,
-        /// Chaos: number of controller outage windows (messages buffer
-        /// and replay in order on recovery).
-        chaos_ctrl_outages: Option<u32>,
-        /// Chaos: length of one controller outage in seconds
-        /// (default 0.5).
-        chaos_ctrl_outage_secs: Option<f64>,
-        /// Chaos: number of control-latency spike windows.
-        chaos_ctrl_latency_spikes: Option<u32>,
-        /// Chaos: latency multiplier during a spike (default 10.0).
-        chaos_ctrl_latency_factor: Option<f64>,
-        /// Chaos: length of one latency spike in seconds (default 0.5).
-        chaos_ctrl_spike_secs: Option<f64>,
-        /// Chaos: number of cables suffering a gray-failure window
-        /// (up, but degraded).
-        chaos_gray_links: Option<u32>,
-        /// Chaos: capacity fraction a gray cable retains (default 0.5).
-        chaos_gray_capacity_factor: Option<f64>,
-        /// Chaos: extra loss fraction a gray cable drops (default 0).
-        chaos_gray_loss_frac: Option<f64>,
-        /// Chaos: length of one gray window in seconds (default 1.0).
-        chaos_gray_duration_secs: Option<f64>,
-        /// What-if: shared-prefix fork point in seconds. Runs whose specs
-        /// differ only in `whatif_*` event knobs (and `engine_threads`)
-        /// simulate the prefix `[0, T)` once and fork per variant.
-        whatif_at_secs: Option<f64>,
-        /// What-if: link (by [`LinkId`] index) to fail after the fork
-        /// point. Sweepable, so one spec compares candidate failures.
-        whatif_link_down: Option<u32>,
-        /// What-if: failure injection time in seconds (must lie after
-        /// `whatif_at_secs`).
-        whatif_fail_secs: Option<f64>,
-        /// What-if: repair time in seconds (after `whatif_fail_secs`);
-        /// omit to leave the cable down for the rest of the run.
-        whatif_repair_secs: Option<f64>,
-    },
+    Figure1,
     /// The parameterized IXP fabric (experiments E1–E5).
     Ixp {
         /// Number of member routers.
         members: usize,
-        /// Simulation horizon in seconds.
-        horizon_secs: f64,
         /// Edge switches; default scales with members (`members/25`,
         /// clamped to 2–16, the harness rule).
         edge_switches: Option<usize>,
@@ -126,8 +147,6 @@ pub enum ScenarioSpec {
         load_factor: Option<f64>,
         /// Zipf skew of member weights (default 1.0).
         zipf_alpha: Option<f64>,
-        /// Workload seed (default 1).
-        seed: Option<u64>,
         /// Flow-size distribution; default bounded Pareto
         /// (α=1.3, 1 MB–1 GB), the harness default.
         sizes: Option<FlowSizeDist>,
@@ -140,64 +159,6 @@ pub enum ScenarioSpec {
         member_port_speeds_gbps: Option<Vec<f64>>,
         /// Edge→core uplink speed in Gbit/s (default 400).
         uplink_gbps: Option<f64>,
-        /// Fidelity mode: `"fluid"` (default), `"hybrid"` (packet
-        /// foreground over fluid background) or `"packet"` (every
-        /// arrival packet-level).
-        fidelity: Option<FidelityMode>,
-        /// Hybrid foreground size: how many leading workload arrivals
-        /// run at packet fidelity (default 8; only used by `"hybrid"`).
-        foreground_flows: Option<usize>,
-        /// Chaos: fault-schedule seed (default 0, independent of the
-        /// workload seed so one fault pattern replays against any
-        /// traffic).
-        chaos_seed: Option<u64>,
-        /// Chaos: warm-up seconds before the first fault (default 0).
-        chaos_start_secs: Option<f64>,
-        /// Chaos: number of flapping switch-to-switch cables.
-        chaos_link_flaps: Option<u32>,
-        /// Chaos: mean flaps per second per flapping cable (default 1.0).
-        chaos_flap_rate_per_sec: Option<f64>,
-        /// Chaos: mean downtime of one flap in seconds (default 0.05).
-        chaos_flap_downtime_secs: Option<f64>,
-        /// Chaos: number of switches that crash once (tables wiped,
-        /// ports down) and later rejoin empty.
-        chaos_switch_crashes: Option<u32>,
-        /// Chaos: seconds a crashed switch stays down (default 0.5).
-        chaos_crash_downtime_secs: Option<f64>,
-        /// Chaos: number of controller outage windows (messages buffer
-        /// and replay in order on recovery).
-        chaos_ctrl_outages: Option<u32>,
-        /// Chaos: length of one controller outage in seconds
-        /// (default 0.5).
-        chaos_ctrl_outage_secs: Option<f64>,
-        /// Chaos: number of control-latency spike windows.
-        chaos_ctrl_latency_spikes: Option<u32>,
-        /// Chaos: latency multiplier during a spike (default 10.0).
-        chaos_ctrl_latency_factor: Option<f64>,
-        /// Chaos: length of one latency spike in seconds (default 0.5).
-        chaos_ctrl_spike_secs: Option<f64>,
-        /// Chaos: number of cables suffering a gray-failure window
-        /// (up, but degraded).
-        chaos_gray_links: Option<u32>,
-        /// Chaos: capacity fraction a gray cable retains (default 0.5).
-        chaos_gray_capacity_factor: Option<f64>,
-        /// Chaos: extra loss fraction a gray cable drops (default 0).
-        chaos_gray_loss_frac: Option<f64>,
-        /// Chaos: length of one gray window in seconds (default 1.0).
-        chaos_gray_duration_secs: Option<f64>,
-        /// What-if: shared-prefix fork point in seconds. Runs whose specs
-        /// differ only in `whatif_*` event knobs (and `engine_threads`)
-        /// simulate the prefix `[0, T)` once and fork per variant.
-        whatif_at_secs: Option<f64>,
-        /// What-if: link (by [`LinkId`] index) to fail after the fork
-        /// point. Sweepable, so one spec compares candidate failures.
-        whatif_link_down: Option<u32>,
-        /// What-if: failure injection time in seconds (must lie after
-        /// `whatif_at_secs`).
-        whatif_fail_secs: Option<f64>,
-        /// What-if: repair time in seconds (after `whatif_fail_secs`);
-        /// omit to leave the cable down for the rest of the run.
-        whatif_repair_secs: Option<f64>,
     },
     /// A generated topology family (`horse_topology::generators`):
     /// fat-tree, leaf-spine, jellyfish, linear/ring chains, or a WAN
@@ -208,8 +169,6 @@ pub enum ScenarioSpec {
         /// Topology family: `"fat_tree"`, `"leaf_spine"`,
         /// `"jellyfish"`, `"linear"`, `"ring"` or `"wan"`.
         topology: TopologyKind,
-        /// Simulation horizon in seconds.
-        horizon_secs: f64,
         /// Fat-tree arity `k` (even; default 4 → 16 hosts, 20 switches).
         fat_tree_k: Option<usize>,
         /// Leaf-spine: leaf count (default 4).
@@ -251,356 +210,68 @@ pub enum ScenarioSpec {
         /// Multiplier on the default offered load (ignored when
         /// `offered_gbps` is set).
         load_factor: Option<f64>,
-        /// Workload seed, also the jellyfish wiring seed (default 1).
-        seed: Option<u64>,
         /// Flow-size distribution; default bounded Pareto
         /// (α=1.3, 1 MB–1 GB).
         sizes: Option<FlowSizeDist>,
         /// Policy rules; default ECMP load balancing (which installs
         /// select groups wherever the fabric offers equal-cost paths).
         policies: Option<Vec<PolicyRule>>,
-        /// Fidelity mode: `"fluid"` (default), `"hybrid"` or
-        /// `"packet"`.
-        fidelity: Option<FidelityMode>,
-        /// Hybrid foreground size (default 8; only used by `"hybrid"`).
-        foreground_flows: Option<usize>,
-        /// Chaos: fault-schedule seed (default 0, independent of the
-        /// workload seed so one fault pattern replays against any
-        /// traffic).
-        chaos_seed: Option<u64>,
-        /// Chaos: warm-up seconds before the first fault (default 0).
-        chaos_start_secs: Option<f64>,
-        /// Chaos: number of flapping switch-to-switch cables.
-        chaos_link_flaps: Option<u32>,
-        /// Chaos: mean flaps per second per flapping cable (default 1.0).
-        chaos_flap_rate_per_sec: Option<f64>,
-        /// Chaos: mean downtime of one flap in seconds (default 0.05).
-        chaos_flap_downtime_secs: Option<f64>,
-        /// Chaos: number of switches that crash once (tables wiped,
-        /// ports down) and later rejoin empty.
-        chaos_switch_crashes: Option<u32>,
-        /// Chaos: seconds a crashed switch stays down (default 0.5).
-        chaos_crash_downtime_secs: Option<f64>,
-        /// Chaos: number of controller outage windows (messages buffer
-        /// and replay in order on recovery).
-        chaos_ctrl_outages: Option<u32>,
-        /// Chaos: length of one controller outage in seconds
-        /// (default 0.5).
-        chaos_ctrl_outage_secs: Option<f64>,
-        /// Chaos: number of control-latency spike windows.
-        chaos_ctrl_latency_spikes: Option<u32>,
-        /// Chaos: latency multiplier during a spike (default 10.0).
-        chaos_ctrl_latency_factor: Option<f64>,
-        /// Chaos: length of one latency spike in seconds (default 0.5).
-        chaos_ctrl_spike_secs: Option<f64>,
-        /// Chaos: number of cables suffering a gray-failure window
-        /// (up, but degraded).
-        chaos_gray_links: Option<u32>,
-        /// Chaos: capacity fraction a gray cable retains (default 0.5).
-        chaos_gray_capacity_factor: Option<f64>,
-        /// Chaos: extra loss fraction a gray cable drops (default 0).
-        chaos_gray_loss_frac: Option<f64>,
-        /// Chaos: length of one gray window in seconds (default 1.0).
-        chaos_gray_duration_secs: Option<f64>,
-        /// What-if: shared-prefix fork point in seconds. Runs whose specs
-        /// differ only in `whatif_*` event knobs (and `engine_threads`)
-        /// simulate the prefix `[0, T)` once and fork per variant.
-        whatif_at_secs: Option<f64>,
-        /// What-if: link (by [`LinkId`] index) to fail after the fork
-        /// point. Sweepable, so one spec compares candidate failures.
-        whatif_link_down: Option<u32>,
-        /// What-if: failure injection time in seconds (must lie after
-        /// `whatif_at_secs`).
-        whatif_fail_secs: Option<f64>,
-        /// What-if: repair time in seconds (after `whatif_fail_secs`);
-        /// omit to leave the cable down for the rest of the run.
-        whatif_repair_secs: Option<f64>,
     },
+}
+
+impl Serialize for ScenarioSpec {
+    fn to_value(&self) -> Value {
+        let (Value::Map(mut keys), Value::Map(common)) =
+            (self.family.to_value(), self.common.to_value())
+        else {
+            unreachable!("both halves serialize as maps")
+        };
+        keys.extend(common);
+        Value::Map(keys)
+    }
+}
+
+impl Deserialize for ScenarioSpec {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        Ok(ScenarioSpec {
+            family: ScenarioFamily::from_value(v)?,
+            common: CommonKnobs::from_value(v)?,
+        })
+    }
 }
 
 impl ScenarioSpec {
     /// The seed this spec would run with (sweeps rewrite it per
     /// replicate).
     pub fn seed(&self) -> u64 {
-        match self {
-            ScenarioSpec::Figure1 { seed, .. }
-            | ScenarioSpec::Ixp { seed, .. }
-            | ScenarioSpec::Fabric { seed, .. } => seed.unwrap_or(1),
-        }
-    }
-
-    /// Sets the seed (used by replicate expansion).
-    pub fn set_seed(&mut self, new_seed: u64) {
-        match self {
-            ScenarioSpec::Figure1 { seed, .. }
-            | ScenarioSpec::Ixp { seed, .. }
-            | ScenarioSpec::Fabric { seed, .. } => *seed = Some(new_seed),
-        }
-    }
-
-    /// The scenario-level fidelity knobs (mode + hybrid foreground).
-    fn fidelity_knobs(&self) -> (FidelityMode, usize) {
-        let (fidelity, foreground) = match self {
-            ScenarioSpec::Figure1 {
-                fidelity,
-                foreground_flows,
-                ..
-            }
-            | ScenarioSpec::Ixp {
-                fidelity,
-                foreground_flows,
-                ..
-            }
-            | ScenarioSpec::Fabric {
-                fidelity,
-                foreground_flows,
-                ..
-            } => (fidelity, foreground_flows),
-        };
-        (fidelity.unwrap_or_default(), foreground.unwrap_or(8))
-    }
-
-    /// Folds the flattened `chaos_*` knobs (shared by every scenario
-    /// family, each individually sweepable as an axis) into a
-    /// [`ChaosSpec`]; `None` when no fault kind is requested, so
-    /// fault-free specs build byte-identical scenarios to before the
-    /// chaos engine existed.
-    fn chaos_spec(&self) -> Option<ChaosSpec> {
-        let (ScenarioSpec::Figure1 {
-            chaos_seed,
-            chaos_start_secs,
-            chaos_link_flaps,
-            chaos_flap_rate_per_sec,
-            chaos_flap_downtime_secs,
-            chaos_switch_crashes,
-            chaos_crash_downtime_secs,
-            chaos_ctrl_outages,
-            chaos_ctrl_outage_secs,
-            chaos_ctrl_latency_spikes,
-            chaos_ctrl_latency_factor,
-            chaos_ctrl_spike_secs,
-            chaos_gray_links,
-            chaos_gray_capacity_factor,
-            chaos_gray_loss_frac,
-            chaos_gray_duration_secs,
-            ..
-        }
-        | ScenarioSpec::Ixp {
-            chaos_seed,
-            chaos_start_secs,
-            chaos_link_flaps,
-            chaos_flap_rate_per_sec,
-            chaos_flap_downtime_secs,
-            chaos_switch_crashes,
-            chaos_crash_downtime_secs,
-            chaos_ctrl_outages,
-            chaos_ctrl_outage_secs,
-            chaos_ctrl_latency_spikes,
-            chaos_ctrl_latency_factor,
-            chaos_ctrl_spike_secs,
-            chaos_gray_links,
-            chaos_gray_capacity_factor,
-            chaos_gray_loss_frac,
-            chaos_gray_duration_secs,
-            ..
-        }
-        | ScenarioSpec::Fabric {
-            chaos_seed,
-            chaos_start_secs,
-            chaos_link_flaps,
-            chaos_flap_rate_per_sec,
-            chaos_flap_downtime_secs,
-            chaos_switch_crashes,
-            chaos_crash_downtime_secs,
-            chaos_ctrl_outages,
-            chaos_ctrl_outage_secs,
-            chaos_ctrl_latency_spikes,
-            chaos_ctrl_latency_factor,
-            chaos_ctrl_spike_secs,
-            chaos_gray_links,
-            chaos_gray_capacity_factor,
-            chaos_gray_loss_frac,
-            chaos_gray_duration_secs,
-            ..
-        }) = self;
-        let spec = ChaosSpec {
-            seed: chaos_seed.unwrap_or(0),
-            start_secs: chaos_start_secs.unwrap_or(0.0),
-            link_flaps: chaos_link_flaps.unwrap_or(0),
-            flap_rate_per_sec: chaos_flap_rate_per_sec.unwrap_or(0.0),
-            flap_downtime_secs: chaos_flap_downtime_secs.unwrap_or(0.0),
-            switch_crashes: chaos_switch_crashes.unwrap_or(0),
-            crash_downtime_secs: chaos_crash_downtime_secs.unwrap_or(0.0),
-            ctrl_outages: chaos_ctrl_outages.unwrap_or(0),
-            ctrl_outage_secs: chaos_ctrl_outage_secs.unwrap_or(0.0),
-            ctrl_latency_spikes: chaos_ctrl_latency_spikes.unwrap_or(0),
-            ctrl_latency_factor: chaos_ctrl_latency_factor.unwrap_or(0.0),
-            ctrl_spike_secs: chaos_ctrl_spike_secs.unwrap_or(0.0),
-            gray_links: chaos_gray_links.unwrap_or(0),
-            gray_capacity_factor: chaos_gray_capacity_factor.unwrap_or(0.0),
-            gray_loss_frac: chaos_gray_loss_frac.unwrap_or(0.0),
-            gray_duration_secs: chaos_gray_duration_secs.unwrap_or(0.0),
-        };
-        spec.is_active().then_some(spec)
-    }
-
-    /// The shared-prefix fork point (`whatif_at_secs`), if this spec
-    /// declares one. The forked sweep runner uses it to decide whether a
-    /// campaign is eligible for prefix sharing.
-    pub fn whatif_at_secs(&self) -> Option<f64> {
-        self.whatif_knobs().0
-    }
-
-    /// Clears the knobs a what-if variant is allowed to diverge in,
-    /// leaving the shared prefix every variant starts from. Two plans
-    /// belong to the same fork group iff their stripped specs are equal.
-    pub fn strip_whatif_divergence(&self) -> Self {
-        let mut stripped = self.clone();
-        match &mut stripped {
-            ScenarioSpec::Figure1 {
-                whatif_link_down,
-                whatif_fail_secs,
-                whatif_repair_secs,
-                ..
-            }
-            | ScenarioSpec::Ixp {
-                whatif_link_down,
-                whatif_fail_secs,
-                whatif_repair_secs,
-                ..
-            }
-            | ScenarioSpec::Fabric {
-                whatif_link_down,
-                whatif_fail_secs,
-                whatif_repair_secs,
-                ..
-            } => {
-                *whatif_link_down = None;
-                *whatif_fail_secs = None;
-                *whatif_repair_secs = None;
-            }
-        }
-        stripped
-    }
-
-    fn whatif_knobs(&self) -> (Option<f64>, Option<u32>, Option<f64>, Option<f64>) {
-        match self {
-            ScenarioSpec::Figure1 {
-                whatif_at_secs,
-                whatif_link_down,
-                whatif_fail_secs,
-                whatif_repair_secs,
-                ..
-            }
-            | ScenarioSpec::Ixp {
-                whatif_at_secs,
-                whatif_link_down,
-                whatif_fail_secs,
-                whatif_repair_secs,
-                ..
-            }
-            | ScenarioSpec::Fabric {
-                whatif_at_secs,
-                whatif_link_down,
-                whatif_fail_secs,
-                whatif_repair_secs,
-                ..
-            } => (
-                *whatif_at_secs,
-                *whatif_link_down,
-                *whatif_fail_secs,
-                *whatif_repair_secs,
-            ),
-        }
-    }
-
-    /// Lowers the `whatif_*` knobs onto the built scenario: reserves the
-    /// late-event sequence band (constant across variants, so forked and
-    /// straight-through runs agree on every `(time, seq)` coordinate) and
-    /// schedules the variant's failure/repair pair as late events.
-    fn apply_whatif(&self, scenario: &mut Scenario) -> Result<(), LabError> {
-        let (at, link, fail, repair) = self.whatif_knobs();
-        if at.is_none() && link.is_none() && fail.is_none() && repair.is_none() {
-            return Ok(());
-        }
-        let at = at.ok_or_else(|| {
-            LabError::spec("whatif_* knobs need `whatif_at_secs` (the shared-prefix fork point)")
-        })?;
-        if !(at.is_finite() && at > 0.0) {
-            return Err(LabError::spec(format!(
-                "scenario.whatif_at_secs must be a positive number of seconds, got {at}"
-            )));
-        }
-        scenario.late_band = 2;
-        // The event is injected only when both the link and the failure
-        // time are known. A partial pair is not an error at this level:
-        // sweeps routinely fix one knob in the base spec while an axis
-        // supplies the other, so the base spec (and the forked runner's
-        // stripped prefix) legitimately build with the band reserved and
-        // nothing injected.
-        let (Some(link), Some(fail)) = (link, fail) else {
-            return Ok(());
-        };
-        let links = scenario.topology.links().count() as u32;
-        if link >= links {
-            return Err(LabError::spec(format!(
-                "scenario.whatif_link_down = {link} is out of range (topology has {links} links)"
-            )));
-        }
-        if !(fail.is_finite() && fail > at) {
-            return Err(LabError::spec(format!(
-                "scenario.whatif_fail_secs must lie after whatif_at_secs ({at}), got {fail}"
-            )));
-        }
-        let t = |secs: f64| SimTime::ZERO + SimDuration::from_secs_f64(secs);
-        scenario
-            .late_events
-            .push((t(fail), LateEvent::CableDown(LinkId(link))));
-        if let Some(rep) = repair {
-            if !(rep.is_finite() && rep > fail) {
-                return Err(LabError::spec(format!(
-                    "scenario.whatif_repair_secs must lie after whatif_fail_secs ({fail}), got {rep}"
-                )));
-            }
-            scenario
-                .late_events
-                .push((t(rep), LateEvent::CableUp(LinkId(link))));
-        }
-        Ok(())
+        self.common.seed.unwrap_or(1)
     }
 
     /// Lowers the spec to a concrete [`Scenario`].
     pub fn build(&self) -> Result<Scenario, LabError> {
-        let (mode, foreground) = self.fidelity_knobs();
-        let mut scenario = match self {
-            ScenarioSpec::Figure1 {
-                horizon_secs, seed, ..
-            } => {
-                let horizon = horizon_from_secs(*horizon_secs)?;
-                Scenario::figure1(horizon, seed.unwrap_or(1))
-            }
-            ScenarioSpec::Ixp {
+        let common = &self.common;
+        let horizon = horizon_from_secs(common.horizon_secs)?;
+        let seed = self.seed();
+        let mut scenario = match &self.family {
+            ScenarioFamily::Figure1 => Scenario::figure1(horizon, seed),
+            ScenarioFamily::Ixp {
                 members,
-                horizon_secs,
                 edge_switches,
                 core_switches,
                 offered_gbps,
                 load_factor,
                 zipf_alpha,
-                seed,
                 sizes,
                 diurnal,
                 policies,
                 member_port_speeds_gbps,
                 uplink_gbps,
-                ..
             } => {
                 if *members == 0 {
                     return Err(LabError::spec(
                         "scenario.members must be at least 1 (an IXP with no members offers no traffic)",
                     ));
                 }
-                let horizon = horizon_from_secs(*horizon_secs)?;
                 let mut params = IxpScenarioParams::default();
                 params.fabric.members = *members;
                 params.fabric.edge_switches = edge_switches.unwrap_or((*members / 25).clamp(2, 16));
@@ -617,16 +288,8 @@ impl ScenarioSpec {
                 if let Some(g) = uplink_gbps {
                     params.fabric.uplink_speed = Rate::gbps(*g);
                 }
-                let base = *members as f64 * 40e6 * load_factor.unwrap_or(1.0);
-                params.offered_bps = match offered_gbps {
-                    Some(g) if *g <= 0.0 => {
-                        return Err(LabError::spec(format!(
-                            "scenario.offered_gbps must be positive, got {g}"
-                        )))
-                    }
-                    Some(g) => g * 1e9,
-                    None => base,
-                };
+                params.offered_bps = offered_bps(*offered_gbps)?
+                    .unwrap_or(*members as f64 * 40e6 * load_factor.unwrap_or(1.0));
                 params.zipf_alpha = zipf_alpha.unwrap_or(1.0);
                 params.sizes = sizes.unwrap_or(FlowSizeDist::Pareto {
                     alpha: 1.3,
@@ -634,25 +297,15 @@ impl ScenarioSpec {
                     max_bytes: 1_000_000_000,
                 });
                 params.diurnal = *diurnal;
-                params.policy = match policies {
-                    Some(rules) => {
-                        let mut p = PolicySpec::new();
-                        for r in rules {
-                            p = p.with(r.clone());
-                        }
-                        p
-                    }
-                    None => {
-                        PolicySpec::new().with(PolicyRule::LoadBalancing { mode: LbMode::Ecmp })
-                    }
-                };
+                if let Some(rules) = policies {
+                    params.policy = policy_spec(rules);
+                }
                 params.horizon = horizon;
-                params.seed = seed.unwrap_or(1);
+                params.seed = seed;
                 Scenario::ixp(&params)
             }
-            ScenarioSpec::Fabric {
+            ScenarioFamily::Fabric {
                 topology,
-                horizon_secs,
                 fat_tree_k,
                 leaves,
                 spines,
@@ -668,15 +321,12 @@ impl ScenarioSpec {
                 pattern,
                 offered_gbps,
                 load_factor,
-                seed,
                 sizes,
                 policies,
-                ..
             } => {
-                let horizon = horizon_from_secs(*horizon_secs)?;
                 let mut gen = GeneratorParams {
                     kind: *topology,
-                    seed: seed.unwrap_or(1),
+                    seed,
                     ..Default::default()
                 };
                 if let Some(k) = fat_tree_k {
@@ -747,38 +397,133 @@ impl ScenarioSpec {
                 let mut params = FabricScenarioParams {
                     generator: gen,
                     pattern: *pattern,
+                    offered_bps: offered_bps(*offered_gbps)?,
                     load_factor: load_factor.unwrap_or(1.0),
                     horizon,
-                    seed: seed.unwrap_or(1),
+                    seed,
                     ..Default::default()
-                };
-                params.offered_bps = match offered_gbps {
-                    Some(g) if *g <= 0.0 => {
-                        return Err(LabError::spec(format!(
-                            "scenario.offered_gbps must be positive, got {g}"
-                        )))
-                    }
-                    Some(g) => Some(g * 1e9),
-                    None => None,
                 };
                 if let Some(s) = sizes {
                     params.sizes = *s;
                 }
                 if let Some(rules) = policies {
-                    let mut p = PolicySpec::new();
-                    for r in rules {
-                        p = p.with(r.clone());
-                    }
-                    params.policy = p;
+                    params.policy = policy_spec(rules);
                 }
                 Scenario::fabric(&params).map_err(|e| LabError::spec(e.to_string()))?
             }
         };
-        scenario.packet_foreground = mode.foreground(foreground);
-        scenario.chaos = self.chaos_spec();
-        self.apply_whatif(&mut scenario)?;
+        scenario.packet_foreground = common
+            .fidelity
+            .unwrap_or_default()
+            .foreground(common.foreground_flows.unwrap_or(8));
+        scenario.chaos = common.chaos_spec();
+        common.apply_whatif(&mut scenario)?;
         Ok(scenario)
     }
+}
+
+impl CommonKnobs {
+    /// Folds the flattened `chaos_*` knobs (each individually sweepable
+    /// as an axis) into a [`ChaosSpec`]; `None` when no fault kind is
+    /// requested, so fault-free specs build byte-identical scenarios to
+    /// before the chaos engine existed.
+    fn chaos_spec(&self) -> Option<ChaosSpec> {
+        let spec = ChaosSpec {
+            seed: self.chaos_seed.unwrap_or(0),
+            start_secs: self.chaos_start_secs.unwrap_or(0.0),
+            link_flaps: self.chaos_link_flaps.unwrap_or(0),
+            flap_rate_per_sec: self.chaos_flap_rate_per_sec.unwrap_or(0.0),
+            flap_downtime_secs: self.chaos_flap_downtime_secs.unwrap_or(0.0),
+            switch_crashes: self.chaos_switch_crashes.unwrap_or(0),
+            crash_downtime_secs: self.chaos_crash_downtime_secs.unwrap_or(0.0),
+            ctrl_outages: self.chaos_ctrl_outages.unwrap_or(0),
+            ctrl_outage_secs: self.chaos_ctrl_outage_secs.unwrap_or(0.0),
+            ctrl_latency_spikes: self.chaos_ctrl_latency_spikes.unwrap_or(0),
+            ctrl_latency_factor: self.chaos_ctrl_latency_factor.unwrap_or(0.0),
+            ctrl_spike_secs: self.chaos_ctrl_spike_secs.unwrap_or(0.0),
+            gray_links: self.chaos_gray_links.unwrap_or(0),
+            gray_capacity_factor: self.chaos_gray_capacity_factor.unwrap_or(0.0),
+            gray_loss_frac: self.chaos_gray_loss_frac.unwrap_or(0.0),
+            gray_duration_secs: self.chaos_gray_duration_secs.unwrap_or(0.0),
+        };
+        spec.is_active().then_some(spec)
+    }
+
+    /// Lowers the `whatif_*` knobs onto the built scenario: reserves the
+    /// late-event sequence band (constant across variants, so forked and
+    /// straight-through runs agree on every `(time, seq)` coordinate) and
+    /// schedules the variant's failure/repair pair as late events.
+    fn apply_whatif(&self, scenario: &mut Scenario) -> Result<(), LabError> {
+        if self.whatif_at_secs.is_none()
+            && self.whatif_link_down.is_none()
+            && self.whatif_fail_secs.is_none()
+            && self.whatif_repair_secs.is_none()
+        {
+            return Ok(());
+        }
+        let at = self.whatif_at_secs.ok_or_else(|| {
+            LabError::spec("whatif_* knobs need `whatif_at_secs` (the shared-prefix fork point)")
+        })?;
+        if !(at.is_finite() && at > 0.0) {
+            return Err(LabError::spec(format!(
+                "scenario.whatif_at_secs must be a positive number of seconds, got {at}"
+            )));
+        }
+        scenario.late_band = 2;
+        // The event is injected only when both the link and the failure
+        // time are known. A partial pair is not an error at this level:
+        // sweeps routinely fix one knob in the base spec while an axis
+        // supplies the other, so the base spec (and the forked runner's
+        // stripped prefix) legitimately build with the band reserved and
+        // nothing injected.
+        let (Some(link), Some(fail)) = (self.whatif_link_down, self.whatif_fail_secs) else {
+            return Ok(());
+        };
+        let links = scenario.topology.links().count() as u32;
+        if link >= links {
+            return Err(LabError::spec(format!(
+                "scenario.whatif_link_down = {link} is out of range (topology has {links} links)"
+            )));
+        }
+        if !(fail.is_finite() && fail > at) {
+            return Err(LabError::spec(format!(
+                "scenario.whatif_fail_secs must lie after whatif_at_secs ({at}), got {fail}"
+            )));
+        }
+        let t = |secs: f64| SimTime::ZERO + SimDuration::from_secs_f64(secs);
+        scenario
+            .late_events
+            .push((t(fail), LateEvent::CableDown(LinkId(link))));
+        if let Some(rep) = self.whatif_repair_secs {
+            if !(rep.is_finite() && rep > fail) {
+                return Err(LabError::spec(format!(
+                    "scenario.whatif_repair_secs must lie after whatif_fail_secs ({fail}), got {rep}"
+                )));
+            }
+            scenario
+                .late_events
+                .push((t(rep), LateEvent::CableUp(LinkId(link))));
+        }
+        Ok(())
+    }
+}
+
+/// An explicit `offered_gbps`, in bit/s; it must be positive.
+fn offered_bps(offered_gbps: Option<f64>) -> Result<Option<f64>, LabError> {
+    match offered_gbps {
+        Some(g) if g <= 0.0 => Err(LabError::spec(format!(
+            "scenario.offered_gbps must be positive, got {g}"
+        ))),
+        gbps => Ok(gbps.map(|g| g * 1e9)),
+    }
+}
+
+/// The policy a spec's `policies` list installs, in file order.
+fn policy_spec(rules: &[PolicyRule]) -> PolicySpec {
+    rules
+        .iter()
+        .cloned()
+        .fold(PolicySpec::new(), PolicySpec::with)
 }
 
 fn horizon_from_secs(secs: f64) -> Result<SimTime, LabError> {
@@ -919,21 +664,21 @@ fn optional_duration(field: &str, secs: f64) -> Result<Option<SimDuration>, LabE
 /// Ordered sweep axes: `parameter → values`, preserving file order so run
 /// enumeration (and therefore reports) is deterministic.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct Axes(pub Vec<(String, Vec<serde::Value>)>);
+pub struct Axes(pub Vec<(String, Vec<Value>)>);
 
 impl Serialize for Axes {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(
+    fn to_value(&self) -> Value {
+        Value::Map(
             self.0
                 .iter()
-                .map(|(k, vs)| (k.clone(), serde::Value::Seq(vs.clone())))
+                .map(|(k, vs)| (k.clone(), Value::Seq(vs.clone())))
                 .collect(),
         )
     }
 }
 
 impl Deserialize for Axes {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
         let m = v
             .as_map()
             .ok_or_else(|| serde::Error::custom("axes must be a table of `name = [values…]`"))?;
@@ -984,16 +729,19 @@ pub struct SweepSpec {
 impl SweepSpec {
     /// Parses a spec from TOML text.
     pub fn from_toml(text: &str) -> Result<Self, LabError> {
-        let spec: SweepSpec =
-            toml::from_str(text).map_err(|e| LabError::spec(format!("invalid sweep spec: {e}")))?;
-        spec.validate()?;
-        Ok(spec)
+        Self::from_raw(&toml::parse(text).map_err(invalid_spec)?)
     }
 
     /// Parses a spec from JSON text.
     pub fn from_json(text: &str) -> Result<Self, LabError> {
-        let spec: SweepSpec = serde_json::from_str(text)
-            .map_err(|e| LabError::spec(format!("invalid sweep spec: {e}")))?;
+        Self::from_raw(&serde_json::parse_value(text).map_err(invalid_spec)?)
+    }
+
+    /// Deserializes a parsed document, rejects keys the deserializer
+    /// would have dropped, and validates the result.
+    fn from_raw(raw: &Value) -> Result<Self, LabError> {
+        let spec = SweepSpec::from_value(raw).map_err(invalid_spec)?;
+        reject_unknown_keys(raw, &spec.to_value())?;
         spec.validate()?;
         Ok(spec)
     }
@@ -1035,6 +783,39 @@ impl SweepSpec {
         self.config.clone().unwrap_or_default().to_config()?;
         crate::sweep::expand(self).map(|_| ())
     }
+}
+
+fn invalid_spec(e: impl std::fmt::Display) -> LabError {
+    LabError::spec(format!("invalid sweep spec: {e}"))
+}
+
+/// Deserialization ignores keys that match no field, so a misspelled
+/// knob would silently keep its default. Every key of the root,
+/// `[scenario]` and `[config]` tables must be one the parsed spec writes
+/// back. Nested tables (`sizes`, `pattern`, `policies`) are checked by
+/// their own enums; axis names by [`crate::sweep::expand`].
+fn reject_unknown_keys(raw: &Value, parsed: &Value) -> Result<(), LabError> {
+    let scenario = format!(
+        "[scenario] (kind = \"{}\")",
+        parsed["scenario"]["kind"].as_str().unwrap_or_default()
+    );
+    for (table, raw, known) in [
+        ("the spec root", raw, parsed),
+        (scenario.as_str(), &raw["scenario"], &parsed["scenario"]),
+        ("[config]", &raw["config"], &parsed["config"]),
+    ] {
+        let (Some(raw), Some(known)) = (raw.as_map(), known.as_map()) else {
+            continue;
+        };
+        if let Some((key, _)) = raw.iter().find(|(k, _)| serde::map_get(known, k).is_none()) {
+            let accepted: Vec<&str> = known.iter().map(|(k, _)| k.as_str()).collect();
+            return Err(LabError::spec(format!(
+                "unknown key `{key}` in {table}; accepted keys: {}",
+                accepted.join(", ")
+            )));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

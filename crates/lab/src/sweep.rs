@@ -77,7 +77,7 @@ pub fn expand(spec: &SweepSpec) -> Result<Vec<RunPlan>, LabError> {
         for r in 0..replicates {
             let mut scenario = scenario.clone();
             let seed = scenario.seed() + r as u64;
-            scenario.set_seed(seed);
+            scenario.common.seed = Some(seed);
             let mut params = params.clone();
             params.push(("seed".to_string(), Value::Number(serde::Number::UInt(seed))));
             plans.push(RunPlan {
@@ -197,8 +197,8 @@ mod tests {
         assert_eq!(plans.len(), 2);
         let cfg = plans[1].config.to_config().unwrap();
         assert_eq!(cfg.alloc_mode, horse::prelude::AllocMode::Incremental);
-        match &plans[0].scenario {
-            ScenarioSpec::Ixp { offered_gbps, .. } => {
+        match &plans[0].scenario.family {
+            crate::spec::ScenarioFamily::Ixp { offered_gbps, .. } => {
                 assert_eq!(*offered_gbps, Some(0.5));
             }
             other => panic!("unexpected scenario {other:?}"),

@@ -92,10 +92,15 @@ pub struct ForkOptions {
 pub fn fork_groups(plans: &[RunPlan]) -> Result<Option<Vec<ForkGroup>>, LabError> {
     let mut groups: Vec<(String, ForkGroup)> = Vec::new();
     for plan in plans {
-        let Some(at_secs) = plan.scenario.whatif_at_secs() else {
+        let Some(at_secs) = plan.scenario.common.whatif_at_secs else {
             return Ok(None);
         };
-        let stripped_scenario = plan.scenario.strip_whatif_divergence();
+        // The prefix every variant starts from: divergence knobs cleared.
+        let mut stripped_scenario = plan.scenario.clone();
+        let knobs = &mut stripped_scenario.common;
+        knobs.whatif_link_down = None;
+        knobs.whatif_fail_secs = None;
+        knobs.whatif_repair_secs = None;
         let mut stripped_config = plan.config.clone();
         stripped_config.engine_threads = None;
         let key = serde_json::to_string(&(stripped_scenario.clone(), stripped_config.clone()))

@@ -140,6 +140,160 @@ fn errors_name_the_offending_field() {
     assert!(err.to_string().contains("line 2"), "{err}");
 }
 
+/// The keys every scenario kind accepts.
+const COMMON_KEYS: [&str; 24] = [
+    "chaos_crash_downtime_secs",
+    "chaos_ctrl_latency_factor",
+    "chaos_ctrl_latency_spikes",
+    "chaos_ctrl_outage_secs",
+    "chaos_ctrl_outages",
+    "chaos_ctrl_spike_secs",
+    "chaos_flap_downtime_secs",
+    "chaos_flap_rate_per_sec",
+    "chaos_gray_capacity_factor",
+    "chaos_gray_duration_secs",
+    "chaos_gray_links",
+    "chaos_gray_loss_frac",
+    "chaos_link_flaps",
+    "chaos_seed",
+    "chaos_start_secs",
+    "chaos_switch_crashes",
+    "fidelity",
+    "foreground_flows",
+    "horizon_secs",
+    "seed",
+    "whatif_at_secs",
+    "whatif_fail_secs",
+    "whatif_link_down",
+    "whatif_repair_secs",
+];
+
+fn sorted_keys(v: &serde::Value) -> Vec<String> {
+    let mut keys: Vec<String> = v.as_map().unwrap().iter().map(|(k, _)| k.clone()).collect();
+    keys.sort();
+    keys
+}
+
+#[test]
+fn accepted_key_sets_are_pinned() {
+    let family_keys: [(&str, &str, &[&str]); 3] = [
+        ("figure1", "", &[]),
+        (
+            "ixp",
+            "members = 4",
+            &[
+                "core_switches",
+                "diurnal",
+                "edge_switches",
+                "load_factor",
+                "member_port_speeds_gbps",
+                "members",
+                "offered_gbps",
+                "policies",
+                "sizes",
+                "uplink_gbps",
+                "zipf_alpha",
+            ],
+        ),
+        (
+            "fabric",
+            "topology = \"fat_tree\"",
+            &[
+                "access_gbps",
+                "degree",
+                "fat_tree_k",
+                "hosts",
+                "hosts_per_leaf",
+                "hosts_per_pop",
+                "leaves",
+                "load_factor",
+                "offered_gbps",
+                "oversubscription",
+                "pattern",
+                "policies",
+                "sizes",
+                "spines",
+                "switches",
+                "topology",
+                "trunk_gbps",
+                "wan_file",
+            ],
+        ),
+    ];
+    for (kind, extra, own) in family_keys {
+        let spec = SweepSpec::from_toml(&format!(
+            "name = \"keys\"\n[scenario]\nkind = \"{kind}\"\nhorizon_secs = 1.0\n{extra}\n"
+        ))
+        .unwrap();
+        let mut expected: Vec<&str> = COMMON_KEYS.iter().chain(own).copied().collect();
+        expected.push("kind");
+        expected.sort_unstable();
+        assert_eq!(sorted_keys(&spec.scenario.to_value()), expected, "{kind}");
+    }
+    assert_eq!(
+        sorted_keys(&SimConfigSpec::default().to_value()),
+        [
+            "admit_retry_limit",
+            "alarm_threshold",
+            "alloc_mode",
+            "avg_packet_bytes",
+            "ctrl_latency_us",
+            "engine_threads",
+            "expiry_scan_secs",
+            "macro_flows",
+            "pkt_burst",
+            "pkt_decision_cache",
+            "stats_epoch_secs",
+            "warm_start",
+        ]
+    );
+}
+
+#[test]
+fn unknown_keys_are_rejected() {
+    let err = |toml_text: &str| SweepSpec::from_toml(toml_text).unwrap_err().to_string();
+
+    let msg = err(r#"
+        name = "x"
+        [scenario]
+        kind = "fabric"
+        topology = "fat_tree"
+        horizon_secs = 1.0
+        chaos_link_flap = 4
+        "#);
+    assert!(
+        msg.contains("`chaos_link_flap` in [scenario]") && msg.contains("chaos_link_flaps"),
+        "names the key and lists the accepted ones: {msg}"
+    );
+
+    let msg = err(r#"
+        name = "x"
+        [scenario]
+        kind = "ixp"
+        members = 4
+        horizon_secs = 1.0
+        [config]
+        ctrl_latncy_us = 5000.0
+        "#);
+    assert!(
+        msg.contains("`ctrl_latncy_us` in [config]") && msg.contains("ctrl_latency_us"),
+        "names the key and lists the accepted ones: {msg}"
+    );
+
+    let msg = err(r#"
+        name = "x"
+        [scenario]
+        kind = "fabric"
+        topology = "fat_tree"
+        horizon_secs = 1.0
+        members = 999
+        "#);
+    assert!(
+        msg.contains("`members` in [scenario] (kind = \"fabric\")") && msg.contains("fat_tree_k"),
+        "a key of another kind is unknown to this one: {msg}"
+    );
+}
+
 #[test]
 fn full_scenario_serde_roundtrip_preserves_behaviour() {
     use horse::prelude::*;
