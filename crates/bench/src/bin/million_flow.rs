@@ -55,8 +55,4 @@ fn main() {
         fmt_wall(s.churn_ns_per_epoch / 1e9),
         s.churn_ns_per_flow
     );
-    println!(
-        "  warm hits          {:>12}   (cold solves {})",
-        s.warm_hits, s.cold_solves
-    );
 }

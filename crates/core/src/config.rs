@@ -52,11 +52,6 @@ pub struct SimConfig {
     /// keep the `false` side for ablations.
     #[serde(default = "default_true")]
     pub macro_flows: bool,
-    /// Memoise component solves behind an exact, fully verified problem
-    /// digest so unchanged components replay their previous rates.
-    /// Bit-identical either way; defaults on, `false` for ablations.
-    #[serde(default = "default_true")]
-    pub warm_start: bool,
     /// Maximum packets one packet-plane burst event may model (GSO-style
     /// batching of back-to-back same-flow packets). `1` disables batching
     /// and is bit-identical to the per-packet plane; larger values trade
@@ -93,7 +88,6 @@ impl Default for SimConfig {
             engine_threads: 1,
             realloc_per_event: false,
             macro_flows: true,
-            warm_start: true,
             pkt_burst: 32,
             pkt_decision_cache: true,
         }
@@ -109,7 +103,6 @@ impl SimConfig {
             max_route_hops: 64,
             engine_threads: self.engine_threads.max(1),
             macro_flows: self.macro_flows,
-            warm_start: self.warm_start,
         }
     }
 
@@ -162,13 +155,6 @@ impl SimConfig {
         self
     }
 
-    /// Builder: toggle the warm-start solve cache (ablation knob;
-    /// results are bit-identical either way).
-    pub fn with_warm_start(mut self, on: bool) -> Self {
-        self.warm_start = on;
-        self
-    }
-
     /// Builder: set the packet-plane burst cap (`1` = per-packet oracle).
     pub fn with_pkt_burst(mut self, n: u32) -> Self {
         self.pkt_burst = n.max(1);
@@ -200,19 +186,17 @@ mod tests {
         assert!(c.admit_retry_limit >= 1);
         assert_eq!(c.fluid().avg_packet, c.avg_packet);
         assert!(c.macro_flows, "aggregation defaults on (bit-identical)");
-        assert!(c.warm_start, "warm cache defaults on (bit-identical)");
         assert_eq!(c.pkt_burst, 32, "packet bursts default on");
         assert!(c.pkt_decision_cache, "decision cache defaults on");
-        let ablated = c.with_macro_flows(false).with_warm_start(false);
+        let ablated = c.with_macro_flows(false);
         assert!(!ablated.fluid().macro_flows);
-        assert!(!ablated.fluid().warm_start);
         let per_packet = ablated.with_pkt_burst(0).with_pkt_decision_cache(false);
         assert_eq!(per_packet.pkt_burst, 1, "burst cap floors at 1");
         assert!(!per_packet.pkt_decision_cache);
     }
 
     #[test]
-    fn macro_and_warm_knobs_default_on_when_absent_from_toml() {
+    fn macro_and_packet_knobs_default_on_when_absent_from_toml() {
         // Older checked-in sweeps predate the knobs; deserialising them
         // must land on the new defaults, not `false`.
         let j = serde_json::to_string(&SimConfig::default()).unwrap();
@@ -222,15 +206,10 @@ mod tests {
         };
         let pruned: Vec<_> = entries
             .into_iter()
-            .filter(|(k, _)| {
-                k != "macro_flows"
-                    && k != "warm_start"
-                    && k != "pkt_burst"
-                    && k != "pkt_decision_cache"
-            })
+            .filter(|(k, _)| k != "macro_flows" && k != "pkt_burst" && k != "pkt_decision_cache")
             .collect();
         let c: SimConfig = serde::Deserialize::from_value(&serde_json::Value::Map(pruned)).unwrap();
-        assert!(c.macro_flows && c.warm_start);
+        assert!(c.macro_flows);
         assert_eq!(c.pkt_burst, 32);
         assert!(c.pkt_decision_cache);
     }

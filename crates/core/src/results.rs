@@ -104,11 +104,11 @@ pub struct SimResults {
     /// (equals `realloc_flows_touched` when aggregation is off or no two
     /// flows share a path class).
     pub macro_flows: u64,
-    /// Component solves answered from the warm-start cache instead of a
-    /// fresh water-fill.
+    /// Always 0: the allocator keeps no solve cache. The field stays only
+    /// because the frozen benchmark harness reads it, and goes with the
+    /// next benchmark re-base.
     pub warm_hits: u64,
-    /// Component water-fills actually executed (cache misses plus
-    /// uncacheable components).
+    /// Component water-fills executed (one per discovered component).
     pub cold_solves: u64,
     /// Packet-fidelity flows in the hybrid co-simulation (0 in a pure
     /// fluid run).
@@ -220,7 +220,7 @@ impl SimResults {
              ctrl msgs up/down {:>6} / {:<6} (flow-ins {})\n\
              epochs            {:>12}   (mean batch {:.2}, max {})\n\
              realloc runs      {:>12}   (flows touched {}, saved {})\n\
-             alloc vars        {:>12}   (warm hits {}, cold solves {})\n\
+             alloc vars        {:>12}   (component solves {})\n\
              pkt bursts        {:>12}   (cache hits {}, misses {}, invalidations {})",
             self.sim_time.as_secs_f64(),
             self.wall_seconds,
@@ -246,7 +246,6 @@ impl SimResults {
             self.realloc_flows_touched,
             self.realloc_saved(),
             self.macro_flows,
-            self.warm_hits,
             self.cold_solves,
             self.pkt_bursts_formed,
             self.pkt_cache_hits,
@@ -283,7 +282,7 @@ mod tests {
             realloc_runs: 18,
             realloc_flows_touched: 40,
             macro_flows: 35,
-            warm_hits: 3,
+            warm_hits: 0,
             cold_solves: 15,
             pkt_flows: 0,
             fct_foreground: Summary::default(),

@@ -82,7 +82,7 @@ impl std::error::Error for BuildError {}
 /// Magic prefix of the checkpoint format.
 pub const SNAPSHOT_MAGIC: &[u8; 9] = b"HORSESNAP";
 /// Current checkpoint format version.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Errors raised while resuming or forking from a checkpoint.
 #[derive(Debug)]
@@ -1561,7 +1561,7 @@ impl Simulation {
             realloc_runs: self.fluid.realloc_runs,
             realloc_flows_touched: self.fluid.realloc_flows_touched,
             macro_flows: self.fluid.macro_flows,
-            warm_hits: self.fluid.warm_hits,
+            warm_hits: 0,
             cold_solves: self.fluid.cold_solves,
             pkt_flows,
             fct_foreground,
@@ -1821,13 +1821,20 @@ mod tests {
         for (k, cable) in uplinks.enumerate() {
             let down = 1100 + 200 * k as u64;
             s.failures.push((SimTime::from_millis(down), cable, false));
-            s.failures.push((SimTime::from_millis(down + 50), cable, true));
+            s.failures
+                .push((SimTime::from_millis(down + 50), cable, true));
         }
         let mut sim = Simulation::new(s, SimConfig::default()).unwrap();
         let r = sim.run();
-        assert!(r.chaos.flows_rerouted >= 1, "the flow was cut and re-admitted");
+        assert!(
+            r.chaos.flows_rerouted >= 1,
+            "the flow was cut and re-admitted"
+        );
         assert_eq!(r.flows_completed, 1);
-        assert_eq!(r.stale_completions, 0, "the victim's completion never fires");
+        assert_eq!(
+            r.stale_completions, 0,
+            "the victim's completion never fires"
+        );
     }
 
     #[test]

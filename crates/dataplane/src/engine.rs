@@ -43,6 +43,8 @@
 //!    effect (byte syncs, rate application, [`RateChange`] emission) is
 //!    applied serially in ascending flow-id order afterwards — so rates,
 //!    records and reports are **bit-identical at any thread count**.
+//!    Every discovered component is water-filled on every call, straight
+//!    into its slice of the rate array; no solve is memoised across calls.
 //!
 //! ## Hot-path layout
 //!
@@ -95,15 +97,6 @@ pub struct FluidConfig {
     /// to the unaggregated solve — only solver work shrinks — so this is
     /// on by default.
     pub macro_flows: bool,
-    /// Memoise each component's solved rates behind an exact problem
-    /// digest (demands, weights, capacities, adjacency — verified in
-    /// full on every hit, so a hit replays the identical answer a cold
-    /// solve would compute). Re-solving an unchanged component becomes a
-    /// copy; any change falls back to a cold water-fill. Bit-identical
-    /// either way, so this is on by default. Only mid-sized problems are
-    /// cached (≈32–1024 variables): tiny components solve faster than
-    /// they hash, huge ones would dominate the cache's memory.
-    pub warm_start: bool,
 }
 
 impl Default for FluidConfig {
@@ -114,7 +107,6 @@ impl Default for FluidConfig {
             max_route_hops: 64,
             engine_threads: 1,
             macro_flows: true,
-            warm_start: true,
         }
     }
 }
@@ -190,13 +182,13 @@ struct CompRange {
 }
 
 /// Per-worker solver memory for the component-parallel solve pass. Each
-/// worker owns its allocator scratch and output buffer outright, so
-/// workers share no mutable state; buffers are pre-grown across calls
-/// (high-water reuse), not re-allocated per epoch.
+/// worker owns its allocator scratch outright and writes only its tasks'
+/// disjoint output slices, so workers share no mutable state; buffers
+/// are pre-grown across calls (high-water reuse), not re-allocated per
+/// epoch.
 #[derive(Default)]
 struct WorkerScratch {
     maxmin: MaxMinScratch,
-    rates: Vec<f64>,
     /// Wall-clock nanoseconds this worker spent solving during the last
     /// parallel pass. Only written when phase timing is enabled; never
     /// read by the allocation itself (determinism contract).
@@ -214,82 +206,17 @@ struct EngineMetrics {
     realloc_flows_touched: Counter,
     component_flows: Histogram,
     macro_flows: Counter,
-    warm_hits: Counter,
-    cold_solves: Counter,
 }
 
-/// Direct-mapped warm-start cache size (power of two).
-const WARM_SLOTS: usize = 256;
-/// Problems with fewer variables than this are never cached: hashing and
-/// verifying the whole problem (plus copying it into the slot on a miss)
-/// costs the same order as just water-filling a small component, so the
-/// cache would tax exactly the workloads — high-churn fabrics with many
-/// tiny components — that never hit it.
-const WARM_MIN_VARS: usize = 32;
-/// Problems with more variables than this are never cached (bounds the
-/// cache's worst-case memory; big components still solve cold).
-const WARM_MAX_VARS: usize = 1024;
-/// Adjacency-entry cap for cacheable problems (same purpose).
-const WARM_MAX_NNZ: usize = 4096;
-
-/// splitmix64 finaliser — the mixer behind macro-flow grouping digests
-/// and warm-cache keys. Purely arithmetic: deterministic across runs,
-/// platforms and thread counts.
+/// splitmix64 finaliser — the mixer behind macro-flow grouping digests.
+/// Purely arithmetic: deterministic across runs, platforms and thread
+/// counts.
 #[inline]
 fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// One direct-mapped warm-cache slot: the exact dense problem last solved
-/// at this slot plus its rates. A hit requires the digest *and* every
-/// stored array to match bit-for-bit, so a replayed answer is always the
-/// answer a cold solve would produce. Buffers are overwritten in place
-/// (clear + extend), so steady-state stores allocate nothing once each
-/// slot reached its high-water size.
-#[derive(Default)]
-struct WarmSlot {
-    used: bool,
-    digest: u64,
-    demands: Vec<f64>,
-    weights: Vec<u32>,
-    caps: Vec<f64>,
-    fl_off: Vec<u32>,
-    fl_links: Vec<u32>,
-    rates: Vec<f64>,
-}
-
-// Checkpointing: the warm cache is observable through the hit/miss
-// counters exported with results, so a resumed run must carry it.
-horse_types::impl_snap_struct!(WarmSlot {
-    used,
-    digest,
-    demands,
-    weights,
-    caps,
-    fl_off,
-    fl_links,
-    rates,
-});
-
-/// Per-component warm-cache decision for the current solve pass.
-#[derive(Clone, Copy, Debug)]
-enum WarmPlan {
-    /// Cached rates already copied out; skip the solve.
-    Hit,
-    /// Solve cold, then store the problem + rates into this slot.
-    Store { slot: u32, digest: u64 },
-    /// Solve cold; problem too large (or warm-start disabled) to cache.
-    Skip,
-}
-
-/// Bit-exact slice equality for floats (`==` would conflate `0.0` with
-/// `-0.0`; the warm cache must never weaken the bit-identity contract).
-#[inline]
-fn bits_eq(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Wall-clock timing of the last [`FluidNet::reallocate`] call, split by
@@ -381,8 +308,6 @@ struct ReallocScratch {
     /// slots, power-of-two sized, gen-stamped per component build so no
     /// clearing is ever needed.
     macro_tab: Vec<(u64, u64, u32)>,
-    /// Per-component warm-cache decisions of the current solve pass.
-    warm_plan: Vec<WarmPlan>,
     /// Rate changes reported to the caller (borrowed out of `reallocate`).
     changes: Vec<RateChange>,
 }
@@ -422,31 +347,6 @@ fn finish_component(flows: &FlowArena, scratch: &mut ReallocScratch, start: usiz
         flows: (start as u32, scratch.ids.len() as u32),
         ..CompRange::default()
     });
-}
-
-/// Water-fills one component's subproblem into the merged rate array
-/// (serial path; the parallel path routes through [`SolveTask`]s).
-#[allow(clippy::too_many_arguments)] // slices of one flat problem, not an API
-fn solve_component(
-    c: &CompRange,
-    demands: &[f64],
-    weights: &[u32],
-    fl_off: &[u32],
-    fl_links: &[u32],
-    caps: &[f64],
-    rates_all: &mut [f64],
-    w: &mut WorkerScratch,
-) {
-    max_min_allocate_csr_weighted(
-        &demands[c.dem.0 as usize..c.dem.1 as usize],
-        &weights[c.dem.0 as usize..c.dem.1 as usize],
-        &fl_off[c.off.0 as usize..c.off.1 as usize],
-        &fl_links[c.lnk.0 as usize..c.lnk.1 as usize],
-        &caps[c.links.0 as usize..c.links.1 as usize],
-        &mut w.rates,
-        &mut w.maxmin,
-    );
-    rates_all[c.dem.0 as usize..c.dem.1 as usize].copy_from_slice(&w.rates);
 }
 
 /// The fluid data plane (see module docs).
@@ -494,9 +394,6 @@ pub struct FluidNet {
     /// (`workers[0]` serves the serial path; grown lazily to
     /// [`FluidConfig::engine_threads`] on the first parallel call).
     workers: Vec<WorkerScratch>,
-    /// Direct-mapped warm-start cache (see [`WarmSlot`]); grown lazily to
-    /// [`WARM_SLOTS`] on the first solve with warm-start enabled.
-    warm: Vec<WarmSlot>,
     /// Number of allocator runs (exported with results; ablation metric).
     pub realloc_runs: u64,
     /// Total flows touched by allocator runs (ablation metric).
@@ -505,10 +402,7 @@ pub struct FluidNet {
     /// compare against `realloc_flows_touched` for the compression the
     /// path-class trick bought — equal when aggregation is off).
     pub macro_flows: u64,
-    /// Component solves answered from the warm-start cache.
-    pub warm_hits: u64,
-    /// Component solves actually water-filled (cache miss, oversize
-    /// problem, or warm-start disabled).
+    /// Component water-fills executed (one per discovered component).
     pub cold_solves: u64,
     metrics: EngineMetrics,
     /// Capture wall-clock phase timing on the next `reallocate` calls.
@@ -553,11 +447,9 @@ impl FluidNet {
                 ..ReallocScratch::default()
             },
             workers: vec![WorkerScratch::default()],
-            warm: Vec::new(),
             realloc_runs: 0,
             realloc_flows_touched: 0,
             macro_flows: 0,
-            warm_hits: 0,
             cold_solves: 0,
             metrics: EngineMetrics::default(),
             timing_enabled: false,
@@ -575,8 +467,6 @@ impl FluidNet {
             realloc_flows_touched: registry.counter("alloc.flows_touched"),
             component_flows: registry.histogram("alloc.component_flows"),
             macro_flows: registry.counter("alloc.macro_flows"),
-            warm_hits: registry.counter("alloc.warm_hits"),
-            cold_solves: registry.counter("alloc.cold_solves"),
         };
     }
 
@@ -1121,10 +1011,8 @@ impl FluidNet {
     ///
     /// Flows sharing an identical link sequence and demand collapse into
     /// one weighted macro-flow variable before the solve (unless
-    /// [`FluidConfig::macro_flows`] is off), and unchanged components
-    /// replay cached rates (unless [`FluidConfig::warm_start`] is off);
-    /// both are pure solver-work optimizations — the returned rates are
-    /// bit-identical with any knob combination.
+    /// [`FluidConfig::macro_flows`] is off) — a pure solver-work
+    /// optimization: the returned rates are bit-identical either way.
     ///
     /// # Example
     ///
@@ -1447,100 +1335,13 @@ impl FluidNet {
         self.metrics.macro_flows.add(real_vars);
         let t_built = t_enter.map(|_| Instant::now());
 
-        // ---- Warm-start probe (serial, deterministic) ----
-        // Exact-problem memoisation: a component whose dense problem is
-        // bit-identical to the one last solved at its direct-mapped cache
-        // slot replays the cached rates; everything else solves cold and
-        // refreshes its slot afterwards. Probe and store run serially on
-        // either solve path, so hit/miss decisions never depend on
-        // `engine_threads`.
-        if self.config.warm_start && self.warm.is_empty() {
-            self.warm.resize_with(WARM_SLOTS, WarmSlot::default);
-        }
-        let mut warm_hits = 0u64;
-        {
-            let warm_on = self.config.warm_start;
-            let ReallocScratch {
-                comps,
-                demands,
-                weights,
-                caps,
-                fl_off,
-                fl_links,
-                rates,
-                warm_plan,
-                ..
-            } = &mut self.scratch;
-            warm_plan.clear();
-            rates.clear();
-            rates.resize(demands.len(), 0.0);
-            for c in comps.iter() {
-                let nvars = (c.dem.1 - c.dem.0) as usize;
-                let nnz = (c.lnk.1 - c.lnk.0) as usize;
-                if !warm_on
-                    || !(WARM_MIN_VARS..=WARM_MAX_VARS).contains(&nvars)
-                    || nnz > WARM_MAX_NNZ
-                {
-                    warm_plan.push(WarmPlan::Skip);
-                    continue;
-                }
-                let dem = &demands[c.dem.0 as usize..c.dem.1 as usize];
-                let wts = &weights[c.dem.0 as usize..c.dem.1 as usize];
-                let cps = &caps[c.links.0 as usize..c.links.1 as usize];
-                let off = &fl_off[c.off.0 as usize..c.off.1 as usize];
-                let lnk = &fl_links[c.lnk.0 as usize..c.lnk.1 as usize];
-                let mut h = mix64(nvars as u64 ^ ((cps.len() as u64) << 32));
-                for d in dem {
-                    h = mix64(h ^ d.to_bits());
-                }
-                for &w in wts {
-                    h = mix64(h ^ w as u64);
-                }
-                for cap in cps {
-                    h = mix64(h ^ cap.to_bits());
-                }
-                for &o in off {
-                    h = mix64(h ^ o as u64);
-                }
-                for &l in lnk {
-                    h = mix64(h ^ l as u64);
-                }
-                let slot = (h as usize) & (WARM_SLOTS - 1);
-                let w = &self.warm[slot];
-                if w.used
-                    && w.digest == h
-                    && bits_eq(&w.demands, dem)
-                    && w.weights == wts
-                    && bits_eq(&w.caps, cps)
-                    && w.fl_off == off
-                    && w.fl_links == lnk
-                {
-                    rates[c.dem.0 as usize..c.dem.1 as usize].copy_from_slice(&w.rates);
-                    warm_plan.push(WarmPlan::Hit);
-                    warm_hits += 1;
-                } else {
-                    warm_plan.push(WarmPlan::Store {
-                        slot: slot as u32,
-                        digest: h,
-                    });
-                }
-            }
-        }
-        self.warm_hits += warm_hits;
-        self.metrics.warm_hits.add(warm_hits);
-
-        // ---- Solve pass (cold components only) ----
+        // ---- Solve pass ----
         // Each component is an independent water-filling problem; its
         // rates land in the component's own segment of the merged rate
         // array, so the merge is position-fixed by discovery order and
         // identical however the components were scheduled.
-        let cold = self
-            .scratch
-            .warm_plan
-            .iter()
-            .filter(|p| !matches!(p, WarmPlan::Hit))
-            .count();
-        let par_threads = self.config.engine_threads.max(1).min(cold);
+        let ncomps = self.scratch.comps.len();
+        let par_threads = self.config.engine_threads.max(1).min(ncomps);
         let timing_enabled = self.timing_enabled;
         {
             let ReallocScratch {
@@ -1551,31 +1352,23 @@ impl FluidNet {
                 fl_links,
                 caps,
                 rates,
-                warm_plan,
                 ..
             } = &mut self.scratch;
-            if par_threads <= 1 && comps.len() == 1 {
-                // Single component: solve straight into the merged array
-                // (the allocator clears/sizes it to the same length, so
-                // no reallocation), skipping the per-worker staging copy.
-                if !matches!(warm_plan[0], WarmPlan::Hit) {
+            // The allocator overwrites every entry of its output slice.
+            rates.resize(demands.len(), 0.0);
+            if par_threads <= 1 {
+                let maxmin = &mut self.workers[0].maxmin;
+                for c in comps.iter() {
+                    let (d0, d1) = (c.dem.0 as usize, c.dem.1 as usize);
                     max_min_allocate_csr_weighted(
-                        demands,
-                        weights,
-                        fl_off,
-                        fl_links,
-                        caps,
-                        rates,
-                        &mut self.workers[0].maxmin,
+                        &demands[d0..d1],
+                        &weights[d0..d1],
+                        &fl_off[c.off.0 as usize..c.off.1 as usize],
+                        &fl_links[c.lnk.0 as usize..c.lnk.1 as usize],
+                        &caps[c.links.0 as usize..c.links.1 as usize],
+                        &mut rates[d0..d1],
+                        maxmin,
                     );
-                }
-            } else if par_threads <= 1 {
-                let w = &mut self.workers[0];
-                for (c, plan) in comps.iter().zip(warm_plan.iter()) {
-                    if matches!(plan, WarmPlan::Hit) {
-                        continue;
-                    }
-                    solve_component(c, demands, weights, fl_off, fl_links, caps, rates, w);
                 }
             } else {
                 while self.workers.len() < par_threads {
@@ -1584,16 +1377,12 @@ impl FluidNet {
                 // Split the merged rate array into disjoint per-component
                 // output slices and let the scoped workers pull jobs off a
                 // shared stack (component sizes are skewed, so dynamic
-                // pull beats static striping). Warm-hit segments keep
-                // their copied rates and are simply skipped.
-                let mut tasks: Vec<SolveTask> = Vec::with_capacity(cold);
+                // pull beats static striping).
+                let mut tasks: Vec<SolveTask> = Vec::with_capacity(ncomps);
                 let mut rest: &mut [f64] = rates.as_mut_slice();
-                for (c, plan) in comps.iter().zip(warm_plan.iter()) {
+                for c in comps.iter() {
                     let (out, tail) = rest.split_at_mut((c.dem.1 - c.dem.0) as usize);
                     rest = tail;
-                    if matches!(plan, WarmPlan::Hit) {
-                        continue;
-                    }
                     tasks.push(SolveTask {
                         demands: &demands[c.dem.0 as usize..c.dem.1 as usize],
                         weights: &weights[c.dem.0 as usize..c.dem.1 as usize],
@@ -1621,10 +1410,9 @@ impl FluidNet {
                                 task.offsets,
                                 task.links,
                                 task.caps,
-                                &mut w.rates,
+                                task.out,
                                 &mut w.maxmin,
                             );
-                            task.out.copy_from_slice(&w.rates);
                             if let Some(t) = t_task {
                                 w.busy_ns += t.elapsed().as_nanos() as u64;
                             }
@@ -1633,52 +1421,7 @@ impl FluidNet {
                 });
             }
         }
-        self.cold_solves += cold as u64;
-        self.metrics.cold_solves.add(cold as u64);
-
-        // ---- Warm store (serial) ----
-        // Every cold-solved cacheable component overwrites its slot in
-        // place; buffers reuse capacity, so steady-state stores allocate
-        // nothing once each slot reached its high-water size.
-        {
-            let ReallocScratch {
-                comps,
-                demands,
-                weights,
-                caps,
-                fl_off,
-                fl_links,
-                rates,
-                warm_plan,
-                ..
-            } = &mut self.scratch;
-            for (c, plan) in comps.iter().zip(warm_plan.iter()) {
-                let WarmPlan::Store { slot, digest } = plan else {
-                    continue;
-                };
-                let w = &mut self.warm[*slot as usize];
-                w.used = true;
-                w.digest = *digest;
-                w.demands.clear();
-                w.demands
-                    .extend_from_slice(&demands[c.dem.0 as usize..c.dem.1 as usize]);
-                w.weights.clear();
-                w.weights
-                    .extend_from_slice(&weights[c.dem.0 as usize..c.dem.1 as usize]);
-                w.caps.clear();
-                w.caps
-                    .extend_from_slice(&caps[c.links.0 as usize..c.links.1 as usize]);
-                w.fl_off.clear();
-                w.fl_off
-                    .extend_from_slice(&fl_off[c.off.0 as usize..c.off.1 as usize]);
-                w.fl_links.clear();
-                w.fl_links
-                    .extend_from_slice(&fl_links[c.lnk.0 as usize..c.lnk.1 as usize]);
-                w.rates.clear();
-                w.rates
-                    .extend_from_slice(&rates[c.dem.0 as usize..c.dem.1 as usize]);
-            }
-        }
+        self.cold_solves += ncomps as u64;
 
         let t_solved = t_enter.map(|_| Instant::now());
 
@@ -1997,9 +1740,8 @@ impl FluidNet {
     /// up/down states, every switch's tables/groups/meters/counters,
     /// active flows in admission order (so a restore re-inserts them into
     /// an identical arena layout order-wise), records, pending dirty
-    /// links, hybrid coupling vectors, crash set, the warm-start cache
-    /// (its hit/miss counters are exported with results) and the
-    /// engine's cumulative counters. Solver scratch, worker pools and
+    /// links, hybrid coupling vectors, crash set and the engine's
+    /// cumulative counters. Solver scratch, worker pools and
     /// wall-clock timing are rebuildable and deliberately excluded — a
     /// restored plane computes bit-identical rates regardless.
     pub fn snapshot_state(&self, w: &mut SnapWriter) {
@@ -2031,11 +1773,9 @@ impl FluidNet {
         self.external_granted.snap(w);
         self.gray.snap(w);
         self.crashed.snap(w);
-        self.warm.snap(w);
         self.realloc_runs.snap(w);
         self.realloc_flows_touched.snap(w);
         self.macro_flows.snap(w);
-        self.warm_hits.snap(w);
         self.cold_solves.snap(w);
     }
 
@@ -2127,11 +1867,9 @@ impl FluidNet {
             }
         }
         self.crashed = HashSet::unsnap(r)?;
-        self.warm = Vec::unsnap(r)?;
         self.realloc_runs = u64::unsnap(r)?;
         self.realloc_flows_touched = u64::unsnap(r)?;
         self.macro_flows = u64::unsnap(r)?;
-        self.warm_hits = u64::unsnap(r)?;
         self.cold_solves = u64::unsnap(r)?;
         Ok(())
     }

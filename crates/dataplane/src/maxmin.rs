@@ -199,7 +199,8 @@ fn guard(x: f64) -> f64 {
 }
 
 /// Solves max-min fairness with demands over a CSR flow→link adjacency,
-/// writing one rate per flow into `rates` (cleared first).
+/// writing one rate per flow into `rates` (length `demands.len()`; every
+/// entry is overwritten).
 ///
 /// * `demands[f]` — upper bound on flow `f`'s rate (bps); use
 ///   `f64::INFINITY` for greedy flows.
@@ -218,7 +219,7 @@ pub fn max_min_allocate_csr(
     offsets: &[u32],
     links: &[u32],
     capacity: &[f64],
-    rates: &mut Vec<f64>,
+    rates: &mut [f64],
     s: &mut MaxMinScratch,
 ) {
     max_min_allocate_csr_weighted(demands, &[], offsets, links, capacity, rates, s);
@@ -244,7 +245,7 @@ pub fn max_min_allocate_csr_weighted(
     offsets: &[u32],
     links: &[u32],
     capacity: &[f64],
-    rates: &mut Vec<f64>,
+    rates: &mut [f64],
     s: &mut MaxMinScratch,
 ) {
     let nf = demands.len();
@@ -254,12 +255,12 @@ pub fn max_min_allocate_csr_weighted(
         nf + 1,
         "CSR offsets must have nf + 1 entries"
     );
+    assert_eq!(rates.len(), nf, "one rate slot per variable");
     debug_assert!(
         weights.is_empty() || weights.len() == nf,
         "weights must be empty or one per variable"
     );
-    rates.clear();
-    rates.resize(nf, 0.0);
+    rates.fill(0.0);
     if nf == 0 {
         return;
     }
@@ -580,7 +581,7 @@ pub fn max_min_allocate(demands: &[f64], flow_links: &[Vec<usize>], capacity: &[
         links.extend(fl.iter().map(|&l| l as u32));
         offsets.push(links.len() as u32);
     }
-    let mut rates = Vec::new();
+    let mut rates = vec![0.0; demands.len()];
     let mut scratch = MaxMinScratch::new();
     max_min_allocate_csr(
         demands,
@@ -825,7 +826,7 @@ mod tests {
     #[test]
     fn scratch_reuse_across_different_problem_sizes() {
         let mut scratch = MaxMinScratch::new();
-        let mut rates = Vec::new();
+        let mut rates = [0.0; 8];
         // Large problem first, then a smaller one: buffers must resize
         // down logically without carrying stale state over.
         let offs: Vec<u32> = (0..=8u32).collect();
@@ -835,8 +836,7 @@ mod tests {
         for &r in &rates {
             assert_close(r, G / 2.0);
         }
-        max_min_allocate_csr(&[INF], &[0, 1], &[0], &[G], &mut rates, &mut scratch);
-        assert_eq!(rates.len(), 1);
+        max_min_allocate_csr(&[INF], &[0, 1], &[0], &[G], &mut rates[..1], &mut scratch);
         assert_close(rates[0], G);
     }
 
@@ -1052,7 +1052,7 @@ mod tests {
             links.extend(l.iter().map(|&x| x as u32));
             offsets.push(links.len() as u32);
         }
-        let mut rates = Vec::new();
+        let mut rates = vec![0.0; demands.len()];
         let mut s = MaxMinScratch::new();
         max_min_allocate_csr_weighted(demands, weights, &offsets, &links, caps, &mut rates, &mut s);
         rates

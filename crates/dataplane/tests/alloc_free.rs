@@ -283,7 +283,7 @@ fn epoch_batched_reallocate_is_allocation_free_incremental_mode() {
 /// Macro-flow churn: several flows per host pair, so aggregation really
 /// engages (identical link set + demand ⇒ one weighted variable) and the
 /// weighted build / fair-split apply machinery runs — it must be just as
-/// allocation-free as the per-flow path, warm cache included.
+/// allocation-free as the per-flow path.
 #[test]
 fn macro_flow_reallocate_is_allocation_free_and_aggregates() {
     let (mut net, members) = star_net(8, AllocMode::Full);

@@ -1,13 +1,12 @@
 //! End-to-end equivalence proofs for the million-flow machinery
-//! (macro-flow aggregation + warm-start solve cache, ARCHITECTURE.md
-//! §10): under randomized arrival/departure/external-demand churn, every
-//! ablation corner of the 2×2 knob grid — plus the parallel solve at
-//! `engine_threads = 4` with both knobs on — must emit **bit-identical**
-//! rate changes (same flows, same order, same `f64` bits) and leave
+//! (macro-flow aggregation, ARCHITECTURE.md §10): under randomized
+//! arrival/departure/external-demand churn, the aggregating engine —
+//! serial and at `engine_threads = 4` — must emit **bit-identical** rate
+//! changes (same flows, same order, same `f64` bits) and leave
 //! bit-identical per-flow rates and external grants behind.
 //!
-//! The unaggregated, cold, serial engine is the oracle; nothing here
-//! tolerates an epsilon.
+//! The per-flow serial engine is the oracle; nothing here tolerates an
+//! epsilon.
 
 use horse_dataplane::{AdmitOutcome, AllocMode, DemandModel, FlowSpec, FluidConfig, FluidNet};
 use horse_openflow::actions::Instruction;
@@ -20,14 +19,13 @@ use proptest::prelude::*;
 
 const MEMBERS: usize = 8;
 
-/// Star fabric with per-MAC forwarding on the hub, under one knob corner.
-fn star_net(macro_flows: bool, warm_start: bool, threads: usize) -> FluidNet {
+/// Star fabric with per-MAC forwarding on the hub, under one engine variant.
+fn star_net(macro_flows: bool, threads: usize) -> FluidNet {
     let f = builders::star(MEMBERS, Rate::gbps(1.0));
     let cfg = FluidConfig {
         alloc_mode: AllocMode::Incremental,
         engine_threads: threads,
         macro_flows,
-        warm_start,
         ..FluidConfig::default()
     };
     let mut net = FluidNet::new(f.topology, cfg);
@@ -96,11 +94,9 @@ fn fingerprint(net: &FluidNet) -> Vec<(u64, u64)> {
 /// admissions (same reserved ids), removals and external demands.
 fn run_script(seed: u64, steps: usize) {
     let mut nets = [
-        star_net(false, false, 1), // oracle: per-flow, cold, serial
-        star_net(true, false, 1),
-        star_net(false, true, 1),
-        star_net(true, true, 1),
-        star_net(true, true, 4), // acceptance: parallel, both knobs on
+        star_net(false, 1), // oracle: per-flow, serial
+        star_net(true, 1),
+        star_net(true, 4), // acceptance: parallel, aggregating
     ];
     let mut x = seed | 1;
     let mut rnd = move || {
@@ -188,21 +184,23 @@ fn run_script(seed: u64, steps: usize) {
         }
     }
 
-    // The knobs really did their work on this script: the aggregating
-    // variants solved no more variables than flows, the warm variants
-    // at least never solved more components than the cold ones.
+    // Aggregation really did its work on this script: the oracle solved
+    // one variable per flow, the aggregating variants no more than that.
+    // Every variant water-filled the same components.
     assert_eq!(nets[0].macro_flows, nets[0].realloc_flows_touched);
     assert!(nets[1].macro_flows <= nets[1].realloc_flows_touched);
-    assert_eq!(nets[0].warm_hits, 0);
-    assert_eq!(nets[1].warm_hits, 0);
+    assert_eq!(nets[2].macro_flows, nets[1].macro_flows);
+    for net in &nets[1..] {
+        assert_eq!(net.cold_solves, nets[0].cold_solves);
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-    /// Aggregated vs unaggregated vs warm vs cold vs parallel: all five
-    /// engine variants stay bit-identical across randomized churn.
+    /// Per-flow vs aggregated vs aggregated-parallel: all three engine
+    /// variants stay bit-identical across randomized churn.
     #[test]
-    fn all_ablation_corners_are_bit_identical(seed in 0u64..u64::MAX) {
+    fn all_variants_are_bit_identical(seed in 0u64..u64::MAX) {
         run_script(seed, 24);
     }
 }
@@ -222,7 +220,7 @@ fn fixed_long_script_is_bit_identical() {
 fn macro_variables_track_classes_not_flows() {
     let classes = (MEMBERS * (MEMBERS - 1)) as u64;
     for per_class in [4u16, 32] {
-        let mut net = star_net(true, true, 1);
+        let mut net = star_net(true, 1);
         for src in 0..MEMBERS {
             for dst in (0..MEMBERS).filter(|&d| d != src) {
                 for sport in 0..per_class {

@@ -97,7 +97,6 @@ const COLUMNS: &[(&str, CellFn)] = &[
         m.realloc_flows_touched.to_string()
     }),
     ("macro_flows", |m| m.macro_flows.to_string()),
-    ("warm_hits", |m| m.warm_hits.to_string()),
     ("cold_solves", |m| m.cold_solves.to_string()),
     ("pkt_bursts_formed", |m| m.pkt_bursts_formed.to_string()),
     ("pkt_cache_hits", |m| m.pkt_cache_hits.to_string()),
@@ -307,7 +306,7 @@ mod tests {
         assert!(header.starts_with("run,ctrl_latency_us,seed,sim_secs,"));
         assert!(
             header.contains(
-                "cold_solves,pkt_bursts_formed,pkt_cache_hits,\
+                "macro_flows,cold_solves,pkt_bursts_formed,pkt_cache_hits,\
                  pkt_cache_misses,pkt_cache_invalidations,queue_cancelled"
             ),
             "packet-plane telemetry columns present: {header}"

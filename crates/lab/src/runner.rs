@@ -74,10 +74,7 @@ pub struct RunMetrics {
     /// path classes or is disabled).
     #[serde(default)]
     pub macro_flows: u64,
-    /// Component solves answered from the warm-start cache.
-    #[serde(default)]
-    pub warm_hits: u64,
-    /// Component water-fills actually executed.
+    /// Component water-fills executed (one per discovered component).
     #[serde(default)]
     pub cold_solves: u64,
     /// Packet-plane burst events modeling more than one packet (0 with
@@ -141,7 +138,6 @@ impl RunMetrics {
             realloc_saved: r.realloc_saved(),
             realloc_flows_touched: r.realloc_flows_touched,
             macro_flows: r.macro_flows,
-            warm_hits: r.warm_hits,
             cold_solves: r.cold_solves,
             pkt_bursts_formed: r.pkt_bursts_formed,
             pkt_cache_hits: r.pkt_cache_hits,
@@ -435,11 +431,11 @@ mod tests {
     }
 
     #[test]
-    fn macro_and_warm_ablation_changes_no_observable() {
-        // Aggregation and warm-start only change how much solver work
-        // runs, never what it computes: every observable metric must be
-        // bit-identical across the 2×2 ablation grid. Only the
-        // solver-work counters themselves may differ.
+    fn macro_flows_ablation_changes_no_observable() {
+        // Aggregation only changes how much solver work runs, never what
+        // it computes: every observable metric must be bit-identical
+        // across the 1×2 ablation. Only the solver-work counters
+        // themselves may differ.
         let spec = SweepSpec::from_toml(
             r#"
             name = "ablate_det"
@@ -449,12 +445,11 @@ mod tests {
             horizon_secs = 1.0
             [axes]
             macro_flows = [true, false]
-            warm_start = [true, false]
             "#,
         )
         .unwrap();
         let report = run_sweep(&spec, 1).unwrap();
-        assert_eq!(report.runs.len(), 4);
+        assert_eq!(report.runs.len(), 2);
         let base = &report.runs[0].metrics;
         assert!(
             base.macro_flows <= base.realloc_flows_touched,
@@ -469,12 +464,11 @@ mod tests {
             assert_eq!(m.goodput, base.goodput);
             assert_eq!(m.realloc_runs, base.realloc_runs);
             assert_eq!(m.realloc_flows_touched, base.realloc_flows_touched);
+            assert_eq!(m.cold_solves, base.cold_solves);
         }
-        // The fully-ablated corner degenerates to one variable per flow
-        // and zero cache hits.
-        let off = &report.runs[3].metrics;
+        // The ablated side degenerates to one variable per flow.
+        let off = &report.runs[1].metrics;
         assert_eq!(off.macro_flows, off.realloc_flows_touched);
-        assert_eq!(off.warm_hits, 0);
     }
 
     #[test]

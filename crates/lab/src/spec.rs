@@ -566,10 +566,6 @@ pub struct SimConfigSpec {
     /// bit-identical either way, so it sweeps as a pure performance
     /// (ablation) axis.
     pub macro_flows: Option<bool>,
-    /// Warm-start solve cache (replay rates of unchanged components).
-    /// Defaults on; bit-identical either way, sweepable as an ablation
-    /// axis.
-    pub warm_start: Option<bool>,
     /// Packet-plane burst cap (max packets one burst event models).
     /// Defaults to 32; `1` is the per-packet oracle, so `[1, 32]` sweeps
     /// as a fidelity-vs-speed ablation axis.
@@ -629,9 +625,6 @@ impl SimConfigSpec {
         }
         if let Some(on) = self.macro_flows {
             c.macro_flows = on;
-        }
-        if let Some(on) = self.warm_start {
-            c.warm_start = on;
         }
         if let Some(n) = self.pkt_burst {
             if n == 0 {
@@ -860,17 +853,16 @@ mod tests {
     }
 
     #[test]
-    fn macro_and_warm_knobs_fold_and_sweep() {
+    fn macro_flows_knob_folds_and_sweeps() {
         let c = SimConfigSpec {
             macro_flows: Some(false),
-            warm_start: Some(false),
             ..Default::default()
         }
         .to_config()
         .unwrap();
-        assert!(!c.macro_flows && !c.warm_start);
+        assert!(!c.macro_flows);
         let d = SimConfigSpec::default().to_config().unwrap();
-        assert!(d.macro_flows && d.warm_start, "absent knobs inherit on");
+        assert!(d.macro_flows, "absent knob inherits on");
 
         let spec = SweepSpec::from_toml(
             r#"
@@ -881,15 +873,13 @@ mod tests {
             horizon_secs = 0.5
             [axes]
             macro_flows = [true, false]
-            warm_start = [true, false]
             "#,
         )
         .unwrap();
         let plans = crate::sweep::expand(&spec).unwrap();
-        assert_eq!(plans.len(), 4);
+        assert_eq!(plans.len(), 2);
         assert_eq!(plans[0].config.macro_flows, Some(true));
-        assert_eq!(plans[3].config.macro_flows, Some(false));
-        assert_eq!(plans[3].config.warm_start, Some(false));
+        assert_eq!(plans[1].config.macro_flows, Some(false));
     }
 
     #[test]

@@ -244,7 +244,6 @@ fn accepted_key_sets_are_pinned() {
             "pkt_burst",
             "pkt_decision_cache",
             "stats_epoch_secs",
-            "warm_start",
         ]
     );
 }
@@ -278,6 +277,21 @@ fn unknown_keys_are_rejected() {
     assert!(
         msg.contains("`ctrl_latncy_us` in [config]") && msg.contains("ctrl_latency_us"),
         "names the key and lists the accepted ones: {msg}"
+    );
+
+    // A knob that no longer exists is an unknown key, not a silent no-op.
+    let msg = err(r#"
+        name = "x"
+        [scenario]
+        kind = "ixp"
+        members = 4
+        horizon_secs = 1.0
+        [config]
+        warm_start = true
+        "#);
+    assert!(
+        msg.contains("`warm_start` in [config]") && msg.contains("macro_flows"),
+        "names the removed key and lists the accepted ones: {msg}"
     );
 
     let msg = err(r#"

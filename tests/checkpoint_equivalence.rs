@@ -571,25 +571,38 @@ fn pre_start_checkpoint_resumes_the_whole_run() {
     assert_eq!(buf.contents(), want_journal);
 }
 
+/// Resumes every `step`-th proper prefix of `good` (and the one missing
+/// only its last byte), demanding `Corrupt` each time: a truncated
+/// snapshot must never panic and never resume half a state.
+fn assert_truncations_are_corrupt(good: &[u8], step: usize) {
+    let cuts = (0..good.len()).step_by(step).chain([good.len() - 1]);
+    for cut in cuts {
+        match std::panic::catch_unwind(|| Simulation::resume(&good[..cut]).map(|_| ())) {
+            Ok(Err(ResumeError::Corrupt(_))) => {}
+            Ok(other) => panic!("truncation at {cut}/{} gave {other:?}", good.len()),
+            Err(_) => panic!("truncation at {cut}/{} panicked", good.len()),
+        }
+    }
+}
+
 #[test]
 fn malformed_snapshots_fail_loudly() {
     assert!(matches!(
         Simulation::resume(b"not a snapshot at all, sorry"),
         Err(ResumeError::BadMagic) | Err(ResumeError::Corrupt(_))
     ));
+    // Every byte of a mid-wave snapshot: pending and cancelled
+    // completions, active fluid flows, controller and collector state.
+    let mut sim = Simulation::new(wave_scenario(), SimConfig::default()).unwrap();
+    sim.run_until(SimTime::from_millis(1100));
+    assert_truncations_are_corrupt(&sim.checkpoint(), 1);
+    // A richer zoo snapshot (~1.3 MB, too big to cut everywhere in a
+    // debug build) at a prime stride, so cuts land at varied offsets
+    // inside its records.
     let mut sim = Simulation::new(scenario_zoo(0, 3), SimConfig::default()).unwrap();
     sim.run_until(SimTime::from_millis(500));
     let good = sim.checkpoint();
-    // Truncation anywhere must surface as Corrupt, never a panic.
-    for cut in [good.len() / 4, good.len() / 2, good.len() - 1] {
-        assert!(
-            matches!(
-                Simulation::resume(&good[..cut]),
-                Err(ResumeError::Corrupt(_))
-            ),
-            "truncation at {cut} not detected"
-        );
-    }
+    assert_truncations_are_corrupt(&good, 9973);
     // A bumped version byte is refused by number, not misparsed.
     let mut versioned = good.clone();
     // magic = 8-byte length prefix + 9 bytes; version u32 LE follows.
@@ -598,13 +611,13 @@ fn malformed_snapshots_fail_loudly() {
         Simulation::resume(&versioned),
         Err(ResumeError::BadVersion(99))
     ));
-    // So is the previous format: version 3 laid the event queue out with
-    // tombstones and holds superseded completions that would now fire.
-    assert_eq!(horse::sim::SNAPSHOT_VERSION, 4);
-    versioned[17] = 3;
+    // So is the previous format: version 4 carried the fluid plane's
+    // solve cache and a config field this build no longer has.
+    assert_eq!(horse::sim::SNAPSHOT_VERSION, 5);
+    versioned[17] = 4;
     assert!(matches!(
         Simulation::resume(&versioned),
-        Err(ResumeError::BadVersion(3))
+        Err(ResumeError::BadVersion(4))
     ));
 }
 
