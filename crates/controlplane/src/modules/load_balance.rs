@@ -37,7 +37,7 @@ use horse_openflow::table::FlowEntry;
 use horse_openflow::GroupId;
 use horse_topology::SwitchRole;
 use horse_types::{NodeId, PortNo, SimDuration, Snap, TableId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Timer token namespace for this module.
 pub const LB_TIMER_TOKEN: u64 = 0x1b00;
@@ -50,9 +50,9 @@ pub struct LoadBalanceModule {
     /// Stats polling period in adaptive mode.
     pub poll_interval: SimDuration,
     /// Last observed tx_bytes per (edge switch, uplink port).
-    last_tx: HashMap<(NodeId, PortNo), u64>,
+    last_tx: BTreeMap<(NodeId, PortNo), u64>,
     /// Current weights per (edge switch, uplink port), 1..=100.
-    weights: HashMap<(NodeId, PortNo), u32>,
+    weights: BTreeMap<(NodeId, PortNo), u32>,
     /// Uplink ports per edge switch (ports toward core switches).
     uplinks: HashMap<NodeId, Vec<PortNo>>,
     /// Groups re-published since the last weight update (metric).
@@ -65,8 +65,8 @@ impl LoadBalanceModule {
         LoadBalanceModule {
             mode,
             poll_interval: SimDuration::from_secs(5),
-            last_tx: HashMap::new(),
-            weights: HashMap::new(),
+            last_tx: BTreeMap::new(),
+            weights: BTreeMap::new(),
             uplinks: HashMap::new(),
             group_updates: 0,
         }

@@ -40,6 +40,12 @@
 //! the fluid hot path stays allocation-free and no periodic coupling
 //! timer exists.
 //!
+//! Coupling state is dense and keyed by the directed [`LinkId`]: each
+//! link has one packet serializer ([`PacketPlane::queued_packets`],
+//! [`PacketPlane::is_busy`]) and one measurement mark, and the watch
+//! list holds link ids. The per-packet-event backlog check and each
+//! coupling pass are array reads, never a `(node, port)` lookup.
+//!
 //! For an *offline* accuracy comparison of the two planes over identical
 //! inputs, see [`crate::compare`]; for mixing fidelities *within one
 //! run*, tag flows via [`FlowSpec::fidelity`] or set
@@ -53,9 +59,7 @@ use horse_packetsim::{
     PacketPlane, PacketSimConfig, PktEvent, PktFlowRecord, PktFlowSpec, PktOut, SourceKind,
     TcpState,
 };
-use horse_types::{
-    FlowId, LinkId, NodeId, PortNo, SimTime, Snap, SnapError, SnapReader, SnapWriter,
-};
+use horse_types::{FlowId, LinkId, NodeId, SimTime, Snap, SnapError, SnapReader, SnapWriter};
 
 /// Relative demand change (vs link capacity) below which a re-measured
 /// packet load does not perturb the fluid allocator — hysteresis against
@@ -314,17 +318,10 @@ impl HybridNet {
         // escalates it to `∞`, after which the demand is infinite and this
         // check stays quiet until the backlog clears.
         if !step.needs_realloc {
-            for &l in &self.watch {
-                if !fluid.external_demand(l).is_finite() {
-                    continue;
-                }
-                if let Some(lk) = fluid.topology().link(l) {
-                    if self.plane.queued_packets(lk.src, lk.src_port) > 0 {
-                        step.needs_realloc = true;
-                        break;
-                    }
-                }
-            }
+            step.needs_realloc = self
+                .watch
+                .iter()
+                .any(|&l| fluid.external_demand(l).is_finite() && self.plane.queued_packets(l) > 0);
         }
         step
     }
@@ -358,9 +355,8 @@ impl HybridNet {
         while k < self.watch.len() {
             let l = self.watch[k];
             let li = l.index();
-            let link = fluid.topology().link(l);
-            let (node, port, cap) = match link {
-                Some(lk) => (lk.src, lk.src_port, lk.capacity.as_bps()),
+            let cap = match fluid.topology().link(l) {
+                Some(lk) => lk.capacity.as_bps(),
                 None => {
                     self.marks[li].watched = false;
                     self.watch.swap_remove(k);
@@ -375,7 +371,7 @@ impl HybridNet {
             } else {
                 fluid.external_demand(l) // no window yet: keep the last value
             };
-            let backlogged = self.backlog(node, port) > 0;
+            let backlogged = self.plane.queued_packets(l) > 0;
             let demand = if backlogged { f64::INFINITY } else { measured };
             if dt > 0.0 {
                 self.marks[li].bytes = cum;
@@ -385,7 +381,7 @@ impl HybridNet {
             // window) releases its demand outright and leaves the watch
             // list so an idle foreground stops costing per-reallocation
             // work.
-            let quiet = !backlogged && !self.plane.is_busy(node, port) && measured <= f64::EPSILON;
+            let quiet = !backlogged && !self.plane.is_busy(l) && measured <= f64::EPSILON;
             let prev = fluid.external_demand(l);
             if quiet {
                 if prev != 0.0 {
@@ -409,11 +405,6 @@ impl HybridNet {
         }
     }
 
-    /// Packets queued behind the in-flight one on a port.
-    fn backlog(&self, node: NodeId, port: PortNo) -> usize {
-        self.plane.queued_packets(node, port)
-    }
-
     /// Serializes the packet half and the coupling state (checkpointing).
     /// The emission scratch is always drained between events and is not
     /// part of the snapshot.
@@ -434,6 +425,16 @@ impl HybridNet {
     pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         self.plane.restore_state(r)?;
         self.flows = Vec::unsnap(r)?;
+        if self.flows.len() != self.plane.flow_count() {
+            return Err(SnapError::new(
+                format!(
+                    "snapshot has {} packet flows, its plane {}",
+                    self.flows.len(),
+                    self.plane.flow_count()
+                ),
+                r.position(),
+            ));
+        }
         let marks: Vec<LinkMark> = Vec::unsnap(r)?;
         if marks.len() != self.marks.len() {
             return Err(SnapError::new(
@@ -447,6 +448,12 @@ impl HybridNet {
         }
         self.marks = marks;
         self.watch = Vec::unsnap(r)?;
+        if let Some(l) = self.watch.iter().find(|l| l.index() >= self.marks.len()) {
+            return Err(SnapError::new(
+                format!("watched link {l} out of range ({} links)", self.marks.len()),
+                r.position(),
+            ));
+        }
         self.completed_fcts = Vec::unsnap(r)?;
         self.pkt_events = u64::unsnap(r)?;
         self.couplings = u64::unsnap(r)?;

@@ -82,7 +82,7 @@ impl std::error::Error for BuildError {}
 /// Magic prefix of the checkpoint format.
 pub const SNAPSHOT_MAGIC: &[u8; 9] = b"HORSESNAP";
 /// Current checkpoint format version.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Errors raised while resuming or forking from a checkpoint.
 #[derive(Debug)]
@@ -1367,6 +1367,18 @@ impl Simulation {
                 .restore_state(r)?;
         } else {
             self.hybrid = None;
+        }
+        // Every pending packet event must be one the restored packet
+        // plane can handle: its flow indices registered, its packet well
+        // formed.
+        for (_, ev) in self.queue.pending() {
+            if let SimEvent::Pkt(pev) = ev {
+                let checked = match self.hybrid.as_deref() {
+                    Some(h) => h.plane().check_event(pev),
+                    None => Err("packet event without a packet plane".to_string()),
+                };
+                checked.map_err(|e| SnapError::new(e, r.position()))?;
+            }
         }
         let ctrl_name = String::unsnap(r)?;
         if ctrl_name != self.controller.name() {

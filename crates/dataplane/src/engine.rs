@@ -66,12 +66,12 @@ use crate::maxmin::{max_min_allocate_csr_weighted, AllocMode, MaxMinScratch};
 use crate::slab::FlowArena;
 use crate::stats::{DropCause, DropRecord, FlowRecord, LinkStats};
 use horse_openflow::messages::{CtrlMsg, SwitchMsg};
-use horse_openflow::switch::{DropReason, OpenFlowSwitch, PipelineResult, Verdict};
+use horse_openflow::switch::{DropReason, OpenFlowSwitch, PipelineResult, Switches, Verdict};
 use horse_topology::{LinkState, Topology};
 use horse_trace::{Counter, Histogram, MetricsRegistry};
 use horse_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use horse_types::{ByteSize, FlowId, FlowKey, LinkId, NodeId, PortNo, Rate, SimTime};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::time::Instant;
 
 /// Tunables of the fluid plane.
@@ -352,7 +352,7 @@ fn finish_component(flows: &FlowArena, scratch: &mut ReallocScratch, start: usiz
 /// The fluid data plane (see module docs).
 pub struct FluidNet {
     topo: Topology,
-    switches: HashMap<NodeId, OpenFlowSwitch>,
+    switches: Switches,
     /// Switch ids, sorted — built once in [`FluidNet::new`], never mutated.
     switch_order: Vec<NodeId>,
     flows: FlowArena,
@@ -414,15 +414,11 @@ impl FluidNet {
     /// Builds the fluid plane over a topology: one OpenFlow switch per
     /// switch node, ports discovered from the topology.
     pub fn new(topo: Topology, config: FluidConfig) -> Self {
-        let mut switches = HashMap::new();
-        for (id, node) in topo.nodes() {
-            if node.kind.is_switch() {
-                let ports: Vec<_> = topo.ports(id).collect();
-                switches.insert(id, OpenFlowSwitch::new(id, 2, &ports));
-            }
-        }
-        let mut switch_order: Vec<NodeId> = switches.keys().copied().collect();
-        switch_order.sort();
+        let switches: Switches = topo
+            .switches()
+            .map(|id| OpenFlowSwitch::new(id, 2, &topo.ports(id).collect::<Vec<_>>()))
+            .collect();
+        let switch_order: Vec<NodeId> = switches.iter().map(|sw| sw.id).collect();
         let nl = topo.link_count();
         FluidNet {
             topo,
@@ -490,12 +486,12 @@ impl FluidNet {
 
     /// A switch (read access).
     pub fn switch(&self, id: NodeId) -> Option<&OpenFlowSwitch> {
-        self.switches.get(&id)
+        self.switches.get(id)
     }
 
     /// A switch (mutable — used by the core to apply controller messages).
     pub fn switch_mut(&mut self, id: NodeId) -> Option<&mut OpenFlowSwitch> {
-        self.switches.get_mut(&id)
+        self.switches.get_mut(id)
     }
 
     /// Ids of all switches, sorted (cached at construction — switches are
@@ -506,7 +502,7 @@ impl FluidNet {
 
     /// Applies a controller message to a switch, returning its replies.
     pub fn apply_ctrl(&mut self, switch: NodeId, msg: &CtrlMsg, now: SimTime) -> Vec<SwitchMsg> {
-        match self.switches.get_mut(&switch) {
+        match self.switches.get_mut(switch) {
             Some(sw) => sw.apply(msg, now),
             None => Vec::new(),
         }
@@ -604,14 +600,14 @@ impl FluidNet {
                 // Commit classification counters along the winning path —
                 // by borrow, without rebuilding pipeline results.
                 for hop in &mut hops {
-                    if let Some(sw) = self.switches.get_mut(&hop.node) {
+                    if let Some(sw) = self.switches.get_mut(hop.node) {
                         sw.commit_matched(&mut hop.matched, now);
                     }
                 }
                 // Tightest meter cap along the path.
                 let mut cap: Option<Rate> = None;
                 for hop in &hops {
-                    if let Some(sw) = self.switches.get(&hop.node) {
+                    if let Some(sw) = self.switches.get(hop.node) {
                         for m in &hop.meters {
                             if let Some(me) = sw.meter(*m) {
                                 cap = Some(match cap {
@@ -649,7 +645,7 @@ impl FluidNet {
             } => {
                 let msg = self
                     .switches
-                    .get(&switch)
+                    .get(switch)
                     .map(|sw| sw.flow_in(in_port, &key))
                     .unwrap_or(SwitchMsg::FlowIn {
                         switch,
@@ -714,7 +710,7 @@ impl FluidNet {
             if let Some((_, al)) = self.topo.out_links(spec.src).find(|(_, l)| l.is_up()) {
                 let msg = self
                     .switches
-                    .get(&al.dst)
+                    .get(al.dst)
                     .map(|sw| sw.flow_in(al.dst_port, &spec.key))
                     .unwrap_or(SwitchMsg::FlowIn {
                         switch: al.dst,
@@ -812,14 +808,7 @@ impl FluidNet {
     /// (whose `current_rate_bps` is the fluid load the packet serializers
     /// drain around) and the per-link gray-failure capacity multipliers
     /// the serializers must respect.
-    pub fn packet_plane_parts(
-        &mut self,
-    ) -> (
-        &Topology,
-        &mut HashMap<NodeId, OpenFlowSwitch>,
-        &[LinkStats],
-        &[f64],
-    ) {
+    pub fn packet_plane_parts(&mut self) -> (&Topology, &mut Switches, &[LinkStats], &[f64]) {
         (&self.topo, &mut self.switches, &self.link_stats, &self.gray)
     }
 
@@ -887,7 +876,7 @@ impl FluidNet {
                 if !self.visited.insert((node, in_port)) {
                     return None; // already explored from this ingress
                 }
-                let sw = self.net.switches.get(&node)?;
+                let sw = self.net.switches.get(node)?;
                 let PipelineResult {
                     verdict,
                     matched,
@@ -985,7 +974,7 @@ impl FluidNet {
             let moved_bytes = ByteSize::bytes(moved as u64);
             let switches = &mut self.switches;
             for hop in &mut flow.route.hops {
-                if let Some(sw) = switches.get_mut(&hop.node) {
+                if let Some(sw) = switches.get_mut(hop.node) {
                     sw.credit_bytes(&mut hop.matched, moved_bytes, avg, now);
                     // Port counters follow the same integration, so
                     // port-stats polling (the adaptive LB's feedback
@@ -1067,6 +1056,18 @@ impl FluidNet {
         let t_enter = self.timing_enabled.then(Instant::now);
         self.realloc_runs += 1;
         self.metrics.realloc_runs.inc();
+        // No dirty link seeds no component: an incremental run would touch
+        // no flow, so it stops here, still counted as a run. (`Full` mode
+        // re-syncs every flow's bytes and keeps the whole path.)
+        if self.config.alloc_mode == AllocMode::Incremental && self.dirty_links.is_empty() {
+            if let Some(t0) = t_enter {
+                self.timing = ReallocTiming {
+                    discovery_ns: t0.elapsed().as_nanos() as u64,
+                    ..ReallocTiming::default()
+                };
+            }
+            return &[];
+        }
         self.scratch.gen += 1;
         let gen = self.scratch.gen;
         self.scratch.changes.clear();
@@ -1523,7 +1524,7 @@ impl FluidNet {
         let mut msgs = Vec::new();
         for &l in &affected_links {
             let lk = self.topo.link(l).expect("affected link exists").clone();
-            if let Some(sw) = self.switches.get_mut(&lk.src) {
+            if let Some(sw) = self.switches.get_mut(lk.src) {
                 msgs.push(sw.set_port_state(lk.src_port, false));
             }
             self.mark_dirty(l);
@@ -1612,7 +1613,7 @@ impl FluidNet {
         let mut msgs = Vec::new();
         for &l in &affected {
             let lk = self.topo.link(l).expect("affected link exists").clone();
-            if let Some(sw) = self.switches.get_mut(&lk.src) {
+            if let Some(sw) = self.switches.get_mut(lk.src) {
                 msgs.push(sw.set_port_state(lk.src_port, true));
             }
             self.mark_dirty(l);
@@ -1632,7 +1633,7 @@ impl FluidNet {
         node: NodeId,
         now: SimTime,
     ) -> (Vec<FlowSpec>, Vec<SwitchMsg>, Vec<FlowId>) {
-        if !self.switches.contains_key(&node) || !self.crashed.insert(node) {
+        if self.switches.get(node).is_none() || !self.crashed.insert(node) {
             return (Vec::new(), Vec::new(), Vec::new());
         }
         let mut cables: Vec<LinkId> = self.topo.out_links(node).map(|(id, _)| id).collect();
@@ -1650,13 +1651,13 @@ impl FluidNet {
         for &l in &affected {
             let lk = self.topo.link(l).expect("affected link exists").clone();
             if lk.src != node && !self.crashed.contains(&lk.src) {
-                if let Some(sw) = self.switches.get_mut(&lk.src) {
+                if let Some(sw) = self.switches.get_mut(lk.src) {
                     msgs.push(sw.set_port_state(lk.src_port, false));
                 }
             }
             self.mark_dirty(l);
         }
-        if let Some(sw) = self.switches.get_mut(&node) {
+        if let Some(sw) = self.switches.get_mut(node) {
             sw.crash();
         }
         let (specs, ids) = self.detach_flows_on(&affected, now);
@@ -1690,7 +1691,7 @@ impl FluidNet {
                 .unwrap_or_default();
             for l in affected {
                 let lk = self.topo.link(l).expect("affected link exists").clone();
-                if let Some(sw) = self.switches.get_mut(&lk.src) {
+                if let Some(sw) = self.switches.get_mut(lk.src) {
                     msgs.push(sw.set_port_state(lk.src_port, true));
                 }
                 self.mark_dirty(l);
@@ -1704,7 +1705,7 @@ impl FluidNet {
         let mut out = Vec::new();
         for i in 0..self.switch_order.len() {
             let id = self.switch_order[i];
-            if let Some(sw) = self.switches.get_mut(&id) {
+            if let Some(sw) = self.switches.get_mut(id) {
                 out.extend(sw.expire(now));
             }
         }
@@ -1751,11 +1752,11 @@ impl FluidNet {
         for (_, l) in self.topo.links() {
             l.is_up().snap(w);
         }
-        // Switches in the fixed sorted order, ids as a cross-check.
+        // Switches ascending by id, ids as a cross-check.
         w.len_prefix(self.switch_order.len());
-        for &id in &self.switch_order {
-            id.snap(w);
-            self.switches[&id].snapshot_state(w);
+        for sw in self.switches.iter() {
+            sw.id.snap(w);
+            sw.snapshot_state(w);
         }
         // Active flows in admission order + the id counter.
         w.len_prefix(self.flows.len());
@@ -1814,7 +1815,7 @@ impl FluidNet {
         }
         for _ in 0..nsw {
             let id = NodeId::unsnap(r)?;
-            let sw = self.switches.get_mut(&id).ok_or_else(|| {
+            let sw = self.switches.get_mut(id).ok_or_else(|| {
                 SnapError::new(
                     format!("snapshot switch {id:?} not in topology"),
                     r.position(),
@@ -1849,6 +1850,12 @@ impl FluidNet {
         self.dirty_stamp = vec![0; nl];
         self.dirty_epoch = 1;
         for l in dirty {
+            if l.index() >= nl {
+                return Err(SnapError::new(
+                    format!("dirty link {l} out of range ({nl} links)"),
+                    r.position(),
+                ));
+            }
             self.mark_dirty(l);
         }
         self.external_demand = Vec::unsnap(r)?;
@@ -2464,5 +2471,34 @@ mod tests {
         net.snapshot_state(&mut wa);
         restored.snapshot_state(&mut wb);
         assert_eq!(wa.into_bytes(), wb.into_bytes(), "states stay identical");
+    }
+
+    #[test]
+    fn out_of_range_dirty_link_is_refused() {
+        // The pending dirty list is replayed through `mark_dirty` on
+        // restore; an id past the link table must be refused there, not
+        // used as an index.
+        let (mut net, _, _) = linear_net();
+        net.reallocate(SimTime::ZERO);
+        let snap = |n: &FluidNet| {
+            let mut w = SnapWriter::new();
+            n.snapshot_state(&mut w);
+            w.into_bytes()
+        };
+        let clean = snap(&net);
+        net.set_external_demand(LinkId(1), 1e6);
+        let mut bad = snap(&net);
+        // Everything before the dirty list is unchanged, so the first
+        // differing byte is its length prefix; the id follows it.
+        let at = (0..clean.len())
+            .find(|&i| clean[i] != bad[i])
+            .expect("the dirty list grew");
+        assert_eq!(bad[at..at + 12], [1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0]);
+        bad[at + 8..at + 12].copy_from_slice(&9999u32.to_le_bytes());
+        let (mut fresh, _, _) = linear_net();
+        let err = fresh
+            .restore_state(&mut SnapReader::new(&bad))
+            .expect_err("link 9999 of 6 must be refused");
+        assert!(err.to_string().contains("dirty link"), "{err}");
     }
 }

@@ -45,7 +45,7 @@ pub use messages::{
     CtrlMsg, FlowMod, FlowModCommand, GroupMod, MeterMod, StatsReply, StatsRequest, SwitchMsg,
 };
 pub use meter::MeterEntry;
-pub use switch::{DropReason, OpenFlowSwitch, PipelineResult, Verdict};
+pub use switch::{DropReason, OpenFlowSwitch, PipelineResult, Switches, Verdict};
 pub use table::{FlowEntry, FlowTable, MatchedEntry};
 
 /// Re-export of the group id newtype (defined with the other ids).

@@ -724,6 +724,48 @@ impl OpenFlowSwitch {
     }
 }
 
+/// The OpenFlow switches of one topology, in a dense table indexed by
+/// [`NodeId::index`] (hosts leave their slot empty): a switch lookup on
+/// the per-packet path is an array index, and iteration runs in
+/// ascending node id.
+#[derive(Default)]
+pub struct Switches {
+    slots: Vec<Option<OpenFlowSwitch>>,
+}
+
+impl Switches {
+    /// The switch instantiating `id`, if any.
+    pub fn get(&self, id: NodeId) -> Option<&OpenFlowSwitch> {
+        self.slots.get(id.index())?.as_ref()
+    }
+
+    /// Mutable access to the switch instantiating `id`, if any.
+    pub fn get_mut(&mut self, id: NodeId) -> Option<&mut OpenFlowSwitch> {
+        self.slots.get_mut(id.index())?.as_mut()
+    }
+
+    /// Every switch, ascending by node id.
+    pub fn iter(&self) -> impl Iterator<Item = &OpenFlowSwitch> {
+        self.slots.iter().flatten()
+    }
+}
+
+impl FromIterator<OpenFlowSwitch> for Switches {
+    /// Places each switch at its own id's slot (a later switch with the
+    /// same id replaces an earlier one).
+    fn from_iter<I: IntoIterator<Item = OpenFlowSwitch>>(switches: I) -> Self {
+        let mut slots: Vec<Option<OpenFlowSwitch>> = Vec::new();
+        for sw in switches {
+            let i = sw.id.index();
+            if i >= slots.len() {
+                slots.resize_with(i + 1, || None);
+            }
+            slots[i] = Some(sw);
+        }
+        Switches { slots }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1339,5 +1381,33 @@ mod tests {
         } else {
             panic!("expected port stats");
         }
+    }
+
+    #[test]
+    fn switches_index_by_node_id() {
+        let ids = [NodeId(7), NodeId(2), NodeId(4)];
+        let mut replaced = OpenFlowSwitch::new(NodeId(2), 1, &[]);
+        replaced.max_table_jumps = 1;
+        let mut t: Switches = std::iter::once(replaced)
+            .chain(
+                ids.iter()
+                    .map(|&id| OpenFlowSwitch::new(id, 1, &[PortNo(1)])),
+            )
+            .collect();
+        assert_eq!(
+            t.get(NodeId(2)).unwrap().max_table_jumps,
+            8,
+            "the later switch wins"
+        );
+        for id in ids {
+            assert_eq!(t.get(id).map(|s| s.id), Some(id));
+        }
+        for id in [NodeId(0), NodeId(3), NodeId(8), NodeId(u32::MAX)] {
+            assert!(t.get(id).is_none() && t.get_mut(id).is_none());
+        }
+        let order: Vec<NodeId> = t.iter().map(|s| s.id).collect();
+        assert_eq!(order, vec![NodeId(2), NodeId(4), NodeId(7)]);
+        t.get_mut(NodeId(4)).unwrap().max_table_jumps = 3;
+        assert_eq!(t.get(NodeId(4)).unwrap().max_table_jumps, 3);
     }
 }

@@ -22,7 +22,7 @@ use crate::source::SourceKind;
 use horse_controlplane::{Controller, ControllerCtx, Outbox};
 use horse_events::EventQueue;
 use horse_openflow::messages::{CtrlMsg, SwitchMsg};
-use horse_openflow::switch::{OpenFlowSwitch, PipelineResult, Verdict};
+use horse_openflow::switch::{OpenFlowSwitch, PipelineResult, Switches, Verdict};
 use horse_topology::Topology;
 use horse_types::id::MeterId;
 use horse_types::snap::{snap_via_serde, unsnap_via_serde};
@@ -30,7 +30,7 @@ use horse_types::{
     ByteSize, FlowKey, LinkId, NodeId, PortNo, Rate, SimDuration, SimTime, Snap, SnapError,
     SnapReader, SnapWriter,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Packet-plane configuration.
@@ -193,9 +193,14 @@ pub struct Pkt {
     count: u32,
 }
 
-/// A cached pipeline decision: valid while the switch's forwarding-state
-/// generation still equals `gen` and the arriving key is unchanged.
+/// A cached pipeline decision of one packet flow at one switch ingress
+/// (`node`, `in_port`, direction): valid while the switch's
+/// forwarding-state generation still equals `gen` and the arriving key is
+/// unchanged.
 struct CacheEntry {
+    node: NodeId,
+    in_port: PortNo,
+    is_ack: bool,
     gen: u64,
     key: FlowKey,
     res: PipelineResult,
@@ -360,12 +365,15 @@ pub type DrainFn<'a> = dyn Fn(LinkId) -> f64 + 'a;
 /// per event.
 pub struct PacketPlane {
     flows: Vec<FlowRt>,
-    queues: HashMap<(NodeId, PortNo), PortQueue>,
+    /// One output serializer per directed link, indexed by [`LinkId`].
+    queues: Vec<PortQueue>,
     link_bytes: Vec<f64>,
     drops: u64,
     config: PacketSimConfig,
-    /// Cached pipeline decisions keyed by (switch, in-port, flow, dir).
-    cache: HashMap<(NodeId, PortNo, usize, bool), CacheEntry>,
+    /// Cached pipeline decisions, one short list per flow (indexed like
+    /// `flows`) of the `(switch, in-port, dir)` ingresses it crosses —
+    /// a handful per flow, so a linear scan beats any hash.
+    cache: Vec<Vec<CacheEntry>>,
     // Burst/cache telemetry.
     bursts_formed: u64,
     burst_len_hist: [u64; 8],
@@ -385,11 +393,11 @@ impl PacketPlane {
     pub fn new(link_count: usize, config: PacketSimConfig) -> Self {
         PacketPlane {
             flows: Vec::new(),
-            queues: HashMap::new(),
+            queues: (0..link_count).map(|_| PortQueue::new()).collect(),
             link_bytes: vec![0.0; link_count],
             drops: 0,
             config,
-            cache: HashMap::new(),
+            cache: Vec::new(),
             bursts_formed: 0,
             burst_len_hist: [0; 8],
             cache_hits: 0,
@@ -420,6 +428,7 @@ impl PacketPlane {
             dropped_bytes: 0,
             finished: None,
         });
+        self.cache.push(Vec::new());
         self.flows.len() - 1
     }
 
@@ -480,20 +489,14 @@ impl PacketPlane {
         self.tx_packets
     }
 
-    /// Whether the serializer on `(node, port)` is mid-transmission.
-    pub fn is_busy(&self, node: NodeId, port: PortNo) -> bool {
-        self.queues
-            .get(&(node, port))
-            .map(|q| q.busy)
-            .unwrap_or(false)
+    /// Whether the serializer of `link` is mid-transmission.
+    pub fn is_busy(&self, link: LinkId) -> bool {
+        self.queues.get(link.index()).is_some_and(|q| q.busy)
     }
 
-    /// Packets queued behind the one in flight on `(node, port)`.
-    pub fn queued_packets(&self, node: NodeId, port: PortNo) -> usize {
-        self.queues
-            .get(&(node, port))
-            .map(|q| q.queue.len())
-            .unwrap_or(0)
+    /// Packets queued behind the one in flight on `link`.
+    pub fn queued_packets(&self, link: LinkId) -> usize {
+        self.queues.get(link.index()).map_or(0, |q| q.queue.len())
     }
 
     /// Bytes of a flow's packets dropped so far.
@@ -548,14 +551,21 @@ impl PacketPlane {
         self.queues.snap(w);
         self.link_bytes.snap(w);
         self.drops.snap(w);
-        // Decision cache, in canonical (sorted-key) order so snapshots of
-        // identical planes are byte-identical regardless of hash order.
-        let mut keys: Vec<&(NodeId, PortNo, usize, bool)> = self.cache.keys().collect();
-        keys.sort();
-        w.len_prefix(keys.len());
-        for k in keys {
+        // Decision cache, in canonical `(switch, in-port, flow, dir)` order
+        // so snapshots of identical planes are byte-identical.
+        let mut entries: Vec<_> = self
+            .cache
+            .iter()
+            .enumerate()
+            .flat_map(|(flow, list)| {
+                list.iter()
+                    .map(move |e| ((e.node, e.in_port, flow, e.is_ack), e))
+            })
+            .collect();
+        entries.sort_by_key(|&(k, _)| k);
+        w.len_prefix(entries.len());
+        for (k, e) in entries {
             k.snap(w);
-            let e = &self.cache[k];
             e.gen.snap(w);
             e.key.snap(w);
             snap_via_serde(&e.res, w);
@@ -574,7 +584,32 @@ impl PacketPlane {
     /// freshly built plane over the same link count and config.
     pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         self.flows = Vec::unsnap(r)?;
-        self.queues = HashMap::unsnap(r)?;
+        let queues: Vec<PortQueue> = Vec::unsnap(r)?;
+        if queues.len() != self.queues.len() {
+            return Err(SnapError::new(
+                format!(
+                    "snapshot has {} port queues, plane has {} links",
+                    queues.len(),
+                    self.queues.len()
+                ),
+                r.position(),
+            ));
+        }
+        for (li, q) in queues.iter().enumerate() {
+            let mut bytes = 0u64;
+            for pkt in &q.queue {
+                self.check_pkt(pkt)
+                    .map_err(|e| SnapError::new(format!("queue {li}: {e}"), r.position()))?;
+                bytes = bytes.saturating_add(pkt.size as u64 * pkt.count as u64);
+            }
+            if bytes != q.queued_bytes {
+                return Err(SnapError::new(
+                    format!("queue {li} holds {bytes} bytes, counts {}", q.queued_bytes),
+                    r.position(),
+                ));
+            }
+        }
+        self.queues = queues;
         let link_bytes: Vec<f64> = Vec::unsnap(r)?;
         if link_bytes.len() != self.link_bytes.len() {
             return Err(SnapError::new(
@@ -589,13 +624,35 @@ impl PacketPlane {
         self.link_bytes = link_bytes;
         self.drops = u64::unsnap(r)?;
         let n = r.len_prefix()?;
-        let mut cache = HashMap::with_capacity(n);
+        let mut cache: Vec<Vec<CacheEntry>> = (0..self.flows.len()).map(|_| Vec::new()).collect();
         for _ in 0..n {
-            let k = <(NodeId, PortNo, usize, bool)>::unsnap(r)?;
+            let (node, in_port, flow, is_ack) = <(NodeId, PortNo, usize, bool)>::unsnap(r)?;
             let gen = u64::unsnap(r)?;
             let key = FlowKey::unsnap(r)?;
             let res = unsnap_via_serde::<PipelineResult>(r)?;
-            cache.insert(k, CacheEntry { gen, key, res });
+            let Some(list) = cache.get_mut(flow) else {
+                return Err(SnapError::new(
+                    format!("cache entry for flow {flow} of {}", self.flows.len()),
+                    r.position(),
+                ));
+            };
+            if list
+                .iter()
+                .any(|e| (e.node, e.in_port, e.is_ack) == (node, in_port, is_ack))
+            {
+                return Err(SnapError::new(
+                    format!("duplicate cache entry for flow {flow} at {node}"),
+                    r.position(),
+                ));
+            }
+            list.push(CacheEntry {
+                node,
+                in_port,
+                is_ack,
+                gen,
+                key,
+                res,
+            });
         }
         self.cache = cache;
         self.bursts_formed = u64::unsnap(r)?;
@@ -609,6 +666,43 @@ impl PacketPlane {
         Ok(())
     }
 
+    /// Checks that a restored packet refers to a registered flow and
+    /// models at least one packet (an ACK burst's final value covers its
+    /// `count` cumulative values).
+    fn check_pkt(&self, pkt: &Pkt) -> Result<(), String> {
+        if pkt.flow >= self.flows.len() {
+            return Err(format!(
+                "packet of flow {} of {}",
+                pkt.flow,
+                self.flows.len()
+            ));
+        }
+        if pkt.count == 0 || (pkt.is_ack && pkt.seq < pkt.count as u64 - 1) {
+            return Err(format!(
+                "packet burst of {} ending at {}",
+                pkt.count, pkt.seq
+            ));
+        }
+        Ok(())
+    }
+
+    /// Checks that an event restored from a snapshot can be handled by
+    /// this plane: every flow index it carries is registered and its
+    /// packet, if any, is well formed. Drivers call this on each pending
+    /// [`PktEvent`] after [`PacketPlane::restore_state`].
+    pub fn check_event(&self, ev: &PktEvent) -> Result<(), String> {
+        match ev {
+            PktEvent::Start(flow) | PktEvent::CbrSend(flow) | PktEvent::Rto { flow, .. } => {
+                if *flow >= self.flows.len() {
+                    return Err(format!("event for flow {flow} of {}", self.flows.len()));
+                }
+                Ok(())
+            }
+            PktEvent::Arrive { pkt, .. } => self.check_pkt(pkt),
+            PktEvent::TxDone { .. } => Ok(()),
+        }
+    }
+
     /// Processes one event against the shared topology/switch pipeline.
     /// Everything the driver must act on lands in `out` (which is NOT
     /// cleared here — drivers drain or clear it between calls).
@@ -617,7 +711,7 @@ impl PacketPlane {
         now: SimTime,
         ev: PktEvent,
         topo: &Topology,
-        switches: &mut HashMap<NodeId, OpenFlowSwitch>,
+        switches: &mut Switches,
         drain: &DrainFn<'_>,
         out: &mut PktOut,
     ) {
@@ -679,21 +773,15 @@ impl PacketPlane {
                 }
             }
             PktEvent::TxDone { node, port } => {
+                let Some(link) = topo.link_from(node, port) else {
+                    return;
+                };
                 // current packet leaves the serializer onto the wire
-                if let Some(pq) = self.queues.get_mut(&(node, port)) {
-                    pq.busy = false;
-                }
-                self.start_tx_if_idle(node, port, now, topo, drain, out);
+                self.queues[link.index()].busy = false;
+                self.start_tx_if_idle(link, now, topo, drain, out);
                 // still idle after the restart attempt ⇒ the port drained
-                if !self
-                    .queues
-                    .get(&(node, port))
-                    .map(|q| q.busy)
-                    .unwrap_or(false)
-                {
-                    if let Some(link) = topo.link_from(node, port) {
-                        out.transitions.push((link, false));
-                    }
+                if !self.queues[link.index()].busy {
+                    out.transitions.push((link, false));
                 }
             }
             PktEvent::Rto {
@@ -956,27 +1044,32 @@ impl PacketPlane {
         pkt: Pkt,
         now: SimTime,
         topo: &Topology,
-        switches: &mut HashMap<NodeId, OpenFlowSwitch>,
+        switches: &mut Switches,
         drain: &DrainFn<'_>,
         out: &mut PktOut,
     ) {
-        let Some(sw) = switches.get_mut(&node) else {
+        let Some(sw) = switches.get_mut(node) else {
             return;
         };
         let count = pkt.count;
         let gen = sw.generation();
         let use_cache = self.config.decision_cache;
-        let ck = (node, in_port, pkt.flow, pkt.is_ack);
-        let cached_valid = use_cache
-            && self
-                .cache
-                .get(&ck)
-                .is_some_and(|e| e.gen == gen && e.key == pkt.key);
+        let slot = if use_cache {
+            self.cache[pkt.flow]
+                .iter()
+                .position(|e| e.node == node && e.in_port == in_port && e.is_ack == pkt.is_ack)
+        } else {
+            None
+        };
+        let hit = slot.filter(|&k| {
+            let e = &self.cache[pkt.flow][k];
+            e.gen == gen && e.key == pkt.key
+        });
         if use_cache {
-            if cached_valid {
+            if hit.is_some() {
                 self.cache_hits += 1;
             } else {
-                if self.cache.contains_key(&ck) {
+                if slot.is_some() {
                     self.cache_invalidations += 1;
                 }
                 self.cache_misses += 1;
@@ -991,10 +1084,10 @@ impl PacketPlane {
         let mut ports = std::mem::take(&mut self.scratch_ports);
         ports.clear();
         // verdict kind: 0 = forward, 1 = to-controller, 2 = drop
-        let (vk, key_out, pass) = if cached_valid {
+        let (vk, key_out, pass) = if let Some(k) = hit {
             // The entry's generation matches, so the trail's table
             // positions are exact: both credits below are search-free.
-            let res = &mut self.cache.get_mut(&ck).expect("checked above").res;
+            let res = &mut self.cache[pkt.flow][k].res;
             sw.commit_matched_n(&mut res.matched, count as u64, now);
             let pass = Self::consume_meters(sw, &res.meters, pkt.size, count, now);
             if pass > 0 {
@@ -1040,14 +1133,19 @@ impl PacketPlane {
             };
             let key_out = res.key_out;
             if use_cache {
-                self.cache.insert(
-                    ck,
-                    CacheEntry {
-                        gen,
-                        key: pkt.key,
-                        res,
-                    },
-                );
+                let entry = CacheEntry {
+                    node,
+                    in_port,
+                    is_ack: pkt.is_ack,
+                    gen,
+                    key: pkt.key,
+                    res,
+                };
+                let list = &mut self.cache[pkt.flow];
+                match slot {
+                    Some(k) => list[k] = entry,
+                    None => list.push(entry),
+                }
             }
             (vk, key_out, pass)
         };
@@ -1074,7 +1172,7 @@ impl PacketPlane {
                     // head packet's miss; followers ride along)
                     self.drop_pkt_n(&pkt, pass);
                     let msg = switches
-                        .get(&node)
+                        .get(node)
                         .expect("switch exists")
                         .flow_in(in_port, &pkt.key);
                     out.flow_ins.push(msg);
@@ -1151,10 +1249,7 @@ impl PacketPlane {
         // still holds enter the queue, the rest drop — the same outcome
         // `count` individual arrivals would produce.
         let fit = {
-            let pq = self
-                .queues
-                .entry((node, port))
-                .or_insert_with(PortQueue::new);
+            let pq = &self.queues[link_id.index()];
             (buffer.saturating_sub(pq.queued_bytes) / pkt.size.max(1) as u64).min(pkt.count as u64)
                 as u32
         };
@@ -1171,40 +1266,30 @@ impl PacketPlane {
             }
             pkt.count = fit;
         }
-        let pq = self.queues.get_mut(&(node, port)).expect("inserted above");
+        let pq = &mut self.queues[link_id.index()];
         pq.queued_bytes += pkt.size as u64 * pkt.count as u64;
         pq.queue.push_back(pkt);
         let was_busy = pq.busy;
-        self.start_tx_if_idle(node, port, now, topo, drain, out);
-        if !was_busy
-            && self
-                .queues
-                .get(&(node, port))
-                .map(|q| q.busy)
-                .unwrap_or(false)
-        {
+        self.start_tx_if_idle(link_id, now, topo, drain, out);
+        if !was_busy && self.queues[link_id.index()].busy {
             out.transitions.push((link_id, true));
         }
     }
 
-    /// Starts serializing the head-of-line packet if the port is idle.
+    /// Starts serializing the head-of-line packet if `link_id`'s port is
+    /// idle.
     fn start_tx_if_idle(
         &mut self,
-        node: NodeId,
-        port: PortNo,
+        link_id: LinkId,
         now: SimTime,
         topo: &Topology,
         drain: &DrainFn<'_>,
         out: &mut PktOut,
     ) {
-        let Some(link_id) = topo.link_from(node, port) else {
-            return;
-        };
         let link = topo.link(link_id).expect("link exists");
+        let (node, port) = (link.src, link.src_port);
         let (dst, dst_port, prop) = (link.dst, link.dst_port, link.delay);
-        let Some(pq) = self.queues.get_mut(&(node, port)) else {
-            return;
-        };
+        let pq = &mut self.queues[link_id.index()];
         if pq.busy {
             return;
         }
@@ -1298,7 +1383,7 @@ enum Ev {
 /// The standalone packet-level network simulator (see module docs).
 pub struct PacketNet {
     topo: Topology,
-    switches: HashMap<NodeId, OpenFlowSwitch>,
+    switches: Switches,
     plane: PacketPlane,
     config: PacketSimConfig,
 }
@@ -1306,13 +1391,10 @@ pub struct PacketNet {
 impl PacketNet {
     /// Builds the packet plane over a topology.
     pub fn new(topo: Topology, config: PacketSimConfig) -> Self {
-        let mut switches = HashMap::new();
-        for (id, node) in topo.nodes() {
-            if node.kind.is_switch() {
-                let ports: Vec<_> = topo.ports(id).collect();
-                switches.insert(id, OpenFlowSwitch::new(id, 2, &ports));
-            }
-        }
+        let switches = topo
+            .switches()
+            .map(|id| OpenFlowSwitch::new(id, 2, &topo.ports(id).collect::<Vec<_>>()))
+            .collect();
         let nl = topo.link_count();
         PacketNet {
             plane: PacketPlane::new(nl, config),
@@ -1342,7 +1424,7 @@ impl PacketNet {
             controller.on_start(&ctx, &mut out);
         }
         for (sw, msg) in out.msgs.drain(..) {
-            if let Some(s) = self.switches.get_mut(&sw) {
+            if let Some(s) = self.switches.get_mut(sw) {
                 let _ = s.apply(&msg, SimTime::ZERO);
             }
         }
@@ -1402,7 +1484,7 @@ impl PacketNet {
                     // timers unsupported in the packet baseline (documented)
                 }
                 Ev::ToSwitch { switch, msg } => {
-                    if let Some(sw) = self.switches.get_mut(&switch) {
+                    if let Some(sw) = self.switches.get_mut(switch) {
                         for reply in sw.apply(&msg, now) {
                             q.schedule_at(
                                 now + self.config.ctrl_latency,
@@ -1647,13 +1729,11 @@ mod tests {
             &f.topology,
         )
         .unwrap();
-        let mut switches: HashMap<NodeId, OpenFlowSwitch> = HashMap::new();
-        for (id, node) in f.topology.nodes() {
-            if node.kind.is_switch() {
-                let ports: Vec<_> = f.topology.ports(id).collect();
-                switches.insert(id, OpenFlowSwitch::new(id, 2, &ports));
-            }
-        }
+        let topo = &f.topology;
+        let mut switches: Switches = topo
+            .switches()
+            .map(|id| OpenFlowSwitch::new(id, 2, &topo.ports(id).collect::<Vec<_>>()))
+            .collect();
         let mut boot = Outbox::new();
         gen.on_start(
             &ControllerCtx {
@@ -1663,7 +1743,7 @@ mod tests {
             &mut boot,
         );
         for (sw, msg) in boot.msgs.drain(..) {
-            if let Some(s) = switches.get_mut(&sw) {
+            if let Some(s) = switches.get_mut(sw) {
                 let _ = s.apply(&msg, SimTime::ZERO);
             }
         }

@@ -19,15 +19,14 @@ use horse_controlplane::{
     Controller, ControllerCtx, Outbox, PolicyGenerator, PolicyRule, PolicySpec,
 };
 use horse_events::EventQueue;
-use horse_openflow::switch::OpenFlowSwitch;
+use horse_openflow::switch::{OpenFlowSwitch, Switches};
 use horse_packetsim::{
     PacketPlane, PacketSimConfig, PktEvent, PktFlowSpec, PktOut, SourceKind, TcpState,
 };
 use horse_topology::builders;
-use horse_types::{ByteSize, FlowKey, LinkId, NodeId, Rate, SimTime};
+use horse_types::{ByteSize, FlowKey, LinkId, Rate, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::HashMap;
 
 struct CountingAlloc;
 
@@ -69,19 +68,18 @@ fn allocs() -> u64 {
 /// Drives one flow through a 2-member star with proactive MAC forwarding
 /// until `horizon`, counting allocations strictly inside the
 /// `PacketPlane::handle` calls after the first `warmup` events. Returns
-/// `(allocs_in_handle, events_processed, flow_completed)`.
-fn drive(source: SourceKind, size: ByteSize, warmup: u64) -> (u64, u64, bool) {
+/// `(allocs_in_handle, events_processed, flow_completed,
+/// cache_hits_after_warmup)`.
+fn drive(source: SourceKind, size: ByteSize, warmup: u64) -> (u64, u64, bool, u64) {
     let f = builders::star(2, Rate::mbps(100.0));
     let topo = f.topology;
     let mut gen =
         PolicyGenerator::new(PolicySpec::new().with(PolicyRule::MacForwarding), &topo).unwrap();
-    let mut switches: HashMap<NodeId, OpenFlowSwitch> = HashMap::new();
-    for (id, node) in topo.nodes() {
-        if node.kind.is_switch() {
-            let ports: Vec<_> = topo.ports(id).collect();
-            switches.insert(id, OpenFlowSwitch::new(id, 2, &ports));
-        }
-    }
+    // The dense switch table both drivers use.
+    let mut switches: Switches = topo
+        .switches()
+        .map(|id| OpenFlowSwitch::new(id, 2, &topo.ports(id).collect::<Vec<_>>()))
+        .collect();
     // Proactive bootstrap, as the standalone driver does at t=0.
     let mut out = Outbox::new();
     gen.on_start(
@@ -92,7 +90,7 @@ fn drive(source: SourceKind, size: ByteSize, warmup: u64) -> (u64, u64, bool) {
         &mut out,
     );
     for (sw, msg) in out.msgs.drain(..) {
-        if let Some(s) = switches.get_mut(&sw) {
+        if let Some(s) = switches.get_mut(sw) {
             let _ = s.apply(&msg, SimTime::ZERO);
         }
     }
@@ -126,6 +124,7 @@ fn drive(source: SourceKind, size: ByteSize, warmup: u64) -> (u64, u64, bool) {
     pkt_out.finished.reserve(1);
     let mut events = 0u64;
     let mut in_handle = 0u64;
+    let mut warm_hits = 0u64;
     while let Some(t) = q.peek_time() {
         if t > horizon {
             break;
@@ -133,6 +132,7 @@ fn drive(source: SourceKind, size: ByteSize, warmup: u64) -> (u64, u64, bool) {
         let ev = q.pop().expect("peeked");
         events += 1;
         let drain = |l: LinkId| topo.link(l).map(|lk| lk.capacity.as_bps()).unwrap_or(0.0);
+        let hits = plane.cache_hits();
         let before = allocs();
         plane.handle(
             ev.time,
@@ -144,6 +144,7 @@ fn drive(source: SourceKind, size: ByteSize, warmup: u64) -> (u64, u64, bool) {
         );
         if events > warmup {
             in_handle += allocs() - before;
+            warm_hits += plane.cache_hits() - hits;
         }
         assert!(
             pkt_out.flow_ins.is_empty(),
@@ -155,7 +156,7 @@ fn drive(source: SourceKind, size: ByteSize, warmup: u64) -> (u64, u64, bool) {
         pkt_out.clear();
     }
     assert_eq!(plane.drops(), 0, "the loss-free premise must hold");
-    (in_handle, events, plane.is_finished(i))
+    (in_handle, events, plane.is_finished(i), warm_hits)
 }
 
 /// CBR steady state: pacing ticks, burst sends, store-and-forward hops
@@ -164,9 +165,10 @@ fn drive(source: SourceKind, size: ByteSize, warmup: u64) -> (u64, u64, bool) {
 fn cbr_steady_state_handle_is_allocation_free() {
     let src = || SourceKind::Cbr { rate_bps: 20e6 };
     // Pass 1 sizes the run; pass 2 measures its second half.
-    let (_, total, done) = drive(src(), ByteSize::bytes(1_500_000), u64::MAX);
+    let (_, total, done, _) = drive(src(), ByteSize::bytes(1_500_000), u64::MAX);
     assert!(done, "CBR flow must complete");
-    let (n, _, _) = drive(src(), ByteSize::bytes(1_500_000), total / 2);
+    let (n, _, _, hits) = drive(src(), ByteSize::bytes(1_500_000), total / 2);
+    assert!(hits > 0, "the measured half must replay cached decisions");
     assert_eq!(
         n, 0,
         "CBR steady-state handle allocated {n} times after warmup"
@@ -181,9 +183,10 @@ fn cbr_steady_state_handle_is_allocation_free() {
 fn tcp_steady_state_handle_is_allocation_free() {
     let src = || SourceKind::Tcp(TcpState::new());
     let size = ByteSize::bytes(192_000); // 128 segments: completes in slow start
-    let (_, total, done) = drive(src(), size, u64::MAX);
+    let (_, total, done, _) = drive(src(), size, u64::MAX);
     assert!(done, "TCP flow must complete");
-    let (n, _, _) = drive(src(), size, total / 2);
+    let (n, _, _, hits) = drive(src(), size, total / 2);
+    assert!(hits > 0, "the measured half must replay cached decisions");
     assert_eq!(
         n, 0,
         "TCP steady-state handle allocated {n} times after warmup"

@@ -11,6 +11,7 @@ use horse_types::{LinkId, MacAddr, NodeId, PortNo, Rate, SimDuration};
 use petgraph::graph::{DiGraph, NodeIndex};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::net::Ipv4Addr;
 
 /// Errors raised by topology construction and mutation.
@@ -65,8 +66,35 @@ pub struct Topology {
     by_ip: HashMap<Ipv4Addr, NodeId>,
     /// Next free port number per node (ports are allocated 1, 2, 3, …).
     next_port: Vec<u16>,
-    /// `(node, egress port) → directed link` map.
-    out_by_port: HashMap<(NodeId, PortNo), LinkId>,
+    /// `(node, egress port) → directed link`, keyed by [`port_key`].
+    port_links: HashMap<u64, LinkId, BuildHasherDefault<PortKeyHasher>>,
+}
+
+/// A `(node, port)` pair packed into one word: the key of
+/// [`Topology::link_from`]'s map.
+fn port_key(node: NodeId, port: PortNo) -> u64 {
+    (u64::from(node.0) << 16) | u64::from(port.0)
+}
+
+/// A multiplicative hash for [`port_key`]s: one multiply and a fold of
+/// the high half into the low bits the table indexes by, instead of
+/// SipHash over a tuple on every packet's egress lookup.
+#[derive(Default)]
+struct PortKeyHasher(u64);
+
+impl Hasher for PortKeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("port keys hash through write_u64");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl Default for Topology {
@@ -86,7 +114,7 @@ impl Topology {
             by_mac: HashMap::new(),
             by_ip: HashMap::new(),
             next_port: Vec::new(),
-            out_by_port: HashMap::new(),
+            port_links: HashMap::default(),
         }
     }
 
@@ -192,7 +220,8 @@ impl Topology {
 
     fn push_link(&mut self, link: Link) -> LinkId {
         let id = LinkId::from_index(self.links.len());
-        self.out_by_port.insert((link.src, link.src_port), id);
+        self.port_links
+            .insert(port_key(link.src, link.src_port), id);
         let eidx = self.graph.add_edge(
             NodeIndex::new(link.src.index()),
             NodeIndex::new(link.dst.index()),
@@ -270,7 +299,7 @@ impl Topology {
 
     /// The directed link leaving `node` through `port`, if any.
     pub fn link_from(&self, node: NodeId, port: PortNo) -> Option<LinkId> {
-        self.out_by_port.get(&(node, port)).copied()
+        self.port_links.get(&port_key(node, port)).copied()
     }
 
     /// All directed links leaving `node` (its egress adjacency).
@@ -333,13 +362,10 @@ impl Topology {
     /// The reverse direction of a directed link (same cable).
     pub fn reverse_of(&self, id: LinkId) -> Option<LinkId> {
         let l = self.links.get(id.index())?;
-        self.out_by_port
-            .get(&(l.dst, l.dst_port))
-            .copied()
-            .filter(|r| {
-                let rl = &self.links[r.index()];
-                rl.dst == l.src && rl.dst_port == l.src_port
-            })
+        self.link_from(l.dst, l.dst_port).filter(|r| {
+            let rl = &self.links[r.index()];
+            rl.dst == l.src && rl.dst_port == l.src_port
+        })
     }
 
     /// The petgraph view (for algorithms). Edge weights are [`LinkId`]s.

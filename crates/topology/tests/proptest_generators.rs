@@ -5,7 +5,8 @@
 
 use horse_topology::generators::{generate, GeneratorParams, TopologyKind};
 use horse_topology::routing::{shortest_path, Metric};
-use horse_topology::{Topology, TopologySpec};
+use horse_topology::{builders, Topology, TopologySpec};
+use horse_types::{LinkId, NodeId, PortNo, Rate};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -62,6 +63,35 @@ fn assert_symmetric_cables(t: &Topology) {
     }
 }
 
+/// `link_from` and `reverse_of` agree with a brute-force scan of
+/// `links()`, and unknown nodes or ports resolve to `None`.
+fn assert_port_lookups_match_scan(t: &Topology) {
+    for (id, _) in t.nodes() {
+        let ports = t.port_count(id) as u16;
+        for p in 0..=ports + 1 {
+            let port = PortNo(p);
+            let scan = t
+                .links()
+                .find(|(_, l)| l.src == id && l.src_port == port)
+                .map(|(lid, _)| lid);
+            assert_eq!(t.link_from(id, port), scan, "link_from({id}, {port:?})");
+        }
+        assert_eq!(t.link_from(id, PortNo(u16::MAX)), None);
+    }
+    let unknown = NodeId::from_index(t.node_count());
+    assert_eq!(t.link_from(unknown, PortNo(1)), None, "unknown node");
+    for (id, l) in t.links() {
+        let scan = t
+            .links()
+            .find(|(_, r)| {
+                (r.src, r.src_port, r.dst, r.dst_port) == (l.dst, l.dst_port, l.src, l.src_port)
+            })
+            .map(|(rid, _)| rid);
+        assert_eq!(t.reverse_of(id), scan, "reverse_of({id})");
+    }
+    assert_eq!(t.reverse_of(LinkId::from_index(t.link_count())), None);
+}
+
 fn assert_unique_identity(t: &Topology) {
     let mut names = HashSet::new();
     let mut macs = HashSet::new();
@@ -95,6 +125,7 @@ proptest! {
 
         assert_connected(t);
         assert_symmetric_cables(t);
+        assert_port_lookups_match_scan(t);
         assert_unique_identity(t);
 
         // handles are consistent with the graph
@@ -129,6 +160,7 @@ fn shipped_wan_graphs_uphold_invariants() {
         let fabric = generate(&params).unwrap_or_else(|e| panic!("{file}: {e}"));
         assert_connected(&fabric.topology);
         assert_symmetric_cables(&fabric.topology);
+        assert_port_lookups_match_scan(&fabric.topology);
         assert_unique_identity(&fabric.topology);
         assert!(!fabric.members.is_empty(), "{file}: no hosts attached");
         // reproducible load + build
@@ -137,4 +169,25 @@ fn shipped_wan_graphs_uphold_invariants() {
         let b = serde_json::to_string(&TopologySpec::from_topology(&again.topology)).unwrap();
         assert_eq!(a, b, "{file}: WAN build must be reproducible");
     }
+}
+
+#[test]
+fn builder_fabrics_resolve_ports_like_a_scan() {
+    let ixp = builders::ixp_fabric(&builders::IxpFabricParams::default());
+    for t in [
+        &ixp.topology,
+        &builders::figure1_fabric().topology,
+        &builders::star(5, Rate::gbps(1.0)).topology,
+        &builders::linear(4, Rate::gbps(1.0)).topology,
+        &Topology::new(),
+    ] {
+        assert_port_lookups_match_scan(t);
+    }
+    // A lookup between two `connect`s sees the links added so far.
+    let mut t = builders::star(2, Rate::gbps(1.0)).topology;
+    assert_port_lookups_match_scan(&t);
+    let (a, b) = (NodeId::from_index(0), NodeId::from_index(1));
+    t.connect(a, b, Rate::gbps(1.0), Default::default())
+        .unwrap();
+    assert_port_lookups_match_scan(&t);
 }

@@ -23,7 +23,7 @@
 //! so the losslessness guarantee holds there too). Runtime-only types
 //! implement the trait by hand, usually via [`impl_snap_struct!`](crate::impl_snap_struct).
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::hash::Hash;
 use std::net::Ipv4Addr;
@@ -427,6 +427,28 @@ impl<T: Snap + Ord + Hash + Clone> Snap for HashSet<T> {
         let mut out = HashSet::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
             out.insert(T::unsnap(r)?);
+        }
+        Ok(out)
+    }
+}
+
+/// Ordered maps are already canonical — encode in iteration order, the
+/// same bytes a `HashMap` with the same entries writes.
+impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.len_prefix(self.len());
+        for (k, v) in self {
+            k.snap(w);
+            v.snap(w);
+        }
+    }
+    fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
+        let n = r.len_prefix()?;
+        let mut out = BTreeMap::new();
+        for _ in 0..n {
+            let k = K::unsnap(r)?;
+            let v = V::unsnap(r)?;
+            out.insert(k, v);
         }
         Ok(out)
     }
@@ -839,7 +861,14 @@ mod tests {
         let (mut wa, mut wb) = (SnapWriter::new(), SnapWriter::new());
         a.snap(&mut wa);
         b.snap(&mut wb);
-        assert_eq!(wa.into_bytes(), wb.into_bytes());
+        let bytes = wa.into_bytes();
+        assert_eq!(bytes, wb.into_bytes());
+        // An ordered map with the same entries writes the same bytes.
+        let c: BTreeMap<u32, u64> = a.into_iter().collect();
+        let mut wc = SnapWriter::new();
+        c.snap(&mut wc);
+        assert_eq!(bytes, wc.into_bytes());
+        round_trip(c);
     }
 
     #[test]

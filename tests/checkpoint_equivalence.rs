@@ -611,13 +611,13 @@ fn malformed_snapshots_fail_loudly() {
         Simulation::resume(&versioned),
         Err(ResumeError::BadVersion(99))
     ));
-    // So is the previous format: version 4 carried the fluid plane's
-    // solve cache and a config field this build no longer has.
-    assert_eq!(horse::sim::SNAPSHOT_VERSION, 5);
-    versioned[17] = 4;
+    // So is the previous format: version 5 keyed the packet plane's
+    // port queues by `(node, port)` instead of one per directed link.
+    assert_eq!(horse::sim::SNAPSHOT_VERSION, 6);
+    versioned[17] = 5;
     assert!(matches!(
         Simulation::resume(&versioned),
-        Err(ResumeError::BadVersion(4))
+        Err(ResumeError::BadVersion(5))
     ));
 }
 
@@ -667,4 +667,97 @@ fn mid_wave_snapshot_resumes_with_cancellations_on_both_sides() {
     let (got, got_journal) = resumed(wave_scenario(), SimConfig::default(), t_snap, None);
     assert_eq!(got, want);
     assert_eq!(got_journal, want_journal);
+}
+
+/// The hybrid fabric of the packet-burst tests: Figure 1 under ECMP, 18
+/// gravity-workload flows of which the first 5 run at packet fidelity.
+fn hybrid_fabric_scenario() -> Scenario {
+    let f = builders::figure1_fabric();
+    let mut s = Scenario::bare(f.topology, SimTime::from_secs(20));
+    s.members = f.members;
+    s.policy = PolicySpec::new().with(PolicyRule::LoadBalancing { mode: LbMode::Ecmp });
+    let weights = TrafficMatrix::zipf_weights(s.members.len(), 0.8);
+    s.workload = Some(WorkloadParams {
+        matrix: TrafficMatrix::gravity(&weights, 4e9),
+        sizes: FlowSizeDist::Pareto {
+            alpha: 1.3,
+            min_bytes: 1_000_000,
+            max_bytes: 20_000_000,
+        },
+        apps: AppMix::default_ixp(),
+        diurnal: None,
+        udp_rate: horse::types::Rate::mbps(4.0),
+        seed: 7,
+    });
+    horse::compare::materialize_workload(&mut s, 18);
+    for (_, spec) in s.explicit_flows.iter_mut().take(5) {
+        spec.fidelity = Fidelity::Packet;
+    }
+    s
+}
+
+/// A checkpoint of [`hybrid_fabric_scenario`] at 300 ms: packets queued
+/// and in flight, retransmission timers pending, cached decisions.
+fn hybrid_snapshot() -> (Vec<u8>, SimTime) {
+    let t_snap = SimTime::from_millis(300);
+    let mut sim = Simulation::new(hybrid_fabric_scenario(), SimConfig::default()).unwrap();
+    sim.run_until(t_snap);
+    (sim.checkpoint(), t_snap)
+}
+
+/// Resumes `bytes` and, if that succeeds, runs the simulation until
+/// `until`. `Err` carries a panic; an `Ok(Err(_))` is a refusal.
+fn resume_and_step(bytes: &[u8], until: SimTime) -> std::thread::Result<Result<(), ResumeError>> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        Simulation::resume(bytes).map(|mut sim| sim.run_until(until))
+    }))
+}
+
+#[test]
+fn bit_flipped_hybrid_snapshots_never_panic() {
+    // One flipped bit every 17 bytes (cycling through the bit positions):
+    // each mutant must be refused or resume into 50 ms of simulation
+    // without panicking. The whole sweep (every byte, three bits each)
+    // was run once off-line; this stride keeps the debug-build cost
+    // bounded.
+    let (good, t_snap) = hybrid_snapshot();
+    let until = t_snap + SimDuration::from_millis(50);
+    let mut panics = Vec::new();
+    for (k, at) in (0..good.len()).step_by(17).enumerate() {
+        let mut bad = good.clone();
+        bad[at] ^= 1 << (k % 8);
+        if resume_and_step(&bad, until).is_err() {
+            panics.push((at, k % 8));
+        }
+    }
+    assert!(
+        panics.is_empty(),
+        "mutants (byte, bit) panicked: {panics:?}"
+    );
+}
+
+#[test]
+fn out_of_range_packet_timer_is_refused() {
+    // A pending retransmission timer for a packet flow that does not
+    // exist must be refused at resume, not resumed into a panic when the
+    // timer fires.
+    let (good, t_snap) = hybrid_snapshot();
+    let pattern = |flow: u64| {
+        let mut p = vec![16u8, 4]; // SimEvent::Pkt, PktEvent::Rto
+        p.extend_from_slice(&flow.to_le_bytes());
+        p
+    };
+    let at = (0..5)
+        .find_map(|flow| good.windows(10).position(|w| w == pattern(flow).as_slice()))
+        .expect("a packet flow has a retransmission timer armed at the cut");
+    let mut bad = good.clone();
+    bad[at + 2..at + 10].copy_from_slice(&99u64.to_le_bytes());
+    match resume_and_step(&bad, t_snap + SimDuration::from_secs(2)) {
+        Ok(Err(ResumeError::Corrupt(e))) => {
+            assert!(e.to_string().contains("flow 99"), "{e}")
+        }
+        Ok(Err(other)) => panic!("expected Corrupt, got {other:?}"),
+        Ok(Ok(())) => panic!("a timer for flow 99 of 5 resumed and ran"),
+        Err(_) => panic!("a timer for flow 99 of 5 panicked"),
+    }
 }

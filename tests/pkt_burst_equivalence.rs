@@ -16,6 +16,11 @@
 //! * **Burst state is thread-invariant.** `engine_threads` parallelizes
 //!   the fluid solve only; hybrid runs with bursts on are bit-identical
 //!   at any thread count.
+//! * **The decision cache is invisible at the default cap too**, and two
+//!   hybrid runs (ECMP, and `mac_learning` with its floods and packet
+//!   `FlowIn`s) are pinned to recorded goldens, cache and coupling
+//!   counters included, so a change to the packet plane's storage cannot
+//!   move a packet.
 
 use horse::compare::materialize_workload;
 use horse::prelude::*;
@@ -24,10 +29,29 @@ use horse::prelude::*;
 /// fabric with `n` arrivals materialized and the first `foreground` at
 /// packet fidelity.
 fn hybrid_scenario(seed: u64, n: usize, foreground: usize, horizon_s: u64) -> Scenario {
-    let f = builders::figure1_fabric();
+    let ecmp = PolicySpec::new().with(PolicyRule::LoadBalancing { mode: LbMode::Ecmp });
+    hybrid_scenario_on(
+        builders::figure1_fabric(),
+        ecmp,
+        seed,
+        n,
+        foreground,
+        horizon_s,
+    )
+}
+
+/// [`hybrid_scenario`] on another fabric under another policy.
+fn hybrid_scenario_on(
+    f: builders::FabricHandles,
+    policy: PolicySpec,
+    seed: u64,
+    n: usize,
+    foreground: usize,
+    horizon_s: u64,
+) -> Scenario {
     let mut s = Scenario::bare(f.topology, SimTime::from_secs(horizon_s));
     s.members = f.members;
-    s.policy = PolicySpec::new().with(PolicyRule::LoadBalancing { mode: LbMode::Ecmp });
+    s.policy = policy;
     let weights = TrafficMatrix::zipf_weights(s.members.len(), 0.8);
     // ≥1 MB flows (the hybrid_accuracy sizing): the sub-1% FCT claim is
     // for serializer-bound foreground flows, whose steady state the burst
@@ -71,26 +95,45 @@ struct Fingerprint {
 }
 
 fn run_fingerprint(scenario: Scenario, config: SimConfig, horizon: SimTime) -> Fingerprint {
+    run_golden(scenario, config, horizon).fp
+}
+
+/// A hybrid run's fingerprint plus the counters the goldens pin beside
+/// it: decision-cache `[hits, misses, invalidations]` and coupling
+/// `[pkt_events, couplings, couple_passes]`.
+#[derive(PartialEq, Debug)]
+struct Golden {
+    fp: Fingerprint,
+    cache: [u64; 3],
+    coupling: [u64; 3],
+}
+
+fn run_golden(scenario: Scenario, config: SimConfig, horizon: SimTime) -> Golden {
     let mut sim = Simulation::new(scenario, config).expect("valid scenario");
     let r = sim.run();
-    let hybrid = sim.hybrid().expect("packet flows attach the hybrid half");
-    Fingerprint {
-        events: r.events,
-        flows_admitted: r.flows_admitted,
-        flows_completed: r.flows_completed,
-        flows_dropped: r.flows_dropped,
-        bytes_delivered: r.bytes_delivered.to_bits(),
-        fct_p50: r.fct.p50.to_bits(),
-        fct_foreground_mean: r.fct_foreground.mean.to_bits(),
-        pkt_flows: r.pkt_flows,
-        drops: hybrid.plane().drops(),
-        tx_packets: hybrid.plane().tx_packets(),
-        bursts_formed: hybrid.plane().bursts_formed(),
-        pkt_records: hybrid
-            .pkt_records(horizon)
-            .iter()
-            .map(|rec| (rec.completed, rec.bytes_delivered, rec.finished.as_nanos()))
-            .collect(),
+    let h = sim.hybrid().expect("packet flows attach the hybrid half");
+    let p = h.plane();
+    Golden {
+        fp: Fingerprint {
+            events: r.events,
+            flows_admitted: r.flows_admitted,
+            flows_completed: r.flows_completed,
+            flows_dropped: r.flows_dropped,
+            bytes_delivered: r.bytes_delivered.to_bits(),
+            fct_p50: r.fct.p50.to_bits(),
+            fct_foreground_mean: r.fct_foreground.mean.to_bits(),
+            pkt_flows: r.pkt_flows,
+            drops: p.drops(),
+            tx_packets: p.tx_packets(),
+            bursts_formed: p.bursts_formed(),
+            pkt_records: h
+                .pkt_records(horizon)
+                .iter()
+                .map(|rec| (rec.completed, rec.bytes_delivered, rec.finished.as_nanos()))
+                .collect(),
+        },
+        cache: [p.cache_hits(), p.cache_misses(), p.cache_invalidations()],
+        coupling: [h.pkt_events, h.couplings, h.couple_passes],
     }
 }
 
@@ -178,14 +221,7 @@ fn burst_cap_one_is_bit_identical_per_packet_plane() {
         let scenario = || {
             let mut s = hybrid_scenario(7, 18, 5, 20);
             if with_chaos {
-                s.chaos = Some(ChaosSpec {
-                    seed: 5,
-                    start_secs: 0.2,
-                    link_flaps: 2,
-                    flap_rate_per_sec: 1.0,
-                    flap_downtime_secs: 0.3,
-                    ..Default::default()
-                });
+                s.chaos = Some(flap_chaos());
             }
             s
         };
@@ -205,6 +241,125 @@ fn burst_cap_one_is_bit_identical_per_packet_plane() {
             "cap-1 + cache must equal the per-packet plane (chaos {with_chaos})"
         );
     }
+}
+
+/// The chaos spec of the cap-1 test: two cable flaps with real packet
+/// loss, bumping switch generations while foreground flows are live.
+fn flap_chaos() -> ChaosSpec {
+    ChaosSpec {
+        seed: 5,
+        start_secs: 0.2,
+        link_flaps: 2,
+        flap_rate_per_sec: 1.0,
+        flap_downtime_secs: 0.3,
+        ..Default::default()
+    }
+}
+
+#[test]
+fn default_burst_decision_cache_is_bit_identical() {
+    // The cap-1 test above pins the cache against the per-packet walk;
+    // this pins it at the default cap, where a cached verdict replays a
+    // whole burst's counters, meter tokens and byte credits at once.
+    let horizon = SimTime::from_secs(20);
+    for with_chaos in [false, true] {
+        let scenario = || {
+            let mut s = hybrid_scenario(7, 18, 5, 20);
+            if with_chaos {
+                s.chaos = Some(flap_chaos());
+            }
+            s
+        };
+        let uncached = SimConfig::default().with_pkt_decision_cache(false);
+        let want = run_fingerprint(scenario(), uncached, horizon);
+        assert!(want.bursts_formed > 0, "bursts must engage");
+        let got = run_fingerprint(scenario(), SimConfig::default(), horizon);
+        assert_eq!(
+            got, want,
+            "default burst + cache must equal the uncached plane (chaos {with_chaos})"
+        );
+    }
+}
+
+// Recorded outputs of two hybrid runs, every field bit-exact: how the
+// packet plane stores its queues, switches and cached decisions must
+// not move a single packet or counter.
+#[test]
+fn ecmp_hybrid_matches_recorded_golden() {
+    let got = run_golden(
+        hybrid_scenario(7, 18, 5, 20),
+        SimConfig::default(),
+        SimTime::from_secs(20),
+    );
+    assert_eq!(
+        got,
+        Golden {
+            fp: Fingerprint {
+                events: 19173,
+                flows_admitted: 18,
+                flows_completed: 18,
+                flows_dropped: 0,
+                bytes_delivered: 4720010898733295428,
+                fct_p50: 4565791948794664252,
+                fct_foreground_mean: 4590570685287981122,
+                pkt_flows: 5,
+                drops: 684,
+                tx_packets: 49216,
+                bursts_formed: 2656,
+                pkt_records: vec![
+                    (true, 1537500, 104470524),
+                    (true, 1363500, 102906265),
+                    (true, 1158000, 106095340),
+                    (true, 1084500, 96897132),
+                    (true, 3322500, 246246685),
+                ],
+            },
+            cache: [6348, 30, 0],
+            coupling: [19102, 1274, 11880],
+        }
+    );
+}
+
+#[test]
+fn mac_learning_hybrid_matches_recorded_golden() {
+    // Reactive forwarding: every foreground flow's first packets miss,
+    // flood and raise packet `FlowIn`s before the learned rules land. A
+    // star keeps the floods loop-free.
+    let star = builders::star(6, Rate::gbps(10.0));
+    let policy = PolicySpec::new().with(PolicyRule::MacLearning);
+    let got = run_golden(
+        hybrid_scenario_on(star, policy, 3, 18, 5, 20),
+        SimConfig::default(),
+        SimTime::from_secs(20),
+    );
+    assert!(got.cache[2] > 0, "learned rules invalidate cached floods");
+    assert_eq!(
+        got,
+        Golden {
+            fp: Fingerprint {
+                events: 5664,
+                flows_admitted: 18,
+                flows_completed: 17,
+                flows_dropped: 0,
+                bytes_delivered: 4720332791550574592,
+                fct_p50: 4568255034156205255,
+                fct_foreground_mean: 4583363978528587993,
+                pkt_flows: 5,
+                drops: 128,
+                tx_packets: 48354,
+                bursts_formed: 2452,
+                pkt_records: vec![
+                    (false, 4161000, 20000000000),
+                    (true, 2125500, 40904159),
+                    (true, 1186500, 27732790),
+                    (true, 1696500, 51353997),
+                    (true, 1993500, 53512060),
+                ],
+            },
+            cache: [630, 25, 16],
+            coupling: [5561, 798, 2160],
+        }
+    );
 }
 
 #[test]
