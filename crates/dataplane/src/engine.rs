@@ -55,7 +55,7 @@
 //! re-sorts the nearly-sorted slot sets it actually processes.
 //! `reallocate` builds its allocation problems (dense
 //! link capacities, demands, CSR flow→link adjacency) into scratch buffers
-//! owned by the engine and runs the bottleneck-heap allocator
+//! owned by the engine and runs the round-scan water-filler
 //! ([`crate::maxmin::max_min_allocate_csr`]) over them: in steady state
 //! the single-threaded path performs **zero heap allocations** (covered by
 //! the `alloc_free` integration test; per-worker scratch is pre-grown,
@@ -205,6 +205,7 @@ struct EngineMetrics {
     realloc_components: Counter,
     realloc_flows_touched: Counter,
     component_flows: Histogram,
+    rounds: Histogram,
     macro_flows: Counter,
 }
 
@@ -252,6 +253,7 @@ struct SolveTask<'a> {
     links: &'a [u32],
     caps: &'a [f64],
     out: &'a mut [f64],
+    rounds: &'a mut u32,
 }
 
 /// Reusable working memory for [`FluidNet::reallocate`] (and the other
@@ -462,6 +464,7 @@ impl FluidNet {
             realloc_components: registry.counter("alloc.components"),
             realloc_flows_touched: registry.counter("alloc.flows_touched"),
             component_flows: registry.histogram("alloc.component_flows"),
+            rounds: registry.histogram("alloc.rounds"),
             macro_flows: registry.counter("alloc.macro_flows"),
         };
     }
@@ -1361,7 +1364,7 @@ impl FluidNet {
                 let maxmin = &mut self.workers[0].maxmin;
                 for c in comps.iter() {
                     let (d0, d1) = (c.dem.0 as usize, c.dem.1 as usize);
-                    max_min_allocate_csr_weighted(
+                    let rounds = max_min_allocate_csr_weighted(
                         &demands[d0..d1],
                         &weights[d0..d1],
                         &fl_off[c.off.0 as usize..c.off.1 as usize],
@@ -1370,6 +1373,7 @@ impl FluidNet {
                         &mut rates[d0..d1],
                         maxmin,
                     );
+                    self.metrics.rounds.observe(rounds as u64);
                 }
             } else {
                 while self.workers.len() < par_threads {
@@ -1380,8 +1384,9 @@ impl FluidNet {
                 // shared stack (component sizes are skewed, so dynamic
                 // pull beats static striping).
                 let mut tasks: Vec<SolveTask> = Vec::with_capacity(ncomps);
+                let mut rounds = vec![0u32; ncomps];
                 let mut rest: &mut [f64] = rates.as_mut_slice();
-                for c in comps.iter() {
+                for (c, r) in comps.iter().zip(rounds.iter_mut()) {
                     let (out, tail) = rest.split_at_mut((c.dem.1 - c.dem.0) as usize);
                     rest = tail;
                     tasks.push(SolveTask {
@@ -1391,6 +1396,7 @@ impl FluidNet {
                         links: &fl_links[c.lnk.0 as usize..c.lnk.1 as usize],
                         caps: &caps[c.links.0 as usize..c.links.1 as usize],
                         out,
+                        rounds: r,
                     });
                 }
                 let queue = std::sync::Mutex::new(tasks);
@@ -1405,7 +1411,7 @@ impl FluidNet {
                             };
                             let Some(task) = task else { break };
                             let t_task = timing_enabled.then(Instant::now);
-                            max_min_allocate_csr_weighted(
+                            *task.rounds = max_min_allocate_csr_weighted(
                                 task.demands,
                                 task.weights,
                                 task.offsets,
@@ -1420,6 +1426,11 @@ impl FluidNet {
                         });
                     }
                 });
+                // Observed in component order once every worker is done,
+                // so the histogram cannot depend on scheduling.
+                for r in rounds {
+                    self.metrics.rounds.observe(r as u64);
+                }
             }
         }
         self.cold_solves += ncomps as u64;
@@ -2255,7 +2266,7 @@ mod tests {
         // Several disjoint host pairs (independent components) plus one
         // shared sink (a multi-flow component): solving with a worker
         // pool must reproduce the serial rates bit-for-bit, in the same
-        // emission order.
+        // emission order, and the same `alloc.rounds` histogram.
         let run = |threads: usize, mode: AllocMode| {
             let f = builders::star(8, Rate::gbps(1.0));
             let cfg = FluidConfig {
@@ -2264,6 +2275,8 @@ mod tests {
                 ..FluidConfig::default()
             };
             let mut net = FluidNet::new(f.topology, cfg);
+            let registry = MetricsRegistry::new();
+            net.attach_metrics(&registry);
             let s_hub = f.edges[0];
             let topo = net.topology().clone();
             for (_, l) in topo.out_links(s_hub) {
@@ -2313,13 +2326,25 @@ mod tests {
                 .iter()
                 .map(|c| (c.id, c.rate.as_bps().to_bits()))
                 .collect();
-            changes
+            let rounds = registry
+                .dump()
+                .hists
+                .into_iter()
+                .find(|(name, _)| name == "alloc.rounds")
+                .expect("rounds histogram registered")
+                .1;
+            (changes, rounds)
         };
         for mode in [AllocMode::Full, AllocMode::Incremental] {
-            let serial = run(1, mode);
-            let parallel = run(4, mode);
+            let (serial, serial_rounds) = run(1, mode);
+            let (parallel, parallel_rounds) = run(4, mode);
             assert_eq!(serial.len(), 5, "every flow gets a first rate");
             assert_eq!(serial, parallel, "thread count changed rates ({mode:?})");
+            assert!(serial_rounds.count >= 2, "one observation per component");
+            assert_eq!(
+                serial_rounds, parallel_rounds,
+                "thread count changed rounds"
+            );
         }
     }
 

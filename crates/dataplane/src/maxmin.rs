@@ -11,22 +11,41 @@
 //!
 //! ## Implementation
 //!
-//! The naive progressive filler rescans every link and every flow on every
-//! freezing round — O(rounds × (links + flows)) — which dominates the
-//! simulator's innermost loop at scale. [`max_min_allocate_csr`] instead
-//! keeps per-link `(avail, crossing)` state behind an indexed lazy min-heap
-//! keyed by the fill level at which each link saturates, so each round pops
-//! the next bottleneck in O(log links), and a demand-sorted cursor replaces
-//! the per-round flow scan.
+//! [`max_min_allocate_csr`] is the reference progressive filler restricted
+//! to what is still alive. It keeps a compacted list of *live* links (still
+//! crossed by an unfrozen variable) and a list of unfrozen variables with
+//! a finite demand (the only ones a demand can bound or freeze). Each
+//! freezing round then makes two passes over the live links:
 //!
-//! Because all unfrozen flows share the identical increment history, their
-//! rates equal a single scalar fill level bit-for-bit; and per-link
-//! available capacity is materialised lazily by replaying the round-delta
-//! log with the *same repeated-subtraction sequence* the naive filler
-//! performs. The heap allocator is therefore **bit-identical** to the
-//! reference implementation (kept under `#[cfg(test)]` as an oracle and
-//! enforced by an exhaustive property test), which is what keeps the lab's
-//! deterministic reports byte-stable across the rewrite.
+//! 1. The increment δ is the least of the live links' `avail / crossing`
+//!    and the listed variables' `demand − fill`. Every live link pays δ
+//!    once per crossing member, and the links left at `avail <= EPS` are
+//!    collected. Demand-limited variables freeze, then every unfrozen
+//!    variable on a collected link.
+//! 2. Dead links drop out of the live list while the pass computes the
+//!    next round's link bound.
+//!
+//! All unfrozen variables share one increment history, so their rate is a
+//! single scalar `fill`, bit-for-bit the reference's per-flow
+//! accumulation; every link performs the reference's exact
+//! repeated-subtraction sequence; and the freeze predicates are the
+//! reference's. The solver is therefore **bit-identical** to the naive
+//! filler (kept under `#[cfg(test)]` as an oracle and enforced by property
+//! tests), which is what keeps the lab's deterministic reports
+//! byte-stable.
+//!
+//! **Cost model.** Setup is O(adjacency edges); each round is
+//! O(live links + listed variables) plus the repeated subtractions
+//! (Σ crossing over live links), which any bit-exact design pays. So a
+//! solve costs O(rounds × live links) on top of that. Rounds are few on
+//! every scenario the repo ships: no solve in the benchmark workloads,
+//! the `examples/sweeps` campaigns or the million-flow bench runs more
+//! than 10 (the engine records each solve's count in the `alloc.rounds`
+//! histogram). The adversarial shape is n variables, each behind its own
+//! access link of distinct capacity, all sharing one trunk: it takes n
+//! rounds. There a min-heap of link saturation levels (O(log links) per
+//! freeze) overtakes the scan from about 64 rounds; at 1,000 rounds the
+//! scan is ≈4× slower per solve.
 //!
 //! Two engine modes:
 //!
@@ -40,8 +59,8 @@
 //! [`max_min_allocate_csr_weighted`] lets one allocation variable stand
 //! for `w` identical member flows (same link set, same demand): crossing
 //! degrees count the members, so every per-round float operation —
-//! including the repeated-subtraction replay — is the exact sequence the
-//! expanded, per-member problem performs. The solved rate of a weighted
+//! including the per-link repeated subtraction — is the exact sequence
+//! the expanded, per-member problem performs. The solved rate of a weighted
 //! variable is therefore the **per-member** rate, bit-identical to what
 //! each member would have received solved individually. This is the
 //! fluid-model scaling trick: a million flows sharing one path class cost
@@ -71,50 +90,27 @@ pub enum AllocMode {
 /// Tolerance: residuals below a millibit per second count as zero.
 const EPS: f64 = 1e-3;
 
-/// A lazily-validated heap entry: `key` is the fill level at which `link`
-/// is predicted to saturate; the entry is live iff `stamp` still matches
-/// the link's current stamp (stale entries are skipped on pop).
-#[derive(Clone, Copy, Debug)]
-struct HeapEntry {
-    key: f64,
-    link: u32,
-    stamp: u32,
-}
-
-impl HeapEntry {
-    /// Deterministic ordering: by key, ties broken by link index.
-    #[inline]
-    fn before(&self, other: &HeapEntry) -> bool {
-        self.key < other.key || (self.key == other.key && self.link < other.link)
-    }
-}
-
 /// Reusable working memory for [`max_min_allocate_csr`]. All buffers grow
 /// to the high-water problem size and are then reused: steady-state calls
 /// perform **zero heap allocations**.
 #[derive(Default)]
 pub struct MaxMinScratch {
-    /// Per link: available capacity, exact as of `mark[l]` applied rounds.
+    /// Per link: available capacity.
     avail: Vec<f64>,
-    /// Per link: number of unfrozen flows crossing it.
+    /// Per link: member count of the unfrozen variables crossing it.
     crossing: Vec<u32>,
-    /// Per link: how many rounds of the delta log are applied to `avail`.
-    mark: Vec<u32>,
-    /// Per link: stamp of the live heap entry (bumped to invalidate).
-    stamp: Vec<u32>,
-    /// Per flow: frozen at its final rate.
+    /// Per variable: frozen at its final rate.
     frozen: Vec<bool>,
-    /// Per round: the uniform increment applied that round.
-    deltas: Vec<f64>,
-    /// Lazy min-heap of predicted link saturation levels.
-    heap: Vec<HeapEntry>,
-    /// Flow indices sorted by (demand, index); `cursor` walks it.
-    order: Vec<u32>,
-    /// Reverse adjacency, CSR: link → flows crossing it.
+    /// Links still crossed by an unfrozen variable, ascending.
+    live: Vec<u32>,
+    /// Unfrozen variables with a finite demand: the only ones a demand
+    /// can bound or freeze.
+    capped: Vec<u32>,
+    /// Links that saturated in the current round.
+    saturated: Vec<u32>,
+    /// Reverse adjacency, CSR: link → variables crossing it.
     rev_off: Vec<u32>,
     rev_flows: Vec<u32>,
-    /// Candidates popped but not frozen this round, re-pushed afterwards.
-    pending: Vec<(u32, f64)>,
 }
 
 impl MaxMinScratch {
@@ -122,85 +118,11 @@ impl MaxMinScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    #[inline]
-    fn heap_push(&mut self, e: HeapEntry) {
-        self.heap.push(e);
-        let mut i = self.heap.len() - 1;
-        while i > 0 {
-            let p = (i - 1) / 2;
-            if self.heap[i].before(&self.heap[p]) {
-                self.heap.swap(i, p);
-                i = p;
-            } else {
-                break;
-            }
-        }
-    }
-
-    #[inline]
-    fn heap_pop(&mut self) -> Option<HeapEntry> {
-        let n = self.heap.len();
-        if n == 0 {
-            return None;
-        }
-        self.heap.swap(0, n - 1);
-        let top = self.heap.pop();
-        let n = self.heap.len();
-        let mut i = 0usize;
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut m = i;
-            if l < n && self.heap[l].before(&self.heap[m]) {
-                m = l;
-            }
-            if r < n && self.heap[r].before(&self.heap[m]) {
-                m = r;
-            }
-            if m == i {
-                break;
-            }
-            self.heap.swap(i, m);
-            i = m;
-        }
-        top
-    }
-
-    /// Replays the delta log onto `avail[l]` up to `upto` rounds, with the
-    /// exact repeated-subtraction sequence the reference filler performs
-    /// (`crossing[l]` is constant over the window by construction: any
-    /// crossing change forces a materialisation first).
-    #[inline]
-    fn materialize(&mut self, l: usize, upto: usize) {
-        let c = self.crossing[l];
-        let from = self.mark[l] as usize;
-        if from >= upto {
-            return;
-        }
-        let mut a = self.avail[l];
-        for &d in &self.deltas[from..upto] {
-            for _ in 0..c {
-                a -= d;
-            }
-        }
-        self.avail[l] = a;
-        self.mark[l] = upto as u32;
-    }
-}
-
-/// Width of the band around a candidate key within which entries must be
-/// materialised for exact comparison. Lazy keys drift from the true
-/// saturation level only by accumulated rounding (ulps per round), so a
-/// generous relative band is sound: too wide merely costs extra exact
-/// evaluations, never a wrong result.
-#[inline]
-fn guard(x: f64) -> f64 {
-    1e-6 * x.abs() + EPS
 }
 
 /// Solves max-min fairness with demands over a CSR flow→link adjacency,
 /// writing one rate per flow into `rates` (length `demands.len()`; every
-/// entry is overwritten).
+/// entry is overwritten). Returns the number of freezing rounds run.
 ///
 /// * `demands[f]` — upper bound on flow `f`'s rate (bps); use
 ///   `f64::INFINITY` for greedy flows.
@@ -221,24 +143,23 @@ pub fn max_min_allocate_csr(
     capacity: &[f64],
     rates: &mut [f64],
     s: &mut MaxMinScratch,
-) {
-    max_min_allocate_csr_weighted(demands, &[], offsets, links, capacity, rates, s);
+) -> u32 {
+    max_min_allocate_csr_weighted(demands, &[], offsets, links, capacity, rates, s)
 }
 
 /// Weighted (macro-flow) variant of [`max_min_allocate_csr`]: variable
 /// `f` stands for `weights[f]` identical member flows, and `rates[f]` is
 /// the **per-member** rate. An empty `weights` slice means all-ones (the
-/// unweighted problem, taking exactly the unweighted code path).
+/// unweighted problem, taking exactly the unweighted code path). Returns
+/// the number of freezing rounds run.
 ///
 /// The contract is exact, not approximate: expanding every variable into
 /// `weights[f]` copies and solving the expanded problem with
 /// [`max_min_allocate_csr`] yields `rates[f]` for each copy, **bit for
 /// bit**. This holds because equal-demand, equal-link-set members freeze
-/// in the same round at the same fill level, crossing degrees sum member
-/// counts, and the lazy materialisation replays the same
-/// repeated-subtraction sequence either way (intermediate heap entries
-/// the expanded run publishes between member freezes are superseded by
-/// stamp bumps before they are ever consulted).
+/// in the same round at the same fill level, and crossing degrees sum
+/// member counts, so every link performs the same repeated-subtraction
+/// sequence either way.
 pub fn max_min_allocate_csr_weighted(
     demands: &[f64],
     weights: &[u32],
@@ -247,7 +168,7 @@ pub fn max_min_allocate_csr_weighted(
     capacity: &[f64],
     rates: &mut [f64],
     s: &mut MaxMinScratch,
-) {
+) -> u32 {
     let nf = demands.len();
     let nl = capacity.len();
     assert_eq!(
@@ -262,7 +183,7 @@ pub fn max_min_allocate_csr_weighted(
     );
     rates.fill(0.0);
     if nf == 0 {
-        return;
+        return 0;
     }
     let flow_links = |f: usize| &links[offsets[f] as usize..offsets[f + 1] as usize];
     // Member count of variable `f` (1 everywhere in the unweighted case).
@@ -279,19 +200,15 @@ pub fn max_min_allocate_csr_weighted(
     s.avail.extend_from_slice(capacity);
     s.crossing.clear();
     s.crossing.resize(nl, 0);
-    s.mark.clear();
-    s.mark.resize(nl, 0);
-    s.stamp.clear();
-    s.stamp.resize(nl, 0);
     s.frozen.clear();
     s.frozen.resize(nf, false);
-    s.deltas.clear();
-    s.heap.clear();
-    s.order.clear();
-    s.pending.clear();
+    s.capped.clear();
+    s.rev_off.clear();
+    s.rev_off.resize(nl + 1, 0);
 
     // Zero-link flows are granted their demand and take no further part;
-    // everyone else counts toward its links' crossing degrees.
+    // everyone else counts toward its links' crossing degrees (members)
+    // and reverse-adjacency sizes (edges).
     let mut unfrozen = 0usize;
     for f in 0..nf {
         let fl = flow_links(f);
@@ -305,66 +222,46 @@ pub fn max_min_allocate_csr_weighted(
         } else {
             for &l in fl {
                 s.crossing[l as usize] += wt(f);
+                s.rev_off[l as usize] += 1;
             }
-            s.order.push(f as u32);
+            // `<` also leaves out NaN: like +∞, the reference's `min` and
+            // freeze predicate never act on it.
+            if demands[f] < f64::INFINITY {
+                s.capped.push(f as u32);
+            }
             unfrozen += 1;
         }
     }
     if unfrozen == 0 {
-        return;
+        return 0;
     }
 
-    // Reverse CSR (link → variables) by counting sort over per-variable
-    // degrees (one entry per adjacency edge — `crossing` sums *member*
-    // counts, which is not the edge count once weights enter).
-    s.rev_off.clear();
-    s.rev_off.resize(nl + 1, 0);
-    for f in 0..nf {
-        for &l in flow_links(f) {
-            s.rev_off[l as usize + 1] += 1;
-        }
-    }
+    // Reverse CSR by counting sort: the prefix sum turns each link's edge
+    // count into the end of its range, and filling every range backwards
+    // walks each end down to the range's start.
+    let mut end = 0u32;
     for l in 0..nl {
-        s.rev_off[l + 1] += s.rev_off[l];
+        end += s.rev_off[l];
+        s.rev_off[l] = end;
     }
+    s.rev_off[nl] = end;
     s.rev_flows.clear();
-    s.rev_flows.resize(s.rev_off[nl] as usize, 0);
-    {
-        // Temporarily reuse `mark` as the fill cursor (reset afterwards).
-        for l in 0..nl {
-            s.mark[l] = s.rev_off[l];
-        }
-        for f in 0..nf {
-            for &l in flow_links(f) {
-                let slot = s.mark[l as usize];
-                s.rev_flows[slot as usize] = f as u32;
-                s.mark[l as usize] = slot + 1;
-            }
-        }
-        for m in s.mark.iter_mut() {
-            *m = 0;
+    s.rev_flows.resize(end as usize, 0);
+    for f in (0..nf).rev() {
+        for &l in flow_links(f) {
+            let slot = &mut s.rev_off[l as usize];
+            *slot -= 1;
+            s.rev_flows[*slot as usize] = f as u32;
         }
     }
 
-    // Demand cursor: flows in (demand, index) order; infinite demands sort
-    // last and never demand-freeze.
-    s.order.sort_unstable_by(|&a, &b| {
-        match demands[a as usize].partial_cmp(&demands[b as usize]) {
-            Some(o) => o.then(a.cmp(&b)),
-            None => a.cmp(&b),
-        }
-    });
-    let mut cursor = 0usize;
-
-    // Seed the heap: predicted saturation level of every crossed link.
+    // The link-side bound on the next increment, over live links only.
+    s.live.clear();
+    let mut link_bound = f64::INFINITY;
     for l in 0..nl {
         if s.crossing[l] > 0 {
-            let key = s.avail[l] / s.crossing[l] as f64;
-            s.heap_push(HeapEntry {
-                key,
-                link: l as u32,
-                stamp: s.stamp[l],
-            });
+            s.live.push(l as u32);
+            link_bound = link_bound.min(s.avail[l] / s.crossing[l] as f64);
         }
     }
 
@@ -372,189 +269,95 @@ pub fn max_min_allocate_csr_weighted(
     // the identical `+= delta` sequence, so one scalar carries them all,
     // bit-for-bit equal to the reference's per-flow accumulation.
     let mut fill = 0.0f64;
+    let mut rounds = 0u32;
 
     while unfrozen > 0 {
-        let round = s.deltas.len();
-
-        // Demand-side increment bound: fl(d − fill) is monotone in d, so
-        // the cursor's head realises the minimum over all unfrozen flows.
-        while cursor < s.order.len() && s.frozen[s.order[cursor] as usize] {
-            cursor += 1;
-        }
-        let delta_flow = if cursor < s.order.len() {
-            demands[s.order[cursor] as usize] - fill
-        } else {
-            f64::INFINITY
-        };
-
-        // Link-side increment bound: pop heap candidates, materialising
-        // each for an exact `avail / crossing`, until the next key lies
-        // provably above the best exact candidate.
-        let mut best: Option<(f64, u32)> = None;
-        s.pending.clear();
-        while let Some(&top) = s.heap.first() {
-            if top.stamp != s.stamp[top.link as usize] {
-                s.heap_pop(); // superseded entry
-                continue;
+        // Variables frozen on a saturated link last round leave the demand
+        // list here: their demand must no longer bound the increment.
+        let mut delta = link_bound;
+        let frozen = &s.frozen;
+        s.capped.retain(|&f| {
+            let keep = !frozen[f as usize];
+            if keep {
+                delta = delta.min(demands[f as usize] - fill);
             }
-            if let Some((bd, _)) = best {
-                if top.key > fill + bd + guard(fill + bd) {
-                    break;
-                }
-            }
-            let e = s.heap_pop().expect("peeked entry exists");
-            let l = e.link as usize;
-            s.materialize(l, round);
-            let d = s.avail[l] / s.crossing[l] as f64;
-            match best {
-                None => best = Some((d, e.link)),
-                Some((bd, bl)) => {
-                    if d < bd {
-                        s.pending.push((bl, bd));
-                        best = Some((d, e.link));
-                    } else {
-                        s.pending.push((e.link, d));
-                    }
-                }
-            }
-        }
-        // Re-publish every materialised candidate at its exact level (the
-        // winner included: if it saturates this round the sweep below will
-        // collect it; if the increment came from a demand instead, the
-        // entry must stay live).
-        if let Some((bd, bl)) = best {
-            let key = fill + bd;
-            let stamp = s.stamp[bl as usize];
-            s.heap_push(HeapEntry {
-                key,
-                link: bl,
-                stamp,
-            });
-        }
-        while let Some((l, d)) = s.pending.pop() {
-            let key = fill + d;
-            let stamp = s.stamp[l as usize];
-            s.heap_push(HeapEntry {
-                key,
-                link: l,
-                stamp,
-            });
-        }
-
-        let mut delta = delta_flow;
-        if let Some((bd, _)) = best {
-            delta = delta.min(bd);
-        }
+            keep
+        });
         if !delta.is_finite() {
             // All remaining flows are greedy over links nothing constrains
             // (cannot happen with positive capacities; guard anyway).
             break;
         }
         let delta = delta.max(0.0);
-        s.deltas.push(delta);
         fill += delta;
-        let applied = s.deltas.len();
+        rounds += 1;
 
-        let mut froze_any = false;
-
-        // Freeze demand-limited flows (same predicate as the reference:
-        // `rate >= demand - EPS`, and fl(d − EPS) is monotone in d so the
-        // cursor enumerates exactly the reference's freeze set).
-        while cursor < s.order.len() {
-            let f = s.order[cursor] as usize;
-            if s.frozen[f] {
-                cursor += 1;
-                continue;
+        // Pass 1: every live link pays `delta` once per crossing member,
+        // in the reference's repeated-subtraction order.
+        s.saturated.clear();
+        for &l in &s.live {
+            let l = l as usize;
+            let mut a = s.avail[l];
+            for _ in 0..s.crossing[l] {
+                a -= delta;
             }
-            if fill >= demands[f] - EPS {
-                s.frozen[f] = true;
-                rates[f] = fill;
-                unfrozen -= 1;
-                froze_any = true;
-                cursor += 1;
-                for &l in flow_links(f) {
-                    let l = l as usize;
-                    s.materialize(l, applied);
-                    s.crossing[l] -= wt(f);
-                    s.stamp[l] = s.stamp[l].wrapping_add(1);
-                    if s.crossing[l] > 0 {
-                        let key = fill + s.avail[l] / s.crossing[l] as f64;
-                        s.heap_push(HeapEntry {
-                            key,
-                            link: l as u32,
-                            stamp: s.stamp[l],
-                        });
-                    }
+            s.avail[l] = a;
+            if a <= EPS {
+                s.saturated.push(l as u32);
+            }
+        }
+
+        // Freeze demand-limited flows (the reference's predicate:
+        // `rate >= demand - EPS`), then every unfrozen flow crossing a
+        // link that saturated.
+        let unfrozen_before = unfrozen;
+        let MaxMinScratch {
+            crossing,
+            frozen,
+            capped,
+            saturated,
+            rev_off,
+            rev_flows,
+            ..
+        } = &mut *s;
+        let mut freeze = |f: usize, frozen: &mut [bool]| {
+            frozen[f] = true;
+            rates[f] = fill;
+            unfrozen -= 1;
+            for &l in flow_links(f) {
+                crossing[l as usize] -= wt(f);
+            }
+        };
+        capped.retain(|&f| {
+            let limited = fill >= demands[f as usize] - EPS;
+            if limited {
+                freeze(f as usize, frozen);
+            }
+            !limited
+        });
+        for &l in saturated.iter() {
+            let l = l as usize;
+            for &f in &rev_flows[rev_off[l] as usize..rev_off[l + 1] as usize] {
+                if !frozen[f as usize] {
+                    freeze(f as usize, frozen);
                 }
-            } else {
-                break;
             }
         }
-
-        // Freeze flows on saturated links: sweep every entry whose level
-        // could mean `avail <= EPS`, verify exactly, and freeze the link's
-        // remaining flows. Refreshed entries pushed mid-sweep (crossing
-        // changes) are themselves swept; non-saturated candidates are
-        // parked in `pending` so the sweep terminates, then re-published.
-        s.pending.clear();
-        let bound = fill + EPS + guard(fill);
-        while let Some(&top) = s.heap.first() {
-            if top.stamp != s.stamp[top.link as usize] {
-                s.heap_pop();
-                continue;
-            }
-            if top.key > bound {
-                break;
-            }
-            let e = s.heap_pop().expect("peeked entry exists");
-            let l = e.link as usize;
-            s.materialize(l, applied);
-            if s.crossing[l] > 0 && s.avail[l] <= EPS {
-                // Saturated: freeze every unfrozen flow crossing it.
-                let (start, end) = (s.rev_off[l] as usize, s.rev_off[l + 1] as usize);
-                for fi in start..end {
-                    let f = s.rev_flows[fi] as usize;
-                    if s.frozen[f] {
-                        continue;
-                    }
-                    s.frozen[f] = true;
-                    rates[f] = fill;
-                    unfrozen -= 1;
-                    froze_any = true;
-                    for &l2 in flow_links(f) {
-                        let l2 = l2 as usize;
-                        s.materialize(l2, applied);
-                        s.crossing[l2] -= wt(f);
-                        s.stamp[l2] = s.stamp[l2].wrapping_add(1);
-                        if s.crossing[l2] > 0 {
-                            let key = fill + s.avail[l2] / s.crossing[l2] as f64;
-                            s.heap_push(HeapEntry {
-                                key,
-                                link: l2 as u32,
-                                stamp: s.stamp[l2],
-                            });
-                        }
-                    }
-                }
-            } else if s.crossing[l] > 0 {
-                s.pending
-                    .push((l as u32, s.avail[l] / s.crossing[l] as f64));
-            }
-        }
-        while let Some((l, d)) = s.pending.pop() {
-            let key = fill + d;
-            let stamp = s.stamp[l as usize];
-            s.heap_push(HeapEntry {
-                key,
-                link: l,
-                stamp,
-            });
-        }
-
-        if !froze_any {
+        if unfrozen == unfrozen_before {
             // Numerical stall: freeze everything at current rates.
             break;
         }
+
+        // Pass 2: drop dead links while computing the next link bound.
+        link_bound = f64::INFINITY;
+        let (avail, crossing) = (&s.avail, &s.crossing);
+        s.live.retain(|&l| {
+            let c = crossing[l as usize];
+            if c > 0 {
+                link_bound = link_bound.min(avail[l as usize] / c as f64);
+            }
+            c > 0
+        });
     }
 
     // Break paths leave surviving flows at the shared fill level (exactly
@@ -566,6 +369,7 @@ pub fn max_min_allocate_csr_weighted(
             }
         }
     }
+    rounds
 }
 
 /// Convenience wrapper over [`max_min_allocate_csr`] for callers holding a
@@ -594,40 +398,7 @@ pub fn max_min_allocate(demands: &[f64], flow_links: &[Vec<usize>], capacity: &[
     rates
 }
 
-/// Computes the set of flows whose rates may change when `seeds` change:
-/// the connected component of the "flows share a link" graph containing
-/// the seeds. `flow_links` spans **all** active flows; `links_of_flows`
-/// maps a link index to the flows crossing it.
-pub fn affected_component(
-    seeds: &[usize],
-    flow_links: &[Vec<usize>],
-    flows_on_link: &dyn Fn(usize) -> Vec<usize>,
-) -> Vec<usize> {
-    let mut visited = vec![false; flow_links.len()];
-    let mut stack: Vec<usize> = Vec::new();
-    for &s in seeds {
-        if s < visited.len() && !visited[s] {
-            visited[s] = true;
-            stack.push(s);
-        }
-    }
-    let mut out = Vec::new();
-    while let Some(f) = stack.pop() {
-        out.push(f);
-        for &l in &flow_links[f] {
-            for f2 in flows_on_link(l) {
-                if f2 < visited.len() && !visited[f2] {
-                    visited[f2] = true;
-                    stack.push(f2);
-                }
-            }
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
-/// The naive progressive filler the heap allocator must match bit-for-bit:
+/// The naive progressive filler the solver must match bit-for-bit:
 /// every freezing round rescans all links and flows. Kept as the test
 /// oracle; see the module docs for the equivalence argument.
 #[cfg(test)]
@@ -908,24 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn affected_component_finds_sharers() {
-        // f0 and f1 share link 0; f2 rides link 1 alone; f3 shares link 2
-        // with f1 (transitively affected through f1).
-        let fl = vec![vec![0], vec![0, 2], vec![1], vec![2]];
-        let flows_on_link = |l: usize| -> Vec<usize> {
-            fl.iter()
-                .enumerate()
-                .filter(|(_, ls)| ls.contains(&l))
-                .map(|(i, _)| i)
-                .collect()
-        };
-        let comp = affected_component(&[0], &fl, &flows_on_link);
-        assert_eq!(comp, vec![0, 1, 3]);
-        let comp2 = affected_component(&[2], &fl, &flows_on_link);
-        assert_eq!(comp2, vec![2]);
-    }
-
-    #[test]
     fn incremental_matches_full_on_component() {
         // The incremental invariant: solving only the affected component
         // (with full link capacities, since untouched flows are *outside*
@@ -945,62 +698,158 @@ mod tests {
         }
     }
 
-    /// Heavy randomized sweep of the bit-equivalence property (~40k grids,
-    /// a superset of what the proptest samples). Ignored by default; run
-    /// with `cargo test -p horse-dataplane -- --ignored stress`.
-    #[test]
-    #[ignore]
-    fn stress_heap_matches_reference_bitwise() {
-        let mut x = 0x9e3779b97f4a7c15u64;
-        let mut rnd = move || {
+    /// One allocation problem: demands, weights, routes, capacities.
+    pub(super) type Problem = (Vec<f64>, Vec<u32>, Vec<Vec<usize>>, Vec<f64>);
+
+    /// xorshift64 stream for the randomised tests (`x` must be non-zero).
+    pub(super) fn xorshift(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             x
-        };
-        for case in 0..40_000u32 {
-            let nf = 1 + (rnd() % 48) as usize;
-            let nl = 1 + (rnd() % 14) as usize;
-            let caps: Vec<f64> = (0..nl)
-                .map(|_| match rnd() % 8 {
-                    0 => 0.0,
-                    1 => (1 + rnd() % 9) as f64 * 1e9,
-                    _ => (1 + rnd() % 100) as f64 * 1e7,
-                })
+        }
+    }
+
+    /// Random problems for the bitwise tests, in one of two shapes:
+    ///
+    /// * a dense grid of up to `max_nf` variables over up to `max_nl`
+    ///   links, with zero capacities, zero and infinite demands, linkless
+    ///   variables, and routes that may list a link twice (the reverse
+    ///   adjacency then holds the variable twice);
+    /// * one time in four, a staircase of 64–95 variables, each behind
+    ///   its own access link of distinct capacity and all sharing a trunk
+    ///   of zero, total-access or twice-total-access capacity. Unless the
+    ///   trunk is zero, most solves run ≥ 64 rounds (one per saturation
+    ///   level). A third of the demands equal some access link's
+    ///   saturation level, so a demand freeze and a saturation land in
+    ///   the same round.
+    ///
+    /// Weights are drawn from `1..=max_weight`, so weighted variables sit
+    /// on the links that saturate.
+    pub(super) fn random_problem(
+        rnd: &mut impl FnMut() -> u64,
+        max_nf: u64,
+        max_nl: u64,
+        max_weight: u64,
+    ) -> Problem {
+        let weight = |rnd: &mut dyn FnMut() -> u64| 1 + (rnd() % max_weight) as u32;
+        if rnd().is_multiple_of(4) {
+            let n = 64 + (rnd() % 32) as usize;
+            // Distinct access capacities in shuffled order, then the trunk.
+            let mut caps: Vec<f64> = (0..n)
+                .map(|k| (k + 1) as f64 * 1e7 + (rnd() % 1000) as f64 * 1e3)
                 .collect();
-            let demands: Vec<f64> = (0..nf)
-                .map(|_| match rnd() % 5 {
-                    0 | 1 => INF,
-                    2 => 0.0,
-                    _ => (rnd() % 300) as f64 * 7e5,
-                })
-                .collect();
-            let fl: Vec<Vec<usize>> = (0..nf)
-                .map(|_| {
-                    let deg = (rnd() % 5) as usize;
-                    let mut v: Vec<usize> =
-                        (0..deg).map(|_| (rnd() % nl as u64) as usize).collect();
-                    v.sort_unstable();
-                    v.dedup();
-                    v
-                })
-                .collect();
-            let want = max_min_allocate_reference(&demands, &fl, &caps);
-            let got = max_min_allocate(&demands, &fl, &caps);
-            for f in 0..nf {
-                assert_eq!(
-                    want[f].to_bits(),
-                    got[f].to_bits(),
-                    "case {case} flow {f}: reference {} vs heap {}",
-                    want[f],
-                    got[f]
-                );
+            for k in (1..n).rev() {
+                caps.swap(k, (rnd() % (k as u64 + 1)) as usize);
             }
+            let weights: Vec<u32> = (0..n).map(|_| weight(rnd)).collect();
+            let total: f64 = caps.iter().sum();
+            caps.push((rnd() % 3) as f64 * total);
+            let demands = (0..n)
+                .map(|_| match rnd() % 3 {
+                    0 => INF,
+                    1 => {
+                        let j = (rnd() % n as u64) as usize;
+                        caps[j] / weights[j] as f64
+                    }
+                    _ => (rnd() % 1000) as f64 * 1e6,
+                })
+                .collect();
+            let fl = (0..n)
+                .map(|k| match rnd() % 8 {
+                    0 => vec![k, k, n],
+                    1 => vec![k],
+                    _ => vec![k, n],
+                })
+                .collect();
+            return (demands, weights, fl, caps);
+        }
+        let nf = 1 + (rnd() % max_nf) as usize;
+        let nl = 1 + (rnd() % max_nl) as usize;
+        let caps = (0..nl)
+            .map(|_| match rnd() % 8 {
+                0 => 0.0,
+                1 => (1 + rnd() % 9) as f64 * 1e9,
+                _ => (1 + rnd() % 100) as f64 * 1e7,
+            })
+            .collect();
+        let demands = (0..nf)
+            .map(|_| match rnd() % 5 {
+                0 | 1 => INF,
+                2 => 0.0,
+                _ => (rnd() % 300) as f64 * 7e5,
+            })
+            .collect();
+        let weights = (0..nf).map(|_| weight(rnd)).collect();
+        let fl = (0..nf)
+            .map(|_| {
+                let deg = (rnd() % 5) as usize; // may be 0
+                let mut v: Vec<usize> = (0..deg).map(|_| (rnd() % nl as u64) as usize).collect();
+                v.sort_unstable();
+                if !rnd().is_multiple_of(4) {
+                    v.dedup();
+                }
+                v
+            })
+            .collect();
+        (demands, weights, fl, caps)
+    }
+
+    /// Asserts the solver reproduces the reference oracle bit for bit.
+    pub(super) fn assert_matches_reference(demands: &[f64], fl: &[Vec<usize>], caps: &[f64]) {
+        let want = max_min_allocate_reference(demands, fl, caps);
+        let got = max_min_allocate(demands, fl, caps);
+        assert_eq!(want.len(), got.len());
+        for f in 0..want.len() {
+            assert_eq!(
+                want[f].to_bits(),
+                got[f].to_bits(),
+                "flow {f}: reference {} vs solver {}",
+                want[f],
+                got[f]
+            );
+        }
+    }
+
+    /// Asserts a weighted solve equals its expanded unweighted solve bit
+    /// for bit.
+    pub(super) fn assert_weighted_matches_expanded(
+        demands: &[f64],
+        weights: &[u32],
+        fl: &[Vec<usize>],
+        caps: &[f64],
+    ) {
+        let want = solve_expanded(demands, weights, fl, caps);
+        let (got, _) = solve_weighted(demands, weights, fl, caps);
+        for f in 0..want.len() {
+            assert_eq!(
+                want[f].to_bits(),
+                got[f].to_bits(),
+                "variable {f}: expanded {} vs weighted {}",
+                want[f],
+                got[f]
+            );
+        }
+    }
+
+    /// Heavy randomised sweep of both bitwise properties (40k problems of
+    /// the shapes the proptests sample). Ignored by default; CI runs it
+    /// in release with `cargo test --release -p horse-dataplane --lib --
+    /// --ignored`.
+    #[test]
+    #[ignore]
+    fn stress_solver_matches_reference_bitwise() {
+        let mut rnd = xorshift(0x9e3779b97f4a7c15);
+        for _ in 0..40_000u32 {
+            let (demands, weights, fl, caps) = random_problem(&mut rnd, 48, 14, 6);
+            assert_matches_reference(&demands, &fl, &caps);
+            assert_weighted_matches_expanded(&demands, &weights, &fl, &caps);
         }
     }
 
     #[test]
-    fn heap_matches_reference_bitwise_on_fixed_cases() {
+    fn solver_matches_reference_bitwise_on_fixed_cases() {
         type Case = (Vec<f64>, Vec<Vec<usize>>, Vec<f64>);
         let cases: Vec<Case> = vec![
             (vec![INF], vec![vec![0]], vec![G]),
@@ -1022,30 +871,32 @@ mod tests {
             // dyadic rational, so the repeated-subtraction residual path
             // is exercised.
             (vec![INF; 7], (0..7).map(|_| vec![0]).collect(), vec![G]),
+            // Link 0 freezes f0 at 0.2G, below its 0.5G demand. Catches a
+            // solver that keeps saturation-frozen variables in its demand
+            // list: f0's stale `demand − fill` would cap the next
+            // increment at 0.3G, below link 1's 1.6G bound.
+            (
+                vec![0.5 * G, INF],
+                vec![vec![0, 1], vec![1]],
+                vec![0.2 * G, 2.0 * G],
+            ),
+            // f0 lists link 0 twice: it pays each increment twice there,
+            // and the reverse adjacency holds it twice.
+            (vec![INF, INF], vec![vec![0, 0], vec![0]], vec![G]),
         ];
         for (demands, fl, caps) in cases {
-            let want = max_min_allocate_reference(&demands, &fl, &caps);
-            let got = max_min_allocate(&demands, &fl, &caps);
-            assert_eq!(want.len(), got.len());
-            for f in 0..want.len() {
-                assert_eq!(
-                    want[f].to_bits(),
-                    got[f].to_bits(),
-                    "flow {f}: reference {} vs heap {}",
-                    want[f],
-                    got[f]
-                );
-            }
+            assert_matches_reference(&demands, &fl, &caps);
         }
     }
 
-    /// Solves a weighted problem through the macro-flow entry point.
+    /// Solves a weighted problem through the macro-flow entry point,
+    /// returning the rates and the number of rounds.
     pub(super) fn solve_weighted(
         demands: &[f64],
         weights: &[u32],
         fl: &[Vec<usize>],
         caps: &[f64],
-    ) -> Vec<f64> {
+    ) -> (Vec<f64>, u32) {
         let mut offsets = vec![0u32];
         let mut links = Vec::new();
         for l in fl {
@@ -1054,8 +905,10 @@ mod tests {
         }
         let mut rates = vec![0.0; demands.len()];
         let mut s = MaxMinScratch::new();
-        max_min_allocate_csr_weighted(demands, weights, &offsets, &links, caps, &mut rates, &mut s);
-        rates
+        let rounds = max_min_allocate_csr_weighted(
+            demands, weights, &offsets, &links, caps, &mut rates, &mut s,
+        );
+        (rates, rounds)
     }
 
     /// Expands every weighted variable into `weights[f]` member copies,
@@ -1096,8 +949,7 @@ mod tests {
 
     #[test]
     fn weighted_matches_expanded_bitwise_on_fixed_cases() {
-        type Case = (Vec<f64>, Vec<u32>, Vec<Vec<usize>>, Vec<f64>);
-        let cases: Vec<Case> = vec![
+        let cases: Vec<Problem> = vec![
             // A million greedy members on one link: one variable, and the
             // per-member rate is cap / 1e6 exactly as solved individually.
             (vec![INF], vec![1_000_000], vec![vec![0]], vec![G]),
@@ -1120,17 +972,7 @@ mod tests {
             ),
         ];
         for (demands, weights, fl, caps) in cases {
-            let want = solve_expanded(&demands, &weights, &fl, &caps);
-            let got = solve_weighted(&demands, &weights, &fl, &caps);
-            for f in 0..want.len() {
-                assert_eq!(
-                    want[f].to_bits(),
-                    got[f].to_bits(),
-                    "variable {f}: expanded {} vs weighted {}",
-                    want[f],
-                    got[f]
-                );
-            }
+            assert_weighted_matches_expanded(&demands, &weights, &fl, &caps);
         }
     }
 
@@ -1140,10 +982,37 @@ mod tests {
         let fl = vec![vec![0, 1], vec![0], vec![1], vec![0]];
         let caps = [G, 2.0 * G];
         let unweighted = max_min_allocate(&demands, &fl, &caps);
-        let weighted = solve_weighted(&demands, &[1, 1, 1, 1], &fl, &caps);
+        let (weighted, _) = solve_weighted(&demands, &[1, 1, 1, 1], &fl, &caps);
         for f in 0..demands.len() {
             assert_eq!(unweighted[f].to_bits(), weighted[f].to_bits());
         }
+    }
+
+    #[test]
+    fn rounds_count_distinct_freezing_levels() {
+        let rounds = |demands: &[f64], fl: &[Vec<usize>], caps: &[f64]| {
+            solve_weighted(demands, &vec![1; demands.len()], fl, caps).1
+        };
+        assert_eq!(rounds(&[], &[], &[G]), 0);
+        assert_eq!(rounds(&[0.5 * G], &[vec![]], &[]), 0);
+        // One shared bottleneck freezes everyone at once.
+        assert_eq!(rounds(&[INF; 3], &[vec![0], vec![0], vec![0]], &[G]), 1);
+        // Textbook shape: link 0 saturates, then link 1.
+        assert_eq!(
+            rounds(&[INF; 3], &[vec![0, 1], vec![0], vec![1]], &[G, 2.0 * G]),
+            2
+        );
+        // A demand freeze is a round of its own.
+        assert_eq!(rounds(&[0.2 * G, INF], &[vec![0], vec![0]], &[G]), 2);
+        // n access links of distinct capacity behind one roomy trunk: one
+        // round per access link.
+        let n = 100;
+        let caps: Vec<f64> = (0..n)
+            .map(|k| (k + 1) as f64 * 1e7)
+            .chain([G * n as f64])
+            .collect();
+        let fl: Vec<Vec<usize>> = (0..n).map(|k| vec![k, n]).collect();
+        assert_eq!(rounds(&vec![INF; n], &fl, &caps), n as u32);
     }
 }
 
@@ -1160,11 +1029,10 @@ mod proptests {
             nl in 1usize..8,
             seed in 0u64..u64::MAX,
         ) {
-            let mut x = seed | 1;
-            let mut rnd = move || { x ^= x << 13; x ^= x >> 7; x ^= x << 17; x };
+            let mut rnd = tests::xorshift(seed | 1);
             let caps: Vec<f64> = (0..nl).map(|_| (1 + rnd() % 100) as f64 * 1e7).collect();
             let demands: Vec<f64> = (0..nf)
-                .map(|_| if rnd() % 4 == 0 { f64::INFINITY } else { (rnd() % 200) as f64 * 1e6 })
+                .map(|_| if rnd().is_multiple_of(4) { f64::INFINITY } else { (rnd() % 200) as f64 * 1e6 })
                 .collect();
             let fl: Vec<Vec<usize>> = (0..nf).map(|_| {
                 let deg = (rnd() % 4) as usize; // may be 0
@@ -1196,88 +1064,27 @@ mod proptests {
             }
         }
 
-        /// The tentpole equivalence property: the heap allocator must be
-        /// **bit-identical** to the progressive-filling oracle on
-        /// randomised demand/link grids — including degenerate shapes
-        /// (zero capacities, zero demands, linkless flows, dense sharing).
+        /// The solver must be **bit-identical** to the progressive-filling
+        /// oracle on randomised problems: dense grids with degenerate
+        /// shapes (zero capacities, zero demands, linkless flows, a link
+        /// listed twice) and ≥ 64-level staircases where demand freezes
+        /// share rounds with saturations.
         #[test]
-        fn heap_matches_reference_bitwise(
-            nf in 1usize..40,
-            nl in 1usize..12,
-            seed in 0u64..u64::MAX,
-        ) {
-            let mut x = seed | 1;
-            let mut rnd = move || { x ^= x << 13; x ^= x >> 7; x ^= x << 17; x };
-            let caps: Vec<f64> = (0..nl).map(|_| match rnd() % 8 {
-                0 => 0.0,
-                1 => (1 + rnd() % 9) as f64 * 1e9,
-                _ => (1 + rnd() % 100) as f64 * 1e7,
-            }).collect();
-            let demands: Vec<f64> = (0..nf)
-                .map(|_| match rnd() % 5 {
-                    0 | 1 => f64::INFINITY,
-                    2 => 0.0,
-                    _ => (rnd() % 300) as f64 * 7e5,
-                })
-                .collect();
-            let fl: Vec<Vec<usize>> = (0..nf).map(|_| {
-                let deg = (rnd() % 5) as usize; // may be 0
-                let mut v: Vec<usize> = (0..deg).map(|_| (rnd() % nl as u64) as usize).collect();
-                v.sort_unstable(); v.dedup(); v
-            }).collect();
-
-            let want = max_min_allocate_reference(&demands, &fl, &caps);
-            let got = max_min_allocate(&demands, &fl, &caps);
-            prop_assert_eq!(want.len(), got.len());
-            for f in 0..nf {
-                prop_assert!(
-                    want[f].to_bits() == got[f].to_bits(),
-                    "flow {}: reference {} ({:x}) vs heap {} ({:x})",
-                    f, want[f], want[f].to_bits(), got[f], got[f].to_bits()
-                );
-            }
+        fn solver_matches_reference_bitwise(seed in 0u64..u64::MAX) {
+            let mut rnd = tests::xorshift(seed | 1);
+            let (demands, _, fl, caps) = tests::random_problem(&mut rnd, 40, 12, 1);
+            tests::assert_matches_reference(&demands, &fl, &caps);
         }
 
         /// Macro-flow equivalence: a weighted variable must receive the
         /// exact bits each of its expanded members would get from the
-        /// unweighted solver — on random grids including zero capacities,
-        /// zero demands, linkless classes and dense sharing.
+        /// unweighted solver, on the same problem shapes, with weights up
+        /// to 6 on the links that saturate.
         #[test]
-        fn weighted_matches_expanded_bitwise(
-            nf in 1usize..12,
-            nl in 1usize..8,
-            seed in 0u64..u64::MAX,
-        ) {
-            let mut x = seed | 1;
-            let mut rnd = move || { x ^= x << 13; x ^= x >> 7; x ^= x << 17; x };
-            let caps: Vec<f64> = (0..nl).map(|_| match rnd() % 8 {
-                0 => 0.0,
-                1 => (1 + rnd() % 9) as f64 * 1e9,
-                _ => (1 + rnd() % 100) as f64 * 1e7,
-            }).collect();
-            let demands: Vec<f64> = (0..nf)
-                .map(|_| match rnd() % 5 {
-                    0 | 1 => f64::INFINITY,
-                    2 => 0.0,
-                    _ => (rnd() % 300) as f64 * 7e5,
-                })
-                .collect();
-            let weights: Vec<u32> = (0..nf).map(|_| 1 + (rnd() % 6) as u32).collect();
-            let fl: Vec<Vec<usize>> = (0..nf).map(|_| {
-                let deg = (rnd() % 5) as usize; // may be 0
-                let mut v: Vec<usize> = (0..deg).map(|_| (rnd() % nl as u64) as usize).collect();
-                v.sort_unstable(); v.dedup(); v
-            }).collect();
-
-            let want = tests::solve_expanded(&demands, &weights, &fl, &caps);
-            let got = tests::solve_weighted(&demands, &weights, &fl, &caps);
-            for f in 0..nf {
-                prop_assert!(
-                    want[f].to_bits() == got[f].to_bits(),
-                    "variable {}: expanded {} ({:x}) vs weighted {} ({:x})",
-                    f, want[f], want[f].to_bits(), got[f], got[f].to_bits()
-                );
-            }
+        fn weighted_matches_expanded_bitwise(seed in 0u64..u64::MAX) {
+            let mut rnd = tests::xorshift(seed | 1);
+            let (demands, weights, fl, caps) = tests::random_problem(&mut rnd, 12, 8, 6);
+            tests::assert_weighted_matches_expanded(&demands, &weights, &fl, &caps);
         }
     }
 }
