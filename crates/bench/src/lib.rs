@@ -90,7 +90,7 @@ pub struct MillionFlowStats {
 /// Builds the million-flow fabric: a star of `hosts` access links at
 /// 1 Gbps with per-MAC forwarding installed on the hub, and the fluid
 /// engine in incremental mode with macro-flows on.
-pub fn million_flow_net(hosts: usize, engine_threads: usize) -> horse::dataplane::FluidNet {
+pub fn million_flow_net(hosts: usize) -> horse::dataplane::FluidNet {
     use horse::dataplane::{FluidConfig, FluidNet};
     use horse::openflow::actions::Instruction;
     use horse::openflow::flow_match::FlowMatch;
@@ -99,7 +99,6 @@ pub fn million_flow_net(hosts: usize, engine_threads: usize) -> horse::dataplane
     let f = builders::star(hosts, Rate::gbps(1.0));
     let cfg = FluidConfig {
         alloc_mode: AllocMode::Incremental,
-        engine_threads,
         ..FluidConfig::default()
     };
     let mut net = FluidNet::new(f.topology, cfg);
@@ -140,7 +139,7 @@ pub fn million_flow_point(
     use std::time::Instant;
     const HOSTS: usize = 64;
     assert!(classes <= HOSTS * (HOSTS - 1), "not enough host pairs");
-    let mut net = million_flow_net(HOSTS, 1);
+    let mut net = million_flow_net(HOSTS);
     let topo = net.topology().clone();
     let members: Vec<NodeId> = topo
         .nodes()

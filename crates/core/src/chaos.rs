@@ -7,8 +7,8 @@
 //! expansion consumes a private counter-based RNG seeded only by
 //! [`ChaosSpec::seed`], so the same spec over the same topology always
 //! produces the same schedule: chaos runs stay inside the simulator's
-//! determinism contract (bit-identical at any `engine_threads`,
-//! byte-identical journals and reports).
+//! determinism contract (bit-identical results, byte-identical journals
+//! and reports, at any lab-runner thread count).
 //!
 //! Fault targets are drawn from topology structure, never from traffic:
 //!
@@ -123,6 +123,8 @@ pub enum ChaosError {
         /// How many the topology offers.
         available: usize,
     },
+    /// The schedule would exceed [`MAX_FAULT_EVENTS`].
+    TooManyEvents,
 }
 
 impl std::fmt::Display for ChaosError {
@@ -138,6 +140,10 @@ impl std::fmt::Display for ChaosError {
             } => write!(
                 f,
                 "chaos spec asks for {wanted} {what}, but the topology offers only {available}"
+            ),
+            ChaosError::TooManyEvents => write!(
+                f,
+                "chaos spec schedules more than {MAX_FAULT_EVENTS} fault events"
             ),
         }
     }
@@ -251,6 +257,25 @@ pub fn eligible_switches(topo: &Topology) -> Vec<NodeId> {
     out
 }
 
+/// The most fault events one schedule may hold. It is far above any
+/// shipped scenario; a count or rate from a mistyped spec or a corrupt
+/// snapshot hits it and fails instead of exhausting memory.
+pub const MAX_FAULT_EVENTS: usize = 1 << 20;
+
+/// Appends one fault and the event that undoes it.
+fn push_pair(
+    schedule: &mut Vec<(SimTime, SimEvent)>,
+    fault: (SimTime, SimEvent),
+    undo: (SimTime, SimEvent),
+) -> Result<(), ChaosError> {
+    if schedule.len() + 2 > MAX_FAULT_EVENTS {
+        return Err(ChaosError::TooManyEvents);
+    }
+    schedule.push(fault);
+    schedule.push(undo);
+    Ok(())
+}
+
 /// Expands a chaos spec against a topology into a time-ordered fault
 /// schedule. Events past the horizon are still emitted (the event loop
 /// never pops them), so every down has its matching up and a truncated
@@ -309,9 +334,9 @@ pub fn expand(
                 if t >= h {
                     break;
                 }
-                schedule.push((at(t), SimEvent::CableDown(cable)));
+                let down = (at(t), SimEvent::CableDown(cable));
                 t += rng.next_exp(downtime);
-                schedule.push((at(t), SimEvent::CableUp(cable)));
+                push_pair(&mut schedule, down, (at(t), SimEvent::CableUp(cable)))?;
             }
         }
     }
@@ -331,8 +356,11 @@ pub fn expand(
         for i in picks {
             let sw = switches[i];
             let t = window(&mut rng);
-            schedule.push((at(t), SimEvent::SwitchDown(sw)));
-            schedule.push((at(t + downtime), SimEvent::SwitchUp(sw)));
+            push_pair(
+                &mut schedule,
+                (at(t), SimEvent::SwitchDown(sw)),
+                (at(t + downtime), SimEvent::SwitchUp(sw)),
+            )?;
         }
     }
 
@@ -364,22 +392,25 @@ pub fn expand(
         for i in picks {
             let cable = cables[i];
             let t = window(&mut rng);
-            schedule.push((
-                at(t),
-                SimEvent::GraySet {
-                    link: cable,
-                    capacity_factor,
-                    loss_frac: spec.gray_loss_frac,
-                },
-            ));
-            schedule.push((
-                at(t + duration),
-                SimEvent::GraySet {
-                    link: cable,
-                    capacity_factor: 1.0,
-                    loss_frac: 0.0,
-                },
-            ));
+            push_pair(
+                &mut schedule,
+                (
+                    at(t),
+                    SimEvent::GraySet {
+                        link: cable,
+                        capacity_factor,
+                        loss_frac: spec.gray_loss_frac,
+                    },
+                ),
+                (
+                    at(t + duration),
+                    SimEvent::GraySet {
+                        link: cable,
+                        capacity_factor: 1.0,
+                        loss_frac: 0.0,
+                    },
+                ),
+            )?;
         }
     }
 
@@ -388,8 +419,11 @@ pub fn expand(
         let outage = positive("ctrl_outage_secs", spec.ctrl_outage_secs, 0.5)?;
         for _ in 0..spec.ctrl_outages {
             let t = window(&mut rng);
-            schedule.push((at(t), SimEvent::CtrlDown));
-            schedule.push((at(t + outage), SimEvent::CtrlUp));
+            push_pair(
+                &mut schedule,
+                (at(t), SimEvent::CtrlDown),
+                (at(t + outage), SimEvent::CtrlUp),
+            )?;
         }
     }
 
@@ -405,8 +439,11 @@ pub fn expand(
         let spike = positive("ctrl_spike_secs", spec.ctrl_spike_secs, 0.5)?;
         for _ in 0..spec.ctrl_latency_spikes {
             let t = window(&mut rng);
-            schedule.push((at(t), SimEvent::CtrlLatency { factor }));
-            schedule.push((at(t + spike), SimEvent::CtrlLatency { factor: 1.0 }));
+            push_pair(
+                &mut schedule,
+                (at(t), SimEvent::CtrlLatency { factor }),
+                (at(t + spike), SimEvent::CtrlLatency { factor: 1.0 }),
+            )?;
         }
     }
 
@@ -582,6 +619,26 @@ mod tests {
         ] {
             let err = expand(&spec, &topo, SimTime::from_secs(5)).unwrap_err();
             assert!(err.to_string().contains(field), "{field}: {err}");
+        }
+    }
+
+    #[test]
+    fn runaway_schedules_are_refused() {
+        let topo = fat_tree();
+        for spec in [
+            ChaosSpec {
+                ctrl_outages: u32::MAX,
+                ..Default::default()
+            },
+            ChaosSpec {
+                link_flaps: 1,
+                flap_rate_per_sec: 1e300,
+                flap_downtime_secs: 1e-300,
+                ..Default::default()
+            },
+        ] {
+            let err = expand(&spec, &topo, SimTime::from_secs(5)).unwrap_err();
+            assert_eq!(err, ChaosError::TooManyEvents, "{spec:?}");
         }
     }
 

@@ -31,12 +31,10 @@ pub struct SimConfig {
     /// for the window between a port going busy and the next coupling
     /// point. Irrelevant to pure fluid runs.
     pub hybrid_min_drain_frac: f64,
-    /// Worker threads for the component-parallel allocation solve inside
-    /// one simulation (`0` and `1` both mean fully serial). Results are
-    /// **bit-identical at any value** — disjoint components are
-    /// independent subproblems and their merge order is fixed — so this
-    /// knob trades wall clock only. Worth raising on large fabrics with
-    /// many independent traffic components.
+    /// Accepted and ignored: the allocator always water-fills its
+    /// components serially. Kept only because the frozen benchmark
+    /// harness still sets it; ROADMAP direction 1's benchmark PR deletes
+    /// it together with [`SimConfig::with_engine_threads`].
     #[serde(default)]
     pub engine_threads: usize,
     /// Run the allocator once per *event* instead of once per epoch
@@ -101,7 +99,6 @@ impl SimConfig {
             alloc_mode: self.alloc_mode,
             avg_packet: self.avg_packet,
             max_route_hops: 64,
-            engine_threads: self.engine_threads.max(1),
             macro_flows: self.macro_flows,
         }
     }
@@ -136,7 +133,8 @@ impl SimConfig {
         self
     }
 
-    /// Builder: set the component-parallel allocation thread count.
+    /// Builder: set [`SimConfig::engine_threads`], which nothing reads
+    /// (see there).
     pub fn with_engine_threads(mut self, n: usize) -> Self {
         self.engine_threads = n;
         self
@@ -212,17 +210,6 @@ mod tests {
         assert!(c.macro_flows);
         assert_eq!(c.pkt_burst, 32);
         assert!(c.pkt_decision_cache);
-    }
-
-    #[test]
-    fn engine_threads_zero_means_serial() {
-        let c = SimConfig::default();
-        assert_eq!(c.engine_threads, 1);
-        assert!(!c.realloc_per_event);
-        let c = c.with_engine_threads(0);
-        assert_eq!(c.fluid().engine_threads, 1, "0 normalizes to serial");
-        let c = c.with_engine_threads(4);
-        assert_eq!(c.fluid().engine_threads, 4);
     }
 
     #[test]

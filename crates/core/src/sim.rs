@@ -153,15 +153,15 @@ impl From<BuildError> for ResumeError {
 
 /// What a fork may change relative to the checkpointed run. Every knob
 /// is chosen so the forked run is *provably* reproducible by a
-/// straight-through run: engine threading has no observable effect,
-/// control latency and late events only shape the future, and late
-/// events land in the scenario's reserved sequence band so their
-/// `(time, seq)` coordinates match a run that scheduled them at build
-/// time (see [`Scenario::late_band`]).
+/// straight-through run: control latency and late events only shape the
+/// future, and late events land in the scenario's reserved sequence band
+/// so their `(time, seq)` coordinates match a run that scheduled them at
+/// build time (see [`Scenario::late_band`]).
 #[derive(Clone, Debug, Default)]
 pub struct ForkSpec {
-    /// Override [`SimConfig::engine_threads`] (bit-identical results at
-    /// any thread count — this is the cross-thread resume knob).
+    /// Accepted and ignored, like [`SimConfig::engine_threads`]: the
+    /// frozen benchmark harness still sets it. ROADMAP direction 1's
+    /// benchmark PR deletes it.
     pub engine_threads: Option<usize>,
     /// Override [`SimConfig::ctrl_latency`] from the fork point on.
     pub ctrl_latency: Option<SimDuration>,
@@ -836,10 +836,10 @@ impl Simulation {
         self.realloc_buf
             .extend_from_slice(self.fluid.reallocate(now));
         // Span export of the allocator's phase timing (wall clock, kept
-        // strictly out of simulation state). Cloned out first so the
+        // strictly out of simulation state). Copied out first so the
         // tracer borrow does not overlap the fluid borrow.
         let timing = if self.tracer.as_ref().is_some_and(|t| t.spans_enabled()) {
-            self.fluid.last_timing().cloned()
+            self.fluid.last_timing().copied()
         } else {
             None
         };
@@ -1000,14 +1000,18 @@ impl Simulation {
             }
             SimEvent::ToSwitch { switch, msg } => {
                 // A stats request served here reads switch port/entry
-                // counters that the reallocation's byte sync credits — an
-                // adaptive controller polling in the same epoch as a rate
-                // change must see the same counters the per-event cadence
-                // produced. Flow/group/meter mods are pure writes, so
-                // only stats reads pay the flush (keeping FlowMod bursts
-                // batched, the common reactive-setup shape).
+                // counters that the byte sync credits — an adaptive
+                // controller polling in the same epoch as a rate change
+                // must see the same counters the per-event cadence
+                // produced, and a poll of a quiet path must see the bytes
+                // its flows moved since their last rate change (a flush
+                // syncs only the components it recomputes). Flow/group/
+                // meter mods are pure writes, so only stats reads pay
+                // (keeping FlowMod bursts batched, the common
+                // reactive-setup shape).
                 if matches!(&*msg, horse_openflow::messages::CtrlMsg::StatsRequest(_)) {
                     self.flush_realloc(now);
+                    self.fluid.sync_all(now);
                 }
                 self.msgs_to_switch += 1;
                 let replies = self.fluid.apply_ctrl(switch, &msg, now);
@@ -1136,9 +1140,11 @@ impl Simulation {
                 }
             }
             SimEvent::ExpiryScan => {
-                // Flush first: expiry compares entry last-use times that
-                // the reallocation's byte sync refreshes.
+                // Sync first: expiry compares entry last-use times that
+                // the byte sync refreshes, and a flow in a quiet component
+                // has not credited its entries since its last rate change.
                 self.flush_realloc(now);
+                self.fluid.sync_all(now);
                 let msgs = self.fluid.expire_entries(now);
                 for m in msgs {
                     self.schedule_to_controller(now, m, None);
@@ -1257,13 +1263,8 @@ impl Simulation {
         }
         let scenario = Scenario::unsnap(&mut r)?;
         let mut config = SimConfig::unsnap(&mut r)?;
-        if let Some(o) = overrides {
-            if let Some(t) = o.engine_threads {
-                config.engine_threads = t;
-            }
-            if let Some(l) = o.ctrl_latency {
-                config.ctrl_latency = l;
-            }
+        if let Some(l) = overrides.and_then(|o| o.ctrl_latency) {
+            config.ctrl_latency = l;
         }
         let mut sim = match controller {
             Some(c) => Self::with_controller(scenario, config, c)?,

@@ -14,9 +14,8 @@
 //!   embedded in reproducible reports.
 //! * **spans** ([`SimTracer::with_spans`]) — wall-clock phase timing of
 //!   the epoch loop and the allocator's discovery → build → solve →
-//!   apply passes (plus per-worker solve lanes), collected into a
-//!   [`SpanLog`] for Chrome-trace export. Wall clock never feeds any
-//!   deterministic output.
+//!   apply passes, collected into a [`SpanLog`] for Chrome-trace export.
+//!   Wall clock never feeds any deterministic output.
 //! * **journal** ([`SimTracer::with_journal`]) — a sim-time JSONL record
 //!   of every applied [`SimEvent`] with a chained state digest; two
 //!   journals of one scenario bisect a determinism failure to the first
@@ -253,11 +252,6 @@ impl SimTracer {
             ("realloc.apply", t.apply_ns),
         ] {
             s.push(name, 0, at, dur);
-            if name == "realloc.solve" {
-                for (i, &busy) in t.workers_busy_ns.iter().enumerate() {
-                    s.push("solve.worker", 1 + i as u32, at, busy);
-                }
-            }
             at += dur;
         }
     }
@@ -432,19 +426,12 @@ mod tests {
             build_ns: 50,
             solve_ns: 200,
             apply_ns: 25,
-            workers_busy_ns: vec![180, 150],
         };
         t.push_realloc_spans(&timing);
         let spans = t.spans().unwrap().spans();
-        // 4 phases + 2 worker lanes
-        assert_eq!(spans.len(), 6);
+        assert_eq!(spans.len(), 4, "one span per phase");
         let solve = spans.iter().find(|s| s.name == "realloc.solve").unwrap();
         let apply = spans.iter().find(|s| s.name == "realloc.apply").unwrap();
         assert_eq!(solve.start_ns + solve.dur_ns, apply.start_ns);
-        let workers: Vec<_> = spans.iter().filter(|s| s.name == "solve.worker").collect();
-        assert_eq!(workers.len(), 2);
-        assert_eq!(workers[0].tid, 1);
-        assert_eq!(workers[0].start_ns, solve.start_ns);
-        assert_eq!(workers[1].tid, 2);
     }
 }

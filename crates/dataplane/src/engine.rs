@@ -34,17 +34,15 @@
 //!    mode) into *disjoint link-sharing components* using epoch-stamped
 //!    bitmaps, in deterministic first-touch order, and builds one dense
 //!    subproblem (capacities, demands, CSR adjacency) per component.
-//! 2. **Solve** water-fills each component independently. Components
-//!    share no links by construction, so their allocations are
-//!    independent subproblems; with [`FluidConfig::engine_threads`] > 1
-//!    they are solved on a scoped-thread worker pool, each worker owning
-//!    its own solver scratch. Results merge into one rate array whose
-//!    layout is fixed by discovery order, and every observable side
-//!    effect (byte syncs, rate application, [`RateChange`] emission) is
-//!    applied serially in ascending flow-id order afterwards — so rates,
-//!    records and reports are **bit-identical at any thread count**.
-//!    Every discovered component is water-filled on every call, straight
-//!    into its slice of the rate array; no solve is memoised across calls.
+//! 2. **Solve** water-fills each component independently, one after the
+//!    other with one engine-owned solver scratch. Components share no
+//!    links by construction, so their allocations are independent
+//!    subproblems. Results land in one rate array whose layout is fixed
+//!    by discovery order, and every observable side effect (byte syncs,
+//!    rate application, [`RateChange`] emission) is applied in ascending
+//!    flow-id order afterwards. Every discovered component is
+//!    water-filled on every call, straight into its slice of the rate
+//!    array; no solve is memoised across calls.
 //!
 //! ## Hot-path layout
 //!
@@ -57,9 +55,9 @@
 //! link capacities, demands, CSR flow→link adjacency) into scratch buffers
 //! owned by the engine and runs the round-scan water-filler
 //! ([`crate::maxmin::max_min_allocate_csr`]) over them: in steady state
-//! the single-threaded path performs **zero heap allocations** (covered by
-//! the `alloc_free` integration test; per-worker scratch is pre-grown,
-//! not per-epoch).
+//! `reallocate` performs **zero heap allocations** (covered by the
+//! `alloc_free` integration test; solver scratch is pre-grown, not
+//! per-epoch).
 
 use crate::flow::{ActiveFlow, FlowSpec, Route, RouteHop};
 use crate::maxmin::{max_min_allocate_csr_weighted, AllocMode, MaxMinScratch};
@@ -83,13 +81,6 @@ pub struct FluidConfig {
     pub avg_packet: ByteSize,
     /// Maximum switch hops during route resolution (loop guard).
     pub max_route_hops: usize,
-    /// Worker threads for the component-parallel solve pass of
-    /// [`FluidNet::reallocate`]. `0`/`1` solve serially; larger values
-    /// water-fill disjoint components concurrently on a scoped-thread
-    /// pool. Results are **bit-identical at any value** — only wall
-    /// clock changes. Worth > 1 on large fabrics with many independent
-    /// traffic components; small problems pay thread setup per call.
-    pub engine_threads: usize,
     /// Collapse flows sharing an identical link sequence *and* demand
     /// into one weighted macro-flow allocation variable (the fluid-model
     /// scaling trick: a million flows on one path class solve as one
@@ -105,7 +96,6 @@ impl Default for FluidConfig {
             alloc_mode: AllocMode::Full,
             avg_packet: ByteSize::bytes(1000),
             max_route_hops: 64,
-            engine_threads: 1,
             macro_flows: true,
         }
     }
@@ -162,8 +152,8 @@ enum ResolveOutcome {
 /// One disjoint allocation component discovered by the dirty walk. Every
 /// field is an index range into the concatenated per-component problem
 /// arrays of [`ReallocScratch`]; ranges of successive components are
-/// contiguous, which is what lets the solve pass split the merged rate
-/// array into disjoint per-component output slices.
+/// contiguous, so each component solves into its own slice of the merged
+/// rate array.
 #[derive(Clone, Copy, Debug, Default)]
 struct CompRange {
     /// Real flows: range into `ids` (discovery fills this; the rest is
@@ -181,20 +171,6 @@ struct CompRange {
     ext: (u32, u32),
 }
 
-/// Per-worker solver memory for the component-parallel solve pass. Each
-/// worker owns its allocator scratch outright and writes only its tasks'
-/// disjoint output slices, so workers share no mutable state; buffers
-/// are pre-grown across calls (high-water reuse), not re-allocated per
-/// epoch.
-#[derive(Default)]
-struct WorkerScratch {
-    maxmin: MaxMinScratch,
-    /// Wall-clock nanoseconds this worker spent solving during the last
-    /// parallel pass. Only written when phase timing is enabled; never
-    /// read by the allocation itself (determinism contract).
-    busy_ns: u64,
-}
-
 /// Hot-path metric handles (no-ops until [`FluidNet::attach_metrics`]).
 /// An increment through a detached handle is a single branch, so the
 /// zero-allocation steady state is preserved either way (pinned down by
@@ -210,8 +186,7 @@ struct EngineMetrics {
 }
 
 /// splitmix64 finaliser — the mixer behind macro-flow grouping digests.
-/// Purely arithmetic: deterministic across runs, platforms and thread
-/// counts.
+/// Purely arithmetic: deterministic across runs and platforms.
 #[inline]
 fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -224,7 +199,7 @@ fn mix64(mut z: u64) -> u64 {
 /// phase, captured only when [`FluidNet::set_phase_timing`] enabled it.
 /// Wall clock never feeds the allocation or any deterministic output —
 /// the core exports these as Chrome-trace spans, nothing else.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ReallocTiming {
     /// Discovery pass — exported as the `realloc.discovery` span. Three
     /// things, in order: the link-sharing closure walk, the global
@@ -235,25 +210,10 @@ pub struct ReallocTiming {
     pub discovery_ns: u64,
     /// Build pass (dense subproblem construction).
     pub build_ns: u64,
-    /// Solve pass (serial or parallel water-filling).
+    /// Solve pass (water-filling, one component after another).
     pub solve_ns: u64,
-    /// Apply pass (serial rate application + grant recording).
+    /// Apply pass (rate application + grant recording).
     pub apply_ns: u64,
-    /// Per-worker busy time inside the solve pass (empty on the serial
-    /// path; index = worker lane).
-    pub workers_busy_ns: Vec<u64>,
-}
-
-/// One component's solve job: shared read-only problem slices plus the
-/// exclusive output slice it merges its rates into.
-struct SolveTask<'a> {
-    demands: &'a [f64],
-    weights: &'a [u32],
-    offsets: &'a [u32],
-    links: &'a [u32],
-    caps: &'a [f64],
-    out: &'a mut [f64],
-    rounds: &'a mut u32,
 }
 
 /// Reusable working memory for [`FluidNet::reallocate`] (and the other
@@ -392,10 +352,8 @@ pub struct FluidNet {
     /// cable restoration toward dead peers.
     crashed: HashSet<NodeId>,
     scratch: ReallocScratch,
-    /// Per-worker solver state for the component-parallel solve pass
-    /// (`workers[0]` serves the serial path; grown lazily to
-    /// [`FluidConfig::engine_threads`] on the first parallel call).
-    workers: Vec<WorkerScratch>,
+    /// Water-filling scratch, reused by every component of every call.
+    maxmin: MaxMinScratch,
     /// Number of allocator runs (exported with results; ablation metric).
     pub realloc_runs: u64,
     /// Total flows touched by allocator runs (ablation metric).
@@ -444,7 +402,7 @@ impl FluidNet {
                 link_stamp: vec![0; nl],
                 ..ReallocScratch::default()
             },
-            workers: vec![WorkerScratch::default()],
+            maxmin: MaxMinScratch::default(),
             realloc_runs: 0,
             realloc_flows_touched: 0,
             macro_flows: 0,
@@ -1165,8 +1123,7 @@ impl FluidNet {
         // Every observable side effect below (byte syncs, rate
         // application, RateChange emission, link-rate accumulation) runs
         // ascending by flow id across all components — the same order the
-        // joint solve used, independent of component discovery order and
-        // of solver scheduling.
+        // joint solve used, independent of component discovery order.
         {
             let flows = &self.flows;
             let ReallocScratch {
@@ -1342,11 +1299,7 @@ impl FluidNet {
         // ---- Solve pass ----
         // Each component is an independent water-filling problem; its
         // rates land in the component's own segment of the merged rate
-        // array, so the merge is position-fixed by discovery order and
-        // identical however the components were scheduled.
-        let ncomps = self.scratch.comps.len();
-        let par_threads = self.config.engine_threads.max(1).min(ncomps);
-        let timing_enabled = self.timing_enabled;
+        // array, so the merge is position-fixed by discovery order.
         {
             let ReallocScratch {
                 comps,
@@ -1360,84 +1313,25 @@ impl FluidNet {
             } = &mut self.scratch;
             // The allocator overwrites every entry of its output slice.
             rates.resize(demands.len(), 0.0);
-            if par_threads <= 1 {
-                let maxmin = &mut self.workers[0].maxmin;
-                for c in comps.iter() {
-                    let (d0, d1) = (c.dem.0 as usize, c.dem.1 as usize);
-                    let rounds = max_min_allocate_csr_weighted(
-                        &demands[d0..d1],
-                        &weights[d0..d1],
-                        &fl_off[c.off.0 as usize..c.off.1 as usize],
-                        &fl_links[c.lnk.0 as usize..c.lnk.1 as usize],
-                        &caps[c.links.0 as usize..c.links.1 as usize],
-                        &mut rates[d0..d1],
-                        maxmin,
-                    );
-                    self.metrics.rounds.observe(rounds as u64);
-                }
-            } else {
-                while self.workers.len() < par_threads {
-                    self.workers.push(WorkerScratch::default());
-                }
-                // Split the merged rate array into disjoint per-component
-                // output slices and let the scoped workers pull jobs off a
-                // shared stack (component sizes are skewed, so dynamic
-                // pull beats static striping).
-                let mut tasks: Vec<SolveTask> = Vec::with_capacity(ncomps);
-                let mut rounds = vec![0u32; ncomps];
-                let mut rest: &mut [f64] = rates.as_mut_slice();
-                for (c, r) in comps.iter().zip(rounds.iter_mut()) {
-                    let (out, tail) = rest.split_at_mut((c.dem.1 - c.dem.0) as usize);
-                    rest = tail;
-                    tasks.push(SolveTask {
-                        demands: &demands[c.dem.0 as usize..c.dem.1 as usize],
-                        weights: &weights[c.dem.0 as usize..c.dem.1 as usize],
-                        offsets: &fl_off[c.off.0 as usize..c.off.1 as usize],
-                        links: &fl_links[c.lnk.0 as usize..c.lnk.1 as usize],
-                        caps: &caps[c.links.0 as usize..c.links.1 as usize],
-                        out,
-                        rounds: r,
-                    });
-                }
-                let queue = std::sync::Mutex::new(tasks);
-                std::thread::scope(|s| {
-                    for w in self.workers.iter_mut().take(par_threads) {
-                        let queue = &queue;
-                        w.busy_ns = 0;
-                        s.spawn(move || loop {
-                            let task = match queue.lock() {
-                                Ok(mut q) => q.pop(),
-                                Err(_) => None, // a sibling panicked; stop
-                            };
-                            let Some(task) = task else { break };
-                            let t_task = timing_enabled.then(Instant::now);
-                            *task.rounds = max_min_allocate_csr_weighted(
-                                task.demands,
-                                task.weights,
-                                task.offsets,
-                                task.links,
-                                task.caps,
-                                task.out,
-                                &mut w.maxmin,
-                            );
-                            if let Some(t) = t_task {
-                                w.busy_ns += t.elapsed().as_nanos() as u64;
-                            }
-                        });
-                    }
-                });
-                // Observed in component order once every worker is done,
-                // so the histogram cannot depend on scheduling.
-                for r in rounds {
-                    self.metrics.rounds.observe(r as u64);
-                }
+            for c in comps.iter() {
+                let (d0, d1) = (c.dem.0 as usize, c.dem.1 as usize);
+                let rounds = max_min_allocate_csr_weighted(
+                    &demands[d0..d1],
+                    &weights[d0..d1],
+                    &fl_off[c.off.0 as usize..c.off.1 as usize],
+                    &fl_links[c.lnk.0 as usize..c.lnk.1 as usize],
+                    &caps[c.links.0 as usize..c.links.1 as usize],
+                    &mut rates[d0..d1],
+                    &mut self.maxmin,
+                );
+                self.metrics.rounds.observe(rounds as u64);
             }
+            self.cold_solves += comps.len() as u64;
         }
-        self.cold_solves += ncomps as u64;
 
         let t_solved = t_enter.map(|_| Instant::now());
 
-        // ---- Apply pass (serial, ascending flow id) ----
+        // ---- Apply pass (ascending flow id) ----
         for k in 0..self.scratch.order.len() {
             let i = self.scratch.order[k] as usize;
             let slot = self.scratch.ids[i];
@@ -1479,12 +1373,6 @@ impl FluidNet {
             self.timing.build_ns = t2.duration_since(t1).as_nanos() as u64;
             self.timing.solve_ns = t3.duration_since(t2).as_nanos() as u64;
             self.timing.apply_ns = t3.elapsed().as_nanos() as u64;
-            self.timing.workers_busy_ns.clear();
-            if par_threads > 1 {
-                self.timing
-                    .workers_busy_ns
-                    .extend(self.workers.iter().take(par_threads).map(|w| w.busy_ns));
-            }
         }
         &self.scratch.changes
     }
@@ -1753,7 +1641,7 @@ impl FluidNet {
     /// active flows in admission order (so a restore re-inserts them into
     /// an identical arena layout order-wise), records, pending dirty
     /// links, hybrid coupling vectors, crash set and the engine's
-    /// cumulative counters. Solver scratch, worker pools and
+    /// cumulative counters. Solver scratch and
     /// wall-clock timing are rebuildable and deliberately excluded — a
     /// restored plane computes bit-identical rates regardless.
     pub fn snapshot_state(&self, w: &mut SnapWriter) {
@@ -2262,16 +2150,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_solve_is_bit_identical_to_serial() {
-        // Several disjoint host pairs (independent components) plus one
-        // shared sink (a multi-flow component): solving with a worker
-        // pool must reproduce the serial rates bit-for-bit, in the same
-        // emission order, and the same `alloc.rounds` histogram.
-        let run = |threads: usize, mode: AllocMode| {
+    fn every_component_gets_one_solve() {
+        // The pair 4→5 is a component of its own; the other four flows
+        // chain through host 0's and host 2's uplinks and the contended
+        // sink 6 into a second. Every flow gets a first rate, and
+        // `alloc.rounds` sees exactly one observation per component.
+        let run = |mode: AllocMode| {
             let f = builders::star(8, Rate::gbps(1.0));
             let cfg = FluidConfig {
                 alloc_mode: mode,
-                engine_threads: threads,
                 ..FluidConfig::default()
             };
             let mut net = FluidNet::new(f.topology, cfg);
@@ -2326,25 +2213,26 @@ mod tests {
                 .iter()
                 .map(|c| (c.id, c.rate.as_bps().to_bits()))
                 .collect();
-            let rounds = registry
-                .dump()
+            let dump = registry.dump();
+            let components = dump
+                .counters
+                .iter()
+                .find(|(name, _)| name == "alloc.components")
+                .expect("components counter registered")
+                .1;
+            let rounds = dump
                 .hists
                 .into_iter()
                 .find(|(name, _)| name == "alloc.rounds")
                 .expect("rounds histogram registered")
                 .1;
-            (changes, rounds)
+            (changes, components, rounds)
         };
         for mode in [AllocMode::Full, AllocMode::Incremental] {
-            let (serial, serial_rounds) = run(1, mode);
-            let (parallel, parallel_rounds) = run(4, mode);
-            assert_eq!(serial.len(), 5, "every flow gets a first rate");
-            assert_eq!(serial, parallel, "thread count changed rates ({mode:?})");
-            assert!(serial_rounds.count >= 2, "one observation per component");
-            assert_eq!(
-                serial_rounds, parallel_rounds,
-                "thread count changed rounds"
-            );
+            let (changes, components, rounds) = run(mode);
+            assert_eq!(changes.len(), 5, "every flow gets a first rate ({mode:?})");
+            assert_eq!(components, 2, "two link-sharing components ({mode:?})");
+            assert_eq!(rounds.count, 2, "one observation per component ({mode:?})");
         }
     }
 

@@ -199,14 +199,12 @@ fn reallocate_with_live_metrics_is_still_allocation_free() {
 /// Epoch-batched cadence: a whole wave of admissions (or removals) marks
 /// dirty state first and pays **one** `reallocate` for the batch — the
 /// order the simulation driver now produces. Steady state must stay
-/// zero-allocation with the serial solve path (`engine_threads = 1`,
-/// explicitly): per-worker scratch is pre-grown across calls, not
+/// zero-allocation: solver scratch is pre-grown across calls, not
 /// re-allocated per epoch.
 fn batched_churn_and_count(mode: AllocMode) -> u64 {
     let f = builders::star(8, Rate::gbps(1.0));
     let cfg = FluidConfig {
         alloc_mode: mode,
-        engine_threads: 1,
         ..FluidConfig::default()
     };
     let mut net = FluidNet::new(f.topology, cfg);

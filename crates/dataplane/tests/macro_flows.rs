@@ -1,11 +1,11 @@
 //! End-to-end equivalence proofs for the million-flow machinery
 //! (macro-flow aggregation, ARCHITECTURE.md §10): under randomized
-//! arrival/departure/external-demand churn, the aggregating engine —
-//! serial and at `engine_threads = 4` — must emit **bit-identical** rate
-//! changes (same flows, same order, same `f64` bits) and leave
-//! bit-identical per-flow rates and external grants behind.
+//! arrival/departure/external-demand churn, the aggregating engine must
+//! emit **bit-identical** rate changes (same flows, same order, same
+//! `f64` bits) and leave bit-identical per-flow rates and external grants
+//! behind.
 //!
-//! The per-flow serial engine is the oracle; nothing here tolerates an
+//! The per-flow engine is the oracle; nothing here tolerates an
 //! epsilon.
 
 use horse_dataplane::{AdmitOutcome, AllocMode, DemandModel, FlowSpec, FluidConfig, FluidNet};
@@ -20,11 +20,10 @@ use proptest::prelude::*;
 const MEMBERS: usize = 8;
 
 /// Star fabric with per-MAC forwarding on the hub, under one engine variant.
-fn star_net(macro_flows: bool, threads: usize) -> FluidNet {
+fn star_net(macro_flows: bool) -> FluidNet {
     let f = builders::star(MEMBERS, Rate::gbps(1.0));
     let cfg = FluidConfig {
         alloc_mode: AllocMode::Incremental,
-        engine_threads: threads,
         macro_flows,
         ..FluidConfig::default()
     };
@@ -94,9 +93,8 @@ fn fingerprint(net: &FluidNet) -> Vec<(u64, u64)> {
 /// admissions (same reserved ids), removals and external demands.
 fn run_script(seed: u64, steps: usize) {
     let mut nets = [
-        star_net(false, 1), // oracle: per-flow, serial
-        star_net(true, 1),
-        star_net(true, 4), // acceptance: parallel, aggregating
+        star_net(false), // oracle: per-flow
+        star_net(true),
     ];
     let mut x = seed | 1;
     let mut rnd = move || {
@@ -185,20 +183,17 @@ fn run_script(seed: u64, steps: usize) {
     }
 
     // Aggregation really did its work on this script: the oracle solved
-    // one variable per flow, the aggregating variants no more than that.
-    // Every variant water-filled the same components.
+    // one variable per flow, the aggregating engine no more than that.
+    // Both water-filled the same components.
     assert_eq!(nets[0].macro_flows, nets[0].realloc_flows_touched);
     assert!(nets[1].macro_flows <= nets[1].realloc_flows_touched);
-    assert_eq!(nets[2].macro_flows, nets[1].macro_flows);
-    for net in &nets[1..] {
-        assert_eq!(net.cold_solves, nets[0].cold_solves);
-    }
+    assert_eq!(nets[1].cold_solves, nets[0].cold_solves);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-    /// Per-flow vs aggregated vs aggregated-parallel: all three engine
-    /// variants stay bit-identical across randomized churn.
+    /// Per-flow vs aggregated: both engine variants stay bit-identical
+    /// across randomized churn.
     #[test]
     fn all_variants_are_bit_identical(seed in 0u64..u64::MAX) {
         run_script(seed, 24);
@@ -220,7 +215,7 @@ fn fixed_long_script_is_bit_identical() {
 fn macro_variables_track_classes_not_flows() {
     let classes = (MEMBERS * (MEMBERS - 1)) as u64;
     for per_class in [4u16, 32] {
-        let mut net = star_net(true, 1);
+        let mut net = star_net(true);
         for src in 0..MEMBERS {
             for dst in (0..MEMBERS).filter(|&d| d != src) {
                 for sport in 0..per_class {

@@ -1,7 +1,7 @@
 //! The `horse-lab` command-line interface.
 //!
 //! ```text
-//! horse-lab run <sweep.toml|.json> [--threads N] [--engine-threads N] [--out DIR] [--quiet]
+//! horse-lab run <sweep.toml|.json> [--threads N] [--out DIR] [--quiet]
 //! horse-lab plan <sweep.toml>
 //! horse-lab validate <sweep.toml>
 //! ```
@@ -23,7 +23,7 @@ const USAGE: &str = "\
 horse-lab — declarative experiment sweeps for the Horse simulator
 
 USAGE:
-    horse-lab run <spec.toml|spec.json> [--threads N] [--engine-threads N] [--out DIR]
+    horse-lab run <spec.toml|spec.json> [--threads N] [--out DIR]
                   [--trace FILE] [--journal DIR] [--progress] [--quiet]
                   [--naive] [--checkpoint DIR] [--resume DIR]
     horse-lab plan <spec>
@@ -31,13 +31,9 @@ USAGE:
 
 OPTIONS:
     --threads N   worker threads (default: spec `threads`, then one per CPU)
-    --engine-threads N
-                  override `config.engine_threads` for every run: the
-                  component-parallel allocation threads *inside* each
-                  simulation (metrics are bit-identical at any value)
     --out DIR     report directory (default: lab-results)
     --trace FILE  write wall-clock phase spans (epoch, allocator
-                  discovery/build/solve/apply, solver workers) of every
+                  discovery/build/solve/apply) of every
                   run as Chrome-trace JSON — load in chrome://tracing or
                   https://ui.perfetto.dev. Does not affect the reports.
     --journal DIR write one sim-time event journal per run (JSONL) —
@@ -64,8 +60,6 @@ pub struct Cli {
     pub spec: PathBuf,
     /// `--threads` override.
     pub threads: Option<usize>,
-    /// `--engine-threads` override (in-simulation allocation threads).
-    pub engine_threads: Option<usize>,
     /// `--out` report directory.
     pub out: PathBuf,
     /// `--trace` Chrome-trace output file.
@@ -98,7 +92,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, LabError> {
     }
     let mut spec: Option<PathBuf> = None;
     let mut threads = None;
-    let mut engine_threads = None;
     let mut out = PathBuf::from("lab-results");
     let mut trace = None;
     let mut journal = None;
@@ -117,15 +110,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, LabError> {
                     .parse()
                     .map_err(|_| LabError::cli(format!("--threads: `{v}` is not a number")))?;
                 threads = Some(n);
-            }
-            "--engine-threads" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| LabError::cli("--engine-threads needs a number"))?;
-                let n: usize = v.parse().map_err(|_| {
-                    LabError::cli(format!("--engine-threads: `{v}` is not a number"))
-                })?;
-                engine_threads = Some(n.max(1));
             }
             "--out" => {
                 let v = it
@@ -178,7 +162,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, LabError> {
         command,
         spec,
         threads,
-        engine_threads,
         out,
         trace,
         journal,
@@ -225,16 +208,7 @@ fn main_inner(args: &[String]) -> Result<(), LabError> {
         }
         "run" => {
             let threads = resolve_threads(cli.threads, &spec);
-            let mut plans = expand(&spec)?;
-            if let Some(n) = cli.engine_threads {
-                // Applied after axis expansion, so it also overrides an
-                // `engine_threads` axis — the point is regenerating a
-                // campaign at a different thread count to prove the
-                // reports are identical.
-                for p in &mut plans {
-                    p.config.engine_threads = Some(n);
-                }
-            }
+            let plans = expand(&spec)?;
             let total = plans.len();
             let quiet = cli.quiet;
             let groups = if cli.naive {
@@ -245,7 +219,7 @@ fn main_inner(args: &[String]) -> Result<(), LabError> {
             if groups.is_none() && (cli.checkpoint.is_some() || cli.resume.is_some()) {
                 return Err(LabError::cli(
                     "--checkpoint/--resume apply to prefix-shared what-if campaigns: set \
-                     scenario.whatif_at_secs, sweep only whatif_*/engine_threads axes, \
+                     scenario.whatif_at_secs, sweep only whatif_* axes, \
                      and drop --naive",
                 ));
             }
@@ -359,8 +333,6 @@ mod tests {
             "sweep.toml",
             "--threads",
             "4",
-            "--engine-threads",
-            "2",
             "--out",
             "o",
             "--trace",
@@ -374,7 +346,6 @@ mod tests {
         assert_eq!(cli.command, "run");
         assert_eq!(cli.spec, PathBuf::from("sweep.toml"));
         assert_eq!(cli.threads, Some(4));
-        assert_eq!(cli.engine_threads, Some(2));
         assert_eq!(cli.out, PathBuf::from("o"));
         assert_eq!(cli.trace, Some(PathBuf::from("t.json")));
         assert_eq!(cli.journal, Some(PathBuf::from("j")));
@@ -419,7 +390,7 @@ mod tests {
         assert!(parse_args(&s(&["run"])).is_err());
         assert!(parse_args(&s(&["run", "a.toml", "b.toml"])).is_err());
         assert!(parse_args(&s(&["run", "a.toml", "--threads", "many"])).is_err());
-        assert!(parse_args(&s(&["run", "a.toml", "--engine-threads"])).is_err());
+        assert!(parse_args(&s(&["run", "a.toml", "--no-such-flag"])).is_err());
         assert!(parse_args(&s(&["run", "a.toml", "--trace"])).is_err());
         assert!(parse_args(&s(&["run", "a.toml", "--journal"])).is_err());
     }

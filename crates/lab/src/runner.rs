@@ -404,33 +404,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_threads_do_not_change_metrics() {
-        // The in-simulation allocation thread count is a pure wall-clock
-        // knob: sweeping it must produce identical metric rows (which is
-        // what makes it safe to sweep and what CI's determinism
-        // acceptance re-checks on the committed campaigns).
-        let spec = SweepSpec::from_toml(
-            r#"
-            name = "et_det"
-            [scenario]
-            kind = "ixp"
-            members = 25
-            horizon_secs = 1.0
-            [axes]
-            engine_threads = [1, 4]
-            "#,
-        )
-        .unwrap();
-        let report = run_sweep(&spec, 1).unwrap();
-        assert_eq!(report.runs.len(), 2);
-        assert_eq!(
-            report.runs[0].metrics, report.runs[1].metrics,
-            "engine_threads=1 vs 4 must be bit-identical"
-        );
-        assert!(report.runs[0].metrics.epochs > 0);
-    }
-
-    #[test]
     fn macro_flows_ablation_changes_no_observable() {
         // Aggregation only changes how much solver work runs, never what
         // it computes: every observable metric must be bit-identical

@@ -99,8 +99,8 @@ pub struct CommonKnobs {
     /// Chaos: length of one gray window in seconds (default 1.0).
     pub chaos_gray_duration_secs: Option<f64>,
     /// What-if: shared-prefix fork point in seconds. Runs whose specs
-    /// differ only in `whatif_*` event knobs (and `engine_threads`)
-    /// simulate the prefix `[0, T)` once and fork per variant.
+    /// differ only in `whatif_*` event knobs simulate the prefix
+    /// `[0, T)` once and fork per variant.
     pub whatif_at_secs: Option<f64>,
     /// What-if: link (by [`LinkId`] index) to fail after the fork point.
     /// Sweepable, so one spec compares candidate failures.
@@ -555,11 +555,8 @@ pub struct SimConfigSpec {
     pub admit_retry_limit: Option<u32>,
     /// Congestion alarm threshold (link utilization 0–1).
     pub alarm_threshold: Option<f64>,
-    /// Worker threads for the component-parallel allocation solve inside
-    /// each simulation (not to be confused with the sweep runner's
-    /// `threads`, which parallelizes across runs). Metrics are
-    /// bit-identical at any value, so this is sweepable purely as a
-    /// performance axis.
+    /// Accepted and ignored: the frozen benchmark harness still writes
+    /// this key. ROADMAP direction 1's benchmark PR deletes it.
     pub engine_threads: Option<usize>,
     /// Macro-flow aggregation (collapse identical path-class flows into
     /// one weighted allocation variable). Defaults on; results are
@@ -619,9 +616,6 @@ impl SimConfigSpec {
                 )));
             }
             c.alarm_threshold = Some(t);
-        }
-        if let Some(n) = self.engine_threads {
-            c.engine_threads = n.max(1);
         }
         if let Some(on) = self.macro_flows {
             c.macro_flows = on;
@@ -838,18 +832,14 @@ mod tests {
         let c = SimConfigSpec {
             ctrl_latency_us: Some(1000.0),
             stats_epoch_secs: Some(0.0),
-            engine_threads: Some(4),
             ..Default::default()
         }
         .to_config()
         .unwrap();
         assert_eq!(c.ctrl_latency, SimDuration::from_micros(1000));
         assert!(c.stats_epoch.is_none());
-        assert_eq!(c.engine_threads, 4);
         // untouched fields inherit defaults
         assert_eq!(c.admit_retry_limit, SimConfig::default().admit_retry_limit);
-        let d = SimConfigSpec::default().to_config().unwrap();
-        assert_eq!(d.engine_threads, SimConfig::default().engine_threads);
     }
 
     #[test]
@@ -924,26 +914,6 @@ mod tests {
         assert_eq!(plans[0].config.pkt_decision_cache, Some(true));
         assert_eq!(plans[3].config.pkt_burst, Some(32));
         assert_eq!(plans[3].config.pkt_decision_cache, Some(false));
-    }
-
-    #[test]
-    fn engine_threads_is_a_sweepable_axis() {
-        let spec = SweepSpec::from_toml(
-            r#"
-            name = "et"
-            [scenario]
-            kind = "ixp"
-            members = 6
-            horizon_secs = 0.5
-            [axes]
-            engine_threads = [1, 4]
-            "#,
-        )
-        .unwrap();
-        let plans = crate::sweep::expand(&spec).unwrap();
-        assert_eq!(plans.len(), 2);
-        assert_eq!(plans[0].config.engine_threads, Some(1));
-        assert_eq!(plans[1].config.engine_threads, Some(4));
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! workload, but which cable failure at t=1.2s hurts most?" — wastes most
 //! of its cycles re-simulating an identical prefix for every grid point.
 //! When a spec declares `whatif_at_secs = T` and sweeps only the
-//! `whatif_*` event knobs (and/or `engine_threads`, which never changes
-//! results), this module:
+//! `whatif_*` event knobs, this module:
 //!
 //! 1. groups the expanded [`RunPlan`]s by their stripped spec (divergence
 //!    knobs cleared) — see [`fork_groups`];
@@ -86,7 +85,7 @@ pub struct ForkOptions {
 /// sharing: some plan's scenario declares no `whatif_at_secs`, or two
 /// plans in a would-be group disagree on anything other than the
 /// divergence knobs (`whatif_link_down` / `whatif_fail_secs` /
-/// `whatif_repair_secs`) and `engine_threads`. Eligibility is per
+/// `whatif_repair_secs`). Eligibility is per
 /// campaign, not per group: a sweep that *also* varies, say, the seed
 /// simply expands into more groups, one per distinct prefix.
 pub fn fork_groups(plans: &[RunPlan]) -> Result<Option<Vec<ForkGroup>>, LabError> {
@@ -101,9 +100,7 @@ pub fn fork_groups(plans: &[RunPlan]) -> Result<Option<Vec<ForkGroup>>, LabError
         knobs.whatif_link_down = None;
         knobs.whatif_fail_secs = None;
         knobs.whatif_repair_secs = None;
-        let mut stripped_config = plan.config.clone();
-        stripped_config.engine_threads = None;
-        let key = serde_json::to_string(&(stripped_scenario.clone(), stripped_config.clone()))
+        let key = serde_json::to_string(&(&stripped_scenario, &plan.config))
             .map_err(|e| LabError::build(format!("cannot key plan {}: {e}", plan.index)))?;
         match groups.iter_mut().find(|(k, _)| *k == key) {
             Some((_, g)) => g.variants.push(plan.clone()),
@@ -114,7 +111,7 @@ pub fn fork_groups(plans: &[RunPlan]) -> Result<Option<Vec<ForkGroup>>, LabError
                     prefix: RunPlan {
                         index: plan.index,
                         scenario: stripped_scenario,
-                        config: stripped_config,
+                        config: plan.config.clone(),
                         params: Vec::new(),
                     },
                     variants: vec![plan.clone()],
@@ -195,12 +192,8 @@ pub fn run_forked(
         for plan in &group.variants {
             let run_start = Instant::now();
             let overrides = ForkSpec {
-                // Always explicit: the prefix ran with the thread knob
-                // stripped, so the snapshot's config does not carry the
-                // variant's setting.
-                engine_threads: Some(plan.config.to_config()?.engine_threads),
-                ctrl_latency: None,
                 late_events: plan.scenario.build()?.late_events,
+                ..ForkSpec::default()
             };
             let mut sim = Simulation::fork(&snapshot, &overrides)
                 .map_err(|e| LabError::build(format!("run {}: fork failed: {e}", plan.index)))?;
@@ -273,29 +266,6 @@ mod tests {
         let groups = fork_groups(&plans).unwrap().expect("still eligible");
         assert_eq!(groups.len(), 2, "one prefix per seed");
         assert_eq!(groups.iter().map(|g| g.variants.len()).sum::<usize>(), 8);
-    }
-
-    #[test]
-    fn engine_threads_axis_shares_the_prefix() {
-        let spec = SweepSpec::from_toml(
-            r#"
-            name = "wt"
-            [scenario]
-            kind = "fabric"
-            topology = "leaf_spine"
-            horizon_secs = 1.0
-            whatif_at_secs = 0.4
-            whatif_link_down = 0
-            whatif_fail_secs = 0.6
-            [axes]
-            engine_threads = [1, 2]
-            "#,
-        )
-        .unwrap();
-        let plans = expand(&spec).unwrap();
-        let groups = fork_groups(&plans).unwrap().expect("eligible");
-        assert_eq!(groups.len(), 1, "thread knob never changes results");
-        assert_eq!(groups[0].variants.len(), 2);
     }
 
     #[test]

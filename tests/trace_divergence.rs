@@ -31,26 +31,17 @@ fn journaled_run(
 }
 
 /// The journal is part of the determinism contract: same scenario +
-/// same seed must journal byte-for-byte identically at any
-/// `engine_threads` value.
+/// same seed must journal byte-for-byte identically on every run.
 #[test]
-fn journals_are_byte_identical_at_1_vs_4_engine_threads() {
+fn journals_are_byte_identical_run_to_run() {
     let scenario = || Scenario::figure1(SimTime::from_secs(3), 11);
-    let (r1, e1, t1) = journaled_run(
-        scenario(),
-        SimConfig::default().with_engine_threads(1),
-        None,
-    );
-    let (_, e4, t4) = journaled_run(
-        scenario(),
-        SimConfig::default().with_engine_threads(4),
-        None,
-    );
+    let (r1, e1, t1) = journaled_run(scenario(), SimConfig::default(), None);
+    let (_, e2, t2) = journaled_run(scenario(), SimConfig::default(), None);
     assert!(r1.flows_completed > 0, "scenario must exercise flows");
     assert!(!e1.is_empty(), "journal captured events");
-    assert_eq!(t1, t4, "journal text differs across engine threads");
+    assert_eq!(t1, t2, "journal text differs between identical runs");
     assert!(matches!(
-        first_divergence(&e1, &e4),
+        first_divergence(&e1, &e2),
         Divergence::Identical { .. }
     ));
 }
