@@ -1005,7 +1005,7 @@ impl Simulation {
                 // must see the same counters the per-event cadence
                 // produced, and a poll of a quiet path must see the bytes
                 // its flows moved since their last rate change (a flush
-                // syncs only the components it recomputes). Flow/group/
+                // syncs only the flows whose rate it changes). Flow/group/
                 // meter mods are pure writes, so only stats reads pay
                 // (keeping FlowMod bursts batched, the common
                 // reactive-setup shape).
@@ -1141,8 +1141,8 @@ impl Simulation {
             }
             SimEvent::ExpiryScan => {
                 // Sync first: expiry compares entry last-use times that
-                // the byte sync refreshes, and a flow in a quiet component
-                // has not credited its entries since its last rate change.
+                // the byte sync refreshes, and a flow whose rate has not
+                // changed has not credited its entries since it last did.
                 self.flush_realloc(now);
                 self.fluid.sync_all(now);
                 let msgs = self.fluid.expire_entries(now);

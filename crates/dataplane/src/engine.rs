@@ -44,6 +44,20 @@
 //!    water-filled on every call, straight into its slice of the rate
 //!    array; no solve is memoised across calls.
 //!
+//! ## Lazy byte integration
+//!
+//! Between rate changes a flow's byte count is linear in time, so bytes
+//! are integrated only when that line bends or something reads it. A
+//! flow is synced (integrated to `now` at its old rate, crediting its
+//! links, OpenFlow entries and ports) when the apply pass changes its
+//! rate, when it is removed or detached, and by [`FluidNet::sync_all`],
+//! which the core calls before every counter reader (stats export,
+//! expiry scan, stats request) and at the end of the run. A flow whose
+//! rate a reallocation leaves unchanged is not touched: byte counters
+//! read between syncs are exact as of each flow's `last_update`, and a
+//! mid-run reader calls `sync_all(now)` first. Snapshots carry
+//! `last_update`, so a resumed run integrates the same intervals.
+//!
 //! ## Hot-path layout
 //!
 //! Flow state is arena-backed ([`crate::slab::FlowArena`]): a
@@ -183,6 +197,7 @@ struct EngineMetrics {
     component_flows: Histogram,
     rounds: Histogram,
     macro_flows: Counter,
+    byte_syncs: Counter,
 }
 
 /// splitmix64 finaliser — the mixer behind macro-flow grouping digests.
@@ -201,18 +216,19 @@ fn mix64(mut z: u64) -> u64 {
 /// the core exports these as Chrome-trace spans, nothing else.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReallocTiming {
-    /// Discovery pass — exported as the `realloc.discovery` span. Three
-    /// things, in order: the link-sharing closure walk, the global
-    /// ascending-id processing order, and the byte sync of every touched
-    /// flow at its old rate (link bytes, OpenFlow entry and port
-    /// counters). The sync is O(touched flows × hops): each hop credits
-    /// its entries through remembered table positions, with no search.
+    /// Discovery pass — exported as the `realloc.discovery` span: the
+    /// link-sharing closure walk and the global ascending-id processing
+    /// order. It syncs no bytes.
     pub discovery_ns: u64,
     /// Build pass (dense subproblem construction).
     pub build_ns: u64,
     /// Solve pass (water-filling, one component after another).
     pub solve_ns: u64,
-    /// Apply pass (rate application + grant recording).
+    /// Apply pass: rate application, grant recording and the byte sync
+    /// of every flow whose rate changed, at its old rate (link bytes,
+    /// OpenFlow entry and port counters). The sync is O(changed flows ×
+    /// hops): each hop credits its entries through remembered table
+    /// positions, with no search.
     pub apply_ns: u64,
 }
 
@@ -424,6 +440,7 @@ impl FluidNet {
             component_flows: registry.histogram("alloc.component_flows"),
             rounds: registry.histogram("alloc.rounds"),
             macro_flows: registry.counter("alloc.macro_flows"),
+            byte_syncs: registry.counter("alloc.byte_syncs"),
         };
     }
 
@@ -474,7 +491,9 @@ impl FluidNet {
         self.flows.len()
     }
 
-    /// Read access to an active flow.
+    /// Read access to an active flow. Its byte counters are exact as of
+    /// its `last_update`; call [`FluidNet::sync_all`] first to read them
+    /// at the current instant.
     pub fn flow(&self, id: FlowId) -> Option<&ActiveFlow> {
         self.flows.get(id)
     }
@@ -496,7 +515,9 @@ impl FluidNet {
         &self.drops
     }
 
-    /// Per-link statistics (indexed by link id).
+    /// Per-link statistics (indexed by link id). `bytes` is exact as of
+    /// each crossing flow's last sync; a mid-run reader calls
+    /// [`FluidNet::sync_all`] first.
     pub fn link_stats(&self) -> &[LinkStats] {
         &self.link_stats
     }
@@ -923,9 +944,14 @@ impl FluidNet {
     /// Integrates bytes for one flow (by slot) up to `now`, crediting
     /// links and switch entries. Field-level borrow splitting walks the
     /// route in place — no detach/reattach, no cloning (hot path: this
-    /// runs for every affected flow on every reallocation).
+    /// runs for every flow whose rate a reallocation changes). The
+    /// entries are told the interval's start, so an entry installed
+    /// inside it is credited only its own share (see
+    /// [`OpenFlowSwitch::credit_bytes`]).
     fn sync_flow_slot(&mut self, slot: u32, now: SimTime) {
+        self.metrics.byte_syncs.inc();
         let flow = self.flows.flow_at_mut(slot);
+        let from = flow.last_update;
         let moved = flow.sync_to(now);
         if moved > 0.0 {
             for &l in &flow.route.links {
@@ -936,7 +962,7 @@ impl FluidNet {
             let switches = &mut self.switches;
             for hop in &mut flow.route.hops {
                 if let Some(sw) = switches.get_mut(hop.node) {
-                    sw.credit_bytes(&mut hop.matched, moved_bytes, avg, now);
+                    sw.credit_bytes(&mut hop.matched, moved_bytes, avg, from, now);
                     // Port counters follow the same integration, so
                     // port-stats polling (the adaptive LB's feedback
                     // signal) observes fluid traffic too.
@@ -1019,7 +1045,7 @@ impl FluidNet {
         self.metrics.realloc_runs.inc();
         // No dirty link seeds no component: an incremental run would touch
         // no flow, so it stops here, still counted as a run. (`Full` mode
-        // re-syncs every flow's bytes and keeps the whole path.)
+        // re-solves every flow and keeps the whole path.)
         if self.config.alloc_mode == AllocMode::Incremental && self.dirty_links.is_empty() {
             if let Some(t0) = t_enter {
                 self.timing = ReallocTiming {
@@ -1120,10 +1146,11 @@ impl FluidNet {
         }
 
         // ---- Global processing order ----
-        // Every observable side effect below (byte syncs, rate
-        // application, RateChange emission, link-rate accumulation) runs
-        // ascending by flow id across all components — the same order the
-        // joint solve used, independent of component discovery order.
+        // Every observable side effect below (byte syncs of changed
+        // flows, rate application, RateChange emission, link-rate
+        // accumulation) runs ascending by flow id across all components —
+        // the same order the joint solve used, independent of component
+        // discovery order.
         {
             let flows = &self.flows;
             let ReallocScratch {
@@ -1136,13 +1163,6 @@ impl FluidNet {
             if comps.len() > 1 {
                 order.sort_unstable_by_key(|&i| flows.flow_at(ids[i as usize]).id);
             }
-        }
-
-        // Sync affected flows to now at their *old* rates before changing
-        // anything.
-        for k in 0..self.scratch.order.len() {
-            let slot = self.scratch.ids[self.scratch.order[k] as usize];
-            self.sync_flow_slot(slot, now);
         }
         let t_discovered = t_enter.map(|_| Instant::now());
 
@@ -1336,12 +1356,16 @@ impl FluidNet {
             let i = self.scratch.order[k] as usize;
             let slot = self.scratch.ids[i];
             let new_rate = Rate::bps(self.scratch.rates[self.scratch.rate_idx[i] as usize]);
-            let flow = self.flows.flow_at_mut(slot);
-            let changed = (new_rate.as_bps() - flow.rate.as_bps()).abs() > 1e-6;
+            let old_rate = self.flows.flow_at(slot).rate;
+            let changed = (new_rate.as_bps() - old_rate.as_bps()).abs() > 1e-6;
             // Only changed flows need rescheduling: an unchanged rate means
-            // the previously scheduled completion event is still exact.
+            // the previously scheduled completion event is still exact, and
+            // its bytes stay linear in time, so it is not synced either.
             if changed {
-                let delta = new_rate.as_bps() - flow.rate.as_bps();
+                // Integrate up to now at the old rate before the line bends.
+                self.sync_flow_slot(slot, now);
+                let flow = self.flows.flow_at_mut(slot);
+                let delta = new_rate.as_bps() - old_rate.as_bps();
                 flow.rate = new_rate;
                 let change = RateChange {
                     id: flow.id,
@@ -1611,8 +1635,10 @@ impl FluidNet {
         out
     }
 
-    /// Syncs every active flow's byte accounting to `now` (used before
-    /// statistics exports so counters reflect the current instant).
+    /// Syncs every active flow's byte accounting to `now`: the call every
+    /// mid-run reader of byte counters (flow, link, OpenFlow entry and
+    /// port) makes first, since a flow whose rate has not changed has
+    /// credited nothing since its last sync.
     /// Processing is ascending-id (deterministic float accumulation):
     /// the nearly-sorted active list is sorted in place, with no
     /// allocation after warmup.
@@ -1628,7 +1654,9 @@ impl FluidNet {
     }
 
     /// Aggregate bytes currently delivered (sent) by all completed and
-    /// active flows — used by accuracy comparisons.
+    /// active flows — used by accuracy comparisons. Active flows count
+    /// as of their last sync; call [`FluidNet::sync_all`] first for the
+    /// current instant.
     pub fn total_bytes_delivered(&self) -> f64 {
         let active: f64 = self.flows.iter().map(|f| f.bytes_sent).sum();
         let done: f64 = self.records.iter().map(|r| r.bytes).sum();
@@ -2088,23 +2116,20 @@ mod tests {
         assert_eq!(stats.active_flows, 1);
     }
 
-    #[test]
-    fn incremental_mode_touches_fewer_flows() {
-        // Two disjoint host pairs on a star: flows don't share links
-        // (except none), so incremental touches only the new flow.
-        let f = builders::star(4, Rate::gbps(1.0));
+    /// A star whose hub forwards by destination MAC, in `mode`.
+    fn star_net(members: usize, mode: AllocMode) -> (FluidNet, Vec<NodeId>) {
+        let f = builders::star(members, Rate::gbps(1.0));
         let cfg = FluidConfig {
-            alloc_mode: AllocMode::Incremental,
+            alloc_mode: mode,
             ..FluidConfig::default()
         };
         let mut net = FluidNet::new(f.topology, cfg);
-        // match-all forwarding on the single switch by dst MAC
-        let s = f.edges[0];
+        let hub = f.edges[0];
         let topo = net.topology().clone();
-        for (_, l) in topo.out_links(s) {
+        for (_, l) in topo.out_links(hub) {
             if let Some(host) = topo.node(l.dst).filter(|n| n.kind.is_host()) {
                 net.apply_ctrl(
-                    s,
+                    hub,
                     &CtrlMsg::FlowMod(FlowMod::add(FlowEntry::new(
                         100,
                         FlowMatch::ANY.with_eth_dst(host.mac().unwrap()),
@@ -2114,17 +2139,135 @@ mod tests {
                 );
             }
         }
+        (net, f.members)
+    }
+
+    /// An open-ended flow between two star members.
+    fn star_spec(net: &FluidNet, members: &[NodeId], src: usize, dst: usize) -> FlowSpec {
+        let topo = net.topology();
+        FlowSpec {
+            key: FlowKey::tcp(
+                MacAddr::local_from_id(src as u32 + 1),
+                MacAddr::local_from_id(dst as u32 + 1),
+                topo.node(members[src]).unwrap().ip().unwrap(),
+                topo.node(members[dst]).unwrap().ip().unwrap(),
+                1000 + dst as u16,
+                80,
+            ),
+            src: members[src],
+            dst: members[dst],
+            demand: DemandModel::Cbr(Rate::mbps(100.0)),
+            size: None,
+            fidelity: Default::default(),
+        }
+    }
+
+    #[test]
+    fn unchanged_rates_are_not_synced() {
+        // Flow a (0→1) and flow b (0→2) share host 0's uplink, so b's
+        // arrival and departure recompute a's component; both are 100 Mbit/s
+        // CBR on 1 Gbit/s links, so a's rate never moves and its bytes are
+        // integrated only when something reads them.
+        for mode in [AllocMode::Full, AllocMode::Incremental] {
+            let (mut net, members) = star_net(3, mode);
+            let registry = MetricsRegistry::new();
+            net.attach_metrics(&registry);
+            let (a, b) = (net.reserve_id(), net.reserve_id());
+            let spec_a = star_spec(&net, &members, 0, 1);
+            let spec_b = star_spec(&net, &members, 0, 2);
+            net.try_admit(a, spec_a, SimTime::ZERO);
+            assert_eq!(net.reallocate(SimTime::ZERO).len(), 1);
+            net.try_admit(b, spec_b, SimTime::from_secs(1));
+            let changes = net.reallocate(SimTime::from_secs(1));
+            assert_eq!(changes.len(), 1, "{mode:?}: only b gets a rate");
+            assert_eq!(changes[0].id, b);
+            assert_eq!(net.realloc_flows_touched, 3, "{mode:?}: a was recomputed");
+            net.remove_flow(b, SimTime::from_secs(2), true);
+            assert!(net.reallocate(SimTime::from_secs(2)).is_empty());
+            let fa = net.flow(a).unwrap();
+            assert_eq!(fa.last_update, SimTime::ZERO, "{mode:?}: a was synced");
+            assert_eq!(fa.bytes_sent, 0.0);
+            net.sync_all(SimTime::from_secs(3));
+            let fa = net.flow(a).unwrap();
+            assert_eq!(fa.last_update, SimTime::from_secs(3));
+            assert!((fa.bytes_sent - 100e6 * 3.0 / 8.0).abs() < 1e-3);
+            // One sync per rate change (a at 0 s, b at 1 s), one for b's
+            // removal and one for a at the read point.
+            let syncs = registry
+                .dump()
+                .counters
+                .into_iter()
+                .find(|(name, _)| name == "alloc.byte_syncs")
+                .expect("byte-sync counter registered")
+                .1;
+            assert_eq!(syncs, 4, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn replaced_entry_is_credited_only_after_its_install() {
+        // An open-ended flow through the hub's entry E for host 1; E is
+        // re-added (OpenFlow ADD replaces it and resets its counters) at
+        // 5.5 s, and every flow is synced at 5.6 s. The flow last synced
+        // at 0 s, but E existed for only the last 0.1 s of the interval.
+        let (mut net, members) = star_net(2, AllocMode::Incremental);
+        let hub = net.switch_ids()[0];
+        let id = net.reserve_id();
+        let spec = star_spec(&net, &members, 0, 1);
+        let mac = net.topology().node(members[1]).unwrap().mac().unwrap();
+        net.try_admit(id, spec, SimTime::ZERO);
+        net.reallocate(SimTime::ZERO);
+        let entry_e = net
+            .switch(hub)
+            .unwrap()
+            .table(horse_types::TableId(0))
+            .unwrap()
+            .entries()
+            .find(|e| e.matcher == FlowMatch::ANY.with_eth_dst(mac))
+            .unwrap()
+            .clone();
+        net.apply_ctrl(
+            hub,
+            &CtrlMsg::FlowMod(FlowMod::add(entry_e)),
+            SimTime::from_millis(5500),
+        );
+        net.sync_all(SimTime::from_millis(5600));
+        let bytes = net
+            .switch(hub)
+            .unwrap()
+            .table(horse_types::TableId(0))
+            .unwrap()
+            .entries()
+            .find(|e| e.matcher == FlowMatch::ANY.with_eth_dst(mac))
+            .unwrap()
+            .counters
+            .bytes;
+        let want = 100e6 * 0.1 / 8.0;
+        assert!(
+            (bytes as f64 - want).abs() <= 1.0,
+            "E credited {bytes} bytes, 0.1 s of traffic is {want}"
+        );
+        // The flow itself and its links carry the whole interval.
+        assert!((net.flow(id).unwrap().bytes_sent - 100e6 * 5.6 / 8.0).abs() < 1e-3);
+    }
+
+    #[test]
+    fn incremental_mode_touches_fewer_flows() {
+        // Two disjoint host pairs on a star: flows don't share links
+        // (except none), so incremental touches only the new flow.
+        let (mut net, members) = star_net(4, AllocMode::Incremental);
+        let topo = net.topology().clone();
         let mk = |src: usize, dst: usize, sport: u16| FlowSpec {
             key: FlowKey::tcp(
                 MacAddr::local_from_id(src as u32 + 1),
                 MacAddr::local_from_id(dst as u32 + 1),
-                topo.node(f.members[src]).unwrap().ip().unwrap(),
-                topo.node(f.members[dst]).unwrap().ip().unwrap(),
+                topo.node(members[src]).unwrap().ip().unwrap(),
+                topo.node(members[dst]).unwrap().ip().unwrap(),
                 sport,
                 80,
             ),
-            src: f.members[src],
-            dst: f.members[dst],
+            src: members[src],
+            dst: members[dst],
             demand: DemandModel::Greedy,
             size: None,
             fidelity: Default::default(),
@@ -2156,40 +2299,21 @@ mod tests {
         // sink 6 into a second. Every flow gets a first rate, and
         // `alloc.rounds` sees exactly one observation per component.
         let run = |mode: AllocMode| {
-            let f = builders::star(8, Rate::gbps(1.0));
-            let cfg = FluidConfig {
-                alloc_mode: mode,
-                ..FluidConfig::default()
-            };
-            let mut net = FluidNet::new(f.topology, cfg);
+            let (mut net, members) = star_net(8, mode);
             let registry = MetricsRegistry::new();
             net.attach_metrics(&registry);
-            let s_hub = f.edges[0];
             let topo = net.topology().clone();
-            for (_, l) in topo.out_links(s_hub) {
-                if let Some(host) = topo.node(l.dst).filter(|n| n.kind.is_host()) {
-                    net.apply_ctrl(
-                        s_hub,
-                        &CtrlMsg::FlowMod(FlowMod::add(FlowEntry::new(
-                            100,
-                            FlowMatch::ANY.with_eth_dst(host.mac().unwrap()),
-                            vec![Instruction::output(l.src_port)],
-                        ))),
-                        SimTime::ZERO,
-                    );
-                }
-            }
             let mk = |src: usize, dst: usize, sport: u16| FlowSpec {
                 key: FlowKey::tcp(
                     MacAddr::local_from_id(src as u32 + 1),
                     MacAddr::local_from_id(dst as u32 + 1),
-                    topo.node(f.members[src]).unwrap().ip().unwrap(),
-                    topo.node(f.members[dst]).unwrap().ip().unwrap(),
+                    topo.node(members[src]).unwrap().ip().unwrap(),
+                    topo.node(members[dst]).unwrap().ip().unwrap(),
                     sport,
                     80,
                 ),
-                src: f.members[src],
-                dst: f.members[dst],
+                src: members[src],
+                dst: members[dst],
                 demand: DemandModel::Greedy,
                 size: Some(ByteSize::mib(64)),
                 fidelity: Default::default(),

@@ -120,7 +120,9 @@ pub struct ActiveFlow {
     pub rate: Rate,
     /// The tightest meter cap along the route, if any.
     pub meter_cap: Option<Rate>,
-    /// Bytes already transferred (fluid-integrated).
+    /// Bytes transferred up to `last_update` (fluid-integrated). Exact
+    /// as of the flow's last sync; a mid-run reader calls
+    /// `FluidNet::sync_all(now)` first.
     pub bytes_sent: f64,
     /// Bytes still to transfer (`None` for open-ended flows).
     pub bytes_remaining: Option<f64>,
@@ -128,7 +130,10 @@ pub struct ActiveFlow {
     pub bytes_dropped: f64,
     /// Time of admission.
     pub started: SimTime,
-    /// Last lazy-accounting sync.
+    /// Last lazy-accounting sync: the instant the byte counters
+    /// (`bytes_sent`, `bytes_remaining`, `bytes_dropped`) are exact at.
+    /// It advances only when the flow's rate changes, when it leaves the
+    /// network, or when the engine syncs every flow for a reader.
     pub last_update: SimTime,
 }
 

@@ -6,7 +6,9 @@ use serde::{Deserialize, Serialize};
 /// Cumulative per-directed-link statistics.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct LinkStats {
-    /// Bytes carried (fluid-integrated).
+    /// Bytes carried (fluid-integrated), exact as of each crossing
+    /// flow's last sync; a mid-run reader calls `FluidNet::sync_all(now)`
+    /// first.
     pub bytes: f64,
     /// Sum of currently allocated flow rates (bps).
     pub current_rate_bps: f64,

@@ -2,6 +2,20 @@
 //! `AllocMode::Full` after **every** event of a randomized admit/remove
 //! scenario — the invariant that makes the A1 ablation a pure performance
 //! comparison rather than a semantics change.
+//!
+//! Property: lazy byte integration conserves bytes. A flow's bytes are
+//! integrated only when its rate changes, when it leaves the network, or
+//! when every flow is synced for a reader — so after `sync_all(t)` at
+//! any read point of a random schedule of admissions, completions,
+//! teardowns, cable failures and reallocations:
+//!
+//! * every sized flow has `bytes_sent + bytes_remaining == size`;
+//! * every link's `LinkStats::bytes` equals the bytes of the flows that
+//!   crossed it, active and recorded (the test keeps each flow's links
+//!   itself, so a missed or doubled interval shows up);
+//! * every flow's bytes, active and recorded, equal the test's own
+//!   integral of the piecewise-constant rates `reallocate` reported (so
+//!   an interval integrated at the wrong rate shows up).
 
 use horse_dataplane::{AdmitOutcome, AllocMode, DemandModel, FlowSpec, FluidConfig, FluidNet};
 use horse_openflow::actions::Instruction;
@@ -9,8 +23,9 @@ use horse_openflow::flow_match::FlowMatch;
 use horse_openflow::messages::{CtrlMsg, FlowMod};
 use horse_openflow::table::FlowEntry;
 use horse_topology::builders;
-use horse_types::{ByteSize, FlowId, FlowKey, MacAddr, NodeId, Rate, SimTime};
+use horse_types::{ByteSize, FlowId, FlowKey, LinkId, MacAddr, NodeId, Rate, SimDuration, SimTime};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const MEMBERS: usize = 8;
 
@@ -137,5 +152,226 @@ proptest! {
         }
         prop_assert!(full.realloc_flows_touched >= inc.realloc_flows_touched,
             "incremental must never touch more flows than full");
+    }
+}
+
+/// The test's own integral of one flow's reported rates.
+struct Integral {
+    size: Option<f64>,
+    rate: f64,
+    since: SimTime,
+    sent: f64,
+    left: Option<f64>,
+}
+
+impl Integral {
+    fn advance(&mut self, now: SimTime) {
+        let mut moved = self.rate * now.saturating_since(self.since).as_secs_f64() / 8.0;
+        if let Some(left) = self.left.as_mut() {
+            moved = moved.min(*left);
+            *left = (*left - moved).max(0.0);
+        }
+        self.sent += moved;
+        self.since = now;
+    }
+}
+
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
+}
+
+/// What the test remembers about every flow it admitted.
+#[derive(Default)]
+struct Ledger {
+    links: BTreeMap<FlowId, Vec<LinkId>>,
+    integrals: BTreeMap<FlowId, Integral>,
+    /// Pending completion instant of each sized flow with a rate.
+    due: BTreeMap<FlowId, SimTime>,
+}
+
+impl Ledger {
+    fn admit(&mut self, net: &mut FluidNet, spec: FlowSpec, now: SimTime) {
+        let id = net.reserve_id();
+        let size = spec.size.map(|s| s.as_bytes() as f64);
+        if let AdmitOutcome::Admitted = net.try_admit(id, spec, now) {
+            self.links
+                .insert(id, net.flow(id).unwrap().route.links.clone());
+            let integral = Integral {
+                size,
+                rate: 0.0,
+                since: now,
+                sent: 0.0,
+                left: size,
+            };
+            self.integrals.insert(id, integral);
+        }
+    }
+
+    /// A flow leaves the network at `now` (completion, teardown or
+    /// detachment).
+    fn leave(&mut self, id: FlowId, now: SimTime) {
+        self.due.remove(&id);
+        self.integrals.get_mut(&id).expect("admitted").advance(now);
+    }
+
+    fn reallocate(&mut self, net: &mut FluidNet, now: SimTime) {
+        for c in net.reallocate(now) {
+            let integral = self.integrals.get_mut(&c.id).expect("admitted");
+            integral.advance(now);
+            integral.rate = c.rate.as_bps();
+            match c.completes_in {
+                Some(s) => self.due.insert(c.id, now + SimDuration::from_secs_f64(s)),
+                None => self.due.remove(&c.id),
+            };
+        }
+    }
+
+    /// Completes every flow due by `until`, in time order.
+    fn complete_until(&mut self, net: &mut FluidNet, until: SimTime) {
+        while let Some((id, at)) = self
+            .due
+            .iter()
+            .map(|(&id, &at)| (id, at))
+            .filter(|&(_, at)| at <= until)
+            .min_by_key(|&(id, at)| (at, id))
+        {
+            self.leave(id, at);
+            net.remove_flow(id, at, true).expect("due flow is active");
+            self.reallocate(net, at);
+        }
+    }
+
+    fn check(&mut self, net: &FluidNet, t: SimTime) {
+        for f in net.active_flows() {
+            prop_assert_eq!(f.last_update, t, "flow {} not synced", f.id);
+            let integral = self.integrals.get_mut(&f.id).expect("admitted");
+            integral.advance(t);
+            prop_assert!(
+                close(f.bytes_sent, integral.sent),
+                "t={:?} flow {}: {} bytes sent, its rates integrate to {}",
+                t,
+                f.id,
+                f.bytes_sent,
+                integral.sent
+            );
+            if let Some(size) = integral.size {
+                let total = f.bytes_sent + f.bytes_remaining.expect("sized");
+                prop_assert!(
+                    close(total, size),
+                    "t={:?} flow {}: sent + remaining = {} of {}",
+                    t,
+                    f.id,
+                    total,
+                    size
+                );
+            }
+        }
+        for r in net.records() {
+            let sent = self.integrals[&r.id].sent;
+            prop_assert!(
+                close(r.bytes, sent),
+                "record {}: {} bytes, its rates integrate to {}",
+                r.id,
+                r.bytes,
+                sent
+            );
+        }
+        let mut want = vec![0.0; net.link_stats().len()];
+        let bytes = net
+            .active_flows()
+            .map(|f| (f.id, f.bytes_sent))
+            .chain(net.records().iter().map(|r| (r.id, r.bytes)));
+        for (id, b) in bytes {
+            for l in &self.links[&id] {
+                want[l.index()] += b;
+            }
+        }
+        for (l, (s, w)) in net.link_stats().iter().zip(&want).enumerate() {
+            prop_assert!(
+                close(s.bytes, *w),
+                "t={:?} link {}: {} bytes counted, flows crossed it with {}",
+                t,
+                l,
+                s.bytes,
+                w
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
+    fn lazily_integrated_bytes_are_conserved(seed in 1u64..u64::MAX) {
+        let mut x = seed | 1;
+        let mut rnd = move || { x ^= x << 13; x ^= x >> 7; x ^= x << 17; x };
+        let mode = if rnd() % 2 == 0 { AllocMode::Full } else { AllocMode::Incremental };
+        let (mut net, members) = star_net(mode);
+        let topo = net.topology().clone();
+        let access: Vec<LinkId> = members
+            .iter()
+            .map(|&m| topo.out_links(m).next().expect("access link").0)
+            .collect();
+        let mut down = [false; MEMBERS];
+        let mut ledger = Ledger::default();
+        let mut t = SimTime::ZERO;
+        let mut sport = 1000u16;
+
+        for _ in 0..80 {
+            t += SimDuration::from_millis(1 + rnd() % 40);
+            ledger.complete_until(&mut net, t);
+            match rnd() % 10 {
+                0..=4 => {
+                    let src = (rnd() % MEMBERS as u64) as usize;
+                    let dst = (src + 1 + (rnd() % (MEMBERS as u64 - 1)) as usize) % MEMBERS;
+                    let demand = if rnd() % 3 == 0 {
+                        DemandModel::Cbr(Rate::mbps((50 + rnd() % 400) as f64))
+                    } else {
+                        DemandModel::Greedy
+                    };
+                    let size = (rnd() % 4 != 0).then(|| ByteSize::bytes(100_000 + rnd() % 4_000_000));
+                    sport = sport.wrapping_add(1);
+                    let spec = mk_spec(&topo, &members, src, dst, sport, demand, size);
+                    ledger.admit(&mut net, spec, t);
+                }
+                5 => {
+                    let active: Vec<FlowId> = net.active_flows().map(|f| f.id).collect();
+                    if !active.is_empty() {
+                        let id = active[(rnd() % active.len() as u64) as usize];
+                        ledger.leave(id, t);
+                        net.remove_flow(id, t, false);
+                    }
+                }
+                6 => {
+                    let m = (rnd() % MEMBERS as u64) as usize;
+                    if !down[m] {
+                        down[m] = true;
+                        let (specs, _, detached) = net.cable_down(access[m], t);
+                        for id in detached {
+                            ledger.leave(id, t);
+                        }
+                        // Re-admission of the remaining bytes: flows of a
+                        // cut-off host drop, the others find their path.
+                        for spec in specs {
+                            ledger.admit(&mut net, spec, t);
+                        }
+                    }
+                }
+                7 => {
+                    let m = (rnd() % MEMBERS as u64) as usize;
+                    if down[m] {
+                        down[m] = false;
+                        net.cable_up(access[m], t);
+                    }
+                }
+                _ => {
+                    net.sync_all(t);
+                    ledger.check(&net, t);
+                }
+            }
+            ledger.reallocate(&mut net, t);
+        }
+        net.sync_all(t);
+        ledger.check(&net, t);
     }
 }

@@ -445,20 +445,29 @@ impl OpenFlowSwitch {
             if let Some(table) = self.tables.get_mut(m.table.0 as usize) {
                 table.counters.lookups += n;
                 table.counters.matches += n;
-                table.credit(m, n, ByteSize::ZERO, now);
+                table.credit(m, n, ByteSize::ZERO, now, now);
             }
         }
     }
 
-    /// Credits bytes (and derived packets) to previously matched entries —
-    /// how the fluid plane keeps OpenFlow counters consistent with
-    /// integrated flow volumes. No table search while the trail's position
-    /// hints are current (see [`FlowTable::credit`]).
+    /// Credits bytes (and derived packets) moved at a constant rate over
+    /// `[from, now]` to previously matched entries — how the fluid plane
+    /// keeps OpenFlow counters consistent with integrated flow volumes.
+    /// An entry installed inside the interval gets only its share of it;
+    /// traffic that moved at one instant passes `from = now`. No table
+    /// search while the trail's position hints are current (see
+    /// [`FlowTable::credit`]).
+    ///
+    /// The fluid plane credits lazily (when a flow's rate changes, when
+    /// it leaves, or when every flow is synced for a reader), so the
+    /// `FlowRemoved` counters of an entry *deleted* by a `FlowMod` cover
+    /// only the bytes synced before the delete.
     pub fn credit_bytes(
         &mut self,
         matched: &mut [MatchedEntry],
         bytes: ByteSize,
         avg_packet: ByteSize,
+        from: SimTime,
         now: SimTime,
     ) {
         let pkts = if avg_packet.as_bytes() == 0 {
@@ -468,7 +477,7 @@ impl OpenFlowSwitch {
         };
         for m in matched {
             if let Some(table) = self.tables.get_mut(m.table.0 as usize) {
-                table.credit(m, pkts, bytes, now);
+                table.credit(m, pkts, bytes, from, now);
             }
         }
     }
@@ -1040,6 +1049,7 @@ mod tests {
             ByteSize::bytes(15000),
             ByteSize::bytes(1500),
             SimTime::from_secs(1),
+            SimTime::from_secs(1),
         );
         if let StatsReply::Flow(rows) = sw.stats(StatsRequest::Flow(TableId(0))) {
             assert_eq!(rows[0].bytes, 15000);
@@ -1153,6 +1163,7 @@ mod tests {
             ByteSize::bytes(12_345),
             ByteSize::bytes(1000),
             SimTime::from_millis(2),
+            SimTime::from_millis(2),
         );
         sw.set_port_state(PortNo(3), false);
         sw.credit_port_bytes(
@@ -1214,7 +1225,7 @@ mod tests {
             Vec::<MatchedEntry>::unsnap(&mut horse_types::SnapReader::new(&trail_bytes)).unwrap();
         assert_eq!((reset[0].pos, &reset), (0, &r.matched));
         let credit = |s: &mut OpenFlowSwitch, m: &mut [MatchedEntry]| {
-            s.credit_bytes(m, ByteSize::bytes(5000), ByteSize::bytes(1000), t);
+            s.credit_bytes(m, ByteSize::bytes(5000), ByteSize::bytes(1000), t, t);
             let mut w = horse_types::SnapWriter::new();
             s.snapshot_state(&mut w);
             w.into_bytes()
@@ -1243,6 +1254,7 @@ mod tests {
             &mut [],
             ByteSize::bytes(1500),
             ByteSize::bytes(1500),
+            SimTime::ZERO,
             SimTime::ZERO,
         );
         assert_eq!(sw.generation(), g0);

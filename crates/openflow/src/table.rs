@@ -227,9 +227,16 @@ impl FlowTable {
             .find(|(_, e)| e.matcher.matches(in_port, key))
     }
 
-    /// Credits bytes/packets to the entry identified by `m`'s
-    /// `(priority, match)`. Returns `false` if no such entry exists (e.g.
-    /// it expired meanwhile).
+    /// Credits bytes/packets carried at a constant rate over `[from,
+    /// now]` to the entry identified by `m`'s `(priority, match)`.
+    /// Returns `false` if no such entry exists (e.g. it expired
+    /// meanwhile).
+    ///
+    /// An entry installed after `from` — an `Add` that replaced an
+    /// identical `(priority, match)` resets the counters — is credited
+    /// only the share of the interval it existed for, `(now − created) /
+    /// (now − from)`, which is exact at a constant rate. Pass `from =
+    /// now` for traffic that moved at one instant (no scaling).
     ///
     /// `m.pos` is tried first; only when the entry there has a different
     /// identity (positions shifted since the hint was taken) does this
@@ -240,6 +247,7 @@ impl FlowTable {
         m: &mut MatchedEntry,
         packets: u64,
         bytes: ByteSize,
+        from: SimTime,
         now: SimTime,
     ) -> bool {
         let same = |e: &FlowEntry| e.priority == m.priority && e.matcher == m.matcher;
@@ -250,9 +258,16 @@ impl FlowTable {
                 None => return false,
             }
         }
-        self.entries[m.pos as usize]
-            .counters
-            .credit(packets, bytes, now);
+        let counters = &mut self.entries[m.pos as usize].counters;
+        let (packets, bytes) = if counters.created > from && now > from {
+            let share = now.saturating_since(counters.created).as_secs_f64()
+                / now.saturating_since(from).as_secs_f64();
+            let scale = |n: u64| (n as f64 * share) as u64;
+            (scale(packets), ByteSize::bytes(scale(bytes.as_bytes())))
+        } else {
+            (packets, bytes)
+        };
+        counters.credit(packets, bytes, now);
         true
     }
 
@@ -413,11 +428,30 @@ mod tests {
         let m = FlowMatch::ANY.with_tp_dst(80);
         t.insert(entry(10, m, 1), SimTime::ZERO);
         let now = SimTime::from_secs(1);
-        assert!(t.credit(&mut trail(10, m, 0), 5, ByteSize::bytes(7500), now));
-        assert!(!t.credit(&mut trail(11, m, 0), 1, ByteSize::bytes(1), now));
+        assert!(t.credit(&mut trail(10, m, 0), 5, ByteSize::bytes(7500), now, now));
+        assert!(!t.credit(&mut trail(11, m, 0), 1, ByteSize::bytes(1), now, now));
         let e = t.entries().next().unwrap();
         assert_eq!(e.counters.bytes, 7500);
         assert_eq!(e.counters.packets, 5);
+    }
+
+    #[test]
+    fn entry_replaced_mid_interval_gets_only_its_share() {
+        let mut t = FlowTable::new();
+        let m = FlowMatch::ANY.with_tp_dst(80);
+        t.insert(entry(10, m, 1), SimTime::ZERO);
+        // Re-added at 1.75 s: the traffic of [1 s, 2 s] moved at a
+        // constant rate, so the new entry saw the last quarter of it.
+        t.insert(entry(10, m, 1), SimTime::from_millis(1750));
+        let (from, now) = (SimTime::from_secs(1), SimTime::from_secs(2));
+        assert!(t.credit(&mut trail(10, m, 0), 8, ByteSize::bytes(8000), from, now));
+        let e = t.entries().next().unwrap();
+        assert_eq!((e.counters.packets, e.counters.bytes), (2, 2000));
+        assert_eq!(e.counters.last_used, now);
+        // An entry that predates the interval takes all of it.
+        assert!(t.credit(&mut trail(10, m, 0), 8, ByteSize::bytes(8000), now, now));
+        let e = t.entries().next().unwrap();
+        assert_eq!((e.counters.packets, e.counters.bytes), (10, 10000));
     }
 
     #[test]

@@ -121,7 +121,7 @@ proptest! {
                         .is_some_and(|e| (e.priority, e.matcher) == (p, m));
                     let rescans = table.rescans();
                     let bytes = ByteSize::bytes(1500 * dt);
-                    let hit = table.credit(t, dt, bytes, now);
+                    let hit = table.credit(t, dt, bytes, now, now);
                     prop_assert_eq!(hit, model.credit(p, m, dt, bytes, now));
                     prop_assert_eq!(table.rescans() - rescans, u64::from(!exact));
                     if hit {

@@ -1096,6 +1096,7 @@ impl PacketPlane {
                     ByteSize::bytes(pkt.size as u64 * pass as u64),
                     ByteSize::bytes(pkt.size as u64),
                     now,
+                    now,
                 );
             }
             let vk = match &res.verdict {
@@ -1120,6 +1121,7 @@ impl PacketPlane {
                     &mut res.matched,
                     ByteSize::bytes(pkt.size as u64 * pass as u64),
                     ByteSize::bytes(pkt.size as u64),
+                    now,
                     now,
                 );
             }

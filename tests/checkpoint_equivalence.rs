@@ -621,6 +621,68 @@ fn mid_wave_snapshot_resumes_with_cancellations_on_both_sides() {
     assert_eq!(got_journal, want_journal);
 }
 
+/// A star with one open-ended flow (0→1, 200 Mbit/s CBR from 100 ms)
+/// whose rate never changes, beside a component of sized flows (2→3)
+/// that keeps reallocating. No stats epoch and no expiry scan, so
+/// nothing syncs the quiet flow until the end of the run.
+fn quiet_flow_scenario() -> (Scenario, SimConfig) {
+    let f = builders::star(4, horse::types::Rate::gbps(1.0));
+    let mut s = Scenario::bare(f.topology, SimTime::from_secs(4));
+    s.members = f.members;
+    s.policy = PolicySpec::new().with(PolicyRule::MacForwarding);
+    let quiet = s
+        .flow_between(
+            s.members[0],
+            s.members[1],
+            AppClass::Http,
+            4000,
+            None,
+            DemandModel::Cbr(horse::types::Rate::mbps(200.0)),
+        )
+        .expect("hosts have addresses");
+    s.explicit_flows.push((SimTime::from_millis(100), quiet));
+    for i in 0..6u64 {
+        let spec = s
+            .flow_between(
+                s.members[2],
+                s.members[3],
+                AppClass::Https,
+                5000 + i as u16,
+                Some(ByteSize::mib(16)),
+                DemandModel::Greedy,
+            )
+            .expect("hosts have addresses");
+        s.explicit_flows
+            .push((SimTime::from_millis(500 + 400 * i), spec));
+    }
+    let config = SimConfig::default()
+        .with_stats_epoch(None)
+        .with_expiry_scan(None);
+    (s, config)
+}
+
+#[test]
+fn quiet_flow_synced_long_before_the_cut_resumes_bit_identically() {
+    let (scenario, config) = quiet_flow_scenario();
+    let t_snap = SimTime::from_millis(2500);
+    let mut prefix = Simulation::new(scenario.clone(), config).unwrap();
+    prefix.run_until(t_snap);
+    let quiet = prefix
+        .fluid()
+        .active_flows()
+        .find(|f| f.spec.size.is_none())
+        .expect("the open-ended flow is active at the cut");
+    assert_eq!(
+        quiet.last_update,
+        SimTime::from_millis(100),
+        "the quiet flow was synced after its first rate"
+    );
+    let (want, want_journal) = straight(scenario.clone(), config);
+    let (got, got_journal) = resumed(scenario, config, t_snap);
+    assert_eq!(got, want);
+    assert_eq!(got_journal, want_journal);
+}
+
 /// The hybrid fabric of the packet-burst tests: Figure 1 under ECMP, 18
 /// gravity-workload flows of which the first 5 run at packet fidelity.
 fn hybrid_fabric_scenario() -> Scenario {

@@ -44,8 +44,11 @@ fn incremental_and_full_allocation_agree() {
         let cfg = SimConfig::default().with_alloc_mode(mode);
         let mut sim = Simulation::new(scenario, cfg).expect("valid");
         let r = sim.run();
-        (r.flows_completed, format!("{:.6e}", r.bytes_delivered))
+        (r.flows_completed, r.bytes_delivered.to_bits())
     };
+    // Max-min allocation is unique and bytes are integrated only when a
+    // rate changes, so both modes sync the same flows at the same
+    // instants in the same order: the totals agree bit for bit.
     assert_eq!(
         run(AllocMode::Full),
         run(AllocMode::Incremental),
