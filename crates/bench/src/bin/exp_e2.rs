@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release -p horse-bench --bin exp_e2`
 
 use horse::prelude::*;
-use horse_bench::{fast_config, fmt_wall, ixp_scenario, lb_policy, run_fluid};
+use horse_bench::{fmt_wall, ixp_scenario, lb_policy, run_fluid};
 
 fn main() {
     let horizon = SimTime::from_secs(10);
@@ -17,7 +17,7 @@ fn main() {
     println!("--------+------------+----------+-----------+----------+--------------");
     for factor in [0.25f64, 0.5, 1.0, 2.0, 4.0] {
         let s = ixp_scenario(200, factor, lb_policy(), horizon, 2);
-        let r = run_fluid(s, fast_config());
+        let r = run_fluid(s, SimConfig::default());
         println!(
             "x{factor:<5.2} | {:>10} | {:>8} | {:>9} | {:>8.0} | {:>12}",
             r.flows_admitted,

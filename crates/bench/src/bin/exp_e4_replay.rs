@@ -34,9 +34,7 @@ fn main() {
     params.seed = 20160822;
     let scenario = Scenario::ixp(&params);
 
-    let config = SimConfig::default()
-        .with_alloc_mode(AllocMode::Incremental)
-        .with_stats_epoch(Some(SimDuration::from_secs(300)));
+    let config = SimConfig::default().with_stats_epoch(Some(SimDuration::from_secs(300)));
     println!("== E4: {hours}h diurnal replay over 100 members ==");
     let mut sim = Simulation::new(scenario, config).expect("valid scenario");
     let results = sim.run();

@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release -p horse-bench --bin exp_e5`
 
 use horse::prelude::*;
-use horse_bench::{fast_config, fmt_wall, ixp_scenario};
+use horse_bench::{fmt_wall, ixp_scenario};
 
 fn policy_mix(level: usize) -> (String, PolicySpec) {
     match level {
@@ -76,7 +76,7 @@ fn main() {
     for level in 0..5 {
         let (label, policy) = policy_mix(level);
         let scenario = ixp_scenario(100, 1.0, policy, horizon, 4);
-        let mut sim = Simulation::new(scenario, fast_config()).expect("valid scenario");
+        let mut sim = Simulation::new(scenario, SimConfig::default()).expect("valid scenario");
         let r = sim.run();
         println!(
             "{label:<44} | {:>9} | {:>8} | {:>8} | {:>9} | {:>5}",

@@ -8,7 +8,7 @@
 
 use horse::prelude::*;
 
-/// Builds the standard IXP scenario used across E1/E2/E5:
+/// Builds the standard IXP scenario used by E2 and E5:
 /// `members` member routers on an edge/core fabric, gravity traffic at
 /// `load_factor` × (40 Mbps per member), megabyte-scale heavy-tailed
 /// flows.
@@ -50,13 +50,6 @@ pub fn run_fluid(scenario: Scenario, config: SimConfig) -> SimResults {
     sim.run()
 }
 
-/// The incremental-allocation config used for scale experiments.
-pub fn fast_config() -> SimConfig {
-    SimConfig::default()
-        .with_alloc_mode(AllocMode::Incremental)
-        .with_stats_epoch(Some(SimDuration::from_secs(1)))
-}
-
 /// One measured point of the million-flow scaling harness
 /// ([`million_flow_point`]): deterministic size counters next to the
 /// wall-clock costs they bound.
@@ -89,7 +82,7 @@ pub struct MillionFlowStats {
 
 /// Builds the million-flow fabric: a star of `hosts` access links at
 /// 1 Gbps with per-MAC forwarding installed on the hub, and the fluid
-/// engine in incremental mode with macro-flows on.
+/// engine's default configuration (macro-flows on).
 pub fn million_flow_net(hosts: usize) -> horse::dataplane::FluidNet {
     use horse::dataplane::{FluidConfig, FluidNet};
     use horse::openflow::actions::Instruction;
@@ -97,11 +90,7 @@ pub fn million_flow_net(hosts: usize) -> horse::dataplane::FluidNet {
     use horse::openflow::messages::{CtrlMsg, FlowMod};
     use horse::openflow::table::FlowEntry;
     let f = builders::star(hosts, Rate::gbps(1.0));
-    let cfg = FluidConfig {
-        alloc_mode: AllocMode::Incremental,
-        ..FluidConfig::default()
-    };
-    let mut net = FluidNet::new(f.topology, cfg);
+    let mut net = FluidNet::new(f.topology, FluidConfig::default());
     let hub = f.edges[0];
     let topo = net.topology().clone();
     for (_, l) in topo.out_links(hub) {
@@ -248,7 +237,7 @@ mod tests {
     #[test]
     fn ixp_scenario_builds_and_runs() {
         let s = ixp_scenario(25, 1.0, lb_policy(), SimTime::from_secs(2), 3);
-        let r = run_fluid(s, fast_config());
+        let r = run_fluid(s, SimConfig::default());
         assert!(r.flows_admitted > 0);
         assert!(r.events > 0);
     }

@@ -1,8 +1,30 @@
 //! Simulation configuration.
 
-use horse_dataplane::{AllocMode, FluidConfig};
+use horse_dataplane::FluidConfig;
 use horse_types::{ByteSize, SimDuration};
 use serde::{Deserialize, Serialize};
+
+/// Which flows a reallocation re-solves.
+///
+/// ```
+/// use horse_core::config::AllocMode;
+///
+/// // Round-trips through serde using snake_case names (this is what the
+/// // lab's TOML sweep axes parse).
+/// let m: AllocMode = serde_json::from_str("\"incremental\"").unwrap();
+/// assert_eq!(m, AllocMode::Incremental);
+/// assert_ne!(AllocMode::Full, AllocMode::Incremental);
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
+pub enum AllocMode {
+    /// Oracle: mark every link that carries a flow dirty before each run
+    /// ([`horse_dataplane::FluidNet::mark_all_dirty`]), so every flow is
+    /// re-solved.
+    Full,
+    /// Re-solve only the flows sharing links with what changed.
+    Incremental,
+}
 
 /// Tunables of a simulation run.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -10,9 +32,11 @@ pub struct SimConfig {
     /// One-way control-channel latency (switch ↔ controller). The paper
     /// removes real OpenFlow connections but keeps their *timing*: a
     /// reactive flow setup costs two crossings (`FlowIn` up, `FlowMod`
-    /// down). Ablation A2 sweeps this.
+    /// down). Ablation A2 (`examples/sweeps/ctrl_latency.toml`) sweeps
+    /// this.
     pub ctrl_latency: SimDuration,
-    /// Max-min recomputation mode (ablation A1).
+    /// Which flows a reallocation re-solves. `Full` is the oracle:
+    /// re-solve every flow on every run.
     pub alloc_mode: AllocMode,
     /// Average packet size for deriving packet counters from bytes.
     pub avg_packet: ByteSize,
@@ -76,7 +100,7 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             ctrl_latency: SimDuration::from_micros(500),
-            alloc_mode: AllocMode::Full,
+            alloc_mode: AllocMode::Incremental,
             avg_packet: ByteSize::bytes(1000),
             stats_epoch: Some(SimDuration::from_secs(1)),
             expiry_scan: Some(SimDuration::from_secs(1)),
@@ -96,7 +120,6 @@ impl SimConfig {
     /// The fluid-plane slice of this configuration.
     pub fn fluid(&self) -> FluidConfig {
         FluidConfig {
-            alloc_mode: self.alloc_mode,
             avg_packet: self.avg_packet,
             max_route_hops: 64,
             macro_flows: self.macro_flows,
@@ -180,7 +203,7 @@ mod tests {
     fn defaults_are_sane() {
         let c = SimConfig::default();
         assert_eq!(c.ctrl_latency, SimDuration::from_micros(500));
-        assert_eq!(c.alloc_mode, AllocMode::Full);
+        assert_eq!(c.alloc_mode, AllocMode::Incremental, "Full is the oracle");
         assert!(c.admit_retry_limit >= 1);
         assert_eq!(c.fluid().avg_packet, c.avg_packet);
         assert!(c.macro_flows, "aggregation defaults on (bit-identical)");
@@ -216,10 +239,10 @@ mod tests {
     fn builders_chain() {
         let c = SimConfig::default()
             .with_ctrl_latency(SimDuration::from_millis(10))
-            .with_alloc_mode(AllocMode::Incremental)
+            .with_alloc_mode(AllocMode::Full)
             .with_stats_epoch(None);
         assert_eq!(c.ctrl_latency, SimDuration::from_millis(10));
-        assert_eq!(c.alloc_mode, AllocMode::Incremental);
+        assert_eq!(c.alloc_mode, AllocMode::Full);
         assert!(c.stats_epoch.is_none());
     }
 }

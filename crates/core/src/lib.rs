@@ -86,7 +86,7 @@ pub use horse_workloads as workloads;
 /// Convenient glob import for examples and tests.
 pub mod prelude {
     pub use crate::chaos::{ChaosError, ChaosSpec};
-    pub use crate::config::SimConfig;
+    pub use crate::config::{AllocMode, SimConfig};
     pub use crate::hybrid::HybridNet;
     pub use crate::results::{ChaosCounters, SimResults};
     pub use crate::scenario::{
@@ -96,7 +96,7 @@ pub mod prelude {
     pub use crate::sim::{ForkSpec, ResumeError, Simulation};
     pub use crate::trace::SimTracer;
     pub use horse_controlplane::{Controller, LbMode, PolicyRule, PolicySpec};
-    pub use horse_dataplane::{AllocMode, DemandModel, Fidelity, FlowSpec};
+    pub use horse_dataplane::{DemandModel, Fidelity, FlowSpec};
     pub use horse_topology::builders::{self, IxpFabricParams};
     pub use horse_topology::generators::{self, generate, GeneratorParams, TopologyKind};
     pub use horse_topology::{Topology, TopologySpec};

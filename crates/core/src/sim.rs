@@ -23,7 +23,7 @@
 //!   timer fires, stats epochs.
 
 use crate::chaos::{self, ChaosError};
-use crate::config::SimConfig;
+use crate::config::{AllocMode, SimConfig};
 use crate::event::SimEvent;
 use crate::hybrid::{pkt_flow_spec, HybridNet};
 use crate::results::{ChaosCounters, SimResults};
@@ -831,6 +831,9 @@ impl Simulation {
             if self.config.realloc_per_event || h.mark_coupled_epoch(self.epochs) {
                 h.recouple(now, &mut self.fluid);
             }
+        }
+        if self.config.alloc_mode == AllocMode::Full {
+            self.fluid.mark_all_dirty();
         }
         self.realloc_buf.clear();
         self.realloc_buf

@@ -19,21 +19,22 @@
 //! ## Rates
 //!
 //! After any change (admission, completion, failure) the caller invokes
-//! [`FluidNet::reallocate`], which re-runs max-min fair allocation (full or
-//! incremental per [`AllocMode`]) and returns the flows whose rate changed
-//! together with fresh completion predictions; the caller cancels each
-//! such flow's scheduled completion event and schedules the new one. The
-//! `horse-core` driver batches all events sharing one timestamp into an
-//! **epoch** and calls `reallocate` once per epoch.
+//! [`FluidNet::reallocate`], which re-runs max-min fair allocation over
+//! the flows sharing links with the change and returns the flows whose
+//! rate changed together with fresh completion predictions; the caller
+//! cancels each such flow's scheduled completion event and schedules the
+//! new one. The `horse-core` driver batches all events sharing one
+//! timestamp into an **epoch** and calls `reallocate` once per epoch.
 //!
 //! ## Discovery / solve split
 //!
 //! `reallocate` runs in two phases:
 //!
-//! 1. **Discovery** walks the dirty flows (all active flows in `Full`
-//!    mode) into *disjoint link-sharing components* using epoch-stamped
-//!    bitmaps, in deterministic first-touch order, and builds one dense
-//!    subproblem (capacities, demands, CSR adjacency) per component.
+//! 1. **Discovery** walks the flows on dirty links (every link that
+//!    carries a flow after [`FluidNet::mark_all_dirty`]) into *disjoint
+//!    link-sharing components* using epoch-stamped bitmaps, in
+//!    deterministic first-touch order, and builds one dense subproblem
+//!    (capacities, demands, CSR adjacency) per component.
 //! 2. **Solve** water-fills each component independently, one after the
 //!    other with one engine-owned solver scratch. Components share no
 //!    links by construction, so their allocations are independent
@@ -74,7 +75,7 @@
 //! per-epoch).
 
 use crate::flow::{ActiveFlow, FlowSpec, Route, RouteHop};
-use crate::maxmin::{max_min_allocate_csr_weighted, AllocMode, MaxMinScratch};
+use crate::maxmin::{max_min_allocate_csr_weighted, MaxMinScratch};
 use crate::slab::FlowArena;
 use crate::stats::{DropCause, DropRecord, FlowRecord, LinkStats};
 use horse_openflow::messages::{CtrlMsg, SwitchMsg};
@@ -89,8 +90,6 @@ use std::time::Instant;
 /// Tunables of the fluid plane.
 #[derive(Clone, Copy, Debug)]
 pub struct FluidConfig {
-    /// Full or incremental max-min recomputation (ablation A1).
-    pub alloc_mode: AllocMode,
     /// Average packet size used to derive packet counters from bytes.
     pub avg_packet: ByteSize,
     /// Maximum switch hops during route resolution (loop guard).
@@ -107,7 +106,6 @@ pub struct FluidConfig {
 impl Default for FluidConfig {
     fn default() -> Self {
         FluidConfig {
-            alloc_mode: AllocMode::Full,
             avg_packet: ByteSize::bytes(1000),
             max_route_hops: 64,
             macro_flows: true,
@@ -553,6 +551,18 @@ impl FluidNet {
         }
     }
 
+    /// Marks every link that carries a flow dirty, so the next
+    /// [`FluidNet::reallocate`] re-solves every active flow: the
+    /// recompute-everything oracle the incremental discovery is checked
+    /// against.
+    pub fn mark_all_dirty(&mut self) {
+        for li in 0..self.dirty_stamp.len() {
+            if self.flows.flows_on_link(li).next().is_some() {
+                self.mark_dirty(LinkId::from_index(li));
+            }
+        }
+    }
+
     /// Attempts to admit a flow. On success the flow is registered on its
     /// route (rates are stale until [`reallocate`] runs). `NeedController`
     /// leaves no state behind and hands the spec back — retry with the
@@ -977,13 +987,12 @@ impl FluidNet {
     /// returned slice borrows engine scratch — copy what must outlive the
     /// next call.
     ///
-    /// In `Incremental` mode only the connected components of flows
-    /// sharing links with dirty links (accumulated since the last call)
-    /// are recomputed; `Full` mode recomputes every active flow. Either
-    /// way the affected flows decompose into disjoint link-sharing
-    /// components, each water-filled as an independent subproblem — see
-    /// the module docs for the discovery/solve split and the determinism
-    /// contract.
+    /// Only the connected components of flows sharing links with dirty
+    /// links (accumulated since the last call) are recomputed; after
+    /// [`FluidNet::mark_all_dirty`] that is every active flow. The
+    /// affected flows decompose into disjoint link-sharing components,
+    /// each water-filled as an independent subproblem — see the module
+    /// docs for the discovery/solve split and the determinism contract.
     ///
     /// Flows sharing an identical link sequence and demand collapse into
     /// one weighted macro-flow variable before the solve (unless
@@ -1043,10 +1052,9 @@ impl FluidNet {
         let t_enter = self.timing_enabled.then(Instant::now);
         self.realloc_runs += 1;
         self.metrics.realloc_runs.inc();
-        // No dirty link seeds no component: an incremental run would touch
-        // no flow, so it stops here, still counted as a run. (`Full` mode
-        // re-solves every flow and keeps the whole path.)
-        if self.config.alloc_mode == AllocMode::Incremental && self.dirty_links.is_empty() {
+        // No dirty link seeds no component: the run would touch no flow,
+        // so it stops here, still counted as a run.
+        if self.dirty_links.is_empty() {
             if let Some(t0) = t_enter {
                 self.timing = ReallocTiming {
                     discovery_ns: t0.elapsed().as_nanos() as u64,
@@ -1060,13 +1068,11 @@ impl FluidNet {
         self.scratch.changes.clear();
         self.scratch.ids.clear();
         self.scratch.comps.clear();
-        self.scratch.order.clear();
 
         // ---- Discovery pass ----
-        // Partition the affected flows into disjoint link-sharing
-        // components, in deterministic first-touch order (all-flows
-        // ascending-id in Full mode, dirty-link insertion order in
-        // Incremental mode); each component's flows are sorted ascending
+        // Partition the flows on dirty links into disjoint link-sharing
+        // components, in deterministic first-touch order (dirty-link
+        // insertion order); each component's flows are sorted ascending
         // by id. Epoch-stamped visited maps over slots and links replace
         // per-call hash sets.
         {
@@ -1077,48 +1083,22 @@ impl FluidNet {
                 scratch.flow_stamp.resize(slots, 0);
             }
             scratch.stack.clear();
-            match self.config.alloc_mode {
-                AllocMode::Full => {
-                    // The global active list is in admission order —
-                    // almost ascending-id, except that controller-retry
-                    // re-admissions insert an earlier-reserved id after
-                    // younger flows; sort the nearly-sorted list in place
-                    // so component first-touch order is ascending-min-id.
-                    scratch.order.extend(flows.iter_slots());
-                    scratch.order.sort_unstable_by_key(|&s| flows.flow_at(s).id);
-                    for i in 0..scratch.order.len() {
-                        let seed = scratch.order[i];
-                        if scratch.flow_stamp[seed as usize] == gen {
-                            continue;
-                        }
-                        scratch.flow_stamp[seed as usize] = gen;
-                        let start = scratch.ids.len();
-                        scratch.ids.push(seed);
-                        scratch.stack.push(seed);
-                        component_closure(flows, scratch, gen);
-                        finish_component(flows, scratch, start);
-                    }
-                    scratch.order.clear();
+            for k in 0..self.dirty_links.len() {
+                let li = self.dirty_links[k].index();
+                if scratch.link_stamp[li] == gen {
+                    continue;
                 }
-                AllocMode::Incremental => {
-                    for k in 0..self.dirty_links.len() {
-                        let li = self.dirty_links[k].index();
-                        if scratch.link_stamp[li] == gen {
-                            continue;
-                        }
-                        scratch.link_stamp[li] = gen;
-                        let start = scratch.ids.len();
-                        for slot in flows.flows_on_link(li) {
-                            if scratch.flow_stamp[slot as usize] != gen {
-                                scratch.flow_stamp[slot as usize] = gen;
-                                scratch.ids.push(slot);
-                                scratch.stack.push(slot);
-                            }
-                        }
-                        component_closure(flows, scratch, gen);
-                        finish_component(flows, scratch, start);
+                scratch.link_stamp[li] = gen;
+                let start = scratch.ids.len();
+                for slot in flows.flows_on_link(li) {
+                    if scratch.flow_stamp[slot as usize] != gen {
+                        scratch.flow_stamp[slot as usize] = gen;
+                        scratch.ids.push(slot);
+                        scratch.stack.push(slot);
                     }
                 }
+                component_closure(flows, scratch, gen);
+                finish_component(flows, scratch, start);
             }
         }
         self.dirty_links.clear();
@@ -2116,14 +2096,10 @@ mod tests {
         assert_eq!(stats.active_flows, 1);
     }
 
-    /// A star whose hub forwards by destination MAC, in `mode`.
-    fn star_net(members: usize, mode: AllocMode) -> (FluidNet, Vec<NodeId>) {
+    /// A star whose hub forwards by destination MAC.
+    fn star_net(members: usize) -> (FluidNet, Vec<NodeId>) {
         let f = builders::star(members, Rate::gbps(1.0));
-        let cfg = FluidConfig {
-            alloc_mode: mode,
-            ..FluidConfig::default()
-        };
-        let mut net = FluidNet::new(f.topology, cfg);
+        let mut net = FluidNet::new(f.topology, FluidConfig::default());
         let hub = f.edges[0];
         let topo = net.topology().clone();
         for (_, l) in topo.out_links(hub) {
@@ -2168,24 +2144,33 @@ mod tests {
         // arrival and departure recompute a's component; both are 100 Mbit/s
         // CBR on 1 Gbit/s links, so a's rate never moves and its bytes are
         // integrated only when something reads them.
-        for mode in [AllocMode::Full, AllocMode::Incremental] {
-            let (mut net, members) = star_net(3, mode);
+        for full in [true, false] {
+            let (mut net, members) = star_net(3);
             let registry = MetricsRegistry::new();
             net.attach_metrics(&registry);
+            let realloc = |net: &mut FluidNet, t: SimTime| {
+                if full {
+                    net.mark_all_dirty();
+                }
+                net.reallocate(t).to_vec()
+            };
             let (a, b) = (net.reserve_id(), net.reserve_id());
             let spec_a = star_spec(&net, &members, 0, 1);
             let spec_b = star_spec(&net, &members, 0, 2);
             net.try_admit(a, spec_a, SimTime::ZERO);
-            assert_eq!(net.reallocate(SimTime::ZERO).len(), 1);
+            assert_eq!(realloc(&mut net, SimTime::ZERO).len(), 1);
             net.try_admit(b, spec_b, SimTime::from_secs(1));
-            let changes = net.reallocate(SimTime::from_secs(1));
-            assert_eq!(changes.len(), 1, "{mode:?}: only b gets a rate");
+            let changes = realloc(&mut net, SimTime::from_secs(1));
+            assert_eq!(changes.len(), 1, "full {full}: only b gets a rate");
             assert_eq!(changes[0].id, b);
-            assert_eq!(net.realloc_flows_touched, 3, "{mode:?}: a was recomputed");
+            assert_eq!(
+                net.realloc_flows_touched, 3,
+                "full {full}: a was recomputed"
+            );
             net.remove_flow(b, SimTime::from_secs(2), true);
-            assert!(net.reallocate(SimTime::from_secs(2)).is_empty());
+            assert!(realloc(&mut net, SimTime::from_secs(2)).is_empty());
             let fa = net.flow(a).unwrap();
-            assert_eq!(fa.last_update, SimTime::ZERO, "{mode:?}: a was synced");
+            assert_eq!(fa.last_update, SimTime::ZERO, "full {full}: a was synced");
             assert_eq!(fa.bytes_sent, 0.0);
             net.sync_all(SimTime::from_secs(3));
             let fa = net.flow(a).unwrap();
@@ -2200,7 +2185,7 @@ mod tests {
                 .find(|(name, _)| name == "alloc.byte_syncs")
                 .expect("byte-sync counter registered")
                 .1;
-            assert_eq!(syncs, 4, "{mode:?}");
+            assert_eq!(syncs, 4, "full {full}");
         }
     }
 
@@ -2210,7 +2195,7 @@ mod tests {
         // re-added (OpenFlow ADD replaces it and resets its counters) at
         // 5.5 s, and every flow is synced at 5.6 s. The flow last synced
         // at 0 s, but E existed for only the last 0.1 s of the interval.
-        let (mut net, members) = star_net(2, AllocMode::Incremental);
+        let (mut net, members) = star_net(2);
         let hub = net.switch_ids()[0];
         let id = net.reserve_id();
         let spec = star_spec(&net, &members, 0, 1);
@@ -2255,7 +2240,7 @@ mod tests {
     fn incremental_mode_touches_fewer_flows() {
         // Two disjoint host pairs on a star: flows don't share links
         // (except none), so incremental touches only the new flow.
-        let (mut net, members) = star_net(4, AllocMode::Incremental);
+        let (mut net, members) = star_net(4);
         let topo = net.topology().clone();
         let mk = |src: usize, dst: usize, sport: u16| FlowSpec {
             key: FlowKey::tcp(
@@ -2298,8 +2283,8 @@ mod tests {
         // chain through host 0's and host 2's uplinks and the contended
         // sink 6 into a second. Every flow gets a first rate, and
         // `alloc.rounds` sees exactly one observation per component.
-        let run = |mode: AllocMode| {
-            let (mut net, members) = star_net(8, mode);
+        let run = |full: bool| {
+            let (mut net, members) = star_net(8);
             let registry = MetricsRegistry::new();
             net.attach_metrics(&registry);
             let topo = net.topology().clone();
@@ -2332,6 +2317,9 @@ mod tests {
                     AdmitOutcome::Admitted
                 ));
             }
+            if full {
+                net.mark_all_dirty();
+            }
             let changes: Vec<(FlowId, u64)> = net
                 .reallocate(SimTime::ZERO)
                 .iter()
@@ -2352,11 +2340,18 @@ mod tests {
                 .1;
             (changes, components, rounds)
         };
-        for mode in [AllocMode::Full, AllocMode::Incremental] {
-            let (changes, components, rounds) = run(mode);
-            assert_eq!(changes.len(), 5, "every flow gets a first rate ({mode:?})");
-            assert_eq!(components, 2, "two link-sharing components ({mode:?})");
-            assert_eq!(rounds.count, 2, "one observation per component ({mode:?})");
+        for full in [true, false] {
+            let (changes, components, rounds) = run(full);
+            assert_eq!(
+                changes.len(),
+                5,
+                "every flow gets a first rate (full {full})"
+            );
+            assert_eq!(components, 2, "two link-sharing components (full {full})");
+            assert_eq!(
+                rounds.count, 2,
+                "one observation per component (full {full})"
+            );
         }
     }
 
@@ -2401,8 +2396,9 @@ mod tests {
     fn full_mode_processes_ascending_ids_despite_retry_order() {
         // A controller round trip re-admits a flow with its *originally
         // reserved* id after younger flows were admitted — the arena's
-        // admission order is then not ascending-id. Full-mode reallocate
-        // (like incremental) must still process and report ascending.
+        // admission order is then not ascending-id. A full re-solve
+        // (like an incremental one) must still process and report
+        // ascending.
         let (mut net, hl, hr) = linear_net();
         install_forwarding(&mut net);
         let early = net.reserve_id(); // reserved first, admitted last
@@ -2420,8 +2416,36 @@ mod tests {
             net.try_admit(early, spec(hl, hr, 1000), SimTime::ZERO),
             AdmitOutcome::Admitted
         ));
+        net.mark_all_dirty();
         let ids: Vec<FlowId> = net.reallocate(SimTime::ZERO).iter().map(|c| c.id).collect();
         assert_eq!(ids, vec![early, a, b], "changes emitted ascending by id");
+    }
+
+    #[test]
+    fn mark_all_dirty_re_solves_every_active_flow() {
+        // Three pairwise-disjoint flows, allocated once: nothing is dirty,
+        // so a plain run touches no flow, while the oracle's mark touches
+        // all three, one component each.
+        let (mut net, members) = star_net(6);
+        for src in [0, 2, 4] {
+            let id = net.reserve_id();
+            let spec = star_spec(&net, &members, src, src + 1);
+            assert!(matches!(
+                net.try_admit(id, spec, SimTime::ZERO),
+                AdmitOutcome::Admitted
+            ));
+        }
+        assert_eq!(net.reallocate(SimTime::ZERO).len(), 3);
+        let (touched, solves) = (net.realloc_flows_touched, net.cold_solves);
+        assert!(net.reallocate(SimTime::from_secs(1)).is_empty());
+        assert_eq!(net.realloc_flows_touched, touched, "no dirty link, no flow");
+        net.mark_all_dirty();
+        assert!(
+            net.reallocate(SimTime::from_secs(2)).is_empty(),
+            "re-solving moves no rate"
+        );
+        assert_eq!(net.realloc_flows_touched - touched, 3, "every active flow");
+        assert_eq!(net.cold_solves - solves, 3, "one solve per component");
     }
 
     #[test]

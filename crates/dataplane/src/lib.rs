@@ -6,8 +6,8 @@
 //! its scalability over packet-level simulators (the fs-sdn argument).
 //!
 //! * [`maxmin`] — progressive-filling max-min fair rate allocation with
-//!   per-flow demand caps (bottleneck-heap implementation, bit-identical
-//!   to the naive filler), full and incremental (affected-component) modes.
+//!   per-flow demand caps (round-scan implementation, bit-identical to the
+//!   naive filler) over the subproblem the engine hands it.
 //! * [`slab`] — arena-backed flow storage: generation-checked slab plus
 //!   intrusive per-link membership lists, the engine's hot-path state.
 //! * [`flow`] — flow specifications (CBR vs greedy/TCP demand models,
@@ -39,6 +39,6 @@ pub mod tcp;
 
 pub use engine::{AdmitOutcome, FluidConfig, FluidNet, RateChange, ReallocTiming};
 pub use flow::{ActiveFlow, DemandModel, Fidelity, FlowSpec, Route, RouteHop};
-pub use maxmin::{max_min_allocate, max_min_allocate_csr, AllocMode, MaxMinScratch};
+pub use maxmin::{max_min_allocate, max_min_allocate_csr, MaxMinScratch};
 pub use slab::FlowArena;
 pub use stats::{DropRecord, FlowRecord, LinkStats};

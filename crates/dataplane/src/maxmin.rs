@@ -47,13 +47,6 @@
 //! freeze) overtakes the scan from about 64 rounds; at 1,000 rounds the
 //! scan is ≈4× slower per solve.
 //!
-//! Two engine modes:
-//!
-//! * [`AllocMode::Full`] — recompute every flow on every change.
-//! * [`AllocMode::Incremental`] — used by the engine to restrict
-//!   recomputation to the connected component of flows sharing links with
-//!   the flows that changed (ablation experiment A1 quantifies the gain).
-//!
 //! ## Macro-flows (weighted variables)
 //!
 //! [`max_min_allocate_csr_weighted`] lets one allocation variable stand
@@ -65,27 +58,6 @@
 //! each member would have received solved individually. This is the
 //! fluid-model scaling trick: a million flows sharing one path class cost
 //! one variable, not a million.
-
-/// Allocation strategy selector (consumed by the engine; the allocator
-/// itself always solves the subproblem it is given).
-///
-/// ```
-/// use horse_dataplane::AllocMode;
-///
-/// // Round-trips through serde using snake_case names (this is what the
-/// // lab's TOML sweep axes parse).
-/// let m: AllocMode = serde_json::from_str("\"incremental\"").unwrap();
-/// assert_eq!(m, AllocMode::Incremental);
-/// assert_ne!(AllocMode::Full, AllocMode::Incremental);
-/// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug, serde::Serialize, serde::Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum AllocMode {
-    /// Recompute all flows on every change.
-    Full,
-    /// Recompute only the affected connected component.
-    Incremental,
-}
 
 /// Tolerance: residuals below a millibit per second count as zero.
 const EPS: f64 = 1e-3;

@@ -1,13 +1,14 @@
 //! Verifies the tentpole property of the arena-backed engine: once scratch
 //! buffers are warm, [`FluidNet::reallocate`] performs **zero heap
-//! allocations** — across full and incremental modes, with admissions,
+//! allocations** — incrementally and under the full oracle
+//! ([`FluidNet::mark_all_dirty`] before every run), with admissions,
 //! completions and rate churn in between.
 //!
 //! A counting global allocator wraps the system allocator for this test
 //! binary; allocation deltas are sampled tightly around the `reallocate`
 //! calls (admission itself legitimately allocates: routes, records).
 
-use horse_dataplane::{AdmitOutcome, AllocMode, DemandModel, FlowSpec, FluidConfig, FluidNet};
+use horse_dataplane::{AdmitOutcome, DemandModel, FlowSpec, FluidConfig, FluidNet};
 use horse_openflow::actions::Instruction;
 use horse_openflow::flow_match::FlowMatch;
 use horse_openflow::messages::{CtrlMsg, FlowMod};
@@ -56,13 +57,9 @@ fn allocs() -> u64 {
 }
 
 /// Star fabric with per-MAC forwarding on the hub switch.
-fn star_net(members: usize, mode: AllocMode) -> (FluidNet, Vec<NodeId>) {
+fn star_net(members: usize) -> (FluidNet, Vec<NodeId>) {
     let f = builders::star(members, Rate::gbps(1.0));
-    let cfg = FluidConfig {
-        alloc_mode: mode,
-        ..FluidConfig::default()
-    };
-    let mut net = FluidNet::new(f.topology, cfg);
+    let mut net = FluidNet::new(f.topology, FluidConfig::default());
     let hub = f.edges[0];
     let topo = net.topology().clone();
     for (_, l) in topo.out_links(hub) {
@@ -105,12 +102,23 @@ fn spec(
     }
 }
 
+/// One allocator run; `full` re-solves every flow (the oracle). Returns
+/// the allocations it made, the dirty marking included.
+fn counted_realloc(net: &mut FluidNet, full: bool, t: SimTime) -> u64 {
+    let before = allocs();
+    if full {
+        net.mark_all_dirty();
+    }
+    net.reallocate(t);
+    allocs() - before
+}
+
 /// Admission/completion churn; counts allocations strictly inside the
 /// `reallocate` calls of the post-warmup cycles. With `metrics` set, a
 /// live [`MetricsRegistry`] is attached first — counter/histogram updates
 /// ride the hot path and must not allocate either.
-fn churn_and_count_opts(mode: AllocMode, metrics: Option<&MetricsRegistry>) -> u64 {
-    let (mut net, members) = star_net(8, mode);
+fn churn_and_count_opts(full: bool, metrics: Option<&MetricsRegistry>) -> u64 {
+    let (mut net, members) = star_net(8);
     if let Some(reg) = metrics {
         net.attach_metrics(reg);
     }
@@ -132,20 +140,18 @@ fn churn_and_count_opts(mode: AllocMode, metrics: Option<&MetricsRegistry>) -> u
                 AdmitOutcome::Admitted
             ));
             wave.push(id);
-            let before = allocs();
-            net.reallocate(SimTime::from_millis(cycle * 10));
+            let n = counted_realloc(&mut net, full, SimTime::from_millis(cycle * 10));
             if measuring {
-                in_realloc += allocs() - before;
+                in_realloc += n;
             }
         }
         // Drain the wave, reallocating after each removal.
         for (k, id) in wave.into_iter().enumerate() {
             let t = SimTime::from_millis(cycle * 10 + 1 + k as u64);
             net.remove_flow(id, t, true);
-            let before = allocs();
-            net.reallocate(t);
+            let n = counted_realloc(&mut net, full, t);
             if measuring {
-                in_realloc += allocs() - before;
+                in_realloc += n;
             }
         }
         // Everything after the first two full cycles is steady state: the
@@ -159,7 +165,7 @@ fn churn_and_count_opts(mode: AllocMode, metrics: Option<&MetricsRegistry>) -> u
 
 #[test]
 fn reallocate_steady_state_is_allocation_free_full_mode() {
-    let n = churn_and_count_opts(AllocMode::Full, None);
+    let n = churn_and_count_opts(true, None);
     assert_eq!(
         n, 0,
         "full-mode reallocate allocated {n} times in steady state"
@@ -168,7 +174,7 @@ fn reallocate_steady_state_is_allocation_free_full_mode() {
 
 #[test]
 fn reallocate_steady_state_is_allocation_free_incremental_mode() {
-    let n = churn_and_count_opts(AllocMode::Incremental, None);
+    let n = churn_and_count_opts(false, None);
     assert_eq!(
         n, 0,
         "incremental-mode reallocate allocated {n} times in steady state"
@@ -178,11 +184,11 @@ fn reallocate_steady_state_is_allocation_free_incremental_mode() {
 #[test]
 fn reallocate_with_live_metrics_is_still_allocation_free() {
     let reg = MetricsRegistry::new();
-    for mode in [AllocMode::Full, AllocMode::Incremental] {
-        let n = churn_and_count_opts(mode, Some(&reg));
+    for full in [true, false] {
+        let n = churn_and_count_opts(full, Some(&reg));
         assert_eq!(
             n, 0,
-            "{mode:?}-mode reallocate with metrics attached allocated {n} times"
+            "reallocate (full: {full}) with metrics attached allocated {n} times"
         );
     }
     // The counters really were live, not detached no-ops.
@@ -201,29 +207,9 @@ fn reallocate_with_live_metrics_is_still_allocation_free() {
 /// order the simulation driver now produces. Steady state must stay
 /// zero-allocation: solver scratch is pre-grown across calls, not
 /// re-allocated per epoch.
-fn batched_churn_and_count(mode: AllocMode) -> u64 {
-    let f = builders::star(8, Rate::gbps(1.0));
-    let cfg = FluidConfig {
-        alloc_mode: mode,
-        ..FluidConfig::default()
-    };
-    let mut net = FluidNet::new(f.topology, cfg);
-    let hub = f.edges[0];
+fn batched_churn_and_count(full: bool) -> u64 {
+    let (mut net, members) = star_net(8);
     let topo = net.topology().clone();
-    for (_, l) in topo.out_links(hub) {
-        if let Some(host) = topo.node(l.dst).filter(|n| n.kind.is_host()) {
-            net.apply_ctrl(
-                hub,
-                &CtrlMsg::FlowMod(FlowMod::add(FlowEntry::new(
-                    100,
-                    FlowMatch::ANY.with_eth_dst(host.mac().unwrap()),
-                    vec![Instruction::output(l.src_port)],
-                ))),
-                SimTime::ZERO,
-            );
-        }
-    }
-    let members = f.members;
     let mut sport = 4000u16;
     let mut in_realloc = 0u64;
     let mut measuring = false;
@@ -238,20 +224,18 @@ fn batched_churn_and_count(mode: AllocMode) -> u64 {
             assert!(matches!(net.try_admit(id, s, t), AdmitOutcome::Admitted));
             wave.push(id);
         }
-        let before = allocs();
-        net.reallocate(t);
+        let n = counted_realloc(&mut net, full, t);
         if measuring {
-            in_realloc += allocs() - before;
+            in_realloc += n;
         }
         // One epoch: the whole completion wave, then a single realloc.
         let t = SimTime::from_millis(cycle * 10 + 5);
         for id in wave {
             net.remove_flow(id, t, true);
         }
-        let before = allocs();
-        net.reallocate(t);
+        let n = counted_realloc(&mut net, full, t);
         if measuring {
-            in_realloc += allocs() - before;
+            in_realloc += n;
         }
         if cycle >= 1 {
             measuring = true;
@@ -262,7 +246,7 @@ fn batched_churn_and_count(mode: AllocMode) -> u64 {
 
 #[test]
 fn epoch_batched_reallocate_is_allocation_free_full_mode() {
-    let n = batched_churn_and_count(AllocMode::Full);
+    let n = batched_churn_and_count(true);
     assert_eq!(
         n, 0,
         "batched full-mode reallocate allocated {n} times in steady state"
@@ -271,7 +255,7 @@ fn epoch_batched_reallocate_is_allocation_free_full_mode() {
 
 #[test]
 fn epoch_batched_reallocate_is_allocation_free_incremental_mode() {
-    let n = batched_churn_and_count(AllocMode::Incremental);
+    let n = batched_churn_and_count(false);
     assert_eq!(
         n, 0,
         "batched incremental-mode reallocate allocated {n} times in steady state"
@@ -284,7 +268,7 @@ fn epoch_batched_reallocate_is_allocation_free_incremental_mode() {
 /// allocation-free as the per-flow path.
 #[test]
 fn macro_flow_reallocate_is_allocation_free_and_aggregates() {
-    let (mut net, members) = star_net(8, AllocMode::Full);
+    let (mut net, members) = star_net(8);
     let topo = net.topology().clone();
     let mut sport = 7000u16;
     let mut in_realloc = 0u64;
@@ -302,19 +286,17 @@ fn macro_flow_reallocate_is_allocation_free_and_aggregates() {
                 wave.push(id);
             }
         }
-        let before = allocs();
-        net.reallocate(t);
+        let n = counted_realloc(&mut net, true, t);
         if measuring {
-            in_realloc += allocs() - before;
+            in_realloc += n;
         }
         let t = SimTime::from_millis(cycle * 10 + 5);
         for id in wave {
             net.remove_flow(id, t, true);
         }
-        let before = allocs();
-        net.reallocate(t);
+        let n = counted_realloc(&mut net, true, t);
         if measuring {
-            in_realloc += allocs() - before;
+            in_realloc += n;
         }
         if cycle >= 1 {
             measuring = true;
@@ -334,7 +316,7 @@ fn macro_flow_reallocate_is_allocation_free_and_aggregates() {
 
 #[test]
 fn sync_all_is_allocation_free_after_warmup() {
-    let (mut net, members) = star_net(6, AllocMode::Full);
+    let (mut net, members) = star_net(6);
     let topo = net.topology().clone();
     for i in 0..3 {
         let id = net.reserve_id();

@@ -12,7 +12,7 @@
 //!   over); a position shift costs exactly one rescan per affected trail
 //!   entry, after which syncing is search-free again.
 
-use horse_dataplane::{AdmitOutcome, AllocMode, DemandModel, FlowSpec, FluidConfig, FluidNet};
+use horse_dataplane::{AdmitOutcome, DemandModel, FlowSpec, FluidConfig, FluidNet};
 use horse_openflow::actions::Instruction;
 use horse_openflow::flow_match::FlowMatch;
 use horse_openflow::messages::{CtrlMsg, FlowMod, FlowModCommand, StatsReply, StatsRequest};
@@ -51,11 +51,7 @@ fn ixp_star() -> (FluidNet, Vec<NodeId>) {
         uplink_speed: Rate::gbps(2.0),
         ..IxpFabricParams::default()
     });
-    let cfg = FluidConfig {
-        alloc_mode: AllocMode::Incremental,
-        ..FluidConfig::default()
-    };
-    let mut net = FluidNet::new(f.topology, cfg);
+    let mut net = FluidNet::new(f.topology, FluidConfig::default());
     for sw in net.switch_ids().to_vec() {
         for m in 0..MEMBERS {
             let mut e = rule(&net, &f.members, sw, m);

@@ -1,7 +1,8 @@
-//! Property: `AllocMode::Incremental` produces the same rates as
-//! `AllocMode::Full` after **every** event of a randomized admit/remove
-//! scenario — the invariant that makes the A1 ablation a pure performance
-//! comparison rather than a semantics change.
+//! Property: incremental discovery (re-solve the flows sharing links with
+//! what changed) produces the same rates as the full oracle
+//! ([`FluidNet::mark_all_dirty`] before every run) after **every** event
+//! of a randomized admit/remove scenario — the invariant that makes the
+//! oracle a pure performance comparison rather than a semantics change.
 //!
 //! Property: lazy byte integration conserves bytes. A flow's bytes are
 //! integrated only when its rate changes, when it leaves the network, or
@@ -17,7 +18,7 @@
 //!   integral of the piecewise-constant rates `reallocate` reported (so
 //!   an interval integrated at the wrong rate shows up).
 
-use horse_dataplane::{AdmitOutcome, AllocMode, DemandModel, FlowSpec, FluidConfig, FluidNet};
+use horse_dataplane::{AdmitOutcome, DemandModel, FlowSpec, FluidConfig, FluidNet};
 use horse_openflow::actions::Instruction;
 use horse_openflow::flow_match::FlowMatch;
 use horse_openflow::messages::{CtrlMsg, FlowMod};
@@ -29,13 +30,9 @@ use std::collections::BTreeMap;
 
 const MEMBERS: usize = 8;
 
-fn star_net(mode: AllocMode) -> (FluidNet, Vec<NodeId>) {
+fn star_net() -> (FluidNet, Vec<NodeId>) {
     let f = builders::star(MEMBERS, Rate::gbps(1.0));
-    let cfg = FluidConfig {
-        alloc_mode: mode,
-        ..FluidConfig::default()
-    };
-    let mut net = FluidNet::new(f.topology, cfg);
+    let mut net = FluidNet::new(f.topology, FluidConfig::default());
     let hub = f.edges[0];
     let topo = net.topology().clone();
     for (_, l) in topo.out_links(hub) {
@@ -103,8 +100,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     #[test]
     fn incremental_matches_full_after_every_event(seed in 1u64..u64::MAX) {
-        let (mut full, members) = star_net(AllocMode::Full);
-        let (mut inc, _) = star_net(AllocMode::Incremental);
+        let (mut full, members) = star_net();
+        let (mut inc, _) = star_net();
         let topo = full.topology().clone();
 
         let mut x = seed | 1;
@@ -146,6 +143,7 @@ proptest! {
                 let ri = inc.remove_flow(id, t, true);
                 prop_assert_eq!(rf.is_some(), ri.is_some());
             }
+            full.mark_all_dirty();
             full.reallocate(t);
             inc.reallocate(t);
             assert_states_agree(&full, &inc, step);
@@ -183,6 +181,8 @@ fn close(a: f64, b: f64) -> bool {
 /// What the test remembers about every flow it admitted.
 #[derive(Default)]
 struct Ledger {
+    /// Re-solve every flow on every run (the full oracle).
+    full: bool,
     links: BTreeMap<FlowId, Vec<LinkId>>,
     integrals: BTreeMap<FlowId, Integral>,
     /// Pending completion instant of each sized flow with a rate.
@@ -215,6 +215,9 @@ impl Ledger {
     }
 
     fn reallocate(&mut self, net: &mut FluidNet, now: SimTime) {
+        if self.full {
+            net.mark_all_dirty();
+        }
         for c in net.reallocate(now) {
             let integral = self.integrals.get_mut(&c.id).expect("admitted");
             integral.advance(now);
@@ -305,15 +308,14 @@ proptest! {
     fn lazily_integrated_bytes_are_conserved(seed in 1u64..u64::MAX) {
         let mut x = seed | 1;
         let mut rnd = move || { x ^= x << 13; x ^= x >> 7; x ^= x << 17; x };
-        let mode = if rnd() % 2 == 0 { AllocMode::Full } else { AllocMode::Incremental };
-        let (mut net, members) = star_net(mode);
+        let (mut net, members) = star_net();
         let topo = net.topology().clone();
         let access: Vec<LinkId> = members
             .iter()
             .map(|&m| topo.out_links(m).next().expect("access link").0)
             .collect();
         let mut down = [false; MEMBERS];
-        let mut ledger = Ledger::default();
+        let mut ledger = Ledger { full: rnd() % 2 == 0, ..Ledger::default() };
         let mut t = SimTime::ZERO;
         let mut sport = 1000u16;
 

@@ -8,7 +8,7 @@
 //! The per-flow engine is the oracle; nothing here tolerates an
 //! epsilon.
 
-use horse_dataplane::{AdmitOutcome, AllocMode, DemandModel, FlowSpec, FluidConfig, FluidNet};
+use horse_dataplane::{AdmitOutcome, DemandModel, FlowSpec, FluidConfig, FluidNet};
 use horse_openflow::actions::Instruction;
 use horse_openflow::flow_match::FlowMatch;
 use horse_openflow::messages::{CtrlMsg, FlowMod};
@@ -23,7 +23,6 @@ const MEMBERS: usize = 8;
 fn star_net(macro_flows: bool) -> FluidNet {
     let f = builders::star(MEMBERS, Rate::gbps(1.0));
     let cfg = FluidConfig {
-        alloc_mode: AllocMode::Incremental,
         macro_flows,
         ..FluidConfig::default()
     };

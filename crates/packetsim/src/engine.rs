@@ -1083,74 +1083,65 @@ impl PacketPlane {
         // `process`'s commit and meters are consumed packet by packet.
         let mut ports = std::mem::take(&mut self.scratch_ports);
         ports.clear();
-        // verdict kind: 0 = forward, 1 = to-controller, 2 = drop
-        let (vk, key_out, pass) = if let Some(k) = hit {
-            // The entry's generation matches, so the trail's table
-            // positions are exact: both credits below are search-free.
-            let res = &mut self.cache[pkt.flow][k].res;
-            sw.commit_matched_n(&mut res.matched, count as u64, now);
-            let pass = Self::consume_meters(sw, &res.meters, pkt.size, count, now);
-            if pass > 0 {
-                sw.credit_bytes(
-                    &mut res.matched,
-                    ByteSize::bytes(pkt.size as u64 * pass as u64),
-                    ByteSize::bytes(pkt.size as u64),
-                    now,
-                    now,
-                );
+        // A hit commits the whole burst on the cached entry, whose trail
+        // positions are exact (its generation matches), so both credits
+        // are search-free. A miss walks the pipeline (one commit), commits
+        // the rest of the burst in one aggregate and caches the result.
+        let mut fresh;
+        let res = match hit {
+            Some(k) => {
+                let res = &mut self.cache[pkt.flow][k].res;
+                sw.commit_matched_n(&mut res.matched, count as u64, now);
+                res
             }
-            let vk = match &res.verdict {
-                Verdict::Forward(ps) => {
-                    ports.extend_from_slice(ps);
-                    0u8
+            None => {
+                let mut res = sw.process(in_port, &pkt.key, now);
+                if count > 1 {
+                    sw.commit_matched_n(&mut res.matched, count as u64 - 1, now);
                 }
-                Verdict::ToController => 1,
-                Verdict::Drop(_) => 2,
-            };
-            (vk, res.key_out, pass)
-        } else {
-            // `process` commits one classification; the rest of the burst
-            // rides along with one aggregate commit.
-            let mut res = sw.process(in_port, &pkt.key, now);
-            if count > 1 {
-                sw.commit_matched_n(&mut res.matched, count as u64 - 1, now);
-            }
-            let pass = Self::consume_meters(sw, &res.meters, pkt.size, count, now);
-            if pass > 0 {
-                sw.credit_bytes(
-                    &mut res.matched,
-                    ByteSize::bytes(pkt.size as u64 * pass as u64),
-                    ByteSize::bytes(pkt.size as u64),
-                    now,
-                    now,
-                );
-            }
-            let vk = match &res.verdict {
-                Verdict::Forward(ps) => {
-                    ports.extend_from_slice(ps);
-                    0u8
-                }
-                Verdict::ToController => 1,
-                Verdict::Drop(_) => 2,
-            };
-            let key_out = res.key_out;
-            if use_cache {
-                let entry = CacheEntry {
-                    node,
-                    in_port,
-                    is_ack: pkt.is_ack,
-                    gen,
-                    key: pkt.key,
-                    res,
-                };
-                let list = &mut self.cache[pkt.flow];
-                match slot {
-                    Some(k) => list[k] = entry,
-                    None => list.push(entry),
+                if use_cache {
+                    let entry = CacheEntry {
+                        node,
+                        in_port,
+                        is_ack: pkt.is_ack,
+                        gen,
+                        key: pkt.key,
+                        res,
+                    };
+                    let list = &mut self.cache[pkt.flow];
+                    let k = slot.unwrap_or(list.len());
+                    if k == list.len() {
+                        list.push(entry);
+                    } else {
+                        list[k] = entry;
+                    }
+                    &mut list[k].res
+                } else {
+                    fresh = res;
+                    &mut fresh
                 }
             }
-            (vk, key_out, pass)
         };
+        let pass = Self::consume_meters(sw, &res.meters, pkt.size, count, now);
+        if pass > 0 {
+            sw.credit_bytes(
+                &mut res.matched,
+                ByteSize::bytes(pkt.size as u64 * pass as u64),
+                ByteSize::bytes(pkt.size as u64),
+                now,
+                now,
+            );
+        }
+        // verdict kind: 0 = forward, 1 = to-controller, 2 = drop
+        let vk = match &res.verdict {
+            Verdict::Forward(ps) => {
+                ports.extend_from_slice(ps);
+                0u8
+            }
+            Verdict::ToController => 1,
+            Verdict::Drop(_) => 2,
+        };
+        let key_out = res.key_out;
 
         // Phase 2: act on the verdict. Meter-failed packets drop first
         // (exactly like the per-packet early return); only the passing

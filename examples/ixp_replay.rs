@@ -34,9 +34,7 @@ fn main() {
     params.seed = 20160822; // SIGCOMM'16 week
 
     let scenario = Scenario::ixp(&params);
-    let config = SimConfig::default()
-        .with_alloc_mode(AllocMode::Incremental)
-        .with_stats_epoch(Some(SimDuration::from_secs(300))); // 5-min bins
+    let config = SimConfig::default().with_stats_epoch(Some(SimDuration::from_secs(300))); // 5-min bins
 
     println!(
         "replaying {hours}h over {} members ({} nodes, {} links)…",
