@@ -32,8 +32,7 @@ pub struct SimConfig {
     /// One-way control-channel latency (switch ↔ controller). The paper
     /// removes real OpenFlow connections but keeps their *timing*: a
     /// reactive flow setup costs two crossings (`FlowIn` up, `FlowMod`
-    /// down). Ablation A2 (`examples/sweeps/ctrl_latency.toml`) sweeps
-    /// this.
+    /// down). `examples/sweeps/ctrl_latency.toml` sweeps this.
     pub ctrl_latency: SimDuration,
     /// Which flows a reallocation re-solves. `Full` is the oracle:
     /// re-solve every flow on every run.
@@ -61,35 +60,15 @@ pub struct SimConfig {
     /// it together with [`SimConfig::with_engine_threads`].
     #[serde(default)]
     pub engine_threads: usize,
-    /// Run the allocator once per *event* instead of once per epoch
-    /// (batch of same-timestamp events) — the pre-epoch-batching cadence,
-    /// kept as the equivalence oracle for tests and as the bench
-    /// baseline. Leave `false` outside those uses.
-    #[serde(default)]
-    pub realloc_per_event: bool,
-    /// Collapse flows sharing an identical link sequence and demand into
-    /// one weighted macro-flow allocation variable (the million-flow
-    /// scaling trick). Rates and reports are **bit-identical** with the
-    /// knob on or off — only solver work changes — so it defaults on;
-    /// keep the `false` side for ablations.
-    #[serde(default = "default_true")]
-    pub macro_flows: bool,
     /// Maximum packets one packet-plane burst event may model (GSO-style
     /// batching of back-to-back same-flow packets). `1` disables batching
-    /// and is bit-identical to the per-packet plane; larger values trade
-    /// a bounded (sub-1%) FCT skew for a ~burst-factor event reduction.
+    /// and is bit-identical to the per-packet plane. Larger values trade
+    /// FCT skew for a ~burst-factor event reduction. The skew stays under
+    /// 1% of the per-packet FCT only while no serializer tail-drops: once
+    /// a burst loses packets, no-SACK recovery can diverge by whole RTO
+    /// backoffs.
     #[serde(default = "default_pkt_burst")]
     pub pkt_burst: u32,
-    /// Cache per-flow pipeline decisions in the packet plane so only a
-    /// burst's head packet walks the OpenFlow tables. Generation-stamped:
-    /// any flow/group/meter mod, port or cable change invalidates.
-    /// Bit-identical either way; defaults on, `false` for ablations.
-    #[serde(default = "default_true")]
-    pub pkt_decision_cache: bool,
-}
-
-fn default_true() -> bool {
-    true
 }
 
 fn default_pkt_burst() -> u32 {
@@ -108,10 +87,7 @@ impl Default for SimConfig {
             alarm_threshold: None,
             hybrid_min_drain_frac: 0.05,
             engine_threads: 1,
-            realloc_per_event: false,
-            macro_flows: true,
             pkt_burst: 32,
-            pkt_decision_cache: true,
         }
     }
 }
@@ -122,7 +98,6 @@ impl SimConfig {
         FluidConfig {
             avg_packet: self.avg_packet,
             max_route_hops: 64,
-            macro_flows: self.macro_flows,
         }
     }
 
@@ -163,31 +138,29 @@ impl SimConfig {
         self
     }
 
-    /// Builder: select the per-event reallocation oracle cadence.
-    pub fn with_realloc_per_event(mut self, on: bool) -> Self {
-        self.realloc_per_event = on;
-        self
-    }
-
-    /// Builder: toggle macro-flow aggregation (ablation knob; results
-    /// are bit-identical either way).
-    pub fn with_macro_flows(mut self, on: bool) -> Self {
-        self.macro_flows = on;
-        self
-    }
-
     /// Builder: set the packet-plane burst cap (`1` = per-packet oracle).
     pub fn with_pkt_burst(mut self, n: u32) -> Self {
         self.pkt_burst = n.max(1);
         self
     }
+}
 
-    /// Builder: toggle the packet-plane decision cache (ablation knob;
-    /// results are bit-identical either way).
-    pub fn with_pkt_decision_cache(mut self, on: bool) -> Self {
-        self.pkt_decision_cache = on;
-        self
-    }
+/// Test support: the reference paths the fast paths are proven against,
+/// set with `Simulation::set_oracles`. Not configuration: no spec, sweep
+/// or snapshot carries them.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Oracles {
+    /// Run the allocator after every event that requests it, and couple
+    /// the hybrid planes on every run, instead of once per epoch (batch
+    /// of same-timestamp events).
+    pub per_event_realloc: bool,
+    /// Solve one allocation variable per flow instead of one weighted
+    /// variable per macro-flow class (identical link sequence and demand).
+    pub per_flow_variables: bool,
+    /// Walk the packet plane's OpenFlow pipeline for every packet instead
+    /// of replaying cached per-flow decisions.
+    pub uncached_pipeline: bool,
 }
 
 // Checkpoint headers carry the config next to the scenario so a resumed
@@ -198,6 +171,8 @@ horse_types::impl_snap_via_serde!(SimConfig);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use horse_types::snap::snap_via_serde;
+    use horse_types::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn defaults_are_sane() {
@@ -206,33 +181,44 @@ mod tests {
         assert_eq!(c.alloc_mode, AllocMode::Incremental, "Full is the oracle");
         assert!(c.admit_retry_limit >= 1);
         assert_eq!(c.fluid().avg_packet, c.avg_packet);
-        assert!(c.macro_flows, "aggregation defaults on (bit-identical)");
         assert_eq!(c.pkt_burst, 32, "packet bursts default on");
-        assert!(c.pkt_decision_cache, "decision cache defaults on");
-        let ablated = c.with_macro_flows(false);
-        assert!(!ablated.fluid().macro_flows);
-        let per_packet = ablated.with_pkt_burst(0).with_pkt_decision_cache(false);
-        assert_eq!(per_packet.pkt_burst, 1, "burst cap floors at 1");
-        assert!(!per_packet.pkt_decision_cache);
+        assert_eq!(c.with_pkt_burst(0).pkt_burst, 1, "burst cap floors at 1");
+    }
+
+    /// The config as a serde map, for editing keys the way older writers
+    /// laid them out.
+    fn config_entries() -> Vec<(String, serde_json::Value)> {
+        let j = serde_json::to_string(&SimConfig::default()).unwrap();
+        match serde_json::from_str(&j).unwrap() {
+            serde_json::Value::Map(entries) => entries,
+            _ => panic!("config serializes to a map"),
+        }
     }
 
     #[test]
-    fn macro_and_packet_knobs_default_on_when_absent_from_toml() {
-        // Older checked-in sweeps predate the knobs; deserialising them
-        // must land on the new defaults, not `false`.
-        let j = serde_json::to_string(&SimConfig::default()).unwrap();
-        let v: serde_json::Value = serde_json::from_str(&j).unwrap();
-        let serde_json::Value::Map(entries) = v else {
-            panic!("config serializes to a map");
-        };
-        let pruned: Vec<_> = entries
+    fn pkt_burst_defaults_when_absent() {
+        // Configs written before the burst cap existed carry no key.
+        let pruned: Vec<_> = config_entries()
             .into_iter()
-            .filter(|(k, _)| k != "macro_flows" && k != "pkt_burst" && k != "pkt_decision_cache")
+            .filter(|(k, _)| k != "pkt_burst")
             .collect();
         let c: SimConfig = serde::Deserialize::from_value(&serde_json::Value::Map(pruned)).unwrap();
-        assert!(c.macro_flows);
         assert_eq!(c.pkt_burst, 32);
-        assert!(c.pkt_decision_cache);
+    }
+
+    #[test]
+    fn header_with_retired_oracle_keys_still_decodes() {
+        // Version-6 checkpoints wrote the three oracle switches into the
+        // config header; decoding ignores them, so those snapshots resume.
+        let mut entries = config_entries();
+        entries.push(("realloc_per_event".into(), serde_json::Value::Bool(true)));
+        entries.push(("macro_flows".into(), serde_json::Value::Bool(false)));
+        entries.push(("pkt_decision_cache".into(), serde_json::Value::Bool(false)));
+        let mut w = SnapWriter::new();
+        snap_via_serde(&serde_json::Value::Map(entries), &mut w);
+        let bytes = w.into_bytes();
+        let c = SimConfig::unsnap(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(c, SimConfig::default());
     }
 
     #[test]

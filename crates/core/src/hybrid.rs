@@ -152,7 +152,6 @@ impl HybridNet {
         let pkt_cfg = PacketSimConfig {
             ctrl_latency: config.ctrl_latency,
             burst: config.pkt_burst.max(1),
-            decision_cache: config.pkt_decision_cache,
             ..PacketSimConfig::default()
         };
         HybridNet {
@@ -180,6 +179,12 @@ impl HybridNet {
     /// Read access to the packet mechanics.
     pub fn plane(&self) -> &PacketPlane {
         &self.plane
+    }
+
+    /// Test support: see [`PacketPlane::set_uncached_pipeline`].
+    #[doc(hidden)]
+    pub fn set_uncached_pipeline(&mut self, on: bool) {
+        self.plane.set_uncached_pipeline(on);
     }
 
     /// Number of packet-fidelity flows admitted so far.

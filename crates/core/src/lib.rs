@@ -61,6 +61,8 @@ pub mod trace;
 
 pub use chaos::{ChaosError, ChaosSpec};
 pub use compare::{compare_planes, AccuracyReport};
+#[doc(hidden)]
+pub use config::Oracles;
 pub use config::SimConfig;
 pub use hybrid::HybridNet;
 pub use results::{ChaosCounters, SimResults};

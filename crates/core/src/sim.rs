@@ -12,8 +12,7 @@
 //!   max-min allocator **once per epoch** instead of once per triggering
 //!   event; handlers that read allocation-dependent state flush the
 //!   pending run first, so observable state matches the per-event
-//!   cadence (kept available as [`SimConfig::realloc_per_event`], the
-//!   equivalence oracle).
+//!   cadence (kept as a test-support oracle, `Simulation::set_oracles`).
 //! * **No real OpenFlow connections** — messages are values crossing the
 //!   control channel with [`SimConfig::ctrl_latency`] delay in each
 //!   direction; a reactive flow setup therefore costs two crossings
@@ -23,7 +22,7 @@
 //!   timer fires, stats epochs.
 
 use crate::chaos::{self, ChaosError};
-use crate::config::{AllocMode, SimConfig};
+use crate::config::{AllocMode, Oracles, SimConfig};
 use crate::event::SimEvent;
 use crate::hybrid::{pkt_flow_spec, HybridNet};
 use crate::results::{ChaosCounters, SimResults};
@@ -179,6 +178,8 @@ pub struct Simulation {
     controller: Box<dyn Controller>,
     queue: EventQueue<SimEvent>,
     config: SimConfig,
+    /// Test-support reference paths; not snapshotted.
+    oracles: Oracles,
     horizon: SimTime,
     /// Flows waiting on the controller: id → (spec, attempts, arrival).
     pending: HashMap<FlowId, (FlowSpec, u32, SimTime)>,
@@ -458,6 +459,7 @@ impl Simulation {
             controller,
             queue,
             config,
+            oracles: Oracles::default(),
             horizon: scenario.horizon,
             pending: HashMap::new(),
             recovering: HashMap::new(),
@@ -509,10 +511,21 @@ impl Simulation {
     /// byte-identical to a pure fluid run).
     pub fn enable_hybrid(&mut self) {
         if self.hybrid.is_none() {
-            self.hybrid = Some(Box::new(HybridNet::new(
-                self.fluid.topology().link_count(),
-                &self.config,
-            )));
+            let links = self.fluid.topology().link_count();
+            self.hybrid = Some(Box::new(HybridNet::new(links, &self.config)));
+            self.set_oracles(self.oracles);
+        }
+    }
+
+    /// Test support: runs the reference paths of [`Oracles`]. Not part
+    /// of checkpoints: set them again after a resume or fork.
+    #[doc(hidden)]
+    pub fn set_oracles(&mut self, oracles: Oracles) {
+        self.oracles = oracles;
+        self.fluid
+            .set_per_flow_variables(oracles.per_flow_variables);
+        if let Some(h) = self.hybrid.as_mut() {
+            h.set_uncached_pipeline(oracles.uncached_pipeline);
         }
     }
 
@@ -795,10 +808,10 @@ impl Simulation {
     /// batching (the default) the run is deferred to the end of the epoch
     /// (or the next flush point), so a batch of simultaneous arrivals,
     /// completions and failures pays for **one** allocator run; the
-    /// `realloc_per_event` oracle runs it immediately instead.
+    /// per-event oracle runs it immediately instead.
     fn request_realloc(&mut self, now: SimTime) {
         self.realloc_requests += 1;
-        if self.config.realloc_per_event {
+        if self.oracles.per_event_realloc {
             self.reallocate(now);
         } else {
             self.realloc_pending = true;
@@ -828,7 +841,7 @@ impl Simulation {
         // per-event oracle keeps the historical couple-on-every-run
         // cadence.
         if let Some(h) = self.hybrid.as_mut() {
-            if self.config.realloc_per_event || h.mark_coupled_epoch(self.epochs) {
+            if self.oracles.per_event_realloc || h.mark_coupled_epoch(self.epochs) {
                 h.recouple(now, &mut self.fluid);
             }
         }

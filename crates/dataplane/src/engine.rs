@@ -94,13 +94,6 @@ pub struct FluidConfig {
     pub avg_packet: ByteSize,
     /// Maximum switch hops during route resolution (loop guard).
     pub max_route_hops: usize,
-    /// Collapse flows sharing an identical link sequence *and* demand
-    /// into one weighted macro-flow allocation variable (the fluid-model
-    /// scaling trick: a million flows on one path class solve as one
-    /// variable). Rates, emission order and reports are **bit-identical**
-    /// to the unaggregated solve — only solver work shrinks — so this is
-    /// on by default.
-    pub macro_flows: bool,
 }
 
 impl Default for FluidConfig {
@@ -108,7 +101,6 @@ impl Default for FluidConfig {
         FluidConfig {
             avg_packet: ByteSize::bytes(1000),
             max_route_hops: 64,
-            macro_flows: true,
         }
     }
 }
@@ -382,6 +374,8 @@ pub struct FluidNet {
     /// Capture wall-clock phase timing on the next `reallocate` calls.
     timing_enabled: bool,
     timing: ReallocTiming,
+    /// Test support: one allocation variable per flow, no macro-flows.
+    per_flow_variables: bool,
 }
 
 impl FluidNet {
@@ -424,6 +418,7 @@ impl FluidNet {
             metrics: EngineMetrics::default(),
             timing_enabled: false,
             timing: ReallocTiming::default(),
+            per_flow_variables: false,
         }
     }
 
@@ -447,6 +442,13 @@ impl FluidNet {
     /// phases of the most recent call.
     pub fn set_phase_timing(&mut self, enabled: bool) {
         self.timing_enabled = enabled;
+    }
+
+    /// Test support: solve one variable per flow, the oracle macro-flow
+    /// aggregation is proven against. Not part of snapshots.
+    #[doc(hidden)]
+    pub fn set_per_flow_variables(&mut self, on: bool) {
+        self.per_flow_variables = on;
     }
 
     /// Phase timing of the most recent [`FluidNet::reallocate`] call,
@@ -995,9 +997,9 @@ impl FluidNet {
     /// docs for the discovery/solve split and the determinism contract.
     ///
     /// Flows sharing an identical link sequence and demand collapse into
-    /// one weighted macro-flow variable before the solve (unless
-    /// [`FluidConfig::macro_flows`] is off) — a pure solver-work
-    /// optimization: the returned rates are bit-identical either way.
+    /// one weighted macro-flow variable before the solve — a pure
+    /// solver-work optimization: the returned rates are bit-identical to
+    /// a solve with one variable per flow.
     ///
     /// # Example
     ///
@@ -1156,7 +1158,7 @@ impl FluidNet {
         // entries never leak across components (no per-call clearing or
         // hashing — this is the hottest loop in the engine).
         {
-            let use_macro = self.config.macro_flows;
+            let use_macro = !self.per_flow_variables;
             let scratch = &mut self.scratch;
             scratch.caps.clear();
             scratch.demands.clear();

@@ -22,11 +22,8 @@ const MEMBERS: usize = 8;
 /// Star fabric with per-MAC forwarding on the hub, under one engine variant.
 fn star_net(macro_flows: bool) -> FluidNet {
     let f = builders::star(MEMBERS, Rate::gbps(1.0));
-    let cfg = FluidConfig {
-        macro_flows,
-        ..FluidConfig::default()
-    };
-    let mut net = FluidNet::new(f.topology, cfg);
+    let mut net = FluidNet::new(f.topology, FluidConfig::default());
+    net.set_per_flow_variables(!macro_flows);
     let hub = f.edges[0];
     let topo = net.topology().clone();
     for (_, l) in topo.out_links(hub) {

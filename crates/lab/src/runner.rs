@@ -404,47 +404,6 @@ mod tests {
     }
 
     #[test]
-    fn macro_flows_ablation_changes_no_observable() {
-        // Aggregation only changes how much solver work runs, never what
-        // it computes: every observable metric must be bit-identical
-        // across the 1×2 ablation. Only the solver-work counters
-        // themselves may differ.
-        let spec = SweepSpec::from_toml(
-            r#"
-            name = "ablate_det"
-            [scenario]
-            kind = "ixp"
-            members = 25
-            horizon_secs = 1.0
-            [axes]
-            macro_flows = [true, false]
-            "#,
-        )
-        .unwrap();
-        let report = run_sweep(&spec, 1).unwrap();
-        assert_eq!(report.runs.len(), 2);
-        let base = &report.runs[0].metrics;
-        assert!(
-            base.macro_flows <= base.realloc_flows_touched,
-            "aggregation can only shrink the variable count"
-        );
-        for r in &report.runs[1..] {
-            let m = &r.metrics;
-            assert_eq!(m.events, base.events);
-            assert_eq!(m.flows_completed, base.flows_completed);
-            assert_eq!(m.bytes_delivered.to_bits(), base.bytes_delivered.to_bits());
-            assert_eq!(m.fct, base.fct);
-            assert_eq!(m.goodput, base.goodput);
-            assert_eq!(m.realloc_runs, base.realloc_runs);
-            assert_eq!(m.realloc_flows_touched, base.realloc_flows_touched);
-            assert_eq!(m.cold_solves, base.cold_solves);
-        }
-        // The ablated side degenerates to one variable per flow.
-        let off = &report.runs[1].metrics;
-        assert_eq!(off.macro_flows, off.realloc_flows_touched);
-    }
-
-    #[test]
     fn thread_resolution_order() {
         let spec = tiny_sweep(Some(3));
         assert_eq!(resolve_threads(Some(2), &spec), 2, "CLI wins");

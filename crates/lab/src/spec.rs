@@ -558,20 +558,10 @@ pub struct SimConfigSpec {
     /// Accepted and ignored: the frozen benchmark harness still writes
     /// this key. ROADMAP direction 1's benchmark PR deletes it.
     pub engine_threads: Option<usize>,
-    /// Macro-flow aggregation (collapse identical path-class flows into
-    /// one weighted allocation variable). Defaults on; results are
-    /// bit-identical either way, so it sweeps as a pure performance
-    /// (ablation) axis.
-    pub macro_flows: Option<bool>,
     /// Packet-plane burst cap (max packets one burst event models).
     /// Defaults to 32; `1` is the per-packet oracle, so `[1, 32]` sweeps
     /// as a fidelity-vs-speed ablation axis.
     pub pkt_burst: Option<u32>,
-    /// Packet-plane pipeline-decision cache (head packet walks the
-    /// OpenFlow tables, followers reuse the generation-stamped verdict).
-    /// Defaults on; bit-identical either way, sweepable as an ablation
-    /// axis.
-    pub pkt_decision_cache: Option<bool>,
 }
 
 impl SimConfigSpec {
@@ -617,9 +607,6 @@ impl SimConfigSpec {
             }
             c.alarm_threshold = Some(t);
         }
-        if let Some(on) = self.macro_flows {
-            c.macro_flows = on;
-        }
         if let Some(n) = self.pkt_burst {
             if n == 0 {
                 return Err(LabError::spec(
@@ -627,9 +614,6 @@ impl SimConfigSpec {
                 ));
             }
             c.pkt_burst = n;
-        }
-        if let Some(on) = self.pkt_decision_cache {
-            c.pkt_decision_cache = on;
         }
         Ok(c)
     }
@@ -843,49 +827,16 @@ mod tests {
     }
 
     #[test]
-    fn macro_flows_knob_folds_and_sweeps() {
-        let c = SimConfigSpec {
-            macro_flows: Some(false),
-            ..Default::default()
-        }
-        .to_config()
-        .unwrap();
-        assert!(!c.macro_flows);
-        let d = SimConfigSpec::default().to_config().unwrap();
-        assert!(d.macro_flows, "absent knob inherits on");
-
-        let spec = SweepSpec::from_toml(
-            r#"
-            name = "ablate"
-            [scenario]
-            kind = "ixp"
-            members = 6
-            horizon_secs = 0.5
-            [axes]
-            macro_flows = [true, false]
-            "#,
-        )
-        .unwrap();
-        let plans = crate::sweep::expand(&spec).unwrap();
-        assert_eq!(plans.len(), 2);
-        assert_eq!(plans[0].config.macro_flows, Some(true));
-        assert_eq!(plans[1].config.macro_flows, Some(false));
-    }
-
-    #[test]
-    fn pkt_knobs_fold_and_sweep() {
+    fn pkt_burst_folds_and_sweeps() {
         let c = SimConfigSpec {
             pkt_burst: Some(1),
-            pkt_decision_cache: Some(false),
             ..Default::default()
         }
         .to_config()
         .unwrap();
         assert_eq!(c.pkt_burst, 1);
-        assert!(!c.pkt_decision_cache);
         let d = SimConfigSpec::default().to_config().unwrap();
         assert_eq!(d.pkt_burst, 32, "absent knob inherits the default cap");
-        assert!(d.pkt_decision_cache, "absent knob inherits on");
         let err = SimConfigSpec {
             pkt_burst: Some(0),
             ..Default::default()
@@ -904,16 +855,13 @@ mod tests {
             fidelity = "hybrid"
             [axes]
             pkt_burst = [1, 32]
-            pkt_decision_cache = [true, false]
             "#,
         )
         .unwrap();
         let plans = crate::sweep::expand(&spec).unwrap();
-        assert_eq!(plans.len(), 4);
+        assert_eq!(plans.len(), 2);
         assert_eq!(plans[0].config.pkt_burst, Some(1));
-        assert_eq!(plans[0].config.pkt_decision_cache, Some(true));
-        assert_eq!(plans[3].config.pkt_burst, Some(32));
-        assert_eq!(plans[3].config.pkt_decision_cache, Some(false));
+        assert_eq!(plans[1].config.pkt_burst, Some(32));
     }
 
     #[test]

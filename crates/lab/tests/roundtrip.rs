@@ -240,9 +240,7 @@ fn accepted_key_sets_are_pinned() {
             "ctrl_latency_us",
             "engine_threads",
             "expiry_scan_secs",
-            "macro_flows",
             "pkt_burst",
-            "pkt_decision_cache",
             "stats_epoch_secs",
         ]
     );
@@ -279,20 +277,19 @@ fn unknown_keys_are_rejected() {
         "names the key and lists the accepted ones: {msg}"
     );
 
-    // A knob that no longer exists is an unknown key, not a silent no-op.
-    let msg = err(r#"
-        name = "x"
-        [scenario]
-        kind = "ixp"
-        members = 4
-        horizon_secs = 1.0
-        [config]
-        warm_start = true
-        "#);
-    assert!(
-        msg.contains("`warm_start` in [config]") && msg.contains("macro_flows"),
-        "names the removed key and lists the accepted ones: {msg}"
-    );
+    // A knob that no longer exists is an unknown key, not a silent no-op:
+    // the retired warm-start cache and the two oracles that left the
+    // config for test support.
+    for retired in ["warm_start", "macro_flows", "pkt_decision_cache"] {
+        let msg = err(&format!(
+            "name = \"x\"\n[scenario]\nkind = \"ixp\"\nmembers = 4\nhorizon_secs = 1.0\n\
+             [config]\n{retired} = true\n"
+        ));
+        assert!(
+            msg.contains(&format!("`{retired}` in [config]")) && msg.contains("pkt_burst"),
+            "names the removed key and lists the accepted ones: {msg}"
+        );
+    }
 
     let msg = err(r#"
         name = "x"

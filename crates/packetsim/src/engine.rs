@@ -49,10 +49,6 @@ pub struct PacketSimConfig {
     /// Maximum packets one burst event may model (GSO-style batching).
     /// `1` disables batching and is bit-identical to the per-packet plane.
     pub burst: u32,
-    /// Cache per-flow pipeline decisions so only a burst's head packet
-    /// walks the match/group/meter tables (generation-stamped; any
-    /// forwarding-state change invalidates).
-    pub decision_cache: bool,
 }
 
 impl Default for PacketSimConfig {
@@ -64,7 +60,6 @@ impl Default for PacketSimConfig {
             ctrl_latency: SimDuration::from_micros(500),
             rto_floor: 0.01,
             burst: 32,
-            decision_cache: true,
         }
     }
 }
@@ -372,8 +367,11 @@ pub struct PacketPlane {
     config: PacketSimConfig,
     /// Cached pipeline decisions, one short list per flow (indexed like
     /// `flows`) of the `(switch, in-port, dir)` ingresses it crosses —
-    /// a handful per flow, so a linear scan beats any hash.
+    /// a handful per flow, so a linear scan beats any hash. Freed once
+    /// the flow's sender is done.
     cache: Vec<Vec<CacheEntry>>,
+    /// Test support: every packet walks the pipeline.
+    uncached_pipeline: bool,
     // Burst/cache telemetry.
     bursts_formed: u64,
     burst_len_hist: [u64; 8],
@@ -398,6 +396,7 @@ impl PacketPlane {
             drops: 0,
             config,
             cache: Vec::new(),
+            uncached_pipeline: false,
             bursts_formed: 0,
             burst_len_hist: [0; 8],
             cache_hits: 0,
@@ -413,6 +412,23 @@ impl PacketPlane {
     /// The plane's configuration.
     pub fn config(&self) -> &PacketSimConfig {
         &self.config
+    }
+
+    /// Test support: walk the pipeline for every packet, the oracle the
+    /// decision cache is proven against. Not part of snapshots.
+    #[doc(hidden)]
+    pub fn set_uncached_pipeline(&mut self, on: bool) {
+        self.uncached_pipeline = on;
+    }
+
+    /// Every segment of the flow is acknowledged (TCP) or delivered (CBR):
+    /// its decisions are freed and stragglers walk the pipeline uncached.
+    fn sender_done(&self, i: usize) -> bool {
+        let f = &self.flows[i];
+        match &f.source {
+            SourceKind::Tcp(t) => t.cum_ack >= f.total_segs,
+            SourceKind::Cbr { .. } => f.finished.is_some(),
+        }
     }
 
     /// Registers a flow; the caller schedules [`PktEvent::Start`] with the
@@ -961,6 +977,9 @@ impl PacketPlane {
             }
             rtx.clear();
             self.scratch_rtx = rtx;
+            if self.sender_done(i) {
+                self.cache[i] = Vec::new();
+            }
             self.tcp_pump(i, now, topo, drain, out);
         } else {
             if self.flows[i].spec.dst != host {
@@ -1029,6 +1048,7 @@ impl PacketPlane {
                     {
                         self.flows[i].finished = Some(now);
                         out.finished.push(i);
+                        self.cache[i] = Vec::new();
                     }
                 }
             }
@@ -1053,14 +1073,11 @@ impl PacketPlane {
         };
         let count = pkt.count;
         let gen = sw.generation();
-        let use_cache = self.config.decision_cache;
-        let slot = if use_cache {
-            self.cache[pkt.flow]
-                .iter()
-                .position(|e| e.node == node && e.in_port == in_port && e.is_ack == pkt.is_ack)
-        } else {
-            None
-        };
+        // Uncached, the flow's list stays empty and every lookup misses.
+        let use_cache = !self.uncached_pipeline;
+        let slot = self.cache[pkt.flow]
+            .iter()
+            .position(|e| e.node == node && e.in_port == in_port && e.is_ack == pkt.is_ack);
         let hit = slot.filter(|&k| {
             let e = &self.cache[pkt.flow][k];
             e.gen == gen && e.key == pkt.key
@@ -1099,7 +1116,7 @@ impl PacketPlane {
                 if count > 1 {
                     sw.commit_matched_n(&mut res.matched, count as u64 - 1, now);
                 }
-                if use_cache {
+                if use_cache && !self.sender_done(pkt.flow) {
                     let entry = CacheEntry {
                         node,
                         in_port,
@@ -1712,17 +1729,10 @@ mod tests {
         assert!(res.drops > 0, "tail drop must kick in");
     }
 
-    #[test]
-    fn plane_reports_transitions_and_finishes() {
-        // Drive the plane directly: one CBR packet start-to-finish must
-        // produce a busy transition, an idle transition and a finish.
-        let f = builders::star(2, Rate::mbps(100.0));
-        let mut gen = PolicyGenerator::new(
-            PolicySpec::new().with(PolicyRule::MacForwarding),
-            &f.topology,
-        )
-        .unwrap();
-        let topo = &f.topology;
+    /// The topology's switches with the `MacForwarding` policy installed.
+    fn mac_forwarding_switches(topo: &Topology) -> Switches {
+        let mut gen =
+            PolicyGenerator::new(PolicySpec::new().with(PolicyRule::MacForwarding), topo).unwrap();
         let mut switches: Switches = topo
             .switches()
             .map(|id| OpenFlowSwitch::new(id, 2, &topo.ports(id).collect::<Vec<_>>()))
@@ -1730,7 +1740,7 @@ mod tests {
         let mut boot = Outbox::new();
         gen.on_start(
             &ControllerCtx {
-                topo: &f.topology,
+                topo,
                 now: SimTime::ZERO,
             },
             &mut boot,
@@ -1740,6 +1750,54 @@ mod tests {
                 let _ = s.apply(&msg, SimTime::ZERO);
             }
         }
+        switches
+    }
+
+    #[test]
+    fn finished_flows_hold_no_cached_decisions() {
+        // A TCP and a CBR flow through one hub: both cache decisions while
+        // they run, and once every sender is done (every segment acked or
+        // delivered) the plane holds none, stragglers included.
+        let f = builders::star(3, Rate::mbps(100.0));
+        let mut switches = mac_forwarding_switches(&f.topology);
+        let mut plane = PacketPlane::new(f.topology.link_count(), PacketSimConfig::default());
+        let (m, topo) = (&f.members, &f.topology);
+        let tcp = SourceKind::Tcp(TcpState::new());
+        let cbr = SourceKind::Cbr { rate_bps: 20e6 };
+        let flows = [
+            plane.add_flow(mk_spec(topo, m[0], m[2], 1000, ByteSize::mib(2), tcp)),
+            plane.add_flow(mk_spec(topo, m[1], m[2], 1001, ByteSize::kib(300), cbr)),
+        ];
+        let drain = |l: LinkId| topo.link(l).map(|lk| lk.capacity.as_bps()).unwrap_or(0.0);
+        let mut out = PktOut::default();
+        let mut q = EventQueue::new();
+        for &i in &flows {
+            q.schedule_at(SimTime::from_millis(10), PktEvent::Start(i));
+        }
+        let mut peak = 0;
+        while let Some(ev) = q.pop() {
+            plane.handle(ev.time, ev.event, topo, &mut switches, &drain, &mut out);
+            for (t, e) in out.events.drain(..) {
+                q.schedule_at(t, e);
+            }
+            out.clear();
+            peak = peak.max(plane.cache.iter().map(Vec::len).sum::<usize>());
+        }
+        assert!(flows.iter().all(|&i| plane.is_finished(i)));
+        assert!(peak >= 2, "both flows cached their decisions (peak {peak})");
+        assert!(plane.cache_hits() > 0);
+        assert!(
+            plane.cache.iter().all(Vec::is_empty),
+            "finished flows still hold cached decisions"
+        );
+    }
+
+    #[test]
+    fn plane_reports_transitions_and_finishes() {
+        // Drive the plane directly: one CBR packet start-to-finish must
+        // produce a busy transition, an idle transition and a finish.
+        let f = builders::star(2, Rate::mbps(100.0));
+        let mut switches = mac_forwarding_switches(&f.topology);
         let mut plane = PacketPlane::new(f.topology.link_count(), PacketSimConfig::default());
         let spec = PktFlowSpec {
             start: SimTime::ZERO,

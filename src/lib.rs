@@ -11,6 +11,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[doc(hidden)]
+pub use horse_core::Oracles;
 pub use horse_core::{
     bisect, chaos, compare, config, event, hybrid, results, scenario, sim, trace,
 };

@@ -6,10 +6,13 @@
 //! no flow permanently stranded — every victim reroutes with a finite
 //! recovery time.
 
+mod support;
+
 use horse::chaos;
 use horse::prelude::*;
 use horse::tracing::journal::SharedBuf;
 use horse::tracing::{first_divergence, parse_journal, Divergence, JournalEntry};
+use support::{fingerprint, Fingerprint};
 
 /// A fat-tree (k = 4) scenario with seeded cross-pod traffic: a mix of
 /// finite and long-lived greedy flows so faults at any instant find
@@ -60,9 +63,12 @@ fn chaos_scenario(traffic_seed: u64, chaos: Option<ChaosSpec>) -> Scenario {
     s
 }
 
-/// Runs a scenario with a journaling tracer attached; returns the
-/// results and the raw journal text.
-fn journaled_run(scenario: Scenario, config: SimConfig) -> (SimResults, Vec<JournalEntry>, String) {
+/// Runs a scenario with a journaling tracer attached; returns the run's
+/// fingerprint, its journal entries and the raw journal text.
+fn journaled_run(
+    scenario: Scenario,
+    config: SimConfig,
+) -> (Fingerprint, Vec<JournalEntry>, String) {
     let buf = SharedBuf::new();
     let mut sim = Simulation::new(scenario, config).expect("valid scenario");
     sim.set_tracer(SimTracer::new().with_journal(buf.clone()));
@@ -71,32 +77,7 @@ fn journaled_run(scenario: Scenario, config: SimConfig) -> (SimResults, Vec<Jour
     tracer.finish_journal();
     let text = buf.contents();
     let entries = parse_journal(&text).expect("journal parses");
-    (r, entries, text)
-}
-
-/// Bit-level comparison of everything the determinism contract promises,
-/// chaos outputs included.
-fn assert_bit_identical(a: &SimResults, b: &SimResults, label: &str) {
-    assert_eq!(a.events, b.events, "{label}: events");
-    assert_eq!(a.epochs, b.epochs, "{label}: epochs");
-    assert_eq!(a.flows_admitted, b.flows_admitted, "{label}: admitted");
-    assert_eq!(a.flows_completed, b.flows_completed, "{label}: completed");
-    assert_eq!(a.flows_dropped, b.flows_dropped, "{label}: dropped");
-    assert_eq!(
-        a.bytes_delivered.to_bits(),
-        b.bytes_delivered.to_bits(),
-        "{label}: bytes"
-    );
-    for (x, y, what) in [
-        (a.fct.p50, b.fct.p50, "fct.p50"),
-        (a.fct.p99, b.fct.p99, "fct.p99"),
-        (a.fct.p999, b.fct.p999, "fct.p999"),
-        (a.recovery.mean, b.recovery.mean, "recovery.mean"),
-        (a.recovery.p99, b.recovery.p99, "recovery.p99"),
-    ] {
-        assert_eq!(x.to_bits(), y.to_bits(), "{label}: {what}");
-    }
-    assert_eq!(a.chaos, b.chaos, "{label}: chaos counters");
+    (fingerprint(&sim, &r), entries, text)
 }
 
 #[cfg(test)]
@@ -145,7 +126,7 @@ mod proptests {
             );
             prop_assert!(r1.flows_admitted > 0, "scenario must exercise flows");
             prop_assert!(!e1.is_empty(), "journal captured events");
-            assert_bit_identical(&r1, &r2, "replay");
+            prop_assert_eq!(&r1, &r2, "replay");
             prop_assert_eq!(&t1, &t2, "journal text differs between replays");
             prop_assert!(matches!(
                 first_divergence(&e1, &e2),

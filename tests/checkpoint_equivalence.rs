@@ -18,122 +18,30 @@
 //! not simulation state (hot-path registry counters accumulate live and
 //! a resumed run only sees its own suffix of the work).
 
+mod support;
+
 use horse::prelude::*;
 use horse::tracing::journal::SharedBuf;
 use horse::types::{ByteSize, LinkId, SimTime, TableId};
+use horse::Oracles;
+use support::{build, fingerprint, Fingerprint};
 
-/// Everything deterministic a run produces, with floats as bit patterns.
-#[derive(PartialEq, Debug)]
-struct Fingerprint {
-    events: u64,
-    epochs: u64,
-    max_epoch_batch: u64,
-    realloc_requests: u64,
-    realloc_runs: u64,
-    realloc_flows_touched: u64,
-    stale_completions: u64,
-    flows_admitted: u64,
-    flows_completed: u64,
-    flows_active_at_end: u64,
-    flows_dropped: u64,
-    bytes_delivered: u64,
-    bytes_dropped: u64,
-    msgs_to_controller: u64,
-    msgs_to_switch: u64,
-    flow_ins: u64,
-    pkt_flows: u64,
-    fct: [u64; 4],
-    goodput: [u64; 4],
-    fct_foreground: [u64; 4],
-    recovery: [u64; 4],
-    chaos: ChaosCounters,
-    queue: horse::events::QueueStats,
-    // The registry snapshot is covered too: checkpoints carry a lossless
-    // metrics dump, so even observability counters resume seamlessly.
-    metrics: horse::tracing::MetricsSnapshot,
-    records: Vec<(u64, u64, u64, u64, bool)>,
-    epochs_series: Vec<(u64, u64, u64, u64, usize, usize)>,
-    aggregate_series: Vec<(u64, u64)>,
-}
+/// A run's config and the reference paths it switches on (none unless
+/// given).
+#[derive(Clone, Copy)]
+struct Setup(SimConfig, Oracles);
 
-fn summary_bits(s: &horse::monitoring::series::Summary) -> [u64; 4] {
-    [
-        s.mean.to_bits(),
-        s.p50.to_bits(),
-        s.p99.to_bits(),
-        s.max.to_bits(),
-    ]
-}
-
-fn fingerprint(sim: &Simulation, r: &SimResults) -> Fingerprint {
-    Fingerprint {
-        events: r.events,
-        epochs: r.epochs,
-        max_epoch_batch: r.max_epoch_batch,
-        realloc_requests: r.realloc_requests,
-        realloc_runs: r.realloc_runs,
-        realloc_flows_touched: r.realloc_flows_touched,
-        stale_completions: r.stale_completions,
-        flows_admitted: r.flows_admitted,
-        flows_completed: r.flows_completed,
-        flows_active_at_end: r.flows_active_at_end,
-        flows_dropped: r.flows_dropped,
-        bytes_delivered: r.bytes_delivered.to_bits(),
-        bytes_dropped: r.bytes_dropped.to_bits(),
-        msgs_to_controller: r.msgs_to_controller,
-        msgs_to_switch: r.msgs_to_switch,
-        flow_ins: r.flow_ins,
-        pkt_flows: r.pkt_flows,
-        fct: summary_bits(&r.fct),
-        goodput: summary_bits(&r.goodput),
-        fct_foreground: summary_bits(&r.fct_foreground),
-        recovery: summary_bits(&r.recovery),
-        chaos: r.chaos.clone(),
-        queue: r.queue,
-        metrics: r.metrics.clone(),
-        records: sim
-            .fluid()
-            .records()
-            .iter()
-            .map(|rec| {
-                (
-                    rec.id.0,
-                    rec.bytes.to_bits(),
-                    rec.started.as_nanos(),
-                    rec.finished.as_nanos(),
-                    rec.completed,
-                )
-            })
-            .collect(),
-        epochs_series: r
-            .collector
-            .epochs
-            .iter()
-            .map(|e| {
-                (
-                    e.time.as_nanos(),
-                    e.aggregate_rate_bps.to_bits(),
-                    e.max_utilization.to_bits(),
-                    e.mean_busy_utilization.to_bits(),
-                    e.active_flows,
-                    e.completed_flows,
-                )
-            })
-            .collect(),
-        aggregate_series: r
-            .collector
-            .aggregate
-            .points()
-            .iter()
-            .map(|&(t, v)| (t.as_nanos(), v.to_bits()))
-            .collect(),
+impl From<SimConfig> for Setup {
+    fn from(config: SimConfig) -> Setup {
+        Setup(config, Oracles::default())
     }
 }
 
 /// Straight-through journaling run.
-fn straight(scenario: Scenario, config: SimConfig) -> (Fingerprint, String) {
+fn straight(scenario: Scenario, setup: impl Into<Setup>) -> (Fingerprint, String) {
+    let Setup(config, oracles) = setup.into();
     let buf = SharedBuf::new();
-    let mut sim = Simulation::new(scenario, config).expect("valid scenario");
+    let mut sim = build(scenario, config, oracles);
     sim.set_tracer(SimTracer::new().with_journal(buf.clone()));
     let r = sim.run();
     sim.take_tracer().expect("tracer").finish_journal();
@@ -142,10 +50,12 @@ fn straight(scenario: Scenario, config: SimConfig) -> (Fingerprint, String) {
 
 /// Run to `t_snap`, checkpoint, drop the original, resume, and finish
 /// the run. Returns the fingerprint and the *concatenated* prefix +
-/// suffix journal.
-fn resumed(scenario: Scenario, config: SimConfig, t_snap: SimTime) -> (Fingerprint, String) {
+/// suffix journal. Oracles are not part of a checkpoint: they are set on
+/// both sides of the cut.
+fn resumed(scenario: Scenario, setup: impl Into<Setup>, t_snap: SimTime) -> (Fingerprint, String) {
+    let Setup(config, oracles) = setup.into();
     let prefix = SharedBuf::new();
-    let mut sim = Simulation::new(scenario, config).expect("valid scenario");
+    let mut sim = build(scenario, config, oracles);
     sim.set_tracer(SimTracer::new().with_journal(prefix.clone()));
     sim.run_until(t_snap);
     let snapshot = sim.checkpoint();
@@ -153,6 +63,7 @@ fn resumed(scenario: Scenario, config: SimConfig, t_snap: SimTime) -> (Fingerpri
     drop(sim);
 
     let mut sim = Simulation::resume(&snapshot).expect("snapshot resumes");
+    sim.set_oracles(oracles);
     let suffix = SharedBuf::new();
     sim.set_tracer(SimTracer::new().with_journal(suffix.clone()));
     let r = sim.run();
@@ -229,15 +140,14 @@ proptest! {
     ) {
         let horizon = scenario_zoo(idx, seed).horizon;
         let t_snap = SimTime::from_nanos(horizon.as_nanos() / 100 * snap_pct);
-        // The packet-plane knobs are a harness axis too: default bursts,
-        // the per-packet oracle, and a small cap that puts most snapshot
+        // The packet plane is a harness axis too: default bursts, the
+        // per-packet oracle, and a small cap that puts most snapshot
         // times mid-burst (serializer busy with a multi-packet event).
-        let (burst, cache) = [(32, true), (1, false), (4, true)][pkt_variant];
-        let config = SimConfig::default()
-            .with_pkt_burst(burst)
-            .with_pkt_decision_cache(cache);
-        let (want, want_journal) = straight(scenario_zoo(idx, seed), config);
-        let (got, got_journal) = resumed(scenario_zoo(idx, seed), config, t_snap);
+        let (burst, uncached) = [(32, false), (1, true), (4, false)][pkt_variant];
+        let oracles = Oracles { uncached_pipeline: uncached, ..Oracles::default() };
+        let setup = Setup(SimConfig::default().with_pkt_burst(burst), oracles);
+        let (want, want_journal) = straight(scenario_zoo(idx, seed), setup);
+        let (got, got_journal) = resumed(scenario_zoo(idx, seed), setup, t_snap);
         prop_assert_eq!(&got, &want);
         prop_assert_eq!(got_journal, want_journal);
     }
@@ -253,21 +163,23 @@ proptest! {
 #[test]
 fn mid_burst_snapshot_resumes_bit_identically() {
     // Hybrid zoo entry: packet foreground over fluid bulk, bursts on.
-    for (burst, cache) in [(32u32, true), (8, true), (8, false)] {
-        let config = SimConfig::default()
-            .with_pkt_burst(burst)
-            .with_pkt_decision_cache(cache);
-        let (want, want_journal) = straight(scenario_zoo(4, 77), config);
+    for (burst, uncached) in [(32u32, false), (8, false), (8, true)] {
+        let oracles = Oracles {
+            uncached_pipeline: uncached,
+            ..Oracles::default()
+        };
+        let setup = Setup(SimConfig::default().with_pkt_burst(burst), oracles);
+        let (want, want_journal) = straight(scenario_zoo(4, 77), setup);
         for snap_ms in [300u64, 650, 1100] {
-            let (got, got_journal) =
-                resumed(scenario_zoo(4, 77), config, SimTime::from_millis(snap_ms));
+            let t_snap = SimTime::from_millis(snap_ms);
+            let (got, got_journal) = resumed(scenario_zoo(4, 77), setup, t_snap);
             assert_eq!(
                 got, want,
-                "burst={burst} cache={cache} snap={snap_ms}ms drifted"
+                "burst={burst} uncached={uncached} snap={snap_ms}ms drifted"
             );
             assert_eq!(
                 got_journal, want_journal,
-                "burst={burst} cache={cache} snap={snap_ms}ms journal drifted"
+                "burst={burst} uncached={uncached} snap={snap_ms}ms journal drifted"
             );
         }
     }

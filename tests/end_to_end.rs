@@ -1,9 +1,12 @@
 //! End-to-end integration: scenario → policy generator → fluid plane →
 //! monitoring, across every workspace crate.
 
+mod support;
+
 use horse::controlplane::{ControllerCtx, Outbox, PolicyGenerator};
 use horse::openflow::messages::StatsReply;
 use horse::prelude::*;
+use horse::Oracles;
 
 #[test]
 fn figure1_runs_and_reports() {
@@ -35,146 +38,6 @@ fn identical_seeds_give_identical_runs() {
     };
     assert_eq!(run(7), run(7));
     assert_ne!(run(7), run(8));
-}
-
-/// A k = 4 fat-tree under ECMP with four flapping cables and one
-/// aggregation switch crash (the `chaos` sweep's fabric).
-fn chaos_fat_tree() -> Scenario {
-    let mut p = FabricScenarioParams::default();
-    p.generator.fat_tree_k = 4;
-    p.load_factor = 2.0;
-    p.horizon = SimTime::from_secs(2);
-    p.seed = 11;
-    let mut s = Scenario::fabric(&p).expect("fat-tree generates");
-    s.chaos = Some(ChaosSpec {
-        seed: 11,
-        start_secs: 0.2,
-        link_flaps: 4,
-        flap_rate_per_sec: 2.0,
-        flap_downtime_secs: 0.05,
-        switch_crashes: 1,
-        crash_downtime_secs: 0.3,
-        ..Default::default()
-    });
-    s
-}
-
-/// The GÉANT WAN with three trunks squeezed to 1% of their capacity for
-/// a second at a time (the `chaos_wan` sweep's gray failures).
-fn gray_wan() -> Scenario {
-    let mut p = FabricScenarioParams::default();
-    p.generator.kind = TopologyKind::Wan;
-    p.generator.wan = Some(
-        horse::topology::generators::load_topology_spec(std::path::Path::new(
-            "examples/topologies/geant.json",
-        ))
-        .expect("shipped WAN graph"),
-    );
-    p.generator.hosts_per_pop = 1;
-    p.load_factor = 3.0;
-    p.horizon = SimTime::from_secs(2);
-    p.seed = 5;
-    let mut s = Scenario::fabric(&p).expect("WAN generates");
-    s.chaos = Some(ChaosSpec {
-        seed: 5,
-        start_secs: 0.2,
-        gray_links: 3,
-        gray_capacity_factor: 0.01,
-        gray_loss_frac: 0.1,
-        gray_duration_secs: 1.0,
-        ..Default::default()
-    });
-    s
-}
-
-/// The Figure 1 fabric under ECMP carrying 18 gravity-workload flows, the
-/// first five at packet fidelity: packet and fluid flows share links, so
-/// the hybrid coupling's external demands move fluid rates.
-fn hybrid_figure1() -> Scenario {
-    let f = builders::figure1_fabric();
-    let mut s = Scenario::bare(f.topology, SimTime::from_secs(2));
-    s.members = f.members;
-    s.policy = PolicySpec::new().with(PolicyRule::LoadBalancing { mode: LbMode::Ecmp });
-    let weights = TrafficMatrix::zipf_weights(s.members.len(), 0.8);
-    s.workload = Some(WorkloadParams {
-        matrix: TrafficMatrix::gravity(&weights, 4e9),
-        sizes: FlowSizeDist::Pareto {
-            alpha: 1.3,
-            min_bytes: 1_000_000,
-            max_bytes: 20_000_000,
-        },
-        apps: AppMix::default_ixp(),
-        diurnal: None,
-        udp_rate: Rate::mbps(4.0),
-        seed: 7,
-    });
-    horse::compare::materialize_workload(&mut s, 18);
-    for (_, spec) in s.explicit_flows.iter_mut().take(5) {
-        spec.fidelity = Fidelity::Packet;
-    }
-    s
-}
-
-/// Runs `scenario` in `mode`. The text holds everything the run reports
-/// except wall time and the allocator's own work counters, followed by
-/// every fluid flow record; floats print round-trip exact, so equal text
-/// is equal bits.
-fn outcome(scenario: Scenario, mode: AllocMode) -> (SimResults, String) {
-    let mut sim = Simulation::new(scenario, SimConfig::default().with_alloc_mode(mode))
-        .expect("valid scenario");
-    let mut r = sim.run();
-    r.wall_seconds = 0.0;
-    r.realloc_flows_touched = 0;
-    r.macro_flows = 0;
-    r.cold_solves = 0;
-    r.metrics = Default::default();
-    // The collector keys its link series by a hash map: print them in
-    // link order instead.
-    let c = std::mem::take(&mut r.collector);
-    let mut links = c.monitored_links();
-    links.sort();
-    let series: Vec<_> = links.iter().map(|&l| (l, c.link_series(l))).collect();
-    let text = format!(
-        "{r:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{series:?}\n{:?}",
-        c.epochs,
-        c.aggregate,
-        c.active_flows,
-        c.alarms,
-        sim.fluid().records()
-    );
-    (r, text)
-}
-
-/// Runs `scenario` under the full oracle and the incremental default,
-/// asserts the outcomes agree and returns the incremental results.
-fn assert_modes_agree(label: &str, scenario: Scenario) -> SimResults {
-    let (r, incremental) = outcome(scenario.clone(), AllocMode::Incremental);
-    assert_eq!(
-        outcome(scenario, AllocMode::Full).1,
-        incremental,
-        "{label}: full and incremental allocation disagree"
-    );
-    r
-}
-
-#[test]
-fn incremental_and_full_allocation_agree() {
-    // Max-min allocation is unique and bytes are integrated only when a
-    // rate changes, so re-solving every flow on every run syncs the same
-    // flows at the same instants in the same order as re-solving only
-    // what changed: outcomes and flow records agree bit for bit, through
-    // cable flaps and a switch crash, gray capacity squeezes and the
-    // hybrid plane's external demands. Each scenario must exercise its
-    // feature; dropping the dirty mark of `set_gray` or of
-    // `set_external_demand` makes the gray or the hybrid case disagree.
-    let r = assert_modes_agree("figure1", Scenario::figure1(SimTime::from_secs(4), 3));
-    assert!(r.flows_completed > 0);
-    let r = assert_modes_agree("chaos fat-tree", chaos_fat_tree());
-    assert!(r.chaos.cable_downs > 0 && r.chaos.switch_crashes > 0);
-    let r = assert_modes_agree("gray WAN", gray_wan());
-    assert!(r.chaos.gray_events > 0);
-    let r = assert_modes_agree("hybrid figure1", hybrid_figure1());
-    assert!(r.pkt_flows > 0);
 }
 
 #[test]
@@ -411,48 +274,31 @@ fn adaptive_poll_of_a_quiet_path_sees_its_bytes() {
     }
 }
 
-/// Fingerprint of a run's deterministic aggregates, floats as bits.
-fn result_bits(r: &SimResults) -> [u64; 7] {
-    [
-        r.events,
-        r.epochs,
-        r.realloc_runs,
-        r.flows_completed,
-        r.bytes_delivered.to_bits(),
-        r.fct.p50.to_bits(),
-        r.fct.p99.to_bits(),
-    ]
-}
-
 /// The frozen benchmark harness still sets the retired allocator thread
 /// count through three doors: the config builder, the sweep spec key and
 /// the fork override. Each is accepted and changes nothing.
 #[test]
 fn retired_engine_threads_surface_is_accepted_and_ignored() {
     let scenario = || Scenario::figure1(SimTime::from_secs(2), 5);
-    let serial = Simulation::new(scenario(), SimConfig::default())
-        .unwrap()
-        .run();
+    let run = |config| support::run_fingerprint(scenario(), config, Oracles::default());
+    let serial = run(SimConfig::default());
     assert!(serial.flows_completed > 0, "scenario must exercise flows");
-
-    let built = Simulation::new(scenario(), SimConfig::default().with_engine_threads(2))
-        .unwrap()
-        .run();
-    assert_eq!(result_bits(&built), result_bits(&serial), "builder");
+    let built = run(SimConfig::default().with_engine_threads(2));
+    assert_eq!(built, serial, "builder");
 
     let mut sim = Simulation::new(scenario(), SimConfig::default()).unwrap();
     sim.run_until(SimTime::from_millis(900));
     let snapshot = sim.checkpoint();
-    let forked = Simulation::fork(
+    let mut forked = Simulation::fork(
         &snapshot,
         &ForkSpec {
             engine_threads: Some(2),
             ..Default::default()
         },
     )
-    .expect("snapshot forks")
-    .run();
-    assert_eq!(result_bits(&forked), result_bits(&serial), "fork override");
+    .expect("snapshot forks");
+    let r = forked.run();
+    assert_eq!(support::fingerprint(&forked, &r), serial, "fork override");
 
     let spec = |config: &str| {
         SweepSpec::from_toml(&format!(

@@ -9,6 +9,8 @@
 //!   full packet-level run of the same inputs on the paper's
 //!   figure1 fabric.
 
+mod support;
+
 use horse::compare::materialize_workload;
 use horse::controlplane::PolicyGenerator;
 use horse::hybrid::pkt_flow_spec;
@@ -51,18 +53,6 @@ fn packet_aligned_config() -> SimConfig {
         .with_expiry_scan(None)
 }
 
-fn fingerprint(r: &SimResults) -> (u64, u64, u64, u64, u64, u64, u64) {
-    (
-        r.events,
-        r.flows_admitted,
-        r.flows_completed,
-        r.flows_dropped,
-        r.bytes_delivered.to_bits(),
-        r.fct.p50.to_bits(),
-        r.goodput.mean.to_bits(),
-    )
-}
-
 #[test]
 fn all_fluid_hybrid_run_is_byte_identical_to_fluid_engine() {
     let run = |enable_hybrid: bool| {
@@ -73,25 +63,17 @@ fn all_fluid_hybrid_run_is_byte_identical_to_fluid_engine() {
             assert!(sim.hybrid().is_some());
         }
         let r = sim.run();
-        let records: Vec<(u64, u64, u64, bool)> = sim
-            .fluid()
-            .records()
-            .iter()
-            .map(|rec| {
-                (
-                    rec.bytes.to_bits(),
-                    rec.started.as_nanos(),
-                    rec.finished.as_nanos(),
-                    rec.completed,
-                )
-            })
-            .collect();
-        (fingerprint(&r), records)
+        // The empty packet plane itself is the one difference.
+        support::Fingerprint {
+            packet: None,
+            ..support::fingerprint(&sim, &r)
+        }
     };
-    let pure = run(false);
-    let hybrid = run(true);
-    assert_eq!(pure.0, hybrid.0, "aggregate results must match bit-for-bit");
-    assert_eq!(pure.1, hybrid.1, "per-flow records must match bit-for-bit");
+    assert_eq!(
+        run(false),
+        run(true),
+        "results and records must match bit for bit"
+    );
 }
 
 #[test]

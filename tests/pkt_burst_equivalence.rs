@@ -1,159 +1,81 @@
-//! Packet-burst equivalence (PR 10 tentpole proof).
+//! Packet-burst equivalence.
 //!
-//! Contract under test:
+//! Contract under test (the decision cache against the uncached
+//! pipeline, at cap 1 and at the default cap, is a point of the
+//! differential lattice in `tests/differential.rs`):
 //!
-//! * **`pkt_burst = 1` is the per-packet plane.** With the cap at 1 every
-//!   burst event models exactly one packet and every new code path
-//!   reduces to the pre-burst arithmetic, so runs with the decision
-//!   cache on and off are bit-identical — results, per-flow packet
-//!   records to the nanosecond, and drop/telemetry counters.
 //! * **Batching is a bounded approximation.** With the default cap the
 //!   foreground FCTs track the per-packet oracle within 1% (mean over
 //!   completed foreground flows), across scenario × fidelity × chaos.
 //! * **Batching pays in events.** On one pinned loss-free WAN point the
 //!   default cap models exactly the oracle's packets in at least 5×
 //!   fewer events.
-//! * **The decision cache is invisible at the default cap too**, and two
-//!   hybrid runs (ECMP, and `mac_learning` with its floods and packet
-//!   `FlowIn`s) are pinned to recorded goldens, cache and coupling
-//!   counters included, so a change to the packet plane's storage cannot
-//!   move a packet.
+//! * **Two hybrid runs are pinned to recorded goldens** (ECMP, and
+//!   `mac_learning` with its floods and packet `FlowIn`s), cache and
+//!   coupling counters included, so a change to the packet plane's
+//!   storage cannot move a packet.
+
+mod support;
 
 use horse::compare::materialize_workload;
 use horse::prelude::*;
+use horse::Oracles;
+use support::{hybrid_scenario, hybrid_scenario_on, run_fingerprint};
+use support::{Fingerprint, PacketPlaneFingerprint};
 
-/// A deterministic gravity-workload scenario on the paper's Figure-1
-/// fabric with `n` arrivals materialized and the first `foreground` at
-/// packet fidelity.
-fn hybrid_scenario(seed: u64, n: usize, foreground: usize, horizon_s: u64) -> Scenario {
-    let ecmp = PolicySpec::new().with(PolicyRule::LoadBalancing { mode: LbMode::Ecmp });
-    hybrid_scenario_on(
-        builders::figure1_fabric(),
-        ecmp,
-        seed,
-        n,
-        foreground,
-        horizon_s,
-    )
+/// A hybrid run's fingerprint and its packet half.
+fn run(scenario: Scenario, config: SimConfig) -> (Fingerprint, PacketPlaneFingerprint) {
+    let mut fp = run_fingerprint(scenario, config, Oracles::default());
+    let packet = fp
+        .packet
+        .take()
+        .expect("packet flows attach the hybrid half");
+    (fp, packet)
 }
 
-/// [`hybrid_scenario`] on another fabric under another policy.
-fn hybrid_scenario_on(
-    f: builders::FabricHandles,
-    policy: PolicySpec,
-    seed: u64,
-    n: usize,
-    foreground: usize,
-    horizon_s: u64,
-) -> Scenario {
-    let mut s = Scenario::bare(f.topology, SimTime::from_secs(horizon_s));
-    s.members = f.members;
-    s.policy = policy;
-    let weights = TrafficMatrix::zipf_weights(s.members.len(), 0.8);
-    // ≥1 MB flows (the hybrid_accuracy sizing): the sub-1% FCT claim is
-    // for serializer-bound foreground flows, whose steady state the burst
-    // model reproduces exactly (busy windows use full-burst serialization)
-    // — not for sub-RTT mice whose FCT is all slow-start transient, where
-    // the per-round ACK-batching skew is proportionally larger.
-    s.workload = Some(WorkloadParams {
-        matrix: TrafficMatrix::gravity(&weights, 4e9),
-        sizes: FlowSizeDist::Pareto {
-            alpha: 1.3,
-            min_bytes: 1_000_000,
-            max_bytes: 20_000_000,
-        },
-        apps: AppMix::default_ixp(),
-        diurnal: None,
-        udp_rate: Rate::mbps(4.0),
-        seed,
-    });
-    materialize_workload(&mut s, n);
-    for (_, spec) in s.explicit_flows.iter_mut().take(foreground) {
-        spec.fidelity = Fidelity::Packet;
-    }
-    s
-}
-
-/// Everything deterministic a hybrid run produces, floats as bits.
-#[derive(PartialEq, Debug)]
-struct Fingerprint {
-    events: u64,
-    flows_admitted: u64,
-    flows_completed: u64,
-    flows_dropped: u64,
-    bytes_delivered: u64,
-    fct_p50: u64,
-    fct_foreground_mean: u64,
-    pkt_flows: u64,
-    drops: u64,
-    tx_packets: u64,
-    bursts_formed: u64,
-    pkt_records: Vec<(bool, u64, u64)>,
-}
-
-fn run_fingerprint(scenario: Scenario, config: SimConfig, horizon: SimTime) -> Fingerprint {
-    run_golden(scenario, config, horizon).fp
-}
-
-/// A hybrid run's fingerprint plus the counters the goldens pin beside
-/// it: decision-cache `[hits, misses, invalidations]` and coupling
-/// `[pkt_events, couplings, couple_passes]`.
+/// The part of a hybrid run the goldens pin, floats as bits.
 #[derive(PartialEq, Debug)]
 struct Golden {
-    fp: Fingerprint,
+    /// `[events, flows_admitted, flows_completed, flows_dropped, pkt_flows]`.
+    counts: [u64; 5],
+    /// `[bytes_delivered, fct p50, foreground fct mean]`.
+    floats: [u64; 3],
+    /// The packet plane's `[drops, tx_packets, bursts_formed]`.
+    packet: [u64; 3],
+    /// Per packet flow: `(completed, bytes_delivered, finished ns)`.
+    records: Vec<(bool, u64, u64)>,
+    /// Decision cache `[hits, misses, invalidations]`.
     cache: [u64; 3],
+    /// Coupling `[pkt_events, couplings, couple_passes]`.
     coupling: [u64; 3],
 }
 
-fn run_golden(scenario: Scenario, config: SimConfig, horizon: SimTime) -> Golden {
-    let mut sim = Simulation::new(scenario, config).expect("valid scenario");
-    let r = sim.run();
-    let h = sim.hybrid().expect("packet flows attach the hybrid half");
-    let p = h.plane();
+fn golden(scenario: Scenario) -> Golden {
+    let (fp, p) = run(scenario, SimConfig::default());
     Golden {
-        fp: Fingerprint {
-            events: r.events,
-            flows_admitted: r.flows_admitted,
-            flows_completed: r.flows_completed,
-            flows_dropped: r.flows_dropped,
-            bytes_delivered: r.bytes_delivered.to_bits(),
-            fct_p50: r.fct.p50.to_bits(),
-            fct_foreground_mean: r.fct_foreground.mean.to_bits(),
-            pkt_flows: r.pkt_flows,
-            drops: p.drops(),
-            tx_packets: p.tx_packets(),
-            bursts_formed: p.bursts_formed(),
-            pkt_records: h
-                .pkt_records(horizon)
-                .iter()
-                .map(|rec| (rec.completed, rec.bytes_delivered, rec.finished.as_nanos()))
-                .collect(),
-        },
-        cache: [p.cache_hits(), p.cache_misses(), p.cache_invalidations()],
-        coupling: [h.pkt_events, h.couplings, h.couple_passes],
+        counts: [
+            fp.events,
+            fp.flows_admitted,
+            fp.flows_completed,
+            fp.flows_dropped,
+            fp.pkt_flows,
+        ],
+        floats: [fp.bytes_delivered, fp.fct[3], fp.fct_foreground[1]],
+        packet: [p.drops, p.tx_packets, p.bursts_formed],
+        records: p.records.iter().map(|r| (r.0, r.1, r.4)).collect(),
+        cache: fp.work.pkt_cache,
+        coupling: p.coupling,
     }
 }
 
 /// Per-foreground-flow outcomes of a hybrid run, in stable record order:
 /// `(completed, bytes_delivered, fct_if_completed)`.
-fn foreground_outcomes(
-    scenario: Scenario,
-    config: SimConfig,
-    horizon: SimTime,
-) -> Vec<(bool, u64, Option<f64>)> {
-    let mut sim = Simulation::new(scenario, config).expect("valid scenario");
-    sim.run();
-    let hybrid = sim.hybrid().expect("hybrid attached");
-    hybrid
-        .pkt_records(horizon)
+fn foreground_outcomes(scenario: Scenario, config: SimConfig) -> Vec<(bool, u64, Option<f64>)> {
+    let (_, p) = run(scenario, config);
+    let fct = |r: &(bool, u64, u64, u64, u64)| (r.4 - r.3) as f64 / 1e9;
+    p.records
         .iter()
-        .map(|rec| {
-            (
-                rec.completed,
-                rec.bytes_delivered,
-                rec.completed.then(|| rec.fct_secs()),
-            )
-        })
+        .map(|r| (r.0, r.1, r.0.then(|| fct(r))))
         .collect()
 }
 
@@ -165,7 +87,7 @@ fn foreground_outcomes(
 /// of every RTT. Sizes stay under the slow-start overflow point
 /// (BDP + buffer) so greedy TCP never enters the loss sawtooth — loss
 /// *transitions* bifurcate at RTO boundaries, a regime pinned bit-for-bit
-/// by the cap-1 test instead (see below).
+/// by the cap-1 cases of `tests/differential.rs` instead.
 fn wan_scenario(seed: u64, n: usize, foreground: usize, horizon_s: u64) -> Scenario {
     let f = builders::ixp_fabric(&builders::IxpFabricParams {
         members: 6,
@@ -199,119 +121,29 @@ fn wan_scenario(seed: u64, n: usize, foreground: usize, horizon_s: u64) -> Scena
     s
 }
 
-// ---------------------------------------------------------------------
-// Pinned: cap 1 ⇒ bit-identical to the per-packet plane, cache on or
-// off. The decision cache replays exactly the side effects of the walk
-// it memoized, so it must be invisible at every burst size — cap 1 pins
-// that against the pre-burst arithmetic too.
-// ---------------------------------------------------------------------
-
-#[test]
-fn burst_cap_one_is_bit_identical_per_packet_plane() {
-    let horizon = SimTime::from_secs(20);
-    // Fault-free, plus a chaos variant with real packet loss (flapping
-    // cables) bumping switch generations mid-run — cache invalidation
-    // must be *exact*, not merely close: a stale verdict, or even an
-    // RTO-boundary butterfly from a single mistimed drop, would shift a
-    // record here.
-    for with_chaos in [false, true] {
-        let scenario = || {
-            let mut s = hybrid_scenario(7, 18, 5, 20);
-            if with_chaos {
-                s.chaos = Some(flap_chaos());
-            }
-            s
-        };
-        let per_packet = SimConfig::default()
-            .with_pkt_burst(1)
-            .with_pkt_decision_cache(false);
-        let want = run_fingerprint(scenario(), per_packet, horizon);
-        assert!(want.pkt_flows == 5 && !want.pkt_records.is_empty());
-        assert!(want.tx_packets > 0, "the plane must move packets");
-
-        let cached = SimConfig::default()
-            .with_pkt_burst(1)
-            .with_pkt_decision_cache(true);
-        let got = run_fingerprint(scenario(), cached, horizon);
-        assert_eq!(
-            got, want,
-            "cap-1 + cache must equal the per-packet plane (chaos {with_chaos})"
-        );
-    }
-}
-
-/// The chaos spec of the cap-1 test: two cable flaps with real packet
-/// loss, bumping switch generations while foreground flows are live.
-fn flap_chaos() -> ChaosSpec {
-    ChaosSpec {
-        seed: 5,
-        start_secs: 0.2,
-        link_flaps: 2,
-        flap_rate_per_sec: 1.0,
-        flap_downtime_secs: 0.3,
-        ..Default::default()
-    }
-}
-
-#[test]
-fn default_burst_decision_cache_is_bit_identical() {
-    // The cap-1 test above pins the cache against the per-packet walk;
-    // this pins it at the default cap, where a cached verdict replays a
-    // whole burst's counters, meter tokens and byte credits at once.
-    let horizon = SimTime::from_secs(20);
-    for with_chaos in [false, true] {
-        let scenario = || {
-            let mut s = hybrid_scenario(7, 18, 5, 20);
-            if with_chaos {
-                s.chaos = Some(flap_chaos());
-            }
-            s
-        };
-        let uncached = SimConfig::default().with_pkt_decision_cache(false);
-        let want = run_fingerprint(scenario(), uncached, horizon);
-        assert!(want.bursts_formed > 0, "bursts must engage");
-        let got = run_fingerprint(scenario(), SimConfig::default(), horizon);
-        assert_eq!(
-            got, want,
-            "default burst + cache must equal the uncached plane (chaos {with_chaos})"
-        );
-    }
-}
-
 // Recorded outputs of two hybrid runs, every field bit-exact: how the
 // packet plane stores its queues, switches and cached decisions must
 // not move a single packet or counter.
 #[test]
 fn ecmp_hybrid_matches_recorded_golden() {
-    let got = run_golden(
-        hybrid_scenario(7, 18, 5, 20),
-        SimConfig::default(),
-        SimTime::from_secs(20),
-    );
     assert_eq!(
-        got,
+        golden(hybrid_scenario(7, 18, 5, 20)),
         Golden {
-            fp: Fingerprint {
-                events: 19173,
-                flows_admitted: 18,
-                flows_completed: 18,
-                flows_dropped: 0,
-                bytes_delivered: 4720010898733295428,
-                fct_p50: 4565791948794664252,
-                fct_foreground_mean: 4590570685287981122,
-                pkt_flows: 5,
-                drops: 684,
-                tx_packets: 49216,
-                bursts_formed: 2656,
-                pkt_records: vec![
-                    (true, 1537500, 104470524),
-                    (true, 1363500, 102906265),
-                    (true, 1158000, 106095340),
-                    (true, 1084500, 96897132),
-                    (true, 3322500, 246246685),
-                ],
-            },
-            cache: [6348, 30, 0],
+            counts: [19173, 18, 18, 0, 5],
+            floats: [
+                4720010898733295428,
+                4565791948794664252,
+                4590570685287981122
+            ],
+            packet: [684, 49216, 2656],
+            records: vec![
+                (true, 1537500, 104470524),
+                (true, 1363500, 102906265),
+                (true, 1158000, 106095340),
+                (true, 1084500, 96897132),
+                (true, 3322500, 246246685),
+            ],
+            cache: [6198, 180, 0],
             coupling: [19102, 1274, 11880],
         }
     );
@@ -324,35 +156,25 @@ fn mac_learning_hybrid_matches_recorded_golden() {
     // star keeps the floods loop-free.
     let star = builders::star(6, Rate::gbps(10.0));
     let policy = PolicySpec::new().with(PolicyRule::MacLearning);
-    let got = run_golden(
-        hybrid_scenario_on(star, policy, 3, 18, 5, 20),
-        SimConfig::default(),
-        SimTime::from_secs(20),
-    );
+    let got = golden(hybrid_scenario_on(star, policy, 3, 18, 5, 20));
     assert!(got.cache[2] > 0, "learned rules invalidate cached floods");
     assert_eq!(
         got,
         Golden {
-            fp: Fingerprint {
-                events: 5664,
-                flows_admitted: 18,
-                flows_completed: 17,
-                flows_dropped: 0,
-                bytes_delivered: 4720332791550574592,
-                fct_p50: 4568255034156205255,
-                fct_foreground_mean: 4583363978528587993,
-                pkt_flows: 5,
-                drops: 128,
-                tx_packets: 48354,
-                bursts_formed: 2452,
-                pkt_records: vec![
-                    (false, 4161000, 20000000000),
-                    (true, 2125500, 40904159),
-                    (true, 1186500, 27732790),
-                    (true, 1696500, 51353997),
-                    (true, 1993500, 53512060),
-                ],
-            },
+            counts: [5664, 18, 17, 0, 5],
+            floats: [
+                4720332791550574592,
+                4568255034156205255,
+                4583363978528587993
+            ],
+            packet: [128, 48354, 2452],
+            records: vec![
+                (false, 4161000, 20000000000),
+                (true, 2125500, 40904159),
+                (true, 1186500, 27732790),
+                (true, 1696500, 51353997),
+                (true, 1993500, 53512060),
+            ],
             cache: [630, 25, 16],
             coupling: [5561, 798, 2160],
         }
@@ -367,18 +189,14 @@ fn default_bursts_preserve_flow_outcomes() {
     // allowed is a spurious retransmission or two — an RTO firing a
     // hair before the ACK in one mode redelivers a segment the receiver
     // counts — which shifts accounting, never progress.
-    let horizon = SimTime::from_secs(40);
-    let per_packet = SimConfig::default()
-        .with_pkt_burst(1)
-        .with_pkt_decision_cache(false);
-    let batched = SimConfig::default(); // burst 32, cache on
-    let a = run_fingerprint(hybrid_scenario(11, 18, 5, 40), per_packet, horizon);
-    let b = run_fingerprint(hybrid_scenario(11, 18, 5, 40), batched, horizon);
+    let per_packet = SimConfig::default().with_pkt_burst(1);
+    let (_, a) = run(hybrid_scenario(11, 18, 5, 40), per_packet);
+    let (_, b) = run(hybrid_scenario(11, 18, 5, 40), SimConfig::default());
     assert!(
-        a.pkt_records.iter().all(|r| r.0) && b.pkt_records.iter().all(|r| r.0),
+        a.records.iter().all(|r| r.0) && b.records.iter().all(|r| r.0),
         "all foreground flows must complete within the horizon"
     );
-    for (i, (ra, rb)) in a.pkt_records.iter().zip(b.pkt_records.iter()).enumerate() {
+    for (i, (ra, rb)) in a.records.iter().zip(b.records.iter()).enumerate() {
         let (x, y) = (ra.1 as i64, rb.1 as i64);
         assert!(
             (x - y).abs() <= 2 * 1500,
@@ -405,7 +223,6 @@ proptest! {
         cap in prop::sample::select(vec![8u32, 16, 32]),
         chaos_sel in 0usize..2,
     ) {
-        let horizon = SimTime::from_secs(20);
         let chaos = chaos_sel == 1;
         let scenario = || {
             let mut s = wan_scenario(seed, 18, foreground, 20);
@@ -416,7 +233,7 @@ proptest! {
                 // crashes) is deliberately elsewhere — dropping a setup
                 // packet bifurcates at RTO exponential-backoff
                 // boundaries, a discontinuity no approximation bound
-                // survives; cap-1 bit-identity pins that regime instead.
+                // survives; the cap-1 lattice cases pin that regime instead.
                 s.chaos = Some(ChaosSpec {
                     seed: seed.wrapping_mul(17).wrapping_add(3),
                     start_secs: 0.3,
@@ -429,16 +246,8 @@ proptest! {
             }
             s
         };
-        let oracle = foreground_outcomes(
-            scenario(),
-            SimConfig::default().with_pkt_burst(1).with_pkt_decision_cache(false),
-            horizon,
-        );
-        let batched = foreground_outcomes(
-            scenario(),
-            SimConfig::default().with_pkt_burst(cap),
-            horizon,
-        );
+        let oracle = foreground_outcomes(scenario(), SimConfig::default().with_pkt_burst(1));
+        let batched = foreground_outcomes(scenario(), SimConfig::default().with_pkt_burst(cap));
         prop_assert_eq!(oracle.len(), batched.len());
         // Invariants that hold in EVERY regime, chaos included: flow
         // outcomes (completion, delivered bytes up to spurious-rtx
@@ -469,7 +278,8 @@ proptest! {
         // and no per-sample bound can hold (observed: one mistimed drop
         // shifts a short flow by an entire backoff cycle). Exactness on
         // the loss path itself is pinned bit-for-bit by the cap-1 chaos
-        // test above; here the chaos axis asserts the outcome invariants.
+        // cases of `tests/differential.rs`; here the chaos axis asserts
+        // the outcome invariants.
         if !chaos {
             let mean = errors.iter().sum::<f64>() / errors.len() as f64;
             prop_assert!(
@@ -490,20 +300,16 @@ proptest! {
 
 #[test]
 fn default_bursts_model_same_packets_in_fewer_events() {
-    let horizon = SimTime::from_secs(10);
-    let oracle = run_fingerprint(
+    let (oracle, p1) = run(
         wan_scenario(9, 24, 8, 10),
-        SimConfig::default()
-            .with_pkt_burst(1)
-            .with_pkt_decision_cache(false),
-        horizon,
+        SimConfig::default().with_pkt_burst(1),
     );
-    let batched = run_fingerprint(wan_scenario(9, 24, 8, 10), SimConfig::default(), horizon);
-    assert_eq!((oracle.drops, batched.drops), (0, 0), "loss-free premise");
-    assert!(oracle.tx_packets > 0, "the plane must move packets");
-    assert_eq!(batched.tx_packets, oracle.tx_packets, "same packets");
-    assert_eq!(oracle.bursts_formed, 0);
-    assert!(batched.bursts_formed > 0, "batching must engage");
+    let (batched, p32) = run(wan_scenario(9, 24, 8, 10), SimConfig::default());
+    assert_eq!((p1.drops, p32.drops), (0, 0), "loss-free premise");
+    assert!(p1.tx_packets > 0, "the plane must move packets");
+    assert_eq!(p32.tx_packets, p1.tx_packets, "same packets");
+    assert_eq!(p1.bursts_formed, 0);
+    assert!(p32.bursts_formed > 0, "batching must engage");
     // Total events bound the packet-event ratio from below: the fluid
     // background contributes the same few events to both sides.
     assert!(

@@ -4,6 +4,8 @@
 //! *do* diverge, `horse-trace`'s bisector must name the exact first
 //! diverging event.
 
+mod support;
+
 use horse::prelude::*;
 use horse::tracing::journal::SharedBuf;
 use horse::tracing::{chrome_trace, describe_divergence, first_divergence, Divergence};
@@ -50,40 +52,29 @@ fn journals_are_byte_identical_run_to_run() {
 /// any deterministic output.
 #[test]
 fn tracing_on_vs_off_yields_identical_results() {
-    let scenario = || Scenario::figure1(SimTime::from_secs(3), 11);
-    let untraced = {
-        let mut sim = Simulation::new(scenario(), SimConfig::default()).unwrap();
-        sim.run()
+    let run = |traced: bool| {
+        let mut sim = Simulation::new(
+            Scenario::figure1(SimTime::from_secs(3), 11),
+            SimConfig::default(),
+        )
+        .unwrap();
+        if traced {
+            sim.set_tracer(SimTracer::new().with_spans().with_journal(std::io::sink()));
+        }
+        let r = sim.run();
+        support::fingerprint(&sim, &r)
     };
-    let traced = {
-        let mut sim = Simulation::new(scenario(), SimConfig::default()).unwrap();
-        sim.set_tracer(SimTracer::new().with_spans().with_journal(std::io::sink()));
-        sim.run()
-    };
-    assert_eq!(untraced.events, traced.events);
-    assert_eq!(untraced.epochs, traced.epochs);
-    assert_eq!(untraced.flows_admitted, traced.flows_admitted);
-    assert_eq!(untraced.flows_completed, traced.flows_completed);
-    assert_eq!(untraced.realloc_runs, traced.realloc_runs);
-    assert_eq!(
-        untraced.bytes_delivered.to_bits(),
-        traced.bytes_delivered.to_bits()
-    );
-    assert_eq!(untraced.fct.p50.to_bits(), traced.fct.p50.to_bits());
-    assert_eq!(untraced.fct.p99.to_bits(), traced.fct.p99.to_bits());
-    assert_eq!(
-        untraced.goodput.mean.to_bits(),
-        traced.goodput.mean.to_bits()
-    );
+    let (untraced, mut traced) = (run(false), run(true));
     // The traced run additionally carries a populated metrics snapshot.
+    let metrics = std::mem::take(&mut traced.work.metrics);
     assert!(
-        traced
-            .metrics
+        metrics
             .entries()
             .iter()
             .any(|(k, v)| k == "sim.events" && *v == traced.events as f64),
         "metrics snapshot records the event count"
     );
+    assert_eq!(untraced, traced);
 }
 
 /// With spans on, every controller callback is one `controller.dispatch`
