@@ -1,299 +1,14 @@
-//! The differential lattice: each case of a scenario zoo runs as shipped
-//! (the base) and once per lattice point, which switches one reference
-//! path on, and every run is compared through `support::Fingerprint`:
-//!
-//! | point | reference path | comparator |
-//! |---|---|---|
-//! | `Full` | `AllocMode::Full`: re-solve every flow on every run | exact |
-//! | `PerFlowVariables` | one allocation variable per flow, no macro-flows | exact |
-//! | `UncachedPipeline` | every packet walks the OpenFlow tables | exact |
-//! | `PerEvent` | one allocator run per event instead of per epoch | epoch |
-//! | `PerEventFull` | the per-event cadence, re-solving every flow | epoch |
-//!
-//! *Exact* compares the whole fingerprint bit for bit; only the engine's
-//! own work counters may differ. *Epoch* is the batching contract: a
-//! batch the per-event cadence solves as several cascaded partial
-//! problems is solved here as one per-component problem (same
-//! equilibrium, last-ulp rounding), so counts match exactly, bytes
-//! within 1e-6 relative and finish instants within 1 ns.
-//!
-//! A point runs where its reference path exists: the pipeline point
-//! needs a packet plane, the per-event points a pure fluid run (that
-//! cadence also re-couples the hybrid planes on every run). Every test
-//! asserts that its points engaged: the fast path did work its
-//! reference path did differently.
+//! The differential lattice (`support::lattice`) on a scenario zoo:
+//! hand-built epoch shapes, allocator features, reactive forwarding in
+//! the hybrid plane and the bases of sweep specs. Every case runs as
+//! shipped and once per reference path that applies to it, and every
+//! test asserts that the fast paths it names engaged.
 
 mod support;
 
 use horse::prelude::*;
-use horse::Oracles;
-use proptest::prelude::*;
-use support::{hybrid_scenario, hybrid_scenario_on, run_fingerprint, Fingerprint};
-
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Point {
-    Full,
-    PerFlowVariables,
-    UncachedPipeline,
-    PerEvent,
-    PerEventFull,
-}
-
-impl Point {
-    const ALL: [Point; 5] = [
-        Point::Full,
-        Point::PerFlowVariables,
-        Point::UncachedPipeline,
-        Point::PerEvent,
-        Point::PerEventFull,
-    ];
-
-    /// The base configuration with this point's reference path on.
-    fn setup(self, config: SimConfig) -> (SimConfig, Oracles) {
-        let oracles = Oracles {
-            per_event_realloc: !self.is_exact(),
-            per_flow_variables: self == Point::PerFlowVariables,
-            uncached_pipeline: self == Point::UncachedPipeline,
-        };
-        match self {
-            Point::Full | Point::PerEventFull => (config.with_alloc_mode(AllocMode::Full), oracles),
-            _ => (config, oracles),
-        }
-    }
-
-    fn is_exact(self) -> bool {
-        !matches!(self, Point::PerEvent | Point::PerEventFull)
-    }
-}
-
-/// One case's base run and the run of every point that applies to it.
-struct Lattice {
-    base: Fingerprint,
-    points: Vec<(Point, Fingerprint)>,
-}
-
-impl Lattice {
-    fn point(&self, p: Point) -> Option<&Fingerprint> {
-        self.points.iter().find(|(q, _)| *q == p).map(|(_, f)| f)
-    }
-
-    /// Whether the fast path `p` replaces did work on this case that its
-    /// reference path did differently.
-    fn engaged(&self, p: Point) -> bool {
-        let (b, Some(o)) = (&self.base, self.point(p)) else {
-            return false;
-        };
-        match p {
-            Point::Full => o.work.realloc_flows_touched > b.work.realloc_flows_touched,
-            Point::PerFlowVariables => {
-                b.work.macro_flows < b.work.realloc_flows_touched
-                    && o.work.macro_flows == o.work.realloc_flows_touched
-            }
-            Point::UncachedPipeline => b.work.pkt_cache[0] > 0 && o.work.pkt_cache == [0; 3],
-            Point::PerEvent | Point::PerEventFull => o.realloc_runs > b.realloc_runs,
-        }
-    }
-
-    fn assert_engaged(&self, case: &str, points: &[Point]) {
-        for &p in points {
-            assert!(self.engaged(p), "{case}: {p:?} did not engage");
-        }
-    }
-}
-
-/// Runs `scenario` under `config` and every point that applies to it,
-/// asserting each point's comparator against the base run.
-fn lattice(case: &str, scenario: Scenario, config: SimConfig) -> Lattice {
-    lattice_at(&Point::ALL, case, scenario, config)
-}
-
-/// [`lattice`] on a subset of the points. Every run is independent, so
-/// they run side by side; only the points that need to know whether the
-/// case has a packet plane wait for the base.
-fn lattice_at(only: &[Point], case: &str, scenario: Scenario, config: SimConfig) -> Lattice {
-    let run = |p: Point| {
-        let (c, o) = p.setup(config);
-        run_fingerprint(scenario.clone(), c, o)
-    };
-    let (base, points) = std::thread::scope(|scope| {
-        let run = &run;
-        let spawn = |&p: &Point| (p, scope.spawn(move || run(p)));
-        let fluid = |p: &&Point| matches!(p, Point::Full | Point::PerFlowVariables);
-        let mut runs: Vec<_> = only.iter().filter(fluid).map(spawn).collect();
-        let base = run_fingerprint(scenario.clone(), config, Oracles::default());
-        let packet = base.packet.is_some();
-        let late = |p: &&Point| match p {
-            Point::UncachedPipeline => packet,
-            Point::PerEvent | Point::PerEventFull => !packet,
-            Point::Full | Point::PerFlowVariables => false,
-        };
-        runs.extend(only.iter().filter(late).map(spawn));
-        let points: Vec<(Point, Fingerprint)> = (runs.into_iter())
-            .map(|(p, run)| (p, run.join().expect("lattice point panicked")))
-            .collect();
-        (base, points)
-    });
-    for (p, got) in &points {
-        if p.is_exact() {
-            assert_eq!(
-                got.without_work(),
-                base.without_work(),
-                "{case}: {p:?} disagrees with the fast path"
-            );
-        } else {
-            assert_epoch_equivalent(&format!("{case}, {p:?}"), &base, got);
-        }
-    }
-    Lattice { base, points }
-}
-
-// A completion instant moved by a nanosecond integrates sub-byte drift on
-// multi-megabyte flows; a semantics bug shifts whole rate shares.
-const REL_TOL: f64 = 1e-6;
-
-fn close(a: u64, b: u64) -> bool {
-    let (a, b) = (f64::from_bits(a), f64::from_bits(b));
-    (a - b).abs() <= REL_TOL * a.abs().max(b.abs()).max(1.0)
-}
-
-/// The epoch contract between the batched base and a per-event run.
-fn assert_epoch_equivalent(at: &str, batched: &Fingerprint, per_event: &Fingerprint) {
-    // Event for event the *simulation* is the same: every arrival,
-    // control crossing and completion happens in both runs. The
-    // per-event cadence merely supersedes (and cancels) more completion
-    // events, and a superseded completion never pops on either side.
-    let counts = |f: &Fingerprint| {
-        [
-            f.events,
-            f.realloc_requests,
-            f.stale_completions,
-            f.flows_admitted,
-            f.flows_completed,
-            f.flows_dropped,
-            f.msgs_to_controller,
-            f.msgs_to_switch,
-        ]
-    };
-    assert_eq!(counts(per_event), counts(batched), "counts ({at})");
-    assert_eq!(batched.stale_completions, 0, "{at}");
-    assert!(batched.queue.cancelled <= per_event.queue.cancelled, "{at}");
-    assert!(
-        batched.realloc_runs <= per_event.realloc_runs,
-        "batching must never run the allocator more often ({at})"
-    );
-    assert!(
-        close(batched.bytes_delivered, per_event.bytes_delivered),
-        "bytes delivered ({at})"
-    );
-    // Simultaneous completions can close in a different order under the
-    // two cadences (their events were scheduled by different allocator
-    // runs), so records are compared as a set keyed by flow id.
-    let sorted = |f: &Fingerprint| {
-        let mut r = f.records.clone();
-        r.sort_by_key(|r| (r.0, r.1));
-        r
-    };
-    let (b, o) = (sorted(batched), sorted(per_event));
-    assert_eq!(b.len(), o.len(), "record counts ({at})");
-    for (b, o) in b.iter().zip(&o) {
-        assert_eq!((b.0, b.1, b.3), (o.0, o.1, o.3), "record set ({at})");
-        // Finish instants within a nanosecond: a completion prediction
-        // computed from last-ulp different rates rounds either way.
-        assert!(
-            b.2.abs_diff(o.2) <= 1 && close(b.4, o.4) && close(b.5, o.5),
-            "flow {} diverged ({at}): {b:?} vs {o:?}",
-            b.0
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
-// Random colliding scenarios: arrivals on a coarse grid, so batches of
-// simultaneous arrivals, completions and failures genuinely occur.
-// ---------------------------------------------------------------------
-
-/// A random explicit-flow scenario on a two-tier IXP fabric: arrivals on
-/// a 10 ms grid (forcing same-instant batches), mixed greedy/CBR demand,
-/// and one mid-run cable failure and recovery aligned to the grid.
-fn random_scenario(seed: u64) -> Scenario {
-    let f = builders::ixp_fabric(&builders::IxpFabricParams {
-        members: 8,
-        edge_switches: 2,
-        core_switches: 2,
-        ..Default::default()
-    });
-    let mut s = Scenario::bare(f.topology.clone(), SimTime::from_secs(4));
-    s.members = f.members.clone();
-    s.policy = PolicySpec::new().with(PolicyRule::LoadBalancing { mode: LbMode::Ecmp });
-
-    let mut x = seed | 1;
-    let mut rnd = move || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x
-    };
-    let n_flows = 12 + (rnd() % 20) as usize;
-    for i in 0..n_flows {
-        let src = (rnd() % 8) as usize;
-        let mut dst = (rnd() % 8) as usize;
-        if dst == src {
-            dst = (dst + 1) % 8;
-        }
-        let demand = if rnd() % 4 == 0 {
-            DemandModel::Cbr(Rate::mbps((100 + rnd() % 900) as f64))
-        } else {
-            DemandModel::Greedy
-        };
-        let size = if rnd() % 5 == 0 {
-            None
-        } else {
-            Some(ByteSize::mib(1 + rnd() % 64))
-        };
-        // 10 ms grid over the first 2 s: collisions are frequent.
-        let at = SimTime::from_millis(10 * (1 + rnd() % 200));
-        let (a, b, port) = (f.members[src], f.members[dst], (2000 + i) as u16);
-        let spec = s.flow_between(a, b, AppClass::Https, port, size, demand);
-        s.explicit_flows
-            .push((at, spec.expect("member pair resolves")));
-    }
-    let e0 = f.edges[0];
-    if let Some((cable, _)) = f.topology.out_links(e0).find(|(_, l)| {
-        f.topology
-            .node(l.dst)
-            .map(|n| n.kind.is_switch())
-            .unwrap_or(false)
-    }) {
-        s.failures.push((SimTime::from_millis(500), cable, false));
-        s.failures.push((SimTime::from_millis(1500), cable, true));
-    }
-    s
-}
-
-/// A seed on which every fluid point engages, so the coverage of the
-/// proptest below does not rest on the seeds it draws.
-#[test]
-fn random_scenario_engaging_every_fluid_point() {
-    let case = "random seed 7882688928292438543";
-    let l = lattice(
-        case,
-        random_scenario(7_882_688_928_292_438_543),
-        SimConfig::default(),
-    );
-    let fluid: Vec<_> = (Point::ALL.into_iter())
-        .filter(|&p| p != Point::UncachedPipeline)
-        .collect();
-    l.assert_engaged(case, &fluid);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn random_colliding_scenarios(seed in 1u64..u64::MAX) {
-        lattice(&format!("random seed {seed}"), random_scenario(seed), SimConfig::default());
-    }
-}
+use support::lattice::{lattice, lattice_at, Lattice, Point};
+use support::{hybrid_scenario, hybrid_scenario_on};
 
 // ---------------------------------------------------------------------
 // Hand-built epoch shapes, pinned so a failure names the scenario.
@@ -547,49 +262,6 @@ fn allocator_feature_zoo() {
     let l = lattice("hybrid figure1", hybrid_scenario(7, 18, 5, 2), config);
     assert!(l.base.pkt_flows > 0);
     l.assert_engaged("hybrid figure1", &[Point::Full, Point::UncachedPipeline]);
-}
-
-// ---------------------------------------------------------------------
-// The packet plane: the decision cache against the uncached pipeline at
-// the default burst cap, where a cached verdict replays a whole burst's
-// counters, meter tokens and byte credits at once, and at cap 1, where
-// every burst is one packet and the arithmetic reduces to the
-// per-packet plane's.
-// ---------------------------------------------------------------------
-
-/// Two cable flaps with real packet loss, bumping switch generations
-/// while foreground flows are live: cache invalidation must be exact,
-/// not merely close — a stale verdict, or even an RTO-boundary
-/// butterfly from a single mistimed drop, would shift a record.
-fn flap_chaos() -> ChaosSpec {
-    ChaosSpec {
-        seed: 5,
-        start_secs: 0.2,
-        link_flaps: 2,
-        flap_rate_per_sec: 1.0,
-        flap_downtime_secs: 0.3,
-        ..Default::default()
-    }
-}
-
-#[test]
-fn hybrid_ecmp_at_default_cap_and_cap_one() {
-    for with_chaos in [false, true] {
-        for cap in [32, 1] {
-            let mut s = hybrid_scenario(7, 18, 5, 20);
-            if with_chaos {
-                s.chaos = Some(flap_chaos());
-            }
-            let case = format!("hybrid ECMP, cap {cap}, chaos {with_chaos}");
-            let config = SimConfig::default().with_pkt_burst(cap);
-            let l = lattice_at(&[Point::UncachedPipeline], &case, s, config);
-            let packet = l.base.packet.as_ref().expect("packet flows attach");
-            assert!(l.base.pkt_flows == 5 && packet.tx_packets > 0, "{case}");
-            assert_eq!(packet.bursts_formed > 0, cap > 1, "{case}");
-            assert_eq!(l.base.chaos.cable_downs > 0, with_chaos, "{case}");
-            l.assert_engaged(&case, &[Point::UncachedPipeline]);
-        }
-    }
 }
 
 /// Reactive forwarding on a star: every foreground flow's first packets

@@ -1,9 +1,12 @@
 //! Packet-burst equivalence.
 //!
-//! Contract under test (the decision cache against the uncached
-//! pipeline, at cap 1 and at the default cap, is a point of the
-//! differential lattice in `tests/differential.rs`):
+//! Contract under test:
 //!
+//! * **The decision cache is exact.** At cap 1 (every burst one packet,
+//!   so the per-packet plane) and at the default cap, a hybrid run with
+//!   the cache equals the uncached pipeline bit for bit, with and
+//!   without packet loss: the `UncachedPipeline` point of the
+//!   differential lattice (`support::lattice`).
 //! * **Batching is a bounded approximation.** With the default cap the
 //!   foreground FCTs track the per-packet oracle within 1% (mean over
 //!   completed foreground flows), across scenario × fidelity × chaos.
@@ -20,6 +23,7 @@ mod support;
 use horse::compare::materialize_workload;
 use horse::prelude::*;
 use horse::Oracles;
+use support::lattice::{lattice_at, Point};
 use support::{hybrid_scenario, hybrid_scenario_on, run_fingerprint};
 use support::{Fingerprint, PacketPlaneFingerprint};
 
@@ -87,7 +91,7 @@ fn foreground_outcomes(scenario: Scenario, config: SimConfig) -> Vec<(bool, u64,
 /// of every RTT. Sizes stay under the slow-start overflow point
 /// (BDP + buffer) so greedy TCP never enters the loss sawtooth — loss
 /// *transitions* bifurcate at RTO boundaries, a regime pinned bit-for-bit
-/// by the cap-1 cases of `tests/differential.rs` instead.
+/// by the cap-1 cache cases below instead.
 fn wan_scenario(seed: u64, n: usize, foreground: usize, horizon_s: u64) -> Scenario {
     let f = builders::ixp_fabric(&builders::IxpFabricParams {
         members: 6,
@@ -119,6 +123,58 @@ fn wan_scenario(seed: u64, n: usize, foreground: usize, horizon_s: u64) -> Scena
         spec.fidelity = Fidelity::Packet;
     }
     s
+}
+
+// ---------------------------------------------------------------------
+// The decision cache against the uncached pipeline at cap 1, where
+// every burst is one packet and the arithmetic reduces to the
+// per-packet plane's, and at the default cap, where a cached verdict
+// replays a whole burst's counters, meter tokens and byte credits at
+// once.
+// ---------------------------------------------------------------------
+
+/// Two cable flaps with real packet loss, bumping switch generations
+/// while foreground flows are live: cache invalidation must be exact,
+/// not merely close — a stale verdict, or even an RTO-boundary
+/// butterfly from a single mistimed drop, would shift a record.
+fn flap_chaos() -> ChaosSpec {
+    ChaosSpec {
+        seed: 5,
+        start_secs: 0.2,
+        link_flaps: 2,
+        flap_rate_per_sec: 1.0,
+        flap_downtime_secs: 0.3,
+        ..Default::default()
+    }
+}
+
+/// `hybrid_scenario(7, 18, 5, 20)` at burst cap `cap`, fault-free and
+/// under [`flap_chaos`], against the uncached pipeline.
+fn cache_matches_uncached_pipeline(cap: u32) {
+    for with_chaos in [false, true] {
+        let mut s = hybrid_scenario(7, 18, 5, 20);
+        if with_chaos {
+            s.chaos = Some(flap_chaos());
+        }
+        let case = format!("hybrid ECMP, cap {cap}, chaos {with_chaos}");
+        let config = SimConfig::default().with_pkt_burst(cap);
+        let l = lattice_at(&[Point::UncachedPipeline], &case, s, config);
+        let packet = l.base.packet.as_ref().expect("packet flows attach");
+        assert!(l.base.pkt_flows == 5 && packet.tx_packets > 0, "{case}");
+        assert_eq!(packet.bursts_formed > 0, cap > 1, "{case}");
+        assert_eq!(l.base.chaos.cable_downs > 0, with_chaos, "{case}");
+        l.assert_engaged(&case, &[Point::UncachedPipeline]);
+    }
+}
+
+#[test]
+fn burst_cap_one_is_bit_identical_per_packet_plane() {
+    cache_matches_uncached_pipeline(1);
+}
+
+#[test]
+fn default_burst_decision_cache_is_bit_identical() {
+    cache_matches_uncached_pipeline(SimConfig::default().pkt_burst);
 }
 
 // Recorded outputs of two hybrid runs, every field bit-exact: how the
@@ -277,8 +333,8 @@ proptest! {
         // discontinuity where both trajectories are legitimate samples
         // and no per-sample bound can hold (observed: one mistimed drop
         // shifts a short flow by an entire backoff cycle). Exactness on
-        // the loss path itself is pinned bit-for-bit by the cap-1 chaos
-        // cases of `tests/differential.rs`; here the chaos axis asserts
+        // the loss path itself is pinned bit-for-bit by
+        // `burst_cap_one_is_bit_identical_per_packet_plane`; here the chaos axis asserts
         // the outcome invariants.
         if !chaos {
             let mean = errors.iter().sum::<f64>() / errors.len() as f64;

@@ -1,7 +1,10 @@
 //! Support shared by the integration tests: one fingerprint of
-//! everything deterministic a run produces.
+//! everything deterministic a run produces, and the differential
+//! lattice that compares fingerprints against the reference paths.
 
 #![allow(dead_code)]
+
+pub mod lattice;
 
 use horse::compare::materialize_workload;
 use horse::prelude::*;
