@@ -645,7 +645,7 @@ impl Simulation {
         }
         for (sw, msg) in out.msgs.drain(..) {
             self.msgs_to_switch += 1;
-            let replies = self.fluid.apply_ctrl(sw, &msg, SimTime::ZERO);
+            let replies = self.fluid.apply_ctrl_owned(sw, msg, SimTime::ZERO);
             for r in replies {
                 self.schedule_to_controller(SimTime::ZERO, r, None);
             }
@@ -1016,21 +1016,20 @@ impl Simulation {
             }
             SimEvent::ToSwitch { switch, msg } => {
                 // A stats request served here reads switch port/entry
-                // counters that the byte sync credits — an adaptive
-                // controller polling in the same epoch as a rate change
-                // must see the same counters the per-event cadence
-                // produced, and a poll of a quiet path must see the bytes
-                // its flows moved since their last rate change (a flush
-                // syncs only the flows whose rate it changes). Flow/group/
-                // meter mods are pure writes, so only stats reads pay
-                // (keeping FlowMod bursts batched, the common
-                // reactive-setup shape).
+                // counters that the byte sync credits: a poll must see
+                // the bytes every flow moved up to now, including flows
+                // whose rate has not changed since their last sync. No
+                // pending reallocation needs to run first: rates change
+                // at `now`, so the bytes before it are what `sync_all`
+                // integrates at the rates in force. Flow/group/meter mods
+                // are pure writes, so only stats reads pay (keeping
+                // FlowMod bursts batched, the common reactive-setup
+                // shape).
                 if matches!(&*msg, horse_openflow::messages::CtrlMsg::StatsRequest(_)) {
-                    self.flush_realloc(now);
                     self.fluid.sync_all(now);
                 }
                 self.msgs_to_switch += 1;
-                let replies = self.fluid.apply_ctrl(switch, &msg, now);
+                let replies = self.fluid.apply_ctrl_owned(switch, *msg, now);
                 for r in replies {
                     self.schedule_to_controller(now, r, None);
                 }

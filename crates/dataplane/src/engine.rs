@@ -478,10 +478,24 @@ impl FluidNet {
         &self.switch_order
     }
 
-    /// Applies a controller message to a switch, returning its replies.
+    /// Applies a copy of a controller message to a switch, returning its
+    /// replies.
     pub fn apply_ctrl(&mut self, switch: NodeId, msg: &CtrlMsg, now: SimTime) -> Vec<SwitchMsg> {
+        self.apply_ctrl_owned(switch, msg.clone(), now)
+    }
+
+    /// [`apply_ctrl`] for a message the caller owns (see
+    /// [`OpenFlowSwitch::apply_owned`]).
+    ///
+    /// [`apply_ctrl`]: FluidNet::apply_ctrl
+    pub fn apply_ctrl_owned(
+        &mut self,
+        switch: NodeId,
+        msg: CtrlMsg,
+        now: SimTime,
+    ) -> Vec<SwitchMsg> {
         match self.switches.get_mut(switch) {
-            Some(sw) => sw.apply(msg, now),
+            Some(sw) => sw.apply_owned(msg, now),
             None => Vec::new(),
         }
     }

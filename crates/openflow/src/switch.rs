@@ -483,8 +483,20 @@ impl OpenFlowSwitch {
     }
 
     /// Applies a controller message, returning any immediate replies
-    /// (stats, barrier, flow-removed notifications from deletes).
+    /// (stats, barrier, flow-removed notifications from deletes). A copy
+    /// of the message is applied; callers that own it use
+    /// [`apply_owned`].
+    ///
+    /// [`apply_owned`]: OpenFlowSwitch::apply_owned
     pub fn apply(&mut self, msg: &CtrlMsg, now: SimTime) -> Vec<SwitchMsg> {
+        self.apply_owned(msg.clone(), now)
+    }
+
+    /// [`apply`] for a message the caller owns: installed entries and
+    /// groups move into the tables instead of being copied.
+    ///
+    /// [`apply`]: OpenFlowSwitch::apply
+    pub fn apply_owned(&mut self, msg: CtrlMsg, now: SimTime) -> Vec<SwitchMsg> {
         // Any table/group/meter mutation can change future classifications;
         // stamp a new generation before applying (stats/barrier are
         // read-only and leave cached decisions valid).
@@ -502,7 +514,7 @@ impl OpenFlowSwitch {
                 }
                 match fm.command {
                     FlowModCommand::Add => {
-                        self.tables[t].insert(fm.entry.clone(), now);
+                        self.tables[t].insert(fm.entry, now);
                         vec![]
                     }
                     FlowModCommand::Delete { strict } => {
@@ -531,10 +543,10 @@ impl OpenFlowSwitch {
             CtrlMsg::GroupMod(gm) => {
                 match gm {
                     GroupMod::Add(g) => {
-                        self.groups.insert(g.id, g.clone());
+                        self.groups.insert(g.id, g);
                     }
                     GroupMod::Delete(id) => {
-                        self.groups.remove(id);
+                        self.groups.remove(&id);
                     }
                 }
                 vec![]
@@ -543,18 +555,18 @@ impl OpenFlowSwitch {
                 match mm {
                     crate::messages::MeterMod::Add { id, .. } => {
                         if let Some(e) = mm.to_entry() {
-                            self.meters.insert(*id, e);
+                            self.meters.insert(id, e);
                         }
                     }
                     crate::messages::MeterMod::Delete(id) => {
-                        self.meters.remove(id);
+                        self.meters.remove(&id);
                     }
                 }
                 vec![]
             }
             CtrlMsg::StatsRequest(req) => vec![SwitchMsg::StatsReply {
                 switch: self.id,
-                reply: self.stats(*req),
+                reply: self.stats(req),
             }],
             CtrlMsg::Barrier => vec![SwitchMsg::BarrierReply { switch: self.id }],
         }

@@ -4,8 +4,9 @@ use crate::actions::Instruction;
 use crate::counters::{FlowCounters, TableCounters};
 use crate::flow_match::FlowMatch;
 use horse_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use horse_types::{ByteSize, FlowKey, PortNo, SimDuration, SimTime, TableId};
+use horse_types::{ByteSize, FlowKey, Ipv4Net, MacAddr, PortNo, SimDuration, SimTime, TableId};
 use serde::{Deserialize, Serialize};
+use std::cell::{Cell, OnceCell};
 
 /// Why a flow entry was removed (reported in FlowRemoved messages).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -163,9 +164,331 @@ impl Snap for MatchedEntry {
     }
 }
 
+/// Is `e` the entry identified by `(priority, m)`? `eth_dst` is compared
+/// first: every shipped forwarding policy keys its rules on it, so one
+/// branch rejects almost every other entry of a scan, where the derived
+/// `FlowMatch` equality evaluates all ten fields.
+fn is_entry(e: &FlowEntry, priority: u16, m: &FlowMatch) -> bool {
+    e.matcher.eth_dst == m.eth_dst && e.priority == priority && e.matcher == *m
+}
+
+/// Tables holding at least this many entries keep an [`ExactIndex`];
+/// shorter ones scan. Indexed lookups beat the scan from below 32
+/// entries on (`docs/PERFORMANCE.md` §4), but every delete or expiry
+/// drops the index and the next search rebuilds it, and an always-on
+/// hash index once cost the IXP scenarios 15–20 % of run time and over
+/// 5 % of peak memory. 512 keeps every IXP table (≤ 401 entries) on the
+/// scan and indexes the k=16 fat-tree's 1,025-entry tables, where scans
+/// made cold install quadratic.
+const INDEX_MIN_LEN: usize = 512;
+
+/// The fields a [`FlowMatch`] can set, in field order; bit `i` of a
+/// *shape* says field `i` is set.
+const FIELDS: usize = 10;
+
+/// Stand-in word for an untagged key's VLAN: no `u16` VLAN id folds to it.
+const UNTAGGED: u64 = 1 << 16;
+
+/// Empty slot of a [`ShapeSlots`] table.
+const EMPTY: u32 = u32::MAX;
+
+/// The shape of `m` — the bitmask of the fields it sets — when every
+/// field it sets is exact (IPv4 prefixes only at /32); `None` for a
+/// wildcard entry.
+fn exact_shape(m: &FlowMatch) -> Option<u16> {
+    let host = |n: Option<Ipv4Net>| n.is_none_or(|n| n.len == 32);
+    if !host(m.ip_src) || !host(m.ip_dst) {
+        return None;
+    }
+    let set = [
+        m.in_port.is_some(),
+        m.eth_src.is_some(),
+        m.eth_dst.is_some(),
+        m.eth_type.is_some(),
+        m.vlan.is_some(),
+        m.ip_src.is_some(),
+        m.ip_dst.is_some(),
+        m.ip_proto.is_some(),
+        m.tp_src.is_some(),
+        m.tp_dst.is_some(),
+    ];
+    Some((0..FIELDS).fold(0, |s, i| s | (set[i] as u16) << i))
+}
+
+/// The field words of an exact match (unset fields read 0; a shape
+/// never folds them).
+fn match_words(m: &FlowMatch) -> [u64; FIELDS] {
+    let ip = |n: Option<Ipv4Net>| n.map_or(0, |n| u32::from(n.addr) as u64);
+    [
+        m.in_port.map_or(0, |p| p.0 as u64),
+        m.eth_src.map_or(0, MacAddr::to_u64),
+        m.eth_dst.map_or(0, MacAddr::to_u64),
+        m.eth_type.map_or(0, u64::from),
+        m.vlan.map_or(0, u64::from),
+        ip(m.ip_src),
+        ip(m.ip_dst),
+        m.ip_proto.map_or(0, |p| p.number() as u64),
+        m.tp_src.map_or(0, u64::from),
+        m.tp_dst.map_or(0, u64::from),
+    ]
+}
+
+/// The field words of a packet: an exact entry of shape `s` matches it
+/// exactly when their words agree on every field of `s`.
+fn key_words(in_port: PortNo, k: &FlowKey) -> [u64; FIELDS] {
+    [
+        in_port.0 as u64,
+        k.eth_src.to_u64(),
+        k.eth_dst.to_u64(),
+        k.eth_type as u64,
+        k.vlan.map_or(UNTAGGED, u64::from),
+        u32::from(k.ip_src) as u64,
+        u32::from(k.ip_dst) as u64,
+        k.ip_proto.number() as u64,
+        k.tp_src as u64,
+        k.tp_dst as u64,
+    ]
+}
+
+/// Folds the words of `shape`'s fields into one multiplicative hash
+/// (the high bits are the well-mixed ones).
+fn fold(words: &[u64; FIELDS], shape: u16) -> u64 {
+    let mut h = 0u64;
+    let mut bits = shape;
+    while bits != 0 {
+        let w = words[bits.trailing_zeros() as usize];
+        h = (h.rotate_left(23) ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        bits &= bits - 1;
+    }
+    h
+}
+
+/// One shape's open-addressed (linear-probing) table of entry
+/// positions. Entries whose words collide share a probe chain; readers
+/// always confirm a hit against the entry itself.
+#[derive(Clone, Debug)]
+struct ShapeSlots {
+    shape: u16,
+    len: usize,
+    /// `64 − log2(slots.len())`: the hash's top bits pick the home slot.
+    shift: u32,
+    slots: Vec<u32>,
+}
+
+impl ShapeSlots {
+    /// An empty table with room for `n` positions below a 3/4 load.
+    fn new(shape: u16, n: usize) -> Self {
+        let slots = (n * 4 / 3 + 1).next_power_of_two().max(8);
+        ShapeSlots {
+            shape,
+            len: 0,
+            shift: 64 - slots.trailing_zeros(),
+            slots: vec![EMPTY; slots],
+        }
+    }
+
+    /// The occupied slots of the probe chain for hash `h`, with their
+    /// indices.
+    fn chain(&self, h: u64) -> impl Iterator<Item = (usize, u32)> + '_ {
+        let mask = self.slots.len() - 1;
+        let mut i = (h >> self.shift) as usize;
+        std::iter::from_fn(move || {
+            let p = self.slots[i];
+            let at = i;
+            i = (i + 1) & mask;
+            (p != EMPTY).then_some((at, p))
+        })
+    }
+
+    fn place(&mut self, h: u64, pos: u32) {
+        let mask = self.slots.len() - 1;
+        let mut i = (h >> self.shift) as usize;
+        while self.slots[i] != EMPTY {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = pos;
+    }
+
+    /// Adds `pos` (hash `h`), doubling the table past a 3/4 load.
+    fn add(&mut self, entries: &[FlowEntry], h: u64, pos: u32) {
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            let doubled = vec![EMPTY; self.slots.len() * 2];
+            let old = std::mem::replace(&mut self.slots, doubled);
+            self.shift -= 1;
+            for p in old.into_iter().filter(|&p| p != EMPTY) {
+                self.place(
+                    fold(&match_words(&entries[p as usize].matcher), self.shape),
+                    p,
+                );
+            }
+        }
+        self.place(h, pos);
+        self.len += 1;
+    }
+}
+
+/// A flow table's exact-match index: for each live shape, a table of
+/// the positions of the exact entries of that shape; every other entry
+/// sits in `wild`, ascending. Host-side only: never serialized, rebuilt
+/// from the entries whenever it is missing.
+#[derive(Clone, Debug, Default)]
+struct ExactIndex {
+    shapes: Vec<ShapeSlots>,
+    wild: Vec<u32>,
+}
+
+impl ExactIndex {
+    fn build(entries: &[FlowEntry]) -> Self {
+        let mut ix = ExactIndex::default();
+        // Size every shape's table up front: one pass to count...
+        for shape in entries.iter().filter_map(|e| exact_shape(&e.matcher)) {
+            ix.shape_mut(shape).len += 1;
+        }
+        for s in &mut ix.shapes {
+            *s = ShapeSlots::new(s.shape, s.len);
+        }
+        // ...and one to place.
+        for pos in 0..entries.len() {
+            ix.add(entries, pos);
+        }
+        ix
+    }
+
+    fn shape_mut(&mut self, shape: u16) -> &mut ShapeSlots {
+        match self.shapes.iter().position(|s| s.shape == shape) {
+            Some(i) => &mut self.shapes[i],
+            None => {
+                self.shapes.push(ShapeSlots::new(shape, 0));
+                self.shapes.last_mut().unwrap()
+            }
+        }
+    }
+
+    /// Indexes the entry at `pos`, which every other indexed position
+    /// already accounts for.
+    fn add(&mut self, entries: &[FlowEntry], pos: usize) {
+        let m = &entries[pos].matcher;
+        match exact_shape(m) {
+            Some(shape) => {
+                let h = fold(&match_words(m), shape);
+                self.shape_mut(shape).add(entries, h, pos as u32);
+            }
+            None => {
+                let at = self.wild.partition_point(|&p| (p as usize) < pos);
+                self.wild.insert(at, pos as u32);
+            }
+        }
+    }
+
+    /// Follows an insert at `pos`: every entry behind it moved one place
+    /// back. A short tail (the table-miss rule behind a fabric's exact
+    /// rules) is re-pointed entry by entry, last first so a moved position
+    /// never meets one not yet moved in a chain; a long one by one sweep
+    /// over every slot, which costs less than hashing each entry. Then
+    /// indexes the new entry.
+    fn insert_at(&mut self, entries: &[FlowEntry], pos: usize, steps: &mut u64) {
+        let tail = entries.len() - 1 - pos;
+        let slots: usize = self.shapes.iter().map(|s| s.slots.len()).sum();
+        if tail * 16 < slots {
+            for q in (pos + 1..entries.len()).rev() {
+                let m = &entries[q].matcher;
+                let Some(shape) = exact_shape(m) else {
+                    continue;
+                };
+                let s = self.shape_mut(shape);
+                let h = fold(&match_words(m), shape);
+                let (at, _) = s
+                    .chain(h)
+                    .inspect(|_| *steps += 1)
+                    .find(|&(_, p)| p as usize == q - 1)
+                    .expect("an indexed entry sits in its chain");
+                s.slots[at] = q as u32;
+            }
+        } else {
+            *steps += slots as u64;
+            for p in self.shapes.iter_mut().flat_map(|s| &mut s.slots) {
+                if *p >= pos as u32 && *p != EMPTY {
+                    *p += 1;
+                }
+            }
+        }
+        let from = self.wild.partition_point(|&p| (p as usize) < pos);
+        for p in &mut self.wild[from..] {
+            *p += 1;
+        }
+        self.add(entries, pos);
+    }
+
+    /// The position of the entry identified by `(priority, m)`.
+    fn find(
+        &self,
+        entries: &[FlowEntry],
+        priority: u16,
+        m: &FlowMatch,
+        steps: &mut u64,
+    ) -> Option<usize> {
+        let mut same = |p: u32| {
+            *steps += 1;
+            is_entry(&entries[p as usize], priority, m)
+        };
+        let hit = match exact_shape(m) {
+            Some(shape) => {
+                let s = self.shapes.iter().find(|s| s.shape == shape)?;
+                let h = fold(&match_words(m), shape);
+                s.chain(h).map(|(_, p)| p).find(|&p| same(p))
+            }
+            None => self.wild.iter().copied().find(|&p| same(p)),
+        };
+        hit.map(|p| p as usize)
+    }
+
+    /// The first entry in table order matching `(in_port, key)`: the
+    /// lowest matching position over every shape's chain, and over the
+    /// wildcard entries before it.
+    fn lookup(
+        &self,
+        entries: &[FlowEntry],
+        in_port: PortNo,
+        key: &FlowKey,
+        steps: &mut u64,
+    ) -> Option<usize> {
+        let words = key_words(in_port, key);
+        let hits = |p: u32| entries[p as usize].matcher.matches(in_port, key);
+        let mut best = EMPTY;
+        for s in &self.shapes {
+            for (_, p) in s.chain(fold(&words, s.shape)) {
+                *steps += 1;
+                if p < best && hits(p) {
+                    best = p;
+                }
+            }
+        }
+        for &p in &self.wild {
+            if p >= best {
+                break;
+            }
+            *steps += 1;
+            if hits(p) {
+                best = p;
+                break;
+            }
+        }
+        (best != EMPTY).then_some(best as usize)
+    }
+}
+
 /// A single flow table: entries sorted by descending priority; insertion
 /// order breaks ties (first-installed wins), which keeps lookups
 /// deterministic.
+///
+/// Past [`INDEX_MIN_LEN`] entries an [`ExactIndex`] serves the
+/// duplicate check of [`insert`], [`peek`] and the stale-hint search of
+/// [`credit`] in near-constant time; shorter tables scan. Either way the
+/// answers are those of the scan.
+///
+/// [`insert`]: FlowTable::insert
+/// [`peek`]: FlowTable::peek
+/// [`credit`]: FlowTable::credit
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct FlowTable {
     entries: Vec<FlowEntry>,
@@ -175,6 +498,14 @@ pub struct FlowTable {
     /// position hint was stale. Host-side observability only.
     #[serde(skip)]
     rescans: u64,
+    /// Entries and index slots examined by searches. Host-side
+    /// observability only.
+    #[serde(skip)]
+    scan_steps: Cell<u64>,
+    /// Built on first use once the table reaches [`INDEX_MIN_LEN`];
+    /// dropped whenever entries are removed.
+    #[serde(skip)]
+    index: OnceCell<ExactIndex>,
 }
 
 impl FlowTable {
@@ -198,16 +529,37 @@ impl FlowTable {
         self.entries.iter()
     }
 
+    /// The index, built on first use; `None` below [`INDEX_MIN_LEN`].
+    fn index(&self) -> Option<&ExactIndex> {
+        (self.entries.len() >= INDEX_MIN_LEN)
+            .then(|| self.index.get_or_init(|| ExactIndex::build(&self.entries)))
+    }
+
+    fn count_steps(&self, n: u64) {
+        self.scan_steps.set(self.scan_steps.get() + n);
+    }
+
+    /// The position of the entry identified by `(priority, m)`.
+    fn find(&self, priority: u16, m: &FlowMatch) -> Option<usize> {
+        let mut steps = 0;
+        let found = match self.index() {
+            Some(ix) => ix.find(&self.entries, priority, m, &mut steps),
+            None => {
+                let found = self.entries.iter().position(|e| is_entry(e, priority, m));
+                steps = found.map_or(self.entries.len(), |p| p + 1) as u64;
+                found
+            }
+        };
+        self.count_steps(steps);
+        found
+    }
+
     /// Installs an entry (stamping its creation time). An existing entry
     /// with identical match and priority is **replaced**, per OpenFlow
     /// `ADD` semantics; its counters are reset.
     pub fn insert(&mut self, mut entry: FlowEntry, now: SimTime) {
         entry.counters = FlowCounters::new(now);
-        if let Some(pos) = self
-            .entries
-            .iter()
-            .position(|e| e.priority == entry.priority && e.matcher == entry.matcher)
-        {
+        if let Some(pos) = self.find(entry.priority, &entry.matcher) {
             self.entries[pos] = entry;
             return;
         }
@@ -216,15 +568,30 @@ impl FlowTable {
             .entries
             .partition_point(|e| e.priority >= entry.priority);
         self.entries.insert(pos, entry);
+        if let Some(ix) = self.index.get_mut() {
+            let mut steps = 0;
+            ix.insert_at(&self.entries, pos, &mut steps);
+            self.count_steps(steps);
+        }
     }
 
     /// Read-only lookup: the highest-priority entry matching
     /// `(in_port, key)` and its position in the table. No counter updates.
     pub fn peek(&self, in_port: PortNo, key: &FlowKey) -> Option<(usize, &FlowEntry)> {
-        self.entries
-            .iter()
-            .enumerate()
-            .find(|(_, e)| e.matcher.matches(in_port, key))
+        let mut steps = 0;
+        let pos = match self.index() {
+            Some(ix) => ix.lookup(&self.entries, in_port, key, &mut steps),
+            None => {
+                let pos = self
+                    .entries
+                    .iter()
+                    .position(|e| e.matcher.matches(in_port, key));
+                steps = pos.map_or(self.entries.len(), |p| p + 1) as u64;
+                pos
+            }
+        };
+        self.count_steps(steps);
+        pos.map(|p| (p, &self.entries[p]))
     }
 
     /// Credits bytes/packets carried at a constant rate over `[from,
@@ -240,7 +607,7 @@ impl FlowTable {
     ///
     /// `m.pos` is tried first; only when the entry there has a different
     /// identity (positions shifted since the hint was taken) does this
-    /// scan for the identity — once, rewriting the hint. Which entry is
+    /// search for the identity — once, rewriting the hint. Which entry is
     /// credited never depends on the hint.
     pub fn credit(
         &mut self,
@@ -250,10 +617,10 @@ impl FlowTable {
         from: SimTime,
         now: SimTime,
     ) -> bool {
-        let same = |e: &FlowEntry| e.priority == m.priority && e.matcher == m.matcher;
-        if !self.entries.get(m.pos as usize).is_some_and(same) {
+        let hinted = self.entries.get(m.pos as usize);
+        if !hinted.is_some_and(|e| is_entry(e, m.priority, &m.matcher)) {
             self.rescans += 1;
-            match self.entries.iter().position(same) {
+            match self.find(m.priority, &m.matcher) {
                 Some(pos) => m.pos = pos as u32,
                 None => return false,
             }
@@ -271,12 +638,25 @@ impl FlowTable {
         true
     }
 
-    /// How many [`credit`] calls had to scan for their entry because the
-    /// position hint was stale (0 while the table is unchanged).
+    /// How many [`credit`] calls had to search for their entry because
+    /// the position hint was stale (0 while the table is unchanged).
     ///
     /// [`credit`]: FlowTable::credit
     pub fn rescans(&self) -> u64 {
         self.rescans
+    }
+
+    /// How many entries and index slots the searches of [`insert`],
+    /// [`peek`] and [`credit`] examined: a scan counts every entry up to
+    /// its answer, an indexed search every probed slot and wildcard
+    /// entry. Host-side observability only, like [`rescans`].
+    ///
+    /// [`insert`]: FlowTable::insert
+    /// [`peek`]: FlowTable::peek
+    /// [`credit`]: FlowTable::credit
+    /// [`rescans`]: FlowTable::rescans
+    pub fn scan_steps(&self) -> u64 {
+        self.scan_steps.get()
     }
 
     /// Deletes entries. With `strict`, only an exact `(priority, match)`
@@ -292,7 +672,7 @@ impl FlowTable {
         let mut removed = Vec::new();
         self.entries.retain(|e| {
             let matches = if strict {
-                Some(e.priority) == priority && e.matcher == *matcher
+                priority.is_some_and(|p| is_entry(e, p, matcher))
             } else {
                 e.matcher.is_subset_of(matcher)
             };
@@ -303,6 +683,9 @@ impl FlowTable {
                 true
             }
         });
+        if !removed.is_empty() {
+            self.index.take();
+        }
         removed
     }
 
@@ -316,9 +699,15 @@ impl FlowTable {
             }
             None => true,
         });
+        if !out.is_empty() {
+            self.index.take();
+        }
         out
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

@@ -1435,7 +1435,7 @@ impl PacketNet {
         }
         for (sw, msg) in out.msgs.drain(..) {
             if let Some(s) = self.switches.get_mut(sw) {
-                let _ = s.apply(&msg, SimTime::ZERO);
+                let _ = s.apply_owned(msg, SimTime::ZERO);
             }
         }
 
@@ -1495,7 +1495,7 @@ impl PacketNet {
                 }
                 Ev::ToSwitch { switch, msg } => {
                     if let Some(sw) = self.switches.get_mut(switch) {
-                        for reply in sw.apply(&msg, now) {
+                        for reply in sw.apply_owned(*msg, now) {
                             q.schedule_at(
                                 now + self.config.ctrl_latency,
                                 Ev::ToController(Box::new(reply)),
@@ -1747,7 +1747,7 @@ mod tests {
         );
         for (sw, msg) in boot.msgs.drain(..) {
             if let Some(s) = switches.get_mut(sw) {
-                let _ = s.apply(&msg, SimTime::ZERO);
+                let _ = s.apply_owned(msg, SimTime::ZERO);
             }
         }
         switches
