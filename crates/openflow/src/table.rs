@@ -173,13 +173,13 @@ fn is_entry(e: &FlowEntry, priority: u16, m: &FlowMatch) -> bool {
 }
 
 /// Tables holding at least this many entries keep an [`ExactIndex`];
-/// shorter ones scan. Indexed lookups beat the scan from below 32
-/// entries on (`docs/PERFORMANCE.md` §4), but every delete or expiry
-/// drops the index and the next search rebuilds it, and an always-on
-/// hash index once cost the IXP scenarios 15–20 % of run time and over
-/// 5 % of peak memory. 512 keeps every IXP table (≤ 401 entries) on the
-/// scan and indexes the k=16 fat-tree's 1,025-entry tables, where scans
-/// made cold install quadratic.
+/// shorter ones scan. A hot indexed lookup beats the scan from below 32
+/// entries on, but with the threshold at 32 the IXP and k=8 fat-tree
+/// workloads (tables of 51 to 401 entries) ran no faster end to end and
+/// `fat_tree_flaps` took 4.7 % more peak memory (`docs/PERFORMANCE.md`
+/// §4). 512 keeps those tables on the scan and indexes the k=16
+/// fat-tree's 1,025-entry tables, where scans made cold install
+/// quadratic.
 const INDEX_MIN_LEN: usize = 512;
 
 /// The fields a [`FlowMatch`] can set, in field order; bit `i` of a
@@ -381,36 +381,23 @@ impl ExactIndex {
     }
 
     /// Follows an insert at `pos`: every entry behind it moved one place
-    /// back. A short tail (the table-miss rule behind a fabric's exact
-    /// rules) is re-pointed entry by entry, last first so a moved position
-    /// never meets one not yet moved in a chain; a long one by one sweep
-    /// over every slot, which costs less than hashing each entry. Then
-    /// indexes the new entry.
+    /// back (at the k=16 fat-tree, only the table-miss rule). Re-points
+    /// them entry by entry, last first so a moved position never meets
+    /// one not yet moved in a chain, then indexes the new entry.
     fn insert_at(&mut self, entries: &[FlowEntry], pos: usize, steps: &mut u64) {
-        let tail = entries.len() - 1 - pos;
-        let slots: usize = self.shapes.iter().map(|s| s.slots.len()).sum();
-        if tail * 16 < slots {
-            for q in (pos + 1..entries.len()).rev() {
-                let m = &entries[q].matcher;
-                let Some(shape) = exact_shape(m) else {
-                    continue;
-                };
-                let s = self.shape_mut(shape);
-                let h = fold(&match_words(m), shape);
-                let (at, _) = s
-                    .chain(h)
-                    .inspect(|_| *steps += 1)
-                    .find(|&(_, p)| p as usize == q - 1)
-                    .expect("an indexed entry sits in its chain");
-                s.slots[at] = q as u32;
-            }
-        } else {
-            *steps += slots as u64;
-            for p in self.shapes.iter_mut().flat_map(|s| &mut s.slots) {
-                if *p >= pos as u32 && *p != EMPTY {
-                    *p += 1;
-                }
-            }
+        for q in (pos + 1..entries.len()).rev() {
+            let m = &entries[q].matcher;
+            let Some(shape) = exact_shape(m) else {
+                continue;
+            };
+            let s = self.shape_mut(shape);
+            let h = fold(&match_words(m), shape);
+            let (at, _) = s
+                .chain(h)
+                .inspect(|_| *steps += 1)
+                .find(|&(_, p)| p as usize == q - 1)
+                .expect("an indexed entry sits in its chain");
+            s.slots[at] = q as u32;
         }
         let from = self.wild.partition_point(|&p| (p as usize) < pos);
         for p in &mut self.wild[from..] {
