@@ -26,24 +26,47 @@
 //! new one. The `horse-core` driver batches all events sharing one
 //! timestamp into an **epoch** and calls `reallocate` once per epoch.
 //!
-//! ## Discovery / solve split
+//! ## Resident components and the four phases
 //!
-//! `reallocate` runs in two phases:
+//! Flows that share links form disjoint *link-sharing components*, and
+//! each component's allocation problem stays resident between calls
+//! (the private `component` module): members in ascending flow-id order,
+//! macro-flow classes as weighted rows of component-local links, link
+//! capacities. Each occupied link records its component. Admission
+//! appends a member or bumps its class's weight and merges the components
+//! its links touch; a departure or detach tombstones the member. The
+//! class digest is computed once per admission. `reallocate` then runs in
+//! four phases:
 //!
-//! 1. **Discovery** walks the flows on dirty links (every link that
-//!    carries a flow after [`FluidNet::mark_all_dirty`]) into *disjoint
-//!    link-sharing components* using epoch-stamped bitmaps, in
-//!    deterministic first-touch order, and builds one dense subproblem
-//!    (capacities, demands, CSR adjacency) per component.
-//! 2. **Solve** water-fills each component independently, one after the
+//! 1. **Discovery** maps each dirty link straight to its resident
+//!    component, queued once in first-touch order, and rewrites the
+//!    link's capacity (gray and up/down changes mark it dirty). A
+//!    component that lost a class since its last check first runs a
+//!    union-find over its own rows; one found split, or more than half
+//!    dead, is rebuilt by the walk-and-build routine (epoch-stamped walk
+//!    of the arena's per-link lists into components, each built in
+//!    ascending flow-id order). That routine is also the `Full` oracle
+//!    ([`FluidNet::mark_all_dirty`] rebuilds every component), and it
+//!    serves restores and per-flow-variables toggles. Discovery ends
+//!    with the global ascending-id order of the queued members.
+//! 2. **Build** copies each queued component's live classes, capacities
+//!    and virtual external flows into one dense CSR problem: flat copies
+//!    with no arena access and no digest.
+//! 3. **Solve** water-fills each component independently, one after the
 //!    other with one engine-owned solver scratch. Components share no
 //!    links by construction, so their allocations are independent
-//!    subproblems. Results land in one rate array whose layout is fixed
-//!    by discovery order, and every observable side effect (byte syncs,
-//!    rate application, [`RateChange`] emission) is applied in ascending
-//!    flow-id order afterwards. Every discovered component is
-//!    water-filled on every call, straight into its slice of the rate
-//!    array; no solve is memoised across calls.
+//!    subproblems. Every queued component is water-filled on every call;
+//!    no solve is memoised across calls.
+//! 4. **Apply** sets rates, in ascending flow-id order across all
+//!    components: byte syncs, rate application and [`RateChange`]
+//!    emission.
+//!
+//! Exactness rests on two facts. Components are exactly the connected
+//! components a fresh walk would find, because a split is detected before
+//! the component is next solved. And the solver is invariant under
+//! permutation of variables, links and each row's link order (pinned by
+//! the `maxmin` property tests), so the order in which a resident
+//! component holds its classes and links changes no bit.
 //!
 //! ## Lazy byte integration
 //!
@@ -64,16 +87,16 @@
 //! Flow state is arena-backed ([`crate::slab::FlowArena`]): a
 //! generation-checked slab addressed by dense slot indices, one global
 //! intrusive active list and per-link intrusive membership lists — all in
-//! deterministic admission order, so the hot path never hashes and only
-//! re-sorts the nearly-sorted slot sets it actually processes.
-//! `reallocate` builds its allocation problems (dense
-//! link capacities, demands, CSR flow→link adjacency) into scratch buffers
-//! owned by the engine and runs the round-scan water-filler
-//! ([`crate::maxmin::max_min_allocate_csr`]) over them: in steady state
-//! `reallocate` performs **zero heap allocations** (covered by the
-//! `alloc_free` integration test; solver scratch is pre-grown, not
-//! per-epoch).
+//! deterministic admission order. Only the rebuild routine walks the
+//! membership lists; a steady-state run reads the resident components'
+//! flat arrays, copies each queued problem into scratch buffers owned by
+//! the engine and runs the round-scan water-filler
+//! ([`crate::maxmin::max_min_allocate_csr`]) over them. Component buffers
+//! are pooled, so in steady state `reallocate` performs **zero heap
+//! allocations** (covered by the `alloc_free` integration test; solver
+//! scratch is pre-grown, not per-epoch).
 
+use crate::component::{Check, Components, NONE};
 use crate::flow::{ActiveFlow, FlowSpec, Route, RouteHop};
 use crate::maxmin::{max_min_allocate_csr_weighted, MaxMinScratch};
 use crate::slab::FlowArena;
@@ -153,19 +176,17 @@ enum ResolveOutcome {
     NoRoute,
 }
 
-/// One disjoint allocation component discovered by the dirty walk. Every
-/// field is an index range into the concatenated per-component problem
-/// arrays of [`ReallocScratch`]; ranges of successive components are
-/// contiguous, so each component solves into its own slice of the merged
-/// rate array.
+/// One component queued for this run's solve. Every field but `comp` is
+/// an index range into the concatenated problem arrays of
+/// [`ReallocScratch`]; ranges of successive components are contiguous, so
+/// each component solves into its own slice of the merged rate array.
 #[derive(Clone, Copy, Debug, Default)]
 struct CompRange {
-    /// Real flows: range into `ids` (discovery fills this; the rest is
-    /// filled by the build pass).
-    flows: (u32, u32),
-    /// Demands/rates: real flows first, then virtual external flows.
+    /// The resident component (index into `Components::comps`).
+    comp: u32,
+    /// Demands/rates: live classes first, then virtual external flows.
     dem: (u32, u32),
-    /// Component links: range into `caps` / `problem_links`.
+    /// Component links: range into `caps`.
     links: (u32, u32),
     /// Component-local CSR offsets: range into `fl_off`.
     off: (u32, u32),
@@ -190,14 +211,23 @@ struct EngineMetrics {
     byte_syncs: Counter,
 }
 
-/// splitmix64 finaliser — the mixer behind macro-flow grouping digests.
-/// Purely arithmetic: deterministic across runs and platforms.
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// Counters of the resident allocation components (module docs), read
+/// with [`FluidNet::component_counters`]. Host-side only: they are
+/// neither snapshotted nor registered with the metrics registry, whose
+/// snapshot every lab report embeds, so reports do not change with them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ComponentCounters {
+    /// Components absorbed by an admission that bridged them.
+    pub merges: u64,
+    /// Split checks that found a component fallen apart.
+    pub splits: u64,
+    /// Split checks run: union-finds over a queued component that lost a
+    /// class since its last check.
+    pub split_checks: u64,
+    /// Runs of the walk-and-build rebuild routine: one per
+    /// [`FluidNet::mark_all_dirty`], restore or per-flow-variables toggle
+    /// that a run then serves, plus one per split or compacted component.
+    pub rebuilds: u64,
 }
 
 /// Wall-clock timing of the last [`FluidNet::reallocate`] call, split by
@@ -206,11 +236,13 @@ fn mix64(mut z: u64) -> u64 {
 /// the core exports these as Chrome-trace spans, nothing else.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReallocTiming {
-    /// Discovery pass — exported as the `realloc.discovery` span: the
-    /// link-sharing closure walk and the global ascending-id processing
+    /// Discovery pass — exported as the `realloc.discovery` span: dirty
+    /// links mapped to their resident components, split checks, any
+    /// rebuild from the arena, and the global ascending-id processing
     /// order. It syncs no bytes.
     pub discovery_ns: u64,
-    /// Build pass (dense subproblem construction).
+    /// Build pass: each queued component's live classes, capacities and
+    /// virtual external flows copied into one dense CSR problem.
     pub build_ns: u64,
     /// Solve pass (water-filling, one component after another).
     pub solve_ns: u64,
@@ -227,55 +259,39 @@ pub struct ReallocTiming {
 /// later call is allocation-free.
 #[derive(Default)]
 struct ReallocScratch {
-    /// Epoch for all the stamped maps below (bumped once per use site).
+    /// Epoch for the walk's visited stamps (bumped once per walk).
     gen: u64,
-    /// Link → component-local dense problem index, gen-stamped (no
-    /// per-call clearing; the generation is bumped once per component
-    /// build, so entries never leak across components).
-    link_idx: Vec<(u64, u32)>,
     /// Per-slot visited stamp for the component walk.
     flow_stamp: Vec<u64>,
     /// Per-link visited stamp for the component walk.
     link_stamp: Vec<u64>,
-    /// Slots of the flows under recomputation, concatenated per
-    /// component (ascending flow-id order within each component).
+    /// Slots found by the component walk (and by `sync_all`).
     ids: Vec<u32>,
-    /// Discovered components, in deterministic first-touch order.
-    comps: Vec<CompRange>,
-    /// Indices into `ids` sorted ascending by flow id across *all*
-    /// components: the order every observable side effect is applied in.
-    order: Vec<u32>,
-    /// For each `ids` entry, the index of its demand/rate slot (real
-    /// flows and virtual external flows interleave per component).
-    rate_idx: Vec<u32>,
     /// DFS stack for the component walk.
     stack: Vec<u32>,
+    /// Seed links of the next component walk.
+    seeds: Vec<u32>,
+    /// Components queued for this run's solve, in first-touch order.
+    comps: Vec<CompRange>,
+    /// `(flow id, component, member)` of every live member of a queued
+    /// component, ascending by flow id across all of them: the order
+    /// every observable side effect is applied in.
+    order: Vec<(u64, u32, u32)>,
     /// Dense problems: link capacities, concatenated per component.
     caps: Vec<f64>,
-    /// Dense problems: per-flow demands, concatenated per component.
+    /// Dense problems: per-variable demands, concatenated per component.
     demands: Vec<f64>,
-    /// Dense problems: component-local CSR flow → link adjacency.
+    /// Dense problems: component-local CSR variable → link adjacency.
     fl_off: Vec<u32>,
     fl_links: Vec<u32>,
-    /// Raw link index of each dense problem link (aligned with `caps`).
-    problem_links: Vec<u32>,
     /// Raw link index of each appended virtual external-demand flow.
     ext_links: Vec<u32>,
-    /// Merged allocator output (aligned with `demands`). With macro-flow
-    /// aggregation a variable's rate is the **per-member** rate, so the
-    /// apply pass reads it directly through `rate_idx`.
+    /// Merged allocator output (aligned with `demands`): a class's rate
+    /// is the **per-member** rate.
     rates: Vec<f64>,
     /// Dense problems: per-variable member count (aligned with
-    /// `demands`; 1 for unaggregated and virtual external flows).
+    /// `demands`; 1 for virtual external flows).
     weights: Vec<u32>,
-    /// Per dense variable: arena slot of its canonical (first) member,
-    /// `u32::MAX` for virtual external flows. Used to verify macro-table
-    /// probes exactly (digest equality alone is not proof).
-    macro_rep: Vec<u32>,
-    /// Macro-flow grouping table: open-addressing `(gen, digest, var)`
-    /// slots, power-of-two sized, gen-stamped per component build so no
-    /// clearing is ever needed.
-    macro_tab: Vec<(u64, u64, u32)>,
     /// Rate changes reported to the caller (borrowed out of `reallocate`).
     changes: Vec<RateChange>,
 }
@@ -302,19 +318,18 @@ fn component_closure(flows: &FlowArena, scratch: &mut ReallocScratch, gen: u64) 
     }
 }
 
-/// Sorts a freshly discovered component (`ids[start..]`) ascending by
-/// flow id and records its flow range (the build pass fills the problem
-/// ranges later). Empty walks (a dirty link with no flows) record
-/// nothing.
-fn finish_component(flows: &FlowArena, scratch: &mut ReallocScratch, start: usize) {
-    if scratch.ids.len() == start {
-        return;
-    }
-    scratch.ids[start..].sort_unstable_by_key(|&s| flows.flow_at(s).id);
-    scratch.comps.push(CompRange {
-        flows: (start as u32, scratch.ids.len() as u32),
-        ..CompRange::default()
-    });
+/// Allocatable capacity of link `li`: nominal times its gray factor while
+/// up, 0 while down.
+fn link_capacity(topo: &Topology, gray: &[f64], li: usize) -> f64 {
+    topo.link(LinkId::from_index(li))
+        .map(|lk| {
+            if lk.is_up() {
+                lk.capacity.as_bps() * gray[li]
+            } else {
+                0.0
+            }
+        })
+        .unwrap_or(0.0)
 }
 
 /// The fluid data plane (see module docs).
@@ -357,6 +372,15 @@ pub struct FluidNet {
     /// Switches currently crashed (down, tables wiped). Used to suppress
     /// cable restoration toward dead peers.
     crashed: HashSet<NodeId>,
+    /// The resident allocation components (derived state, never
+    /// snapshotted).
+    res: Components,
+    /// The resident components are stale (after `mark_all_dirty`, a
+    /// restore or a per-flow-variables toggle): the next run rebuilds them
+    /// all from the arena, and admissions and departures skip them until
+    /// then.
+    rebuild_pending: bool,
+    counters: ComponentCounters,
     scratch: ReallocScratch,
     /// Water-filling scratch, reused by every component of every call.
     maxmin: MaxMinScratch,
@@ -368,7 +392,7 @@ pub struct FluidNet {
     /// compare against `realloc_flows_touched` for the compression the
     /// path-class trick bought — equal when aggregation is off).
     pub macro_flows: u64,
-    /// Component water-fills executed (one per discovered component).
+    /// Component water-fills executed (one per queued component).
     pub cold_solves: u64,
     metrics: EngineMetrics,
     /// Capture wall-clock phase timing on the next `reallocate` calls.
@@ -405,8 +429,10 @@ impl FluidNet {
             external_granted: vec![0.0; nl],
             gray: vec![1.0; nl],
             crashed: HashSet::new(),
+            res: Components::new(nl),
+            rebuild_pending: false,
+            counters: ComponentCounters::default(),
             scratch: ReallocScratch {
-                link_idx: vec![(0, 0); nl],
                 link_stamp: vec![0; nl],
                 ..ReallocScratch::default()
             },
@@ -445,10 +471,20 @@ impl FluidNet {
     }
 
     /// Test support: solve one variable per flow, the oracle macro-flow
-    /// aggregation is proven against. Not part of snapshots.
+    /// aggregation is proven against. Not part of snapshots. A toggle
+    /// regroups every resident component on the next run.
     #[doc(hidden)]
     pub fn set_per_flow_variables(&mut self, on: bool) {
-        self.per_flow_variables = on;
+        if self.per_flow_variables != on {
+            self.per_flow_variables = on;
+            self.rebuild_pending = true;
+        }
+    }
+
+    /// Merges, splits, split checks and rebuilds of the resident
+    /// components so far (host-side; see [`ComponentCounters`]).
+    pub fn component_counters(&self) -> ComponentCounters {
+        self.counters
     }
 
     /// Phase timing of the most recent [`FluidNet::reallocate`] call,
@@ -567,11 +603,13 @@ impl FluidNet {
         }
     }
 
-    /// Marks every link that carries a flow dirty, so the next
-    /// [`FluidNet::reallocate`] re-solves every active flow: the
-    /// recompute-everything oracle the incremental discovery is checked
-    /// against.
+    /// Marks every link that carries a flow dirty and discards the
+    /// resident components, so the next [`FluidNet::reallocate`] rebuilds
+    /// every component from the flow arena and re-solves every active
+    /// flow: the recompute-everything oracle the resident components are
+    /// checked against.
     pub fn mark_all_dirty(&mut self) {
+        self.rebuild_pending = true;
         for li in 0..self.dirty_stamp.len() {
             if self.flows.flows_on_link(li).next().is_some() {
                 self.mark_dirty(LinkId::from_index(li));
@@ -643,7 +681,8 @@ impl FluidNet {
                     started: arrived,
                     last_update: now,
                 };
-                self.flows.insert(flow);
+                let slot = self.flows.insert(flow);
+                self.join_component(slot);
                 AdmitOutcome::Admitted
             }
             ResolveOutcome::NeedController {
@@ -1003,17 +1042,16 @@ impl FluidNet {
     /// returned slice borrows engine scratch — copy what must outlive the
     /// next call.
     ///
-    /// Only the connected components of flows sharing links with dirty
-    /// links (accumulated since the last call) are recomputed; after
-    /// [`FluidNet::mark_all_dirty`] that is every active flow. The
-    /// affected flows decompose into disjoint link-sharing components,
-    /// each water-filled as an independent subproblem — see the module
-    /// docs for the discovery/solve split and the determinism contract.
+    /// Only the resident components holding a dirty link (accumulated
+    /// since the last call) are recomputed; after
+    /// [`FluidNet::mark_all_dirty`] that is every active flow. Each is
+    /// water-filled as an independent subproblem — see the module docs
+    /// for the four phases and the determinism contract.
     ///
-    /// Flows sharing an identical link sequence and demand collapse into
-    /// one weighted macro-flow variable before the solve — a pure
-    /// solver-work optimization: the returned rates are bit-identical to
-    /// a solve with one variable per flow.
+    /// Flows sharing an identical link sequence and demand share one
+    /// weighted macro-flow variable — a pure solver-work optimization:
+    /// the returned rates are bit-identical to a solve with one variable
+    /// per flow.
     ///
     /// # Example
     ///
@@ -1068,7 +1106,7 @@ impl FluidNet {
         let t_enter = self.timing_enabled.then(Instant::now);
         self.realloc_runs += 1;
         self.metrics.realloc_runs.inc();
-        // No dirty link seeds no component: the run would touch no flow,
+        // No dirty link queues no component: the run would touch no flow,
         // so it stops here, still counted as a run.
         if self.dirty_links.is_empty() {
             if let Some(t0) = t_enter {
@@ -1079,59 +1117,64 @@ impl FluidNet {
             }
             return &[];
         }
-        self.scratch.gen += 1;
-        let gen = self.scratch.gen;
         self.scratch.changes.clear();
-        self.scratch.ids.clear();
         self.scratch.comps.clear();
 
         // ---- Discovery pass ----
-        // Partition the flows on dirty links into disjoint link-sharing
-        // components, in deterministic first-touch order (dirty-link
-        // insertion order); each component's flows are sorted ascending
-        // by id. Epoch-stamped visited maps over slots and links replace
-        // per-call hash sets.
-        {
-            let flows = &self.flows;
-            let scratch = &mut self.scratch;
-            let slots = flows.slot_count();
-            if scratch.flow_stamp.len() < slots {
-                scratch.flow_stamp.resize(slots, 0);
+        // Stale components are rebuilt from the arena first. Then every
+        // dirty link maps straight to its resident component, queued once
+        // in first-touch order (dirty-link insertion order). A component
+        // that lost a class since its last check is checked for a split
+        // first, and rebuilt if it fell apart or is mostly dead. A dirty
+        // link's capacity is refreshed in place (gray and up/down changes
+        // mark the link dirty).
+        if self.rebuild_pending {
+            self.rebuild_pending = false;
+            self.res.clear();
+            self.scratch.seeds.clear();
+            self.scratch.seeds.extend(0..self.topo.link_count() as u32);
+            self.build_components();
+        }
+        // The run count stamps the queued components: it grows every run,
+        // and a restore, which may lower it, discards every component.
+        let epoch = self.realloc_runs;
+        let mut touched = 0u64;
+        for k in 0..self.dirty_links.len() {
+            let li = self.dirty_links[k].index();
+            let mut c = self.res.link_comp[li];
+            if c == NONE {
+                continue;
             }
-            scratch.stack.clear();
-            for k in 0..self.dirty_links.len() {
-                let li = self.dirty_links[k].index();
-                if scratch.link_stamp[li] == gen {
-                    continue;
+            if self.res.comps[c as usize].visit != epoch {
+                let (checked, verdict) = self.res.check(c);
+                self.counters.split_checks += u64::from(checked);
+                if verdict != Check::Keep {
+                    self.counters.splits += u64::from(verdict == Check::Split);
+                    self.scratch.seeds.clear();
+                    self.res.dissolve(c, &mut self.scratch.seeds);
+                    self.build_components();
+                    c = self.res.link_comp[li];
                 }
-                scratch.link_stamp[li] = gen;
-                let start = scratch.ids.len();
-                for slot in flows.flows_on_link(li) {
-                    if scratch.flow_stamp[slot as usize] != gen {
-                        scratch.flow_stamp[slot as usize] = gen;
-                        scratch.ids.push(slot);
-                        scratch.stack.push(slot);
-                    }
-                }
-                component_closure(flows, scratch, gen);
-                finish_component(flows, scratch, start);
+                let comp = &mut self.res.comps[c as usize];
+                comp.visit = epoch;
+                touched += u64::from(comp.live);
+                self.metrics.component_flows.observe(u64::from(comp.live));
+                self.scratch.comps.push(CompRange {
+                    comp: c,
+                    ..CompRange::default()
+                });
             }
+            let local = self.res.link_local[li] as usize;
+            self.res.comps[c as usize].links[local].cap = link_capacity(&self.topo, &self.gray, li);
         }
         self.dirty_links.clear();
         self.dirty_epoch += 1;
-        self.realloc_flows_touched += self.scratch.ids.len() as u64;
-        self.metrics
-            .realloc_flows_touched
-            .add(self.scratch.ids.len() as u64);
+        self.realloc_flows_touched += touched;
+        self.metrics.realloc_flows_touched.add(touched);
         self.metrics
             .realloc_components
             .add(self.scratch.comps.len() as u64);
-        for c in &self.scratch.comps {
-            self.metrics
-                .component_flows
-                .observe((c.flows.1 - c.flows.0) as u64);
-        }
-        if self.scratch.ids.is_empty() {
+        if self.scratch.comps.is_empty() {
             if let Some(t0) = t_enter {
                 self.timing = ReallocTiming {
                     discovery_ns: t0.elapsed().as_nanos() as u64,
@@ -1144,158 +1187,78 @@ impl FluidNet {
         // ---- Global processing order ----
         // Every observable side effect below (byte syncs of changed
         // flows, rate application, RateChange emission, link-rate
-        // accumulation) runs ascending by flow id across all components —
-        // the same order the joint solve used, independent of component
-        // discovery order.
+        // accumulation) runs ascending by flow id across all components,
+        // independent of the order they were queued in.
         {
-            let flows = &self.flows;
-            let ReallocScratch {
-                order, ids, comps, ..
-            } = &mut self.scratch;
+            let ReallocScratch { order, comps, .. } = &mut self.scratch;
             order.clear();
-            order.extend(0..ids.len() as u32);
-            // One component (the steady-state incremental case) is
-            // already ascending from discovery — the merge is identity.
+            for cr in comps.iter() {
+                let members = &self.res.comps[cr.comp as usize].members;
+                for (i, m) in members.iter().enumerate() {
+                    if m.slot != NONE {
+                        order.push((m.id, cr.comp, i as u32));
+                    }
+                }
+            }
+            // One component (the steady-state case) is already ascending.
             if comps.len() > 1 {
-                order.sort_unstable_by_key(|&i| flows.flow_at(ids[i as usize]).id);
+                order.sort_unstable_by_key(|e| e.0);
             }
         }
         let t_discovered = t_enter.map(|_| Instant::now());
 
         // ---- Build pass ----
-        // One dense subproblem per component (CSR adjacency with
-        // component-local link indices, dense capacities), concatenated
-        // into reusable scratch. Flows outside a component cannot share
-        // its links (by construction), so full link capacity is available
-        // to each component. The link → dense index map is a
-        // generation-stamped scratch vector, bumped once per component so
-        // entries never leak across components (no per-call clearing or
-        // hashing — this is the hottest loop in the engine).
+        // Each queued component's live classes are copied into one dense
+        // subproblem (CSR adjacency over component-local link indices,
+        // capacities), concatenated into reusable scratch: flat copies,
+        // no arena access and no class digest. Flows outside a component
+        // cannot share its links, so full link capacity is available to
+        // each. A dead class is skipped; a link no live class crosses
+        // keeps its slot in `caps`, where the solver never touches it.
         {
-            let use_macro = !self.per_flow_variables;
             let scratch = &mut self.scratch;
             scratch.caps.clear();
             scratch.demands.clear();
             scratch.fl_off.clear();
             scratch.fl_links.clear();
-            scratch.problem_links.clear();
             scratch.ext_links.clear();
-            scratch.rate_idx.clear();
             scratch.weights.clear();
-            scratch.macro_rep.clear();
             // The arena knows the exact worst-case CSR non-zero count
-            // (every active flow recomputed, no aggregation), so the
+            // (every active flow queued, no aggregation), so the
             // adjacency scratch never grows mid-build.
             scratch.fl_links.reserve(self.flows.route_entries());
-            if use_macro {
-                // Grow the grouping table to a power of two with head
-                // room for every flow under recomputation (gen stamps
-                // make clearing unnecessary; resizing preserves the
-                // power-of-two length because `need` is one and growth
-                // is monotone).
-                let need = (scratch.ids.len().max(16) * 2).next_power_of_two();
-                if scratch.macro_tab.len() < need {
-                    scratch.macro_tab.resize(need, (0, 0, 0));
-                }
-            }
-            let mask = scratch.macro_tab.len().wrapping_sub(1);
             for c_idx in 0..scratch.comps.len() {
-                scratch.gen += 1;
-                let cgen = scratch.gen;
                 let mut c = scratch.comps[c_idx];
+                let comp = &self.res.comps[c.comp as usize];
                 c.dem.0 = scratch.demands.len() as u32;
                 c.links.0 = scratch.caps.len() as u32;
                 c.off.0 = scratch.fl_off.len() as u32;
                 c.lnk.0 = scratch.fl_links.len() as u32;
                 c.ext.0 = scratch.ext_links.len() as u32;
-                for i in c.flows.0..c.flows.1 {
-                    let slot = scratch.ids[i as usize];
-                    let flow = self.flows.flow_at(slot);
-                    let demand = flow.effective_demand();
-                    if use_macro {
-                        // Path-class digest: the link sequence plus the
-                        // demand bits. Flows in ascending-id order, so
-                        // the first member of a class becomes its
-                        // canonical representative and variable order is
-                        // first-touch deterministic.
-                        let mut h = mix64(demand.to_bits());
-                        for &l in &flow.route.links {
-                            h = mix64(h ^ (l.index() as u64 + 1));
-                        }
-                        let mut idx = (h as usize) & mask;
-                        let mut joined = false;
-                        loop {
-                            let e = scratch.macro_tab[idx];
-                            if e.0 != cgen {
-                                break; // empty: this flow founds a class
-                            }
-                            if e.1 == h {
-                                let var = e.2 as usize;
-                                let rep = self.flows.flow_at(scratch.macro_rep[var]);
-                                // The digest is a hint; membership takes
-                                // exact demand-bit and link-sequence
-                                // equality (collisions fall through to
-                                // the next probe slot).
-                                if scratch.demands[var].to_bits() == demand.to_bits()
-                                    && rep.route.links == flow.route.links
-                                {
-                                    scratch.weights[var] += 1;
-                                    scratch.rate_idx.push(var as u32);
-                                    joined = true;
-                                    break;
-                                }
-                            }
-                            idx = (idx + 1) & mask;
-                        }
-                        if joined {
-                            continue;
-                        }
-                        scratch.macro_tab[idx] = (cgen, h, scratch.demands.len() as u32);
+                for (k, class) in comp.classes.iter().enumerate() {
+                    if class.weight == 0 {
+                        continue;
                     }
                     scratch.fl_off.push(scratch.fl_links.len() as u32 - c.lnk.0);
-                    for &l in &flow.route.links {
-                        let entry = &mut scratch.link_idx[l.index()];
-                        if entry.0 != cgen {
-                            let cap = self
-                                .topo
-                                .link(l)
-                                .map(|lk| {
-                                    if lk.is_up() {
-                                        lk.capacity.as_bps() * self.gray[l.index()]
-                                    } else {
-                                        0.0
-                                    }
-                                })
-                                .unwrap_or(0.0);
-                            scratch.caps.push(cap);
-                            scratch.problem_links.push(l.index() as u32);
-                            *entry = (cgen, scratch.caps.len() as u32 - 1 - c.links.0);
-                        }
-                        scratch.fl_links.push(entry.1);
-                    }
-                    scratch.rate_idx.push(scratch.demands.len() as u32);
-                    scratch.weights.push(1);
-                    scratch.macro_rep.push(slot);
-                    scratch.demands.push(demand);
+                    scratch.fl_links.extend_from_slice(comp.row(k));
+                    scratch.demands.push(class.demand);
+                    scratch.weights.push(class.weight);
                 }
-                // Hybrid coupling: every component link carrying external
-                // (packet plane) load contributes one virtual single-link
-                // flow, so the packet aggregate takes part in the same
-                // water-filling instead of being carved out of capacity.
-                // No external demand (the pure fluid case) appends nothing
-                // and the problem is unchanged.
-                for dense in c.links.0..scratch.caps.len() as u32 {
-                    let li = scratch.problem_links[dense as usize];
-                    let d = self.external_demand[li as usize];
-                    if d > 0.0 {
+                scratch.caps.extend(comp.links.iter().map(|l| l.cap));
+                // Hybrid coupling: every live component link carrying
+                // external (packet plane) load contributes one virtual
+                // single-link flow, so the packet aggregate takes part in
+                // the same water-filling instead of being carved out of
+                // capacity. No external demand (the pure fluid case)
+                // appends nothing and the problem is unchanged.
+                for (k, l) in comp.links.iter().enumerate() {
+                    let d = self.external_demand[l.raw as usize];
+                    if l.live > 0 && d > 0.0 {
                         scratch.fl_off.push(scratch.fl_links.len() as u32 - c.lnk.0);
-                        scratch.fl_links.push(dense - c.links.0);
+                        scratch.fl_links.push(k as u32);
                         scratch.demands.push(d);
-                        // External aggregates never aggregate with real
-                        // flows (and carry no representative).
                         scratch.weights.push(1);
-                        scratch.macro_rep.push(u32::MAX);
-                        scratch.ext_links.push(li);
+                        scratch.ext_links.push(l.raw);
                     }
                 }
                 scratch.fl_off.push(scratch.fl_links.len() as u32 - c.lnk.0);
@@ -1315,7 +1278,7 @@ impl FluidNet {
         // ---- Solve pass ----
         // Each component is an independent water-filling problem; its
         // rates land in the component's own segment of the merged rate
-        // array, so the merge is position-fixed by discovery order.
+        // array and go back to its live classes.
         {
             let ReallocScratch {
                 comps,
@@ -1341,6 +1304,13 @@ impl FluidNet {
                     &mut self.maxmin,
                 );
                 self.metrics.rounds.observe(rounds as u64);
+                let mut var = d0;
+                for class in &mut self.res.comps[c.comp as usize].classes {
+                    if class.weight > 0 {
+                        class.rate = rates[var];
+                        var += 1;
+                    }
+                }
             }
             self.cold_solves += comps.len() as u64;
         }
@@ -1349,19 +1319,22 @@ impl FluidNet {
 
         // ---- Apply pass (ascending flow id) ----
         for k in 0..self.scratch.order.len() {
-            let i = self.scratch.order[k] as usize;
-            let slot = self.scratch.ids[i];
-            let new_rate = Rate::bps(self.scratch.rates[self.scratch.rate_idx[i] as usize]);
-            let old_rate = self.flows.flow_at(slot).rate;
-            let changed = (new_rate.as_bps() - old_rate.as_bps()).abs() > 1e-6;
+            let (_, c, i) = self.scratch.order[k];
+            let comp = &mut self.res.comps[c as usize];
+            let m = &mut comp.members[i as usize];
+            let new_rate = Rate::bps(comp.classes[m.class as usize].rate);
+            let old_bps = m.rate;
             // Only changed flows need rescheduling: an unchanged rate means
             // the previously scheduled completion event is still exact, and
             // its bytes stay linear in time, so it is not synced either.
-            if changed {
+            if (new_rate.as_bps() - old_bps).abs() > 1e-6 {
+                m.rate = new_rate.as_bps();
+                let slot = m.slot;
                 // Integrate up to now at the old rate before the line bends.
                 self.sync_flow_slot(slot, now);
                 let flow = self.flows.flow_at_mut(slot);
-                let delta = new_rate.as_bps() - old_rate.as_bps();
+                debug_assert_eq!(flow.rate.as_bps().to_bits(), old_bps.to_bits());
+                let delta = new_rate.as_bps() - old_bps;
                 flow.rate = new_rate;
                 let change = RateChange {
                     id: flow.id,
@@ -1378,8 +1351,8 @@ impl FluidNet {
             }
         }
         // Record the grants handed to the external (packet) aggregates;
-        // their rates sit past the real (macro) variables of their
-        // component, i.e. in the last `ext` entries of its dense range.
+        // their rates sit past the live classes of their component, i.e.
+        // in the last `ext` entries of its dense range.
         for c_idx in 0..self.scratch.comps.len() {
             let c = self.scratch.comps[c_idx];
             for k in c.ext.0..c.ext.1 {
@@ -1397,6 +1370,87 @@ impl FluidNet {
         &self.scratch.changes
     }
 
+    /// Registers a just-admitted flow with its resident component.
+    fn join_component(&mut self, slot: u32) {
+        if self.rebuild_pending {
+            return;
+        }
+        let flow = self.flows.flow_at(slot);
+        let (topo, gray) = (&self.topo, &self.gray);
+        self.counters.merges += u64::from(self.res.admit(
+            flow.id.0,
+            slot,
+            &flow.route.links,
+            flow.effective_demand(),
+            self.per_flow_variables,
+            |li| link_capacity(topo, gray, li),
+        ));
+    }
+
+    /// Tombstones a leaving flow in its resident component.
+    fn leave_component(&mut self, slot: u32) {
+        if self.rebuild_pending {
+            return;
+        }
+        let flow = self.flows.flow_at(slot);
+        self.res.depart(flow.id.0, &flow.route.links);
+    }
+
+    /// The single rebuild routine: walks the flow arena from the links in
+    /// `scratch.seeds` into link-sharing components and builds each one
+    /// resident, its flows in ascending id order. Serves the `Full`
+    /// oracle, restores, per-flow-variables toggles and split or mostly
+    /// dead components. Every link the walk reaches must be unmapped.
+    fn build_components(&mut self) {
+        self.counters.rebuilds += 1;
+        self.scratch.gen += 1;
+        let gen = self.scratch.gen;
+        let slots = self.flows.slot_count();
+        if self.scratch.flow_stamp.len() < slots {
+            self.scratch.flow_stamp.resize(slots, 0);
+        }
+        let seeds = std::mem::take(&mut self.scratch.seeds);
+        for &li in &seeds {
+            let li = li as usize;
+            let scratch = &mut self.scratch;
+            if scratch.link_stamp[li] == gen {
+                continue;
+            }
+            scratch.link_stamp[li] = gen;
+            scratch.ids.clear();
+            scratch.stack.clear();
+            for slot in self.flows.flows_on_link(li) {
+                if scratch.flow_stamp[slot as usize] != gen {
+                    scratch.flow_stamp[slot as usize] = gen;
+                    scratch.ids.push(slot);
+                    scratch.stack.push(slot);
+                }
+            }
+            component_closure(&self.flows, scratch, gen);
+            if scratch.ids.is_empty() {
+                continue;
+            }
+            let flows = &self.flows;
+            scratch.ids.sort_unstable_by_key(|&s| flows.flow_at(s).id);
+            let c = self.res.alloc();
+            for &slot in &self.scratch.ids {
+                let flow = self.flows.flow_at(slot);
+                let (topo, gray) = (&self.topo, &self.gray);
+                self.res.push_member(
+                    c,
+                    flow.id.0,
+                    slot,
+                    flow.rate.as_bps(),
+                    &flow.route.links,
+                    flow.effective_demand(),
+                    self.per_flow_variables,
+                    |li| link_capacity(topo, gray, li),
+                );
+            }
+        }
+        self.scratch.seeds = seeds;
+    }
+
     /// Removes a flow (completion or teardown), producing its record.
     /// Call [`reallocate`] afterwards to redistribute its bandwidth.
     ///
@@ -1404,6 +1458,7 @@ impl FluidNet {
     pub fn remove_flow(&mut self, id: FlowId, now: SimTime, completed: bool) -> Option<FlowRecord> {
         let slot = self.flows.slot_of(id)?;
         self.sync_flow_slot(slot, now);
+        self.leave_component(slot);
         let flow = self.flows.remove(id)?;
         for &l in &flow.route.links {
             let s = &mut self.link_stats[l.index()];
@@ -1484,6 +1539,7 @@ impl FluidNet {
         for &slot in &victims {
             let id = self.flows.flow_at(slot).id;
             self.sync_flow_slot(slot, now);
+            self.leave_component(slot);
             if let Some(flow) = self.flows.remove(id) {
                 ids.push(id);
                 for &l in &flow.route.links {
@@ -1665,9 +1721,10 @@ impl FluidNet {
     /// active flows in admission order (so a restore re-inserts them into
     /// an identical arena layout order-wise), records, pending dirty
     /// links, hybrid coupling vectors, crash set and the engine's
-    /// cumulative counters. Solver scratch and
+    /// cumulative counters. The resident components, solver scratch and
     /// wall-clock timing are rebuildable and deliberately excluded — a
-    /// restored plane computes bit-identical rates regardless.
+    /// restored plane rebuilds its components from the restored flows on
+    /// its next run and computes bit-identical rates regardless.
     pub fn snapshot_state(&self, w: &mut SnapWriter) {
         // Directed link states, in link-id order.
         let nl = self.topo.link_count();
@@ -1752,6 +1809,7 @@ impl FluidNet {
         // assignment — survives the round trip.
         let nf = r.len_prefix()?;
         self.flows = FlowArena::new(nl);
+        self.rebuild_pending = true;
         for _ in 0..nf {
             let flow = ActiveFlow::unsnap(r)?;
             self.flows.insert(flow);
@@ -2369,6 +2427,91 @@ mod tests {
                 "one observation per component (full {full})"
             );
         }
+    }
+
+    /// Rate bits of every active flow, ascending by id.
+    fn rate_bits(net: &FluidNet) -> Vec<(FlowId, u64)> {
+        let mut v: Vec<(FlowId, u64)> = net
+            .active_flows()
+            .map(|f| (f.id, f.rate.as_bps().to_bits()))
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    /// Runs `events` (admit `src → dst` pairs, or remove the flow admitted
+    /// at an earlier step) on a resident plane and on the rebuild oracle,
+    /// reallocating after each and asserting bit-identical rates. Returns
+    /// the resident plane and the components each run solved.
+    fn resident_vs_rebuild(events: &[Result<(usize, usize), usize>]) -> (FluidNet, Vec<u64>) {
+        let (mut inc, members) = star_net(8);
+        let (mut full, _) = star_net(8);
+        let mut ids = Vec::new();
+        let mut solved = Vec::new();
+        for (step, ev) in events.iter().enumerate() {
+            let t = SimTime::from_millis(step as u64);
+            match *ev {
+                Ok((src, dst)) => {
+                    let id = inc.reserve_id();
+                    assert_eq!(full.reserve_id(), id);
+                    let spec = star_spec(&inc, &members, src, dst);
+                    assert!(matches!(
+                        inc.try_admit(id, spec.clone(), t),
+                        AdmitOutcome::Admitted
+                    ));
+                    assert!(matches!(
+                        full.try_admit(id, spec, t),
+                        AdmitOutcome::Admitted
+                    ));
+                    ids.push(id);
+                }
+                Err(k) => {
+                    assert!(inc.remove_flow(ids[k], t, true).is_some());
+                    assert!(full.remove_flow(ids[k], t, true).is_some());
+                    ids.push(ids[k]);
+                }
+            }
+            let before = inc.cold_solves;
+            inc.reallocate(t);
+            solved.push(inc.cold_solves - before);
+            full.mark_all_dirty();
+            full.reallocate(t);
+            assert_eq!(rate_bits(&inc), rate_bits(&full), "step {step}");
+        }
+        (inc, solved)
+    }
+
+    #[test]
+    fn departing_bridge_splits_its_component() {
+        // 0→1 crosses host 0's uplink A, 2→3 host 3's downlink B, and X
+        // (0→3) crosses both, so the three are one component. When X
+        // leaves, the next run solves two components, not one.
+        let (net, solved) = resident_vs_rebuild(&[Ok((0, 1)), Ok((2, 3)), Ok((0, 3)), Err(2)]);
+        assert_eq!(solved, vec![1, 1, 1, 2]);
+        let c = net.component_counters();
+        assert_eq!((c.merges, c.split_checks, c.splits), (1, 1, 1));
+    }
+
+    #[test]
+    fn arriving_bridge_merges_two_components() {
+        // The same three flows with X arriving last: the pairs are solved
+        // apart until X bridges them into one component.
+        let (net, solved) = resident_vs_rebuild(&[Ok((0, 1)), Ok((2, 3)), Ok((4, 5)), Ok((0, 3))]);
+        assert_eq!(solved, vec![1, 1, 1, 1]);
+        assert_eq!(net.cold_solves, 4);
+        let c = net.component_counters();
+        assert_eq!((c.merges, c.splits), (1, 0));
+        // A departure that leaves the rest connected checks, finds no
+        // split and solves the one component.
+        let (net, solved) =
+            resident_vs_rebuild(&[Ok((0, 1)), Ok((0, 3)), Ok((2, 3)), Ok((0, 1)), Err(0)]);
+        assert_eq!(solved, vec![1, 1, 1, 1, 1]);
+        let c = net.component_counters();
+        assert_eq!(
+            (c.split_checks, c.splits),
+            (0, 0),
+            "class 0→1 still has a member"
+        );
     }
 
     #[test]

@@ -30,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod component;
 pub mod engine;
 pub mod flow;
 pub mod maxmin;
@@ -37,7 +38,9 @@ pub mod slab;
 pub mod stats;
 pub mod tcp;
 
-pub use engine::{AdmitOutcome, FluidConfig, FluidNet, RateChange, ReallocTiming};
+pub use engine::{
+    AdmitOutcome, ComponentCounters, FluidConfig, FluidNet, RateChange, ReallocTiming,
+};
 pub use flow::{ActiveFlow, DemandModel, Fidelity, FlowSpec, Route, RouteHop};
 pub use maxmin::{max_min_allocate, max_min_allocate_csr, MaxMinScratch};
 pub use slab::FlowArena;

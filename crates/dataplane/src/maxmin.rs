@@ -805,10 +805,61 @@ mod tests {
         }
     }
 
-    /// Heavy randomised sweep of both bitwise properties (40k problems of
-    /// the shapes the proptests sample). Ignored by default; CI runs it
-    /// in release with `cargo test --release -p horse-dataplane --lib --
-    /// --ignored`.
+    /// Asserts the weighted solve is invariant under relabelling: the
+    /// same problem with its variables, its links and each row's link
+    /// order shuffled yields bit-identical per-variable rates in the same
+    /// number of rounds. The engine's resident components rest on this:
+    /// they keep classes, links and rows in admission order, not in the
+    /// order a fresh walk would find them.
+    pub(super) fn assert_permutation_invariant(
+        rnd: &mut impl FnMut() -> u64,
+        demands: &[f64],
+        weights: &[u32],
+        fl: &[Vec<usize>],
+        caps: &[f64],
+    ) {
+        let mut shuffled = |n: usize| -> Vec<usize> {
+            let mut p: Vec<usize> = (0..n).collect();
+            for k in (1..n).rev() {
+                p.swap(k, (rnd() % (k as u64 + 1)) as usize);
+            }
+            p
+        };
+        // Variable f moves to position var[f], link l to position link[l].
+        let (var, link) = (shuffled(demands.len()), shuffled(caps.len()));
+        let (mut pd, mut pw, mut pfl) = (
+            vec![0.0; demands.len()],
+            vec![0; demands.len()],
+            vec![Vec::new(); demands.len()],
+        );
+        for f in 0..demands.len() {
+            pd[var[f]] = demands[f];
+            pw[var[f]] = weights[f];
+            let order = shuffled(fl[f].len());
+            pfl[var[f]] = order.iter().map(|&j| link[fl[f][j]]).collect();
+        }
+        let mut pc = vec![0.0; caps.len()];
+        for l in 0..caps.len() {
+            pc[link[l]] = caps[l];
+        }
+        let (want, want_rounds) = solve_weighted(demands, weights, fl, caps);
+        let (got, got_rounds) = solve_weighted(&pd, &pw, &pfl, &pc);
+        for f in 0..demands.len() {
+            assert_eq!(
+                want[f].to_bits(),
+                got[var[f]].to_bits(),
+                "variable {f}: {} as given vs {} relabelled",
+                want[f],
+                got[var[f]]
+            );
+        }
+        assert_eq!(want_rounds, got_rounds, "rounds differ after relabelling");
+    }
+
+    /// Heavy randomised sweep of the three bitwise properties (40k
+    /// problems of the shapes the proptests sample). Ignored by default;
+    /// CI runs it in release with `cargo test --release -p
+    /// horse-dataplane -- --ignored`.
     #[test]
     #[ignore]
     fn stress_solver_matches_reference_bitwise() {
@@ -817,6 +868,7 @@ mod tests {
             let (demands, weights, fl, caps) = random_problem(&mut rnd, 48, 14, 6);
             assert_matches_reference(&demands, &fl, &caps);
             assert_weighted_matches_expanded(&demands, &weights, &fl, &caps);
+            assert_permutation_invariant(&mut rnd, &demands, &weights, &fl, &caps);
         }
     }
 
@@ -1040,23 +1092,27 @@ mod proptests {
         /// oracle on randomised problems: dense grids with degenerate
         /// shapes (zero capacities, zero demands, linkless flows, a link
         /// listed twice) and ≥ 64-level staircases where demand freezes
-        /// share rounds with saturations.
+        /// share rounds with saturations. Relabelling variables, links
+        /// and row order changes no bit and no round count.
         #[test]
         fn solver_matches_reference_bitwise(seed in 0u64..u64::MAX) {
             let mut rnd = tests::xorshift(seed | 1);
-            let (demands, _, fl, caps) = tests::random_problem(&mut rnd, 40, 12, 1);
+            let (demands, weights, fl, caps) = tests::random_problem(&mut rnd, 40, 12, 1);
             tests::assert_matches_reference(&demands, &fl, &caps);
+            tests::assert_permutation_invariant(&mut rnd, &demands, &weights, &fl, &caps);
         }
 
         /// Macro-flow equivalence: a weighted variable must receive the
         /// exact bits each of its expanded members would get from the
         /// unweighted solver, on the same problem shapes, with weights up
-        /// to 6 on the links that saturate.
+        /// to 6 on the links that saturate; relabelling the weighted
+        /// problem changes no bit and no round count.
         #[test]
         fn weighted_matches_expanded_bitwise(seed in 0u64..u64::MAX) {
             let mut rnd = tests::xorshift(seed | 1);
             let (demands, weights, fl, caps) = tests::random_problem(&mut rnd, 12, 8, 6);
             tests::assert_weighted_matches_expanded(&demands, &weights, &fl, &caps);
+            tests::assert_permutation_invariant(&mut rnd, &demands, &weights, &fl, &caps);
         }
     }
 }

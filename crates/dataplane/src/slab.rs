@@ -25,10 +25,9 @@
 //! flow × link), so admission/teardown recycle memory instead of
 //! allocating per event in steady state.
 //!
-//! The macro-flow build pass (path-class discovery, see
-//! `ARCHITECTURE.md` §10) walks these same admission-ordered lists: the
-//! canonical representative of a path class is simply the first member
-//! encountered, which the ordering above makes deterministic. The live
+//! The engine's rebuild routine (the `Full` oracle, restores, split
+//! components; see `ARCHITECTURE.md` §10) walks these same
+//! admission-ordered lists to discover link-sharing components. The live
 //! node count ([`FlowArena::route_entries`]) is exactly the allocator's
 //! worst-case CSR non-zero count, so the engine pre-reserves its scratch
 //! from it instead of growing mid-build.

@@ -1,8 +1,11 @@
-//! Property: incremental discovery (re-solve the flows sharing links with
-//! what changed) produces the same rates as the full oracle
-//! ([`FluidNet::mark_all_dirty`] before every run) after **every** event
-//! of a randomized admit/remove scenario — the invariant that makes the
-//! oracle a pure performance comparison rather than a semantics change.
+//! Property: the resident components (re-solve the component of every
+//! dirty link, kept between runs) produce bit-identical rates to the
+//! rebuild oracle ([`FluidNet::mark_all_dirty`] before every run, which
+//! rebuilds every component from the flow arena) after **every** event
+//! of a randomized schedule of admissions, controller-retry admissions,
+//! removals, gray changes, cable failures and repairs and external
+//! demand — the invariant that makes the oracle a pure performance
+//! comparison rather than a semantics change.
 //!
 //! Property: lazy byte integration conserves bytes. A flow's bytes are
 //! integrated only when its rate changes, when it leaves the network, or
@@ -18,7 +21,9 @@
 //!   integral of the piecewise-constant rates `reallocate` reported (so
 //!   an interval integrated at the wrong rate shows up).
 
-use horse_dataplane::{AdmitOutcome, DemandModel, FlowSpec, FluidConfig, FluidNet};
+use horse_dataplane::{
+    AdmitOutcome, ComponentCounters, DemandModel, FlowSpec, FluidConfig, FluidNet,
+};
 use horse_openflow::actions::Instruction;
 use horse_openflow::flow_match::FlowMatch;
 use horse_openflow::messages::{CtrlMsg, FlowMod};
@@ -77,80 +82,187 @@ fn mk_spec(
     }
 }
 
-fn assert_states_agree(full: &FluidNet, inc: &FluidNet, step: usize) {
-    assert_eq!(
-        full.active_flow_count(),
-        inc.active_flow_count(),
-        "step {step}: active flow counts diverged"
-    );
-    for (a, b) in full.active_flows().zip(inc.active_flows()) {
-        assert_eq!(a.id, b.id, "step {step}: flow sets diverged");
-        let (ra, rb) = (a.rate.as_bps(), b.rate.as_bps());
-        assert!(
-            (ra - rb).abs() <= 1e-6 * rb.abs().max(1.0),
-            "step {step}: flow {} rate {} (full) vs {} (incremental)",
-            a.id,
-            ra,
-            rb
+/// Every active flow's id and rate bits, in admission order.
+fn rate_bits(net: &FluidNet) -> Vec<(FlowId, u64)> {
+    net.active_flows()
+        .map(|f| (f.id, f.rate.as_bps().to_bits()))
+        .collect()
+}
+
+/// One reallocation's rate changes as bits.
+fn change_bits(net: &mut FluidNet, t: SimTime) -> Vec<(FlowId, u64, u64)> {
+    net.reallocate(t)
+        .iter()
+        .map(|c| {
+            (
+                c.id,
+                c.rate.as_bps().to_bits(),
+                c.completes_in.unwrap_or(-1.0).to_bits(),
+            )
+        })
+        .collect()
+}
+
+/// Replays one random schedule on the resident plane and on the rebuild
+/// oracle ([`FluidNet::mark_all_dirty`] before every run, which rebuilds
+/// every component from the flow arena) and asserts, after every event,
+/// bit-identical rate changes, rates and external grants. Events: fresh
+/// admissions; controller-retry admissions, whose id was reserved before
+/// younger live flows'; completions and teardowns; gray changes; access
+/// cable failures and repairs, with the victims re-admitted under their
+/// old ids; and external (packet-plane) demand.
+fn resident_matches_rebuild(seed: u64, steps: usize) -> ComponentCounters {
+    let (mut full, members) = star_net();
+    let (mut inc, _) = star_net();
+    let topo = full.topology().clone();
+    let access: Vec<LinkId> = members
+        .iter()
+        .map(|&m| topo.out_links(m).next().expect("access link").0)
+        .collect();
+    let mut x = seed | 1;
+    let mut rnd = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let mut active: Vec<FlowId> = Vec::new();
+    let mut parked: Vec<(FlowId, FlowSpec)> = Vec::new();
+    let mut down = [false; MEMBERS];
+    let mut sport = 1000u16;
+    for step in 0..steps {
+        let t = SimTime::from_millis(step as u64);
+        let admit = |full: &mut FluidNet, inc: &mut FluidNet, active: &mut Vec<FlowId>, id, s| {
+            let of = full.try_admit(id, FlowSpec::clone(&s), t);
+            let oi = inc.try_admit(id, s, t);
+            match (&of, &oi) {
+                (AdmitOutcome::Admitted, AdmitOutcome::Admitted) => active.push(id),
+                (AdmitOutcome::Dropped(_), AdmitOutcome::Dropped(_)) => {}
+                _ => panic!("step {step}: admit outcomes diverged"),
+            }
+        };
+        match rnd() % 12 {
+            0..=5 => {
+                let src = (rnd() % MEMBERS as u64) as usize;
+                let dst = (src + 1 + (rnd() % (MEMBERS as u64 - 1)) as usize) % MEMBERS;
+                let demand = if rnd() % 4 == 0 {
+                    DemandModel::Cbr(Rate::mbps((50 + rnd() % 400) as f64))
+                } else {
+                    DemandModel::Greedy
+                };
+                let size = if rnd() % 3 == 0 {
+                    None
+                } else {
+                    Some(ByteSize::mib(32))
+                };
+                sport = sport.wrapping_add(1);
+                let id = full.reserve_id();
+                assert_eq!(inc.reserve_id(), id, "id streams must stay aligned");
+                let s = mk_spec(&topo, &members, src, dst, sport, demand, size);
+                if rnd() % 5 == 0 {
+                    // A controller round trip: admitted some steps later.
+                    parked.push((id, s));
+                } else {
+                    admit(&mut full, &mut inc, &mut active, id, s);
+                }
+            }
+            6 if !parked.is_empty() => {
+                let (id, s) = parked.swap_remove((rnd() % parked.len() as u64) as usize);
+                admit(&mut full, &mut inc, &mut active, id, s);
+            }
+            6 | 7 if !active.is_empty() => {
+                let id = active.swap_remove((rnd() % active.len() as u64) as usize);
+                let rf = full.remove_flow(id, t, rnd() % 2 == 0);
+                let ri = inc.remove_flow(id, t, true);
+                assert_eq!(rf.is_some(), ri.is_some());
+            }
+            8 => {
+                let l = access[(rnd() % MEMBERS as u64) as usize];
+                let factor = [1.0, 0.5, 0.25, 0.1][(rnd() % 4) as usize];
+                full.set_gray(l, factor);
+                inc.set_gray(l, factor);
+            }
+            9 => {
+                let m = (rnd() % MEMBERS as u64) as usize;
+                if down[m] {
+                    down[m] = false;
+                    full.cable_up(access[m], t);
+                    inc.cable_up(access[m], t);
+                } else {
+                    down[m] = true;
+                    let (specs, _, ids) = full.cable_down(access[m], t);
+                    let (_, _, ids_i) = inc.cable_down(access[m], t);
+                    assert_eq!(ids, ids_i, "step {step}: detached sets diverged");
+                    active.retain(|id| !ids.contains(id));
+                    // Re-admitted under their old ids: flows of the cut-off
+                    // host drop, the others find their path again.
+                    for (id, s) in ids.into_iter().zip(specs) {
+                        admit(&mut full, &mut inc, &mut active, id, s);
+                    }
+                }
+            }
+            10 => {
+                let n_links = topo.link_count() as u64;
+                let l = LinkId((rnd() % n_links) as u32);
+                let bps = (rnd() % 5) as f64 * 100e6;
+                full.set_external_demand(l, bps);
+                inc.set_external_demand(l, bps);
+            }
+            _ => {}
+        }
+        full.mark_all_dirty();
+        let want = change_bits(&mut full, t);
+        let got = change_bits(&mut inc, t);
+        assert_eq!(
+            got, want,
+            "step {step} (seed {seed}): rate changes diverged"
         );
+        assert_eq!(
+            rate_bits(&inc),
+            rate_bits(&full),
+            "step {step} (seed {seed}): rates diverged"
+        );
+        for l in 0..topo.link_count() {
+            let l = LinkId::from_index(l);
+            assert_eq!(
+                inc.external_granted(l).to_bits(),
+                full.external_granted(l).to_bits(),
+                "step {step} (seed {seed}): grant on {l} diverged"
+            );
+        }
     }
+    assert!(
+        full.realloc_flows_touched >= inc.realloc_flows_touched,
+        "the resident plane must never touch more flows than the oracle"
+    );
+    inc.component_counters()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     #[test]
     fn incremental_matches_full_after_every_event(seed in 1u64..u64::MAX) {
-        let (mut full, members) = star_net();
-        let (mut inc, _) = star_net();
-        let topo = full.topology().clone();
-
-        let mut x = seed | 1;
-        let mut rnd = move || { x ^= x << 13; x ^= x >> 7; x ^= x << 17; x };
-        let mut active: Vec<FlowId> = Vec::new();
-        let mut sport = 1000u16;
-
-        for step in 0..60usize {
-            let t = SimTime::from_millis(step as u64);
-            let admit = active.is_empty() || rnd() % 3 != 0;
-            if admit {
-                let src = (rnd() % MEMBERS as u64) as usize;
-                let mut dst = (rnd() % MEMBERS as u64) as usize;
-                if dst == src {
-                    dst = (dst + 1) % MEMBERS;
-                }
-                let demand = if rnd() % 4 == 0 {
-                    DemandModel::Cbr(Rate::mbps((50 + rnd() % 400) as f64))
-                } else {
-                    DemandModel::Greedy
-                };
-                let size = if rnd() % 3 == 0 { None } else { Some(ByteSize::mib(32)) };
-                sport = sport.wrapping_add(1);
-                let id_f = full.reserve_id();
-                let id_i = inc.reserve_id();
-                prop_assert_eq!(id_f, id_i, "id streams must stay aligned");
-                let s = mk_spec(&topo, &members, src, dst, sport, demand, size);
-                let of = full.try_admit(id_f, s.clone(), t);
-                let oi = inc.try_admit(id_i, s, t);
-                match (&of, &oi) {
-                    (AdmitOutcome::Admitted, AdmitOutcome::Admitted) => active.push(id_f),
-                    (AdmitOutcome::Dropped(_), AdmitOutcome::Dropped(_)) => {}
-                    _ => prop_assert!(false, "step {}: admit outcomes diverged", step),
-                }
-            } else {
-                let idx = (rnd() % active.len() as u64) as usize;
-                let id = active.swap_remove(idx);
-                let rf = full.remove_flow(id, t, true);
-                let ri = inc.remove_flow(id, t, true);
-                prop_assert_eq!(rf.is_some(), ri.is_some());
-            }
-            full.mark_all_dirty();
-            full.reallocate(t);
-            inc.reallocate(t);
-            assert_states_agree(&full, &inc, step);
-        }
-        prop_assert!(full.realloc_flows_touched >= inc.realloc_flows_touched,
-            "incremental must never touch more flows than full");
+        let _ = resident_matches_rebuild(seed, 80);
     }
+}
+
+/// The same schedule, longer and over many more seeds, and proof that it
+/// merged, split and compacted components on the way. Ignored by
+/// default; CI runs it in release with `cargo test --release -p
+/// horse-dataplane -- --ignored`.
+#[test]
+#[ignore]
+fn stress_resident_matches_rebuild() {
+    let mut total = ComponentCounters::default();
+    for seed in 1..=2000u64 {
+        let c = resident_matches_rebuild(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15), 400);
+        total.merges += c.merges;
+        total.splits += c.splits;
+        total.split_checks += c.split_checks;
+        total.rebuilds += c.rebuilds;
+    }
+    assert!(total.merges > 0 && total.splits > 0, "{total:?}");
+    assert!(total.rebuilds > total.splits, "no compaction: {total:?}");
 }
 
 /// The test's own integral of one flow's reported rates.

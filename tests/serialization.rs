@@ -54,3 +54,75 @@ fn fig2_style_document_drives_a_simulation() {
     let r = sim.run();
     assert!(r.flows_admitted > 0);
 }
+
+/// Every single-bit mutant of `good` that is still UTF-8, flipping one bit
+/// every `stride` bytes and cycling through the bit positions.
+fn bit_flips(good: &str, stride: usize) -> impl Iterator<Item = String> + '_ {
+    (0..good.len())
+        .step_by(stride)
+        .enumerate()
+        .filter_map(move |(k, at)| {
+            let mut bad = good.as_bytes().to_vec();
+            bad[at] ^= 1 << (k % 8);
+            String::from_utf8(bad).ok()
+        })
+}
+
+#[test]
+fn bit_flipped_specs_and_topologies_never_panic() {
+    // Hostile input: every shipped sweep (as TOML, and re-encoded as
+    // JSON) and topology file, with one bit flipped every few bytes, must
+    // parse and expand (or build) into `Ok` or `Err`, never a panic.
+    use horse::lab::{expand, SweepSpec};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let files = |dir: &str, ext: &str| {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(dir);
+        let mut paths: Vec<_> = std::fs::read_dir(root)
+            .expect("examples directory")
+            .map(|e| e.expect("directory entry").path())
+            .filter(|p| p.extension().is_some_and(|e| e == ext))
+            .collect();
+        paths.sort();
+        paths
+    };
+    let mut mutants = 0usize;
+    let mut panics = Vec::new();
+    let mut survive = |name: &str, text: &str, stride: usize, f: &dyn Fn(&str)| {
+        for (k, bad) in bit_flips(text, stride).enumerate() {
+            mutants += 1;
+            if catch_unwind(AssertUnwindSafe(|| f(&bad))).is_err() {
+                panics.push(format!("{name} mutant {k}"));
+            }
+        }
+    };
+    let sweeps = files("examples/sweeps", "toml");
+    assert!(sweeps.len() >= 9, "sweeps found: {sweeps:?}");
+    for path in &sweeps {
+        let name = path.display().to_string();
+        let toml = std::fs::read_to_string(path).expect("sweep readable");
+        survive(&name, &toml, 3, &|t: &str| {
+            if let Ok(spec) = SweepSpec::from_toml(t) {
+                let _ = expand(&spec);
+            }
+        });
+        let spec = SweepSpec::from_toml(&toml).expect("shipped sweep parses");
+        let json = serde_json::to_string(&spec).expect("sweep encodes");
+        survive(&format!("{name} as JSON"), &json, 7, &|t: &str| {
+            if let Ok(spec) = SweepSpec::from_json(t) {
+                let _ = expand(&spec);
+            }
+        });
+    }
+    let topologies = files("examples/topologies", "json");
+    assert!(topologies.len() >= 3, "topologies found: {topologies:?}");
+    for path in &topologies {
+        let json = std::fs::read_to_string(path).expect("topology readable");
+        survive(&path.display().to_string(), &json, 3, &|t: &str| {
+            if let Ok(spec) = serde_json::from_str::<TopologySpec>(t) {
+                let _ = spec.build();
+            }
+        });
+    }
+    assert!(mutants > 4000, "only {mutants} mutants");
+    assert!(panics.is_empty(), "mutants panicked: {panics:?}");
+}
