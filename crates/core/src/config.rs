@@ -97,7 +97,6 @@ impl SimConfig {
     pub fn fluid(&self) -> FluidConfig {
         FluidConfig {
             avg_packet: self.avg_packet,
-            max_route_hops: 64,
         }
     }
 

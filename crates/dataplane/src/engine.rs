@@ -110,20 +110,20 @@ use horse_types::{ByteSize, FlowId, FlowKey, LinkId, NodeId, PortNo, Rate, SimTi
 use std::collections::HashSet;
 use std::time::Instant;
 
+/// Maximum switch hops during route resolution (loop guard).
+const MAX_ROUTE_HOPS: usize = 64;
+
 /// Tunables of the fluid plane.
 #[derive(Clone, Copy, Debug)]
 pub struct FluidConfig {
     /// Average packet size used to derive packet counters from bytes.
     pub avg_packet: ByteSize,
-    /// Maximum switch hops during route resolution (loop guard).
-    pub max_route_hops: usize,
 }
 
 impl Default for FluidConfig {
     fn default() -> Self {
         FluidConfig {
             avg_packet: ByteSize::bytes(1000),
-            max_route_hops: 64,
         }
     }
 }
@@ -896,7 +896,6 @@ impl FluidNet {
             visited: HashSet<(NodeId, PortNo)>,
             first_drop: Option<(NodeId, DropReason)>,
             need_ctrl: Option<(NodeId, PortNo, FlowKey)>,
-            max_hops: usize,
         }
 
         impl Dfs<'_> {
@@ -909,7 +908,7 @@ impl FluidNet {
                 key: FlowKey,
                 depth: usize,
             ) -> Option<(Vec<RouteHop>, Vec<LinkId>)> {
-                if depth > self.max_hops {
+                if depth > MAX_ROUTE_HOPS {
                     return None;
                 }
                 let nd = self.net.topo.node(node)?;
@@ -985,7 +984,6 @@ impl FluidNet {
             visited: HashSet::new(),
             first_drop: None,
             need_ctrl: None,
-            max_hops: self.config.max_route_hops,
         };
         let entry = self.topo.link(access).expect("access link exists");
         debug_assert_eq!(entry.src, spec.src);

@@ -1,11 +1,19 @@
 //! Property: the resident components (re-solve the component of every
-//! dirty link, kept between runs) produce bit-identical rates to the
-//! rebuild oracle ([`FluidNet::mark_all_dirty`] before every run, which
-//! rebuilds every component from the flow arena) after **every** event
-//! of a randomized schedule of admissions, controller-retry admissions,
+//! dirty link, kept between runs, with macro-flows aggregating flows that
+//! share links and demand) produce bit-identical rate changes, rates and
+//! external grants to two references after **every** event of a
+//! randomized schedule of admission waves, controller-retry admissions,
 //! removals, gray changes, cable failures and repairs and external
-//! demand — the invariant that makes the oracle a pure performance
-//! comparison rather than a semantics change.
+//! demand:
+//!
+//! * the rebuild oracle, [`FluidNet::mark_all_dirty`] before every run,
+//!   which rebuilds every component from the flow arena;
+//! * the per-flow oracle, [`FluidNet::set_per_flow_variables`], which
+//!   solves one allocation variable per flow instead of one weighted
+//!   variable per macro class.
+//!
+//! Nothing here tolerates an epsilon: that is what makes both oracles
+//! pure performance comparisons rather than semantics changes.
 //!
 //! Property: lazy byte integration conserves bytes. A flow's bytes are
 //! integrated only when its rate changes, when it leaves the network, or
@@ -103,18 +111,22 @@ fn change_bits(net: &mut FluidNet, t: SimTime) -> Vec<(FlowId, u64, u64)> {
         .collect()
 }
 
-/// Replays one random schedule on the resident plane and on the rebuild
-/// oracle ([`FluidNet::mark_all_dirty`] before every run, which rebuilds
-/// every component from the flow arena) and asserts, after every event,
-/// bit-identical rate changes, rates and external grants. Events: fresh
-/// admissions; controller-retry admissions, whose id was reserved before
-/// younger live flows'; completions and teardowns; gray changes; access
-/// cable failures and repairs, with the victims re-admitted under their
-/// old ids; and external (packet-plane) demand.
-fn resident_matches_rebuild(seed: u64, steps: usize) -> ComponentCounters {
-    let (mut full, members) = star_net();
-    let (mut inc, _) = star_net();
-    let topo = full.topology().clone();
+/// The plane under test and its references, in that order.
+const REFERENCES: [&str; 3] = ["resident", "rebuild", "per-flow"];
+
+/// Replays one random schedule on the resident plane and on both
+/// references and asserts, after every event, bit-identical rate
+/// changes, rates and external grants. Events: admission waves between
+/// one pair (same links and demand, so macro classes form); controller-
+/// retry admissions, whose id was reserved before younger live flows';
+/// completions and teardowns; gray changes; access cable failures and
+/// repairs, with the victims re-admitted under their old ids; and
+/// external (packet-plane) demand. Returns the resident plane.
+fn matches_references(seed: u64, steps: usize) -> FluidNet {
+    let (resident, members) = star_net();
+    let mut nets = [resident, star_net().0, star_net().0];
+    nets[2].set_per_flow_variables(true);
+    let topo = nets[0].topology().clone();
     let access: Vec<LinkId> = members
         .iter()
         .map(|&m| topo.out_links(m).next().expect("access link").0)
@@ -132,12 +144,13 @@ fn resident_matches_rebuild(seed: u64, steps: usize) -> ComponentCounters {
     let mut sport = 1000u16;
     for step in 0..steps {
         let t = SimTime::from_millis(step as u64);
-        let admit = |full: &mut FluidNet, inc: &mut FluidNet, active: &mut Vec<FlowId>, id, s| {
-            let of = full.try_admit(id, FlowSpec::clone(&s), t);
-            let oi = inc.try_admit(id, s, t);
-            match (&of, &oi) {
-                (AdmitOutcome::Admitted, AdmitOutcome::Admitted) => active.push(id),
-                (AdmitOutcome::Dropped(_), AdmitOutcome::Dropped(_)) => {}
+        let admit = |nets: &mut [FluidNet; 3], active: &mut Vec<FlowId>, id, s: FlowSpec| {
+            let outcomes = nets.each_mut().map(|net| net.try_admit(id, s.clone(), t));
+            match outcomes {
+                [AdmitOutcome::Admitted, AdmitOutcome::Admitted, AdmitOutcome::Admitted] => {
+                    active.push(id)
+                }
+                [AdmitOutcome::Dropped(_), AdmitOutcome::Dropped(_), AdmitOutcome::Dropped(_)] => {}
                 _ => panic!("step {step}: admit outcomes diverged"),
             }
         };
@@ -155,49 +168,55 @@ fn resident_matches_rebuild(seed: u64, steps: usize) -> ComponentCounters {
                 } else {
                     Some(ByteSize::mib(32))
                 };
-                sport = sport.wrapping_add(1);
-                let id = full.reserve_id();
-                assert_eq!(inc.reserve_id(), id, "id streams must stay aligned");
-                let s = mk_spec(&topo, &members, src, dst, sport, demand, size);
-                if rnd() % 5 == 0 {
-                    // A controller round trip: admitted some steps later.
-                    parked.push((id, s));
-                } else {
-                    admit(&mut full, &mut inc, &mut active, id, s);
+                for _ in 0..1 + rnd() % 4 {
+                    sport = sport.wrapping_add(1);
+                    let [id, ids @ ..] = nets.each_mut().map(|net| net.reserve_id());
+                    assert_eq!(ids, [id; 2], "id streams must stay aligned");
+                    let s = mk_spec(&topo, &members, src, dst, sport, demand, size);
+                    if rnd() % 5 == 0 {
+                        // A controller round trip: admitted some steps later.
+                        parked.push((id, s));
+                    } else {
+                        admit(&mut nets, &mut active, id, s);
+                    }
                 }
             }
             6 if !parked.is_empty() => {
                 let (id, s) = parked.swap_remove((rnd() % parked.len() as u64) as usize);
-                admit(&mut full, &mut inc, &mut active, id, s);
+                admit(&mut nets, &mut active, id, s);
             }
             6 | 7 if !active.is_empty() => {
                 let id = active.swap_remove((rnd() % active.len() as u64) as usize);
-                let rf = full.remove_flow(id, t, rnd() % 2 == 0);
-                let ri = inc.remove_flow(id, t, true);
-                assert_eq!(rf.is_some(), ri.is_some());
+                let completed = rnd() % 2 == 0;
+                for net in &mut nets {
+                    assert!(net.remove_flow(id, t, completed).is_some());
+                }
             }
             8 => {
                 let l = access[(rnd() % MEMBERS as u64) as usize];
                 let factor = [1.0, 0.5, 0.25, 0.1][(rnd() % 4) as usize];
-                full.set_gray(l, factor);
-                inc.set_gray(l, factor);
+                for net in &mut nets {
+                    net.set_gray(l, factor);
+                }
             }
             9 => {
                 let m = (rnd() % MEMBERS as u64) as usize;
-                if down[m] {
-                    down[m] = false;
-                    full.cable_up(access[m], t);
-                    inc.cable_up(access[m], t);
+                down[m] = !down[m];
+                if !down[m] {
+                    for net in &mut nets {
+                        net.cable_up(access[m], t);
+                    }
                 } else {
-                    down[m] = true;
-                    let (specs, _, ids) = full.cable_down(access[m], t);
-                    let (_, _, ids_i) = inc.cable_down(access[m], t);
-                    assert_eq!(ids, ids_i, "step {step}: detached sets diverged");
+                    let [(specs, _, ids), rest @ ..] =
+                        nets.each_mut().map(|net| net.cable_down(access[m], t));
+                    for (_, _, other) in rest {
+                        assert_eq!(other, ids, "step {step}: detached sets diverged");
+                    }
                     active.retain(|id| !ids.contains(id));
                     // Re-admitted under their old ids: flows of the cut-off
                     // host drop, the others find their path again.
                     for (id, s) in ids.into_iter().zip(specs) {
-                        admit(&mut full, &mut inc, &mut active, id, s);
+                        admit(&mut nets, &mut active, id, s);
                     }
                 }
             }
@@ -205,64 +224,116 @@ fn resident_matches_rebuild(seed: u64, steps: usize) -> ComponentCounters {
                 let n_links = topo.link_count() as u64;
                 let l = LinkId((rnd() % n_links) as u32);
                 let bps = (rnd() % 5) as f64 * 100e6;
-                full.set_external_demand(l, bps);
-                inc.set_external_demand(l, bps);
+                for net in &mut nets {
+                    net.set_external_demand(l, bps);
+                }
             }
             _ => {}
         }
-        full.mark_all_dirty();
-        let want = change_bits(&mut full, t);
-        let got = change_bits(&mut inc, t);
-        assert_eq!(
-            got, want,
-            "step {step} (seed {seed}): rate changes diverged"
-        );
-        assert_eq!(
-            rate_bits(&inc),
-            rate_bits(&full),
-            "step {step} (seed {seed}): rates diverged"
-        );
-        for l in 0..topo.link_count() {
-            let l = LinkId::from_index(l);
+        nets[1].mark_all_dirty();
+        let [got, wants @ ..] = nets.each_mut().map(|net| change_bits(net, t));
+        let (resident, references) = (&nets[0], &nets[1..]);
+        for ((name, net), want) in REFERENCES[1..].iter().zip(references).zip(&wants) {
             assert_eq!(
-                inc.external_granted(l).to_bits(),
-                full.external_granted(l).to_bits(),
-                "step {step} (seed {seed}): grant on {l} diverged"
+                &got, want,
+                "step {step} (seed {seed}): rate changes diverged from {name}"
             );
+            assert_eq!(
+                rate_bits(resident),
+                rate_bits(net),
+                "step {step} (seed {seed}): rates diverged from {name}"
+            );
+            for l in 0..topo.link_count() {
+                let l = LinkId::from_index(l);
+                assert_eq!(
+                    resident.external_granted(l).to_bits(),
+                    net.external_granted(l).to_bits(),
+                    "step {step} (seed {seed}): grant on {l} diverged from {name}"
+                );
+            }
         }
     }
+    let [resident, rebuild, per_flow] = nets;
     assert!(
-        full.realloc_flows_touched >= inc.realloc_flows_touched,
-        "the resident plane must never touch more flows than the oracle"
+        rebuild.realloc_flows_touched >= resident.realloc_flows_touched,
+        "the resident plane must never touch more flows than the rebuild"
     );
-    inc.component_counters()
+    // The per-flow oracle solved one variable per flow, the aggregating
+    // plane no more than that; both water-filled the same components.
+    assert_eq!(per_flow.macro_flows, per_flow.realloc_flows_touched);
+    assert!(resident.macro_flows <= resident.realloc_flows_touched);
+    assert_eq!(resident.cold_solves, per_flow.cold_solves);
+    resident
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     #[test]
-    fn incremental_matches_full_after_every_event(seed in 1u64..u64::MAX) {
-        let _ = resident_matches_rebuild(seed, 80);
+    fn resident_matches_both_references_after_every_event(seed in 1u64..u64::MAX) {
+        matches_references(seed, 80);
     }
 }
 
+/// A fixed long schedule as a plain test, so the property is exercised
+/// even under `cargo test` filters that skip proptests, and proof that
+/// macro-flows aggregated on it.
+#[test]
+fn fixed_schedule_aggregates_and_matches_both_references() {
+    let net = matches_references(0xC0FFEE, 160);
+    assert!(net.macro_flows < net.realloc_flows_touched);
+}
+
 /// The same schedule, longer and over many more seeds, and proof that it
-/// merged, split and compacted components on the way. Ignored by
-/// default; CI runs it in release with `cargo test --release -p
-/// horse-dataplane -- --ignored`.
+/// merged, split and compacted components and aggregated flows on the
+/// way. Ignored by default; CI runs it in release with `cargo test
+/// --release -p horse-dataplane -- --ignored`.
 #[test]
 #[ignore]
-fn stress_resident_matches_rebuild() {
+fn stress_resident_matches_both_references() {
     let mut total = ComponentCounters::default();
+    let (mut macro_flows, mut flows_touched) = (0, 0);
     for seed in 1..=2000u64 {
-        let c = resident_matches_rebuild(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15), 400);
+        let net = matches_references(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15), 400);
+        let c = net.component_counters();
         total.merges += c.merges;
         total.splits += c.splits;
         total.split_checks += c.split_checks;
         total.rebuilds += c.rebuilds;
+        macro_flows += net.macro_flows;
+        flows_touched += net.realloc_flows_touched;
     }
     assert!(total.merges > 0 && total.splits > 0, "{total:?}");
     assert!(total.rebuilds > total.splits, "no compaction: {total:?}");
+    assert!(macro_flows < flows_touched, "no aggregation");
+}
+
+/// The million-flow scaling contract as a counter: the cold solve
+/// water-fills one weighted variable per path class, however many flows
+/// each class holds — 8× the population, the same variable count. (The
+/// wall-clock half is `dataplane.*_s` in `benchmark/`.)
+#[test]
+fn macro_variables_track_classes_not_flows() {
+    let classes = (MEMBERS * (MEMBERS - 1)) as u64;
+    for per_class in [4u16, 32] {
+        let (mut net, members) = star_net();
+        let topo = net.topology().clone();
+        for src in 0..MEMBERS {
+            for dst in (0..MEMBERS).filter(|&d| d != src) {
+                for sport in 0..per_class {
+                    let id = net.reserve_id();
+                    let size = Some(ByteSize::mib(64));
+                    let s = mk_spec(&topo, &members, src, dst, sport, DemandModel::Greedy, size);
+                    assert!(matches!(
+                        net.try_admit(id, s, SimTime::ZERO),
+                        AdmitOutcome::Admitted
+                    ));
+                }
+            }
+        }
+        net.reallocate(SimTime::ZERO);
+        assert_eq!(net.realloc_flows_touched, classes * u64::from(per_class));
+        assert_eq!(net.macro_flows, classes, "{per_class} flows per class");
+    }
 }
 
 /// The test's own integral of one flow's reported rates.

@@ -1,18 +1,18 @@
-//! Acceptance tests for the chaos engine (PR 7): seed-deterministic
-//! fault injection must stay inside the determinism contract
-//! (bit-identical results and byte-identical journals on every replay),
-//! `horse-trace`'s bisector must pinpoint an injected
-//! fault against a fault-free run, and a seeded switch crash must leave
-//! no flow permanently stranded — every victim reroutes with a finite
-//! recovery time.
+//! Acceptance tests for the chaos engine: seed-deterministic fault
+//! injection must stay inside the determinism contract (random chaos
+//! schedules are cases of the differential lattice, `support::lattice`,
+//! at its `Traced` and `Resumed` points), `horse-trace`'s bisector must
+//! pinpoint an injected fault against a fault-free run, and a seeded
+//! switch crash must leave no flow permanently stranded — every victim
+//! reroutes with a finite recovery time.
 
 mod support;
 
 use horse::chaos;
 use horse::prelude::*;
-use horse::tracing::journal::SharedBuf;
-use horse::tracing::{first_divergence, parse_journal, Divergence, JournalEntry};
-use support::{fingerprint, Fingerprint};
+use horse::tracing::{first_divergence, Divergence};
+use support::lattice::{lattice_at, Case, Point};
+use support::{entries, run_journaled};
 
 /// A fat-tree (k = 4) scenario with seeded cross-pod traffic: a mix of
 /// finite and long-lived greedy flows so faults at any instant find
@@ -63,21 +63,10 @@ fn chaos_scenario(traffic_seed: u64, chaos: Option<ChaosSpec>) -> Scenario {
     s
 }
 
-/// Runs a scenario with a journaling tracer attached; returns the run's
-/// fingerprint, its journal entries and the raw journal text.
-fn journaled_run(
-    scenario: Scenario,
-    config: SimConfig,
-) -> (Fingerprint, Vec<JournalEntry>, String) {
-    let buf = SharedBuf::new();
-    let mut sim = Simulation::new(scenario, config).expect("valid scenario");
-    sim.set_tracer(SimTracer::new().with_journal(buf.clone()));
-    let r = sim.run();
-    let mut tracer = sim.take_tracer().expect("tracer attached");
-    tracer.finish_journal();
-    let text = buf.contents();
-    let entries = parse_journal(&text).expect("journal parses");
-    (fingerprint(&sim, &r), entries, text)
+/// The event journal of a run of `scenario`.
+fn journal(scenario: Scenario) -> Vec<horse::tracing::JournalEntry> {
+    let sim = Simulation::new(scenario, SimConfig::default()).expect("valid scenario");
+    entries(&run_journaled(sim).1)
 }
 
 #[cfg(test)]
@@ -88,8 +77,9 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
         /// Any generated chaos schedule — flaps, crashes, gray windows,
-        /// controller faults, in any mix — must replay bit-identically,
-        /// journals byte for byte.
+        /// controller faults, in any mix — must be invisible to the
+        /// tracer and to a checkpoint at the midpoint, the resumed
+        /// journal equal to the traced run's byte for byte.
         #[test]
         fn chaos_schedules_replay_bit_identically(
             traffic_seed in 1u64..u64::MAX,
@@ -116,22 +106,11 @@ mod proptests {
                 ctrl_latency_spikes: spikes,
                 ..Default::default()
             };
-            let (r1, e1, t1) = journaled_run(
-                chaos_scenario(traffic_seed, Some(spec)),
-                SimConfig::default(),
-            );
-            let (r2, e2, t2) = journaled_run(
-                chaos_scenario(traffic_seed, Some(spec)),
-                SimConfig::default(),
-            );
-            prop_assert!(r1.flows_admitted > 0, "scenario must exercise flows");
-            prop_assert!(!e1.is_empty(), "journal captured events");
-            prop_assert_eq!(&r1, &r2, "replay");
-            prop_assert_eq!(&t1, &t2, "journal text differs between replays");
-            prop_assert!(matches!(
-                first_divergence(&e1, &e2),
-                Divergence::Identical { .. }
-            ));
+            let name = format!("chaos, traffic {traffic_seed}, schedule {spec:?}");
+            let scenario = chaos_scenario(traffic_seed, Some(spec));
+            let l = lattice_at(&[Point::Resumed], Case::new(&name, scenario, SimConfig::default()));
+            prop_assert!(l.base.flows_admitted > 0, "scenario must exercise flows");
+            l.assert_engaged(&name, &[Point::Traced, Point::Resumed]);
         }
     }
 }
@@ -156,8 +135,8 @@ fn diff_pinpoints_first_chaos_fault() {
     let (first_t, first_ev) = sched.first().expect("schedule is non-empty");
     let (want_kind, _) = horse::trace::event_fingerprint(first_ev);
 
-    let (_, a, _) = journaled_run(baseline, SimConfig::default());
-    let (_, b, _) = journaled_run(chaos_scenario(5, Some(spec)), SimConfig::default());
+    let a = journal(baseline);
+    let b = journal(chaos_scenario(5, Some(spec)));
     let div = first_divergence(&a, &b);
     let (idx, first_b) = match &div {
         Divergence::Mismatch { index, b: eb, .. } => (*index, eb.clone()),

@@ -1,78 +1,28 @@
-//! The replay/resume differential harness (PR 9 tentpole proof).
+//! Checkpoints, resumes and forks.
 //!
-//! Contract under test: **checkpointing is invisible**. For any scenario,
-//! any snapshot time and any engine thread count,
+//! Contract under test: **checkpointing is invisible**.
 //!
 //! * `run_until(T)` → `checkpoint()` → `resume()` → run to the horizon
-//!   is bit-identical to the uninterrupted run — results, per-flow
-//!   records, collector series, *and* the event journal (the resumed
-//!   journal is a byte-exact suffix of the straight-through one);
+//!   is bit-identical to the uninterrupted run, journal included: the
+//!   `Resumed` point of the differential lattice (`support::lattice`),
+//!   over a property of scenario × snapshot time × packet-plane knobs and
+//!   over cases cut mid-burst, mid-wave, mid-outage and long after a
+//!   quiet flow's last sync;
 //! * `fork()` with late what-if events is bit-identical to a
 //!   straight-through run whose scenario scheduled those events at build
 //!   time (the reserved-band trick);
 //! * `serialize → restore → re-serialize` is byte-identical, including
-//!   snapshots taken mid-chaos-outage and mid-controller-buffering.
-//!
-//! Wall-clock (`wall_seconds`) and the scraped metrics registry are the
-//! only observables allowed to differ: both are explicitly observability,
-//! not simulation state (hot-path registry counters accumulate live and
-//! a resumed run only sees its own suffix of the work).
+//!   snapshots taken mid-chaos-outage and mid-controller-buffering;
+//! * truncated, bit-flipped and malformed snapshots are refused, never
+//!   resumed into a panic.
 
 mod support;
 
 use horse::prelude::*;
-use horse::tracing::journal::SharedBuf;
 use horse::types::{ByteSize, LinkId, SimTime, TableId};
 use horse::Oracles;
-use support::{build, fingerprint, Fingerprint};
-
-/// A run's config and the reference paths it switches on (none unless
-/// given).
-#[derive(Clone, Copy)]
-struct Setup(SimConfig, Oracles);
-
-impl From<SimConfig> for Setup {
-    fn from(config: SimConfig) -> Setup {
-        Setup(config, Oracles::default())
-    }
-}
-
-/// Straight-through journaling run.
-fn straight(scenario: Scenario, setup: impl Into<Setup>) -> (Fingerprint, String) {
-    let Setup(config, oracles) = setup.into();
-    let buf = SharedBuf::new();
-    let mut sim = build(scenario, config, oracles);
-    sim.set_tracer(SimTracer::new().with_journal(buf.clone()));
-    let r = sim.run();
-    sim.take_tracer().expect("tracer").finish_journal();
-    (fingerprint(&sim, &r), buf.contents())
-}
-
-/// Run to `t_snap`, checkpoint, drop the original, resume, and finish
-/// the run. Returns the fingerprint and the *concatenated* prefix +
-/// suffix journal. Oracles are not part of a checkpoint: they are set on
-/// both sides of the cut.
-fn resumed(scenario: Scenario, setup: impl Into<Setup>, t_snap: SimTime) -> (Fingerprint, String) {
-    let Setup(config, oracles) = setup.into();
-    let prefix = SharedBuf::new();
-    let mut sim = build(scenario, config, oracles);
-    sim.set_tracer(SimTracer::new().with_journal(prefix.clone()));
-    sim.run_until(t_snap);
-    let snapshot = sim.checkpoint();
-    sim.take_tracer().expect("tracer").finish_journal();
-    drop(sim);
-
-    let mut sim = Simulation::resume(&snapshot).expect("snapshot resumes");
-    sim.set_oracles(oracles);
-    let suffix = SharedBuf::new();
-    sim.set_tracer(SimTracer::new().with_journal(suffix.clone()));
-    let r = sim.run();
-    sim.take_tracer().expect("tracer").finish_journal();
-    (
-        fingerprint(&sim, &r),
-        prefix.contents() + &suffix.contents(),
-    )
-}
+use support::lattice::{lattice_at, Case, Point};
+use support::{hybrid_scenario, run_journaled};
 
 /// A small scenario zoo covering the families and fidelity modes the
 /// engine supports; index-driven so the property test can sweep it.
@@ -122,8 +72,8 @@ fn scenario_zoo(idx: usize, seed: u64) -> Scenario {
 }
 
 // ---------------------------------------------------------------------
-// Tentpole: resume is invisible — property over scenarios × snapshot
-// times × packet-plane knobs.
+// Resume is invisible — property over scenarios × snapshot times ×
+// packet-plane knobs.
 // ---------------------------------------------------------------------
 
 use proptest::prelude::*;
@@ -138,23 +88,22 @@ proptest! {
         snap_pct in 5u64..95,
         pkt_variant in 0usize..3,
     ) {
-        let horizon = scenario_zoo(idx, seed).horizon;
-        let t_snap = SimTime::from_nanos(horizon.as_nanos() / 100 * snap_pct);
+        let scenario = scenario_zoo(idx, seed);
+        let t_snap = SimTime::from_nanos(scenario.horizon.as_nanos() / 100 * snap_pct);
         // The packet plane is a harness axis too: default bursts, the
         // per-packet oracle, and a small cap that puts most snapshot
         // times mid-burst (serializer busy with a multi-packet event).
         let (burst, uncached) = [(32, false), (1, true), (4, false)][pkt_variant];
         let oracles = Oracles { uncached_pipeline: uncached, ..Oracles::default() };
-        let setup = Setup(SimConfig::default().with_pkt_burst(burst), oracles);
-        let (want, want_journal) = straight(scenario_zoo(idx, seed), setup);
-        let (got, got_journal) = resumed(scenario_zoo(idx, seed), setup, t_snap);
-        prop_assert_eq!(&got, &want);
-        prop_assert_eq!(got_journal, want_journal);
+        let config = SimConfig::default().with_pkt_burst(burst);
+        let case = format!("zoo {idx}, seed {seed}, burst {burst}, uncached {uncached}");
+        let case = Case::new(case, scenario, config).with_oracles(oracles).cut_at([t_snap]);
+        lattice_at(&[Point::Resumed], case);
     }
 }
 
 // ---------------------------------------------------------------------
-// Satellite: mid-burst snapshots. With bursts on, most snapshot times
+// Mid-burst snapshots. With bursts on, most snapshot times
 // land while a serializer is busy with a multi-packet event and the
 // decision cache is warm; cutting there and resuming must still be
 // bit-identical (the cache and in-flight bursts are part of the image).
@@ -162,26 +111,20 @@ proptest! {
 
 #[test]
 fn mid_burst_snapshot_resumes_bit_identically() {
-    // Hybrid zoo entry: packet foreground over fluid bulk, bursts on.
+    // Hybrid zoo entry: packet foreground over fluid bulk, bursts on,
+    // cut and resumed at 300, 650 and 1100 ms in turn.
     for (burst, uncached) in [(32u32, false), (8, false), (8, true)] {
         let oracles = Oracles {
             uncached_pipeline: uncached,
             ..Oracles::default()
         };
-        let setup = Setup(SimConfig::default().with_pkt_burst(burst), oracles);
-        let (want, want_journal) = straight(scenario_zoo(4, 77), setup);
-        for snap_ms in [300u64, 650, 1100] {
-            let t_snap = SimTime::from_millis(snap_ms);
-            let (got, got_journal) = resumed(scenario_zoo(4, 77), setup, t_snap);
-            assert_eq!(
-                got, want,
-                "burst={burst} uncached={uncached} snap={snap_ms}ms drifted"
-            );
-            assert_eq!(
-                got_journal, want_journal,
-                "burst={burst} uncached={uncached} snap={snap_ms}ms journal drifted"
-            );
-        }
+        let config = SimConfig::default().with_pkt_burst(burst);
+        let name = format!("mid-burst, burst {burst}, uncached {uncached}");
+        let case = Case::new(&name, scenario_zoo(4, 77), config)
+            .with_oracles(oracles)
+            .cut_at([300, 650, 1100].map(SimTime::from_millis));
+        let l = lattice_at(&[Point::Resumed], case);
+        l.assert_engaged(&name, &[Point::Traced, Point::Resumed]);
     }
 }
 
@@ -238,23 +181,21 @@ fn mid_buffering_scenario() -> Scenario {
 
 #[test]
 fn mid_outage_buffered_messages_survive_the_snapshot() {
-    // The scenario really does buffer controller messages…
-    let (want, want_journal) = straight(mid_buffering_scenario(), SimConfig::default());
-    assert!(
-        want.chaos.ctrl_msgs_buffered > 0,
-        "scenario must exercise the outage replay buffer"
-    );
-    // …and a snapshot cut mid-outage (buffer non-empty, outage depth 1)
-    // restores it all: round-trip bytes and final results both hold.
+    // A snapshot cut mid-outage (buffer non-empty, outage depth 1)
+    // restores it all: round-trip bytes and final results both hold…
     let t_snap = SimTime::from_millis(1500);
     let mut sim = Simulation::new(mid_buffering_scenario(), SimConfig::default()).unwrap();
     sim.run_until(t_snap);
     let bytes = sim.checkpoint();
     let sim2 = Simulation::resume(&bytes).expect("mid-outage snapshot resumes");
     assert_eq!(bytes, sim2.checkpoint(), "mid-outage round-trip drifted");
-    let (got, got_journal) = resumed(mid_buffering_scenario(), SimConfig::default(), t_snap);
-    assert_eq!(got, want);
-    assert_eq!(got_journal, want_journal);
+    let case = Case::new("mid-outage", mid_buffering_scenario(), SimConfig::default());
+    let l = lattice_at(&[Point::Resumed], case.cut_at([t_snap]));
+    // …and the scenario really does buffer controller messages.
+    assert!(
+        l.base.chaos.ctrl_msgs_buffered > 0,
+        "scenario must exercise the outage replay buffer"
+    );
 }
 
 /// A switch that crashes *and rejoins* while the controller is dark: its
@@ -301,10 +242,11 @@ fn rejoin_buffered_during_an_outage_survives_the_snapshot() {
         LateEvent::SwitchDown(node) => node,
         other => panic!("script changed: {other:?}"),
     };
-    let (want, want_journal) = straight(scenario, SimConfig::default());
-    assert_eq!(want.chaos.switch_rejoins, 1);
     // Cut while the rejoin sits in the buffer (outage depth 1).
     let t_snap = SimTime::from_millis(1500);
+    let case = Case::new("rejoin in an outage", scenario, SimConfig::default());
+    let l = lattice_at(&[Point::Resumed], case.cut_at([t_snap]));
+    assert_eq!(l.base.chaos.switch_rejoins, 1);
     let mut sim = Simulation::new(rejoin_inside_outage_scenario(), SimConfig::default()).unwrap();
     sim.run_until(t_snap);
     let bytes = sim.checkpoint();
@@ -318,13 +260,6 @@ fn rejoin_buffered_during_an_outage_survives_the_snapshot() {
         table.unwrap().entries().count()
     };
     assert_eq!((entries(0), entries(1)), (1, 4), "rejoined switch tables");
-    let (got, got_journal) = resumed(
-        rejoin_inside_outage_scenario(),
-        SimConfig::default(),
-        t_snap,
-    );
-    assert_eq!(got, want);
-    assert_eq!(got_journal, want_journal);
 }
 
 // ---------------------------------------------------------------------
@@ -352,13 +287,14 @@ fn fork_matches_straight_through_variant() {
         s.late_band = 2;
         s
     };
-    let (want, want_journal) = straight(variant(21), SimConfig::default());
+    let (want, want_journal) =
+        run_journaled(Simulation::new(variant(21), SimConfig::default()).unwrap());
     assert!(
         want.chaos.cable_downs > 0,
         "variant must exercise its failure"
     );
 
-    let pj = SharedBuf::new();
+    let pj = horse::tracing::journal::SharedBuf::new();
     let mut sim = Simulation::new(prefix(21), SimConfig::default()).unwrap();
     sim.set_tracer(SimTracer::new().with_journal(pj.clone()));
     sim.run_until(SimTime::from_millis(1000));
@@ -366,7 +302,7 @@ fn fork_matches_straight_through_variant() {
     sim.take_tracer().unwrap().finish_journal();
     drop(sim);
 
-    let mut forked = Simulation::fork(
+    let forked = Simulation::fork(
         &snapshot,
         &ForkSpec {
             late_events: late.clone(),
@@ -374,13 +310,9 @@ fn fork_matches_straight_through_variant() {
         },
     )
     .expect("fork applies late events");
-    let sj = SharedBuf::new();
-    forked.set_tracer(SimTracer::new().with_journal(sj.clone()));
-    let r = forked.run();
-    forked.take_tracer().unwrap().finish_journal();
-
-    assert_eq!(fingerprint(&forked, &r), want);
-    assert_eq!(pj.contents() + &sj.contents(), want_journal);
+    let (got, suffix) = run_journaled(forked);
+    assert_eq!(got, want);
+    assert_eq!(pj.contents() + &suffix, want_journal);
 }
 
 #[test]
@@ -425,14 +357,8 @@ fn pre_start_checkpoint_resumes_the_whole_run() {
     let sim = Simulation::new(scenario_zoo(0, 9), SimConfig::default()).unwrap();
     let snapshot = sim.checkpoint(); // before start(): nothing has run
     drop(sim);
-    let (want, want_journal) = straight(scenario_zoo(0, 9), SimConfig::default());
-    let mut sim = Simulation::resume(&snapshot).unwrap();
-    let buf = SharedBuf::new();
-    sim.set_tracer(SimTracer::new().with_journal(buf.clone()));
-    let r = sim.run();
-    sim.take_tracer().unwrap().finish_journal();
-    assert_eq!(fingerprint(&sim, &r), want);
-    assert_eq!(buf.contents(), want_journal);
+    let want = run_journaled(Simulation::new(scenario_zoo(0, 9), SimConfig::default()).unwrap());
+    assert_eq!(run_journaled(Simulation::resume(&snapshot).unwrap()), want);
 }
 
 /// Resumes every `step`-th proper prefix of `good` (and the one missing
@@ -517,20 +443,16 @@ fn wave_scenario() -> Scenario {
 
 #[test]
 fn mid_wave_snapshot_resumes_with_cancellations_on_both_sides() {
-    let (want, want_journal) = straight(wave_scenario(), SimConfig::default());
-    assert_eq!(want.stale_completions, 0);
-    let t_snap = SimTime::from_millis(1100);
-    let mut prefix = Simulation::new(wave_scenario(), SimConfig::default()).unwrap();
-    prefix.run_until(t_snap);
-    let at_cut = prefix.finish().queue.cancelled;
+    let case = Case::new("mid-wave", wave_scenario(), SimConfig::default());
+    let l = lattice_at(&[Point::Resumed], case.cut_at([SimTime::from_millis(1100)]));
+    assert_eq!(l.base.stale_completions, 0);
+    let at_cut = l.run(Point::Resumed).unwrap().cuts[0].queue.cancelled;
     assert!(
-        at_cut > 0 && at_cut < want.queue.cancelled,
+        at_cut > 0 && at_cut < l.base.queue.cancelled,
         "cancellations before ({at_cut}) and after the cut (of {})",
-        want.queue.cancelled
+        l.base.queue.cancelled
     );
-    let (got, got_journal) = resumed(wave_scenario(), SimConfig::default(), t_snap);
-    assert_eq!(got, want);
-    assert_eq!(got_journal, want_journal);
+    l.assert_engaged("mid-wave", &[Point::Traced, Point::Resumed]);
 }
 
 /// A star with one open-ended flow (0→1, 200 Mbit/s CBR from 100 ms)
@@ -589,50 +511,16 @@ fn quiet_flow_synced_long_before_the_cut_resumes_bit_identically() {
         SimTime::from_millis(100),
         "the quiet flow was synced after its first rate"
     );
-    let (want, want_journal) = straight(scenario.clone(), config);
-    let (got, got_journal) = resumed(scenario, config, t_snap);
-    assert_eq!(got, want);
-    assert_eq!(got_journal, want_journal);
+    let case = Case::new("quiet flow", scenario, config).cut_at([t_snap]);
+    lattice_at(&[Point::Resumed], case).assert_engaged("quiet flow", &[Point::Resumed]);
 }
 
-/// The hybrid fabric of the packet-burst tests: Figure 1 under ECMP, 18
-/// gravity-workload flows of which the first 5 run at packet fidelity.
-fn hybrid_fabric_scenario() -> Scenario {
-    let mut s = fluid_fabric_scenario();
-    for (_, spec) in s.explicit_flows.iter_mut().take(5) {
-        spec.fidelity = Fidelity::Packet;
-    }
-    s
-}
-
-/// [`hybrid_fabric_scenario`] with every flow at fluid fidelity.
-fn fluid_fabric_scenario() -> Scenario {
-    let f = builders::figure1_fabric();
-    let mut s = Scenario::bare(f.topology, SimTime::from_secs(20));
-    s.members = f.members;
-    s.policy = PolicySpec::new().with(PolicyRule::LoadBalancing { mode: LbMode::Ecmp });
-    let weights = TrafficMatrix::zipf_weights(s.members.len(), 0.8);
-    s.workload = Some(WorkloadParams {
-        matrix: TrafficMatrix::gravity(&weights, 4e9),
-        sizes: FlowSizeDist::Pareto {
-            alpha: 1.3,
-            min_bytes: 1_000_000,
-            max_bytes: 20_000_000,
-        },
-        apps: AppMix::default_ixp(),
-        diurnal: None,
-        udp_rate: horse::types::Rate::mbps(4.0),
-        seed: 7,
-    });
-    horse::compare::materialize_workload(&mut s, 18);
-    s
-}
-
-/// [`fluid_fabric_scenario`] cut to 600 ms under a chaos schedule from
-/// 100 ms on. At 300 ms a flapped cable is down, one switch is crashed
+/// The hybrid fabric of the packet-burst tests (Figure 1 under ECMP, 18
+/// gravity-workload flows) all at fluid fidelity, cut to 600 ms under a
+/// chaos schedule from 100 ms on. At 300 ms a flapped cable is down, one switch is crashed
 /// and the controller is dark with six messages buffered.
 fn chaos_fabric_scenario() -> Scenario {
-    let mut s = fluid_fabric_scenario();
+    let mut s = hybrid_scenario(7, 18, 0, 20);
     s.horizon = SimTime::from_millis(600);
     s.chaos = Some(ChaosSpec {
         seed: 3,
@@ -659,10 +547,10 @@ fn snapshot_at_300ms(scenario: Scenario) -> (Vec<u8>, SimTime) {
     (sim.checkpoint(), t_snap)
 }
 
-/// A checkpoint of [`hybrid_fabric_scenario`] at 300 ms: packets queued
-/// and in flight, retransmission timers pending, cached decisions.
+/// A checkpoint of the hybrid fabric at 300 ms: packets queued and in
+/// flight, retransmission timers pending, cached decisions.
 fn hybrid_snapshot() -> (Vec<u8>, SimTime) {
-    snapshot_at_300ms(hybrid_fabric_scenario())
+    snapshot_at_300ms(hybrid_scenario(7, 18, 5, 20))
 }
 
 /// Resumes `bytes` and, if that succeeds, runs the simulation until
@@ -682,8 +570,8 @@ fn bit_flipped_hybrid_snapshots_never_panic() {
     // off-line; this stride keeps the debug-build cost bounded.
     let mut panics = Vec::new();
     for (name, scenario) in [
-        ("hybrid", hybrid_fabric_scenario()),
-        ("fluid-only", fluid_fabric_scenario()),
+        ("hybrid", hybrid_scenario(7, 18, 5, 20)),
+        ("fluid-only", hybrid_scenario(7, 18, 0, 20)),
         ("chaos", chaos_fabric_scenario()),
     ] {
         let (good, t_snap) = snapshot_at_300ms(scenario);

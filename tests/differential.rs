@@ -7,7 +7,7 @@
 mod support;
 
 use horse::prelude::*;
-use support::lattice::{lattice, lattice_at, Lattice, Point};
+use support::lattice::{lattice, lattice_at, Case, Lattice, Point};
 use support::{hybrid_scenario, hybrid_scenario_on};
 
 // ---------------------------------------------------------------------
@@ -76,7 +76,7 @@ fn adaptive_lb_poll() {
         .with_ctrl_latency(SimDuration::ZERO)
         .with_stats_epoch(None)
         .with_expiry_scan(None);
-    let l = lattice("adaptive poll", s, config);
+    let l = lattice(Case::new("adaptive poll", s, config));
     assert!(
         l.base.msgs_to_controller > 0,
         "the poll must actually produce stats replies"
@@ -100,7 +100,7 @@ fn arrival_wave() {
         s.explicit_flows
             .push((SimTime::from_secs(1), spec.unwrap()));
     }
-    let l = lattice("arrival wave", s, SimConfig::default());
+    let l = lattice(Case::new("arrival wave", s, SimConfig::default()));
     let (batched, per_event) = (&l.base, l.point(Point::PerEvent).unwrap());
     assert_eq!(batched.flows_completed, 4);
     assert_eq!(batched.records, per_event.records, "identical records");
@@ -154,7 +154,7 @@ fn completion_wave_order_is_pinned() {
     let config = SimConfig::default()
         .with_stats_epoch(None)
         .with_expiry_scan(None);
-    let l = lattice("completion wave", completion_wave(), config);
+    let l = lattice(Case::new("completion wave", completion_wave(), config));
     assert_eq!(l.base.flows_completed, 11);
     let got: Vec<(u64, u64, u64)> = l
         .base
@@ -250,16 +250,20 @@ fn allocator_feature_zoo() {
     // A figure1 run takes seconds; the other points engage on cheaper
     // cases.
     let figure1 = Scenario::figure1(SimTime::from_secs(4), 3);
-    let l = lattice_at(&[Point::Full], "figure1", figure1, config);
+    let l = lattice_at(&[Point::Full], Case::new("figure1", figure1, config));
     assert!(l.base.flows_completed > 0);
     l.assert_engaged("figure1", &[Point::Full]);
-    let l = lattice("chaos fat-tree", chaos_fat_tree(), config);
+    let l = lattice(Case::new("chaos fat-tree", chaos_fat_tree(), config));
     assert!(l.base.chaos.cable_downs > 0 && l.base.chaos.switch_crashes > 0);
     l.assert_engaged("chaos fat-tree", &[Point::Full]);
-    let l = lattice("gray WAN", gray_wan(), config);
+    let l = lattice(Case::new("gray WAN", gray_wan(), config));
     assert!(l.base.chaos.gray_events > 0);
     l.assert_engaged("gray WAN", &[Point::Full]);
-    let l = lattice("hybrid figure1", hybrid_scenario(7, 18, 5, 2), config);
+    let l = lattice(Case::new(
+        "hybrid figure1",
+        hybrid_scenario(7, 18, 5, 2),
+        config,
+    ));
     assert!(l.base.pkt_flows > 0);
     l.assert_engaged("hybrid figure1", &[Point::Full, Point::UncachedPipeline]);
 }
@@ -274,7 +278,7 @@ fn hybrid_mac_learning() {
     let star = builders::star(6, Rate::gbps(10.0));
     let policy = PolicySpec::new().with(PolicyRule::MacLearning);
     let s = hybrid_scenario_on(star, policy, 3, 18, 5, 20);
-    let l = lattice("hybrid mac_learning", s, SimConfig::default());
+    let l = lattice(Case::new("hybrid mac_learning", s, SimConfig::default()));
     assert!(l.base.flow_ins > 0 && l.base.work.pkt_cache[2] > 0);
     l.assert_engaged(
         "hybrid mac_learning",
@@ -321,7 +325,7 @@ fn sweep_lattices(toml_text: &str) -> Vec<(String, Lattice)> {
             let case = format!("{} [{}]", spec.name, plan.label());
             let scenario = plan.scenario.build().expect("scenario builds");
             let config = plan.config.to_config().expect("config folds");
-            let l = lattice(&case, scenario, config);
+            let l = lattice(Case::new(&case, scenario, config));
             (case, l)
         })
         .collect()

@@ -13,7 +13,7 @@ mod support;
 
 use horse::prelude::*;
 use proptest::prelude::*;
-use support::lattice::{lattice, lattice_at, Point};
+use support::lattice::{lattice, lattice_at, Case, Point};
 
 /// A random explicit-flow scenario on a two-tier IXP fabric: arrivals on
 /// a 10 ms grid (forcing same-instant batches), mixed greedy/CBR demand,
@@ -78,11 +78,8 @@ fn random_scenario(seed: u64) -> Scenario {
 #[test]
 fn random_scenario_engaging_every_fluid_point() {
     let case = "random seed 7882688928292438543";
-    let l = lattice(
-        case,
-        random_scenario(7_882_688_928_292_438_543),
-        SimConfig::default(),
-    );
+    let s = random_scenario(7_882_688_928_292_438_543);
+    let l = lattice(Case::new(case, s, SimConfig::default()));
     let fluid: Vec<_> = (Point::ALL.into_iter())
         .filter(|&p| p != Point::UncachedPipeline)
         .collect();
@@ -97,7 +94,7 @@ proptest! {
     fn batched_epochs_match_per_event_oracle_full(seed in 1u64..u64::MAX) {
         let case = format!("random seed {seed}");
         let points = [Point::Full, Point::PerEventFull];
-        lattice_at(&points, &case, random_scenario(seed), SimConfig::default());
+        lattice_at(&points, Case::new(case, random_scenario(seed), SimConfig::default()));
     }
 
     /// The points that keep the incremental allocator: the per-event
@@ -106,6 +103,6 @@ proptest! {
     fn batched_epochs_match_per_event_oracle_incremental(seed in 1u64..u64::MAX) {
         let case = format!("random seed {seed}");
         let points = [Point::PerEvent, Point::PerFlowVariables];
-        lattice_at(&points, &case, random_scenario(seed), SimConfig::default());
+        lattice_at(&points, Case::new(case, random_scenario(seed), SimConfig::default()));
     }
 }

@@ -1,46 +1,33 @@
 //! Degenerate-fidelity equivalence of the hybrid co-simulation
 //! (`horse_core::hybrid`):
 //!
-//! * an **all-fluid** hybrid run (machinery attached, zero packet flows)
-//!   is byte-identical to the pure fluid engine;
 //! * an **all-packet** hybrid run reproduces the standalone
 //!   `horse-packetsim` baseline verbatim, flow by flow;
 //! * a **mixed-fidelity** run reports foreground-flow FCTs close to a
 //!   full packet-level run of the same inputs on the paper's
-//!   figure1 fabric.
+//!   figure1 fabric;
+//! * an **all-fluid** hybrid run (machinery attached, zero packet
+//!   flows) is byte-identical to the pure fluid engine: the
+//!   `HybridAttached` point of the differential lattice
+//!   (`support::lattice`), which also bounds the coupling passes of
+//!   every hybrid case it runs by its epochs.
 
 mod support;
 
-use horse::compare::materialize_workload;
 use horse::controlplane::PolicyGenerator;
 use horse::hybrid::pkt_flow_spec;
 use horse::packetsim::{PacketNet, PacketSimConfig, PktFlowSpec};
 use horse::prelude::*;
+use support::lattice::{lattice, lattice_at, Case, Point};
 
-/// A deterministic gravity-workload scenario on the paper's Figure-1
-/// fabric, with `n` arrivals materialized into explicit flows.
-fn figure1_fabric_scenario(seed: u64, n: usize, horizon_s: u64) -> Scenario {
+/// A deterministic gravity workload of 200 kB–5 MB flows on the paper's
+/// Figure-1 fabric (~10% of its 4×10G access aggregate) under ECMP, a
+/// proactive policy (the packet baseline drops packets on table misses):
+/// `n` arrivals over 20 s, the first `foreground` at packet fidelity.
+fn figure1_fabric_scenario(seed: u64, n: usize, foreground: usize) -> Scenario {
     let f = builders::figure1_fabric();
-    let mut s = Scenario::bare(f.topology, SimTime::from_secs(horizon_s));
-    s.members = f.members;
-    // proactive policy: the packet baseline drops packets on table misses
-    s.policy = PolicySpec::new().with(PolicyRule::LoadBalancing { mode: LbMode::Ecmp });
-    let weights = TrafficMatrix::zipf_weights(s.members.len(), 0.8);
-    s.workload = Some(WorkloadParams {
-        // ~10% of the 4×10G access aggregate: moderate background load
-        matrix: TrafficMatrix::gravity(&weights, 4e9),
-        sizes: FlowSizeDist::Pareto {
-            alpha: 1.3,
-            min_bytes: 200_000,
-            max_bytes: 5_000_000,
-        },
-        apps: AppMix::default_ixp(),
-        diurnal: None,
-        udp_rate: Rate::mbps(4.0),
-        seed,
-    });
-    materialize_workload(&mut s, n);
-    s
+    let ecmp = PolicySpec::new().with(PolicyRule::LoadBalancing { mode: LbMode::Ecmp });
+    support::gravity_scenario(f, ecmp, (200_000, 5_000_000), seed, n, foreground, 20)
 }
 
 /// The comparison config: no periodic machinery (the standalone packet
@@ -53,37 +40,22 @@ fn packet_aligned_config() -> SimConfig {
         .with_expiry_scan(None)
 }
 
+/// Attaching the hybrid machinery to a pure fluid Figure-1 run leaves it
+/// bit for bit as it was, work counters included.
 #[test]
 fn all_fluid_hybrid_run_is_byte_identical_to_fluid_engine() {
-    let run = |enable_hybrid: bool| {
-        let s = Scenario::figure1(SimTime::from_secs(3), 11);
-        let mut sim = Simulation::new(s, SimConfig::default()).unwrap();
-        if enable_hybrid {
-            sim.enable_hybrid();
-            assert!(sim.hybrid().is_some());
-        }
-        let r = sim.run();
-        // The empty packet plane itself is the one difference.
-        support::Fingerprint {
-            packet: None,
-            ..support::fingerprint(&sim, &r)
-        }
-    };
-    assert_eq!(
-        run(false),
-        run(true),
-        "results and records must match bit for bit"
-    );
+    let scenario = Scenario::figure1(SimTime::from_secs(3), 11);
+    let case = Case::new("figure1", scenario, SimConfig::default());
+    let l = lattice_at(&[Point::HybridAttached], case);
+    assert!(l.base.flows_completed > 0, "scenario must exercise flows");
+    l.assert_engaged("figure1", &[Point::HybridAttached]);
 }
 
 #[test]
 fn all_packet_hybrid_run_matches_packetsim_verbatim() {
     let horizon = SimTime::from_secs(20);
-    let mut s = figure1_fabric_scenario(7, 12, 20);
     // every explicit flow at packet fidelity
-    for (_, spec) in s.explicit_flows.iter_mut() {
-        spec.fidelity = Fidelity::Packet;
-    }
+    let s = figure1_fabric_scenario(7, 12, 12);
 
     // ---- hybrid run (single queue, shared pipeline) ----
     let mut sim = Simulation::new(s.clone(), packet_aligned_config()).unwrap();
@@ -133,39 +105,25 @@ fn hybrid_coupling_runs_at_most_once_per_epoch() {
     // trigger — several times per instant during arrival/transition
     // bursts. With epoch batching the coupling pass is guarded: however
     // many allocator runs an epoch's flush points force, the planes
-    // exchange load at most once per epoch.
-    let foreground = 6usize;
-    let mut s = figure1_fabric_scenario(21, 24, 20);
-    for (_, spec) in s.explicit_flows.iter_mut().take(foreground) {
-        spec.fidelity = Fidelity::Packet;
-    }
-    let mut sim = Simulation::new(s, packet_aligned_config()).unwrap();
-    let r = sim.run();
-    let hybrid = sim.hybrid().expect("hybrid attached");
+    // exchange load at most once per epoch. The lattice checks that (and
+    // that batching collapses same-epoch reallocation requests) on every
+    // base it runs, this packet-aligned mix included.
+    let s = figure1_fabric_scenario(21, 24, 6);
+    let name = "packet-aligned hybrid figure1";
+    let l = lattice(Case::new(name, s, packet_aligned_config()));
+    let packet = l.base.packet.as_ref().expect("hybrid attached");
     assert!(
-        hybrid.couplings > 0,
+        packet.coupling[1] > 0,
         "the planes must actually exchange load"
     );
-    assert!(
-        hybrid.couple_passes <= r.epochs,
-        "coupling ran {} times over {} epochs — more than once per epoch",
-        hybrid.couple_passes,
-        r.epochs
-    );
-    assert!(
-        r.realloc_runs <= r.realloc_requests,
-        "batching collapses same-epoch reallocation requests"
-    );
+    l.assert_engaged(name, &[Point::UncachedPipeline]);
 }
 
 #[test]
 fn mixed_fidelity_foreground_fct_tracks_full_packet_run() {
     let horizon = SimTime::from_secs(20);
     let foreground = 6usize;
-    let mut s = figure1_fabric_scenario(21, 24, 20);
-    for (_, spec) in s.explicit_flows.iter_mut().take(foreground) {
-        spec.fidelity = Fidelity::Packet;
-    }
+    let s = figure1_fabric_scenario(21, 24, foreground);
 
     // ---- hybrid: packet foreground over fluid background ----
     let mut sim = Simulation::new(s.clone(), packet_aligned_config()).unwrap();

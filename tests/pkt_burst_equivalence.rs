@@ -23,7 +23,7 @@ mod support;
 use horse::compare::materialize_workload;
 use horse::prelude::*;
 use horse::Oracles;
-use support::lattice::{lattice_at, Point};
+use support::lattice::{lattice_at, Case, Point};
 use support::{hybrid_scenario, hybrid_scenario_on, run_fingerprint};
 use support::{Fingerprint, PacketPlaneFingerprint};
 
@@ -158,7 +158,7 @@ fn cache_matches_uncached_pipeline(cap: u32) {
         }
         let case = format!("hybrid ECMP, cap {cap}, chaos {with_chaos}");
         let config = SimConfig::default().with_pkt_burst(cap);
-        let l = lattice_at(&[Point::UncachedPipeline], &case, s, config);
+        let l = lattice_at(&[Point::UncachedPipeline], Case::new(&case, s, config));
         let packet = l.base.packet.as_ref().expect("packet flows attach");
         assert!(l.base.pkt_flows == 5 && packet.tx_packets > 0, "{case}");
         assert_eq!(packet.bursts_formed > 0, cap > 1, "{case}");

@@ -9,26 +9,50 @@
 //! | `UncachedPipeline` | every packet walks the OpenFlow tables | exact |
 //! | `PerEvent` | one allocator run per event instead of per epoch | epoch |
 //! | `PerEventFull` | the per-event cadence, re-solving every flow | epoch |
+//! | `Traced` | the full tracer on: spans and the event journal | exact, metrics masked |
+//! | `Resumed` | checkpoint at each cut, drop, resume, finish | against `Traced`: exact with metrics, journal byte for byte |
+//! | `HybridAttached` | `enable_hybrid()` on a pure fluid case | exact, packet plane masked |
 //!
 //! *Exact* compares the whole fingerprint bit for bit; only the engine's
-//! own work counters may differ. *Epoch* is the batching contract: a
-//! batch the per-event cadence solves as several cascaded partial
-//! problems is solved here as one per-component problem (same
-//! equilibrium, last-ulp rounding), so counts match exactly, bytes
-//! within 1e-6 relative and finish instants within 1 ns.
+//! own work counters may differ, and only on the first three points.
+//! *Epoch* is the batching contract: a batch the per-event cadence
+//! solves as several cascaded partial problems is solved here as one
+//! per-component problem (same equilibrium, last-ulp rounding), so
+//! counts match exactly, bytes within 1e-6 relative and finish instants
+//! within 1 ns.
+//!
+//! `Resumed` runs with the same tracer as `Traced` and cuts at each of
+//! the case's cut instants in turn (the horizon's midpoint unless the
+//! case names them), resuming from the bytes with the oracles set again.
+//! Its prefix and suffix journals together must equal the `Traced`
+//! journal byte for byte, which proves both that resuming is invisible
+//! and that journals are deterministic; the metrics registry a
+//! checkpoint carries must resume seamlessly too.
 //!
 //! A point runs where its reference path exists: the pipeline point
-//! needs a packet plane, the per-event points a pure fluid run (that
-//! cadence also re-couples the hybrid planes on every run). Every test
-//! asserts that its points engaged: the fast path did work its
-//! reference path did differently.
+//! needs a packet plane, the per-event points and `HybridAttached` a
+//! pure fluid run (the per-event cadence also re-couples the hybrid
+//! planes on every run). Every base run must keep two invariants: the
+//! allocator runs at most once per request, and the hybrid planes couple
+//! at most once per epoch. When an exact point disagrees, the pair is run
+//! again with journals and the first diverging event is named in the
+//! panic. Every test asserts that its points engaged: the fast path did
+//! work its reference path did differently.
 //!
 //! The cases live in `tests/differential.rs`, the random epoch
-//! scenarios in `tests/epoch_equivalence.rs` and the hybrid ECMP cache
-//! cases in `tests/pkt_burst_equivalence.rs`.
+//! scenarios in `tests/epoch_equivalence.rs`, the hybrid ECMP cache
+//! cases in `tests/pkt_burst_equivalence.rs`, the resume cases in
+//! `tests/checkpoint_equivalence.rs`, the random chaos schedules in
+//! `tests/chaos_determinism.rs`, the Figure-1 `Traced` and `Resumed`
+//! cases in `tests/trace_divergence.rs`, and the Figure-1
+//! `HybridAttached` case and the packet-aligned hybrid case in
+//! `tests/hybrid_equivalence.rs`.
 
-use super::{run_fingerprint, Fingerprint};
+use super::{build, entries, fingerprint, Fingerprint};
+use horse::events::QueueStats;
 use horse::prelude::*;
+use horse::tracing::journal::SharedBuf;
+use horse::tracing::{describe_divergence, first_divergence};
 use horse::Oracles;
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -38,52 +62,198 @@ pub enum Point {
     UncachedPipeline,
     PerEvent,
     PerEventFull,
+    Traced,
+    Resumed,
+    HybridAttached,
 }
 
 impl Point {
-    pub const ALL: [Point; 5] = [
+    pub const ALL: [Point; 8] = [
         Point::Full,
         Point::PerFlowVariables,
         Point::UncachedPipeline,
         Point::PerEvent,
         Point::PerEventFull,
+        Point::Traced,
+        Point::Resumed,
+        Point::HybridAttached,
     ];
 
-    /// The base configuration with this point's reference path on.
-    fn setup(self, config: SimConfig) -> (SimConfig, Oracles) {
+    /// The case's configuration with this point's reference path on.
+    fn setup(self, case: &Case) -> (SimConfig, Oracles) {
         let oracles = Oracles {
-            per_event_realloc: !self.is_exact(),
-            per_flow_variables: self == Point::PerFlowVariables,
-            uncached_pipeline: self == Point::UncachedPipeline,
+            per_event_realloc: case.oracles.per_event_realloc || !self.is_exact(),
+            per_flow_variables: case.oracles.per_flow_variables || self == Point::PerFlowVariables,
+            uncached_pipeline: case.oracles.uncached_pipeline || self == Point::UncachedPipeline,
         };
         match self {
-            Point::Full | Point::PerEventFull => (config.with_alloc_mode(AllocMode::Full), oracles),
-            _ => (config, oracles),
+            Point::Full | Point::PerEventFull => {
+                (case.config.with_alloc_mode(AllocMode::Full), oracles)
+            }
+            _ => (case.config, oracles),
         }
     }
 
     fn is_exact(self) -> bool {
         !matches!(self, Point::PerEvent | Point::PerEventFull)
     }
+
+    /// Whether the point applies to a case whose base has (`packet`) or
+    /// lacks a packet plane.
+    fn applies(self, packet: bool) -> bool {
+        match self {
+            Point::UncachedPipeline => packet,
+            Point::PerEvent | Point::PerEventFull | Point::HybridAttached => !packet,
+            Point::Full | Point::PerFlowVariables | Point::Traced | Point::Resumed => true,
+        }
+    }
+
+    /// The part of a run this point's comparator reads.
+    fn compared(self, f: &Fingerprint) -> Fingerprint {
+        match self {
+            Point::Full | Point::PerFlowVariables | Point::UncachedPipeline => f.without_work(),
+            Point::Traced => {
+                let mut f = f.clone();
+                f.work.metrics = Default::default();
+                f
+            }
+            Point::HybridAttached => Fingerprint {
+                packet: None,
+                ..f.clone()
+            },
+            Point::Resumed | Point::PerEvent | Point::PerEventFull => f.clone(),
+        }
+    }
+}
+
+/// One scenario of the zoo and how its base runs.
+#[derive(Clone)]
+pub struct Case {
+    pub name: String,
+    pub scenario: Scenario,
+    pub config: SimConfig,
+    /// Reference paths the base itself runs with (none unless given);
+    /// every point switches its own on top.
+    pub oracles: Oracles,
+    /// Where `Resumed` checkpoints and resumes, in order.
+    pub cuts: Vec<SimTime>,
+}
+
+impl Case {
+    /// A case cut at the horizon's midpoint.
+    pub fn new(name: impl Into<String>, scenario: Scenario, config: SimConfig) -> Case {
+        let cuts = vec![SimTime::from_nanos(scenario.horizon.as_nanos() / 2)];
+        Case {
+            name: name.into(),
+            scenario,
+            config,
+            oracles: Oracles::default(),
+            cuts,
+        }
+    }
+
+    pub fn cut_at(self, cuts: impl IntoIterator<Item = SimTime>) -> Case {
+        Case {
+            cuts: cuts.into_iter().collect(),
+            ..self
+        }
+    }
+
+    pub fn with_oracles(self, oracles: Oracles) -> Case {
+        Case { oracles, ..self }
+    }
+}
+
+/// The simulation's state at one `Resumed` cut.
+#[derive(Clone, Copy, Debug)]
+pub struct Cut {
+    pub active_flows: u64,
+    pub queue: QueueStats,
+}
+
+impl Cut {
+    pub fn pending(&self) -> u64 {
+        self.queue.scheduled - self.queue.delivered - self.queue.cancelled
+    }
+}
+
+/// What one run of a case leaves behind.
+pub struct Run {
+    pub fp: Fingerprint,
+    /// The event journal (empty unless the run kept one).
+    pub journal: String,
+    /// The state at each `Resumed` cut.
+    pub cuts: Vec<Cut>,
+}
+
+/// Runs `case` as shipped (`None`) or at `point`. `Traced` and `Resumed`
+/// carry the full tracer; `journal` gives any other run a journal only.
+fn run(case: &Case, point: Option<Point>, journal: bool) -> Run {
+    let (config, oracles) = point.map_or((case.config, case.oracles), |p| p.setup(case));
+    let mut sim = build(case.scenario.clone(), config, oracles);
+    if point == Some(Point::HybridAttached) {
+        sim.enable_hybrid();
+    }
+    let buf = SharedBuf::new();
+    let tracer = || match point {
+        Some(Point::Traced | Point::Resumed) => {
+            Some(SimTracer::new().with_spans().with_journal(buf.clone()))
+        }
+        _ => journal.then(|| SimTracer::new().with_journal(buf.clone())),
+    };
+    if let Some(t) = tracer() {
+        sim.set_tracer(t);
+    }
+    let mut cuts = Vec::new();
+    if point == Some(Point::Resumed) {
+        for &at in &case.cuts {
+            sim.run_until(at);
+            let snapshot = sim.checkpoint();
+            sim.take_tracer().expect("tracer").finish_journal();
+            let r = sim.finish();
+            cuts.push(Cut {
+                active_flows: r.flows_active_at_end,
+                queue: r.queue,
+            });
+            sim = Simulation::resume(&snapshot).expect("snapshot resumes");
+            sim.set_oracles(oracles);
+            sim.set_tracer(tracer().expect("tracer"));
+        }
+    }
+    let r = sim.run();
+    if let Some(mut t) = sim.take_tracer() {
+        t.finish_journal();
+    }
+    Run {
+        fp: fingerprint(&sim, &r),
+        journal: buf.contents(),
+        cuts,
+    }
 }
 
 /// One case's base run and the run of every point that applies to it.
 pub struct Lattice {
     pub base: Fingerprint,
-    pub points: Vec<(Point, Fingerprint)>,
+    pub runs: Vec<(Point, Run)>,
 }
 
 impl Lattice {
+    pub fn run(&self, p: Point) -> Option<&Run> {
+        self.runs.iter().find(|(q, _)| *q == p).map(|(_, r)| r)
+    }
+
     pub fn point(&self, p: Point) -> Option<&Fingerprint> {
-        self.points.iter().find(|(q, _)| *q == p).map(|(_, f)| f)
+        self.run(p).map(|r| &r.fp)
     }
 
     /// Whether the fast path `p` replaces did work on this case that its
-    /// reference path did differently.
+    /// reference path did differently (for the last three points: that
+    /// the path under test ran at all).
     pub fn engaged(&self, p: Point) -> bool {
-        let (b, Some(o)) = (&self.base, self.point(p)) else {
+        let (b, Some(run)) = (&self.base, self.run(p)) else {
             return false;
         };
+        let o = &run.fp;
         match p {
             Point::Full => o.work.realloc_flows_touched > b.work.realloc_flows_touched,
             Point::PerFlowVariables => {
@@ -92,6 +262,14 @@ impl Lattice {
             }
             Point::UncachedPipeline => b.work.pkt_cache[0] > 0 && o.work.pkt_cache == [0; 3],
             Point::PerEvent | Point::PerEventFull => o.realloc_runs > b.realloc_runs,
+            Point::Traced => {
+                !run.journal.is_empty() && o.work.metrics.get("sim.events") == Some(o.events as f64)
+            }
+            Point::Resumed => {
+                !run.cuts.is_empty()
+                    && (run.cuts.iter()).all(|c| c.active_flows > 0 && c.pending() > 0)
+            }
+            Point::HybridAttached => o.packet.is_some(),
         }
     }
 
@@ -100,52 +278,85 @@ impl Lattice {
             assert!(self.engaged(p), "{case}: {p:?} did not engage");
         }
     }
-}
 
-/// Runs `scenario` under `config` and every point that applies to it,
-/// asserting each point's comparator against the base run.
-pub fn lattice(case: &str, scenario: Scenario, config: SimConfig) -> Lattice {
-    lattice_at(&Point::ALL, case, scenario, config)
-}
-
-/// [`lattice`] on a subset of the points. Every run is independent, so
-/// they run side by side; only the points that need to know whether the
-/// case has a packet plane wait for the base.
-pub fn lattice_at(only: &[Point], case: &str, scenario: Scenario, config: SimConfig) -> Lattice {
-    let run = |p: Point| {
-        let (c, o) = p.setup(config);
-        run_fingerprint(scenario.clone(), c, o)
-    };
-    let (base, points) = std::thread::scope(|scope| {
-        let run = &run;
-        let spawn = |&p: &Point| (p, scope.spawn(move || run(p)));
-        let fluid = |p: &&Point| matches!(p, Point::Full | Point::PerFlowVariables);
-        let mut runs: Vec<_> = only.iter().filter(fluid).map(spawn).collect();
-        let base = run_fingerprint(scenario.clone(), config, Oracles::default());
-        let packet = base.packet.is_some();
-        let late = |p: &&Point| match p {
-            Point::UncachedPipeline => packet,
-            Point::PerEvent | Point::PerEventFull => !packet,
-            Point::Full | Point::PerFlowVariables => false,
-        };
-        runs.extend(only.iter().filter(late).map(spawn));
-        let points: Vec<(Point, Fingerprint)> = (runs.into_iter())
-            .map(|(p, run)| (p, run.join().expect("lattice point panicked")))
-            .collect();
-        (base, points)
-    });
-    for (p, got) in &points {
-        if p.is_exact() {
-            assert_eq!(
-                got.without_work(),
-                base.without_work(),
-                "{case}: {p:?} disagrees with the fast path"
+    /// The base-run invariants and every point's comparator.
+    fn check(&self, case: &Case) {
+        let (name, base) = (&case.name, &self.base);
+        assert!(
+            base.realloc_runs <= base.realloc_requests,
+            "{name}: the allocator ran more often than it was asked"
+        );
+        if let Some(p) = &base.packet {
+            assert!(
+                p.coupling[2] <= base.epochs,
+                "{name}: coupling ran {} times over {} epochs",
+                p.coupling[2],
+                base.epochs
             );
-        } else {
-            assert_epoch_equivalent(&format!("{case}, {p:?}"), &base, got);
+        }
+        for (p, got) in &self.runs {
+            if !p.is_exact() {
+                assert_epoch_equivalent(&format!("{name}, {p:?}"), base, &got.fp);
+                continue;
+            }
+            // `Resumed` answers to the straight-through traced run.
+            let traced = self.run(Point::Traced).filter(|_| *p == Point::Resumed);
+            let want = traced.map_or(base, |t| &t.fp);
+            let journal_differs = traced.is_some_and(|t| t.journal != got.journal);
+            if !journal_differs && p.compared(&got.fp) == p.compared(want) {
+                continue;
+            }
+            let (a, b) = match traced {
+                Some(t) => (t.journal.clone(), got.journal.clone()),
+                None => (
+                    run(case, None, true).journal,
+                    run(case, Some(*p), true).journal,
+                ),
+            };
+            let divergence = describe_divergence(&first_divergence(&entries(&a), &entries(&b)));
+            assert_eq!(
+                p.compared(&got.fp),
+                p.compared(want),
+                "{name}: {p:?} disagrees; {divergence}"
+            );
+            panic!("{name}: the {p:?} journal differs from the traced run's; {divergence}");
         }
     }
-    Lattice { base, points }
+}
+
+/// Runs `case` as shipped and at every point that applies to it,
+/// asserting each point's comparator against the base run.
+pub fn lattice(case: Case) -> Lattice {
+    lattice_at(&Point::ALL, case)
+}
+
+/// [`lattice`] on a subset of the points (`Resumed` brings its
+/// reference, `Traced`). Every run is independent, so they run side by
+/// side; only the points that need to know whether the case has a
+/// packet plane wait for the base.
+pub fn lattice_at(only: &[Point], case: Case) -> Lattice {
+    let wanted =
+        |p: &Point| only.contains(p) || (*p == Point::Traced && only.contains(&Point::Resumed));
+    let everywhere = |p: &Point| p.applies(true) && p.applies(false);
+    let (base, runs) = std::thread::scope(|scope| {
+        let case = &case;
+        let spawn = |p: Point| (p, scope.spawn(move || run(case, Some(p), false)));
+        let early = Point::ALL
+            .into_iter()
+            .filter(|p| wanted(p) && everywhere(p));
+        let mut runs: Vec<_> = early.map(spawn).collect();
+        let base = run(case, None, false).fp;
+        let packet = base.packet.is_some();
+        let late = |p: &Point| wanted(p) && !everywhere(p) && p.applies(packet);
+        runs.extend(Point::ALL.into_iter().filter(late).map(spawn));
+        let runs: Vec<(Point, Run)> = (runs.into_iter())
+            .map(|(p, run)| (p, run.join().expect("lattice point panicked")))
+            .collect();
+        (base, runs)
+    });
+    let l = Lattice { base, runs };
+    l.check(&case);
+    l
 }
 
 // A completion instant moved by a nanosecond integrates sub-byte drift on

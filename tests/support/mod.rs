@@ -8,6 +8,8 @@ pub mod lattice;
 
 use horse::compare::materialize_workload;
 use horse::prelude::*;
+use horse::tracing::journal::SharedBuf;
+use horse::tracing::{parse_journal, JournalEntry};
 use horse::Oracles;
 
 /// Everything deterministic a run produces, with floats as bit patterns.
@@ -221,6 +223,21 @@ pub fn run_fingerprint(scenario: Scenario, config: SimConfig, oracles: Oracles) 
     fingerprint(&sim, &r)
 }
 
+/// Runs `sim` to its horizon with an event journal; returns the
+/// fingerprint and the journal text.
+pub fn run_journaled(mut sim: Simulation) -> (Fingerprint, String) {
+    let buf = SharedBuf::new();
+    sim.set_tracer(SimTracer::new().with_journal(buf.clone()));
+    let r = sim.run();
+    sim.take_tracer().expect("tracer").finish_journal();
+    (fingerprint(&sim, &r), buf.contents())
+}
+
+/// The entries of a journal [`run_journaled`] returned.
+pub fn entries(journal: &str) -> Vec<JournalEntry> {
+    parse_journal(journal).expect("journal parses")
+}
+
 /// A deterministic gravity-workload scenario on the paper's Figure-1
 /// fabric with `n` arrivals materialized and the first `foreground` at
 /// packet fidelity.
@@ -245,21 +262,37 @@ pub fn hybrid_scenario_on(
     foreground: usize,
     horizon_s: u64,
 ) -> Scenario {
-    let mut s = Scenario::bare(f.topology, SimTime::from_secs(horizon_s));
-    s.members = f.members;
-    s.policy = policy;
-    let weights = TrafficMatrix::zipf_weights(s.members.len(), 0.8);
     // ≥1 MB flows (the hybrid_accuracy sizing): the sub-1% FCT claim is
     // for serializer-bound foreground flows, whose steady state the burst
     // model reproduces exactly (busy windows use full-burst serialization)
     // — not for sub-RTT mice whose FCT is all slow-start transient, where
     // the per-round ACK-batching skew is proportionally larger.
+    let sizes = (1_000_000, 20_000_000);
+    gravity_scenario(f, policy, sizes, seed, n, foreground, horizon_s)
+}
+
+/// A gravity workload of Pareto(1.3, `sizes`) flows on `f` under
+/// `policy`: `n` arrivals materialized, the first `foreground` at packet
+/// fidelity.
+pub fn gravity_scenario(
+    f: builders::FabricHandles,
+    policy: PolicySpec,
+    (min_bytes, max_bytes): (u64, u64),
+    seed: u64,
+    n: usize,
+    foreground: usize,
+    horizon_s: u64,
+) -> Scenario {
+    let mut s = Scenario::bare(f.topology, SimTime::from_secs(horizon_s));
+    s.members = f.members;
+    s.policy = policy;
+    let weights = TrafficMatrix::zipf_weights(s.members.len(), 0.8);
     s.workload = Some(WorkloadParams {
         matrix: TrafficMatrix::gravity(&weights, 4e9),
         sizes: FlowSizeDist::Pareto {
             alpha: 1.3,
-            min_bytes: 1_000_000,
-            max_bytes: 20_000_000,
+            min_bytes,
+            max_bytes,
         },
         apps: AppMix::default_ixp(),
         diurnal: None,

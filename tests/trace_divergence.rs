@@ -1,80 +1,50 @@
-//! Acceptance tests for the observability layer (PR 6): event journals
-//! must be bit-identical wherever the determinism contract promises it,
-//! tracing must never perturb deterministic results, and when two runs
-//! *do* diverge, `horse-trace`'s bisector must name the exact first
-//! diverging event.
+//! Acceptance tests for the observability layer: spans name every
+//! controller input, the lab's trace export is valid Chrome-trace JSON,
+//! and when two runs *do* diverge, `horse-trace`'s bisector names the
+//! exact first diverging event. That tracing never perturbs a run and
+//! that journals are deterministic run the `Traced` and `Resumed` points
+//! of the differential lattice (`support::lattice`) on Figure 1.
 
 mod support;
 
 use horse::prelude::*;
-use horse::tracing::journal::SharedBuf;
 use horse::tracing::{chrome_trace, describe_divergence, first_divergence, Divergence};
-use horse::tracing::{parse_journal, JournalEntry};
+use support::lattice::{lattice_at, Case, Point};
+use support::{entries, run_journaled};
 
-/// Runs a scenario with a journaling tracer; returns the results, the
-/// journal entries, and the raw journal text.
-fn journaled_run(
-    scenario: Scenario,
-    config: SimConfig,
-    inject_down_at: Option<SimTime>,
-) -> (SimResults, Vec<JournalEntry>, String) {
-    let buf = SharedBuf::new();
-    let mut sim = Simulation::new(scenario, config).expect("valid scenario");
+/// The journal of a Figure-1 run, with one cable cut at `inject_down_at`.
+fn journal(inject_down_at: Option<SimTime>) -> Vec<horse::tracing::JournalEntry> {
+    let scenario = Scenario::figure1(SimTime::from_secs(5), 11);
+    let mut sim = Simulation::new(scenario, SimConfig::default()).expect("valid scenario");
     if let Some(at) = inject_down_at {
         sim.schedule_cable_down(at, horse::types::LinkId(0));
     }
-    sim.set_tracer(SimTracer::new().with_journal(buf.clone()));
-    let r = sim.run();
-    let mut tracer = sim.take_tracer().expect("tracer attached");
-    tracer.finish_journal();
-    let text = buf.contents();
-    let entries = parse_journal(&text).expect("journal parses");
-    (r, entries, text)
+    entries(&run_journaled(sim).1)
 }
 
-/// The journal is part of the determinism contract: same scenario +
-/// same seed must journal byte-for-byte identically on every run.
+/// The Figure-1 case (3 s, seed 11) the lattice tests below run.
+fn figure1() -> Case {
+    let scenario = Scenario::figure1(SimTime::from_secs(3), 11);
+    Case::new("figure1", scenario, SimConfig::default())
+}
+
+/// The journal is part of the determinism contract: the `Resumed` run's
+/// prefix and suffix journals must equal the independently traced run's
+/// byte for byte.
 #[test]
 fn journals_are_byte_identical_run_to_run() {
-    let scenario = || Scenario::figure1(SimTime::from_secs(3), 11);
-    let (r1, e1, t1) = journaled_run(scenario(), SimConfig::default(), None);
-    let (_, e2, t2) = journaled_run(scenario(), SimConfig::default(), None);
-    assert!(r1.flows_completed > 0, "scenario must exercise flows");
-    assert!(!e1.is_empty(), "journal captured events");
-    assert_eq!(t1, t2, "journal text differs between identical runs");
-    assert!(matches!(
-        first_divergence(&e1, &e2),
-        Divergence::Identical { .. }
-    ));
+    let l = lattice_at(&[Point::Resumed], figure1());
+    assert!(l.base.flows_completed > 0, "scenario must exercise flows");
+    l.assert_engaged("figure1", &[Point::Traced, Point::Resumed]);
 }
 
 /// Attaching the full tracer (metrics + spans + journal) must not change
 /// any deterministic output.
 #[test]
 fn tracing_on_vs_off_yields_identical_results() {
-    let run = |traced: bool| {
-        let mut sim = Simulation::new(
-            Scenario::figure1(SimTime::from_secs(3), 11),
-            SimConfig::default(),
-        )
-        .unwrap();
-        if traced {
-            sim.set_tracer(SimTracer::new().with_spans().with_journal(std::io::sink()));
-        }
-        let r = sim.run();
-        support::fingerprint(&sim, &r)
-    };
-    let (untraced, mut traced) = (run(false), run(true));
-    // The traced run additionally carries a populated metrics snapshot.
-    let metrics = std::mem::take(&mut traced.work.metrics);
-    assert!(
-        metrics
-            .entries()
-            .iter()
-            .any(|(k, v)| k == "sim.events" && *v == traced.events as f64),
-        "metrics snapshot records the event count"
-    );
-    assert_eq!(untraced, traced);
+    let l = lattice_at(&[Point::Traced], figure1());
+    assert!(l.base.flows_completed > 0, "scenario must exercise flows");
+    l.assert_engaged("figure1", &[Point::Traced]);
 }
 
 /// With spans on, every controller callback is one `controller.dispatch`
@@ -117,10 +87,9 @@ fn controller_dispatch_spans_name_every_controller_input() {
 /// divergence — the workflow CI applies when determinism breaks.
 #[test]
 fn diff_pinpoints_injected_fault_event() {
-    let scenario = || Scenario::figure1(SimTime::from_secs(5), 11);
-    let (_, a, _) = journaled_run(scenario(), SimConfig::default(), None);
+    let a = journal(None);
     let inject = SimTime::from_millis(2500);
-    let (_, b, _) = journaled_run(scenario(), SimConfig::default(), Some(inject));
+    let b = journal(Some(inject));
     let div = first_divergence(&a, &b);
     let first_b = match &div {
         Divergence::Mismatch { a: ea, b: eb, .. } => {
