@@ -8,7 +8,8 @@
 
 use horse::prelude::*;
 
-/// Builds the standard IXP scenario used by E2 and E5:
+/// Builds the IXP scenario of E5 (E2 runs the same one as the
+/// `examples/sweeps/load.toml` sweep):
 /// `members` member routers on an edge/core fabric, gravity traffic at
 /// `load_factor` × (40 Mbps per member), megabyte-scale heavy-tailed
 /// flows.
@@ -37,17 +38,6 @@ pub fn ixp_scenario(
     params.horizon = horizon;
     params.seed = seed;
     Scenario::ixp(&params)
-}
-
-/// The default experiment policy: ECMP load balancing.
-pub fn lb_policy() -> PolicySpec {
-    PolicySpec::new().with(PolicyRule::LoadBalancing { mode: LbMode::Ecmp })
-}
-
-/// Runs a scenario through the fluid plane and returns the results.
-pub fn run_fluid(scenario: Scenario, config: SimConfig) -> SimResults {
-    let mut sim = Simulation::new(scenario, config).expect("valid scenario");
-    sim.run()
 }
 
 /// One measured point of the million-flow scaling harness
@@ -236,8 +226,11 @@ mod tests {
 
     #[test]
     fn ixp_scenario_builds_and_runs() {
-        let s = ixp_scenario(25, 1.0, lb_policy(), SimTime::from_secs(2), 3);
-        let r = run_fluid(s, SimConfig::default());
+        let policy = PolicySpec::new().with(PolicyRule::LoadBalancing { mode: LbMode::Ecmp });
+        let s = ixp_scenario(25, 1.0, policy, SimTime::from_secs(2), 3);
+        let r = Simulation::new(s, SimConfig::default())
+            .expect("valid scenario")
+            .run();
         assert!(r.flows_admitted > 0);
         assert!(r.events > 0);
     }

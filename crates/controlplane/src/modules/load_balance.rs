@@ -210,6 +210,11 @@ impl PolicyModule for LoadBalanceModule {
         // Per switch, ascending id — edges precede cores in the canned
         // fabrics, preserving the historical message order.
         let blank = PathDb::default();
+        // At most one group and one forwarding entry per (switch, host)
+        // pair: one allocation instead of a doubling chain of copies,
+        // which left set-up's peak RSS at the mercy of heap layout.
+        let pairs = ctx.paths.hosts().len() * ctx.topo.switches().count();
+        out.msgs.reserve(2 * pairs);
         for sw in ctx.topo.switches() {
             self.install_switch(sw, ctx.paths.hosts().iter().copied(), &blank, ctx, out);
         }

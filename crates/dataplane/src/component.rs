@@ -16,16 +16,20 @@
 //!   rows crossing it.
 //!
 //! Every occupied directed link records its component and its local index,
-//! so a dirty link maps straight to the problem to re-solve. An admission
-//! appends a member or bumps its class's weight, and merges the components
-//! its links touch. A departure tombstones the member; a class whose last
-//! member left unmaps the links nobody else crosses and flags the component
-//! for a split check before its next solve ([`Components::check`], a
-//! union-find over the component's live class rows). A component found
-//! split, or more than half dead, is rebuilt by the engine's arena walk.
-//! None of this state is serialized: it is derived from the flow arena,
-//! and a restored plane rebuilds it.
+//! so a dirty link maps straight to the problem to re-solve, and the
+//! components are the engine's one answer to "which flows share this
+//! link?". [`Components::admit`] is the only way a component is built: it
+//! appends a member at the flow's current rate or bumps its class's
+//! weight, and merges the components the flow's links touch. A departure
+//! tombstones the member; a class whose last member left unmaps the links
+//! nobody else crosses and flags the component for a split check before
+//! its next solve ([`Components::check`], a union-find over the
+//! component's live class rows). A component found split, or more than
+//! half dead, is dissolved and its live members are admitted again, in
+//! ascending flow-id order. None of this state is serialized: it is
+//! derived from the flow arena, and a restored plane re-admits every flow.
 
+use crate::flow::ActiveFlow;
 use horse_types::LinkId;
 
 /// Sentinel for "no component / no class / vacant member".
@@ -232,7 +236,7 @@ impl Components {
     }
 
     /// A fresh, empty component from the pool.
-    pub fn alloc(&mut self) -> u32 {
+    fn alloc(&mut self) -> u32 {
         match self.free.pop() {
             Some(c) => c,
             None => {
@@ -247,18 +251,18 @@ impl Components {
         self.free.push(c);
     }
 
-    /// Registers an admitted flow: merges the components its links touch
-    /// (smaller into larger), then joins or founds its class. Returns the
-    /// number of merges.
+    /// Registers the flow in arena slot `slot` at its current rate: merges
+    /// the components its links touch (smaller into larger), maps its
+    /// unmapped links to the survivor, then joins or founds its class.
+    /// Returns the number of merges.
     pub fn admit(
         &mut self,
-        id: u64,
         slot: u32,
-        links: &[LinkId],
-        demand: f64,
+        flow: &ActiveFlow,
         per_flow: bool,
         cap: impl Fn(usize) -> f64,
     ) -> u32 {
+        let links = &flow.route.links[..];
         if links.is_empty() {
             return 0;
         }
@@ -278,25 +282,7 @@ impl Components {
         if target == NONE {
             target = self.alloc();
         }
-        // An admitted flow has no rate until its first solve.
-        self.push_member(target, id, slot, 0.0, links, demand, per_flow, cap);
-        merges
-    }
-
-    /// Adds a flow to component `c`, mapping its unmapped links to `c`.
-    /// Every mapped link of the flow must already belong to `c`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn push_member(
-        &mut self,
-        c: u32,
-        id: u64,
-        slot: u32,
-        rate: f64,
-        links: &[LinkId],
-        demand: f64,
-        per_flow: bool,
-        cap: impl Fn(usize) -> f64,
-    ) {
+        let c = target;
         let Components {
             comps,
             link_comp,
@@ -304,6 +290,7 @@ impl Components {
             ..
         } = self;
         let comp = &mut comps[c as usize];
+        let demand = flow.effective_demand();
         let digest = if per_flow {
             0
         } else {
@@ -347,11 +334,12 @@ impl Components {
         } else {
             comp.classes[k as usize].weight += 1;
         }
+        let id = flow.id.0;
         let member = Member {
             id,
             slot,
             class: k,
-            rate,
+            rate: flow.rate.as_bps(),
         };
         let pos = comp.members.partition_point(|m| m.id < id);
         // A flow detached and re-admitted under its id reuses its own
@@ -366,6 +354,7 @@ impl Components {
             None => comp.members.insert(pos, member),
         }
         comp.live += 1;
+        merges
     }
 
     /// Tombstones a leaving flow. A class left without members unmaps the
@@ -528,17 +517,23 @@ impl Components {
         (ran, Check::Keep)
     }
 
-    /// Unmaps component `c`'s live links, appending them to `seeds`, and
-    /// returns the component to the pool (the engine then rebuilds its
-    /// flows from those links).
-    pub fn dissolve(&mut self, c: u32, seeds: &mut Vec<u32>) {
-        for l in &self.comps[c as usize].links {
+    /// Unmaps component `c`'s live links, appends the arena slots of its
+    /// live members to `slots` (ascending flow id) and returns the
+    /// component to the pool; the engine then admits those flows again.
+    pub fn dissolve(&mut self, c: u32, slots: &mut Vec<u32>) {
+        let comp = &self.comps[c as usize];
+        for l in &comp.links {
             if l.live > 0 {
                 self.link_comp[l.raw as usize] = NONE;
                 self.link_local[l.raw as usize] = NONE;
-                seeds.push(l.raw);
             }
         }
+        slots.extend(
+            comp.members
+                .iter()
+                .filter(|m| m.slot != NONE)
+                .map(|m| m.slot),
+        );
         self.release(c);
     }
 }

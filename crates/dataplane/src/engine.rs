@@ -32,23 +32,25 @@
 //! each component's allocation problem stays resident between calls
 //! (the private `component` module): members in ascending flow-id order,
 //! macro-flow classes as weighted rows of component-local links, link
-//! capacities. Each occupied link records its component. Admission
-//! appends a member or bumps its class's weight and merges the components
-//! its links touch; a departure or detach tombstones the member. The
-//! class digest is computed once per admission. `reallocate` then runs in
-//! four phases:
+//! capacities. Each occupied link records its component; that map is the
+//! engine's only link → flows index (failures find their victims through
+//! it too). Admission appends a member or bumps its class's weight and
+//! merges the components its links touch; a departure or detach
+//! tombstones the member. The class digest is computed once per
+//! admission. Admission is also the only way a component is built: a
+//! rebuild admits flows again, in ascending flow-id order, at their
+//! current rates. `reallocate` then runs in four phases:
 //!
 //! 1. **Discovery** maps each dirty link straight to its resident
 //!    component, queued once in first-touch order, and rewrites the
 //!    link's capacity (gray and up/down changes mark it dirty). A
 //!    component that lost a class since its last check first runs a
 //!    union-find over its own rows; one found split, or more than half
-//!    dead, is rebuilt by the walk-and-build routine (epoch-stamped walk
-//!    of the arena's per-link lists into components, each built in
-//!    ascending flow-id order). That routine is also the `Full` oracle
-//!    ([`FluidNet::mark_all_dirty`] rebuilds every component), and it
-//!    serves restores and per-flow-variables toggles. Discovery ends
-//!    with the global ascending-id order of the queued members.
+//!    dead, is dissolved and its live members are admitted again.
+//!    ([`FluidNet::mark_all_dirty`], the `Full` oracle, rebuilds every
+//!    component the same way before the run, as do restores and
+//!    per-flow-variables toggles.) Discovery ends with the global
+//!    ascending-id order of the queued members.
 //! 2. **Build** copies each queued component's live classes, capacities
 //!    and virtual external flows into one dense CSR problem: flat copies
 //!    with no arena access and no digest.
@@ -62,11 +64,11 @@
 //!    emission.
 //!
 //! Exactness rests on two facts. Components are exactly the connected
-//! components a fresh walk would find, because a split is detected before
-//! the component is next solved. And the solver is invariant under
-//! permutation of variables, links and each row's link order (pinned by
-//! the `maxmin` property tests), so the order in which a resident
-//! component holds its classes and links changes no bit.
+//! components of the active flows' link-sharing graph, because a split
+//! is detected before the component is next solved. And the solver is
+//! invariant under permutation of variables, links and each row's link
+//! order (pinned by the `maxmin` property tests), so the order in which a
+//! resident component holds its classes and links changes no bit.
 //!
 //! ## Lazy byte integration
 //!
@@ -84,13 +86,12 @@
 //!
 //! ## Hot-path layout
 //!
-//! Flow state is arena-backed ([`crate::slab::FlowArena`]): a
-//! generation-checked slab addressed by dense slot indices, one global
-//! intrusive active list and per-link intrusive membership lists — all in
-//! deterministic admission order. Only the rebuild routine walks the
-//! membership lists; a steady-state run reads the resident components'
-//! flat arrays, copies each queued problem into scratch buffers owned by
-//! the engine and runs the round-scan water-filler
+//! Flow state is arena-backed (the private `slab` module): a
+//! generation-checked slab addressed by dense slot indices and one global
+//! intrusive active list in deterministic admission order. A run reads
+//! the resident components' flat arrays, copies each queued problem into
+//! scratch buffers owned by the engine and runs the round-scan
+//! water-filler
 //! ([`crate::maxmin::max_min_allocate_csr`]) over them. Component buffers
 //! are pooled, so in steady state `reallocate` performs **zero heap
 //! allocations** (covered by the `alloc_free` integration test; solver
@@ -217,16 +218,18 @@ struct EngineMetrics {
 /// snapshot every lab report embeds, so reports do not change with them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ComponentCounters {
-    /// Components absorbed by an admission that bridged them.
+    /// Components absorbed by an admission that bridged them (the
+    /// re-admissions of a rebuild are not counted).
     pub merges: u64,
     /// Split checks that found a component fallen apart.
     pub splits: u64,
     /// Split checks run: union-finds over a queued component that lost a
     /// class since its last check.
     pub split_checks: u64,
-    /// Runs of the walk-and-build rebuild routine: one per
+    /// Rebuilds, each admitting a set of flows again: one per
     /// [`FluidNet::mark_all_dirty`], restore or per-flow-variables toggle
-    /// that a run then serves, plus one per split or compacted component.
+    /// (every active flow), plus one per split or compacted component
+    /// (its live members).
     pub rebuilds: u64,
 }
 
@@ -237,9 +240,9 @@ pub struct ComponentCounters {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReallocTiming {
     /// Discovery pass — exported as the `realloc.discovery` span: dirty
-    /// links mapped to their resident components, split checks, any
-    /// rebuild from the arena, and the global ascending-id processing
-    /// order. It syncs no bytes.
+    /// links mapped to their resident components, split checks, the
+    /// rebuild of any split or compacted component, and the global
+    /// ascending-id processing order. It syncs no bytes.
     pub discovery_ns: u64,
     /// Build pass: each queued component's live classes, capacities and
     /// virtual external flows copied into one dense CSR problem.
@@ -255,22 +258,13 @@ pub struct ReallocTiming {
 }
 
 /// Reusable working memory for [`FluidNet::reallocate`] (and the other
-/// bulk walks). Buffers grow to the high-water problem size, then every
+/// bulk passes). Buffers grow to the high-water problem size, then every
 /// later call is allocation-free.
 #[derive(Default)]
 struct ReallocScratch {
-    /// Epoch for the walk's visited stamps (bumped once per walk).
-    gen: u64,
-    /// Per-slot visited stamp for the component walk.
-    flow_stamp: Vec<u64>,
-    /// Per-link visited stamp for the component walk.
-    link_stamp: Vec<u64>,
-    /// Slots found by the component walk (and by `sync_all`).
+    /// Arena slots ascending by flow id: the flows a rebuild admits
+    /// again, and the flows `sync_all` syncs.
     ids: Vec<u32>,
-    /// DFS stack for the component walk.
-    stack: Vec<u32>,
-    /// Seed links of the next component walk.
-    seeds: Vec<u32>,
     /// Components queued for this run's solve, in first-touch order.
     comps: Vec<CompRange>,
     /// `(flow id, component, member)` of every live member of a queued
@@ -294,28 +288,6 @@ struct ReallocScratch {
     weights: Vec<u32>,
     /// Rate changes reported to the caller (borrowed out of `reallocate`).
     changes: Vec<RateChange>,
-}
-
-/// Expands `scratch.stack` to the full link-sharing closure, stamping
-/// links and flows with `gen` and appending newly discovered flows to
-/// `scratch.ids`.
-fn component_closure(flows: &FlowArena, scratch: &mut ReallocScratch, gen: u64) {
-    while let Some(slot) = scratch.stack.pop() {
-        for &l in &flows.flow_at(slot).route.links {
-            let li = l.index();
-            if scratch.link_stamp[li] == gen {
-                continue;
-            }
-            scratch.link_stamp[li] = gen;
-            for s2 in flows.flows_on_link(li) {
-                if scratch.flow_stamp[s2 as usize] != gen {
-                    scratch.flow_stamp[s2 as usize] = gen;
-                    scratch.ids.push(s2);
-                    scratch.stack.push(s2);
-                }
-            }
-        }
-    }
 }
 
 /// Allocatable capacity of link `li`: nominal times its gray factor while
@@ -372,14 +344,9 @@ pub struct FluidNet {
     /// Switches currently crashed (down, tables wiped). Used to suppress
     /// cable restoration toward dead peers.
     crashed: HashSet<NodeId>,
-    /// The resident allocation components (derived state, never
-    /// snapshotted).
+    /// The resident allocation components, the one link → flows index
+    /// (derived state, never snapshotted).
     res: Components,
-    /// The resident components are stale (after `mark_all_dirty`, a
-    /// restore or a per-flow-variables toggle): the next run rebuilds them
-    /// all from the arena, and admissions and departures skip them until
-    /// then.
-    rebuild_pending: bool,
     counters: ComponentCounters,
     scratch: ReallocScratch,
     /// Water-filling scratch, reused by every component of every call.
@@ -416,7 +383,7 @@ impl FluidNet {
             topo,
             switches,
             switch_order,
-            flows: FlowArena::new(nl),
+            flows: FlowArena::new(),
             next_flow: 0,
             link_stats: vec![LinkStats::default(); nl],
             records: Vec::new(),
@@ -430,12 +397,8 @@ impl FluidNet {
             gray: vec![1.0; nl],
             crashed: HashSet::new(),
             res: Components::new(nl),
-            rebuild_pending: false,
             counters: ComponentCounters::default(),
-            scratch: ReallocScratch {
-                link_stamp: vec![0; nl],
-                ..ReallocScratch::default()
-            },
+            scratch: ReallocScratch::default(),
             maxmin: MaxMinScratch::default(),
             realloc_runs: 0,
             realloc_flows_touched: 0,
@@ -472,12 +435,12 @@ impl FluidNet {
 
     /// Test support: solve one variable per flow, the oracle macro-flow
     /// aggregation is proven against. Not part of snapshots. A toggle
-    /// regroups every resident component on the next run.
+    /// rebuilds every resident component at once.
     #[doc(hidden)]
     pub fn set_per_flow_variables(&mut self, on: bool) {
         if self.per_flow_variables != on {
             self.per_flow_variables = on;
-            self.rebuild_pending = true;
+            self.rebuild_all();
         }
     }
 
@@ -603,15 +566,15 @@ impl FluidNet {
         }
     }
 
-    /// Marks every link that carries a flow dirty and discards the
-    /// resident components, so the next [`FluidNet::reallocate`] rebuilds
-    /// every component from the flow arena and re-solves every active
-    /// flow: the recompute-everything oracle the resident components are
-    /// checked against.
+    /// Rebuilds every resident component from scratch and marks every
+    /// link that carries a flow dirty, so the next
+    /// [`FluidNet::reallocate`] re-solves every active flow: the
+    /// recompute-everything oracle the resident components are checked
+    /// against.
     pub fn mark_all_dirty(&mut self) {
-        self.rebuild_pending = true;
-        for li in 0..self.dirty_stamp.len() {
-            if self.flows.flows_on_link(li).next().is_some() {
+        self.rebuild_all();
+        for li in 0..self.res.link_comp.len() {
+            if self.res.link_comp[li] != NONE {
                 self.mark_dirty(LinkId::from_index(li));
             }
         }
@@ -682,7 +645,7 @@ impl FluidNet {
                     last_update: now,
                 };
                 let slot = self.flows.insert(flow);
-                self.join_component(slot);
+                self.counters.merges += u64::from(self.join_component(slot));
                 AdmitOutcome::Admitted
             }
             ResolveOutcome::NeedController {
@@ -1119,20 +1082,13 @@ impl FluidNet {
         self.scratch.comps.clear();
 
         // ---- Discovery pass ----
-        // Stale components are rebuilt from the arena first. Then every
-        // dirty link maps straight to its resident component, queued once
-        // in first-touch order (dirty-link insertion order). A component
-        // that lost a class since its last check is checked for a split
-        // first, and rebuilt if it fell apart or is mostly dead. A dirty
-        // link's capacity is refreshed in place (gray and up/down changes
-        // mark the link dirty).
-        if self.rebuild_pending {
-            self.rebuild_pending = false;
-            self.res.clear();
-            self.scratch.seeds.clear();
-            self.scratch.seeds.extend(0..self.topo.link_count() as u32);
-            self.build_components();
-        }
+        // Every dirty link maps straight to its resident component, queued
+        // once in first-touch order (dirty-link insertion order). A
+        // component that lost a class since its last check is checked for
+        // a split first; one that fell apart or is mostly dead is
+        // dissolved and its live members admitted again. A dirty link's
+        // capacity is refreshed in place (gray and up/down changes mark
+        // the link dirty).
         // The run count stamps the queued components: it grows every run,
         // and a restore, which may lower it, discards every component.
         let epoch = self.realloc_runs;
@@ -1148,9 +1104,9 @@ impl FluidNet {
                 self.counters.split_checks += u64::from(checked);
                 if verdict != Check::Keep {
                     self.counters.splits += u64::from(verdict == Check::Split);
-                    self.scratch.seeds.clear();
-                    self.res.dissolve(c, &mut self.scratch.seeds);
-                    self.build_components();
+                    self.scratch.ids.clear();
+                    self.res.dissolve(c, &mut self.scratch.ids);
+                    self.rejoin();
                     c = self.res.link_comp[li];
                 }
                 let comp = &mut self.res.comps[c as usize];
@@ -1368,85 +1324,51 @@ impl FluidNet {
         &self.scratch.changes
     }
 
-    /// Registers a just-admitted flow with its resident component.
-    fn join_component(&mut self, slot: u32) {
-        if self.rebuild_pending {
-            return;
-        }
-        let flow = self.flows.flow_at(slot);
+    /// Registers an active flow with the resident components at its
+    /// current rate. Returns the number of components it bridged.
+    fn join_component(&mut self, slot: u32) -> u32 {
         let (topo, gray) = (&self.topo, &self.gray);
-        self.counters.merges += u64::from(self.res.admit(
-            flow.id.0,
+        self.res.admit(
             slot,
-            &flow.route.links,
-            flow.effective_demand(),
+            self.flows.flow_at(slot),
             self.per_flow_variables,
             |li| link_capacity(topo, gray, li),
-        ));
+        )
     }
 
     /// Tombstones a leaving flow in its resident component.
     fn leave_component(&mut self, slot: u32) {
-        if self.rebuild_pending {
-            return;
-        }
         let flow = self.flows.flow_at(slot);
         self.res.depart(flow.id.0, &flow.route.links);
     }
 
-    /// The single rebuild routine: walks the flow arena from the links in
-    /// `scratch.seeds` into link-sharing components and builds each one
-    /// resident, its flows in ascending id order. Serves the `Full`
-    /// oracle, restores, per-flow-variables toggles and split or mostly
-    /// dead components. Every link the walk reaches must be unmapped.
-    fn build_components(&mut self) {
+    /// One rebuild: admits the flows in `scratch.ids` (ascending flow id,
+    /// none of them a member) again. Their links must be unmapped, so the
+    /// merges this makes are among themselves and are not counted.
+    fn rejoin(&mut self) {
         self.counters.rebuilds += 1;
-        self.scratch.gen += 1;
-        let gen = self.scratch.gen;
-        let slots = self.flows.slot_count();
-        if self.scratch.flow_stamp.len() < slots {
-            self.scratch.flow_stamp.resize(slots, 0);
+        let ids = std::mem::take(&mut self.scratch.ids);
+        for &slot in &ids {
+            self.join_component(slot);
         }
-        let seeds = std::mem::take(&mut self.scratch.seeds);
-        for &li in &seeds {
-            let li = li as usize;
-            let scratch = &mut self.scratch;
-            if scratch.link_stamp[li] == gen {
-                continue;
-            }
-            scratch.link_stamp[li] = gen;
-            scratch.ids.clear();
-            scratch.stack.clear();
-            for slot in self.flows.flows_on_link(li) {
-                if scratch.flow_stamp[slot as usize] != gen {
-                    scratch.flow_stamp[slot as usize] = gen;
-                    scratch.ids.push(slot);
-                    scratch.stack.push(slot);
-                }
-            }
-            component_closure(&self.flows, scratch, gen);
-            if scratch.ids.is_empty() {
-                continue;
-            }
-            let flows = &self.flows;
-            scratch.ids.sort_unstable_by_key(|&s| flows.flow_at(s).id);
-            let c = self.res.alloc();
-            for &slot in &self.scratch.ids {
-                let flow = self.flows.flow_at(slot);
-                let (topo, gray) = (&self.topo, &self.gray);
-                self.res.push_member(
-                    c,
-                    flow.id.0,
-                    slot,
-                    flow.rate.as_bps(),
-                    &flow.route.links,
-                    flow.effective_demand(),
-                    self.per_flow_variables,
-                    |li| link_capacity(topo, gray, li),
-                );
-            }
-        }
-        self.scratch.seeds = seeds;
+        self.scratch.ids = ids;
+    }
+
+    /// Discards every resident component and admits every active flow
+    /// again: the `Full` oracle, restores and per-flow-variables toggles.
+    fn rebuild_all(&mut self) {
+        self.res.clear();
+        self.sorted_slots();
+        self.rejoin();
+    }
+
+    /// Fills `scratch.ids` with every active slot, ascending by flow id:
+    /// the nearly sorted active list, sorted in place.
+    fn sorted_slots(&mut self) {
+        let (ids, flows) = (&mut self.scratch.ids, &self.flows);
+        ids.clear();
+        ids.extend(flows.iter_slots());
+        ids.sort_unstable_by_key(|&s| flows.flow_at(s).id);
     }
 
     /// Removes a flow (completion or teardown), producing its record.
@@ -1507,29 +1429,34 @@ impl FluidNet {
 
     /// Detaches every flow crossing any of `affected_links`, returning
     /// re-admittable remaining-bytes specs and the detached flow ids
-    /// (shared by cable and switch failures). Membership lists are
-    /// per-direction; a flow using several affected directions appears
-    /// once thanks to the stamp. Victims are processed ascending by flow
-    /// id for determinism.
+    /// (shared by cable and switch failures). The victims are the live
+    /// members of the affected links' components whose routes cross an
+    /// affected link, processed ascending by flow id for determinism.
     fn detach_flows_on(
         &mut self,
         affected_links: &[LinkId],
         now: SimTime,
     ) -> (Vec<FlowSpec>, Vec<FlowId>) {
-        self.scratch.gen += 1;
-        let gen = self.scratch.gen;
-        let slots = self.flows.slot_count();
-        if self.scratch.flow_stamp.len() < slots {
-            self.scratch.flow_stamp.resize(slots, 0);
-        }
+        let mut comps: Vec<u32> = Vec::new();
         let mut victims: Vec<u32> = Vec::new();
         for &l in affected_links {
-            for slot in self.flows.flows_on_link(l.index()) {
-                if self.scratch.flow_stamp[slot as usize] != gen {
-                    self.scratch.flow_stamp[slot as usize] = gen;
-                    victims.push(slot);
-                }
+            let c = self.res.link_comp[l.index()];
+            if c == NONE || comps.contains(&c) {
+                continue;
             }
+            comps.push(c);
+            victims.extend(
+                self.res.comps[c as usize]
+                    .members
+                    .iter()
+                    .filter(|m| {
+                        m.slot != NONE
+                            && (self.flows.flow_at(m.slot).route.links)
+                                .iter()
+                                .any(|l| affected_links.contains(l))
+                    })
+                    .map(|m| m.slot),
+            );
         }
         victims.sort_unstable_by_key(|&s| self.flows.flow_at(s).id);
         let mut specs = Vec::new();
@@ -1693,10 +1620,8 @@ impl FluidNet {
     /// the nearly-sorted active list is sorted in place, with no
     /// allocation after warmup.
     pub fn sync_all(&mut self, now: SimTime) {
-        let mut ids = std::mem::take(&mut self.scratch.ids);
-        ids.clear();
-        ids.extend(self.flows.iter_slots());
-        ids.sort_unstable_by_key(|&s| self.flows.flow_at(s).id);
+        self.sorted_slots();
+        let ids = std::mem::take(&mut self.scratch.ids);
         for &slot in &ids {
             self.sync_flow_slot(slot, now);
         }
@@ -1721,8 +1646,8 @@ impl FluidNet {
     /// links, hybrid coupling vectors, crash set and the engine's
     /// cumulative counters. The resident components, solver scratch and
     /// wall-clock timing are rebuildable and deliberately excluded — a
-    /// restored plane rebuilds its components from the restored flows on
-    /// its next run and computes bit-identical rates regardless.
+    /// restore admits the restored flows again and computes
+    /// bit-identical rates regardless.
     pub fn snapshot_state(&self, w: &mut SnapWriter) {
         // Directed link states, in link-id order.
         let nl = self.topo.link_count();
@@ -1801,13 +1726,14 @@ impl FluidNet {
             })?;
             sw.restore_state(r)?;
         }
-        // Re-admitting flows in snapshot (= admission) order rebuilds the
-        // arena's intrusive lists in the exact order the original run
-        // had, so iteration order — the only observable property of slot
-        // assignment — survives the round trip.
+        // Re-inserting flows in snapshot (= admission) order rebuilds the
+        // arena's active list in the exact order the original run had, so
+        // iteration order — the only observable property of slot
+        // assignment — survives the round trip. The resident components
+        // are rebuilt once the capacities they read are restored.
         let nf = r.len_prefix()?;
-        self.flows = FlowArena::new(nl);
-        self.rebuild_pending = true;
+        self.flows = FlowArena::new();
+        self.res.clear();
         for _ in 0..nf {
             let flow = ActiveFlow::unsnap(r)?;
             self.flows.insert(flow);
@@ -1857,6 +1783,7 @@ impl FluidNet {
         self.realloc_flows_touched = u64::unsnap(r)?;
         self.macro_flows = u64::unsnap(r)?;
         self.cold_solves = u64::unsnap(r)?;
+        self.rebuild_all();
         Ok(())
     }
 }

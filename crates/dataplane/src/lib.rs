@@ -8,8 +8,6 @@
 //! * [`maxmin`] — progressive-filling max-min fair rate allocation with
 //!   per-flow demand caps (round-scan implementation, bit-identical to the
 //!   naive filler) over the subproblem the engine hands it.
-//! * [`slab`] — arena-backed flow storage: generation-checked slab plus
-//!   intrusive per-link membership lists, the engine's hot-path state.
 //! * [`flow`] — flow specifications (CBR vs greedy/TCP demand models,
 //!   finite or open-ended sizes) and resolved routes.
 //! * [`tcp`] — the analytic TCP model: greedy demand, policer degradation
@@ -34,7 +32,7 @@ mod component;
 pub mod engine;
 pub mod flow;
 pub mod maxmin;
-pub mod slab;
+mod slab;
 pub mod stats;
 pub mod tcp;
 
@@ -43,5 +41,4 @@ pub use engine::{
 };
 pub use flow::{ActiveFlow, DemandModel, Fidelity, FlowSpec, Route, RouteHop};
 pub use maxmin::{max_min_allocate, max_min_allocate_csr, MaxMinScratch};
-pub use slab::FlowArena;
 pub use stats::{DropRecord, FlowRecord, LinkStats};

@@ -7,13 +7,22 @@
 //! demand:
 //!
 //! * the rebuild oracle, [`FluidNet::mark_all_dirty`] before every run,
-//!   which rebuilds every component from the flow arena;
+//!   which discards every component and admits every flow again;
 //! * the per-flow oracle, [`FluidNet::set_per_flow_variables`], which
 //!   solves one allocation variable per flow instead of one weighted
 //!   variable per macro class.
 //!
 //! Nothing here tolerates an epsilon: that is what makes both oracles
 //! pure performance comparisons rather than semantics changes.
+//!
+//! Both oracles share the engine's component machinery, so after every
+//! event the test also checks the plane against a reference of its own
+//! that shares none of it: a union-find over the active flows' routes
+//! finds the link-sharing components, and each is solved with the public
+//! [`max_min_allocate_csr`], one variable per flow. Every rate must lie
+//! within the apply pass's no-change threshold (1e-6 bps) of its
+//! reference rate, and every external grant must equal the reference's.
+//! Every cable failure must detach exactly the flows that cross it.
 //!
 //! Property: lazy byte integration conserves bytes. A flow's bytes are
 //! integrated only when its rate changes, when it leaves the network, or
@@ -30,7 +39,8 @@
 //!   an interval integrated at the wrong rate shows up).
 
 use horse_dataplane::{
-    AdmitOutcome, ComponentCounters, DemandModel, FlowSpec, FluidConfig, FluidNet,
+    max_min_allocate_csr, ActiveFlow, AdmitOutcome, ComponentCounters, DemandModel, FlowSpec,
+    FluidConfig, FluidNet, MaxMinScratch,
 };
 use horse_openflow::actions::Instruction;
 use horse_openflow::flow_match::FlowMatch;
@@ -113,6 +123,91 @@ fn change_bits(net: &mut FluidNet, t: SimTime) -> Vec<(FlowId, u64, u64)> {
 
 /// The plane under test and its references, in that order.
 const REFERENCES: [&str; 3] = ["resident", "rebuild", "per-flow"];
+
+/// Allocatable capacity of a link: nominal times its gray factor while
+/// up, 0 while down.
+fn capacity(net: &FluidNet, l: LinkId) -> f64 {
+    let link = net.topology().link(l).expect("link exists");
+    if link.is_up() {
+        link.capacity.as_bps() * net.gray_factor(l)
+    } else {
+        0.0
+    }
+}
+
+/// Checks `net` against the independent reference (module docs): its own
+/// union-find over the active flows' routes, one
+/// [`max_min_allocate_csr`] problem per component with one variable per
+/// flow and one virtual single-link variable per component link that
+/// carries external demand.
+fn matches_independent_reference(net: &FluidNet, ctx: &str) {
+    let nl = net.topology().link_count();
+    let mut parent: Vec<usize> = (0..nl).collect();
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    for f in net.active_flows() {
+        let first = f.route.links[0].index();
+        for l in &f.route.links[1..] {
+            let (a, b) = (find(&mut parent, first), find(&mut parent, l.index()));
+            parent[a] = b;
+        }
+    }
+    let mut comps: BTreeMap<usize, Vec<&ActiveFlow>> = BTreeMap::new();
+    for f in net.active_flows() {
+        let root = find(&mut parent, f.route.links[0].index());
+        comps.entry(root).or_default().push(f);
+    }
+    let mut scratch = MaxMinScratch::default();
+    for flows in comps.values() {
+        let mut local: BTreeMap<LinkId, u32> = BTreeMap::new();
+        let mut raw: Vec<LinkId> = Vec::new();
+        let (mut demands, mut offsets, mut links) = (Vec::new(), vec![0u32], Vec::new());
+        for f in flows {
+            for &l in &f.route.links {
+                links.push(*local.entry(l).or_insert_with(|| {
+                    raw.push(l);
+                    raw.len() as u32 - 1
+                }));
+            }
+            offsets.push(links.len() as u32);
+            demands.push(f.effective_demand());
+        }
+        let caps: Vec<f64> = raw.iter().map(|&l| capacity(net, l)).collect();
+        let external: Vec<LinkId> = raw
+            .iter()
+            .copied()
+            .filter(|&l| net.external_demand(l) > 0.0)
+            .collect();
+        for &l in &external {
+            links.push(local[&l]);
+            offsets.push(links.len() as u32);
+            demands.push(net.external_demand(l));
+        }
+        let mut rates = vec![0.0; demands.len()];
+        max_min_allocate_csr(&demands, &offsets, &links, &caps, &mut rates, &mut scratch);
+        for (f, want) in flows.iter().zip(&rates) {
+            let got = f.rate.as_bps();
+            assert!(
+                (got - want).abs() <= 1e-6,
+                "{ctx}: flow {} runs at {got} bps, the reference solve gives {want}",
+                f.id
+            );
+        }
+        for (&l, want) in external.iter().zip(&rates[flows.len()..]) {
+            assert_eq!(
+                net.external_granted(l).to_bits(),
+                want.to_bits(),
+                "{ctx}: grant on {l} is {}, the reference solve gives {want}",
+                net.external_granted(l)
+            );
+        }
+    }
+}
 
 /// Replays one random schedule on the resident plane and on both
 /// references and asserts, after every event, bit-identical rate
@@ -207,8 +302,19 @@ fn matches_references(seed: u64, steps: usize) -> FluidNet {
                         net.cable_up(access[m], t);
                     }
                 } else {
+                    let cable = [access[m], topo.reverse_of(access[m]).expect("duplex")];
+                    let mut crossing: Vec<FlowId> = nets[0]
+                        .active_flows()
+                        .filter(|f| f.route.links.iter().any(|l| cable.contains(l)))
+                        .map(|f| f.id)
+                        .collect();
+                    crossing.sort_unstable();
                     let [(specs, _, ids), rest @ ..] =
                         nets.each_mut().map(|net| net.cable_down(access[m], t));
+                    assert_eq!(
+                        ids, crossing,
+                        "step {step}: detached flows are not the cable's"
+                    );
                     for (_, _, other) in rest {
                         assert_eq!(other, ids, "step {step}: detached sets diverged");
                     }
@@ -233,6 +339,7 @@ fn matches_references(seed: u64, steps: usize) -> FluidNet {
         nets[1].mark_all_dirty();
         let [got, wants @ ..] = nets.each_mut().map(|net| change_bits(net, t));
         let (resident, references) = (&nets[0], &nets[1..]);
+        matches_independent_reference(resident, &format!("step {step} (seed {seed})"));
         for ((name, net), want) in REFERENCES[1..].iter().zip(references).zip(&wants) {
             assert_eq!(
                 &got, want,

@@ -468,10 +468,10 @@ impl ExactIndex {
 /// order breaks ties (first-installed wins), which keeps lookups
 /// deterministic.
 ///
-/// Past [`INDEX_MIN_LEN`] entries an [`ExactIndex`] serves the
-/// duplicate check of [`insert`], [`peek`] and the stale-hint search of
-/// [`credit`] in near-constant time; shorter tables scan. Either way the
-/// answers are those of the scan.
+/// Past 512 entries (`INDEX_MIN_LEN`) a private exact-match index
+/// serves the duplicate check of [`insert`], [`peek`] and the stale-hint
+/// search of [`credit`] in near-constant time; shorter tables scan.
+/// Either way the answers are those of the scan.
 ///
 /// [`insert`]: FlowTable::insert
 /// [`peek`]: FlowTable::peek
