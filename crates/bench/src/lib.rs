@@ -1,44 +1,12 @@
 //! Shared harness for the Horse experiment suite (DESIGN.md §5).
 //!
-//! Each `exp_*` binary regenerates one experiment's table and
-//! `million_flow` prints the allocator scaling curve. Performance is
-//! measured by the standalone `benchmark/` package, not here.
+//! `exp_e3` regenerates experiment E3's table and `million_flow` prints
+//! the allocator scaling curve. Performance is measured by the
+//! standalone `benchmark/` package, not here.
 
 #![warn(missing_docs)]
 
 use horse::prelude::*;
-
-/// Builds the IXP scenario of E5 (E2 runs the same one as the
-/// `examples/sweeps/load.toml` sweep):
-/// `members` member routers on an edge/core fabric, gravity traffic at
-/// `load_factor` × (40 Mbps per member), megabyte-scale heavy-tailed
-/// flows.
-pub fn ixp_scenario(
-    members: usize,
-    load_factor: f64,
-    policy: PolicySpec,
-    horizon: SimTime,
-    seed: u64,
-) -> Scenario {
-    let mut params = IxpScenarioParams::default();
-    params.fabric.members = members;
-    params.fabric.edge_switches = (members / 25).clamp(2, 16);
-    params.fabric.core_switches = (members / 100).clamp(2, 4);
-    // uniform fast access ports: the sweep measures simulator cost, and an
-    // oversubscribed tail member would measure congestion pile-up instead
-    params.fabric.member_port_speeds = vec![Rate::gbps(10.0)];
-    params.offered_bps = members as f64 * 40e6 * load_factor;
-    params.zipf_alpha = 1.0;
-    params.sizes = FlowSizeDist::Pareto {
-        alpha: 1.3,
-        min_bytes: 1_000_000,
-        max_bytes: 1_000_000_000,
-    };
-    params.policy = policy;
-    params.horizon = horizon;
-    params.seed = seed;
-    Scenario::ixp(&params)
-}
 
 /// One measured point of the million-flow scaling harness
 /// ([`million_flow_point`]): deterministic size counters next to the
@@ -223,17 +191,6 @@ pub fn fmt_wall(secs: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ixp_scenario_builds_and_runs() {
-        let policy = PolicySpec::new().with(PolicyRule::LoadBalancing { mode: LbMode::Ecmp });
-        let s = ixp_scenario(25, 1.0, policy, SimTime::from_secs(2), 3);
-        let r = Simulation::new(s, SimConfig::default())
-            .expect("valid scenario")
-            .run();
-        assert!(r.flows_admitted > 0);
-        assert!(r.events > 0);
-    }
 
     #[test]
     fn million_flow_harness_aggregates() {

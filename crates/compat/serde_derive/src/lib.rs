@@ -17,6 +17,13 @@
 //! * explicit discriminants (`Tcp = 6`) are accepted and ignored.
 //!
 //! Generics are intentionally unsupported — no workspace type needs them.
+//!
+//! The crate also hosts one non-serde derive, `Snap`, the binary
+//! checkpoint codec of `horse_types::snap` (re-exported there). It shares
+//! this parser's shape model, so the workspace has one token parser for
+//! every derive: fields encode in declaration order, an enum writes a
+//! `u8` tag in declaration order before the variant's fields, and a
+//! `#[serde(skip)]` field is not written and decodes as `Default`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 use std::iter::Peekable;
@@ -75,26 +82,36 @@ struct Container {
 /// Derives `serde::Serialize` for the annotated item.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let c = parse_container(input);
-    gen_serialize(&c)
-        .parse()
-        .expect("generated Serialize impl parses")
+    expand(input, |c| Ok(gen_serialize(c)))
 }
 
 /// Derives `serde::Deserialize` for the annotated item.
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let c = parse_container(input);
-    gen_deserialize(&c)
-        .parse()
-        .expect("generated Deserialize impl parses")
+    expand(input, |c| Ok(gen_deserialize(c)))
+}
+
+/// Derives `horse_types::snap::Snap` for the annotated item (see the
+/// crate doc for the wire form).
+#[proc_macro_derive(Snap, attributes(serde))]
+pub fn derive_snap(input: TokenStream) -> TokenStream {
+    expand(input, gen_snap)
+}
+
+/// Parses the item and generates one impl, or a `compile_error!` naming
+/// what the vendored derives do not support.
+fn expand(input: TokenStream, gen: fn(&Container) -> Result<String, String>) -> TokenStream {
+    let src = parse_container(input)
+        .and_then(|c| gen(&c))
+        .unwrap_or_else(|msg| format!("::core::compile_error!({msg:?});"));
+    src.parse().expect("generated impl parses")
 }
 
 // ---------------------------------------------------------------- parsing
 
 type Cursor = Peekable<proc_macro::token_stream::IntoIter>;
 
-fn parse_container(input: TokenStream) -> Container {
+fn parse_container(input: TokenStream) -> Result<Container, String> {
     let mut it: Cursor = input.into_iter().peekable();
     let attrs = parse_attrs(&mut it);
     skip_visibility(&mut it);
@@ -107,7 +124,9 @@ fn parse_container(input: TokenStream) -> Container {
         other => panic!("serde derive: expected item name, found {other:?}"),
     };
     if matches!(&it.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
-        panic!("serde derive (vendored): generic type `{name}` is not supported");
+        return Err(format!(
+            "the vendored derives do not support generic type `{name}`"
+        ));
     }
     let data = match keyword.as_str() {
         "struct" => match it.next() {
@@ -128,7 +147,7 @@ fn parse_container(input: TokenStream) -> Container {
         },
         other => panic!("serde derive: expected `struct` or `enum`, found `{other}`"),
     };
-    Container { name, attrs, data }
+    Ok(Container { name, attrs, data })
 }
 
 /// Consumes leading `#[...]` attributes, extracting serde ones.
@@ -620,4 +639,103 @@ fn gen_deserialize_enum(c: &Container, variants: &[Variant]) -> String {
          other => ::std::result::Result::Err(::serde::Error::custom(\
          format!(\"expected string or single-key map for enum {name}, found {{}}\", other.kind()))),\n}}"
     )
+}
+
+// ------------------------------------------------------------------ Snap
+
+const SNAP: &str = "::horse_types::snap";
+
+/// `Snap::snap(<expr>, w);` for each field, skipped ones left out.
+fn snap_fields(exprs: impl Iterator<Item = (String, bool)>) -> String {
+    exprs
+        .filter(|(_, skip)| !skip)
+        .map(|(e, _)| format!("{SNAP}::Snap::snap({e}, w);\n"))
+        .collect()
+}
+
+/// `{ a: Snap::unsnap(r)?, b: Default::default(), }` in declaration
+/// order (struct literals evaluate their fields as written).
+fn unsnap_named(path: &str, fields: &[Field]) -> String {
+    let inits: String = fields
+        .iter()
+        .map(|f| match f.skip {
+            true => format!("{}: ::std::default::Default::default(),\n", f.name),
+            false => format!("{}: {SNAP}::Snap::unsnap(r)?,\n", f.name),
+        })
+        .collect();
+    format!("{path} {{\n{inits}}}")
+}
+
+fn unsnap_tuple(path: &str, n: usize) -> String {
+    let items = vec![format!("{SNAP}::Snap::unsnap(r)?"); n];
+    format!("{path}({})", items.join(", "))
+}
+
+fn gen_snap(c: &Container) -> Result<String, String> {
+    let name = &c.name;
+    let (snap, unsnap) = match &c.data {
+        Data::NamedStruct(fields) => (
+            snap_fields(fields.iter().map(|f| (format!("&self.{}", f.name), f.skip))),
+            unsnap_named(name, fields),
+        ),
+        Data::TupleStruct(n) => (
+            snap_fields((0..*n).map(|i| (format!("&self.{i}"), false))),
+            unsnap_tuple(name, *n),
+        ),
+        Data::UnitStruct => (String::new(), name.clone()),
+        Data::Enum(variants) => {
+            if variants.len() > 256 {
+                return Err(format!(
+                    "Snap: enum `{name}` has {} variants; a u8 tag holds 256",
+                    variants.len()
+                ));
+            }
+            let (mut snap_arms, mut unsnap_arms) = (String::new(), String::new());
+            for (tag, v) in variants.iter().enumerate() {
+                let path = format!("{name}::{}", v.name);
+                let (pat, fields, build) = match &v.kind {
+                    VariantKind::Unit => (path.clone(), String::new(), path),
+                    VariantKind::Tuple(n) => {
+                        let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
+                        (
+                            format!("{path}({})", binds.join(", ")),
+                            snap_fields(binds.into_iter().map(|b| (b, false))),
+                            unsnap_tuple(&path, *n),
+                        )
+                    }
+                    VariantKind::Named(fields) => {
+                        let binds = fields.iter().filter(|f| !f.skip).map(|f| &f.name);
+                        (
+                            format!(
+                                "{path} {{ {} .. }}",
+                                binds.clone().map(|b| format!("{b}, ")).collect::<String>()
+                            ),
+                            snap_fields(binds.map(|b| (b.clone(), false))),
+                            unsnap_named(&path, fields),
+                        )
+                    }
+                };
+                snap_arms.push_str(&format!("{pat} => {{\nw.u8({tag});\n{fields}}}\n"));
+                unsnap_arms.push_str(&format!("{tag} => {build},\n"));
+            }
+            (
+                format!("match self {{\n{snap_arms}}}"),
+                format!(
+                    "{{\nlet at = r.position();\n\
+                     match r.u8()? {{\n{unsnap_arms}\
+                     t => return ::std::result::Result::Err({SNAP}::SnapError::new(\
+                     ::std::format!(\"bad {name} tag {{t}}\"), at)),\n}}\n}}"
+                ),
+            )
+        }
+    };
+    Ok(format!(
+        "#[automatically_derived]\n\
+         #[allow(unused_variables)]\n\
+         impl {SNAP}::Snap for {name} {{\n\
+         fn snap(&self, w: &mut {SNAP}::SnapWriter) {{\n{snap}}}\n\
+         fn unsnap(r: &mut {SNAP}::SnapReader) -> \
+         ::std::result::Result<Self, {SNAP}::SnapError> {{\n\
+         ::std::result::Result::Ok({unsnap})\n}}\n}}\n"
+    ))
 }

@@ -18,11 +18,11 @@
 //!
 //! [`PolicyGenerator`]: crate::generator::PolicyGenerator
 
-use horse_types::AppClass;
+use horse_types::{AppClass, Snap};
 use serde::{Deserialize, Serialize};
 
 /// Load-balancing flavour.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize, Snap)]
 #[serde(rename_all = "snake_case")]
 pub enum LbMode {
     /// Equal-cost multipath via select groups (equal weights).
@@ -32,7 +32,7 @@ pub enum LbMode {
 }
 
 /// One policy of the paper's Fig. 1 set.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize, Snap)]
 #[serde(tag = "type", rename_all = "snake_case")]
 pub enum PolicyRule {
     /// Proactive MAC forwarding along deterministic shortest paths —
@@ -100,7 +100,7 @@ impl PolicyRule {
 }
 
 /// The full policy configuration document.
-#[derive(Clone, Debug, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Default, Serialize, Deserialize, Snap)]
 pub struct PolicySpec {
     /// Policies, applied together (priority bands resolve overlaps).
     pub policies: Vec<PolicyRule>,

@@ -27,12 +27,12 @@
 
 use crate::event::SimEvent;
 use horse_topology::Topology;
-use horse_types::{LinkId, NodeId, SimDuration, SimTime};
+use horse_types::{LinkId, NodeId, SimDuration, SimTime, Snap};
 use serde::{Deserialize, Serialize};
 
 /// Declarative chaos intensity for one run. Every field is
 /// serde-defaultable: an all-zero spec injects nothing.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize, Snap)]
 pub struct ChaosSpec {
     /// Seed of the chaos schedule (independent of the workload seed so
     /// the same fault pattern can be replayed against different traffic).

@@ -1,7 +1,7 @@
 //! Simulation configuration.
 
 use horse_dataplane::FluidConfig;
-use horse_types::{ByteSize, SimDuration};
+use horse_types::{ByteSize, SimDuration, Snap};
 use serde::{Deserialize, Serialize};
 
 /// Which flows a reallocation re-solves.
@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(m, AllocMode::Incremental);
 /// assert_ne!(AllocMode::Full, AllocMode::Incremental);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize, Snap)]
 #[serde(rename_all = "snake_case")]
 pub enum AllocMode {
     /// Oracle: mark every link that carries a flow dirty before each run
@@ -27,7 +27,11 @@ pub enum AllocMode {
 }
 
 /// Tunables of a simulation run.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+///
+/// Checkpoint headers carry the config next to the scenario, so a
+/// resumed run re-derives every config-dependent structure instead of
+/// snapshotting it.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize, Snap)]
 pub struct SimConfig {
     /// One-way control-channel latency (switch ↔ controller). The paper
     /// removes real OpenFlow connections but keeps their *timing*: a
@@ -162,16 +166,9 @@ pub struct Oracles {
     pub uncached_pipeline: bool,
 }
 
-// Checkpoint headers carry the config next to the scenario so a resumed
-// run re-derives every config-dependent structure instead of snapshotting
-// it.
-horse_types::impl_snap_via_serde!(SimConfig);
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use horse_types::snap::snap_via_serde;
-    use horse_types::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn defaults_are_sane() {
@@ -203,21 +200,6 @@ mod tests {
             .collect();
         let c: SimConfig = serde::Deserialize::from_value(&serde_json::Value::Map(pruned)).unwrap();
         assert_eq!(c.pkt_burst, 32);
-    }
-
-    #[test]
-    fn header_with_retired_oracle_keys_still_decodes() {
-        // Version-6 checkpoints wrote the three oracle switches into the
-        // config header; decoding ignores them, so those snapshots resume.
-        let mut entries = config_entries();
-        entries.push(("realloc_per_event".into(), serde_json::Value::Bool(true)));
-        entries.push(("macro_flows".into(), serde_json::Value::Bool(false)));
-        entries.push(("pkt_decision_cache".into(), serde_json::Value::Bool(false)));
-        let mut w = SnapWriter::new();
-        snap_via_serde(&serde_json::Value::Map(entries), &mut w);
-        let bytes = w.into_bytes();
-        let c = SimConfig::unsnap(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(c, SimConfig::default());
     }
 
     #[test]

@@ -98,6 +98,7 @@ pub struct PktStep {
 }
 
 /// Per-flow bookkeeping of a packet-fidelity flow.
+#[derive(Snap)]
 struct PktFlowMeta {
     /// The simulator-wide flow id (shared id space with fluid flows).
     id: FlowId,
@@ -107,7 +108,7 @@ struct PktFlowMeta {
 }
 
 /// Per-link coupling state (windowed load measurement).
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Snap)]
 struct LinkMark {
     /// `link_bytes` at the last measurement.
     bytes: f64,
@@ -467,7 +468,3 @@ impl HybridNet {
         Ok(())
     }
 }
-
-// Checkpointing: per-flow bookkeeping and per-link coupling marks.
-horse_types::impl_snap_struct!(PktFlowMeta { id, src, dst, done });
-horse_types::impl_snap_struct!(LinkMark { bytes, at, watched });

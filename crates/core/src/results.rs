@@ -4,13 +4,13 @@ use horse_events::QueueStats;
 use horse_monitoring::collector::StatsCollector;
 use horse_monitoring::series::{summarize, Summary};
 use horse_trace::MetricsSnapshot;
-use horse_types::SimTime;
+use horse_types::{SimTime, Snap};
 use serde::{Deserialize, Serialize};
 
 /// Deterministic counters for injected faults and their fallout. All zero
 /// in a fault-free run; the chaos engine and the failure handlers bump
 /// them as events fire.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize, Snap)]
 pub struct ChaosCounters {
     /// Cable-down events applied (scenario failures, flaps, crashes).
     pub cable_downs: u64,
@@ -35,20 +35,6 @@ pub struct ChaosCounters {
     /// or timed out at the controller).
     pub flows_stranded: u64,
 }
-
-// Checkpointing: the counters are live mid-run state.
-horse_types::impl_snap_struct!(ChaosCounters {
-    cable_downs,
-    cable_ups,
-    switch_crashes,
-    switch_rejoins,
-    gray_events,
-    ctrl_outages,
-    ctrl_latency_spikes,
-    ctrl_msgs_buffered,
-    flows_rerouted,
-    flows_stranded,
-});
 
 /// Everything a run produced. The benchmark harness prints tables from
 /// this; EXPERIMENTS.md records them.

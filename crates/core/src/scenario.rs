@@ -6,7 +6,10 @@ use horse_dataplane::{DemandModel, Fidelity, FlowSpec};
 use horse_topology::builders::{self, FabricHandles, IxpFabricParams};
 use horse_topology::generators::{generate, GeneratorError, GeneratorParams, TopologyKind};
 use horse_topology::{Topology, TopologySpec};
-use horse_types::{AppClass, ByteSize, FlowKey, LinkId, NodeId, Rate, SimTime};
+use horse_types::{
+    AppClass, ByteSize, FlowKey, LinkId, NodeId, Rate, SimTime, Snap, SnapError, SnapReader,
+    SnapWriter,
+};
 use horse_workloads::{
     AppMix, DiurnalProfile, FlowSizeDist, TrafficMatrix, TrafficPattern, WorkloadParams,
 };
@@ -18,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// scheduled through a reserved sequence band so the forked run lands it
 /// at exactly the `(time, seq)` coordinates a straight-through run with
 /// the same schedule would have used.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize, Snap)]
 pub enum LateEvent {
     /// A cable fails (both directions).
     CableDown(LinkId),
@@ -288,11 +291,11 @@ impl Scenario {
     }
 }
 
-/// Serialized form of a [`Scenario`]: the topology travels as a
-/// [`TopologySpec`] (cables only; directed links re-derive on load with
-/// identical ids, so `members`, `explicit_flows` and `failures` keep
-/// their meaning).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// Serialized form of a [`Scenario`], in spec files and checkpoint
+/// headers alike: the topology travels as a [`TopologySpec`] (cables
+/// only; directed links re-derive on load with identical ids, so
+/// `members`, `explicit_flows` and `failures` keep their meaning).
+#[derive(Clone, Debug, Serialize, Deserialize, Snap)]
 struct ScenarioRepr {
     topology: TopologySpec,
     members: Vec<NodeId>,
@@ -311,73 +314,70 @@ struct ScenarioRepr {
     late_band: usize,
 }
 
-impl Serialize for Scenario {
-    fn to_value(&self) -> serde::Value {
+impl ScenarioRepr {
+    fn of(s: &Scenario) -> Self {
         ScenarioRepr {
-            topology: TopologySpec::from_topology(&self.topology),
-            members: self.members.clone(),
-            policy: self.policy.clone(),
-            workload: self.workload.clone(),
-            explicit_flows: self.explicit_flows.clone(),
-            failures: self.failures.clone(),
-            chaos: self.chaos,
-            horizon: self.horizon,
-            packet_foreground: self.packet_foreground,
-            late_events: self.late_events.clone(),
-            late_band: self.late_band,
+            topology: TopologySpec::from_topology(&s.topology),
+            members: s.members.clone(),
+            policy: s.policy.clone(),
+            workload: s.workload.clone(),
+            explicit_flows: s.explicit_flows.clone(),
+            failures: s.failures.clone(),
+            chaos: s.chaos,
+            horizon: s.horizon,
+            packet_foreground: s.packet_foreground,
+            late_events: s.late_events.clone(),
+            late_band: s.late_band,
         }
-        .to_value()
     }
-}
 
-impl Deserialize for Scenario {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let repr = ScenarioRepr::from_value(v)?;
-        let topology = repr
+    /// Builds the topology and checks that every member, failure,
+    /// explicit flow and late event names an existing node or link —
+    /// the one validation both decoders share.
+    fn into_scenario(self) -> Result<Scenario, String> {
+        let topology = self
             .topology
             .build()
-            .map_err(|e| serde::Error::custom(format!("invalid topology spec: {e}")))?;
-        for &m in &repr.members {
+            .map_err(|e| format!("invalid topology spec: {e}"))?;
+        for &m in &self.members {
             if topology.node(m).is_none() {
-                return Err(serde::Error::custom(format!(
-                    "member {m} not present in the topology"
-                )));
+                return Err(format!("member {m} not present in the topology"));
             }
         }
         // A dangling failure link would later be a silent no-op (the
         // engine ignores unknown links when applying cable events), so an
         // experiment would quietly run without its failure schedule —
         // reject it here instead.
-        for &(_, link, _) in &repr.failures {
+        for &(_, link, _) in &self.failures {
             if topology.link(link).is_none() {
-                return Err(serde::Error::custom(format!(
+                return Err(format!(
                     "failure schedule references {link}, which is not in the topology"
-                )));
+                ));
             }
         }
-        for (_, flow) in &repr.explicit_flows {
+        for (_, flow) in &self.explicit_flows {
             for node in [flow.src, flow.dst] {
                 if topology.node(node).is_none() {
-                    return Err(serde::Error::custom(format!(
+                    return Err(format!(
                         "explicit flow references {node}, which is not in the topology"
-                    )));
+                    ));
                 }
             }
         }
-        for &(_, ev) in &repr.late_events {
+        for &(_, ev) in &self.late_events {
             match ev {
                 LateEvent::CableDown(l) | LateEvent::CableUp(l) => {
                     if topology.link(l).is_none() {
-                        return Err(serde::Error::custom(format!(
+                        return Err(format!(
                             "late event references {l}, which is not in the topology"
-                        )));
+                        ));
                     }
                 }
                 LateEvent::SwitchDown(n) | LateEvent::SwitchUp(n) => {
                     if topology.node(n).is_none() {
-                        return Err(serde::Error::custom(format!(
+                        return Err(format!(
                             "late event references {n}, which is not in the topology"
-                        )));
+                        ));
                     }
                 }
                 LateEvent::CtrlDown | LateEvent::CtrlUp => {}
@@ -385,25 +385,48 @@ impl Deserialize for Scenario {
         }
         Ok(Scenario {
             topology,
-            members: repr.members,
-            policy: repr.policy,
-            workload: repr.workload,
-            explicit_flows: repr.explicit_flows,
-            failures: repr.failures,
-            chaos: repr.chaos,
-            horizon: repr.horizon,
-            packet_foreground: repr.packet_foreground,
-            late_events: repr.late_events,
-            late_band: repr.late_band,
+            members: self.members,
+            policy: self.policy,
+            workload: self.workload,
+            explicit_flows: self.explicit_flows,
+            failures: self.failures,
+            chaos: self.chaos,
+            horizon: self.horizon,
+            packet_foreground: self.packet_foreground,
+            late_events: self.late_events,
+            late_band: self.late_band,
         })
     }
 }
 
-// Checkpoint headers embed the full scenario (through the canonical
-// serde Value encoding) so a snapshot file is self-describing: resume
-// rebuilds the topology, policies and workload from the header and then
-// overlays the mutable state blob.
-horse_types::impl_snap_via_serde!(Scenario);
+impl Serialize for Scenario {
+    fn to_value(&self) -> serde::Value {
+        ScenarioRepr::of(self).to_value()
+    }
+}
+
+impl Deserialize for Scenario {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        ScenarioRepr::from_value(v)?
+            .into_scenario()
+            .map_err(serde::Error::custom)
+    }
+}
+
+/// Checkpoint headers embed the full scenario so a snapshot file is
+/// self-describing: resume rebuilds the topology, policies and workload
+/// from the header and then overlays the mutable state blob.
+impl Snap for Scenario {
+    fn snap(&self, w: &mut SnapWriter) {
+        ScenarioRepr::of(self).snap(w);
+    }
+    fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
+        let at = r.position();
+        ScenarioRepr::unsnap(r)?
+            .into_scenario()
+            .map_err(|e| SnapError::new(e, at))
+    }
+}
 
 /// Scenario-level fidelity mode — how the canned scenario families (and
 /// the lab's sweep specs) pick per-flow fidelities. Lowered onto

@@ -81,7 +81,7 @@ impl std::error::Error for BuildError {}
 /// Magic prefix of the checkpoint format.
 pub const SNAPSHOT_MAGIC: &[u8; 9] = b"HORSESNAP";
 /// Current checkpoint format version.
-pub const SNAPSHOT_VERSION: u32 = 6;
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Errors raised while resuming or forking from a checkpoint.
 #[derive(Debug)]
@@ -258,6 +258,7 @@ pub struct Simulation {
 
 /// One input the controller reacts to. Live inputs are handed over as
 /// they arrive; during an outage they wait in `ctrl_buffer`.
+#[derive(Snap)]
 enum CtrlInput {
     /// A switch→controller message, and the pending flow to retry once
     /// the reaction has landed.
@@ -265,35 +266,6 @@ enum CtrlInput {
     /// A crashed switch rejoined blank (the out-of-band
     /// [`Controller::on_switch_up`] hook).
     Rejoin(NodeId),
-}
-
-impl Snap for CtrlInput {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            CtrlInput::Msg(msg, retry) => {
-                w.u8(0);
-                msg.snap(w);
-                retry.snap(w);
-            }
-            CtrlInput::Rejoin(node) => {
-                w.u8(1);
-                node.snap(w);
-            }
-        }
-    }
-
-    fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => CtrlInput::Msg(Snap::unsnap(r)?, Snap::unsnap(r)?),
-            1 => CtrlInput::Rejoin(Snap::unsnap(r)?),
-            t => {
-                return Err(SnapError::new(
-                    format!("bad CtrlInput tag {t}"),
-                    r.position(),
-                ))
-            }
-        })
-    }
 }
 
 /// `id`'s entry in the per-flow completion-handle table, grown on first

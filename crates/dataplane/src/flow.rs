@@ -2,11 +2,11 @@
 
 use horse_openflow::table::MatchedEntry;
 use horse_types::id::MeterId;
-use horse_types::{ByteSize, FlowId, FlowKey, LinkId, NodeId, PortNo, Rate, SimTime};
+use horse_types::{ByteSize, FlowId, FlowKey, LinkId, NodeId, PortNo, Rate, SimTime, Snap};
 use serde::{Deserialize, Serialize};
 
 /// How much the source *wants* to send.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize, Snap)]
 #[serde(rename_all = "snake_case")]
 pub enum DemandModel {
     /// Constant bit rate (UDP-style): the application offers exactly this
@@ -39,7 +39,7 @@ impl DemandModel {
 /// crate's model), `Packet` flows are driven packet by packet through
 /// `horse-packetsim`'s queues and TCP sources. A pure-fluid engine
 /// ignores the tag entirely.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize, Snap)]
 #[serde(rename_all = "snake_case")]
 pub enum Fidelity {
     /// Flow-level fluid abstraction (the default).
@@ -57,7 +57,7 @@ impl Fidelity {
 }
 
 /// A flow to inject: the paper's traffic-matrix entry / generated event.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize, Snap)]
 pub struct FlowSpec {
     /// Header fields (identify the aggregate).
     pub key: FlowKey,
@@ -76,7 +76,7 @@ pub struct FlowSpec {
 }
 
 /// One switch traversal of a resolved route.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Snap)]
 pub struct RouteHop {
     /// The switch.
     pub node: NodeId,
@@ -92,7 +92,7 @@ pub struct RouteHop {
 }
 
 /// A fully resolved path from source host to destination host.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Snap)]
 pub struct Route {
     /// Switch hops in order.
     pub hops: Vec<RouteHop>,
@@ -108,7 +108,7 @@ impl Route {
 }
 
 /// A flow admitted into the fluid network.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Snap)]
 pub struct ActiveFlow {
     /// Simulator-assigned id.
     pub id: FlowId,
@@ -188,31 +188,6 @@ impl ActiveFlow {
         matches!(self.bytes_remaining, Some(rem) if rem <= 1e-6)
     }
 }
-
-// Checkpointing: active flows (with their resolved routes) are part of
-// the data-plane snapshot. Specs are serde types and go through the
-// canonical serde bridge; routes and flows encode field by field.
-horse_types::impl_snap_via_serde!(FlowSpec);
-horse_types::impl_snap_struct!(RouteHop {
-    node,
-    in_port,
-    out_port,
-    matched,
-    meters,
-});
-horse_types::impl_snap_struct!(Route { hops, links });
-horse_types::impl_snap_struct!(ActiveFlow {
-    id,
-    spec,
-    route,
-    rate,
-    meter_cap,
-    bytes_sent,
-    bytes_remaining,
-    bytes_dropped,
-    started,
-    last_update,
-});
 
 #[cfg(test)]
 mod tests {

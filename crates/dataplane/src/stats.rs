@@ -1,10 +1,10 @@
 //! Traffic statistics — data-plane building block (3) of the paper.
 
-use horse_types::{FlowId, FlowKey, LinkId, NodeId, Rate, SimTime};
+use horse_types::{FlowId, FlowKey, LinkId, NodeId, Rate, SimTime, Snap};
 use serde::{Deserialize, Serialize};
 
 /// Cumulative per-directed-link statistics.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize, Snap)]
 pub struct LinkStats {
     /// Bytes carried (fluid-integrated), exact as of each crossing
     /// flow's last sync; a mid-run reader calls `FluidNet::sync_all(now)`
@@ -28,7 +28,7 @@ impl LinkStats {
 }
 
 /// Record of a completed (or torn-down) flow.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize, Snap)]
 pub struct FlowRecord {
     /// Flow id.
     pub id: FlowId,
@@ -68,7 +68,7 @@ impl FlowRecord {
 }
 
 /// Why a flow was dropped at admission or teardown.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize, Snap)]
 pub enum DropCause {
     /// A switch pipeline dropped it (policy, blackhole, dead group…).
     Pipeline(String),
@@ -81,7 +81,7 @@ pub enum DropCause {
 }
 
 /// Record of a dropped/rejected flow.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize, Snap)]
 pub struct DropRecord {
     /// Flow id (assigned even to rejected flows).
     pub id: FlowId,
@@ -94,10 +94,6 @@ pub struct DropRecord {
     /// When.
     pub time: SimTime,
 }
-
-// Checkpointing: statistics are accumulated state, so snapshots carry
-// them verbatim through the canonical serde bridge (floats as bits).
-horse_types::impl_snap_via_serde!(LinkStats, FlowRecord, DropRecord);
 
 /// A point-in-time link utilization sample (monitoring export).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]

@@ -19,9 +19,7 @@
 //!    (recorded in [`QueueStats::clamped`]) rather than silently reordering
 //!    history.
 
-use horse_types::{
-    impl_snap_struct, SimDuration, SimTime, Snap, SnapError, SnapReader, SnapWriter,
-};
+use horse_types::{SimDuration, SimTime, Snap, SnapError, SnapReader, SnapWriter};
 
 /// Handle to a scheduled event, usable to cancel it before it fires.
 ///
@@ -84,7 +82,7 @@ struct Slot<E> {
 }
 
 /// Counters describing queue activity, exported with simulation results.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Snap)]
 pub struct QueueStats {
     /// Events scheduled since creation.
     pub scheduled: u64,
@@ -104,16 +102,6 @@ pub struct QueueStats {
     /// reports the same peak as a run that filled it up front.
     pub peak_pending: u64,
 }
-
-impl_snap_struct!(QueueStats {
-    scheduled,
-    delivered,
-    cancelled,
-    skipped,
-    clamped,
-    compactions,
-    peak_pending,
-});
 
 /// One pending event of a [`QueueSnapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -7,12 +7,12 @@
 //! current status of the network" (paper, §2).
 
 use crate::series::TimeSeries;
-use horse_types::{LinkId, SimTime};
+use horse_types::{LinkId, SimTime, Snap};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// One epoch's aggregate snapshot.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize, Snap)]
 pub struct EpochReport {
     /// Epoch end time.
     pub time: SimTime,
@@ -29,7 +29,7 @@ pub struct EpochReport {
 }
 
 /// A raised congestion alarm.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize, Snap)]
 pub struct ThresholdAlarm {
     /// The link whose utilization crossed the threshold.
     pub link: LinkId,
@@ -38,21 +38,6 @@ pub struct ThresholdAlarm {
     /// Observed utilization.
     pub utilization: f64,
 }
-
-horse_types::impl_snap_struct!(EpochReport {
-    time,
-    aggregate_rate_bps,
-    max_utilization,
-    mean_busy_utilization,
-    active_flows,
-    completed_flows,
-});
-
-horse_types::impl_snap_struct!(ThresholdAlarm {
-    link,
-    time,
-    utilization,
-});
 
 /// Collects link and aggregate statistics across epochs.
 #[derive(Clone, Debug)]

@@ -1,10 +1,10 @@
 //! Time series with summary statistics.
 
-use horse_types::SimTime;
+use horse_types::{SimTime, Snap};
 use serde::{Deserialize, Serialize};
 
 /// An append-only `(time, value)` series.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize, Snap)]
 pub struct TimeSeries {
     /// Samples in append order (time must be non-decreasing).
     points: Vec<(SimTime, f64)>,
@@ -150,9 +150,6 @@ pub struct Summary {
     /// Maximum.
     pub max: f64,
 }
-
-// Checkpointing: series are part of the collector's resumable state.
-horse_types::impl_snap_struct!(TimeSeries { points });
 
 #[cfg(test)]
 mod tests {

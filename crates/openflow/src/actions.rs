@@ -6,12 +6,12 @@
 //! `Meter` and `GotoTable` instructions.
 
 use horse_types::id::{GroupId, MeterId};
-use horse_types::{MacAddr, PortNo, TableId};
+use horse_types::{MacAddr, PortNo, Snap, TableId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A data-plane action applied to a matching flow.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize, Snap)]
 pub enum Action {
     /// Forward out of a port (physical, `CONTROLLER` or `FLOOD`).
     Output(PortNo),
@@ -44,7 +44,7 @@ impl fmt::Display for Action {
 }
 
 /// A flow-entry instruction.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Serialize, Deserialize, Snap)]
 pub enum Instruction {
     /// Apply these actions immediately.
     ApplyActions(Vec<Action>),

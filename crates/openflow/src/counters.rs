@@ -6,11 +6,11 @@
 //! counters are derived as `bytes / avg_packet_size` when credited by the
 //! fluid plane, and exact when credited by the packet plane.
 
-use horse_types::{ByteSize, SimTime};
+use horse_types::{ByteSize, SimTime, Snap};
 use serde::{Deserialize, Serialize};
 
 /// Per-flow-entry counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize, Snap)]
 pub struct FlowCounters {
     /// Packets attributed to this entry.
     pub packets: u64,
@@ -49,7 +49,7 @@ impl FlowCounters {
 }
 
 /// Per-port counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize, Snap)]
 pub struct PortCounters {
     /// Packets received.
     pub rx_packets: u64,
@@ -78,7 +78,7 @@ impl PortCounters {
 }
 
 /// Per-table counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize, Snap)]
 pub struct TableCounters {
     /// Lookups performed in this table.
     pub lookups: u64,

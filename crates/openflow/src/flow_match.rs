@@ -6,12 +6,12 @@
 //! `None` means wildcard. IP addresses match by prefix so blackholing and
 //! peering policies can target whole networks.
 
-use horse_types::{FlowKey, IpProtocol, Ipv4Net, MacAddr, PortNo};
+use horse_types::{FlowKey, IpProtocol, Ipv4Net, MacAddr, PortNo, Snap};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A wildcard match over flow-key fields plus the ingress port.
-#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize, Snap)]
 pub struct FlowMatch {
     /// Ingress port.
     pub in_port: Option<PortNo>,
@@ -295,10 +295,6 @@ impl fmt::Display for FlowMatch {
         write!(f, "{}", parts.join(","))
     }
 }
-
-// Checkpointing: matches ride inside resolved routes, so they must
-// round-trip through the binary snapshot codec.
-horse_types::impl_snap_via_serde!(FlowMatch);
 
 #[cfg(test)]
 mod tests {

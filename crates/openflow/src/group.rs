@@ -12,11 +12,11 @@
 
 use crate::actions::Action;
 use horse_types::id::GroupId;
-use horse_types::{FlowKey, PortNo};
+use horse_types::{FlowKey, PortNo, Snap};
 use serde::{Deserialize, Serialize};
 
 /// Group semantics.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize, Snap)]
 pub enum GroupType {
     /// Execute every bucket (replication).
     All,
@@ -27,7 +27,7 @@ pub enum GroupType {
 }
 
 /// One bucket of a group.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Serialize, Deserialize, Snap)]
 pub struct Bucket {
     /// Relative selection weight (Select groups; 0 = never chosen).
     pub weight: u32,
@@ -58,7 +58,7 @@ impl Bucket {
 }
 
 /// A group-table entry.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Serialize, Deserialize, Snap)]
 pub struct GroupEntry {
     /// Group id (unique per switch).
     pub id: GroupId,

@@ -11,11 +11,11 @@ use crate::group::GroupEntry;
 use crate::meter::MeterEntry;
 use crate::table::{FlowEntry, RemovalReason};
 use horse_types::id::{GroupId, MeterId};
-use horse_types::{ByteSize, FlowKey, NodeId, PortNo, Rate, TableId};
+use horse_types::{ByteSize, FlowKey, NodeId, PortNo, Rate, Snap, TableId};
 use serde::{Deserialize, Serialize};
 
 /// FlowMod verb.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize, Snap)]
 pub enum FlowModCommand {
     /// Install (replacing an identical match+priority entry).
     Add,
@@ -27,7 +27,7 @@ pub enum FlowModCommand {
 }
 
 /// A flow-table modification.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize, Snap)]
 pub struct FlowMod {
     /// Target table.
     pub table: TableId,
@@ -58,7 +58,7 @@ impl FlowMod {
 }
 
 /// Group-table modification.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize, Snap)]
 pub enum GroupMod {
     /// Install or replace a group.
     Add(GroupEntry),
@@ -67,7 +67,7 @@ pub enum GroupMod {
 }
 
 /// Meter-table modification.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize, Snap)]
 pub enum MeterMod {
     /// Install or replace a meter.
     Add {
@@ -93,7 +93,7 @@ impl MeterMod {
 }
 
 /// Statistics request kinds (the "Monitor" block of Fig. 2 polls these).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize, Snap)]
 pub enum StatsRequest {
     /// Per-entry stats of one table.
     Flow(TableId),
@@ -104,7 +104,7 @@ pub enum StatsRequest {
 }
 
 /// One row of a flow-stats reply.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize, Snap)]
 pub struct FlowStatsEntry {
     /// Table the entry lives in.
     pub table: TableId,
@@ -121,7 +121,7 @@ pub struct FlowStatsEntry {
 }
 
 /// One row of a port-stats reply.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize, Deserialize, Snap)]
 pub struct PortStatsEntry {
     /// The port.
     pub port: PortNo,
@@ -138,7 +138,7 @@ pub struct PortStatsEntry {
 }
 
 /// One row of a table-stats reply.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize, Deserialize, Snap)]
 pub struct TableStatsEntry {
     /// The table.
     pub table: TableId,
@@ -151,7 +151,7 @@ pub struct TableStatsEntry {
 }
 
 /// Statistics replies.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize, Snap)]
 pub enum StatsReply {
     /// Flow stats rows.
     Flow(Vec<FlowStatsEntry>),
@@ -162,7 +162,7 @@ pub enum StatsReply {
 }
 
 /// Controller → switch messages.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize, Snap)]
 pub enum CtrlMsg {
     /// Modify a flow table.
     FlowMod(FlowMod),
@@ -178,7 +178,7 @@ pub enum CtrlMsg {
 }
 
 /// Switch → controller messages.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize, Snap)]
 pub enum SwitchMsg {
     /// A flow hit a table miss (or an explicit send-to-controller rule) —
     /// the flow-level analogue of OpenFlow `PACKET_IN`.
@@ -231,11 +231,6 @@ pub enum SwitchMsg {
         switch: NodeId,
     },
 }
-
-// Checkpointing: in-flight control-channel messages live inside queued
-// simulation events and the outage replay buffer; both planes' snapshots
-// carry them through the serde bridge (canonical Value encoding).
-horse_types::impl_snap_via_serde!(CtrlMsg, SwitchMsg);
 
 #[cfg(test)]
 mod tests {

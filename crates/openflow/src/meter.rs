@@ -7,11 +7,11 @@
 //! ([`MeterEntry::try_consume`]) to decide per-packet drops.
 
 use horse_types::id::MeterId;
-use horse_types::{ByteSize, Rate, SimTime};
+use horse_types::{ByteSize, Rate, SimTime, Snap};
 use serde::{Deserialize, Serialize};
 
 /// A meter with a single drop band.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize, Snap)]
 pub struct MeterEntry {
     /// Meter id (unique per switch).
     pub id: MeterId,

@@ -22,15 +22,13 @@ use crate::messages::{
 use crate::meter::MeterEntry;
 use crate::table::{FlowTable, MatchedEntry, RemovalReason};
 use horse_types::id::{GroupId, MeterId};
-use horse_types::snap::{
-    snap_via_serde, unsnap_via_serde, Snap, SnapError, SnapReader, SnapWriter,
-};
+use horse_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use horse_types::{ByteSize, FlowKey, NodeId, PortNo, SimTime, TableId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// Why the pipeline dropped a flow.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize, Snap)]
 pub enum DropReason {
     /// Explicit drop action (blackholing, ACLs).
     Policy,
@@ -45,7 +43,7 @@ pub enum DropReason {
 }
 
 /// Final verdict of a pipeline traversal.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Serialize, Deserialize, Snap)]
 pub enum Verdict {
     /// Forward out of these ports (usually one; several for flood/All).
     Forward(Vec<PortNo>),
@@ -57,7 +55,7 @@ pub enum Verdict {
 
 /// Everything a traversal produced: the verdict plus the attribution trail
 /// (which entries matched, which meters apply, header rewrites).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Serialize, Deserialize, Snap)]
 pub struct PipelineResult {
     /// The forwarding decision.
     pub verdict: Verdict,
@@ -70,7 +68,7 @@ pub struct PipelineResult {
 }
 
 /// How a table miss is handled.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Snap)]
 pub enum MissBehavior {
     /// Send a `FlowIn` to the controller (reactive mode, the default).
     ToController,
@@ -660,30 +658,16 @@ impl OpenFlowSwitch {
     /// key-sorted). The identity (`id`) is not included: it is re-derived
     /// from the topology on restore and used as a cross-check.
     pub fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.len_prefix(self.tables.len());
-        for t in &self.tables {
-            snap_via_serde(t, w);
-        }
-        w.len_prefix(self.groups.len());
-        for (id, g) in &self.groups {
-            id.snap(w);
-            snap_via_serde(g, w);
-        }
-        w.len_prefix(self.meters.len());
-        for (id, m) in &self.meters {
-            id.snap(w);
-            snap_via_serde(m, w);
-        }
+        self.tables.snap(w);
+        self.groups.snap(w);
+        self.meters.snap(w);
         self.port_state.snap(w);
         w.len_prefix(self.counted_ports().count());
         for (p, c) in self.counted_ports() {
             p.snap(w);
-            snap_via_serde(c, w);
+            c.snap(w);
         }
-        w.u8(match self.miss_behavior {
-            MissBehavior::ToController => 0,
-            MissBehavior::Drop => 1,
-        });
+        self.miss_behavior.snap(w);
         self.max_table_jumps.snap(w);
         self.gen.snap(w);
     }
@@ -692,38 +676,17 @@ impl OpenFlowSwitch {
     /// replacing this switch's tables, groups, meters and port state
     /// wholesale.
     pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let n = r.len_prefix()?;
-        let mut tables = Vec::with_capacity(n);
-        for _ in 0..n {
-            tables.push(unsnap_via_serde::<FlowTable>(r)?);
-        }
-        let n = r.len_prefix()?;
-        let mut groups = BTreeMap::new();
-        for _ in 0..n {
-            let id = GroupId::unsnap(r)?;
-            groups.insert(id, unsnap_via_serde::<GroupEntry>(r)?);
-        }
-        let n = r.len_prefix()?;
-        let mut meters = BTreeMap::new();
-        for _ in 0..n {
-            let id = MeterId::unsnap(r)?;
-            meters.insert(id, unsnap_via_serde::<MeterEntry>(r)?);
-        }
-        let port_state = HashMap::<PortNo, bool>::unsnap(r)?;
-        let n = r.len_prefix()?;
+        let tables = Snap::unsnap(r)?;
+        let groups = Snap::unsnap(r)?;
+        let meters = Snap::unsnap(r)?;
+        let port_state = Snap::unsnap(r)?;
         let mut port_counters = Vec::new();
-        for _ in 0..n {
-            let p = PortNo::unsnap(r)?;
-            *port_slot(&mut port_counters, p) = unsnap_via_serde(r)?;
+        for (p, c) in Vec::<(PortNo, PortCounters)>::unsnap(r)? {
+            *port_slot(&mut port_counters, p) = c;
         }
-        let at = r.position();
-        let miss_behavior = match r.u8()? {
-            0 => MissBehavior::ToController,
-            1 => MissBehavior::Drop,
-            other => return Err(SnapError::new(format!("bad MissBehavior {other}"), at)),
-        };
-        let max_table_jumps = usize::unsnap(r)?;
-        let gen = u64::unsnap(r)?;
+        let miss_behavior = Snap::unsnap(r)?;
+        let max_table_jumps = Snap::unsnap(r)?;
+        let gen = Snap::unsnap(r)?;
         self.tables = tables;
         self.groups = groups;
         self.meters = meters;

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use std::cell::{Cell, OnceCell};
 
 /// Why a flow entry was removed (reported in FlowRemoved messages).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize, Snap)]
 pub enum RemovalReason {
     /// No traffic for `idle_timeout`.
     IdleTimeout,
@@ -20,7 +20,7 @@ pub enum RemovalReason {
 }
 
 /// One flow-table entry.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize, Snap)]
 pub struct FlowEntry {
     /// Match priority — higher wins.
     pub priority: u16,
@@ -476,7 +476,7 @@ impl ExactIndex {
 /// [`insert`]: FlowTable::insert
 /// [`peek`]: FlowTable::peek
 /// [`credit`]: FlowTable::credit
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize, Snap)]
 pub struct FlowTable {
     entries: Vec<FlowEntry>,
     /// Lookup/match counters.

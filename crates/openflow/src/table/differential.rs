@@ -10,7 +10,7 @@
 //! after every step.
 
 use super::*;
-use horse_types::snap::{snap_via_serde, unsnap_via_serde, SnapReader, SnapWriter};
+use horse_types::snap::{Snap, SnapReader, SnapWriter};
 use horse_types::IpProtocol;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -312,9 +312,9 @@ fn run_case(seed: u64, ops: usize, max_bulk: u64) -> bool {
             }
             18 => {
                 let mut w = SnapWriter::new();
-                snap_via_serde(&t, &mut w);
+                t.snap(&mut w);
                 let bytes = w.into_bytes();
-                t = unsnap_via_serde(&mut SnapReader::new(&bytes)).unwrap();
+                t = FlowTable::unsnap(&mut SnapReader::new(&bytes)).unwrap();
                 assert!(t.index.get().is_none(), "the index is never serialized");
                 r.rescans = 0;
             }

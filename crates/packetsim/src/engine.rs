@@ -25,7 +25,6 @@ use horse_openflow::messages::{CtrlMsg, SwitchMsg};
 use horse_openflow::switch::{OpenFlowSwitch, PipelineResult, Switches, Verdict};
 use horse_topology::Topology;
 use horse_types::id::MeterId;
-use horse_types::snap::{snap_via_serde, unsnap_via_serde};
 use horse_types::{
     ByteSize, FlowKey, LinkId, NodeId, PortNo, Rate, SimDuration, SimTime, Snap, SnapError,
     SnapReader, SnapWriter,
@@ -65,7 +64,7 @@ impl Default for PacketSimConfig {
 }
 
 /// A flow to drive through the packet plane.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Snap)]
 pub struct PktFlowSpec {
     /// Header fields.
     pub key: FlowKey,
@@ -138,7 +137,9 @@ impl PacketResults {
 
 /// A packet-plane event. Drivers schedule these on their event queue and
 /// feed them back through [`PacketPlane::handle`].
-#[derive(Clone, Debug)]
+///
+/// Checkpoints carry the `PktEvent`s riding in the simulation queue.
+#[derive(Clone, Debug, Snap)]
 pub enum PktEvent {
     /// A flow's source starts.
     Start(usize),
@@ -171,7 +172,7 @@ pub enum PktEvent {
 
 /// A packet in flight (internal representation; drivers only carry these
 /// inside [`PktEvent`]s they got from [`PktOut`]).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Snap)]
 pub struct Pkt {
     flow: usize,
     key: FlowKey,
@@ -201,6 +202,7 @@ struct CacheEntry {
     res: PipelineResult,
 }
 
+#[derive(Snap)]
 struct PortQueue {
     queue: VecDeque<Pkt>,
     queued_bytes: u64,
@@ -217,6 +219,7 @@ impl PortQueue {
     }
 }
 
+#[derive(Snap)]
 struct FlowRt {
     spec: PktFlowSpec,
     source: SourceKind,
@@ -251,101 +254,6 @@ impl PktOut {
         self.flow_ins.clear();
         self.transitions.clear();
         self.finished.clear();
-    }
-}
-
-// Checkpointing: the whole packet plane — flow runtime state, port
-// queues (with their in-flight/queued packets) and drop counters — must
-// survive a snapshot, as must the `PktEvent`s riding in the shared
-// simulation queue.
-horse_types::impl_snap_struct!(Pkt {
-    flow,
-    key,
-    size,
-    seq,
-    is_ack,
-    sent_at,
-    count,
-});
-horse_types::impl_snap_struct!(PktFlowSpec {
-    key,
-    src,
-    dst,
-    size,
-    start,
-    source,
-});
-horse_types::impl_snap_struct!(FlowRt {
-    spec,
-    source,
-    total_segs,
-    delivered_segs,
-    cbr_sent_segs,
-    dropped_bytes,
-    finished,
-});
-horse_types::impl_snap_struct!(PortQueue {
-    queue,
-    queued_bytes,
-    busy,
-});
-
-impl Snap for PktEvent {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            PktEvent::Start(i) => {
-                w.u8(0);
-                i.snap(w);
-            }
-            PktEvent::CbrSend(i) => {
-                w.u8(1);
-                i.snap(w);
-            }
-            PktEvent::Arrive { node, in_port, pkt } => {
-                w.u8(2);
-                node.snap(w);
-                in_port.snap(w);
-                pkt.snap(w);
-            }
-            PktEvent::TxDone { node, port } => {
-                w.u8(3);
-                node.snap(w);
-                port.snap(w);
-            }
-            PktEvent::Rto {
-                flow,
-                cum_ack_at_arm,
-            } => {
-                w.u8(4);
-                flow.snap(w);
-                cum_ack_at_arm.snap(w);
-            }
-        }
-    }
-    fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => PktEvent::Start(usize::unsnap(r)?),
-            1 => PktEvent::CbrSend(usize::unsnap(r)?),
-            2 => PktEvent::Arrive {
-                node: NodeId::unsnap(r)?,
-                in_port: PortNo::unsnap(r)?,
-                pkt: Pkt::unsnap(r)?,
-            },
-            3 => PktEvent::TxDone {
-                node: NodeId::unsnap(r)?,
-                port: PortNo::unsnap(r)?,
-            },
-            4 => PktEvent::Rto {
-                flow: usize::unsnap(r)?,
-                cum_ack_at_arm: u64::unsnap(r)?,
-            },
-            t => {
-                return Err(SnapError::new(
-                    format!("bad PktEvent tag {t}"),
-                    r.position(),
-                ))
-            }
-        })
     }
 }
 
@@ -584,12 +492,10 @@ impl PacketPlane {
             k.snap(w);
             e.gen.snap(w);
             e.key.snap(w);
-            snap_via_serde(&e.res, w);
+            e.res.snap(w);
         }
         self.bursts_formed.snap(w);
-        for b in &self.burst_len_hist {
-            b.snap(w);
-        }
+        self.burst_len_hist.snap(w);
         self.cache_hits.snap(w);
         self.cache_misses.snap(w);
         self.cache_invalidations.snap(w);
@@ -645,7 +551,7 @@ impl PacketPlane {
             let (node, in_port, flow, is_ack) = <(NodeId, PortNo, usize, bool)>::unsnap(r)?;
             let gen = u64::unsnap(r)?;
             let key = FlowKey::unsnap(r)?;
-            let res = unsnap_via_serde::<PipelineResult>(r)?;
+            let res = PipelineResult::unsnap(r)?;
             let Some(list) = cache.get_mut(flow) else {
                 return Err(SnapError::new(
                     format!("cache entry for flow {flow} of {}", self.flows.len()),
@@ -672,9 +578,7 @@ impl PacketPlane {
         }
         self.cache = cache;
         self.bursts_formed = u64::unsnap(r)?;
-        for b in &mut self.burst_len_hist {
-            *b = u64::unsnap(r)?;
-        }
+        self.burst_len_hist = Snap::unsnap(r)?;
         self.cache_hits = u64::unsnap(r)?;
         self.cache_misses = u64::unsnap(r)?;
         self.cache_invalidations = u64::unsnap(r)?;

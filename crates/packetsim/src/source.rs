@@ -1,9 +1,9 @@
 //! Traffic sources for the packet plane.
 
-use horse_types::SimTime;
+use horse_types::{SimTime, Snap};
 
 /// What kind of source drives a flow.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Snap)]
 pub enum SourceKind {
     /// Paced constant-bit-rate sender (UDP-like): one data packet every
     /// `mss × 8 / rate_bps` seconds until the byte budget is spent.
@@ -16,7 +16,7 @@ pub enum SourceKind {
 }
 
 /// Sender-side TCP state (sequence numbers count MSS-sized segments).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Snap)]
 pub struct TcpState {
     /// Congestion window in segments (fractional growth in CA).
     pub cwnd: f64,
@@ -146,47 +146,6 @@ impl TcpState {
 impl Default for TcpState {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-// Checkpointing: sources live inside packet-plane flow runtime state.
-horse_types::impl_snap_struct!(TcpState {
-    cwnd,
-    ssthresh,
-    next_seq,
-    cum_ack,
-    dup_acks,
-    srtt,
-    in_flight,
-    oldest_tx,
-    retransmitting,
-    backoff,
-    rcv_next,
-    rcv_ooo,
-});
-
-impl horse_types::Snap for SourceKind {
-    fn snap(&self, w: &mut horse_types::SnapWriter) {
-        match self {
-            SourceKind::Cbr { rate_bps } => {
-                w.u8(0);
-                w.f64(*rate_bps);
-            }
-            SourceKind::Tcp(t) => {
-                w.u8(1);
-                t.snap(w);
-            }
-        }
-    }
-    fn unsnap(r: &mut horse_types::SnapReader) -> Result<Self, horse_types::SnapError> {
-        match r.u8()? {
-            0 => Ok(SourceKind::Cbr { rate_bps: r.f64()? }),
-            1 => Ok(SourceKind::Tcp(horse_types::Snap::unsnap(r)?)),
-            t => Err(horse_types::SnapError::new(
-                format!("bad SourceKind tag {t}"),
-                r.position(),
-            )),
-        }
     }
 }
 

@@ -8,12 +8,12 @@
 
 use crate::graph::{Topology, TopologyError};
 use crate::node::{NodeKind, SwitchRole};
-use horse_types::{MacAddr, Rate, SimDuration};
+use horse_types::{MacAddr, Rate, SimDuration, Snap};
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// One node in the spec.
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
+#[derive(Clone, Debug, Serialize, Deserialize, PartialEq, Snap)]
 pub struct NodeSpec {
     /// Unique name.
     pub name: String,
@@ -22,7 +22,7 @@ pub struct NodeSpec {
 }
 
 /// Node kind in the spec.
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
+#[derive(Clone, Debug, Serialize, Deserialize, PartialEq, Snap)]
 #[serde(tag = "type", rename_all = "snake_case")]
 pub enum NodeKindSpec {
     /// A host with addresses.
@@ -39,7 +39,7 @@ pub enum NodeKindSpec {
 }
 
 /// One full-duplex cable in the spec.
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
+#[derive(Clone, Debug, Serialize, Deserialize, PartialEq, Snap)]
 pub struct CableSpec {
     /// Name of one endpoint.
     pub a: String,
@@ -52,7 +52,7 @@ pub struct CableSpec {
 }
 
 /// A serializable topology description.
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq, Default)]
+#[derive(Clone, Debug, Serialize, Deserialize, PartialEq, Default, Snap)]
 pub struct TopologySpec {
     /// All nodes.
     pub nodes: Vec<NodeSpec>,

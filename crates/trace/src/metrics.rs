@@ -17,6 +17,7 @@
 //!    subsystems keep their own copies and the registry keeps the
 //!    authoritative name → cell table for snapshotting.
 
+use horse_types::Snap;
 use serde::{Deserialize, Serialize, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -288,7 +289,7 @@ impl MetricsRegistry {
 
 /// A raw dump of one histogram cell (full bucket array, not the lossy
 /// quantile view), for checkpoint continuation.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq, Snap)]
 pub struct HistDump {
     /// Observation count.
     pub count: u64,
@@ -300,18 +301,11 @@ pub struct HistDump {
     pub buckets: Vec<u64>,
 }
 
-horse_types::impl_snap_struct!(HistDump {
-    count,
-    sum,
-    max,
-    buckets,
-});
-
 /// A raw, name-sorted dump of every registry cell — unlike
 /// [`MetricsSnapshot`] it is lossless (histogram buckets survive), so a
 /// resumed simulation can seed a fresh registry and end the run with the
 /// exact counters an uninterrupted run would report.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq, Snap)]
 pub struct MetricsDump {
     /// Counter values by name.
     pub counters: Vec<(String, u64)>,
@@ -320,12 +314,6 @@ pub struct MetricsDump {
     /// Histogram cells by name.
     pub hists: Vec<(String, HistDump)>,
 }
-
-horse_types::impl_snap_struct!(MetricsDump {
-    counters,
-    gauges,
-    hists,
-});
 
 impl MetricsRegistry {
     /// Dumps every cell's raw state, sorted by name (canonical: two

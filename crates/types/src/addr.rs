@@ -4,6 +4,7 @@
 //! real header fields so that OpenFlow-style matching (exact and prefix
 //! wildcards) behaves like it would on a switch.
 
+use crate::snap::Snap;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -17,7 +18,7 @@ use std::str::FromStr;
 /// assert_eq!(m.to_string(), "02:00:00:00:00:2a");
 /// assert_eq!(MacAddr::from_u64(0x2a).octets()[5], 0x2a);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Snap)]
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
@@ -129,7 +130,7 @@ impl FromStr for MacAddr {
 /// assert!(net.contains(Ipv4Addr::new(10, 200, 3, 4)));
 /// assert!(!net.contains(Ipv4Addr::new(11, 0, 0, 1)));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Snap)]
 pub struct Ipv4Net {
     /// Network address (host bits may be set; they are masked on use).
     pub addr: Ipv4Addr,

@@ -7,12 +7,13 @@
 //! VLAN, L3 addresses, IP protocol, L4 ports).
 
 use crate::addr::MacAddr;
+use crate::snap::Snap;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
 /// IP protocol numbers used by the simulator.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize, Snap)]
 #[repr(u8)]
 pub enum IpProtocol {
     /// ICMP (1).
@@ -53,7 +54,7 @@ pub mod ether_type {
 /// Application classes used for application-specific peering policies and
 /// workload generation. Each class implies a canonical transport and
 /// destination port (see [`AppClass::transport`] / [`AppClass::dst_port`]).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize, Snap)]
 pub enum AppClass {
     /// Plain web traffic (TCP/80).
     Http,
@@ -135,7 +136,7 @@ impl fmt::Display for AppClass {
 
 /// Header fields identifying a flow — the paper's "aggregate of packets with
 /// equal values of the header fields".
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize, Snap)]
 pub struct FlowKey {
     /// Source MAC address.
     pub eth_src: MacAddr,

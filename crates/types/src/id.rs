@@ -4,6 +4,7 @@
 //! group, meter) gets its own newtype so that indices cannot be mixed up at
 //! compile time. All ids are small `Copy` integers; display is `kind#n`.
 
+use crate::snap::Snap;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -11,7 +12,7 @@ macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $inner:ty, $prefix:literal) => {
         $(#[$doc])*
         #[derive(
-            Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
+            Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default, Snap,
         )]
         pub struct $name(pub $inner);
 
@@ -71,7 +72,9 @@ id_type!(
 );
 
 /// A switch port number (1-based like OpenFlow; 0 is reserved/invalid).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default)]
+#[derive(
+    Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default, Snap,
+)]
 pub struct PortNo(pub u16);
 
 impl PortNo {
@@ -105,7 +108,9 @@ impl fmt::Debug for PortNo {
 }
 
 /// An OpenFlow table id within a switch pipeline (0 is the first table).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default)]
+#[derive(
+    Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default, Snap,
+)]
 pub struct TableId(pub u8);
 
 impl fmt::Display for TableId {

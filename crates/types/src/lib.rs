@@ -14,6 +14,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+// Lets `#[derive(Snap)]` name `::horse_types` inside this crate too.
+extern crate self as horse_types;
+
 pub mod addr;
 pub mod flow;
 pub mod id;

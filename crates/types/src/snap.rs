@@ -17,16 +17,49 @@
 //! them, guarded by the snapshot header's version field (owned by
 //! `horse-core`).
 //!
-//! Types that already derive the vendored `serde` can get `Snap` for free
-//! through [`snap_via_serde`]/[`unsnap_via_serde`], which encode the
-//! serde [`Value`](serde::Value) tree in binary (floats as bit patterns,
-//! so the losslessness guarantee holds there too). Runtime-only types
-//! implement the trait by hand, usually via [`impl_snap_struct!`](crate::impl_snap_struct).
+//! A type gets its encoding from `#[derive(Snap)]` (the derive lives in
+//! the workspace's derive crate and is re-exported here, so `use
+//! horse_types::Snap` brings in both the trait and the derive). Fields
+//! encode in declaration order; an enum writes a `u8` tag — its
+//! variant's position in declaration order — before the variant's
+//! fields, and a bad tag is an error at the tag's offset. A
+//! `#[serde(skip)]` field is not written and decodes as
+//! `Default::default()`: the derive skips exactly what the spec-file
+//! codec skips (host-side caches and counters). Generic types and enums
+//! of more than 256 variants do not derive; the scalar and container
+//! impls below are written by hand, as are the few decoders that check
+//! more than shape (a value whose fields must agree with each other).
+//!
+//! ```
+//! use horse_types::snap::{Snap, SnapReader, SnapWriter};
+//!
+//! #[derive(Debug, PartialEq, Snap)]
+//! struct P {
+//!     x: u32,
+//!     y: f64,
+//! }
+//!
+//! let mut w = SnapWriter::new();
+//! P { x: 7, y: -0.0 }.snap(&mut w);
+//! let bytes = w.into_bytes();
+//! let p = P::unsnap(&mut SnapReader::new(&bytes)).unwrap();
+//! assert_eq!(p, P { x: 7, y: -0.0 });
+//! assert!(p.y.is_sign_negative(), "lossless floats");
+//! ```
+//!
+//! A generic type is refused at compile time:
+//!
+//! ```compile_fail
+//! #[derive(horse_types::Snap)]
+//! struct Wrapper<T>(T);
+//! ```
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::hash::Hash;
 use std::net::Ipv4Addr;
+
+pub use serde_derive::Snap;
 
 /// Error produced when decoding a snapshot fails (truncated buffer, bad
 /// tag, or a count that does not fit the platform).
@@ -490,284 +523,15 @@ impl<T: Snap> Snap for VecDeque<T> {
     }
 }
 
-/// Implements [`Snap`] for a struct by encoding its named fields in the
-/// listed order. Every field must itself implement `Snap`.
-///
-/// ```
-/// use horse_types::impl_snap_struct;
-/// use horse_types::snap::{Snap, SnapReader, SnapWriter};
-///
-/// #[derive(Debug, PartialEq)]
-/// struct P { x: u32, y: f64 }
-/// impl_snap_struct!(P { x, y });
-///
-/// let mut w = SnapWriter::new();
-/// P { x: 7, y: -0.0 }.snap(&mut w);
-/// let bytes = w.into_bytes();
-/// let p = P::unsnap(&mut SnapReader::new(&bytes)).unwrap();
-/// assert_eq!(p, P { x: 7, y: -0.0 });
-/// assert!(p.y.is_sign_negative(), "lossless floats");
-/// ```
-#[macro_export]
-macro_rules! impl_snap_struct {
-    ($name:ty { $($field:ident),* $(,)? }) => {
-        impl $crate::snap::Snap for $name {
-            fn snap(&self, w: &mut $crate::snap::SnapWriter) {
-                $( $crate::snap::Snap::snap(&self.$field, w); )*
-            }
-            fn unsnap(
-                r: &mut $crate::snap::SnapReader,
-            ) -> Result<Self, $crate::snap::SnapError> {
-                Ok(Self {
-                    $( $field: $crate::snap::Snap::unsnap(r)?, )*
-                })
-            }
-        }
-    };
-}
-
-/// Implements [`Snap`] for a type that already implements the vendored
-/// `serde` traits, by binary-encoding its [`Value`](serde::Value) tree
-/// (see [`snap_via_serde`]).
-#[macro_export]
-macro_rules! impl_snap_via_serde {
-    ($($name:ty),* $(,)?) => {
-        $(
-            impl $crate::snap::Snap for $name {
-                fn snap(&self, w: &mut $crate::snap::SnapWriter) {
-                    $crate::snap::snap_via_serde(self, w);
-                }
-                fn unsnap(
-                    r: &mut $crate::snap::SnapReader,
-                ) -> Result<Self, $crate::snap::SnapError> {
-                    $crate::snap::unsnap_via_serde(r)
-                }
-            }
-        )*
-    };
-}
-
-// ---------------------------------------------------------------------
-// serde bridge: binary-encode the vendored serde Value tree. Floats are
-// stored as bit patterns, so this path is as lossless as hand-written
-// impls; derive output is deterministic (struct fields in declaration
-// order), so the canonical-form guarantee holds as long as the
-// serialized type does not itself iterate an unordered container (the
-// workspace's derived types all use Vec/BTreeMap-like orderings).
-// ---------------------------------------------------------------------
-
-const VAL_NULL: u8 = 0;
-const VAL_BOOL: u8 = 1;
-const VAL_INT: u8 = 2;
-const VAL_UINT: u8 = 3;
-const VAL_FLOAT: u8 = 4;
-const VAL_STR: u8 = 5;
-const VAL_SEQ: u8 = 6;
-const VAL_MAP: u8 = 7;
-
-fn snap_value(v: &serde::Value, w: &mut SnapWriter) {
-    match v {
-        serde::Value::Null => w.u8(VAL_NULL),
-        serde::Value::Bool(b) => {
-            w.u8(VAL_BOOL);
-            w.u8(*b as u8);
-        }
-        serde::Value::Number(serde::Number::Int(i)) => {
-            w.u8(VAL_INT);
-            w.i64(*i);
-        }
-        serde::Value::Number(serde::Number::UInt(u)) => {
-            w.u8(VAL_UINT);
-            w.u64(*u);
-        }
-        serde::Value::Number(serde::Number::Float(f)) => {
-            w.u8(VAL_FLOAT);
-            w.f64(*f);
-        }
-        serde::Value::Str(s) => {
-            w.u8(VAL_STR);
-            w.str(s);
-        }
-        serde::Value::Seq(items) => {
-            w.u8(VAL_SEQ);
-            w.len_prefix(items.len());
-            for item in items {
-                snap_value(item, w);
-            }
-        }
-        serde::Value::Map(entries) => {
-            w.u8(VAL_MAP);
-            w.len_prefix(entries.len());
-            for (k, val) in entries {
-                w.str(k);
-                snap_value(val, w);
-            }
-        }
-    }
-}
-
-fn unsnap_value(r: &mut SnapReader) -> Result<serde::Value, SnapError> {
-    let at = r.position();
-    Ok(match r.u8()? {
-        VAL_NULL => serde::Value::Null,
-        VAL_BOOL => serde::Value::Bool(r.u8()? != 0),
-        VAL_INT => serde::Value::Number(serde::Number::Int(r.i64()?)),
-        VAL_UINT => serde::Value::Number(serde::Number::UInt(r.u64()?)),
-        VAL_FLOAT => serde::Value::Number(serde::Number::Float(r.f64()?)),
-        VAL_STR => serde::Value::Str(r.str()?),
-        VAL_SEQ => {
-            let n = r.len_prefix()?;
-            let mut items = Vec::with_capacity(n.min(r.remaining()));
-            for _ in 0..n {
-                items.push(unsnap_value(r)?);
-            }
-            serde::Value::Seq(items)
-        }
-        VAL_MAP => {
-            let n = r.len_prefix()?;
-            let mut entries = Vec::with_capacity(n.min(r.remaining()));
-            for _ in 0..n {
-                let k = r.str()?;
-                entries.push((k, unsnap_value(r)?));
-            }
-            serde::Value::Map(entries)
-        }
-        other => return Err(SnapError::new(format!("bad Value tag {other}"), at)),
-    })
-}
-
-/// Encodes any `serde::Serialize` type through its `Value` tree.
-pub fn snap_via_serde<T: serde::Serialize + ?Sized>(v: &T, w: &mut SnapWriter) {
-    snap_value(&v.to_value(), w);
-}
-
-/// Decodes any `serde::Deserialize` type through its `Value` tree.
-pub fn unsnap_via_serde<T: serde::Deserialize>(r: &mut SnapReader) -> Result<T, SnapError> {
-    let at = r.position();
-    let v = unsnap_value(r)?;
-    T::from_value(&v).map_err(|e| SnapError::new(format!("serde decode: {e}"), at))
-}
-
-// ---------------------------------------------------------------------
-// Snap for this crate's own primitives. All are pub-field newtypes, so
-// the encodings are their raw scalar forms — Rate deliberately bypasses
-// its clamping constructor to restore the exact stored bits.
-// ---------------------------------------------------------------------
-
-impl Snap for crate::units::SimTime {
+/// A box encodes as the value it holds.
+impl<T: Snap> Snap for Box<T> {
     fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.as_nanos());
+        T::snap(self, w);
     }
     fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(crate::units::SimTime::from_nanos(r.u64()?))
+        T::unsnap(r).map(Box::new)
     }
 }
-
-impl Snap for crate::units::SimDuration {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.as_nanos());
-    }
-    fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(crate::units::SimDuration::from_nanos(r.u64()?))
-    }
-}
-
-impl Snap for crate::units::Rate {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.f64(self.0);
-    }
-    fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(crate::units::Rate(r.f64()?))
-    }
-}
-
-impl Snap for crate::units::ByteSize {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.0);
-    }
-    fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(crate::units::ByteSize(r.u64()?))
-    }
-}
-
-macro_rules! snap_id {
-    ($($ty:ty: $inner:ident),* $(,)?) => {
-        $(
-            impl Snap for $ty {
-                fn snap(&self, w: &mut SnapWriter) {
-                    w.$inner(self.0);
-                }
-                fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-                    Ok(Self(r.$inner()?))
-                }
-            }
-        )*
-    };
-}
-
-snap_id!(
-    crate::id::NodeId: u32,
-    crate::id::LinkId: u32,
-    crate::id::GroupId: u32,
-    crate::id::MeterId: u32,
-    crate::id::FlowId: u64,
-    crate::id::PortNo: u16,
-    crate::id::TableId: u8,
-);
-
-impl Snap for crate::addr::MacAddr {
-    fn snap(&self, w: &mut SnapWriter) {
-        for b in self.octets() {
-            w.u8(b);
-        }
-    }
-    fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let mut o = [0u8; 6];
-        for b in &mut o {
-            *b = r.u8()?;
-        }
-        Ok(crate::addr::MacAddr(o))
-    }
-}
-
-impl Snap for crate::addr::Ipv4Net {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.addr.snap(w);
-        w.u8(self.len);
-    }
-    fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let addr = Ipv4Addr::unsnap(r)?;
-        let len = r.u8()?;
-        Ok(crate::addr::Ipv4Net { addr, len })
-    }
-}
-
-impl Snap for crate::flow::IpProtocol {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(*self as u8);
-    }
-    fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let at = r.position();
-        match r.u8()? {
-            1 => Ok(crate::flow::IpProtocol::Icmp),
-            6 => Ok(crate::flow::IpProtocol::Tcp),
-            17 => Ok(crate::flow::IpProtocol::Udp),
-            other => Err(SnapError::new(format!("bad IpProtocol {other}"), at)),
-        }
-    }
-}
-
-impl_snap_struct!(crate::flow::FlowKey {
-    eth_src,
-    eth_dst,
-    eth_type,
-    vlan,
-    ip_src,
-    ip_dst,
-    ip_proto,
-    tp_src,
-    tp_dst,
-});
 
 #[cfg(test)]
 mod tests {
@@ -888,36 +652,6 @@ mod tests {
     }
 
     #[test]
-    fn serde_bridge_round_trips_bitwise() {
-        // FlowKey also derives serde; the Value bridge must agree.
-        let key = FlowKey::tcp(
-            MacAddr::local_from_id(3),
-            MacAddr::local_from_id(4),
-            Ipv4Addr::new(192, 168, 0, 1),
-            Ipv4Addr::new(192, 168, 0, 2),
-            4000,
-            443,
-        );
-        let mut w = SnapWriter::new();
-        snap_via_serde(&key, &mut w);
-        let bytes = w.into_bytes();
-        let back: FlowKey = unsnap_via_serde(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(back, key);
-
-        // Floats inside serde values keep exact bits.
-        let v = serde::Value::Number(serde::Number::Float(-0.0));
-        let mut w = SnapWriter::new();
-        snap_value(&v, &mut w);
-        let b = w.into_bytes();
-        match unsnap_value(&mut SnapReader::new(&b)).unwrap() {
-            serde::Value::Number(serde::Number::Float(f)) => {
-                assert_eq!(f.to_bits(), (-0.0f64).to_bits())
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
     fn truncated_buffers_error_cleanly() {
         let mut w = SnapWriter::new();
         vec![1u64, 2, 3].snap(&mut w);
@@ -938,7 +672,5 @@ mod tests {
         let b = [7u8];
         assert!(bool::unsnap(&mut SnapReader::new(&b)).is_err());
         assert!(Option::<u8>::unsnap(&mut SnapReader::new(&b)).is_err());
-        let b = [99u8];
-        assert!(unsnap_value(&mut SnapReader::new(&b)).is_err());
     }
 }

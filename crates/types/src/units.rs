@@ -9,12 +9,15 @@
 //! All arithmetic saturates rather than wrapping so a mis-configured
 //! scenario fails loudly in tests instead of silently warping time.
 
+use crate::snap::Snap;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// Absolute simulated time in nanoseconds since simulation start.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default)]
+#[derive(
+    Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default, Snap,
+)]
 pub struct SimTime(pub u64);
 
 impl SimTime {
@@ -92,7 +95,9 @@ impl fmt::Debug for SimTime {
 }
 
 /// A span of simulated time, in nanoseconds.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default)]
+#[derive(
+    Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default, Snap,
+)]
 pub struct SimDuration(pub u64);
 
 impl SimDuration {
@@ -201,7 +206,7 @@ impl fmt::Debug for SimDuration {
 ///
 /// Rates are continuous quantities in the fluid model, hence `f64`.
 /// Negative and NaN rates are invalid; constructors clamp them to zero.
-#[derive(Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default, Snap)]
 pub struct Rate(pub f64);
 
 impl Rate {
@@ -311,7 +316,9 @@ impl fmt::Debug for Rate {
 }
 
 /// A byte count.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default)]
+#[derive(
+    Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default, Snap,
+)]
 pub struct ByteSize(pub u64);
 
 impl ByteSize {

@@ -1,11 +1,11 @@
 //! Application mixes.
 
-use horse_types::AppClass;
+use horse_types::{AppClass, Snap};
 use rand::{Rng, RngExt};
 use serde::{Deserialize, Serialize};
 
 /// A categorical distribution over application classes.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize, Snap)]
 pub struct AppMix {
     /// `(class, weight)` pairs; weights need not be normalized.
     pub weights: Vec<(AppClass, f64)>,

@@ -5,10 +5,11 @@
 //! 1/2 to 1/3 of the peak. [`DiurnalProfile`] models that as a raised
 //! cosine: multiplier 1.0 at `peak_hour`, `trough_frac` at the antipode.
 
+use horse_types::Snap;
 use serde::{Deserialize, Serialize};
 
 /// A raised-cosine daily profile.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize, Snap)]
 pub struct DiurnalProfile {
     /// Hour of day (0–24) where load peaks.
     pub peak_hour: f64,

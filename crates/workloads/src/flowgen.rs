@@ -48,7 +48,7 @@ pub struct Arrival {
 }
 
 /// Generator parameters.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize, Snap)]
 pub struct WorkloadParams {
     /// Offered-load matrix (bps at peak).
     pub matrix: TrafficMatrix,

@@ -5,12 +5,13 @@
 //! log-normal is a common alternative; fixed sizes support controlled
 //! accuracy experiments.
 
+use horse_types::Snap;
 use rand::Rng;
 use rand_distr::{Distribution, LogNormal, Pareto};
 use serde::{Deserialize, Serialize};
 
 /// A flow-size distribution (bytes).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize, Snap)]
 #[serde(tag = "dist", rename_all = "snake_case")]
 pub enum FlowSizeDist {
     /// Bounded Pareto: heavy tail with shape `alpha`, clamped to

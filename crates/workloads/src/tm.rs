@@ -4,10 +4,11 @@
 //! The gravity model with Zipf-distributed member weights reproduces the
 //! strong skew measured at real IXPs (a few members originate most bytes).
 
+use horse_types::Snap;
 use serde::{Deserialize, Serialize};
 
 /// A dense traffic matrix over `n` members.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize, Snap)]
 pub struct TrafficMatrix {
     n: usize,
     /// Row-major rates in bps; the diagonal is zero.

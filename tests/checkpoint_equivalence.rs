@@ -386,7 +386,7 @@ fn malformed_snapshots_fail_loudly() {
     let mut sim = Simulation::new(wave_scenario(), SimConfig::default()).unwrap();
     sim.run_until(SimTime::from_millis(1100));
     assert_truncations_are_corrupt(&sim.checkpoint(), 1);
-    // A richer zoo snapshot (~1.3 MB, too big to cut everywhere in a
+    // A richer zoo snapshot (~190 kB, too big to cut everywhere in a
     // debug build) at a prime stride, so cuts land at varied offsets
     // inside its records.
     let mut sim = Simulation::new(scenario_zoo(0, 3), SimConfig::default()).unwrap();
@@ -401,14 +401,18 @@ fn malformed_snapshots_fail_loudly() {
         Simulation::resume(&versioned),
         Err(ResumeError::BadVersion(99))
     ));
-    // So is the previous format: version 5 keyed the packet plane's
-    // port queues by `(node, port)` instead of one per directed link.
-    assert_eq!(horse::sim::SNAPSHOT_VERSION, 6);
-    versioned[17] = 5;
-    assert!(matches!(
-        Simulation::resume(&versioned),
-        Err(ResumeError::BadVersion(5))
-    ));
+    // So are the previous formats: version 6 wrote serde-derived state
+    // as a self-describing value tree (every field name a string), and
+    // version 5 keyed the packet plane's port queues by `(node, port)`
+    // instead of one per directed link.
+    assert_eq!(horse::sim::SNAPSHOT_VERSION, 7);
+    for old in [6, 5] {
+        versioned[17] = old;
+        assert!(matches!(
+            Simulation::resume(&versioned),
+            Err(ResumeError::BadVersion(v)) if v == old as u32
+        ));
+    }
 }
 
 /// A completion wave on a star: six equal flows and a short one into one
