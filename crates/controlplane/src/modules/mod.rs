@@ -60,8 +60,9 @@ pub trait PolicyModule {
     /// the two differ. Modules whose rule count is O(switches × hosts)
     /// override this to emit, for those cells only and in the relative
     /// order `install` would, the messages that differ from what `prev`
-    /// compiled to; the default re-runs `install`, which is right for a
-    /// module with a handful of rules.
+    /// compiled to, each preceded in the same outbox by what it depends
+    /// on (the select group an entry points at); the default re-runs
+    /// `install`, which is right for a module with a handful of rules.
     fn reinstall(
         &mut self,
         ctx: &CompileCtx<'_>,

@@ -9,10 +9,14 @@
 //!   on the same switch/table/priority with overlapping matches but
 //!   different instructions are a hard conflict; a lower-priority rule
 //!   fully subsumed by a higher-priority one with different instructions
-//!   is reported as shadowed (warning).
+//!   is reported as shadowed (warning); an entry that points at a group
+//!   no earlier group-mod in the same list defines is a hard error (the
+//!   switch would drop its traffic as a dead group).
 
 use crate::spec::{PolicyRule, PolicySpec};
-use horse_openflow::messages::{CtrlMsg, FlowModCommand};
+use horse_openflow::actions::{Action, Instruction};
+use horse_openflow::messages::{CtrlMsg, FlowModCommand, GroupMod};
+use horse_openflow::GroupId;
 use horse_topology::Topology;
 use horse_types::NodeId;
 use std::collections::{HashMap, HashSet};
@@ -172,13 +176,36 @@ pub fn validate_spec(spec: &PolicySpec, topo: &Topology) -> ValidationReport {
 /// Rule-level validation over compiled messages (see module docs).
 pub fn validate_rules(msgs: &[(NodeId, CtrlMsg)]) -> ValidationReport {
     let mut rep = ValidationReport::default();
-    // Group FlowMod Adds by (switch, table).
+    // Group FlowMod Adds by (switch, table); check each one's groups
+    // against the group-mods before it.
     let mut groups: HashMap<(NodeId, u8), Vec<&horse_openflow::table::FlowEntry>> = HashMap::new();
+    let mut defined: HashSet<(NodeId, GroupId)> = HashSet::new();
     for (sw, msg) in msgs {
-        if let CtrlMsg::FlowMod(fm) = msg {
-            if fm.command == FlowModCommand::Add {
+        match msg {
+            CtrlMsg::GroupMod(GroupMod::Add(g)) => {
+                defined.insert((*sw, g.id));
+            }
+            CtrlMsg::GroupMod(GroupMod::Delete(id)) => {
+                defined.remove(&(*sw, *id));
+            }
+            CtrlMsg::FlowMod(fm) if fm.command == FlowModCommand::Add => {
+                let named = fm.entry.instructions.iter().flat_map(|ins| match ins {
+                    Instruction::ApplyActions(actions) => actions.as_slice(),
+                    _ => &[],
+                });
+                for action in named {
+                    if let Action::Group(g) = action {
+                        if !defined.contains(&(*sw, *g)) {
+                            rep.error(format!(
+                                "dangling group on {sw} table {}: [{}] points at {g}, which no earlier group-mod defines",
+                                fm.table.0, fm.entry.matcher
+                            ));
+                        }
+                    }
+                }
                 groups.entry((*sw, fm.table.0)).or_default().push(&fm.entry);
             }
+            _ => {}
         }
     }
     for ((sw, table), entries) in groups {
@@ -218,12 +245,15 @@ pub fn validate_rules(msgs: &[(NodeId, CtrlMsg)]) -> ValidationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generator::PolicyGenerator;
     use crate::spec::LbMode;
     use horse_openflow::actions::Instruction;
     use horse_openflow::flow_match::FlowMatch;
+    use horse_openflow::group::GroupEntry;
     use horse_openflow::messages::FlowMod;
     use horse_openflow::table::FlowEntry;
-    use horse_topology::builders;
+    use horse_topology::builders::{self, FabricHandles};
+    use horse_topology::generators::{generate, GeneratorParams, TopologyKind};
     use horse_types::{AppClass, PortNo};
 
     fn fabric() -> Topology {
@@ -450,5 +480,134 @@ mod tests {
             ),
         ];
         assert!(validate_rules(&msgs).is_ok());
+    }
+
+    /// Every policy class the generator ships, on `f`: each forwarding
+    /// owner alone, and a Fig. 1-shaped composition over its members.
+    fn shipped_policies(f: &FabricHandles) -> Vec<PolicySpec> {
+        let name = |n: NodeId| f.topology.node(n).expect("node exists").name.clone();
+        let m = |i: usize| name(f.members[i]);
+        let via = name(
+            *f.cores
+                .first()
+                .or(f.edges.last())
+                .expect("fabric has switches"),
+        );
+        let mut specs: Vec<PolicySpec> = [
+            PolicyRule::MacForwarding,
+            PolicyRule::MacLearning,
+            PolicyRule::LoadBalancing { mode: LbMode::Ecmp },
+            PolicyRule::LoadBalancing {
+                mode: LbMode::Adaptive,
+            },
+        ]
+        .into_iter()
+        .map(|rule| PolicySpec::new().with(rule))
+        .collect();
+        specs.push(
+            PolicySpec::new()
+                .with(PolicyRule::LoadBalancing { mode: LbMode::Ecmp })
+                .with(PolicyRule::AppPeering {
+                    src: m(0),
+                    dst: m(2),
+                    app: AppClass::Http,
+                    path_rank: 1,
+                })
+                .with(PolicyRule::SourceRouting {
+                    src: m(0),
+                    dst: m(3),
+                    via: vec![via],
+                })
+                .with(PolicyRule::RateLimit {
+                    src: m(1),
+                    dst: m(3),
+                    rate_mbps: 500.0,
+                })
+                .with(PolicyRule::Blackhole { victim: m(1) }),
+        );
+        specs
+    }
+
+    #[test]
+    fn shipped_policies_compile_clean_on_every_fabric() {
+        let ixp = builders::ixp_fabric(&builders::IxpFabricParams {
+            members: 8,
+            edge_switches: 4,
+            core_switches: 2,
+            ..Default::default()
+        });
+        let fat_tree = generate(&GeneratorParams {
+            kind: TopologyKind::FatTree,
+            fat_tree_k: 4,
+            ..Default::default()
+        })
+        .expect("fat-tree generates");
+        let jellyfish = generate(&GeneratorParams {
+            kind: TopologyKind::Jellyfish,
+            switches: 12,
+            degree: 4,
+            hosts: 24,
+            ..Default::default()
+        })
+        .expect("jellyfish generates");
+        for (fabric, f) in [
+            ("IXP", ixp),
+            ("fat-tree", fat_tree),
+            ("jellyfish", jellyfish),
+        ] {
+            let mut groups = 0;
+            for spec in shipped_policies(&f) {
+                let mut gen = PolicyGenerator::new(spec.clone(), &f.topology).expect("valid spec");
+                let out = gen.compile(&f.topology);
+                let rep = validate_rules(&out.msgs);
+                assert!(rep.is_ok(), "{fabric}, {spec:?}: {rep}");
+                groups += out
+                    .msgs
+                    .iter()
+                    .filter(|(_, msg)| matches!(msg, CtrlMsg::GroupMod(_)))
+                    .count();
+            }
+            assert!(groups > 0, "{fabric}: no policy used a group");
+        }
+    }
+
+    #[test]
+    fn entry_naming_an_undefined_group_is_an_error() {
+        let sw = NodeId(1);
+        let group = || {
+            (
+                sw,
+                CtrlMsg::GroupMod(GroupMod::Add(GroupEntry::ecmp(
+                    GroupId(7),
+                    &[PortNo(1), PortNo(2)],
+                ))),
+            )
+        };
+        let entry = |on: NodeId| {
+            (
+                on,
+                CtrlMsg::FlowMod(FlowMod::add(FlowEntry::new(
+                    10,
+                    FlowMatch::ANY.with_tp_dst(80),
+                    vec![Instruction::group(GroupId(7))],
+                ))),
+            )
+        };
+        assert!(validate_rules(&[group(), entry(sw)]).is_ok());
+        // after the entry, on another switch, deleted before it, or absent
+        for msgs in [
+            vec![entry(sw), group()],
+            vec![group(), entry(NodeId(2))],
+            vec![
+                group(),
+                (sw, CtrlMsg::GroupMod(GroupMod::Delete(GroupId(7)))),
+                entry(sw),
+            ],
+            vec![entry(sw)],
+        ] {
+            let rep = validate_rules(&msgs);
+            assert_eq!(rep.errors.len(), 1, "{msgs:?}");
+            assert!(rep.errors[0].contains("dangling group"), "{rep}");
+        }
     }
 }

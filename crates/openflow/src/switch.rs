@@ -25,7 +25,7 @@ use horse_types::id::{GroupId, MeterId};
 use horse_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use horse_types::{ByteSize, FlowKey, NodeId, PortNo, SimTime, TableId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Why the pipeline dropped a flow.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize, Snap)]
@@ -83,7 +83,9 @@ pub struct OpenFlowSwitch {
     tables: Vec<FlowTable>,
     groups: BTreeMap<GroupId, GroupEntry>,
     meters: BTreeMap<MeterId, MeterEntry>,
-    port_state: HashMap<PortNo, bool>,
+    /// Liveness per port number (ports are small dense 1-based integers,
+    /// so slot 0 is wasted); a port past the end reads as down.
+    port_state: Vec<bool>,
     /// One slot per port number (ports are small 1-based integers, so
     /// slot 0 is wasted); `None` = a port never configured nor credited.
     port_counters: Vec<Option<PortCounters>>,
@@ -100,6 +102,21 @@ pub struct OpenFlowSwitch {
     gen: u64,
 }
 
+/// Sets `port`'s liveness in a dense per-port table, growing it.
+fn set_port_up(state: &mut Vec<bool>, port: PortNo, up: bool) {
+    let i = port.0 as usize;
+    if i >= state.len() {
+        state.resize(i + 1, false);
+    }
+    state[i] = up;
+}
+
+/// Is `port` up in a dense per-port liveness table? Ports past the end
+/// are down.
+fn port_up(state: &[bool], port: PortNo) -> bool {
+    state.get(port.0 as usize).copied().unwrap_or(false)
+}
+
 /// The counters of `port` in a dense per-port table, created (growing the
 /// table) on first use.
 fn port_slot(slots: &mut Vec<Option<PortCounters>>, port: PortNo) -> &mut PortCounters {
@@ -114,15 +131,17 @@ impl OpenFlowSwitch {
     /// A switch with `num_tables` empty tables and reactive miss behaviour.
     pub fn new(id: NodeId, num_tables: usize, ports: &[PortNo]) -> Self {
         let mut port_counters = Vec::new();
+        let mut port_state = Vec::new();
         for &p in ports {
             port_slot(&mut port_counters, p);
+            set_port_up(&mut port_state, p, true);
         }
         OpenFlowSwitch {
             id,
             tables: (0..num_tables.max(1)).map(|_| FlowTable::new()).collect(),
             groups: BTreeMap::new(),
             meters: BTreeMap::new(),
-            port_state: ports.iter().map(|&p| (p, true)).collect(),
+            port_state,
             port_counters,
             miss_behavior: MissBehavior::ToController,
             max_table_jumps: 8,
@@ -164,12 +183,12 @@ impl OpenFlowSwitch {
 
     /// Is `port` up? Unknown ports count as down.
     pub fn port_up(&self, port: PortNo) -> bool {
-        *self.port_state.get(&port).unwrap_or(&false)
+        port_up(&self.port_state, port)
     }
 
     /// Flips a port's state; returns the `PortStatus` notification.
     pub fn set_port_state(&mut self, port: PortNo, up: bool) -> SwitchMsg {
-        self.port_state.insert(port, up);
+        set_port_up(&mut self.port_state, port, up);
         self.gen = self.gen.wrapping_add(1);
         SwitchMsg::PortStatus {
             switch: self.id,
@@ -190,9 +209,7 @@ impl OpenFlowSwitch {
         }
         self.groups.clear();
         self.meters.clear();
-        for up in self.port_state.values_mut() {
-            *up = false;
-        }
+        self.port_state.fill(false);
         self.gen = self.gen.wrapping_add(1);
     }
 
@@ -306,14 +323,12 @@ impl OpenFlowSwitch {
                                     if *p == PortNo::CONTROLLER {
                                         to_controller = true;
                                     } else if *p == PortNo::FLOOD {
-                                        let mut ps: Vec<PortNo> = self
-                                            .port_state
-                                            .iter()
-                                            .filter(|&(&p2, &up)| up && p2 != in_port)
-                                            .map(|(&p2, _)| p2)
-                                            .collect();
-                                        ps.sort();
-                                        out_ports.extend(ps);
+                                        let live = self.port_state.iter().enumerate();
+                                        out_ports.extend(
+                                            live.filter(|&(_, &up)| up)
+                                                .map(|(p2, _)| PortNo(p2 as u16))
+                                                .filter(|&p2| p2 != in_port),
+                                        );
                                     } else {
                                         out_ports.push(*p);
                                     }
@@ -325,7 +340,7 @@ impl OpenFlowSwitch {
                                         // consecutive ECMP tiers from
                                         // polarizing onto correlated buckets.
                                         let chosen = ge.resolve(&cur_key, self.id.0 as u64, |p| {
-                                            *port_state.get(&p).unwrap_or(&false)
+                                            port_up(port_state, p)
                                         });
                                         if chosen.is_empty() {
                                             dropped = Some(DropReason::DeadGroup);
@@ -654,8 +669,8 @@ impl OpenFlowSwitch {
     /// Serializes every piece of mutable switch state — tables (entries
     /// and counters), groups, meters (including token levels), port
     /// up/down state, port counters, miss behavior and the jump budget —
-    /// in canonical order (groups/meters via their `BTreeMap`s, port maps
-    /// key-sorted). The identity (`id`) is not included: it is re-derived
+    /// in canonical order (groups/meters via their `BTreeMap`s, port state
+    /// and counters by port number). The identity (`id`) is not included: it is re-derived
     /// from the topology on restore and used as a cross-check.
     pub fn snapshot_state(&self, w: &mut SnapWriter) {
         self.tables.snap(w);

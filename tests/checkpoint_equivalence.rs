@@ -401,12 +401,14 @@ fn malformed_snapshots_fail_loudly() {
         Simulation::resume(&versioned),
         Err(ResumeError::BadVersion(99))
     ));
-    // So are the previous formats: version 6 wrote serde-derived state
-    // as a self-describing value tree (every field name a string), and
-    // version 5 keyed the packet plane's port queues by `(node, port)`
-    // instead of one per directed link.
-    assert_eq!(horse::sim::SNAPSHOT_VERSION, 7);
-    for old in [6, 5] {
+    // So are the previous formats: version 7 wrote a switch's port state
+    // as a port-keyed map and the load balancer without its per-switch
+    // group ids, version 6 wrote serde-derived state as a self-describing
+    // value tree (every field name a string), and version 5 keyed the
+    // packet plane's port queues by `(node, port)` instead of one per
+    // directed link.
+    assert_eq!(horse::sim::SNAPSHOT_VERSION, 8);
+    for old in [7, 6, 5] {
         versioned[17] = old;
         assert!(matches!(
             Simulation::resume(&versioned),

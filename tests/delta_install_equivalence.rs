@@ -3,34 +3,61 @@
 //! (and a rejoined switch's whole row). The oracle is the controller it
 //! replaced — every port-status and every rejoin a full compile for every
 //! switch — kept here as test support only. Both must leave every switch
-//! with the same tables and groups and every flow with the same fate.
+//! with the same tables and groups and every flow with the same fate, and
+//! every outbox either sends after a topology change must pass
+//! `validate_rules`: an entry's group travels with it, ahead of it.
 
-use horse::controlplane::{ControllerCtx, Outbox, PolicyGenerator};
+use horse::controlplane::{validate_rules, ControllerCtx, Outbox, PolicyGenerator};
+use horse::openflow::actions::{Action, Instruction};
 use horse::openflow::messages::StatsReply;
-use horse::openflow::GroupId;
 use horse::prelude::*;
 use horse::topology::builders::FabricHandles;
 use horse::types::{FlowKey, NodeId, PortNo, TableId};
+use std::cell::Cell;
+use std::rc::Rc;
 
-/// The retired reaction to a topology change: recompile everything.
-struct FullReinstall(PolicyGenerator);
+/// The policy generator, with every outbox it sends in reaction to a
+/// topology change checked by `validate_rules` (and counted). With
+/// `full`, the reaction is the retired one: recompile everything.
+struct Reinstall {
+    gen: PolicyGenerator,
+    full: bool,
+    checked: Rc<Cell<usize>>,
+}
 
-impl FullReinstall {
-    fn recompile(&mut self, ctx: &ControllerCtx<'_>, out: &mut Outbox) {
-        // `on_start` is the full compile; the adaptive balancer's polling
-        // timer it arms is already running.
-        let timers = out.timers.len();
-        self.0.on_start(ctx, out);
-        out.timers.truncate(timers);
+impl Reinstall {
+    fn react(
+        &mut self,
+        ctx: &ControllerCtx<'_>,
+        out: &mut Outbox,
+        delta: impl FnOnce(&mut PolicyGenerator, &mut Outbox),
+    ) {
+        let before = out.msgs.len();
+        if self.full {
+            // `on_start` is the full compile; the adaptive balancer's
+            // polling timer it arms is already running.
+            let timers = out.timers.len();
+            self.gen.on_start(ctx, out);
+            out.timers.truncate(timers);
+        } else {
+            delta(&mut self.gen, out);
+        }
+        let report = validate_rules(&out.msgs[before..]);
+        assert!(
+            report.is_ok(),
+            "reinstall outbox at {:?}: {report}",
+            ctx.now
+        );
+        self.checked.set(self.checked.get() + 1);
     }
 }
 
-impl Controller for FullReinstall {
+impl Controller for Reinstall {
     fn name(&self) -> &str {
-        self.0.name()
+        self.gen.name()
     }
     fn on_start(&mut self, ctx: &ControllerCtx<'_>, out: &mut Outbox) {
-        self.0.on_start(ctx, out);
+        self.gen.on_start(ctx, out);
     }
     fn on_flow_in(
         &mut self,
@@ -40,20 +67,22 @@ impl Controller for FullReinstall {
         ctx: &ControllerCtx<'_>,
         out: &mut Outbox,
     ) {
-        self.0.on_flow_in(switch, in_port, key, ctx, out);
+        self.gen.on_flow_in(switch, in_port, key, ctx, out);
     }
     fn on_port_status(
         &mut self,
-        _switch: NodeId,
-        _port: PortNo,
-        _up: bool,
+        switch: NodeId,
+        port: PortNo,
+        up: bool,
         ctx: &ControllerCtx<'_>,
         out: &mut Outbox,
     ) {
-        self.recompile(ctx, out);
+        self.react(ctx, out, |g, out| {
+            g.on_port_status(switch, port, up, ctx, out)
+        });
     }
-    fn on_switch_up(&mut self, _switch: NodeId, ctx: &ControllerCtx<'_>, out: &mut Outbox) {
-        self.recompile(ctx, out);
+    fn on_switch_up(&mut self, switch: NodeId, ctx: &ControllerCtx<'_>, out: &mut Outbox) {
+        self.react(ctx, out, |g, out| g.on_switch_up(switch, ctx, out));
     }
     fn on_stats(
         &mut self,
@@ -62,10 +91,10 @@ impl Controller for FullReinstall {
         ctx: &ControllerCtx<'_>,
         out: &mut Outbox,
     ) {
-        self.0.on_stats(switch, reply, ctx, out);
+        self.gen.on_stats(switch, reply, ctx, out);
     }
     fn on_timer(&mut self, token: u64, ctx: &ControllerCtx<'_>, out: &mut Outbox) {
-        self.0.on_timer(token, ctx, out);
+        self.gen.on_timer(token, ctx, out);
     }
 }
 
@@ -171,9 +200,11 @@ fn scenario(f: &FabricHandles, policy: PolicyRule, spikes: bool) -> Scenario {
 }
 
 /// One switch's state: `(table, priority, match, instructions, cookie)`
-/// per entry in table order, then its select groups by destination host.
-/// Entry counters are deliberately absent: an entry the delta does not
-/// re-send keeps its counters, one the oracle overwrites starts from zero.
+/// per entry in table order, then, per entry in the same order, the
+/// contents of each select group the entry points at (`None` for a group
+/// the switch does not hold). Entry counters are deliberately absent: an
+/// entry the delta does not re-send keeps its counters, one the oracle
+/// overwrites starts from zero.
 type SwitchState = (NodeId, Vec<String>, Vec<String>);
 
 /// Everything the two controllers must agree on.
@@ -203,35 +234,48 @@ fn switch_states(sim: &Simulation, down: &[NodeId]) -> Vec<SwitchState> {
         .filter(|sw| !down.contains(sw))
         .map(|sw| {
             let of = fluid.switch(sw).expect("switch exists");
-            let entries = (0..of.table_count())
-                .flat_map(|t| {
+            let entries = || {
+                (0..of.table_count()).flat_map(|t| {
                     let table = of.table(TableId(t as u8)).expect("table exists");
-                    table.entries().map(move |e| {
-                        format!(
-                            "{t} {} {:?} {:?} {:#x}",
-                            e.priority, e.matcher, e.instructions, e.cookie
-                        )
-                    })
+                    table.entries().map(move |e| (t, e))
+                })
+            };
+            let tables = entries()
+                .map(|(t, e)| {
+                    format!(
+                        "{t} {} {:?} {:?} {:#x}",
+                        e.priority, e.matcher, e.instructions, e.cookie
+                    )
                 })
                 .collect();
-            let groups = topo
-                .hosts()
-                .filter_map(|h| of.group(GroupId(h.0 + 1)))
-                .map(|g| format!("{g:?}"))
+            let groups = entries()
+                .flat_map(|(_, e)| &e.instructions)
+                .flat_map(|ins| match ins {
+                    Instruction::ApplyActions(actions) => actions.as_slice(),
+                    _ => &[],
+                })
+                .filter_map(|a| match a {
+                    Action::Group(g) => Some(format!("{g}: {:?}", of.group(*g))),
+                    _ => None,
+                })
                 .collect();
-            (sw, entries, groups)
+            (sw, tables, groups)
         })
         .collect()
 }
 
-fn run(scenario: Scenario, oracle: bool) -> (Outcome, SimResults) {
-    let generator =
+/// Runs `scenario` under the delta install (or, with `full`, the
+/// recompile-everything oracle); also returns how many reinstall outboxes
+/// passed `validate_rules`.
+fn run(scenario: Scenario, full: bool) -> (Outcome, SimResults, usize) {
+    let gen =
         PolicyGenerator::new(scenario.policy.clone(), &scenario.topology).expect("valid policy");
-    let controller: Box<dyn Controller> = if oracle {
-        Box::new(FullReinstall(generator))
-    } else {
-        Box::new(generator)
-    };
+    let checked = Rc::new(Cell::new(0));
+    let controller = Box::new(Reinstall {
+        gen,
+        full,
+        checked: checked.clone(),
+    });
     let script = scenario.late_events.clone();
     let horizon = scenario.horizon;
     let mut sim =
@@ -275,7 +319,7 @@ fn run(scenario: Scenario, oracle: bool) -> (Outcome, SimResults) {
         recovery: [r.recovery.mean, r.recovery.p99, r.recovery.max].map(f64::to_bits),
         chaos: r.chaos.clone(),
     };
-    (outcome, r)
+    (outcome, r, checked.get())
 }
 
 fn policies() -> [PolicyRule; 3] {
@@ -296,8 +340,8 @@ fn delta_install_matches_full_reinstall() {
     ] {
         for policy in policies() {
             let label = format!("{name}, {policy:?}");
-            let (delta, rd) = run(scenario(&fabric, policy.clone(), false), false);
-            let (full, rf) = run(scenario(&fabric, policy, false), true);
+            let (delta, rd, _) = run(scenario(&fabric, policy.clone(), false), false);
+            let (full, rf, _) = run(scenario(&fabric, policy, false), true);
 
             // the script did what it says, and the flows felt it
             assert_eq!(delta.chaos.switch_crashes, 2, "{label}");
@@ -332,9 +376,11 @@ fn delta_install_matches_full_reinstall() {
 fn delta_install_is_deterministic_under_latency_spikes() {
     let fabric = fat_tree_k4();
     for policy in policies() {
-        let (a, ra) = run(scenario(&fabric, policy.clone(), true), false);
-        let (b, rb) = run(scenario(&fabric, policy.clone(), true), false);
+        let (a, ra, checked) = run(scenario(&fabric, policy.clone(), true), false);
+        let (b, rb, _) = run(scenario(&fabric, policy.clone(), true), false);
         assert!(a.chaos.ctrl_latency_spikes > 0, "{policy:?}: spikes fired");
+        // one outbox per port-status report and rejoin of the script
+        assert!(checked >= 14, "{policy:?}: {checked} reinstall outboxes");
         assert_eq!(a, b, "{policy:?}");
         assert_eq!(ra.events, rb.events, "{policy:?}");
         assert_eq!(ra.msgs_to_switch, rb.msgs_to_switch, "{policy:?}");
