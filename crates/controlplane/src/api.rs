@@ -3,23 +3,37 @@
 //! The paper's control plane is event-driven: the data plane exports
 //! statistics and network state after every event, and the controller
 //! reacts by emitting OpenFlow instructions. [`Controller`] is that
-//! contract; the `horse` core delivers callbacks with control-channel
-//! latency applied and carries [`Outbox`] contents back to the switches.
+//! contract. A callback emits through a [`Sink`]: the start compile's
+//! sink is an [`ApplyNow`], which applies each message to its switch as
+//! it is emitted (the fabric is configured at t = 0, before traffic);
+//! every later callback fills an [`Outbox`], whose contents the `horse`
+//! core carries to the switches after the control-channel latency.
 
 use horse_openflow::messages::{CtrlMsg, StatsReply, SwitchMsg};
+use horse_openflow::switch::Switches;
 use horse_openflow::table::RemovalReason;
 use horse_topology::Topology;
 use horse_types::{
     FlowKey, NodeId, PortNo, SimDuration, SimTime, SnapError, SnapReader, SnapWriter,
 };
 
-/// Messages and timer requests a controller callback produced.
+/// Where a controller callback's messages and timer requests go.
+pub trait Sink {
+    /// Emits a message for `switch`.
+    fn send(&mut self, switch: NodeId, msg: CtrlMsg);
+
+    /// Requests a timer callback after `delay` carrying `token`: the core
+    /// fires [`Controller::on_timer`] with `token` then.
+    fn set_timer(&mut self, delay: SimDuration, token: u64);
+}
+
+/// Messages and timer requests a callback produced, collected for the
+/// core to deliver after the control-channel latency.
 #[derive(Debug, Default)]
 pub struct Outbox {
     /// OpenFlow messages to deliver, in order.
     pub msgs: Vec<(NodeId, CtrlMsg)>,
-    /// Timer requests: `(delay, token)` — the core fires
-    /// [`Controller::on_timer`] with `token` after `delay`.
+    /// Timer requests: `(delay, token)`.
     pub timers: Vec<(SimDuration, u64)>,
 }
 
@@ -29,19 +43,62 @@ impl Outbox {
         Outbox::default()
     }
 
-    /// Queues a message for `switch`.
-    pub fn send(&mut self, switch: NodeId, msg: CtrlMsg) {
-        self.msgs.push((switch, msg));
-    }
-
-    /// Requests a timer callback after `delay` carrying `token`.
-    pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        self.timers.push((delay, token));
-    }
-
     /// True when nothing was produced.
     pub fn is_empty(&self) -> bool {
         self.msgs.is_empty() && self.timers.is_empty()
+    }
+}
+
+impl Sink for Outbox {
+    fn send(&mut self, switch: NodeId, msg: CtrlMsg) {
+        self.msgs.push((switch, msg));
+    }
+
+    fn set_timer(&mut self, delay: SimDuration, token: u64) {
+        self.timers.push((delay, token));
+    }
+}
+
+/// A [`Sink`] that applies each message to its switch the moment it is
+/// emitted, all at one instant, so no message is held: a start compile
+/// reaches the fabric without a second copy of the rule set. A message
+/// for a node that is not a switch is counted and dropped. What the
+/// switches reply and the timers requested are kept, in emission order,
+/// for the caller to schedule.
+pub struct ApplyNow<'a> {
+    switches: &'a mut Switches,
+    now: SimTime,
+    /// Messages sent, applied or dropped.
+    pub sent: u64,
+    /// The switches' replies, in the order their messages were applied.
+    pub replies: Vec<SwitchMsg>,
+    /// Timer requests: `(delay, token)`.
+    pub timers: Vec<(SimDuration, u64)>,
+}
+
+impl<'a> ApplyNow<'a> {
+    /// A sink applying to `switches` at `now`.
+    pub fn new(switches: &'a mut Switches, now: SimTime) -> Self {
+        ApplyNow {
+            switches,
+            now,
+            sent: 0,
+            replies: Vec::new(),
+            timers: Vec::new(),
+        }
+    }
+}
+
+impl Sink for ApplyNow<'_> {
+    fn send(&mut self, switch: NodeId, msg: CtrlMsg) {
+        self.sent += 1;
+        if let Some(sw) = self.switches.get_mut(switch) {
+            self.replies.extend(sw.apply_owned(msg, self.now));
+        }
+    }
+
+    fn set_timer(&mut self, delay: SimDuration, token: u64) {
+        self.timers.push((delay, token));
     }
 }
 
@@ -64,7 +121,9 @@ pub trait Controller {
     fn name(&self) -> &str;
 
     /// Called once at simulation start — install proactive rules here.
-    fn on_start(&mut self, _ctx: &ControllerCtx<'_>, _out: &mut Outbox) {}
+    /// The core passes an [`ApplyNow`], so what is sent lands at once, in
+    /// emission order.
+    fn on_start(&mut self, _ctx: &ControllerCtx<'_>, _out: &mut dyn Sink) {}
 
     /// A switch reported a flow with no matching entry (table miss).
     fn on_flow_in(
@@ -188,6 +247,37 @@ mod tests {
         assert_eq!(out.msgs.len(), 1);
         assert_eq!(out.timers, vec![(SimDuration::from_secs(1), 42)]);
         assert!(!out.is_empty());
+    }
+
+    #[test]
+    fn apply_now_applies_in_emission_order() {
+        use horse_openflow::flow_match::FlowMatch;
+        use horse_openflow::messages::FlowMod;
+        use horse_openflow::switch::OpenFlowSwitch;
+        use horse_openflow::table::FlowEntry;
+        use horse_types::TableId;
+
+        let mut switches: Switches = [OpenFlowSwitch::new(NodeId(1), 2, &[PortNo(1)])]
+            .into_iter()
+            .collect();
+        let mut sink = ApplyNow::new(&mut switches, SimTime::ZERO);
+        let add = |cookie| {
+            CtrlMsg::FlowMod(FlowMod::add(
+                FlowEntry::new(5, FlowMatch::ANY, vec![]).with_cookie(cookie),
+            ))
+        };
+        // The same match and priority twice: the later add replaces the
+        // earlier one, so the surviving cookie shows the order applied.
+        sink.send(NodeId(1), add(1));
+        sink.send(NodeId(1), CtrlMsg::Barrier);
+        sink.send(NodeId(1), add(2));
+        sink.send(NodeId(7), add(3)); // not a switch: counted, dropped
+        sink.set_timer(SimDuration::from_secs(1), 42);
+        assert_eq!(sink.sent, 4);
+        assert_eq!(sink.replies.len(), 1, "the barrier's reply");
+        assert_eq!(sink.timers, vec![(SimDuration::from_secs(1), 42)]);
+        let table = switches.get(NodeId(1)).unwrap().table(TableId(0)).unwrap();
+        assert_eq!(table.entries().map(|e| e.cookie).collect::<Vec<_>>(), [2]);
     }
 
     #[test]

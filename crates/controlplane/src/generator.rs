@@ -28,7 +28,7 @@
 //! generator keeps no copy of the rules it sent: the previous [`PathDb`]
 //! is all the diff needs.
 
-use crate::api::{Controller, ControllerCtx, Outbox};
+use crate::api::{Controller, ControllerCtx, Outbox, Sink};
 use crate::modules::{
     AppPeeringModule, BlackholeModule, CompileCtx, LoadBalanceModule, MacForwardingModule,
     MacLearningModule, PolicyModule, RateLimitModule, SourceRoutingModule,
@@ -183,7 +183,7 @@ impl PolicyGenerator {
 
     /// The pipeline plumbing of one switch (part of the full compile: a
     /// switch needs it once, at start or when it rejoins blank).
-    fn install_plumbing(&self, sw: NodeId, out: &mut Outbox) {
+    fn install_plumbing(&self, sw: NodeId, out: &mut dyn Sink) {
         // table 0 fall-through: every flow continues into table 1
         out.send(
             sw,
@@ -240,17 +240,34 @@ impl PolicyGenerator {
     }
 }
 
+/// Passes everything on to `out`, counting the messages.
+struct Counted<'a> {
+    out: &'a mut dyn Sink,
+    sent: u64,
+}
+
+impl Sink for Counted<'_> {
+    fn send(&mut self, switch: NodeId, msg: CtrlMsg) {
+        self.sent += 1;
+        self.out.send(switch, msg);
+    }
+
+    fn set_timer(&mut self, delay: horse_types::SimDuration, token: u64) {
+        self.out.set_timer(delay, token);
+    }
+}
+
 impl Controller for PolicyGenerator {
     fn name(&self) -> &str {
         "policy_generator"
     }
 
-    fn on_start(&mut self, ctx: &ControllerCtx<'_>, out: &mut Outbox) {
+    fn on_start(&mut self, ctx: &ControllerCtx<'_>, out: &mut dyn Sink) {
         self.paths = PathDb::build(ctx.topo);
         self.pathdb_rebuilds += 1;
-        let before = out.msgs.len();
+        let mut out = Counted { out, sent: 0 };
         for sw in ctx.topo.switches() {
-            self.install_plumbing(sw, out);
+            self.install_plumbing(sw, &mut out);
         }
         let cctx = CompileCtx {
             topo: ctx.topo,
@@ -258,9 +275,9 @@ impl Controller for PolicyGenerator {
             now: ctx.now,
         };
         for m in self.modules.iter_mut() {
-            m.install(&cctx, out);
+            m.install(&cctx, &mut out);
         }
-        self.msgs_emitted += (out.msgs.len() - before) as u64;
+        self.msgs_emitted += out.sent;
     }
 
     fn on_flow_in(

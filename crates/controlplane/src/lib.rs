@@ -4,8 +4,10 @@
 //! instructions** and the hooks the **Monitor** block drives.
 //!
 //! * [`api`] — the [`Controller`] trait (flow-in / flow-removed /
-//!   port-status / stats / timer callbacks) and the [`Outbox`] through
-//!   which a controller emits OpenFlow messages and timer requests.
+//!   port-status / stats / timer callbacks) and the [`Sink`] through
+//!   which a controller emits OpenFlow messages and timer requests: an
+//!   [`ApplyNow`] applies the start compile as it is emitted, an
+//!   [`Outbox`] collects every later reaction.
 //! * [`pathdb`] — per-topology path database (a dense `switch × host`
 //!   table of next hops and ECMP sets, diffable cell by cell; k-shortest)
 //!   shared by the policy modules.
@@ -39,7 +41,7 @@ pub mod pathdb;
 pub mod spec;
 pub mod validate;
 
-pub use api::{Controller, ControllerCtx, Outbox};
+pub use api::{ApplyNow, Controller, ControllerCtx, Outbox, Sink};
 pub use generator::PolicyGenerator;
 pub use pathdb::PathDb;
 pub use spec::{LbMode, PolicyRule, PolicySpec};

@@ -7,7 +7,7 @@
 //! matching `(eth_src, eth_dst, ip_proto, tp_dst)`.
 
 use super::{CompileCtx, PolicyModule};
-use crate::api::Outbox;
+use crate::api::Sink;
 use crate::{cookies, priorities};
 use horse_openflow::actions::Instruction;
 use horse_openflow::flow_match::FlowMatch;
@@ -39,7 +39,7 @@ impl PolicyModule for AppPeeringModule {
         "app_peering"
     }
 
-    fn install(&mut self, ctx: &CompileCtx<'_>, out: &mut Outbox) {
+    fn install(&mut self, ctx: &CompileCtx<'_>, out: &mut dyn Sink) {
         let Some(path) = ctx
             .paths
             .kth_path(ctx.topo, self.src, self.dst, self.path_rank)
@@ -81,6 +81,7 @@ impl PolicyModule for AppPeeringModule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Outbox;
     use crate::pathdb::PathDb;
     use horse_topology::builders;
     use horse_types::SimTime;

@@ -6,7 +6,7 @@
 //! policy targets the victim and would be shadowed.
 
 use super::{CompileCtx, PolicyModule};
-use crate::api::Outbox;
+use crate::api::Sink;
 use crate::{cookies, priorities};
 use horse_openflow::actions::Instruction;
 use horse_openflow::flow_match::FlowMatch;
@@ -29,7 +29,7 @@ impl PolicyModule for BlackholeModule {
         "blackhole"
     }
 
-    fn install(&mut self, ctx: &CompileCtx<'_>, out: &mut Outbox) {
+    fn install(&mut self, ctx: &CompileCtx<'_>, out: &mut dyn Sink) {
         for sw in ctx.topo.switches() {
             if ctx.topo.node(sw).and_then(|n| n.role()) != Some(SwitchRole::Edge) {
                 continue;
@@ -54,6 +54,7 @@ impl PolicyModule for BlackholeModule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Outbox;
     use crate::pathdb::PathDb;
     use horse_topology::builders;
     use horse_types::SimTime;

@@ -40,7 +40,7 @@
 //! [`LbMode::Adaptive`]: crate::spec::LbMode::Adaptive
 
 use super::{CompileCtx, PolicyModule};
-use crate::api::Outbox;
+use crate::api::{Outbox, Sink};
 use crate::pathdb::PathDb;
 use crate::spec::LbMode;
 use crate::{cookies, priorities};
@@ -236,7 +236,7 @@ impl LoadBalanceModule {
         hosts: impl Iterator<Item = NodeId>,
         prev: &PathDb,
         ctx: &CompileCtx<'_>,
-        out: &mut Outbox,
+        out: &mut dyn Sink,
     ) {
         for &(id, set) in groups {
             out.send(sw, Self::group_mod(&self.weights, sw, id, set));
@@ -273,24 +273,15 @@ impl PolicyModule for LoadBalanceModule {
         "load_balancing"
     }
 
-    fn install(&mut self, ctx: &CompileCtx<'_>, out: &mut Outbox) {
+    fn install(&mut self, ctx: &CompileCtx<'_>, out: &mut dyn Sink) {
         self.discover_uplinks(ctx);
         // Per switch, ascending id — edges precede cores in the canned
         // fabrics, preserving the historical message order.
         let blank = PathDb::default();
         let hosts = ctx.paths.hosts();
-        let plans: Vec<_> = ctx
-            .topo
-            .switches()
-            .map(|sw| self.plan_groups(sw, hosts.iter().copied(), &blank, ctx))
-            .collect();
-        // At most one forwarding entry per (switch, host) pair plus the
-        // planned groups: one allocation instead of a doubling chain of
-        // copies, which left set-up's peak RSS at the mercy of heap layout.
-        let groups: usize = plans.iter().map(Vec::len).sum();
-        out.msgs.reserve(hosts.len() * plans.len() + groups);
-        for (sw, groups) in ctx.topo.switches().zip(&plans) {
-            self.install_switch(sw, groups, hosts.iter().copied(), &blank, ctx, out);
+        for sw in ctx.topo.switches() {
+            let groups = self.plan_groups(sw, hosts.iter().copied(), &blank, ctx);
+            self.install_switch(sw, &groups, hosts.iter().copied(), &blank, ctx, out);
         }
         // Adaptive mode: arm the polling timer (once — a reinstall must
         // not start a second polling chain).

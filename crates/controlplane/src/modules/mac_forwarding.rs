@@ -7,7 +7,7 @@
 //! (and least flexible) configuration of the evaluation sweep (E5).
 
 use super::{CompileCtx, PolicyModule};
-use crate::api::Outbox;
+use crate::api::{Outbox, Sink};
 use crate::pathdb::PathDb;
 use crate::{cookies, priorities};
 use horse_openflow::actions::Instruction;
@@ -25,7 +25,7 @@ impl PolicyModule for MacForwardingModule {
         "mac_forwarding"
     }
 
-    fn install(&mut self, ctx: &CompileCtx<'_>, out: &mut Outbox) {
+    fn install(&mut self, ctx: &CompileCtx<'_>, out: &mut dyn Sink) {
         let blank = PathDb::default();
         for sw in ctx.topo.switches() {
             for &host in ctx.paths.hosts() {
@@ -50,7 +50,7 @@ impl PolicyModule for MacForwardingModule {
 /// The forwarding entry of one `(switch, host)` cell, unless `prev`
 /// already compiled to the same one. A cell with no path (partitioned)
 /// emits nothing and keeps whatever entry it had.
-fn rule(ctx: &CompileCtx<'_>, prev: &PathDb, sw: NodeId, host: NodeId, out: &mut Outbox) {
+fn rule(ctx: &CompileCtx<'_>, prev: &PathDb, sw: NodeId, host: NodeId, out: &mut dyn Sink) {
     let Some(mac) = ctx.topo.node(host).and_then(|n| n.mac()) else {
         return;
     };

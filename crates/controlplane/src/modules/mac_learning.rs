@@ -11,7 +11,7 @@
 //! which is precisely the control/data coupling the paper wants observable.
 
 use super::{CompileCtx, PolicyModule};
-use crate::api::Outbox;
+use crate::api::{Outbox, Sink};
 use crate::{cookies, priorities};
 use horse_openflow::actions::Instruction;
 use horse_openflow::flow_match::FlowMatch;
@@ -56,7 +56,7 @@ impl PolicyModule for MacLearningModule {
         "mac_learning"
     }
 
-    fn install(&mut self, _ctx: &CompileCtx<'_>, _out: &mut Outbox) {
+    fn install(&mut self, _ctx: &CompileCtx<'_>, _out: &mut dyn Sink) {
         // Purely reactive — nothing proactive to install. (The generator's
         // plumbing fall-through still sends table-0 misses to table 1,
         // whose misses reach the controller.)

@@ -28,7 +28,7 @@ pub use mac_learning::MacLearningModule;
 pub use rate_limit::RateLimitModule;
 pub use source_routing::SourceRoutingModule;
 
-use crate::api::Outbox;
+use crate::api::{Outbox, Sink};
 use crate::pathdb::PathDb;
 use horse_openflow::messages::StatsReply;
 use horse_topology::Topology;
@@ -50,8 +50,9 @@ pub trait PolicyModule {
     fn name(&self) -> &'static str;
 
     /// Emits all of the module's proactive rules: the full compile, run
-    /// at simulation start.
-    fn install(&mut self, ctx: &CompileCtx<'_>, out: &mut Outbox);
+    /// at simulation start, where `out` applies each message as it is
+    /// sent.
+    fn install(&mut self, ctx: &CompileCtx<'_>, out: &mut dyn Sink);
 
     /// Re-emits rules after a topology change. `ctx.paths` is the rebuilt
     /// database; `prev` is the one the switches' current rules were

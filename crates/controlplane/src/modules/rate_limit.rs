@@ -8,7 +8,7 @@
 //! packet.
 
 use super::{CompileCtx, PolicyModule};
-use crate::api::Outbox;
+use crate::api::Sink;
 use crate::{cookies, priorities};
 use horse_openflow::actions::Instruction;
 use horse_openflow::flow_match::FlowMatch;
@@ -48,7 +48,7 @@ impl PolicyModule for RateLimitModule {
         "rate_limit"
     }
 
-    fn install(&mut self, ctx: &CompileCtx<'_>, out: &mut Outbox) {
+    fn install(&mut self, ctx: &CompileCtx<'_>, out: &mut dyn Sink) {
         // Police at the source's attachment edge — drops happen before the
         // fabric is crossed.
         let Some((edge, _)) = ctx.paths.attachment(self.src) else {
@@ -86,6 +86,7 @@ impl PolicyModule for RateLimitModule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Outbox;
     use crate::pathdb::PathDb;
     use horse_topology::builders;
     use horse_types::SimTime;

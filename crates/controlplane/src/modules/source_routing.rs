@@ -4,7 +4,7 @@
 //! Compiled as per-hop table-0 rules matching `(eth_src, eth_dst)`.
 
 use super::{CompileCtx, PolicyModule};
-use crate::api::Outbox;
+use crate::api::Sink;
 use crate::{cookies, priorities};
 use horse_openflow::actions::Instruction;
 use horse_openflow::flow_match::FlowMatch;
@@ -34,7 +34,7 @@ impl PolicyModule for SourceRoutingModule {
         "source_routing"
     }
 
-    fn install(&mut self, ctx: &CompileCtx<'_>, out: &mut Outbox) {
+    fn install(&mut self, ctx: &CompileCtx<'_>, out: &mut dyn Sink) {
         let Some(path) = ctx.paths.via_path(ctx.topo, self.src, &self.via, self.dst) else {
             return;
         };
@@ -69,6 +69,7 @@ impl PolicyModule for SourceRoutingModule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Outbox;
     use crate::pathdb::PathDb;
     use horse_topology::builders;
     use horse_types::SimTime;

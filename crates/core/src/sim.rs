@@ -28,7 +28,7 @@ use crate::hybrid::{pkt_flow_spec, HybridNet};
 use crate::results::{ChaosCounters, SimResults};
 use crate::scenario::{LateEvent, Scenario};
 use crate::trace::{event_fingerprint, SimTracer};
-use horse_controlplane::{Controller, ControllerCtx, Outbox, PolicyGenerator};
+use horse_controlplane::{ApplyNow, Controller, ControllerCtx, Outbox, PolicyGenerator};
 use horse_dataplane::stats::DropCause;
 use horse_dataplane::{AdmitOutcome, DemandModel, Fidelity, FlowSpec, FluidNet, RateChange};
 use horse_events::{EventHandle, EventQueue, QueueSnapshot};
@@ -607,22 +607,22 @@ impl Simulation {
         self.started = true;
         let t0 = Instant::now();
 
-        let mut out = Outbox::new();
-        {
-            let ctx = ControllerCtx {
-                topo: self.fluid.topology(),
-                now: SimTime::ZERO,
-            };
-            self.controller.on_start(&ctx, &mut out);
+        // Each start message lands on its switch as the controller emits
+        // it, so the rule set is never held twice; the rare replies and
+        // the timers are scheduled afterwards, in the order they arose.
+        let (topo, switches, _, _) = self.fluid.packet_plane_parts();
+        let mut sink = ApplyNow::new(switches, SimTime::ZERO);
+        let ctx = ControllerCtx {
+            topo,
+            now: SimTime::ZERO,
+        };
+        self.controller.on_start(&ctx, &mut sink);
+        let (sent, replies, timers) = (sink.sent, sink.replies, sink.timers);
+        self.msgs_to_switch += sent;
+        for r in replies {
+            self.schedule_to_controller(SimTime::ZERO, r, None);
         }
-        for (sw, msg) in out.msgs.drain(..) {
-            self.msgs_to_switch += 1;
-            let replies = self.fluid.apply_ctrl_owned(sw, msg, SimTime::ZERO);
-            for r in replies {
-                self.schedule_to_controller(SimTime::ZERO, r, None);
-            }
-        }
-        for (delay, token) in out.timers.drain(..) {
+        for (delay, token) in timers {
             self.queue
                 .schedule_at(SimTime::ZERO + delay, SimEvent::ControllerTimer { token });
         }

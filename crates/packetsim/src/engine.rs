@@ -19,7 +19,7 @@
 //!   capacity reservations back into the fluid allocator.
 
 use crate::source::SourceKind;
-use horse_controlplane::{Controller, ControllerCtx, Outbox};
+use horse_controlplane::{ApplyNow, Controller, ControllerCtx, Outbox};
 use horse_events::EventQueue;
 use horse_openflow::messages::{CtrlMsg, SwitchMsg};
 use horse_openflow::switch::{OpenFlowSwitch, PipelineResult, Switches, Verdict};
@@ -1328,20 +1328,15 @@ impl PacketNet {
         let start_wall = Instant::now();
         let mut q: EventQueue<Ev> = EventQueue::new();
 
-        // Controller bootstrap at t=0, synchronous (as in the fluid plane).
-        let mut out = Outbox::new();
-        {
-            let ctx = ControllerCtx {
+        // Controller bootstrap at t=0, applied as emitted (as in the fluid
+        // plane); its replies and timers are dropped.
+        controller.on_start(
+            &ControllerCtx {
                 topo: &self.topo,
                 now: SimTime::ZERO,
-            };
-            controller.on_start(&ctx, &mut out);
-        }
-        for (sw, msg) in out.msgs.drain(..) {
-            if let Some(s) = self.switches.get_mut(sw) {
-                let _ = s.apply_owned(msg, SimTime::ZERO);
-            }
-        }
+            },
+            &mut ApplyNow::new(&mut self.switches, SimTime::ZERO),
+        );
 
         for spec in specs {
             let start = spec.start;
@@ -1641,19 +1636,13 @@ mod tests {
             .switches()
             .map(|id| OpenFlowSwitch::new(id, 2, &topo.ports(id).collect::<Vec<_>>()))
             .collect();
-        let mut boot = Outbox::new();
         gen.on_start(
             &ControllerCtx {
                 topo,
                 now: SimTime::ZERO,
             },
-            &mut boot,
+            &mut ApplyNow::new(&mut switches, SimTime::ZERO),
         );
-        for (sw, msg) in boot.msgs.drain(..) {
-            if let Some(s) = switches.get_mut(sw) {
-                let _ = s.apply_owned(msg, SimTime::ZERO);
-            }
-        }
         switches
     }
 

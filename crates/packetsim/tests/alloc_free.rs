@@ -16,7 +16,7 @@
 //! out-of-order `BTreeSet`, which is the cold path by construction.
 
 use horse_controlplane::{
-    Controller, ControllerCtx, Outbox, PolicyGenerator, PolicyRule, PolicySpec,
+    ApplyNow, Controller, ControllerCtx, PolicyGenerator, PolicyRule, PolicySpec,
 };
 use horse_events::EventQueue;
 use horse_openflow::switch::{OpenFlowSwitch, Switches};
@@ -81,19 +81,13 @@ fn drive(source: SourceKind, size: ByteSize, warmup: u64) -> (u64, u64, bool, u6
         .map(|id| OpenFlowSwitch::new(id, 2, &topo.ports(id).collect::<Vec<_>>()))
         .collect();
     // Proactive bootstrap, as the standalone driver does at t=0.
-    let mut out = Outbox::new();
     gen.on_start(
         &ControllerCtx {
             topo: &topo,
             now: SimTime::ZERO,
         },
-        &mut out,
+        &mut ApplyNow::new(&mut switches, SimTime::ZERO),
     );
-    for (sw, msg) in out.msgs.drain(..) {
-        if let Some(s) = switches.get_mut(sw) {
-            let _ = s.apply(&msg, SimTime::ZERO);
-        }
-    }
 
     let (src, dst) = (f.members[0], f.members[1]);
     let (s, d) = (topo.node(src).unwrap(), topo.node(dst).unwrap());

@@ -123,18 +123,13 @@ impl TrafficMatrix {
         }
     }
 
-    /// Ordered pairs with non-zero rate, as `(i, j, bps)`.
-    pub fn pairs(&self) -> Vec<(usize, usize, f64)> {
-        let mut v = Vec::new();
-        for i in 0..self.n {
-            for j in 0..self.n {
-                let r = self.rate(i, j);
-                if r > 0.0 {
-                    v.push((i, j, r));
-                }
-            }
-        }
-        v
+    /// Ordered pairs with non-zero rate, as `(i, j, bps)`, row-major.
+    pub fn pairs(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+        self.rates
+            .iter()
+            .enumerate()
+            .filter(|&(_, &r)| r > 0.0)
+            .map(|(k, &r)| (k / self.n, k % self.n, r))
     }
 }
 
@@ -236,7 +231,7 @@ mod tests {
     fn scaled_and_pairs() {
         let m = TrafficMatrix::uniform(3, 600.0).scaled(0.5);
         assert!((m.total() - 300.0).abs() < 1e-9);
-        assert_eq!(m.pairs().len(), 6);
+        assert_eq!(m.pairs().count(), 6);
     }
 
     #[test]

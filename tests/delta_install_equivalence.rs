@@ -7,7 +7,7 @@
 //! every outbox either sends after a topology change must pass
 //! `validate_rules`: an entry's group travels with it, ahead of it.
 
-use horse::controlplane::{validate_rules, ControllerCtx, Outbox, PolicyGenerator};
+use horse::controlplane::{validate_rules, ControllerCtx, Outbox, PolicyGenerator, Sink};
 use horse::openflow::actions::{Action, Instruction};
 use horse::openflow::messages::StatsReply;
 use horse::prelude::*;
@@ -56,7 +56,7 @@ impl Controller for Reinstall {
     fn name(&self) -> &str {
         self.gen.name()
     }
-    fn on_start(&mut self, ctx: &ControllerCtx<'_>, out: &mut Outbox) {
+    fn on_start(&mut self, ctx: &ControllerCtx<'_>, out: &mut dyn Sink) {
         self.gen.on_start(ctx, out);
     }
     fn on_flow_in(

@@ -3,7 +3,7 @@
 
 mod support;
 
-use horse::controlplane::{ControllerCtx, Outbox, PolicyGenerator};
+use horse::controlplane::{ControllerCtx, Outbox, PolicyGenerator, Sink};
 use horse::openflow::messages::StatsReply;
 use horse::prelude::*;
 use horse::Oracles;
@@ -195,7 +195,7 @@ impl Controller for PortStatsSpy {
     fn name(&self) -> &str {
         self.inner.name()
     }
-    fn on_start(&mut self, ctx: &ControllerCtx<'_>, out: &mut Outbox) {
+    fn on_start(&mut self, ctx: &ControllerCtx<'_>, out: &mut dyn Sink) {
         self.inner.on_start(ctx, out)
     }
     fn on_flow_in(
