@@ -12,7 +12,7 @@
 //! the policy generator installs after a fault instead of recompiling
 //! everything.
 
-use horse_topology::routing::{k_shortest_paths, shortest_path, sssp, Metric, Path, ReverseAdj};
+use horse_topology::routing::{dist_to, k_shortest_paths, shortest_path, sssp, Metric, Path};
 use horse_topology::Topology;
 use horse_types::{MacAddr, NodeId, PortNo, Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::HashMap;
@@ -146,10 +146,9 @@ impl PathDb {
         // closer to the host. Identical sets to enumerating every
         // equal-cost path and keeping the first links — but without the
         // enumeration, whose DFS walks the whole radius-d DAG ball.
-        let reverse_adj = ReverseAdj::new(topo);
         let reverse: Vec<_> = hosts
             .iter()
-            .map(|&h| reverse_adj.dist_to(topo, h, Metric::Hops))
+            .map(|&h| dist_to(topo, h, Metric::Hops))
             .collect();
         let cells = switches.len() * hosts.len();
         let mut next_hop = Vec::with_capacity(cells);
@@ -165,15 +164,13 @@ impl PathDb {
                 next_hop.push(tree.first_link_to(h).map_or(PortNo::NONE, |l| {
                     topo.link(l).expect("link exists").src_port
                 }));
-                let start = ecmp_ports.len();
+                // egress links come in port order, so each set is
+                // ascending and duplicate-free
                 ecmp_ports.extend(
                     reverse[hi]
                         .ecmp_out_links(topo, sw)
                         .map(|(_, l)| l.src_port),
                 );
-                // a node's egress links leave through distinct ports, so
-                // sorted means duplicate-free
-                ecmp_ports[start..].sort_unstable();
                 ecmp_off.push(u32::try_from(ecmp_ports.len()).expect("ECMP list fits u32"));
             }
         }

@@ -1536,8 +1536,7 @@ impl FluidNet {
         if self.switches.get(node).is_none() || !self.crashed.insert(node) {
             return (Vec::new(), Vec::new(), Vec::new());
         }
-        let mut cables: Vec<LinkId> = self.topo.out_links(node).map(|(id, _)| id).collect();
-        cables.sort();
+        let cables: Vec<LinkId> = self.topo.out_links(node).map(|(id, _)| id).collect();
         let mut affected: Vec<LinkId> = Vec::new();
         for c in &cables {
             affected.extend(
@@ -1574,12 +1573,11 @@ impl FluidNet {
         if !self.crashed.remove(&node) {
             return Vec::new();
         }
-        let mut cables: Vec<(LinkId, NodeId)> = self
+        let cables: Vec<(LinkId, NodeId)> = self
             .topo
             .out_links(node)
             .map(|(id, l)| (id, l.dst))
             .collect();
-        cables.sort();
         let mut msgs = Vec::new();
         for (c, peer) in cables {
             if self.crashed.contains(&peer) {

@@ -187,9 +187,12 @@ pub enum ScenarioFamily {
         /// Jellyfish / linear / ring: host count, spread round-robin
         /// (default 16).
         hosts: Option<usize>,
-        /// WAN graph file (a `TopologySpec` in JSON or TOML, e.g.
-        /// `examples/topologies/abilene.json`); required when
-        /// `topology = "wan"`, rejected otherwise.
+        /// WAN graph file (a `TopologySpec` in JSON or TOML); required
+        /// when `topology = "wan"`, rejected otherwise. A relative path
+        /// in a spec file resolves against that file's directory (e.g.
+        /// `../topologies/abilene.json` from `examples/sweeps/`); in
+        /// spec text parsed without a file, and in an axis value, it
+        /// resolves against the working directory.
         wan_file: Option<String>,
         /// WAN: hosts attached per PoP when the graph carries none
         /// (default 1).
@@ -241,6 +244,20 @@ impl Deserialize for ScenarioSpec {
 }
 
 impl ScenarioSpec {
+    /// Resolves a relative `wan_file` against `dir`, the directory of
+    /// the spec file it was read from.
+    fn resolve_paths(&mut self, dir: &std::path::Path) {
+        if let ScenarioFamily::Fabric {
+            wan_file: Some(file),
+            ..
+        } = &mut self.family
+        {
+            if std::path::Path::new(file.as_str()).is_relative() {
+                *file = dir.join(&*file).to_string_lossy().into_owned();
+            }
+        }
+    }
+
     /// The seed this spec would run with (sweeps rewrite it per
     /// replicate).
     pub fn seed(&self) -> u64 {
@@ -698,36 +715,44 @@ pub struct SweepSpec {
 }
 
 impl SweepSpec {
-    /// Parses a spec from TOML text.
+    /// Parses a spec from TOML text (relative paths in it resolve
+    /// against the working directory).
     pub fn from_toml(text: &str) -> Result<Self, LabError> {
-        Self::from_raw(&toml::parse(text).map_err(invalid_spec)?)
+        Self::from_raw(&toml::parse(text).map_err(invalid_spec)?, None)
     }
 
-    /// Parses a spec from JSON text.
+    /// Parses a spec from JSON text (relative paths in it resolve
+    /// against the working directory).
     pub fn from_json(text: &str) -> Result<Self, LabError> {
-        Self::from_raw(&serde_json::parse_value(text).map_err(invalid_spec)?)
+        Self::from_raw(&serde_json::parse_value(text).map_err(invalid_spec)?, None)
     }
 
     /// Deserializes a parsed document, rejects keys the deserializer
-    /// would have dropped, and validates the result.
-    fn from_raw(raw: &Value) -> Result<Self, LabError> {
-        let spec = SweepSpec::from_value(raw).map_err(invalid_spec)?;
+    /// would have dropped, resolves relative paths against `dir` (when
+    /// the document came from a file) and validates the result.
+    fn from_raw(raw: &Value, dir: Option<&std::path::Path>) -> Result<Self, LabError> {
+        let mut spec = SweepSpec::from_value(raw).map_err(invalid_spec)?;
         reject_unknown_keys(raw, &spec.to_value())?;
+        if let Some(dir) = dir {
+            spec.scenario.resolve_paths(dir);
+        }
         spec.validate()?;
         Ok(spec)
     }
 
     /// Loads a spec from a file path, dispatching on the extension
-    /// (`.json` is JSON, everything else parses as TOML).
+    /// (`.json` is JSON, everything else parses as TOML). A relative
+    /// `wan_file` resolves against the file's directory.
     pub fn load(path: &std::path::Path) -> Result<Self, LabError> {
         let text = std::fs::read_to_string(path).map_err(|e| {
             LabError::spec(format!("cannot read sweep spec {}: {e}", path.display()))
         })?;
-        if path.extension().is_some_and(|e| e == "json") {
-            Self::from_json(&text)
+        let raw = if path.extension().is_some_and(|e| e == "json") {
+            serde_json::parse_value(&text).map_err(invalid_spec)?
         } else {
-            Self::from_toml(&text)
-        }
+            toml::parse(&text).map_err(invalid_spec)?
+        };
+        Self::from_raw(&raw, path.parent())
     }
 
     /// Structural validation beyond what deserialization enforces; also
@@ -949,6 +974,35 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("wan"), "{err}");
+    }
+
+    #[test]
+    fn loaded_spec_resolves_wan_file_against_its_directory() {
+        let dir = std::env::temp_dir().join(format!("horse-wan-spec-{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("sweeps")).unwrap();
+        std::fs::create_dir_all(dir.join("topologies")).unwrap();
+        let graph = r#"{"nodes": [{"name": "a", "kind": {"type": "core"}},
+                                  {"name": "b", "kind": {"type": "core"}}],
+                        "cables": [{"a": "a", "b": "b", "capacity_bps": 1e10, "delay_ns": 1000}]}"#;
+        std::fs::write(dir.join("topologies/pair.json"), graph).unwrap();
+        let text = r#"
+            name = "w"
+            [scenario]
+            kind = "fabric"
+            topology = "wan"
+            wan_file = "../topologies/pair.json"
+            horizon_secs = 0.1
+            "#;
+        let path = dir.join("sweeps/w.toml");
+        std::fs::write(&path, text).unwrap();
+        // the crate's working directory holds no `../topologies/pair.json`
+        let loaded = SweepSpec::load(&path);
+        let from_text = SweepSpec::from_toml(text);
+        std::fs::remove_dir_all(&dir).unwrap();
+        let spec = loaded.expect("loads by absolute path from elsewhere");
+        assert_eq!(crate::expand(&spec).unwrap().len(), 1);
+        let err = from_text.expect_err("bare text resolves against the working directory");
+        assert!(err.to_string().contains("pair.json"), "{err}");
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! The [`Topology`] container.
 //!
-//! Nodes and links live in dense vectors indexed by [`NodeId`]/[`LinkId`];
-//! a parallel petgraph `DiGraph` mirrors the connectivity for path
-//! computation. Node and link ids are never reused, so petgraph indices
-//! and Horse ids stay aligned by construction.
+//! Nodes and links live in dense vectors indexed by [`NodeId`]/[`LinkId`].
+//! One adjacency answers every connectivity question: per node, the links
+//! leaving it in port order, so the link through port `p` sits at slot
+//! `p - 1`. Ids and ports are never reused or removed.
 
 use crate::link::{Link, LinkState};
 use crate::node::{Node, NodeKind, SwitchRole};
 use horse_types::{LinkId, MacAddr, NodeId, PortNo, Rate, SimDuration};
-use petgraph::graph::{DiGraph, NodeIndex};
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::net::Ipv4Addr;
 
 /// Errors raised by topology construction and mutation.
@@ -27,6 +25,9 @@ pub enum TopologyError {
     UnknownLink(LinkId),
     /// Tried to connect a node to itself.
     SelfLoop(NodeId),
+    /// The node's next port would leave the physical range
+    /// ([`PortNo::is_physical`]).
+    PortsExhausted(NodeId),
 }
 
 impl fmt::Display for TopologyError {
@@ -37,6 +38,7 @@ impl fmt::Display for TopologyError {
             TopologyError::UnknownNode(n) => write!(f, "unknown node {n}"),
             TopologyError::UnknownLink(l) => write!(f, "unknown link {l}"),
             TopologyError::SelfLoop(n) => write!(f, "self-loop on {n}"),
+            TopologyError::PortsExhausted(n) => write!(f, "no physical port left on {n}"),
         }
     }
 }
@@ -60,41 +62,12 @@ impl std::error::Error for TopologyError {}
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,
-    graph: DiGraph<NodeId, LinkId>,
+    /// Per node, the links leaving it in port order: the link through
+    /// port `p` is `out[node][p - 1]`.
+    out: Vec<Vec<LinkId>>,
     by_name: HashMap<String, NodeId>,
     by_mac: HashMap<MacAddr, NodeId>,
     by_ip: HashMap<Ipv4Addr, NodeId>,
-    /// Next free port number per node (ports are allocated 1, 2, 3, …).
-    next_port: Vec<u16>,
-    /// `(node, egress port) → directed link`, keyed by [`port_key`].
-    port_links: HashMap<u64, LinkId, BuildHasherDefault<PortKeyHasher>>,
-}
-
-/// A `(node, port)` pair packed into one word: the key of
-/// [`Topology::link_from`]'s map.
-fn port_key(node: NodeId, port: PortNo) -> u64 {
-    (u64::from(node.0) << 16) | u64::from(port.0)
-}
-
-/// A multiplicative hash for [`port_key`]s: one multiply and a fold of
-/// the high half into the low bits the table indexes by, instead of
-/// SipHash over a tuple on every packet's egress lookup.
-#[derive(Default)]
-struct PortKeyHasher(u64);
-
-impl Hasher for PortKeyHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("port keys hash through write_u64");
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 impl Default for Topology {
@@ -109,12 +82,10 @@ impl Topology {
         Topology {
             nodes: Vec::new(),
             links: Vec::new(),
-            graph: DiGraph::new(),
+            out: Vec::new(),
             by_name: HashMap::new(),
             by_mac: HashMap::new(),
             by_ip: HashMap::new(),
-            next_port: Vec::new(),
-            port_links: HashMap::default(),
         }
     }
 
@@ -132,14 +103,12 @@ impl Topology {
             name: name.to_string(),
             kind,
         });
-        let gidx = self.graph.add_node(id);
-        debug_assert_eq!(gidx.index(), id.index());
         self.by_name.insert(name.to_string(), id);
         if let NodeKind::Host { mac, ip } = kind {
             self.by_mac.insert(mac, id);
             self.by_ip.insert(ip, id);
         }
-        self.next_port.push(1);
+        self.out.push(Vec::new());
         Ok(id)
     }
 
@@ -175,7 +144,11 @@ impl Topology {
 
     /// Connects two nodes with a full-duplex cable: creates the `a → b` and
     /// `b → a` directed links (same capacity and delay each way) and returns
-    /// their ids in that order. Fresh ports are allocated on both ends.
+    /// their ids in that order. Each end gets its next port (1, 2, 3, …).
+    ///
+    /// The two links get consecutive ids, the forward one even, so the
+    /// reverse of any link `id` is `id ^ 1` ([`reverse_of`](Self::reverse_of)).
+    /// Fails, changing nothing, when either end has no physical port left.
     pub fn connect(
         &mut self,
         a: NodeId,
@@ -186,17 +159,8 @@ impl Topology {
         if a == b {
             return Err(TopologyError::SelfLoop(a));
         }
-        if a.index() >= self.nodes.len() {
-            return Err(TopologyError::UnknownNode(a));
-        }
-        if b.index() >= self.nodes.len() {
-            return Err(TopologyError::UnknownNode(b));
-        }
-        let pa = PortNo(self.next_port[a.index()]);
-        let pb = PortNo(self.next_port[b.index()]);
-        self.next_port[a.index()] += 1;
-        self.next_port[b.index()] += 1;
-
+        let pa = self.fresh_port(a)?;
+        let pb = self.fresh_port(b)?;
         let fwd = self.push_link(Link {
             src: a,
             src_port: pa,
@@ -218,16 +182,23 @@ impl Topology {
         Ok((fwd, rev))
     }
 
+    /// The port [`connect`](Self::connect) gives `node` next.
+    fn fresh_port(&self, node: NodeId) -> Result<PortNo, TopologyError> {
+        let used = self
+            .out
+            .get(node.index())
+            .ok_or(TopologyError::UnknownNode(node))?
+            .len();
+        u16::try_from(used + 1)
+            .map(PortNo)
+            .ok()
+            .filter(|p| p.is_physical())
+            .ok_or(TopologyError::PortsExhausted(node))
+    }
+
     fn push_link(&mut self, link: Link) -> LinkId {
         let id = LinkId::from_index(self.links.len());
-        self.port_links
-            .insert(port_key(link.src, link.src_port), id);
-        let eidx = self.graph.add_edge(
-            NodeIndex::new(link.src.index()),
-            NodeIndex::new(link.dst.index()),
-            id,
-        );
-        debug_assert_eq!(eidx.index(), id.index());
+        self.out[link.src.index()].push(id);
         self.links.push(link);
         id
     }
@@ -299,14 +270,19 @@ impl Topology {
 
     /// The directed link leaving `node` through `port`, if any.
     pub fn link_from(&self, node: NodeId, port: PortNo) -> Option<LinkId> {
-        self.port_links.get(&port_key(node, port)).copied()
+        let slot = usize::from(port.0).checked_sub(1)?;
+        self.out.get(node.index())?.get(slot).copied()
     }
 
-    /// All directed links leaving `node` (its egress adjacency).
+    /// All directed links leaving `node` (its egress adjacency), ascending
+    /// by [`LinkId`], which is also port order: the i-th leaves through
+    /// port i + 1. An unknown node has none.
     pub fn out_links(&self, node: NodeId) -> impl Iterator<Item = (LinkId, &Link)> {
-        self.graph
-            .edges(NodeIndex::new(node.index()))
-            .map(move |e| (*e.weight(), &self.links[e.weight().index()]))
+        self.out
+            .get(node.index())
+            .map_or(&[][..], Vec::as_slice)
+            .iter()
+            .map(move |&id| (id, &self.links[id.index()]))
     }
 
     /// Physical egress ports of `node`, ascending.
@@ -316,13 +292,13 @@ impl Topology {
     /// call on hot paths (the packet plane resolves a host's access port
     /// per emitted packet).
     pub fn ports(&self, node: NodeId) -> impl ExactSizeIterator<Item = PortNo> + Clone {
-        let end = self.next_port.get(node.index()).copied().unwrap_or(1);
-        (1..end).map(PortNo)
+        // `connect` keeps every port physical, so the count fits a u16
+        (1..=self.port_count(node) as u16).map(PortNo)
     }
 
     /// Number of physical ports on `node`.
     pub fn port_count(&self, node: NodeId) -> usize {
-        self.ports(node).len()
+        self.out.get(node.index()).map_or(0, Vec::len)
     }
 
     /// Sets the state of one directed link.
@@ -336,41 +312,23 @@ impl Topology {
     }
 
     /// Sets the state of a directed link *and its reverse* (the physical
-    /// cable), returning the ids affected. The reverse is found by matching
-    /// endpoint/port pairs.
+    /// cable), returning the ids affected.
     pub fn set_cable_state(
         &mut self,
         id: LinkId,
         state: LinkState,
     ) -> Result<Vec<LinkId>, TopologyError> {
-        let l = self
-            .links
-            .get(id.index())
-            .ok_or(TopologyError::UnknownLink(id))?
-            .clone();
-        let mut affected = vec![id];
-        if let Some(rev) = self.reverse_of(id) {
-            affected.push(rev);
-        }
-        let _ = l;
-        for lid in &affected {
+        let rev = self.reverse_of(id).ok_or(TopologyError::UnknownLink(id))?;
+        for lid in [id, rev] {
             self.links[lid.index()].state = state;
         }
-        Ok(affected)
+        Ok(vec![id, rev])
     }
 
-    /// The reverse direction of a directed link (same cable).
+    /// The reverse direction of a directed link (same cable): `id ^ 1`,
+    /// since [`connect`](Self::connect) creates a cable's links back to back.
     pub fn reverse_of(&self, id: LinkId) -> Option<LinkId> {
-        let l = self.links.get(id.index())?;
-        self.link_from(l.dst, l.dst_port).filter(|r| {
-            let rl = &self.links[r.index()];
-            rl.dst == l.src && rl.dst_port == l.src_port
-        })
-    }
-
-    /// The petgraph view (for algorithms). Edge weights are [`LinkId`]s.
-    pub fn petgraph(&self) -> &DiGraph<NodeId, LinkId> {
-        &self.graph
+        (id.index() < self.links.len()).then(|| LinkId::from_index(id.index() ^ 1))
     }
 }
 
@@ -496,6 +454,29 @@ mod tests {
         for (_, l) in outs {
             assert_eq!(l.src, s);
         }
+    }
+
+    #[test]
+    fn ports_stop_short_of_the_reserved_range() {
+        let mut t = Topology::new();
+        let a = t.add_edge_switch("a").unwrap();
+        let b = t.add_edge_switch("b").unwrap();
+        let c = t.add_edge_switch("c").unwrap();
+        for _ in 0..65_533 {
+            t.connect(a, b, Rate::gbps(1.0), SimDuration::ZERO).unwrap();
+        }
+        assert_eq!(t.ports(a).last(), Some(PortNo(65_533)));
+        assert!(t.ports(a).all(PortNo::is_physical));
+        let links = t.link_count();
+        for (x, y, full) in [(a, b, a), (b, a, b), (c, a, a)] {
+            assert_eq!(
+                t.connect(x, y, Rate::gbps(1.0), SimDuration::ZERO),
+                Err(TopologyError::PortsExhausted(full))
+            );
+        }
+        assert_eq!(t.link_count(), links);
+        assert_eq!((t.port_count(a), t.port_count(b)), (65_533, 65_533));
+        assert_eq!(t.port_count(c), 0, "a failed connect allocates nothing");
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! * [`node`] — hosts and switches (edge/core roles, per Fig. 1).
 //! * [`link`] — directed links with capacity, propagation delay and
 //!   operational state (link failures are first-class events in Horse).
-//! * [`graph`] — the [`Topology`] container, petgraph-backed.
+//! * [`graph`] — the [`Topology`] container: dense node and link vectors
+//!   and one per-node adjacency in port order.
 //! * [`routing`] — shortest path (hops or latency), Yen k-shortest paths,
 //!   and equal-cost multipath enumeration; all respect link state.
 //! * [`builders`] — canned topologies: linear, star, leaf-spine and the

@@ -134,26 +134,20 @@ fn dijkstra_metric(
         tree.dist[src.index()] = 0;
         heap.push(QueueEntry { cost: 0, node: src });
     }
-    let mut edges: Vec<(LinkId, NodeId, u64)> = Vec::new();
 
     while let Some(QueueEntry { cost, node }) = heap.pop() {
         if cost > tree.dist[node.index()] {
             continue;
         }
-        edges.clear();
-        edges.extend(
-            topo.out_links(node)
-                .filter(|(id, l)| {
-                    l.is_up() && !banned_links.contains(id) && !banned_nodes.contains(&l.dst)
-                })
-                .map(|(id, l)| (id, l.dst, metric.cost(topo, id))),
-        );
-        // Deterministic relaxation order.
-        edges.sort_unstable_by_key(|(id, _, _)| *id);
         // Costs are positive, so `node`'s own entries are final by now.
         let first_here = tree.first[node.index()];
-        for &(lid, nxt, c) in &edges {
-            let nc = cost.saturating_add(c);
+        // `out_links` ascends by link id: a deterministic relaxation order
+        let live = topo.out_links(node).filter(|(id, l)| {
+            l.is_up() && !banned_links.contains(id) && !banned_nodes.contains(&l.dst)
+        });
+        for (lid, l) in live {
+            let nxt = l.dst;
+            let nc = cost.saturating_add(metric.cost(topo, lid));
             let d = tree.dist[nxt.index()];
             if nc < d || (nc == d && Some(lid) < tree.prev[nxt.index()]) {
                 tree.dist[nxt.index()] = nc;
@@ -257,53 +251,6 @@ impl SsspTree {
     }
 }
 
-/// Live links grouped by their destination node — the adjacency reverse
-/// trees walk. Bulk consumers build it once and grow one [`DistTo`] per
-/// destination from it.
-pub struct ReverseAdj {
-    in_links: Vec<Vec<(LinkId, NodeId)>>,
-}
-
-impl ReverseAdj {
-    /// Groups the topology's live links by destination.
-    pub fn new(topo: &Topology) -> Self {
-        let mut in_links = vec![Vec::new(); topo.node_count()];
-        for (id, l) in topo.links() {
-            if l.is_up() {
-                in_links[l.dst.index()].push((id, l.src));
-            }
-        }
-        ReverseAdj { in_links }
-    }
-
-    /// The reverse shortest-path tree toward `dst` — what [`dist_to`]
-    /// returns, without regrouping the links.
-    pub fn dist_to(&self, topo: &Topology, dst: NodeId, metric: Metric) -> DistTo {
-        let mut dist = vec![UNREACHED; self.in_links.len()];
-        let mut heap = BinaryHeap::new();
-        if dst.index() < dist.len() {
-            dist[dst.index()] = 0;
-            heap.push(QueueEntry { cost: 0, node: dst });
-        }
-        while let Some(QueueEntry { cost, node }) = heap.pop() {
-            if cost > dist[node.index()] {
-                continue;
-            }
-            for &(lid, src) in &self.in_links[node.index()] {
-                let nc = cost.saturating_add(metric.cost(topo, lid));
-                if nc < dist[src.index()] {
-                    dist[src.index()] = nc;
-                    heap.push(QueueEntry {
-                        cost: nc,
-                        node: src,
-                    });
-                }
-            }
-        }
-        DistTo { dst, metric, dist }
-    }
-}
-
 /// Distances **to** one destination over live links: the reverse
 /// single-source tree. Where [`SsspTree`] answers "how far from S to
 /// everywhere", this answers "how far from everywhere to D" — and with
@@ -323,10 +270,37 @@ pub struct DistTo {
 }
 
 /// Computes the reverse shortest-path tree toward `dst` (honouring link
-/// state, like every algorithm here). Callers that need one tree per
-/// destination share a [`ReverseAdj`] instead.
+/// state, like every algorithm here). The links into a node are the
+/// reverses of the links out of it, so the walk needs no second
+/// adjacency; it checks each reverse link's own state, since one
+/// direction of a cable can be down on its own.
 pub fn dist_to(topo: &Topology, dst: NodeId, metric: Metric) -> DistTo {
-    ReverseAdj::new(topo).dist_to(topo, dst, metric)
+    let mut dist = vec![UNREACHED; topo.node_count()];
+    let mut heap = BinaryHeap::new();
+    if dst.index() < dist.len() {
+        dist[dst.index()] = 0;
+        heap.push(QueueEntry { cost: 0, node: dst });
+    }
+    while let Some(QueueEntry { cost, node }) = heap.pop() {
+        if cost > dist[node.index()] {
+            continue;
+        }
+        for (out, l) in topo.out_links(node) {
+            let into = topo.reverse_of(out).expect("every link has a reverse");
+            if !topo.link(into).is_some_and(Link::is_up) {
+                continue;
+            }
+            let nc = cost.saturating_add(metric.cost(topo, into));
+            if nc < dist[l.dst.index()] {
+                dist[l.dst.index()] = nc;
+                heap.push(QueueEntry {
+                    cost: nc,
+                    node: l.dst,
+                });
+            }
+        }
+    }
+    DistTo { dst, metric, dist }
 }
 
 impl DistTo {
@@ -344,7 +318,7 @@ impl DistTo {
     }
 
     /// Every live egress link at `node` that lies on some minimum-cost
-    /// path to the destination, in adjacency order, without allocating.
+    /// path to the destination, ascending by link id, without allocating.
     pub fn ecmp_out_links<'a>(
         &'a self,
         topo: &'a Topology,
@@ -367,9 +341,7 @@ impl DistTo {
     /// endpoints (without the enumeration, and without its `max_paths`
     /// truncation).
     pub fn ecmp_links(&self, topo: &Topology, node: NodeId) -> Vec<LinkId> {
-        let mut out: Vec<LinkId> = self.ecmp_out_links(topo, node).map(|(id, _)| id).collect();
-        out.sort();
-        out
+        self.ecmp_out_links(topo, node).map(|(id, _)| id).collect()
     }
 }
 
@@ -429,13 +401,8 @@ fn ecmp_dfs(
     if d_cur >= best {
         return;
     }
-    let mut edges: Vec<(LinkId, NodeId)> = topo
-        .out_links(cur)
-        .filter(|(_, l)| l.is_up())
-        .map(|(id, l)| (id, l.dst))
-        .collect();
-    edges.sort_by_key(|(id, _)| *id);
-    for (lid, nxt) in edges {
+    for (lid, l) in topo.out_links(cur).filter(|(_, l)| l.is_up()) {
+        let nxt = l.dst;
         let d_nxt = dist[nxt.index()];
         if d_nxt == d_cur + 1 && d_nxt <= best {
             stack_nodes.push(nxt);
@@ -731,6 +698,87 @@ mod tests {
         assert_eq!(rev.ecmp_links(&t, ids[0]).len(), 1, "one branch left");
         assert_eq!(rev.cost_from(ids[3]), Some(0));
         assert_eq!(rev.ecmp_links(&t, ids[3]), vec![], "dst has no egress");
+    }
+
+    /// Reference reverse tree: live links grouped by destination node,
+    /// then Dijkstra over those in-links.
+    fn reference_dist_to(t: &Topology, dst: NodeId, metric: Metric) -> Vec<Option<u64>> {
+        let mut in_links = vec![Vec::new(); t.node_count()];
+        for (id, l) in t.links() {
+            if l.is_up() {
+                in_links[l.dst.index()].push((id, l.src));
+            }
+        }
+        let mut dist = vec![None; t.node_count()];
+        let mut heap = BinaryHeap::new();
+        dist[dst.index()] = Some(0);
+        heap.push(QueueEntry { cost: 0, node: dst });
+        while let Some(QueueEntry { cost, node }) = heap.pop() {
+            if dist[node.index()] < Some(cost) {
+                continue;
+            }
+            for &(lid, src) in &in_links[node.index()] {
+                let nc = cost + metric.cost(t, lid);
+                if dist[src.index()].is_none_or(|d| nc < d) {
+                    dist[src.index()] = Some(nc);
+                    heap.push(QueueEntry {
+                        cost: nc,
+                        node: src,
+                    });
+                }
+            }
+        }
+        dist
+    }
+
+    #[test]
+    fn dist_to_matches_in_link_reference_with_one_direction_down() {
+        let diamond = diamond().0;
+        let fat_tree = crate::generators::fat_tree(&crate::GeneratorParams {
+            fat_tree_k: 4,
+            ..Default::default()
+        })
+        .unwrap()
+        .topology;
+        let ixp = builders::ixp_fabric(&builders::IxpFabricParams {
+            members: 8,
+            edge_switches: 4,
+            core_switches: 3,
+            ..Default::default()
+        })
+        .topology;
+        for base in [diamond, fat_tree, ixp] {
+            for (down, _) in base.links() {
+                let mut t = base.clone();
+                t.set_link_state(down, crate::link::LinkState::Down)
+                    .unwrap();
+                let rev = t.reverse_of(down).unwrap();
+                assert!(t.link(rev).unwrap().is_up(), "only one direction is down");
+                for metric in [Metric::Hops, Metric::Latency] {
+                    for (dst, _) in t.nodes() {
+                        let tree = dist_to(&t, dst, metric);
+                        let reference = reference_dist_to(&t, dst, metric);
+                        for (n, _) in t.nodes() {
+                            let here = reference[n.index()].filter(|_| n != dst);
+                            let expected: Vec<LinkId> = t
+                                .links()
+                                .filter(|(id, l)| {
+                                    l.src == n
+                                        && l.is_up()
+                                        && here.is_some()
+                                        && reference[l.dst.index()]
+                                            .map(|d| d + metric.cost(&t, *id))
+                                            == here
+                                })
+                                .map(|(id, _)| id)
+                                .collect();
+                            assert_eq!(tree.cost_from(n), reference[n.index()], "{down} {dst} {n}");
+                            assert_eq!(tree.ecmp_links(&t, n), expected, "{down} {dst} {n}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

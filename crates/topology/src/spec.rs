@@ -88,7 +88,7 @@ impl From<TopologyError> for SpecError {
 
 impl TopologySpec {
     /// Captures an existing topology into a spec. Each cable is emitted
-    /// once (for the direction with the lower link id).
+    /// once, from its forward link (the lower id of the pair).
     pub fn from_topology(topo: &Topology) -> TopologySpec {
         let nodes = topo
             .nodes()
@@ -105,20 +105,17 @@ impl TopologySpec {
                 },
             })
             .collect();
-        let mut cables = Vec::new();
-        for (id, l) in topo.links() {
-            if let Some(rev) = topo.reverse_of(id) {
-                if rev < id {
-                    continue; // already emitted from the other side
-                }
-            }
-            cables.push(CableSpec {
+        // a cable's forward link is the even id of its pair
+        let cables = topo
+            .links()
+            .step_by(2)
+            .map(|(_, l)| CableSpec {
                 a: topo.node(l.src).expect("src exists").name.clone(),
                 b: topo.node(l.dst).expect("dst exists").name.clone(),
                 capacity_bps: l.capacity.as_bps(),
                 delay_ns: l.delay.as_nanos(),
-            });
-        }
+            })
+            .collect();
         TopologySpec { nodes, cables }
     }
 

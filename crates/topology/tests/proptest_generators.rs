@@ -63,9 +63,32 @@ fn assert_symmetric_cables(t: &Topology) {
     }
 }
 
-/// `link_from` and `reverse_of` agree with a brute-force scan of
-/// `links()`, and unknown nodes or ports resolve to `None`.
+/// The adjacency contract: `out_links`, `ports`, `link_from` and
+/// `reverse_of` agree with a brute-force scan of `links()` (out-links in
+/// ascending id order, the i-th through port i + 1; a cable's links are
+/// `id` and `id ^ 1`), unknown nodes or ports resolve to `None`, and a
+/// spec round trip rebuilds every link at the same id.
 fn assert_port_lookups_match_scan(t: &Topology) {
+    for (id, _) in t.nodes() {
+        let out: Vec<LinkId> = t.out_links(id).map(|(lid, _)| lid).collect();
+        let scan: Vec<LinkId> = t
+            .links()
+            .filter(|(_, l)| l.src == id)
+            .map(|(lid, _)| lid)
+            .collect();
+        assert_eq!(out, scan, "out_links({id})");
+        assert!(
+            out.windows(2).all(|w| w[0] < w[1]),
+            "out_links({id}) ascends"
+        );
+        let out_ports: Vec<PortNo> = t.out_links(id).map(|(_, l)| l.src_port).collect();
+        let dense: Vec<PortNo> = (1..=out.len() as u16).map(PortNo).collect();
+        assert_eq!(
+            out_ports, dense,
+            "out-link i leaves through port i + 1 on {id}"
+        );
+        assert_eq!(t.ports(id).collect::<Vec<_>>(), dense, "ports({id})");
+    }
     for (id, _) in t.nodes() {
         let ports = t.port_count(id) as u16;
         for p in 0..=ports + 1 {
@@ -88,8 +111,21 @@ fn assert_port_lookups_match_scan(t: &Topology) {
             })
             .map(|(rid, _)| rid);
         assert_eq!(t.reverse_of(id), scan, "reverse_of({id})");
+        assert_eq!(t.reverse_of(id), Some(LinkId(id.0 ^ 1)), "reverse_of({id})");
     }
     assert_eq!(t.reverse_of(LinkId::from_index(t.link_count())), None);
+    let rebuilt = TopologySpec::from_topology(t)
+        .build()
+        .expect("a captured topology rebuilds");
+    assert_eq!(rebuilt.link_count(), t.link_count());
+    for ((id, l), (rid, r)) in t.links().zip(rebuilt.links()) {
+        assert_eq!(id, rid);
+        assert_eq!(
+            (l.src, l.src_port, l.dst, l.dst_port, l.capacity, l.delay),
+            (r.src, r.src_port, r.dst, r.dst_port, r.capacity, r.delay),
+            "spec round trip of link {id}"
+        );
+    }
 }
 
 fn assert_unique_identity(t: &Topology) {

@@ -105,7 +105,12 @@ fn bit_flipped_specs_and_topologies_never_panic() {
                 let _ = expand(&spec);
             }
         });
-        let spec = SweepSpec::from_toml(&toml).expect("shipped sweep parses");
+        // a shipped spec's relative paths resolve against its own
+        // directory, so it is read as a file; its text mutants above
+        // resolve them against the working directory (a WAN spec's
+        // mutants stop at the graph read), the JSON below carries them
+        // resolved
+        let spec = SweepSpec::load(path).expect("shipped sweep parses");
         let json = serde_json::to_string(&spec).expect("sweep encodes");
         survive(&format!("{name} as JSON"), &json, 7, &|t: &str| {
             if let Ok(spec) = SweepSpec::from_json(t) {
