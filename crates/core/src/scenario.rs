@@ -332,9 +332,22 @@ impl ScenarioRepr {
     }
 
     /// Builds the topology and checks that every member, failure,
-    /// explicit flow and late event names an existing node or link —
-    /// the one validation both decoders share.
+    /// explicit flow and late event names an existing node or link, and
+    /// that the workload's matrix covers exactly the members — the one
+    /// validation both decoders share.
     fn into_scenario(self) -> Result<Scenario, String> {
+        // A matrix is a few numbers whatever its size, so a forged
+        // member count would otherwise cost its square in generator
+        // set-up; checked before the topology is built.
+        if let Some(w) = &self.workload {
+            if w.matrix.len() != self.members.len() {
+                return Err(format!(
+                    "the workload's traffic matrix covers {} members, the scenario lists {}",
+                    w.matrix.len(),
+                    self.members.len()
+                ));
+            }
+        }
         let topology = self
             .topology
             .build()

@@ -9,7 +9,8 @@
 //! `run` executes the campaign and writes `<out>/<name>.csv` and
 //! `<out>/<name>.json` (deterministic metrics), printing the aggregate
 //! table and wall-clock timing to stdout. `plan` prints the expanded run
-//! grid without simulating; `validate` just checks the spec.
+//! grid without simulating; `validate` checks the spec and dry-builds
+//! every run's scenario and config.
 
 use crate::runner::{resolve_threads, run_plans_opts, RunOptions};
 use crate::spec::SweepSpec;
@@ -189,7 +190,7 @@ fn main_inner(args: &[String]) -> Result<(), LabError> {
     let spec = SweepSpec::load(&cli.spec)?;
     match cli.command.as_str() {
         "validate" => {
-            let plans = expand(&spec)?;
+            let plans = spec.build_every_run()?;
             println!(
                 "ok: campaign `{}` is valid ({} runs over {} axes)",
                 spec.name,

@@ -31,6 +31,7 @@
 //! error naming the key and listing the accepted ones, so a typo cannot
 //! silently switch a knob off.
 
+use crate::sweep::RunPlan;
 use crate::LabError;
 use horse::prelude::*;
 use serde::{Deserialize, Serialize, Value};
@@ -189,10 +190,11 @@ pub enum ScenarioFamily {
         hosts: Option<usize>,
         /// WAN graph file (a `TopologySpec` in JSON or TOML); required
         /// when `topology = "wan"`, rejected otherwise. A relative path
-        /// in a spec file resolves against that file's directory (e.g.
+        /// in a spec file, as the base value or as an axis value,
+        /// resolves against that file's directory (e.g.
         /// `../topologies/abilene.json` from `examples/sweeps/`); in
-        /// spec text parsed without a file, and in an axis value, it
-        /// resolves against the working directory.
+        /// spec text parsed without a file it resolves against the
+        /// working directory.
         wan_file: Option<String>,
         /// WAN: hosts attached per PoP when the graph carries none
         /// (default 1).
@@ -243,6 +245,13 @@ impl Deserialize for ScenarioSpec {
     }
 }
 
+/// Resolves `file`, when relative, against `dir`.
+fn resolve_path(dir: &std::path::Path, file: &mut String) {
+    if std::path::Path::new(file.as_str()).is_relative() {
+        *file = dir.join(&*file).to_string_lossy().into_owned();
+    }
+}
+
 impl ScenarioSpec {
     /// Resolves a relative `wan_file` against `dir`, the directory of
     /// the spec file it was read from.
@@ -252,9 +261,7 @@ impl ScenarioSpec {
             ..
         } = &mut self.family
         {
-            if std::path::Path::new(file.as_str()).is_relative() {
-                *file = dir.join(&*file).to_string_lossy().into_owned();
-            }
+            resolve_path(dir, file);
         }
     }
 
@@ -735,6 +742,13 @@ impl SweepSpec {
         reject_unknown_keys(raw, &spec.to_value())?;
         if let Some(dir) = dir {
             spec.scenario.resolve_paths(dir);
+            for (_, values) in spec.axes.0.iter_mut().filter(|(k, _)| k == "wan_file") {
+                for value in values {
+                    if let Value::Str(file) = value {
+                        resolve_path(dir, file);
+                    }
+                }
+            }
         }
         spec.validate()?;
         Ok(spec)
@@ -778,6 +792,23 @@ impl SweepSpec {
         self.scenario.build()?;
         self.config.clone().unwrap_or_default().to_config()?;
         crate::sweep::expand(self).map(|_| ())
+    }
+
+    /// Expands the grid and dry-builds every run's scenario and config,
+    /// so an axis value that only fails to build (a `wan_file` that does
+    /// not resolve) surfaces before any run starts. `horse-lab validate`
+    /// runs this; loading a spec builds only the base.
+    pub fn build_every_run(&self) -> Result<Vec<RunPlan>, LabError> {
+        let plans = crate::sweep::expand(self)?;
+        for plan in &plans {
+            let in_run = |e: LabError| {
+                let (LabError::Spec(m) | LabError::Build(m) | LabError::Cli(m)) = e;
+                LabError::spec(format!("run {} ({}): {m}", plan.index, plan.label()))
+            };
+            plan.scenario.build().map_err(in_run)?;
+            plan.config.to_config().map_err(in_run)?;
+        }
+        Ok(plans)
     }
 }
 
@@ -1003,6 +1034,49 @@ mod tests {
         assert_eq!(crate::expand(&spec).unwrap().len(), 1);
         let err = from_text.expect_err("bare text resolves against the working directory");
         assert!(err.to_string().contains("pair.json"), "{err}");
+    }
+
+    /// A copy of the shipped `chaos_wan` sweep that sweeps `wan_file`
+    /// as an axis, with the base value's relative path, loads by
+    /// absolute path from the crate directory (where the path does not
+    /// resolve), validates and runs; an axis path that resolves nowhere
+    /// fails to validate, naming its run.
+    #[test]
+    fn wan_file_axis_resolves_against_the_spec_directory() {
+        let repo = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let shipped = std::fs::read_to_string(repo.join("examples/sweeps/chaos_wan.toml")).unwrap();
+        assert!(
+            shipped.trim_end().ends_with("]"),
+            "[axes] is the last table"
+        );
+        let dir = std::env::temp_dir().join(format!("horse-wan-axis-{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("sweeps")).unwrap();
+        std::fs::create_dir_all(dir.join("topologies")).unwrap();
+        std::fs::copy(
+            repo.join("examples/topologies/geant.json"),
+            dir.join("topologies/geant.json"),
+        )
+        .unwrap();
+        let good = dir.join("sweeps/chaos_wan.toml");
+        let axis = "wan_file = [\"../topologies/geant.json\"]";
+        std::fs::write(&good, format!("{}\n{axis}\n", shipped.trim_end())).unwrap();
+        let bad = dir.join("sweeps/bad.toml");
+        let axis = "wan_file = [\"../topologies/geant.json\", \"../topologies/gone.json\"]";
+        std::fs::write(&bad, format!("{}\n{axis}\n", shipped.trim_end())).unwrap();
+        let loaded = SweepSpec::load(&good);
+        let checked = loaded.as_ref().ok().map(SweepSpec::build_every_run);
+        let report = loaded.as_ref().ok().map(|spec| crate::run_sweep(spec, 1));
+        let refused = SweepSpec::load(&bad).and_then(|spec| spec.build_every_run());
+        std::fs::remove_dir_all(&dir).unwrap();
+        loaded.expect("the axis path resolves against the spec's directory");
+        assert_eq!(checked.unwrap().expect("every run builds").len(), 6);
+        assert_eq!(report.unwrap().expect("every run runs").runs.len(), 6);
+        let err = refused.expect_err("an unresolvable axis path fails to validate");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("gone.json") && msg.contains("run 2 ("),
+            "{msg}"
+        );
     }
 
     #[test]

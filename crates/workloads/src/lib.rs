@@ -6,8 +6,9 @@
 //! proprietary; DESIGN.md §4 documents the substitution).
 //!
 //! * [`tm`] — traffic matrices: gravity (Zipf member weights), uniform,
-//!   hotspot; [`TrafficPattern`] describes the shape declaratively so
-//!   scenario families derive a matrix per topology; serde round-trip.
+//!   hotspot, each kept as its shape in O(members); [`TrafficPattern`]
+//!   describes the shape declaratively so scenario families derive a
+//!   matrix per topology; serde round-trip.
 //! * [`sizes`] — heavy-tailed flow size distributions (bounded Pareto,
 //!   log-normal, fixed) — the elephant/mouse mix link dynamics depend on.
 //! * [`apps`] — application mixes over [`horse_types::AppClass`]

@@ -1,77 +1,135 @@
 //! Traffic matrices.
 //!
-//! `rates[i][j]` is the offered load (bps) from member `i` to member `j`.
+//! `rate(i, j)` is the offered load (bps) from member `i` to member `j`.
 //! The gravity model with Zipf-distributed member weights reproduces the
 //! strong skew measured at real IXPs (a few members originate most bytes).
+//!
+//! A matrix is kept as the shape it was built from — uniform, hotspot or
+//! gravity — not as `n²` rates: it holds O(n) numbers, and `rate(i, j)`
+//! evaluates the float expression a dense constructor would have stored
+//! in that cell, so every rate, [`TrafficMatrix::total`] and
+//! [`TrafficMatrix::pairs`] is bit-identical to the dense form.
 
 use horse_types::Snap;
 use serde::{Deserialize, Serialize};
 
-/// A dense traffic matrix over `n` members.
+/// A traffic matrix over `n` members, kept as its shape (module docs).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize, Snap)]
 pub struct TrafficMatrix {
-    n: usize,
-    /// Row-major rates in bps; the diagonal is zero.
-    rates: Vec<f64>,
+    shape: Shape,
+}
+
+/// The generating parameters of a matrix. Off-diagonal cells read as
+/// documented per variant, each clamped with `.max(0.0)`; the diagonal is
+/// zero.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize, Snap)]
+#[serde(tag = "model", rename_all = "snake_case")]
+enum Shape {
+    /// Every cell is `per` (a zero matrix is `per = 0`).
+    Uniform { n: usize, per: f64 },
+    /// Every cell is `per`, plus `per_src` into column `hot`.
+    Hotspot {
+        n: usize,
+        per: f64,
+        hot: usize,
+        per_src: f64,
+    },
+    /// Cell `(i, j)` is `total · weights[i] · weights[j] / mass`; `n` is
+    /// the number of weights.
+    Gravity {
+        weights: Vec<f64>,
+        total: f64,
+        mass: f64,
+    },
 }
 
 impl TrafficMatrix {
     /// A zero matrix.
     pub fn zeros(n: usize) -> Self {
         TrafficMatrix {
-            n,
-            rates: vec![0.0; n * n],
+            shape: Shape::Uniform { n, per: 0.0 },
         }
     }
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.n
+        match &self.shape {
+            Shape::Uniform { n, .. } | Shape::Hotspot { n, .. } => *n,
+            Shape::Gravity { weights, .. } => weights.len(),
+        }
     }
 
     /// True when the matrix is empty (no members).
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.len() == 0
     }
 
-    /// The rate from `i` to `j` (bps).
+    /// The rate from `i` to `j` (bps); both must be below [`Self::len`].
     pub fn rate(&self, i: usize, j: usize) -> f64 {
-        self.rates[i * self.n + j]
+        let n = self.len();
+        assert!(
+            i < n && j < n,
+            "pair ({i}, {j}) outside a {n}-member matrix"
+        );
+        self.cell(i, j)
     }
 
-    /// Sets the rate from `i` to `j`; the diagonal is forced to zero.
-    pub fn set_rate(&mut self, i: usize, j: usize, bps: f64) {
-        if i != j {
-            self.rates[i * self.n + j] = bps.max(0.0);
+    /// [`Self::rate`] without the bounds check.
+    fn cell(&self, i: usize, j: usize) -> f64 {
+        if i == j {
+            return 0.0;
+        }
+        match &self.shape {
+            Shape::Uniform { per, .. } => per.max(0.0),
+            Shape::Hotspot {
+                per, hot, per_src, ..
+            } => {
+                if j == *hot {
+                    (per.max(0.0) + per_src).max(0.0)
+                } else {
+                    per.max(0.0)
+                }
+            }
+            Shape::Gravity {
+                weights,
+                total,
+                mass,
+            } => (total * weights[i] * weights[j] / mass).max(0.0),
         }
     }
 
-    /// Total offered load (bps).
+    /// Total offered load (bps): bit for bit the row-major sum of all
+    /// `n²` cells. Only the non-zero pairs are added, after the zero cell
+    /// `(0, 0)`: a zero term changes no bit of a non-negative partial sum.
     pub fn total(&self) -> f64 {
-        self.rates.iter().sum()
+        if self.is_empty() {
+            // no cell at all: the empty sum, whose sign `Sum` decides
+            return std::iter::empty::<f64>().sum();
+        }
+        let mut sum = 0.0;
+        self.scan_pairs(0, |_, _, r| {
+            sum += r;
+            false
+        });
+        sum
     }
 
     /// Uniform matrix: every ordered pair carries `total / (n(n-1))`.
     pub fn uniform(n: usize, total_bps: f64) -> Self {
-        let mut m = TrafficMatrix::zeros(n);
         if n < 2 {
-            return m;
+            return TrafficMatrix::zeros(n);
         }
-        let per = total_bps / (n * (n - 1)) as f64;
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    m.set_rate(i, j, per);
-                }
-            }
+        TrafficMatrix {
+            shape: Shape::Uniform {
+                n,
+                per: total_bps / (n * (n - 1)) as f64,
+            },
         }
-        m
     }
 
     /// Gravity model: `rate(i→j) ∝ w[i]·w[j]`, scaled to `total_bps`.
     pub fn gravity(weights: &[f64], total_bps: f64) -> Self {
         let n = weights.len();
-        let mut m = TrafficMatrix::zeros(n);
         let mut mass = 0.0;
         for i in 0..n {
             for j in 0..n {
@@ -81,16 +139,15 @@ impl TrafficMatrix {
             }
         }
         if mass <= 0.0 {
-            return m;
+            return TrafficMatrix::zeros(n);
         }
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    m.set_rate(i, j, total_bps * weights[i] * weights[j] / mass);
-                }
-            }
+        TrafficMatrix {
+            shape: Shape::Gravity {
+                weights: weights.to_vec(),
+                total: total_bps,
+                mass,
+            },
         }
-        m
     }
 
     /// Zipf weights `1/rank^alpha` for `n` members (rank 1 = heaviest).
@@ -102,34 +159,41 @@ impl TrafficMatrix {
     /// (spread over sources), the rest is uniform.
     pub fn hotspot(n: usize, total_bps: f64, hot: usize, frac: f64) -> Self {
         let frac = frac.clamp(0.0, 1.0);
-        let mut m = TrafficMatrix::uniform(n, total_bps * (1.0 - frac));
         if n < 2 || hot >= n {
-            return m;
+            return TrafficMatrix::uniform(n, total_bps * (1.0 - frac));
         }
-        let per_src = total_bps * frac / (n - 1) as f64;
-        for i in 0..n {
-            if i != hot {
-                m.set_rate(i, hot, m.rate(i, hot) + per_src);
-            }
-        }
-        m
-    }
-
-    /// Scales every entry by `k` (diurnal modulation applies this).
-    pub fn scaled(&self, k: f64) -> TrafficMatrix {
         TrafficMatrix {
-            n: self.n,
-            rates: self.rates.iter().map(|r| r * k.max(0.0)).collect(),
+            shape: Shape::Hotspot {
+                n,
+                per: total_bps * (1.0 - frac) / (n * (n - 1)) as f64,
+                hot,
+                per_src: total_bps * frac / (n - 1) as f64,
+            },
         }
     }
 
     /// Ordered pairs with non-zero rate, as `(i, j, bps)`, row-major.
     pub fn pairs(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        self.rates
-            .iter()
-            .enumerate()
-            .filter(|&(_, &r)| r > 0.0)
-            .map(|(k, &r)| (k / self.n, k % self.n, r))
+        let n = self.len();
+        (0..n)
+            .flat_map(move |i| (0..n).map(move |j| (i, j, self.cell(i, j))))
+            .filter(|&(_, _, r)| r > 0.0)
+    }
+
+    /// Calls `stop(i, j, bps)` for each non-zero pair from row-major cell
+    /// `start` (`i·n + j`) on, in [`Self::pairs`] order, until it returns
+    /// true.
+    pub(crate) fn scan_pairs(&self, start: usize, mut stop: impl FnMut(usize, usize, f64) -> bool) {
+        let n = self.len();
+        let (row, col) = (start / n.max(1), start % n.max(1));
+        for i in row..n {
+            for j in if i == row { col } else { 0 }..n {
+                let r = self.cell(i, j);
+                if r > 0.0 && stop(i, j, r) {
+                    return;
+                }
+            }
+        }
     }
 }
 
@@ -160,11 +224,10 @@ pub enum TrafficPattern {
 }
 
 impl TrafficPattern {
-    /// Materializes the pattern into a dense matrix over `n` members
-    /// totalling `total_bps`. `weights`, when given, supplies structural
-    /// member weights (e.g. attachment-PoP degrees for a WAN) used by
-    /// the gravity model in place of rank-Zipf; other patterns ignore
-    /// it.
+    /// The pattern's matrix over `n` members totalling `total_bps`.
+    /// `weights`, when given, supplies structural member weights (e.g.
+    /// attachment-PoP degrees for a WAN) used by the gravity model in
+    /// place of rank-Zipf; other patterns ignore it.
     pub fn matrix(&self, n: usize, total_bps: f64, weights: Option<&[f64]>) -> TrafficMatrix {
         match *self {
             TrafficPattern::Gravity { alpha } => {
@@ -219,19 +282,20 @@ mod tests {
     }
 
     #[test]
-    fn set_rate_ignores_diagonal_and_negative() {
-        let mut m = TrafficMatrix::zeros(3);
-        m.set_rate(1, 1, 100.0);
-        assert_eq!(m.rate(1, 1), 0.0);
-        m.set_rate(0, 1, -5.0);
-        assert_eq!(m.rate(0, 1), 0.0);
+    fn pairs_skip_the_diagonal_and_zero_rows() {
+        let m = TrafficMatrix::uniform(3, 600.0);
+        assert_eq!(m.pairs().count(), 6);
+        assert!((m.total() - 600.0).abs() < 1e-9);
+        let g = TrafficMatrix::gravity(&[1.0, 0.0, 2.0], 1e9);
+        let got: Vec<_> = g.pairs().map(|(i, j, _)| (i, j)).collect();
+        assert_eq!(got, [(0, 2), (2, 0)]);
+        assert_eq!(g.rate(1, 2), 0.0);
     }
 
     #[test]
-    fn scaled_and_pairs() {
-        let m = TrafficMatrix::uniform(3, 600.0).scaled(0.5);
-        assert!((m.total() - 300.0).abs() < 1e-9);
-        assert_eq!(m.pairs().count(), 6);
+    #[should_panic(expected = "outside a 3-member matrix")]
+    fn rate_outside_the_matrix_panics() {
+        TrafficMatrix::uniform(3, 1.0).rate(0, 3);
     }
 
     #[test]

@@ -401,20 +401,65 @@ fn malformed_snapshots_fail_loudly() {
         Simulation::resume(&versioned),
         Err(ResumeError::BadVersion(99))
     ));
-    // So are the previous formats: version 7 wrote a switch's port state
+    // So are the previous formats: version 8 wrote the workload's traffic
+    // matrix as `n²` dense rates, version 7 wrote a switch's port state
     // as a port-keyed map and the load balancer without its per-switch
     // group ids, version 6 wrote serde-derived state as a self-describing
     // value tree (every field name a string), and version 5 keyed the
     // packet plane's port queues by `(node, port)` instead of one per
     // directed link.
-    assert_eq!(horse::sim::SNAPSHOT_VERSION, 8);
-    for old in [7, 6, 5] {
+    assert_eq!(horse::sim::SNAPSHOT_VERSION, 9);
+    for old in [8, 7, 6, 5] {
         versioned[17] = old;
         assert!(matches!(
             Simulation::resume(&versioned),
             Err(ResumeError::BadVersion(v)) if v == old as u32
         ));
     }
+}
+
+/// A traffic matrix is a few numbers whatever its member count, so a
+/// forged count costs nothing on the wire but its square in generator
+/// set-up. A spec-file scenario and a checkpoint header whose uniform
+/// matrix claims `1 << 40` members are both refused before any set-up.
+#[test]
+fn forged_matrix_member_count_is_refused_at_once() {
+    let forged_n = 1u64 << 40;
+    let mut scenario = Scenario::figure1(SimTime::from_secs(1), 1);
+    let members = scenario.members.len();
+    let params = scenario.workload.as_mut().expect("figure 1 has a workload");
+    params.matrix = TrafficMatrix::uniform(members, 1e9);
+    let per = 1e9 / (members * (members - 1)) as f64;
+
+    let started = std::time::Instant::now();
+    let json = serde_json::to_string(&scenario).unwrap();
+    let claim = format!("\"n\":{members},");
+    assert_eq!(json.matches(&claim).count(), 1, "{json}");
+    let forged = json.replace(&claim, &format!("\"n\":{forged_n},"));
+    let err = serde_json::from_str::<Scenario>(&forged).expect_err("forged JSON is refused");
+    assert!(err.to_string().contains("traffic matrix"), "{err}");
+
+    // The uniform shape's wire form: tag 0, `n`, then `per`'s bits.
+    let sim = Simulation::new(scenario, SimConfig::default()).unwrap();
+    let bytes = sim.checkpoint();
+    let mut shape = vec![0u8];
+    shape.extend_from_slice(&(members as u64).to_le_bytes());
+    shape.extend_from_slice(&per.to_bits().to_le_bytes());
+    let at = bytes
+        .windows(shape.len())
+        .position(|w| w == shape.as_slice())
+        .expect("the header carries the matrix");
+    let mut forged = bytes.clone();
+    forged[at + 1..at + 9].copy_from_slice(&forged_n.to_le_bytes());
+    let err = Simulation::resume(&forged)
+        .err()
+        .expect("forged checkpoint is refused");
+    assert!(err.to_string().contains("traffic matrix"), "{err}");
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(1),
+        "refusals took {:?}",
+        started.elapsed()
+    );
 }
 
 /// A completion wave on a star: six equal flows and a short one into one
