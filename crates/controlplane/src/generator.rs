@@ -37,7 +37,7 @@ use crate::pathdb::PathDb;
 use crate::spec::{PolicyRule, PolicySpec};
 use crate::validate::{validate_spec, ValidationReport};
 use crate::{cookies, priorities};
-use horse_openflow::actions::{Action, Instruction};
+use horse_openflow::actions::Instruction;
 use horse_openflow::flow_match::FlowMatch;
 use horse_openflow::messages::{CtrlMsg, FlowMod, FlowModCommand};
 use horse_openflow::table::FlowEntry;
@@ -193,7 +193,7 @@ impl PolicyGenerator {
                 entry: FlowEntry::new(
                     priorities::FALLTHROUGH,
                     FlowMatch::ANY,
-                    vec![Instruction::GotoTable(TableId(1))],
+                    Instruction::GotoTable(TableId(1)),
                 )
                 .with_cookie(cookies::PLUMBING),
             }),
@@ -205,14 +205,8 @@ impl PolicyGenerator {
                 CtrlMsg::FlowMod(FlowMod {
                     table: TableId(1),
                     command: FlowModCommand::Add,
-                    entry: FlowEntry::new(
-                        0,
-                        FlowMatch::ANY,
-                        vec![Instruction::ApplyActions(vec![Action::Output(
-                            PortNo::CONTROLLER,
-                        )])],
-                    )
-                    .with_cookie(cookies::PLUMBING),
+                    entry: FlowEntry::new(0, FlowMatch::ANY, Instruction::to_controller())
+                        .with_cookie(cookies::PLUMBING),
                 }),
             );
         }
@@ -419,6 +413,7 @@ mod tests {
     use super::*;
     use crate::spec::LbMode;
     use crate::validate::validate_rules;
+    use horse_openflow::actions::Action;
     use horse_topology::builders;
 
     fn fig1_fabric() -> horse_topology::builders::FabricHandles {

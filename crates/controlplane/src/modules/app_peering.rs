@@ -69,7 +69,7 @@ impl PolicyModule for AppPeeringModule {
                     entry: FlowEntry::new(
                         priorities::APP_PEERING,
                         matcher,
-                        vec![Instruction::output(port)],
+                        Instruction::output(port),
                     )
                     .with_cookie(cookies::APP_PEERING | self.index),
                 }),

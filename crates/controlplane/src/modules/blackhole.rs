@@ -42,7 +42,7 @@ impl PolicyModule for BlackholeModule {
                     entry: FlowEntry::new(
                         priorities::BLACKHOLE,
                         FlowMatch::ANY.with_eth_dst(self.victim_mac),
-                        vec![Instruction::drop()],
+                        Instruction::drop(),
                     )
                     .with_cookie(cookies::BLACKHOLE | self.victim.0 as u64),
                 }),

@@ -259,7 +259,7 @@ impl LoadBalanceModule {
                     entry: FlowEntry::new(
                         priorities::FORWARDING,
                         FlowMatch::ANY.with_eth_dst(mac),
-                        vec![instruction],
+                        instruction,
                     )
                     .with_cookie(cookies::FORWARDING | host.0 as u64),
                 }),

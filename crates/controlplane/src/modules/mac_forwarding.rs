@@ -68,7 +68,7 @@ fn rule(ctx: &CompileCtx<'_>, prev: &PathDb, sw: NodeId, host: NodeId, out: &mut
             entry: FlowEntry::new(
                 priorities::FORWARDING,
                 FlowMatch::ANY.with_eth_dst(mac),
-                vec![Instruction::output(port)],
+                Instruction::output(port),
             )
             .with_cookie(cookies::FORWARDING | host.0 as u64),
         }),

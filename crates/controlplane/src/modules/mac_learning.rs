@@ -82,7 +82,7 @@ impl PolicyModule for MacLearningModule {
                     entry: FlowEntry::new(
                         priorities::LEARNED,
                         FlowMatch::ANY.with_eth_dst(key.eth_dst),
-                        vec![Instruction::output(port)],
+                        Instruction::output(port),
                     )
                     .with_cookie(cookies::MAC_LEARNING)
                     .with_idle_timeout(self.idle_timeout),
@@ -98,7 +98,7 @@ impl PolicyModule for MacLearningModule {
                     entry: FlowEntry::new(
                         priorities::LEARNED,
                         FlowMatch::exact(key),
-                        vec![Instruction::output(PortNo::FLOOD)],
+                        Instruction::output(PortNo::FLOOD),
                     )
                     .with_cookie(cookies::MAC_LEARNING)
                     .with_idle_timeout(self.flood_timeout),

@@ -57,7 +57,7 @@ impl PolicyModule for SourceRoutingModule {
                     entry: FlowEntry::new(
                         priorities::SOURCE_ROUTING,
                         matcher,
-                        vec![Instruction::output(port)],
+                        Instruction::output(port),
                     )
                     .with_cookie(cookies::SOURCE_ROUTING | self.index),
                 }),

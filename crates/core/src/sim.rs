@@ -60,6 +60,14 @@ pub enum BuildError {
     /// The chaos spec failed validation or could not be expanded against
     /// this topology.
     InvalidChaos(ChaosError),
+    /// The workload's traffic matrix does not cover exactly the
+    /// scenario's members (its pair indices name members).
+    WorkloadMembers {
+        /// Members the traffic matrix spans.
+        matrix: usize,
+        /// Members the scenario lists.
+        members: usize,
+    },
 }
 
 impl std::fmt::Display for BuildError {
@@ -72,6 +80,10 @@ impl std::fmt::Display for BuildError {
                 at.as_secs_f64()
             ),
             BuildError::InvalidChaos(e) => write!(f, "invalid chaos spec: {e}"),
+            BuildError::WorkloadMembers { matrix, members } => write!(
+                f,
+                "the workload's traffic matrix covers {matrix} members, the scenario lists {members}"
+            ),
         }
     }
 }
@@ -292,10 +304,9 @@ impl WorkloadAdapter {
     fn next_spec(&mut self, topo: &horse_topology::Topology) -> Option<(SimTime, FlowSpec)> {
         loop {
             let a = self.generator.next_arrival()?;
-            let (Some(&src), Some(&dst)) = (self.members.get(a.src), self.members.get(a.dst))
-            else {
-                continue; // index outside member list: skip
-            };
+            // in range: `with_controller` refuses a matrix that does not
+            // span exactly the members
+            let (src, dst) = (self.members[a.src], self.members[a.dst]);
             let (Some(sn), Some(dn)) = (topo.node(src), topo.node(dst)) else {
                 continue;
             };
@@ -351,13 +362,23 @@ impl Simulation {
 
     /// Builds a simulation with a custom controller implementation.
     /// Validates the failure schedule (dangling links were previously a
-    /// silent no-op for programmatically built scenarios) and expands the
-    /// chaos spec, if any, into its seed-deterministic fault schedule.
+    /// silent no-op for programmatically built scenarios), checks that
+    /// the workload's traffic matrix spans exactly the members, and
+    /// expands the chaos spec, if any, into its seed-deterministic fault
+    /// schedule.
     pub fn with_controller(
         scenario: Scenario,
         config: SimConfig,
         controller: Box<dyn Controller>,
     ) -> Result<Self, BuildError> {
+        if let Some(w) = &scenario.workload {
+            if w.matrix.len() != scenario.members.len() {
+                return Err(BuildError::WorkloadMembers {
+                    matrix: w.matrix.len(),
+                    members: scenario.members.len(),
+                });
+            }
+        }
         let fluid = FluidNet::new(scenario.topology.clone(), config.fluid());
         let mut queue = EventQueue::new();
         for (at, spec) in &scenario.explicit_flows {
@@ -1592,6 +1613,34 @@ mod tests {
         s.members = f.members;
         s.policy = policy;
         s
+    }
+
+    /// A matrix over other members than the scenario lists would have
+    /// its arrivals name members that do not exist (or leave some out).
+    #[test]
+    fn workload_over_other_members_is_refused() {
+        let mut s = Scenario::figure1(SimTime::from_secs(1), 1);
+        s.workload = Some(horse_workloads::WorkloadParams::flat(
+            horse_workloads::TrafficMatrix::uniform(2048, 1e9),
+            1,
+        ));
+        let err = Simulation::new(s, SimConfig::default())
+            .err()
+            .expect("a 2,048-member matrix over 4 members is refused");
+        assert!(
+            matches!(
+                err,
+                BuildError::WorkloadMembers {
+                    matrix: 2048,
+                    members: 4
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "the workload's traffic matrix covers 2048 members, the scenario lists 4"
+        );
     }
 
     #[test]

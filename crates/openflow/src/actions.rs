@@ -5,6 +5,7 @@
 //! balancing / failover), header rewrites (MAC, VLAN), drop, plus the
 //! `Meter` and `GotoTable` instructions.
 
+use crate::list::SmallList;
 use horse_types::id::{GroupId, MeterId};
 use horse_types::{MacAddr, PortNo, Snap, TableId};
 use serde::{Deserialize, Serialize};
@@ -47,7 +48,7 @@ impl fmt::Display for Action {
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize, Snap)]
 pub enum Instruction {
     /// Apply these actions immediately.
-    ApplyActions(Vec<Action>),
+    ApplyActions(SmallList<Action>),
     /// Rate-limit through a meter before the actions run.
     Meter(MeterId),
     /// Continue matching in a later table.
@@ -57,22 +58,22 @@ pub enum Instruction {
 impl Instruction {
     /// Single-output shorthand.
     pub fn output(port: PortNo) -> Self {
-        Instruction::ApplyActions(vec![Action::Output(port)])
+        Instruction::ApplyActions(Action::Output(port).into())
     }
 
     /// Drop shorthand.
     pub fn drop() -> Self {
-        Instruction::ApplyActions(vec![Action::Drop])
+        Instruction::ApplyActions(Action::Drop.into())
     }
 
     /// Send-to-controller shorthand.
     pub fn to_controller() -> Self {
-        Instruction::ApplyActions(vec![Action::Output(PortNo::CONTROLLER)])
+        Instruction::ApplyActions(Action::Output(PortNo::CONTROLLER).into())
     }
 
     /// Group shorthand.
     pub fn group(g: GroupId) -> Self {
-        Instruction::ApplyActions(vec![Action::Group(g)])
+        Instruction::ApplyActions(Action::Group(g).into())
     }
 }
 
@@ -97,15 +98,15 @@ mod tests {
     fn shorthands() {
         assert_eq!(
             Instruction::output(PortNo(3)),
-            Instruction::ApplyActions(vec![Action::Output(PortNo(3))])
+            Instruction::ApplyActions(vec![Action::Output(PortNo(3))].into())
         );
         assert_eq!(
             Instruction::drop(),
-            Instruction::ApplyActions(vec![Action::Drop])
+            Instruction::ApplyActions(vec![Action::Drop].into())
         );
         assert_eq!(
             Instruction::to_controller(),
-            Instruction::ApplyActions(vec![Action::Output(PortNo::CONTROLLER)])
+            Instruction::ApplyActions(vec![Action::Output(PortNo::CONTROLLER)].into())
         );
     }
 

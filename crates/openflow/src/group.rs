@@ -11,6 +11,7 @@
 //!   resilient source routing.
 
 use crate::actions::Action;
+use crate::list::SmallList;
 use horse_types::id::GroupId;
 use horse_types::{FlowKey, PortNo, Snap};
 use serde::{Deserialize, Serialize};
@@ -34,7 +35,7 @@ pub struct Bucket {
     /// Liveness port (FastFailover groups; `PortNo::NONE` = always live).
     pub watch_port: PortNo,
     /// Actions executed when the bucket runs.
-    pub actions: Vec<Action>,
+    pub actions: SmallList<Action>,
 }
 
 impl Bucket {
@@ -43,7 +44,7 @@ impl Bucket {
         Bucket {
             weight: 1,
             watch_port: port,
-            actions: vec![Action::Output(port)],
+            actions: Action::Output(port).into(),
         }
     }
 
@@ -52,7 +53,7 @@ impl Bucket {
         Bucket {
             weight,
             watch_port: port,
-            actions: vec![Action::Output(port)],
+            actions: Action::Output(port).into(),
         }
     }
 }
@@ -283,7 +284,7 @@ mod tests {
             buckets: vec![Bucket {
                 weight: 1,
                 watch_port: PortNo::NONE,
-                actions: vec![Action::Drop],
+                actions: Action::Drop.into(),
             }],
         };
         assert_eq!(g.resolve(&key(1), 7, |_| false), vec![0]);

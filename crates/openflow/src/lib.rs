@@ -13,6 +13,8 @@
 //!   ingress port, with overlap/subset tests used by policy validation.
 //! * [`actions`] — actions and instructions (output, group, set-field,
 //!   meter, goto-table).
+//! * [`list`] — the inline-first list entries, instructions and buckets
+//!   hold their instructions and actions in.
 //! * [`table`] — a priority-ordered flow table with idle/hard timeouts.
 //! * [`group`] — group table: `all`, `select` (deterministic-hash ECMP,
 //!   weighted), `fast-failover` (liveness-watched buckets).
@@ -32,6 +34,7 @@ pub mod actions;
 pub mod counters;
 pub mod flow_match;
 pub mod group;
+pub mod list;
 pub mod messages;
 pub mod meter;
 pub mod switch;
@@ -41,6 +44,7 @@ pub use actions::{Action, Instruction};
 pub use counters::{FlowCounters, PortCounters, TableCounters};
 pub use flow_match::FlowMatch;
 pub use group::{Bucket, GroupEntry, GroupType};
+pub use list::SmallList;
 pub use messages::{
     CtrlMsg, FlowMod, FlowModCommand, GroupMod, MeterMod, StatsReply, StatsRequest, SwitchMsg,
 };

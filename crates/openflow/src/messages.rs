@@ -235,7 +235,10 @@ pub enum SwitchMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actions::Instruction;
+    use crate::actions::{Action, Instruction};
+    use crate::counters::FlowCounters;
+    use crate::group::{Bucket, GroupType};
+    use horse_types::{MacAddr, SimDuration, SnapReader, SnapWriter};
 
     #[test]
     fn flowmod_shorthands() {
@@ -272,5 +275,164 @@ mod tests {
             back,
             CtrlMsg::StatsRequest(StatsRequest::Port(None))
         ));
+    }
+
+    /// The list-valued types as they were encoded before entries held
+    /// their lists inline: every list a `Vec`, every field in order.
+    mod vec_encoded {
+        use super::*;
+
+        #[derive(Serialize, Snap)]
+        pub enum Instruction {
+            ApplyActions(Vec<Action>),
+            Meter(MeterId),
+            GotoTable(TableId),
+        }
+
+        #[derive(Serialize, Snap)]
+        pub struct FlowEntry {
+            pub priority: u16,
+            pub matcher: FlowMatch,
+            pub instructions: Vec<Instruction>,
+            pub cookie: u64,
+            pub idle_timeout: SimDuration,
+            pub hard_timeout: SimDuration,
+            pub counters: FlowCounters,
+            pub notify_removal: bool,
+        }
+
+        #[derive(Serialize, Snap)]
+        pub struct Bucket {
+            pub weight: u32,
+            pub watch_port: PortNo,
+            pub actions: Vec<Action>,
+        }
+
+        #[derive(Serialize, Snap)]
+        pub struct GroupEntry {
+            pub id: GroupId,
+            pub group_type: GroupType,
+            pub buckets: Vec<Bucket>,
+        }
+    }
+
+    fn snap_bytes<T: Snap>(v: &T) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        v.snap(&mut w);
+        w.into_bytes()
+    }
+
+    fn unsnap_all<T: Snap>(bytes: &[u8]) -> T {
+        let mut r = SnapReader::new(bytes);
+        let v = T::unsnap(&mut r).expect("decodes");
+        assert_eq!(r.remaining(), 0, "decoding left bytes behind");
+        v
+    }
+
+    fn actions(n: usize) -> Vec<Action> {
+        [
+            Action::SetEthDst(MacAddr::local_from_id(9)),
+            Action::SetVlan(100),
+            Action::Group(GroupId(4)),
+        ][..n]
+            .to_vec()
+    }
+
+    /// Every instruction list of up to 3 instructions, each an
+    /// `ApplyActions`, a `Meter` or a `GotoTable`.
+    fn instruction_kinds() -> Vec<Vec<u32>> {
+        (0..=3u32)
+            .flat_map(|len| {
+                (0..3u32.pow(len))
+                    .map(move |code| (0..len).map(|i| code / 3u32.pow(i) % 3).collect())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn inline_lists_encode_exactly_as_vecs() {
+        let mut cases = 0;
+        for kinds in instruction_kinds() {
+            for n_actions in 0..=3 {
+                let vec_ins = |k: u32| match k {
+                    0 => vec_encoded::Instruction::ApplyActions(actions(n_actions)),
+                    1 => vec_encoded::Instruction::Meter(MeterId(7)),
+                    _ => vec_encoded::Instruction::GotoTable(TableId(2)),
+                };
+                let ins = |k: u32| match k {
+                    0 => Instruction::ApplyActions(actions(n_actions).into()),
+                    1 => Instruction::Meter(MeterId(7)),
+                    _ => Instruction::GotoTable(TableId(2)),
+                };
+                let matcher = FlowMatch::ANY.with_tp_dst(80);
+                let entry = FlowEntry::new(
+                    9,
+                    matcher,
+                    kinds.iter().map(|&k| ins(k)).collect::<Vec<_>>(),
+                )
+                .with_cookie(0xbeef)
+                .with_idle_timeout(SimDuration::from_millis(5))
+                .with_removal_notification();
+                let old = vec_encoded::FlowEntry {
+                    priority: 9,
+                    matcher,
+                    instructions: kinds.iter().map(|&k| vec_ins(k)).collect(),
+                    cookie: 0xbeef,
+                    idle_timeout: SimDuration::from_millis(5),
+                    hard_timeout: SimDuration::ZERO,
+                    counters: FlowCounters::default(),
+                    notify_removal: true,
+                };
+                let bytes = snap_bytes(&entry);
+                assert_eq!(bytes, snap_bytes(&old), "{kinds:?} x {n_actions}");
+                let json = serde_json::to_value(&entry).unwrap();
+                assert_eq!(json, serde_json::to_value(&old).unwrap(), "{kinds:?}");
+
+                let decoded: FlowEntry = unsnap_all(&bytes);
+                assert_eq!(decoded.instructions, entry.instructions);
+                assert_eq!(snap_bytes(&decoded), bytes);
+                let parsed: FlowEntry = serde::from_value(&json).unwrap();
+                assert_eq!(parsed.instructions, entry.instructions);
+                assert_eq!(snap_bytes(&parsed), bytes);
+                cases += 1;
+            }
+        }
+        assert_eq!(cases, 40 * 4);
+    }
+
+    #[test]
+    fn inline_bucket_lists_encode_exactly_as_vecs() {
+        for n_buckets in 0..=3 {
+            for n_actions in 0..=3 {
+                let group = GroupEntry {
+                    id: GroupId(3),
+                    group_type: GroupType::Select,
+                    buckets: (0..n_buckets)
+                        .map(|b| Bucket {
+                            weight: b + 1,
+                            watch_port: PortNo(b as u16),
+                            actions: actions(n_actions).into(),
+                        })
+                        .collect(),
+                };
+                let old = vec_encoded::GroupEntry {
+                    id: GroupId(3),
+                    group_type: GroupType::Select,
+                    buckets: (0..n_buckets)
+                        .map(|b| vec_encoded::Bucket {
+                            weight: b + 1,
+                            watch_port: PortNo(b as u16),
+                            actions: actions(n_actions),
+                        })
+                        .collect(),
+                };
+                let bytes = snap_bytes(&group);
+                assert_eq!(bytes, snap_bytes(&old), "{n_buckets} x {n_actions}");
+                let json = serde_json::to_value(&group).unwrap();
+                assert_eq!(json, serde_json::to_value(&old).unwrap());
+                assert_eq!(unsnap_all::<GroupEntry>(&bytes), group);
+                assert_eq!(serde::from_value::<GroupEntry>(&json).unwrap(), group);
+            }
+        }
     }
 }

@@ -1008,11 +1008,14 @@ mod tests {
             &CtrlMsg::FlowMod(FlowMod::add(FlowEntry::new(
                 10,
                 FlowMatch::ANY,
-                vec![Instruction::ApplyActions(vec![
-                    Action::SetEthDst(new_dst),
-                    Action::SetVlan(100),
-                    Action::Output(PortNo(2)),
-                ])],
+                vec![Instruction::ApplyActions(
+                    vec![
+                        Action::SetEthDst(new_dst),
+                        Action::SetVlan(100),
+                        Action::Output(PortNo(2)),
+                    ]
+                    .into(),
+                )],
             ))),
             SimTime::ZERO,
         );

@@ -3,6 +3,7 @@
 use crate::actions::Instruction;
 use crate::counters::{FlowCounters, TableCounters};
 use crate::flow_match::FlowMatch;
+use crate::list::SmallList;
 use horse_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use horse_types::{ByteSize, FlowKey, Ipv4Net, MacAddr, PortNo, SimDuration, SimTime, TableId};
 use serde::{Deserialize, Serialize};
@@ -27,7 +28,7 @@ pub struct FlowEntry {
     /// The wildcard match.
     pub matcher: FlowMatch,
     /// Instructions executed on match.
-    pub instructions: Vec<Instruction>,
+    pub instructions: SmallList<Instruction>,
     /// Opaque controller tag (identifies the owning policy module).
     pub cookie: u64,
     /// Remove after this long without traffic (zero = never).
@@ -41,12 +42,17 @@ pub struct FlowEntry {
 }
 
 impl FlowEntry {
-    /// A permanent entry with the given match, priority and instructions.
-    pub fn new(priority: u16, matcher: FlowMatch, instructions: Vec<Instruction>) -> Self {
+    /// A permanent entry with the given match, priority and instructions
+    /// (one instruction, or a `Vec` of any length).
+    pub fn new(
+        priority: u16,
+        matcher: FlowMatch,
+        instructions: impl Into<SmallList<Instruction>>,
+    ) -> Self {
         FlowEntry {
             priority,
             matcher,
-            instructions,
+            instructions: instructions.into(),
             cookie: 0,
             idle_timeout: SimDuration::ZERO,
             hard_timeout: SimDuration::ZERO,

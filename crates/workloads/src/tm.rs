@@ -76,6 +76,21 @@ impl TrafficMatrix {
 
     /// [`Self::rate`] without the bounds check.
     fn cell(&self, i: usize, j: usize) -> f64 {
+        self.cell_in_row(i, self.row_factor(i), j)
+    }
+
+    /// The part of row `i`'s cells that depends on the row alone: a
+    /// gravity cell is `((total · w[i]) · w[j]) / mass`, so its first
+    /// product is the same across the row (0 for the other shapes).
+    fn row_factor(&self, i: usize) -> f64 {
+        match &self.shape {
+            Shape::Gravity { weights, total, .. } => total * weights[i],
+            Shape::Uniform { .. } | Shape::Hotspot { .. } => 0.0,
+        }
+    }
+
+    /// Cell `(i, j)` given row `i`'s [`Self::row_factor`].
+    fn cell_in_row(&self, i: usize, factor: f64, j: usize) -> f64 {
         if i == j {
             return 0.0;
         }
@@ -90,11 +105,7 @@ impl TrafficMatrix {
                     per.max(0.0)
                 }
             }
-            Shape::Gravity {
-                weights,
-                total,
-                mass,
-            } => (total * weights[i] * weights[j] / mass).max(0.0),
+            Shape::Gravity { weights, mass, .. } => (factor * weights[j] / mass).max(0.0),
         }
     }
 
@@ -187,8 +198,9 @@ impl TrafficMatrix {
         let n = self.len();
         let (row, col) = (start / n.max(1), start % n.max(1));
         for i in row..n {
+            let factor = self.row_factor(i);
             for j in if i == row { col } else { 0 }..n {
-                let r = self.cell(i, j);
+                let r = self.cell_in_row(i, factor, j);
                 if r > 0.0 && stop(i, j, r) {
                     return;
                 }

@@ -9,14 +9,16 @@
 //!   one message per rule, measured with a per-thread counting allocator;
 //! * every switch ends `start` in exactly the state that applying
 //!   `PolicyGenerator::compile` message by message produces, and the
-//!   message counter agrees with the compile's length.
+//!   message counter agrees with the compile's length;
+//! * the installed rules own (nearly) no heap block each: an entry keeps
+//!   its one instruction, and that instruction its one action, inline.
 
 use horse::controlplane::PolicyGenerator;
 use horse::dataplane::{FluidConfig, FluidNet};
 use horse::prelude::*;
 use horse::topology::builders::FabricHandles;
-use horse::types::SnapWriter;
-use live_heap::{HIGH, LIVE};
+use horse::types::{SnapWriter, TableId};
+use live_heap::{BLOCKS, HIGH, LIVE};
 use std::cell::Cell;
 
 #[path = "support/live_heap.rs"]
@@ -64,6 +66,48 @@ fn start_holds_the_k16_rule_set_once() {
     assert!(
         transient < 1 << 20,
         "start held {transient} B beyond what it left behind"
+    );
+}
+
+/// The live heap blocks `start` leaves behind, and the flow entries it
+/// installed.
+fn start_blocks(k: usize) -> (i64, usize) {
+    let mut sim = Simulation::new(fat_tree(k), SimConfig::default()).expect("simulates");
+    let before = BLOCKS.with(Cell::get);
+    sim.start();
+    let blocks = BLOCKS.with(Cell::get) - before;
+    let fluid = sim.fluid();
+    let entries = fluid
+        .switch_ids()
+        .iter()
+        .filter_map(|&sw| fluid.switch(sw))
+        .flat_map(|s| (0..s.table_count()).filter_map(|t| s.table(TableId(t as u8))))
+        .map(|t| t.len())
+        .sum();
+    eprintln!("k={k} start: {blocks} live heap blocks for {entries} entries");
+    (blocks, entries)
+}
+
+/// k=8: 10,320 entries. Two blocks each when an entry's instruction list
+/// and that instruction's action list were both on the heap.
+#[test]
+fn start_leaves_no_heap_block_per_k8_entry() {
+    let (blocks, entries) = start_blocks(8);
+    assert!(
+        blocks * 10 < entries as i64,
+        "start left {blocks} live heap blocks for {entries} entries"
+    );
+}
+
+/// k=16: 328,000 entries. Too slow for the debug suite; CI runs it in
+/// release with `--ignored`.
+#[test]
+#[ignore = "k=16 start; run in release with --ignored"]
+fn start_leaves_no_heap_block_per_k16_entry() {
+    let (blocks, entries) = start_blocks(16);
+    assert!(
+        blocks * 10 < entries as i64,
+        "start left {blocks} live heap blocks for {entries} entries"
     );
 }
 

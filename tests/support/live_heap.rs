@@ -1,5 +1,6 @@
 //! A counting global allocator for tests that pin live-heap use: each
-//! thread's live bytes (`LIVE`) and their high-water mark (`HIGH`).
+//! thread's live bytes (`LIVE`), their high-water mark (`HIGH`) and its
+//! live blocks (`BLOCKS`).
 //! Include it with `#[path = "support/live_heap.rs"] mod live_heap;`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -15,6 +16,11 @@ thread_local! {
     // allocated before a measurement may be freed during it.
     pub static LIVE: Cell<i64> = const { Cell::new(0) };
     pub static HIGH: Cell<i64> = const { Cell::new(0) };
+    pub static BLOCKS: Cell<i64> = const { Cell::new(0) };
+}
+
+fn blocks(delta: i64) {
+    BLOCKS.with(|c| c.set(c.get() + delta));
 }
 
 fn grow(bytes: usize) {
@@ -32,11 +38,13 @@ fn shrink(bytes: usize) {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         grow(layout.size());
+        blocks(1);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         shrink(layout.size());
+        blocks(-1);
         unsafe { System.dealloc(ptr, layout) }
     }
 
