@@ -93,7 +93,7 @@ impl std::error::Error for BuildError {}
 /// Magic prefix of the checkpoint format.
 pub const SNAPSHOT_MAGIC: &[u8; 9] = b"HORSESNAP";
 /// Current checkpoint format version.
-pub const SNAPSHOT_VERSION: u32 = 9;
+pub const SNAPSHOT_VERSION: u32 = 10;
 
 /// Errors raised while resuming or forking from a checkpoint.
 #[derive(Debug)]

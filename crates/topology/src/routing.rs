@@ -4,8 +4,10 @@
 //! [`LinkState::Down`](crate::link::LinkState::Down), so recomputing a
 //! path after a failure event automatically routes around it.
 //!
-//! * [`shortest_path`] — Dijkstra with deterministic tie-breaking (lowest
-//!   link id wins), by hop count or by latency.
+//! * [`shortest_path`] — a breadth-first walk by hop count, Dijkstra by
+//!   latency, both with deterministic tie-breaking (lowest link id wins).
+//! * [`hops_to`] — the reverse breadth-first tree toward one destination,
+//!   whose equal-cost first hops are the ECMP sets.
 //! * [`ecmp_paths`] — every minimum-cost path, enumerated from the
 //!   shortest-path DAG (bounded by `max_paths` to stay safe on dense cores).
 //! * [`k_shortest_paths`] — Yen's algorithm for source-routing alternatives.
@@ -94,9 +96,11 @@ const UNREACHED: u64 = u64::MAX;
 /// A single-source shortest-path tree: per-node best cost plus the
 /// deterministic incoming link, computed once and queried for every
 /// destination. Bulk consumers (the control plane's path database builds
-/// next-hops and ECMP sets for *every* host from *every* switch) share one
-/// tree per source instead of re-running Dijkstra per pair — identical
-/// results, orders of magnitude less work.
+/// a next hop toward *every* host from *every* switch) share one tree per
+/// source instead of re-running the walk per pair — identical results,
+/// orders of magnitude less work. A [`Metric::Hops`] tree is a
+/// breadth-first scan, a [`Metric::Latency`] tree Dijkstra; both give
+/// each node the lowest-id in-link among those on a minimum-cost path.
 ///
 /// All per-node state is a `Vec` indexed by [`NodeId::index`]; a node id
 /// outside the topology is simply unreachable.
@@ -113,7 +117,7 @@ pub struct SsspTree {
 }
 
 /// Dijkstra from `src`, honouring link state and an optional ban-list of
-/// links/nodes (used by Yen's spur computation).
+/// links/nodes (used by Yen's spur computation and by latency trees).
 fn dijkstra_metric(
     topo: &Topology,
     src: NodeId,
@@ -163,10 +167,53 @@ fn dijkstra_metric(
     tree
 }
 
+/// The [`Metric::Hops`] tree from `src` without a heap: a FIFO scan
+/// settles every node at distance d before any at d + 1, so it is the
+/// tree `dijkstra_metric` builds. A node's `prev` is its lowest-id live
+/// in-link from distance d − 1 (whichever of those the scan meets first),
+/// and `first` follows it. Every node at distance d − 1 is scanned, with
+/// its own `first` final, before any node at distance d is.
+fn bfs_hops(topo: &Topology, src: NodeId) -> SsspTree {
+    let n = topo.node_count();
+    let mut tree = SsspTree {
+        src,
+        metric: Metric::Hops,
+        dist: vec![UNREACHED; n],
+        prev: vec![None; n],
+        first: vec![None; n],
+    };
+    let mut queue = Vec::with_capacity(n);
+    if src.index() < n {
+        tree.dist[src.index()] = 0;
+        queue.push(src);
+    }
+    let mut head = 0;
+    while let Some(&node) = queue.get(head) {
+        head += 1;
+        let d = tree.dist[node.index()] + 1;
+        let first_here = tree.first[node.index()];
+        for (lid, l) in topo.out_links(node).filter(|(_, l)| l.is_up()) {
+            let nxt = l.dst.index();
+            if tree.dist[nxt] == UNREACHED {
+                tree.dist[nxt] = d;
+                queue.push(l.dst);
+            } else if tree.dist[nxt] != d || Some(lid) > tree.prev[nxt] {
+                continue;
+            }
+            tree.prev[nxt] = Some(lid);
+            tree.first[nxt] = first_here.or(Some(lid));
+        }
+    }
+    tree
+}
+
 /// Computes the shortest-path tree from `src` under `metric` (honouring
 /// link state, like every algorithm here).
 pub fn sssp(topo: &Topology, src: NodeId, metric: Metric) -> SsspTree {
-    dijkstra_metric(topo, src, metric, &HashSet::new(), &HashSet::new())
+    match metric {
+        Metric::Hops => bfs_hops(topo, src),
+        Metric::Latency => dijkstra_metric(topo, src, metric, &HashSet::new(), &HashSet::new()),
+    }
 }
 
 impl SsspTree {
@@ -251,97 +298,82 @@ impl SsspTree {
     }
 }
 
-/// Distances **to** one destination over live links: the reverse
-/// single-source tree. Where [`SsspTree`] answers "how far from S to
+/// Hop counts **to** one destination over live links: the reverse
+/// breadth-first tree. Where [`SsspTree`] answers "how far from S to
 /// everywhere", this answers "how far from everywhere to D" — and with
-/// it, whether an edge lies on *some* minimum-cost path to D, which is
-/// the membership test ECMP sets need. Bulk consumers (the control
-/// plane's path database) get exact equal-cost **first-hop sets** from
-/// one reverse tree per destination instead of enumerating every path
-/// per (switch, destination) pair — identical answers, and on a k=8
-/// fat-tree it is the difference between microseconds and a DFS over
-/// the whole radius-k DAG ball.
-pub struct DistTo {
+/// it, whether an edge lies on *some* minimum-hop path to D, which is the
+/// membership test ECMP sets need. The control plane's path database
+/// gets exact equal-cost **first-hop sets** from one such tree per
+/// destination instead of enumerating every path per (switch,
+/// destination) pair.
+pub struct HopsTo {
     dst: NodeId,
-    metric: Metric,
-    /// Best cost per node ([`NodeId::index`]), [`UNREACHED`] where no
-    /// live path to `dst` exists.
-    dist: Vec<u64>,
+    /// Hops from each node ([`NodeId::index`]) to `dst`, `u32::MAX` where
+    /// no live path to `dst` exists.
+    dist: Vec<u32>,
 }
 
-/// Computes the reverse shortest-path tree toward `dst` (honouring link
+/// Computes the reverse breadth-first tree toward `dst` (honouring link
 /// state, like every algorithm here). The links into a node are the
 /// reverses of the links out of it, so the walk needs no second
 /// adjacency; it checks each reverse link's own state, since one
 /// direction of a cable can be down on its own.
-pub fn dist_to(topo: &Topology, dst: NodeId, metric: Metric) -> DistTo {
-    let mut dist = vec![UNREACHED; topo.node_count()];
-    let mut heap = BinaryHeap::new();
+pub fn hops_to(topo: &Topology, dst: NodeId) -> HopsTo {
+    let mut dist = vec![u32::MAX; topo.node_count()];
+    let mut queue = Vec::with_capacity(dist.len());
     if dst.index() < dist.len() {
         dist[dst.index()] = 0;
-        heap.push(QueueEntry { cost: 0, node: dst });
+        queue.push(dst);
     }
-    while let Some(QueueEntry { cost, node }) = heap.pop() {
-        if cost > dist[node.index()] {
-            continue;
-        }
+    let mut head = 0;
+    while let Some(&node) = queue.get(head) {
+        head += 1;
+        let d = dist[node.index()] + 1;
         for (out, l) in topo.out_links(node) {
-            let into = topo.reverse_of(out).expect("every link has a reverse");
-            if !topo.link(into).is_some_and(Link::is_up) {
+            if dist[l.dst.index()] != u32::MAX {
                 continue;
             }
-            let nc = cost.saturating_add(metric.cost(topo, into));
-            if nc < dist[l.dst.index()] {
-                dist[l.dst.index()] = nc;
-                heap.push(QueueEntry {
-                    cost: nc,
-                    node: l.dst,
-                });
+            let into = topo.reverse_of(out).and_then(|id| topo.link(id));
+            if into.is_some_and(Link::is_up) {
+                dist[l.dst.index()] = d;
+                queue.push(l.dst);
             }
         }
     }
-    DistTo { dst, metric, dist }
+    HopsTo { dst, dist }
 }
 
-impl DistTo {
+impl HopsTo {
     /// The tree's destination node.
     pub fn dst(&self) -> NodeId {
         self.dst
     }
 
-    /// Best-path cost from `node` to the destination, if reachable.
-    pub fn cost_from(&self, node: NodeId) -> Option<u64> {
+    /// Fewest hops from `node` to the destination, if reachable.
+    pub fn hops_from(&self, node: NodeId) -> Option<u32> {
         self.dist
             .get(node.index())
             .copied()
-            .filter(|&d| d != UNREACHED)
+            .filter(|&d| d != u32::MAX)
     }
 
-    /// Every live egress link at `node` that lies on some minimum-cost
-    /// path to the destination, ascending by link id, without allocating.
+    /// Every live egress link at `node` that lies on some minimum-hop
+    /// path to the destination, ascending by link id, without allocating
+    /// — exactly the first links of the paths [`ecmp_paths`] enumerates
+    /// for the same endpoints (without the enumeration, and without its
+    /// `max_paths` truncation).
     pub fn ecmp_out_links<'a>(
         &'a self,
         topo: &'a Topology,
         node: NodeId,
     ) -> impl Iterator<Item = (LinkId, &'a Link)> + 'a {
         // the destination (and an unreachable node) has no such egress
-        let d_here = self.cost_from(node).filter(|_| node != self.dst);
-        topo.out_links(node).filter(move |(id, l)| {
-            l.is_up()
-                && d_here.is_some()
-                && self
-                    .cost_from(l.dst)
-                    .map(|d_next| self.metric.cost(topo, *id).saturating_add(d_next))
-                    == d_here
-        })
-    }
-
-    /// [`DistTo::ecmp_out_links`] as link ids, ascending — exactly the
-    /// first links of the paths [`ecmp_paths`] enumerates for the same
-    /// endpoints (without the enumeration, and without its `max_paths`
-    /// truncation).
-    pub fn ecmp_links(&self, topo: &Topology, node: NodeId) -> Vec<LinkId> {
-        self.ecmp_out_links(topo, node).map(|(id, _)| id).collect()
+        let closer = self
+            .hops_from(node)
+            .filter(|_| node != self.dst)
+            .map(|d| d - 1);
+        topo.out_links(node)
+            .filter(move |(_, l)| l.is_up() && closer.is_some() && self.hops_from(l.dst) == closer)
     }
 }
 
@@ -643,7 +675,7 @@ mod tests {
     }
 
     #[test]
-    fn dist_to_matches_forward_ecmp_first_hops() {
+    fn hops_to_matches_forward_ecmp_first_hops() {
         // On several topologies, the reverse-tree first-hop set must
         // equal the first links of the enumerated equal-cost paths.
         let fabrics = [
@@ -664,17 +696,21 @@ mod tests {
         for f in &fabrics {
             let t = &f.topology;
             for &m in &f.members {
-                let rev = dist_to(t, m, Metric::Hops);
+                let rev = hops_to(t, m);
                 for src in t.switches() {
                     let enumerated: std::collections::BTreeSet<LinkId> = ecmp_paths(t, src, m, 64)
                         .iter()
                         .filter_map(|p| p.links.first().copied())
                         .collect();
                     let direct: std::collections::BTreeSet<LinkId> =
-                        rev.ecmp_links(t, src).into_iter().collect();
+                        rev.ecmp_out_links(t, src).map(|(id, _)| id).collect();
                     assert_eq!(enumerated, direct, "src {src} dst {m}");
                     let tree = sssp(t, src, Metric::Hops);
-                    assert_eq!(rev.cost_from(src), tree.cost_to(m), "distances agree");
+                    assert_eq!(
+                        rev.hops_from(src).map(u64::from),
+                        tree.cost_to(m),
+                        "distances agree"
+                    );
                     assert_eq!(
                         tree.first_link_to(m),
                         tree.path_to(t, m).and_then(|p| p.links.first().copied()),
@@ -685,24 +721,28 @@ mod tests {
         }
     }
 
+    fn ecmp_links(rev: &HopsTo, t: &Topology, node: NodeId) -> Vec<LinkId> {
+        rev.ecmp_out_links(t, node).map(|(id, _)| id).collect()
+    }
+
     #[test]
-    fn dist_to_respects_link_state() {
+    fn hops_to_respects_link_state() {
         let (mut t, ids) = diamond();
-        let rev = dist_to(&t, ids[3], Metric::Hops);
-        assert_eq!(rev.ecmp_links(&t, ids[0]).len(), 2, "both branches");
+        let rev = hops_to(&t, ids[3]);
+        assert_eq!(ecmp_links(&rev, &t, ids[0]).len(), 2, "both branches");
         // kill one branch
-        let branch = rev.ecmp_links(&t, ids[0])[0];
+        let branch = ecmp_links(&rev, &t, ids[0])[0];
         t.set_cable_state(branch, crate::link::LinkState::Down)
             .unwrap();
-        let rev = dist_to(&t, ids[3], Metric::Hops);
-        assert_eq!(rev.ecmp_links(&t, ids[0]).len(), 1, "one branch left");
-        assert_eq!(rev.cost_from(ids[3]), Some(0));
-        assert_eq!(rev.ecmp_links(&t, ids[3]), vec![], "dst has no egress");
+        let rev = hops_to(&t, ids[3]);
+        assert_eq!(ecmp_links(&rev, &t, ids[0]).len(), 1, "one branch left");
+        assert_eq!(rev.hops_from(ids[3]), Some(0));
+        assert_eq!(ecmp_links(&rev, &t, ids[3]), vec![], "dst has no egress");
     }
 
     /// Reference reverse tree: live links grouped by destination node,
     /// then Dijkstra over those in-links.
-    fn reference_dist_to(t: &Topology, dst: NodeId, metric: Metric) -> Vec<Option<u64>> {
+    fn reference_hops_to(t: &Topology, dst: NodeId) -> Vec<Option<u32>> {
         let mut in_links = vec![Vec::new(); t.node_count()];
         for (id, l) in t.links() {
             if l.is_up() {
@@ -714,15 +754,15 @@ mod tests {
         dist[dst.index()] = Some(0);
         heap.push(QueueEntry { cost: 0, node: dst });
         while let Some(QueueEntry { cost, node }) = heap.pop() {
-            if dist[node.index()] < Some(cost) {
+            if dist[node.index()] < Some(cost as u32) {
                 continue;
             }
-            for &(lid, src) in &in_links[node.index()] {
-                let nc = cost + metric.cost(t, lid);
+            for &(_, src) in &in_links[node.index()] {
+                let nc = cost as u32 + 1;
                 if dist[src.index()].is_none_or(|d| nc < d) {
                     dist[src.index()] = Some(nc);
                     heap.push(QueueEntry {
-                        cost: nc,
+                        cost: u64::from(nc),
                         node: src,
                     });
                 }
@@ -732,7 +772,7 @@ mod tests {
     }
 
     #[test]
-    fn dist_to_matches_in_link_reference_with_one_direction_down() {
+    fn hops_to_matches_in_link_reference_with_one_direction_down() {
         let diamond = diamond().0;
         let fat_tree = crate::generators::fat_tree(&crate::GeneratorParams {
             fat_tree_k: 4,
@@ -754,27 +794,94 @@ mod tests {
                     .unwrap();
                 let rev = t.reverse_of(down).unwrap();
                 assert!(t.link(rev).unwrap().is_up(), "only one direction is down");
-                for metric in [Metric::Hops, Metric::Latency] {
-                    for (dst, _) in t.nodes() {
-                        let tree = dist_to(&t, dst, metric);
-                        let reference = reference_dist_to(&t, dst, metric);
-                        for (n, _) in t.nodes() {
-                            let here = reference[n.index()].filter(|_| n != dst);
-                            let expected: Vec<LinkId> = t
-                                .links()
-                                .filter(|(id, l)| {
-                                    l.src == n
-                                        && l.is_up()
-                                        && here.is_some()
-                                        && reference[l.dst.index()]
-                                            .map(|d| d + metric.cost(&t, *id))
-                                            == here
-                                })
-                                .map(|(id, _)| id)
-                                .collect();
-                            assert_eq!(tree.cost_from(n), reference[n.index()], "{down} {dst} {n}");
-                            assert_eq!(tree.ecmp_links(&t, n), expected, "{down} {dst} {n}");
-                        }
+                for (dst, _) in t.nodes() {
+                    let tree = hops_to(&t, dst);
+                    let reference = reference_hops_to(&t, dst);
+                    for (n, _) in t.nodes() {
+                        let here = reference[n.index()].filter(|_| n != dst);
+                        let expected: Vec<LinkId> = t
+                            .links()
+                            .filter(|(_, l)| {
+                                l.src == n
+                                    && l.is_up()
+                                    && here.is_some()
+                                    && reference[l.dst.index()].map(|d| d + 1) == here
+                            })
+                            .map(|(id, _)| id)
+                            .collect();
+                        assert_eq!(tree.hops_from(n), reference[n.index()], "{down} {dst} {n}");
+                        assert_eq!(ecmp_links(&tree, &t, n), expected, "{down} {dst} {n}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Random fabrics of three families: jellyfish (seeded wiring), fat-tree
+    /// and the shipped WAN graphs.
+    fn random_fabrics() -> Vec<Topology> {
+        use crate::generators::{generate, load_topology_spec, GeneratorParams, TopologyKind};
+        let mut out = Vec::new();
+        for seed in 1..=6 {
+            let params = GeneratorParams {
+                kind: TopologyKind::Jellyfish,
+                switches: 8 + 2 * seed as usize,
+                degree: 3 + seed as usize % 2,
+                hosts: 6 + seed as usize,
+                seed,
+                ..Default::default()
+            };
+            out.push(generate(&params).unwrap().topology);
+        }
+        for k in [2, 4] {
+            let params = GeneratorParams {
+                fat_tree_k: k,
+                ..Default::default()
+            };
+            out.push(generate(&params).unwrap().topology);
+        }
+        for name in ["abilene", "nsfnet"] {
+            let path = format!(
+                "{}/../../examples/topologies/{name}.json",
+                env!("CARGO_MANIFEST_DIR")
+            );
+            let params = GeneratorParams {
+                kind: TopologyKind::Wan,
+                wan: Some(load_topology_spec(std::path::Path::new(&path)).unwrap()),
+                hosts_per_pop: 1,
+                ..Default::default()
+            };
+            out.push(generate(&params).unwrap().topology);
+        }
+        out
+    }
+
+    /// The breadth-first hop tree is the heap walk's tree: the same cost,
+    /// path and first link toward every node, from every node, with and
+    /// without links down in one direction only.
+    #[test]
+    fn breadth_first_sssp_equals_heap_walk_with_one_direction_down() {
+        let (no_links, no_nodes) = (HashSet::new(), HashSet::new());
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for base in random_fabrics() {
+            for down_pct in [0, 5, 15, 40] {
+                let mut t = base.clone();
+                let ids: Vec<LinkId> = t.links().map(|(id, _)| id).collect();
+                for id in ids {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    if x % 100 < down_pct {
+                        t.set_link_state(id, crate::link::LinkState::Down).unwrap();
+                    }
+                }
+                for (src, _) in t.nodes() {
+                    let bfs = sssp(&t, src, Metric::Hops);
+                    let heap = dijkstra_metric(&t, src, Metric::Hops, &no_links, &no_nodes);
+                    for (n, _) in t.nodes() {
+                        assert_eq!(bfs.cost_to(n), heap.cost_to(n), "{src} -> {n}");
+                        assert_eq!(bfs.path_to(&t, n), heap.path_to(&t, n), "{src} -> {n}");
+                        assert_eq!(bfs.first_link_to(n), heap.first_link_to(n), "{src} -> {n}");
                     }
                 }
             }
