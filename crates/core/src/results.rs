@@ -36,23 +36,28 @@ pub struct ChaosCounters {
     pub flows_stranded: u64,
 }
 
-/// Everything a run produced. The benchmark harness prints tables from
-/// this; EXPERIMENTS.md records them.
+/// Everything a run produced: the flow outcomes, summaries and series,
+/// and every count by name in [`SimResults::metrics`].
+///
+/// A field marked *re-base* repeats a value the frozen benchmark harness
+/// reads; it goes with the benchmark's next re-base, and new code reads
+/// [`SimResults::metrics`] instead.
 #[derive(Debug)]
 pub struct SimResults {
     /// Final simulated time.
     pub sim_time: SimTime,
-    /// Wall-clock seconds the run took.
+    /// Wall-clock seconds the run took (re-base).
     pub wall_seconds: f64,
-    /// Events processed.
+    /// Events processed (`sim.events`; re-base).
     pub events: u64,
-    /// Flows admitted into the data plane.
+    /// Flows admitted into the data plane (re-base).
     pub flows_admitted: u64,
-    /// Flows that ran to byte-completion.
+    /// Flows that ran to byte-completion (re-base).
     pub flows_completed: u64,
-    /// Flows still active at the horizon.
+    /// Flows still active at the horizon (re-base).
     pub flows_active_at_end: u64,
-    /// Flows dropped (policy, no-route, controller timeout, failure).
+    /// Flows dropped: policy, no-route, controller timeout, failure
+    /// (re-base).
     pub flows_dropped: u64,
     /// Total bytes delivered end-to-end.
     pub bytes_delivered: f64,
@@ -62,67 +67,51 @@ pub struct SimResults {
     pub fct: Summary,
     /// Average goodput summary over completed flows, bps.
     pub goodput: Summary,
-    /// Switch→controller messages delivered (incl. flow-ins).
+    /// Switch→controller messages, flow-ins included
+    /// (`ctrl.msgs_to_controller`; re-base).
     pub msgs_to_controller: u64,
-    /// Controller→switch messages delivered.
+    /// Controller→switch messages (`ctrl.msgs_to_switch`; re-base).
     pub msgs_to_switch: u64,
-    /// `FlowIn` events among the controller messages.
-    pub flow_ins: u64,
     /// Epochs drained: batches of events sharing one timestamp, each
-    /// paying at most one allocator run.
+    /// paying at most one allocator run (`sim.epochs`; re-base).
     pub epochs: u64,
-    /// Largest single epoch batch (events sharing one timestamp).
+    /// Largest single epoch batch (`sim.max_epoch_batch`; re-base).
     pub max_epoch_batch: u64,
-    /// Events that requested a reallocation; with epoch batching several
-    /// requests of one epoch collapse into a single run, so
-    /// `realloc_requests - realloc_runs` is the number of allocator runs
-    /// batching saved.
-    pub realloc_requests: u64,
-    /// Completion events that popped for a flow already gone. Expected 0:
-    /// a rate change cancels the completion it supersedes and a fault
-    /// cancels its victims', so every completion that fires is current.
+    /// Completion events that popped for a flow already gone
+    /// (`sim.stale_completions`; re-base). Expected 0: a rate change
+    /// cancels the completion it supersedes and a fault cancels its
+    /// victims', so every completion that fires is current.
     pub stale_completions: u64,
-    /// Max-min allocator runs.
+    /// Max-min allocator runs (`alloc.runs`; re-base).
     pub realloc_runs: u64,
-    /// Total flows touched across allocator runs.
+    /// Flows touched across allocator runs (`alloc.flows_touched`; re-base).
     pub realloc_flows_touched: u64,
-    /// Allocation variables actually solved after macro-flow aggregation
-    /// (equals `realloc_flows_touched` when aggregation is off or no two
-    /// flows share a path class).
+    /// Allocation variables solved after macro-flow aggregation
+    /// (`alloc.macro_flows`; re-base).
     pub macro_flows: u64,
-    /// Always 0: the allocator keeps no solve cache. The field stays only
-    /// because the frozen benchmark harness reads it, and goes with the
-    /// next benchmark re-base.
+    /// Always 0: the allocator keeps no solve cache (re-base).
     pub warm_hits: u64,
-    /// Component water-fills executed (one per discovered component).
+    /// Component water-fills, one per discovered component
+    /// (`alloc.components`; re-base).
     pub cold_solves: u64,
-    /// Packet-fidelity flows in the hybrid co-simulation (0 in a pure
-    /// fluid run).
-    pub pkt_flows: u64,
     /// FCT summary of completed packet-fidelity (foreground) flows.
     pub fct_foreground: Summary,
-    /// Packet-plane burst events that modeled more than one packet
-    /// (GSO-style batching; 0 with `pkt_burst = 1` or no hybrid plane).
-    pub pkt_bursts_formed: u64,
-    /// Packet-plane pipeline-decision cache hits (bursts that skipped the
-    /// OpenFlow table walk entirely).
+    /// Packet-plane decision-cache hits (`pkt.cache_hits`; re-base).
     pub pkt_cache_hits: u64,
-    /// Packet-plane decision-cache misses (head packet walked the tables).
+    /// Packet-plane decision-cache misses (`pkt.cache_misses`; re-base).
     pub pkt_cache_misses: u64,
-    /// Cached decisions discarded because the switch generation advanced
-    /// (flow/group/meter mod, port or cable change, chaos fault).
-    pub pkt_cache_invalidations: u64,
     /// Recovery-time summary: for each flow knocked off a failed element
     /// and re-admitted, seconds from the failure to re-admission.
     pub recovery: Summary,
-    /// Fault-injection counters (all zero in a fault-free run).
+    /// Fault-injection counters, all zero in a fault-free run
+    /// (`chaos.*`; re-base).
     pub chaos: ChaosCounters,
-    /// Event-queue statistics (scheduling volume, cancellations, peak
-    /// pending events) — all deterministic counts.
+    /// Event-queue statistics (`queue.*`; re-base).
     pub queue: QueueStats,
-    /// Snapshot of the run's metrics registry (empty without a tracer).
-    /// Contains only deterministic quantities, so it may be embedded in
-    /// reproducible reports.
+    /// Every count of the run by name, tracer or not, plus the cells of
+    /// the tracer's registry (its histograms) when one was attached.
+    /// Deterministic quantities only; lab reports embed the names they
+    /// declare.
     pub metrics: MetricsSnapshot,
     /// The monitoring collector (epoch reports, per-link series, alarms).
     pub collector: StatsCollector,
@@ -138,19 +127,6 @@ impl SimResults {
         }
     }
 
-    /// *Useful* events per wall-clock second: events minus
-    /// [`SimResults::stale_completions`]. Superseded completions are
-    /// cancelled rather than popped, so this equals
-    /// [`SimResults::events_per_sec`] unless a stale completion slipped
-    /// through.
-    pub fn useful_events_per_sec(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.events.saturating_sub(self.stale_completions) as f64 / self.wall_seconds
-        } else {
-            0.0
-        }
-    }
-
     /// Mean events per epoch (batch size); 0 before any epoch ran.
     pub fn mean_epoch_batch(&self) -> f64 {
         if self.epochs > 0 {
@@ -158,13 +134,6 @@ impl SimResults {
         } else {
             0.0
         }
-    }
-
-    /// Allocator runs the epoch batching saved versus the per-event
-    /// cadence (requests that were collapsed into an already-pending
-    /// epoch run).
-    pub fn realloc_saved(&self) -> u64 {
-        self.realloc_requests.saturating_sub(self.realloc_runs)
     }
 
     /// Simulated seconds per wall second (>1 ⇒ faster than real time).
@@ -193,6 +162,7 @@ impl SimResults {
 
     /// A human-readable multi-line summary (examples print this).
     pub fn summary_table(&self) -> String {
+        let m = &self.metrics;
         format!(
             "simulated {:.3}s in {:.3}s wall ({:.1}x real time)\n\
              events            {:>12}   ({:.0}/s)\n\
@@ -224,19 +194,20 @@ impl SimResults {
             self.fct.p99,
             self.msgs_to_controller,
             self.msgs_to_switch,
-            self.flow_ins,
+            m.count("ctrl.flow_ins"),
             self.epochs,
             self.mean_epoch_batch(),
             self.max_epoch_batch,
             self.realloc_runs,
             self.realloc_flows_touched,
-            self.realloc_saved(),
+            m.count("sim.realloc_requests")
+                .saturating_sub(self.realloc_runs),
             self.macro_flows,
             self.cold_solves,
-            self.pkt_bursts_formed,
+            m.count("pkt.bursts_formed"),
             self.pkt_cache_hits,
             self.pkt_cache_misses,
-            self.pkt_cache_invalidations,
+            m.count("pkt.cache_invalidations"),
         )
     }
 }
@@ -260,22 +231,17 @@ mod tests {
             goodput: Summary::default(),
             msgs_to_controller: 5,
             msgs_to_switch: 20,
-            flow_ins: 5,
             epochs: 800,
             max_epoch_batch: 7,
-            realloc_requests: 30,
             stale_completions: 100,
             realloc_runs: 18,
             realloc_flows_touched: 40,
             macro_flows: 35,
             warm_hits: 0,
             cold_solves: 15,
-            pkt_flows: 0,
             fct_foreground: Summary::default(),
-            pkt_bursts_formed: 0,
             pkt_cache_hits: 0,
             pkt_cache_misses: 0,
-            pkt_cache_invalidations: 0,
             recovery: Summary::default(),
             chaos: ChaosCounters::default(),
             queue: QueueStats::default(),
@@ -304,7 +270,6 @@ mod tests {
         let mut r = blank();
         r.wall_seconds = 0.0;
         assert_eq!(r.events_per_sec(), 0.0);
-        assert_eq!(r.useful_events_per_sec(), 0.0);
         assert_eq!(r.speedup(), 0.0);
     }
 
@@ -312,12 +277,8 @@ mod tests {
     fn batch_metrics_derive() {
         let r = blank();
         assert_eq!(r.mean_epoch_batch(), 1000.0 / 800.0);
-        assert_eq!(r.realloc_saved(), 12);
-        assert_eq!(r.useful_events_per_sec(), (1000.0 - 100.0) / 2.0);
         let mut empty = blank();
         empty.epochs = 0;
         assert_eq!(empty.mean_epoch_batch(), 0.0);
-        empty.realloc_runs = 99;
-        assert_eq!(empty.realloc_saved(), 0, "saturates, never underflows");
     }
 }

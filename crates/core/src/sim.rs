@@ -31,11 +31,12 @@ use crate::trace::{event_fingerprint, SimTracer};
 use horse_controlplane::{ApplyNow, Controller, ControllerCtx, Outbox, PolicyGenerator};
 use horse_dataplane::stats::DropCause;
 use horse_dataplane::{AdmitOutcome, DemandModel, Fidelity, FlowSpec, FluidNet, RateChange};
-use horse_events::{EventHandle, EventQueue, QueueSnapshot};
+use horse_events::{EventHandle, EventQueue, QueueSnapshot, QueueStats};
 use horse_monitoring::collector::StatsCollector;
 use horse_monitoring::series::summarize;
 use horse_openflow::messages::SwitchMsg;
 use horse_packetsim::PktEvent;
+use horse_trace::MetricsSnapshot;
 use horse_types::{
     ByteSize, FlowId, NodeId, SimDuration, SimTime, Snap, SnapError, SnapReader, SnapWriter,
 };
@@ -93,7 +94,7 @@ impl std::error::Error for BuildError {}
 /// Magic prefix of the checkpoint format.
 pub const SNAPSHOT_MAGIC: &[u8; 9] = b"HORSESNAP";
 /// Current checkpoint format version.
-pub const SNAPSHOT_VERSION: u32 = 10;
+pub const SNAPSHOT_VERSION: u32 = 11;
 
 /// Errors raised while resuming or forking from a checkpoint.
 #[derive(Debug)]
@@ -707,11 +708,10 @@ impl Simulation {
             self.max_epoch_batch = self.max_epoch_batch.max(batch);
             self.flush_realloc(epoch_time);
             if let Some(t) = self.tracer.as_mut() {
-                t.epoch_done(batch);
                 if let Some(start_ns) = span_start {
                     t.push_epoch_span(start_ns, batch, epoch_time);
                 }
-                t.maybe_progress(epoch_time);
+                t.maybe_progress(epoch_time, self.events, self.epochs);
             }
         }
         self.wall_accum += t0.elapsed().as_secs_f64();
@@ -1461,104 +1461,17 @@ impl Simulation {
         let mut bytes_delivered = self.fluid.total_bytes_delivered();
         let bytes_dropped: f64 = records.iter().map(|r| r.dropped_bytes).sum();
         let mut flows_active_at_end = self.fluid.active_flow_count() as u64;
-        let mut pkt_flows = 0;
         let mut fct_foreground = horse_monitoring::series::Summary::default();
-        let mut pkt_bursts_formed = 0;
-        let mut pkt_cache_hits = 0;
-        let mut pkt_cache_misses = 0;
-        let mut pkt_cache_invalidations = 0;
+        let (mut pkt_cache_hits, mut pkt_cache_misses) = (0, 0);
         if let Some(h) = self.hybrid.as_ref() {
             bytes_delivered += h.unfinished_delivered_bytes();
             flows_active_at_end += h.active_count() as u64;
-            pkt_flows = h.flow_count() as u64;
             fct_foreground = summarize(h.completed_fcts());
-            let p = h.plane();
-            pkt_bursts_formed = p.bursts_formed();
-            pkt_cache_hits = p.cache_hits();
-            pkt_cache_misses = p.cache_misses();
-            pkt_cache_invalidations = p.cache_invalidations();
+            pkt_cache_hits = h.plane().cache_hits();
+            pkt_cache_misses = h.plane().cache_misses();
         }
-        let queue_stats = self.queue.stats();
-        // End-of-run scrape: totals that are kept as plain fields on
-        // their subsystems (no hot-path cost) land in the registry here,
-        // so one snapshot carries them all. Every scraped quantity is
-        // deterministic — wall clock never enters the registry.
-        let metrics = match self.tracer.as_ref() {
-            Some(t) => {
-                let reg = t.registry();
-                reg.counter("queue.scheduled").add(queue_stats.scheduled);
-                reg.counter("queue.delivered").add(queue_stats.delivered);
-                reg.counter("queue.cancelled").add(queue_stats.cancelled);
-                reg.counter("queue.skipped").add(queue_stats.skipped);
-                reg.counter("queue.clamped").add(queue_stats.clamped);
-                reg.counter("queue.compactions")
-                    .add(queue_stats.compactions);
-                reg.counter("queue.peak_pending")
-                    .add(queue_stats.peak_pending);
-                let (mut hits, mut misses) = (0u64, 0u64);
-                for &sw in self.fluid.switch_ids() {
-                    if let Some(s) = self.fluid.switch(sw) {
-                        for ti in 0..s.table_count() {
-                            if let Some(tbl) = s.table(horse_types::TableId(ti as u8)) {
-                                hits += tbl.counters.matches;
-                                misses += tbl.counters.lookups - tbl.counters.matches;
-                            }
-                        }
-                    }
-                }
-                reg.counter("openflow.table_hits").add(hits);
-                reg.counter("openflow.table_misses").add(misses);
-                if let Some(h) = self.hybrid.as_ref() {
-                    reg.counter("hybrid.couple_passes").add(h.couple_passes);
-                    let p = h.plane();
-                    reg.counter("pkt.bursts_formed").add(p.bursts_formed());
-                    reg.counter("pkt.cache_hits").add(p.cache_hits());
-                    reg.counter("pkt.cache_misses").add(p.cache_misses());
-                    reg.counter("pkt.cache_invalidations")
-                        .add(p.cache_invalidations());
-                    reg.counter("pkt.tx_packets").add(p.tx_packets());
-                    // Burst-length histogram as log2 buckets (bucket k
-                    // holds bursts of 2^k..2^(k+1) packets).
-                    let hist = p.burst_len_hist();
-                    for (name, k) in [
-                        ("pkt.burst_len_p2_0", 0usize),
-                        ("pkt.burst_len_p2_1", 1),
-                        ("pkt.burst_len_p2_2", 2),
-                        ("pkt.burst_len_p2_3", 3),
-                        ("pkt.burst_len_p2_4", 4),
-                        ("pkt.burst_len_p2_5", 5),
-                        ("pkt.burst_len_p2_6", 6),
-                        ("pkt.burst_len_p2_7", 7),
-                    ] {
-                        reg.counter(name).add(hist[k]);
-                    }
-                }
-                let peak = self
-                    .collector
-                    .epochs
-                    .iter()
-                    .map(|e| e.max_utilization)
-                    .fold(0.0f64, f64::max);
-                reg.gauge("links.peak_utilization").set_max(peak);
-                let c = &self.chaos_ctr;
-                for (name, v) in [
-                    ("chaos.cable_downs", c.cable_downs),
-                    ("chaos.cable_ups", c.cable_ups),
-                    ("chaos.switch_crashes", c.switch_crashes),
-                    ("chaos.switch_rejoins", c.switch_rejoins),
-                    ("chaos.gray_events", c.gray_events),
-                    ("chaos.ctrl_outages", c.ctrl_outages),
-                    ("chaos.ctrl_latency_spikes", c.ctrl_latency_spikes),
-                    ("chaos.ctrl_msgs_buffered", c.ctrl_msgs_buffered),
-                    ("chaos.flows_rerouted", c.flows_rerouted),
-                    ("chaos.flows_stranded", c.flows_stranded),
-                ] {
-                    reg.counter(name).add(v);
-                }
-                reg.snapshot()
-            }
-            None => horse_trace::MetricsSnapshot::default(),
-        };
+        let queue = self.queue.stats();
+        let metrics = self.metrics(&queue);
         let recovery = summarize(&self.recovery_samples);
         SimResults {
             sim_time: self.horizon,
@@ -1574,28 +1487,103 @@ impl Simulation {
             goodput,
             msgs_to_controller: self.msgs_to_controller,
             msgs_to_switch: self.msgs_to_switch,
-            flow_ins: self.flow_ins,
             epochs: self.epochs,
             max_epoch_batch: self.max_epoch_batch,
-            realloc_requests: self.realloc_requests,
             stale_completions: self.stale_completions,
             realloc_runs: self.fluid.realloc_runs,
             realloc_flows_touched: self.fluid.realloc_flows_touched,
             macro_flows: self.fluid.macro_flows,
             warm_hits: 0,
             cold_solves: self.fluid.cold_solves,
-            pkt_flows,
             fct_foreground,
-            pkt_bursts_formed,
             pkt_cache_hits,
             pkt_cache_misses,
-            pkt_cache_invalidations,
             recovery,
             chaos: self.chaos_ctr.clone(),
-            queue: queue_stats,
+            queue,
             metrics,
             collector: std::mem::take(&mut self.collector),
         }
+    }
+
+    /// The run's metrics: every count, by name, from the one field that
+    /// keeps it (this table is where a count of the simulation is
+    /// declared; the allocator declares its own in `FluidNet::counts`),
+    /// plus the cells of the tracer's registry when one is attached.
+    /// Lab reports embed only the names they declare, so a new row moves
+    /// no report.
+    fn metrics(&self, queue: &QueueStats) -> MetricsSnapshot {
+        let (mut table_hits, mut table_misses) = (0u64, 0u64);
+        for &sw in self.fluid.switch_ids() {
+            let Some(s) = self.fluid.switch(sw) else {
+                continue;
+            };
+            for ti in 0..s.table_count() {
+                if let Some(tbl) = s.table(horse_types::TableId(ti as u8)) {
+                    table_hits += tbl.counters.matches;
+                    table_misses += tbl.counters.lookups - tbl.counters.matches;
+                }
+            }
+        }
+        let c = &self.chaos_ctr;
+        let mut rows = vec![
+            ("sim.events", self.events),
+            ("sim.epochs", self.epochs),
+            ("sim.max_epoch_batch", self.max_epoch_batch),
+            ("sim.realloc_requests", self.realloc_requests),
+            ("sim.stale_completions", self.stale_completions),
+            ("ctrl.msgs_to_controller", self.msgs_to_controller),
+            ("ctrl.msgs_to_switch", self.msgs_to_switch),
+            ("ctrl.flow_ins", self.flow_ins),
+            ("queue.scheduled", queue.scheduled),
+            ("queue.delivered", queue.delivered),
+            ("queue.cancelled", queue.cancelled),
+            ("queue.skipped", queue.skipped),
+            ("queue.clamped", queue.clamped),
+            ("queue.compactions", queue.compactions),
+            ("queue.peak_pending", queue.peak_pending),
+            ("openflow.table_hits", table_hits),
+            ("openflow.table_misses", table_misses),
+            ("chaos.cable_downs", c.cable_downs),
+            ("chaos.cable_ups", c.cable_ups),
+            ("chaos.switch_crashes", c.switch_crashes),
+            ("chaos.switch_rejoins", c.switch_rejoins),
+            ("chaos.gray_events", c.gray_events),
+            ("chaos.ctrl_outages", c.ctrl_outages),
+            ("chaos.ctrl_latency_spikes", c.ctrl_latency_spikes),
+            ("chaos.ctrl_msgs_buffered", c.ctrl_msgs_buffered),
+            ("chaos.flows_rerouted", c.flows_rerouted),
+            ("chaos.flows_stranded", c.flows_stranded),
+        ];
+        rows.extend(self.fluid.counts());
+        if let Some(h) = self.hybrid.as_ref() {
+            let p = h.plane();
+            rows.extend([
+                ("hybrid.couple_passes", h.couple_passes),
+                ("hybrid.pkt_flows", h.flow_count() as u64),
+                ("pkt.bursts_formed", p.bursts_formed()),
+                ("pkt.cache_hits", p.cache_hits()),
+                ("pkt.cache_misses", p.cache_misses()),
+                ("pkt.cache_invalidations", p.cache_invalidations()),
+                ("pkt.tx_packets", p.tx_packets()),
+            ]);
+        }
+        let rows = (rows.into_iter()).map(|(name, v)| (name.to_string(), v as f64));
+        // Burst lengths in log2 buckets: bucket k holds bursts of
+        // 2^k..2^(k+1) packets.
+        let bursts = (self.hybrid.iter())
+            .flat_map(|h| h.plane().burst_len_hist().iter().enumerate())
+            .map(|(k, &n)| (format!("pkt.burst_len_p2_{k}"), n as f64));
+        let peak = (self.collector.epochs.iter())
+            .map(|e| e.max_utilization)
+            .fold(0.0f64, f64::max);
+        let mut metrics = (self.tracer.as_ref())
+            .map_or_else(MetricsSnapshot::default, |t| t.registry().snapshot());
+        metrics.extend(
+            rows.chain(bursts)
+                .chain([("links.peak_utilization".into(), peak)]),
+        );
+        metrics
     }
 }
 
@@ -1661,9 +1649,22 @@ mod tests {
         let r = sim.run();
         assert_eq!(r.flows_admitted, 1);
         assert_eq!(r.flows_completed, 1);
-        assert_eq!(r.flow_ins, 0, "proactive rules, no controller involved");
+        assert_eq!(
+            r.metrics.count("ctrl.flow_ins"),
+            0,
+            "proactive rules, no controller involved"
+        );
         // 1 MiB at 1 Gbps ≈ 8.4 ms
         assert!(r.fct.p50 > 0.008 && r.fct.p50 < 0.009, "fct {}", r.fct.p50);
+        // Without a tracer the metrics still name every count, and hold
+        // no registry cell.
+        let m = &r.metrics;
+        assert_eq!(m.count("sim.events"), r.events);
+        assert_eq!(m.count("sim.epochs"), r.epochs);
+        assert_eq!(m.count("alloc.runs"), r.realloc_runs);
+        assert_eq!(m.count("alloc.components"), r.cold_solves);
+        assert_eq!(m.count("queue.scheduled"), r.queue.scheduled);
+        assert!(r.events > 0 && m.get("alloc.rounds.count").is_none());
     }
 
     #[test]
@@ -1685,7 +1686,7 @@ mod tests {
         let r = sim.run();
         assert_eq!(r.flows_admitted, 1);
         assert_eq!(r.flows_completed, 1);
-        assert!(r.flow_ins >= 1);
+        assert!(r.metrics.count("ctrl.flow_ins") >= 1);
         // FCT includes at least one control round trip (2 × 5 ms)
         assert!(
             r.fct.p50 >= 0.008 + 0.010,

@@ -6,12 +6,18 @@
 //! and produces byte-identical results to an instrumented run. The three
 //! facilities compose independently:
 //!
-//! * **metrics** — the tracer owns a [`MetricsRegistry`]; the simulation
-//!   registers its hot-path counters into it and scrapes end-of-run
-//!   totals (queue stats, OpenFlow table hits/misses, hybrid couplings,
-//!   peak link utilization) into the [`SimResults::metrics`] snapshot.
-//!   Every metric is a deterministic quantity, so snapshots may be
-//!   embedded in reproducible reports.
+//! * **metrics** — the tracer owns a [`MetricsRegistry`] for what only a
+//!   registry records: the allocator's per-component flow and
+//!   solver-round histograms and its byte-sync count. Every plain count
+//!   (events, epochs, allocator runs, queue, OpenFlow, chaos, packet
+//!   plane) is a snapshotted field of its subsystem, kept once; the
+//!   simulation lists them by name when it builds
+//!   [`SimResults::metrics`], tracer or not, and adds the registry's
+//!   cells. A count is declared where its field lives (the simulation's
+//!   end-of-run table, or a subsystem's own rows such as
+//!   `FluidNet::counts`). Lab reports embed only the names their
+//!   `REPORTED` list declares, so a new count moves no report until a
+//!   one-line addition there. Every metric is a deterministic quantity.
 //! * **spans** ([`SimTracer::with_spans`]) — wall-clock phase timing of
 //!   the epoch loop and the allocator's discovery → build → solve →
 //!   apply passes, collected into a [`SpanLog`] for Chrome-trace export.
@@ -28,7 +34,7 @@
 use crate::event::SimEvent;
 use horse_dataplane::ReallocTiming;
 use horse_trace::journal::fold_digest;
-use horse_trace::{Counter, JournalWriter, MetricsRegistry, SpanLog};
+use horse_trace::{JournalWriter, MetricsRegistry, SpanLog};
 use horse_types::SimTime;
 use std::io::Write;
 use std::time::{Duration, Instant};
@@ -93,8 +99,6 @@ pub struct SimTracer {
     /// and every applied rate change).
     digest: u64,
     progress: Option<Progress>,
-    events_ctr: Counter,
-    epochs_ctr: Counter,
 }
 
 impl Default for SimTracer {
@@ -107,17 +111,12 @@ impl SimTracer {
     /// A tracer with an enabled (but empty) metrics registry and no
     /// spans, journal or progress reporting.
     pub fn new() -> Self {
-        let registry = MetricsRegistry::new();
-        let events_ctr = registry.counter("sim.events");
-        let epochs_ctr = registry.counter("sim.epochs");
         SimTracer {
-            registry,
+            registry: MetricsRegistry::new(),
             spans: None,
             journal: None,
             digest: 0,
             progress: None,
-            events_ctr,
-            epochs_ctr,
         }
     }
 
@@ -256,12 +255,6 @@ impl SimTracer {
         }
     }
 
-    /// Counts one drained epoch of `batch` events into the registry.
-    pub(crate) fn epoch_done(&mut self, batch: u64) {
-        self.epochs_ctr.inc();
-        self.events_ctr.add(batch);
-    }
-
     /// Journals one applied event: folds its fingerprint into the
     /// running digest and writes the JSONL line.
     pub(crate) fn journal_event(&mut self, t_ns: u64, kind: &'static str, identity: u64) {
@@ -288,7 +281,7 @@ impl SimTracer {
     }
 
     /// Prints the progress heartbeat if the wall interval elapsed.
-    pub(crate) fn maybe_progress(&mut self, now: SimTime) {
+    pub(crate) fn maybe_progress(&mut self, now: SimTime, events: u64, epochs: u64) {
         let Some(p) = self.progress.as_mut() else {
             return;
         };
@@ -296,8 +289,6 @@ impl SimTracer {
         if elapsed < p.interval {
             return;
         }
-        let events = self.events_ctr.get();
-        let epochs = self.epochs_ctr.get();
         let rate = (events - p.last_events) as f64 / elapsed.as_secs_f64();
         eprintln!(
             "[horse] t={:.3}s  events={}  ({:.0} ev/s)  epochs={}",

@@ -197,40 +197,17 @@ struct CompRange {
     ext: (u32, u32),
 }
 
-/// Hot-path metric handles (no-ops until [`FluidNet::attach_metrics`]).
-/// An increment through a detached handle is a single branch, so the
+/// Metric handles only a registry records (no-ops until
+/// [`FluidNet::attach_metrics`]): distributions, and the byte-sync count.
+/// An update through a detached handle is a single branch, so the
 /// zero-allocation steady state is preserved either way (pinned down by
 /// the `alloc_free` integration test, which runs with metrics attached).
+/// Plain counts are fields, listed by [`FluidNet::counts`].
 #[derive(Default)]
 struct EngineMetrics {
-    realloc_runs: Counter,
-    realloc_components: Counter,
-    realloc_flows_touched: Counter,
     component_flows: Histogram,
     rounds: Histogram,
-    macro_flows: Counter,
     byte_syncs: Counter,
-}
-
-/// Counters of the resident allocation components (module docs), read
-/// with [`FluidNet::component_counters`]. Host-side only: they are
-/// neither snapshotted nor registered with the metrics registry, whose
-/// snapshot every lab report embeds, so reports do not change with them.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ComponentCounters {
-    /// Components absorbed by an admission that bridged them (the
-    /// re-admissions of a rebuild are not counted).
-    pub merges: u64,
-    /// Split checks that found a component fallen apart.
-    pub splits: u64,
-    /// Split checks run: union-finds over a queued component that lost a
-    /// class since its last check.
-    pub split_checks: u64,
-    /// Rebuilds, each admitting a set of flows again: one per
-    /// [`FluidNet::mark_all_dirty`], restore or per-flow-variables toggle
-    /// (every active flow), plus one per split or compacted component
-    /// (its live members).
-    pub rebuilds: u64,
 }
 
 /// Wall-clock timing of the last [`FluidNet::reallocate`] call, split by
@@ -347,7 +324,6 @@ pub struct FluidNet {
     /// The resident allocation components, the one link → flows index
     /// (derived state, never snapshotted).
     res: Components,
-    counters: ComponentCounters,
     scratch: ReallocScratch,
     /// Water-filling scratch, reused by every component of every call.
     maxmin: MaxMinScratch,
@@ -361,6 +337,19 @@ pub struct FluidNet {
     pub macro_flows: u64,
     /// Component water-fills executed (one per queued component).
     pub cold_solves: u64,
+    /// Components absorbed by an admission that bridged them (the
+    /// re-admissions of a rebuild are not counted).
+    merges: u64,
+    /// Split checks that found a component fallen apart.
+    splits: u64,
+    /// Split checks run: union-finds over a queued component that lost a
+    /// class since its last check.
+    split_checks: u64,
+    /// Rebuilds, each admitting a set of flows again: one per
+    /// [`FluidNet::mark_all_dirty`], restore or per-flow-variables toggle
+    /// (every active flow), plus one per split or compacted component
+    /// (its live members).
+    rebuilds: u64,
     metrics: EngineMetrics,
     /// Capture wall-clock phase timing on the next `reallocate` calls.
     timing_enabled: bool,
@@ -397,13 +386,16 @@ impl FluidNet {
             gray: vec![1.0; nl],
             crashed: HashSet::new(),
             res: Components::new(nl),
-            counters: ComponentCounters::default(),
             scratch: ReallocScratch::default(),
             maxmin: MaxMinScratch::default(),
             realloc_runs: 0,
             realloc_flows_touched: 0,
             macro_flows: 0,
             cold_solves: 0,
+            merges: 0,
+            splits: 0,
+            split_checks: 0,
+            rebuilds: 0,
             metrics: EngineMetrics::default(),
             timing_enabled: false,
             timing: ReallocTiming::default(),
@@ -411,19 +403,34 @@ impl FluidNet {
         }
     }
 
-    /// Registers the engine's hot-path counters with a metrics registry.
-    /// Without this call (or with a disabled registry) every handle is a
-    /// no-op branch.
+    /// Registers the engine's registry-only metrics (the per-component
+    /// flow and solver-round histograms, the byte-sync count) with a
+    /// metrics registry. Without this call (or with a disabled registry)
+    /// every handle is a no-op branch.
     pub fn attach_metrics(&mut self, registry: &MetricsRegistry) {
         self.metrics = EngineMetrics {
-            realloc_runs: registry.counter("alloc.runs"),
-            realloc_components: registry.counter("alloc.components"),
-            realloc_flows_touched: registry.counter("alloc.flows_touched"),
             component_flows: registry.histogram("alloc.component_flows"),
             rounds: registry.histogram("alloc.rounds"),
-            macro_flows: registry.counter("alloc.macro_flows"),
             byte_syncs: registry.counter("alloc.byte_syncs"),
         };
+    }
+
+    /// The engine's counts as `(metric name, value)` rows, which the
+    /// simulation lists in its results' metrics. A new count is a field
+    /// and a row here. The resident components' merges, splits, split
+    /// checks and rebuilds are host-side: not snapshotted, so they count
+    /// from the last build or restore.
+    pub fn counts(&self) -> [(&'static str, u64); 8] {
+        [
+            ("alloc.runs", self.realloc_runs),
+            ("alloc.flows_touched", self.realloc_flows_touched),
+            ("alloc.components", self.cold_solves),
+            ("alloc.macro_flows", self.macro_flows),
+            ("alloc.merges", self.merges),
+            ("alloc.splits", self.splits),
+            ("alloc.split_checks", self.split_checks),
+            ("alloc.rebuilds", self.rebuilds),
+        ]
     }
 
     /// Enables (or disables) wall-clock phase timing of `reallocate`.
@@ -442,12 +449,6 @@ impl FluidNet {
             self.per_flow_variables = on;
             self.rebuild_all();
         }
-    }
-
-    /// Merges, splits, split checks and rebuilds of the resident
-    /// components so far (host-side; see [`ComponentCounters`]).
-    pub fn component_counters(&self) -> ComponentCounters {
-        self.counters
     }
 
     /// Phase timing of the most recent [`FluidNet::reallocate`] call,
@@ -645,7 +646,7 @@ impl FluidNet {
                     last_update: now,
                 };
                 let slot = self.flows.insert(flow);
-                self.counters.merges += u64::from(self.join_component(slot));
+                self.merges += u64::from(self.join_component(slot));
                 AdmitOutcome::Admitted
             }
             ResolveOutcome::NeedController {
@@ -1066,7 +1067,6 @@ impl FluidNet {
         // nothing but the span export.
         let t_enter = self.timing_enabled.then(Instant::now);
         self.realloc_runs += 1;
-        self.metrics.realloc_runs.inc();
         // No dirty link queues no component: the run would touch no flow,
         // so it stops here, still counted as a run.
         if self.dirty_links.is_empty() {
@@ -1101,9 +1101,9 @@ impl FluidNet {
             }
             if self.res.comps[c as usize].visit != epoch {
                 let (checked, verdict) = self.res.check(c);
-                self.counters.split_checks += u64::from(checked);
+                self.split_checks += u64::from(checked);
                 if verdict != Check::Keep {
-                    self.counters.splits += u64::from(verdict == Check::Split);
+                    self.splits += u64::from(verdict == Check::Split);
                     self.scratch.ids.clear();
                     self.res.dissolve(c, &mut self.scratch.ids);
                     self.rejoin();
@@ -1124,10 +1124,6 @@ impl FluidNet {
         self.dirty_links.clear();
         self.dirty_epoch += 1;
         self.realloc_flows_touched += touched;
-        self.metrics.realloc_flows_touched.add(touched);
-        self.metrics
-            .realloc_components
-            .add(self.scratch.comps.len() as u64);
         if self.scratch.comps.is_empty() {
             if let Some(t0) = t_enter {
                 self.timing = ReallocTiming {
@@ -1226,7 +1222,6 @@ impl FluidNet {
         }
         let real_vars = (self.scratch.demands.len() - self.scratch.ext_links.len()) as u64;
         self.macro_flows += real_vars;
-        self.metrics.macro_flows.add(real_vars);
         let t_built = t_enter.map(|_| Instant::now());
 
         // ---- Solve pass ----
@@ -1346,7 +1341,7 @@ impl FluidNet {
     /// none of them a member) again. Their links must be unmapped, so the
     /// merges this makes are among themselves and are not counted.
     fn rejoin(&mut self) {
-        self.counters.rebuilds += 1;
+        self.rebuilds += 1;
         let ids = std::mem::take(&mut self.scratch.ids);
         for &slot in &ids {
             self.join_component(slot);
@@ -2322,14 +2317,9 @@ mod tests {
                 .iter()
                 .map(|c| (c.id, c.rate.as_bps().to_bits()))
                 .collect();
-            let dump = registry.dump();
-            let components = dump
-                .counters
-                .iter()
-                .find(|(name, _)| name == "alloc.components")
-                .expect("components counter registered")
-                .1;
-            let rounds = dump
+            let components = net.cold_solves;
+            let rounds = registry
+                .dump()
                 .hists
                 .into_iter()
                 .find(|(name, _)| name == "alloc.rounds")
@@ -2411,8 +2401,7 @@ mod tests {
         // leaves, the next run solves two components, not one.
         let (net, solved) = resident_vs_rebuild(&[Ok((0, 1)), Ok((2, 3)), Ok((0, 3)), Err(2)]);
         assert_eq!(solved, vec![1, 1, 1, 2]);
-        let c = net.component_counters();
-        assert_eq!((c.merges, c.split_checks, c.splits), (1, 1, 1));
+        assert_eq!((net.merges, net.split_checks, net.splits), (1, 1, 1));
     }
 
     #[test]
@@ -2422,16 +2411,14 @@ mod tests {
         let (net, solved) = resident_vs_rebuild(&[Ok((0, 1)), Ok((2, 3)), Ok((4, 5)), Ok((0, 3))]);
         assert_eq!(solved, vec![1, 1, 1, 1]);
         assert_eq!(net.cold_solves, 4);
-        let c = net.component_counters();
-        assert_eq!((c.merges, c.splits), (1, 0));
+        assert_eq!((net.merges, net.splits), (1, 0));
         // A departure that leaves the rest connected checks, finds no
         // split and solves the one component.
         let (net, solved) =
             resident_vs_rebuild(&[Ok((0, 1)), Ok((0, 3)), Ok((2, 3)), Ok((0, 1)), Err(0)]);
         assert_eq!(solved, vec![1, 1, 1, 1, 1]);
-        let c = net.component_counters();
         assert_eq!(
-            (c.split_checks, c.splits),
+            (net.split_checks, net.splits),
             (0, 0),
             "class 0→1 still has a member"
         );

@@ -36,9 +36,7 @@ mod slab;
 pub mod stats;
 pub mod tcp;
 
-pub use engine::{
-    AdmitOutcome, ComponentCounters, FluidConfig, FluidNet, RateChange, ReallocTiming,
-};
+pub use engine::{AdmitOutcome, FluidConfig, FluidNet, RateChange, ReallocTiming};
 pub use flow::{ActiveFlow, DemandModel, Fidelity, FlowSpec, Route, RouteHop};
 pub use maxmin::{max_min_allocate, max_min_allocate_csr, MaxMinScratch};
 pub use stats::{DropRecord, FlowRecord, LinkStats};

@@ -191,15 +191,9 @@ fn reallocate_with_live_metrics_is_still_allocation_free() {
             "reallocate (full: {full}) with metrics attached allocated {n} times"
         );
     }
-    // The counters really were live, not detached no-ops.
-    let snap = reg.snapshot();
-    let runs = snap
-        .entries()
-        .iter()
-        .find(|(k, _)| k == "alloc.runs")
-        .map(|&(_, v)| v)
-        .unwrap_or(0.0);
-    assert!(runs > 0.0, "metrics registry never saw a reallocate run");
+    // The histograms really were live, not detached no-ops.
+    let solves = reg.snapshot().get("alloc.rounds.count").unwrap_or(0.0);
+    assert!(solves > 0.0, "metrics registry never saw a solve");
 }
 
 /// Epoch-batched cadence: a whole wave of admissions (or removals) marks

@@ -39,8 +39,8 @@
 //!   an interval integrated at the wrong rate shows up).
 
 use horse_dataplane::{
-    max_min_allocate_csr, ActiveFlow, AdmitOutcome, ComponentCounters, DemandModel, FlowSpec,
-    FluidConfig, FluidNet, MaxMinScratch,
+    max_min_allocate_csr, ActiveFlow, AdmitOutcome, DemandModel, FlowSpec, FluidConfig, FluidNet,
+    MaxMinScratch,
 };
 use horse_openflow::actions::Instruction;
 use horse_openflow::flow_match::FlowMatch;
@@ -397,21 +397,23 @@ fn fixed_schedule_aggregates_and_matches_both_references() {
 #[test]
 #[ignore]
 fn stress_resident_matches_both_references() {
-    let mut total = ComponentCounters::default();
-    let (mut macro_flows, mut flows_touched) = (0, 0);
+    let mut total = std::collections::BTreeMap::new();
     for seed in 1..=2000u64 {
         let net = matches_references(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15), 400);
-        let c = net.component_counters();
-        total.merges += c.merges;
-        total.splits += c.splits;
-        total.split_checks += c.split_checks;
-        total.rebuilds += c.rebuilds;
-        macro_flows += net.macro_flows;
-        flows_touched += net.realloc_flows_touched;
+        for (name, n) in net.counts() {
+            *total.entry(name).or_insert(0u64) += n;
+        }
     }
-    assert!(total.merges > 0 && total.splits > 0, "{total:?}");
-    assert!(total.rebuilds > total.splits, "no compaction: {total:?}");
-    assert!(macro_flows < flows_touched, "no aggregation");
+    let t = |name: &str| total[name];
+    assert!(t("alloc.merges") > 0 && t("alloc.splits") > 0, "{total:?}");
+    assert!(
+        t("alloc.rebuilds") > t("alloc.splits"),
+        "no compaction: {total:?}"
+    );
+    assert!(
+        t("alloc.macro_flows") < t("alloc.flows_touched"),
+        "no aggregation"
+    );
 }
 
 /// The million-flow scaling contract as a counter: the cold solve

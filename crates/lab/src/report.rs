@@ -59,73 +59,148 @@ const AGGREGATED: &[(&str, MetricFn)] = &[
     ("fct_p999", |m| m.fct.p999),
     ("throughput_bps", |m| m.throughput_bps),
     ("goodput_mean_bps", |m| m.goodput.mean),
-    ("events", |m| m.events as f64),
+    ("events", |m| m.count("sim.events") as f64),
     ("flows_completed", |m| m.flows_completed as f64),
     ("recovery_time", |m| m.recovery.mean),
 ];
 
-/// Renders one per-run metric as a CSV cell.
-type CellFn = fn(&RunMetrics) -> String;
-
-/// The metric columns of [`CampaignReport::metrics_csv`], in order, as
-/// `(header, cell)` pairs; they follow the `run` and axis columns.
-const COLUMNS: &[(&str, CellFn)] = &[
-    ("sim_secs", |m| f(m.sim_secs)),
-    ("events", |m| m.events.to_string()),
-    ("flows_admitted", |m| m.flows_admitted.to_string()),
-    ("flows_completed", |m| m.flows_completed.to_string()),
-    ("flows_dropped", |m| m.flows_dropped.to_string()),
-    ("flows_active_at_end", |m| m.flows_active_at_end.to_string()),
-    ("bytes_delivered", |m| f(m.bytes_delivered)),
-    ("bytes_dropped", |m| f(m.bytes_dropped)),
-    ("throughput_bps", |m| f(m.throughput_bps)),
-    ("fct_mean", |m| f(m.fct.mean)),
-    ("fct_p50", |m| f(m.fct.p50)),
-    ("fct_p95", |m| f(m.fct.p95)),
-    ("fct_p99", |m| f(m.fct.p99)),
-    ("fct_p999", |m| f(m.fct.p999)),
-    ("goodput_mean_bps", |m| f(m.goodput.mean)),
-    ("msgs_to_controller", |m| m.msgs_to_controller.to_string()),
-    ("msgs_to_switch", |m| m.msgs_to_switch.to_string()),
-    ("flow_ins", |m| m.flow_ins.to_string()),
-    ("epochs", |m| m.epochs.to_string()),
-    ("epoch_batch_mean", |m| f(m.epoch_batch_mean)),
-    ("epoch_batch_max", |m| m.epoch_batch_max.to_string()),
-    ("realloc_runs", |m| m.realloc_runs.to_string()),
-    ("realloc_saved", |m| m.realloc_saved.to_string()),
-    ("realloc_flows_touched", |m| {
-        m.realloc_flows_touched.to_string()
-    }),
-    ("macro_flows", |m| m.macro_flows.to_string()),
-    ("cold_solves", |m| m.cold_solves.to_string()),
-    ("pkt_bursts_formed", |m| m.pkt_bursts_formed.to_string()),
-    ("pkt_cache_hits", |m| m.pkt_cache_hits.to_string()),
-    ("pkt_cache_misses", |m| m.pkt_cache_misses.to_string()),
-    ("pkt_cache_invalidations", |m| {
-        m.pkt_cache_invalidations.to_string()
-    }),
-    ("queue_cancelled", |m| m.queue_cancelled.to_string()),
-    ("queue_peak_pending", |m| m.queue_peak_pending.to_string()),
-    ("recovery_time", |m| f(m.recovery.mean)),
-    ("recovery_p99", |m| f(m.recovery.p99)),
-    ("flows_rerouted", |m| m.chaos.flows_rerouted.to_string()),
-    ("flows_stranded", |m| m.chaos.flows_stranded.to_string()),
-    ("cable_downs", |m| m.chaos.cable_downs.to_string()),
-    ("cable_ups", |m| m.chaos.cable_ups.to_string()),
-    ("switch_crashes", |m| m.chaos.switch_crashes.to_string()),
-    ("switch_rejoins", |m| m.chaos.switch_rejoins.to_string()),
-    ("gray_events", |m| m.chaos.gray_events.to_string()),
-    ("ctrl_outages", |m| m.chaos.ctrl_outages.to_string()),
-    ("ctrl_latency_spikes", |m| {
-        m.chaos.ctrl_latency_spikes.to_string()
-    }),
-    ("ctrl_msgs_buffered", |m| {
-        m.chaos.ctrl_msgs_buffered.to_string()
-    }),
+/// The metric names reports embed under each run's `metrics` key (a
+/// histogram's name brings its six statistics). A run records more: any
+/// other name, registered or in a results table, stays out of the
+/// reports. Adding a name here makes it reported, and moves every report
+/// that has it.
+#[rustfmt::skip]
+pub const REPORTED: &[&str] = &[
+    "alloc.byte_syncs", "alloc.component_flows", "alloc.components", "alloc.flows_touched",
+    "alloc.macro_flows", "alloc.rounds", "alloc.runs",
+    "chaos.cable_downs", "chaos.cable_ups", "chaos.ctrl_latency_spikes",
+    "chaos.ctrl_msgs_buffered", "chaos.ctrl_outages", "chaos.flows_rerouted",
+    "chaos.flows_stranded", "chaos.gray_events", "chaos.switch_crashes", "chaos.switch_rejoins",
+    "hybrid.couple_passes", "links.peak_utilization", "openflow.table_hits",
+    "openflow.table_misses",
+    "pkt.burst_len_p2_0", "pkt.burst_len_p2_1", "pkt.burst_len_p2_2", "pkt.burst_len_p2_3",
+    "pkt.burst_len_p2_4", "pkt.burst_len_p2_5", "pkt.burst_len_p2_6", "pkt.burst_len_p2_7",
+    "pkt.bursts_formed", "pkt.cache_hits", "pkt.cache_invalidations", "pkt.cache_misses",
+    "pkt.tx_packets",
+    "queue.cancelled", "queue.clamped", "queue.compactions", "queue.delivered",
+    "queue.peak_pending", "queue.scheduled", "queue.skipped",
+    "sim.epochs", "sim.events",
 ];
 
-fn f(v: f64) -> String {
-    format!("{v:?}")
+/// Where one entry of a run's report comes from.
+enum Src {
+    /// A count of the run's metrics, by name.
+    Count(&'static str),
+    /// A value computed from the run.
+    Value(fn(&RunMetrics) -> Value),
+    /// A map computed from the run; the CSV flattens the listed
+    /// `(column, key)` pairs of it.
+    Map(
+        fn(&RunMetrics) -> Value,
+        &'static [(&'static str, &'static str)],
+    ),
+    /// The run's [`REPORTED`] metrics (JSON only).
+    Reported,
+}
+
+/// A run's report entries in order, as `(JSON key, source)` pairs. A
+/// scalar is also the CSV column of its key; the CSV columns follow the
+/// `run` and axis columns.
+#[rustfmt::skip]
+const REPORT: &[(&str, Src)] = &[
+    ("sim_secs", Src::Value(|m| m.sim_secs.to_value())),
+    ("events", Src::Count("sim.events")),
+    ("flows_admitted", Src::Value(|m| m.flows_admitted.to_value())),
+    ("flows_completed", Src::Value(|m| m.flows_completed.to_value())),
+    ("flows_dropped", Src::Value(|m| m.flows_dropped.to_value())),
+    ("flows_active_at_end", Src::Value(|m| m.flows_active_at_end.to_value())),
+    ("bytes_delivered", Src::Value(|m| m.bytes_delivered.to_value())),
+    ("bytes_dropped", Src::Value(|m| m.bytes_dropped.to_value())),
+    ("throughput_bps", Src::Value(|m| m.throughput_bps.to_value())),
+    ("fct", Src::Map(|m| m.fct.to_value(), &[
+        ("fct_mean", "mean"), ("fct_p50", "p50"), ("fct_p95", "p95"), ("fct_p99", "p99"),
+        ("fct_p999", "p999"),
+    ])),
+    ("goodput", Src::Map(|m| m.goodput.to_value(), &[("goodput_mean_bps", "mean")])),
+    ("msgs_to_controller", Src::Count("ctrl.msgs_to_controller")),
+    ("msgs_to_switch", Src::Count("ctrl.msgs_to_switch")),
+    ("flow_ins", Src::Count("ctrl.flow_ins")),
+    ("epochs", Src::Count("sim.epochs")),
+    ("epoch_batch_mean", Src::Value(|m| match m.count("sim.epochs") {
+        0 => 0.0.to_value(),
+        epochs => (m.count("sim.events") as f64 / epochs as f64).to_value(),
+    })),
+    ("epoch_batch_max", Src::Count("sim.max_epoch_batch")),
+    ("realloc_runs", Src::Count("alloc.runs")),
+    // Allocator runs the epoch batching saved: requests collapsed into
+    // an already-pending epoch run.
+    ("realloc_saved", Src::Value(|m| {
+        m.count("sim.realloc_requests").saturating_sub(m.count("alloc.runs")).to_value()
+    })),
+    ("realloc_flows_touched", Src::Count("alloc.flows_touched")),
+    ("macro_flows", Src::Count("alloc.macro_flows")),
+    ("cold_solves", Src::Count("alloc.components")),
+    ("pkt_bursts_formed", Src::Count("pkt.bursts_formed")),
+    ("pkt_cache_hits", Src::Count("pkt.cache_hits")),
+    ("pkt_cache_misses", Src::Count("pkt.cache_misses")),
+    ("pkt_cache_invalidations", Src::Count("pkt.cache_invalidations")),
+    ("queue_cancelled", Src::Count("queue.cancelled")),
+    ("queue_peak_pending", Src::Count("queue.peak_pending")),
+    ("recovery", Src::Map(|m| m.recovery.to_value(), &[
+        ("recovery_time", "mean"), ("recovery_p99", "p99"),
+    ])),
+    ("chaos", Src::Map(|m| m.chaos.to_value(), &[
+        ("flows_rerouted", "flows_rerouted"), ("flows_stranded", "flows_stranded"),
+        ("cable_downs", "cable_downs"), ("cable_ups", "cable_ups"),
+        ("switch_crashes", "switch_crashes"), ("switch_rejoins", "switch_rejoins"),
+        ("gray_events", "gray_events"), ("ctrl_outages", "ctrl_outages"),
+        ("ctrl_latency_spikes", "ctrl_latency_spikes"),
+        ("ctrl_msgs_buffered", "ctrl_msgs_buffered"),
+    ])),
+    ("metrics", Src::Reported),
+];
+
+impl Src {
+    fn value(&self, m: &RunMetrics) -> Value {
+        match self {
+            Src::Count(name) => m.count(name).to_value(),
+            Src::Value(value) | Src::Map(value, _) => value(m),
+            Src::Reported => Value::Map(
+                (m.metrics.select(REPORTED))
+                    .map(|(k, v)| (k.clone(), v.to_value()))
+                    .collect(),
+            ),
+        }
+    }
+}
+
+/// The CSV columns of [`REPORT`], in order.
+fn csv_columns() -> Vec<&'static str> {
+    let mut cols = Vec::new();
+    for (key, src) in REPORT {
+        match src {
+            Src::Count(_) | Src::Value(_) => cols.push(*key),
+            Src::Map(_, pairs) => cols.extend(pairs.iter().map(|(col, _)| *col)),
+            Src::Reported => {}
+        }
+    }
+    cols
+}
+
+/// A run's CSV cells, in [`csv_columns`] order.
+fn csv_cells(m: &RunMetrics) -> Vec<String> {
+    let mut cells = Vec::new();
+    for (_, src) in REPORT {
+        match src {
+            Src::Count(_) | Src::Value(_) => cells.push(value_text(&src.value(m))),
+            Src::Map(value, pairs) => {
+                let map = value(m);
+                cells.extend(pairs.iter().map(|(_, key)| value_text(&map[*key])));
+            }
+            Src::Reported => {}
+        }
+    }
+    cells
 }
 
 impl CampaignReport {
@@ -144,7 +219,7 @@ impl CampaignReport {
         let param_cols = self.param_columns();
         let header: Vec<&str> = std::iter::once("run")
             .chain(param_cols.iter().map(String::as_str))
-            .chain(COLUMNS.iter().map(|(name, _)| *name))
+            .chain(csv_columns())
             .collect();
         let rows: Vec<Vec<String>> = self
             .runs
@@ -152,7 +227,7 @@ impl CampaignReport {
             .map(|r| {
                 std::iter::once(r.index.to_string())
                     .chain(r.params.iter().map(|(_, v)| value_text(v)))
-                    .chain(COLUMNS.iter().map(|(_, cell)| cell(&r.metrics)))
+                    .chain(csv_cells(&r.metrics))
                     .collect()
             })
             .collect();
@@ -186,7 +261,14 @@ impl CampaignReport {
                         Value::Number(serde::Number::UInt(r.index as u64)),
                     ),
                     ("params".to_string(), Value::Map(r.params.clone())),
-                    ("metrics".to_string(), r.metrics.to_value()),
+                    (
+                        "metrics".to_string(),
+                        Value::Map(
+                            (REPORT.iter())
+                                .map(|(key, src)| (key.to_string(), src.value(&r.metrics)))
+                                .collect(),
+                        ),
+                    ),
                 ])
             })
             .collect();
@@ -217,7 +299,7 @@ impl CampaignReport {
         let mut events = 0u64;
         for r in &self.runs {
             let eps = if r.wall_seconds > 0.0 {
-                r.metrics.events as f64 / r.wall_seconds
+                r.metrics.count("sim.events") as f64 / r.wall_seconds
             } else {
                 0.0
             };
@@ -230,7 +312,7 @@ impl CampaignReport {
                 r.label()
             );
             runs_wall += r.wall_seconds;
-            events += r.metrics.events;
+            events += r.metrics.count("sim.events");
         }
         let wall = self.campaign_wall_seconds;
         let _ = writeln!(
@@ -280,6 +362,7 @@ mod tests {
     use super::*;
     use crate::runner::run_sweep;
     use crate::spec::SweepSpec;
+    use horse::prelude::*;
 
     fn report() -> CampaignReport {
         let spec = SweepSpec::from_toml(
@@ -313,6 +396,54 @@ mod tests {
         );
         assert_eq!(lines.count(), 2, "one row per run");
         assert!(!csv.contains("wall"), "wall time never enters metrics");
+    }
+
+    #[test]
+    fn an_unreported_counter_moves_no_report() {
+        let spec = SweepSpec::from_toml(
+            r#"
+            name = "rep"
+            [scenario]
+            kind = "ixp"
+            members = 6
+            horizon_secs = 0.5
+            [axes]
+            ctrl_latency_us = [0, 1000]
+            "#,
+        )
+        .unwrap();
+        let plans = crate::sweep::expand(&spec).unwrap();
+        let campaign = |extra: bool| {
+            let runs = (plans.iter())
+                .map(|plan| {
+                    let (scenario, config) = (plan.scenario.build(), plan.config.to_config());
+                    let mut sim = Simulation::new(scenario.unwrap(), config.unwrap()).unwrap();
+                    let tracer = SimTracer::new();
+                    if extra {
+                        tracer.registry().counter("test.extra").add(7);
+                    }
+                    sim.set_tracer(tracer);
+                    let results = sim.run();
+                    assert_eq!(results.metrics.get("test.extra").is_some(), extra);
+                    RunRecord {
+                        index: plan.index,
+                        params: plan.params.clone(),
+                        metrics: RunMetrics::from_results(&results),
+                        wall_seconds: 0.0,
+                    }
+                })
+                .collect();
+            CampaignReport {
+                name: spec.name.clone(),
+                runs,
+                threads: 1,
+                campaign_wall_seconds: 0.0,
+            }
+        };
+        let (plain, extra) = (campaign(false), campaign(true));
+        assert_eq!(plain.metrics_csv(), extra.metrics_csv());
+        assert_eq!(plain.metrics_json(), extra.metrics_json());
+        assert_eq!(plain.metrics_json(), report().metrics_json());
     }
 
     #[test]

@@ -14,7 +14,6 @@ use crate::LabError;
 use horse::monitoring::series::Summary;
 use horse::prelude::*;
 use horse::tracing::{MetricsSnapshot, SpanLog};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::io::BufWriter;
 use std::path::PathBuf;
@@ -22,16 +21,16 @@ use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// The deterministic metrics of one run — everything in
-/// [`SimResults`] except wall-clock derived quantities, plus offered-load
-/// throughput. Two runs of the same plan produce equal `RunMetrics`
-/// regardless of machine, thread count or load.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// The deterministic metrics of one run: the flow outcomes and
+/// summaries [`SimResults`] types, and every count by name in
+/// [`RunMetrics::metrics`]. Two runs of the same plan produce equal
+/// `RunMetrics` regardless of machine, thread count or load. The report
+/// table (`crate::report`) reads counts by name; the typed fields are
+/// what is not a count, and the counts the frozen benchmark reads.
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunMetrics {
     /// Simulated seconds covered.
     pub sim_secs: f64,
-    /// Events processed.
-    pub events: u64,
     /// Flows admitted into the data plane.
     pub flows_admitted: u64,
     /// Flows that ran to byte-completion.
@@ -50,61 +49,13 @@ pub struct RunMetrics {
     pub fct: Summary,
     /// Per-flow goodput summary (bits/s, completed flows).
     pub goodput: Summary,
-    /// Switch→controller messages.
-    pub msgs_to_controller: u64,
-    /// Controller→switch messages.
-    pub msgs_to_switch: u64,
-    /// Reactive `FlowIn`s among them.
-    pub flow_ins: u64,
-    /// Epochs drained (batches of same-timestamp events).
-    pub epochs: u64,
-    /// Mean events per epoch batch.
-    pub epoch_batch_mean: f64,
-    /// Largest single epoch batch.
-    pub epoch_batch_max: u64,
-    /// Max-min allocator runs.
-    pub realloc_runs: u64,
-    /// Allocator runs saved by epoch batching (requests collapsed into an
-    /// already-pending epoch run).
-    pub realloc_saved: u64,
-    /// Flows touched across allocator runs.
-    pub realloc_flows_touched: u64,
-    /// Allocation variables actually solved after macro-flow aggregation
-    /// (equals `realloc_flows_touched` when aggregation finds no shared
-    /// path classes or is disabled).
-    #[serde(default)]
-    pub macro_flows: u64,
-    /// Component water-fills executed (one per discovered component).
-    #[serde(default)]
-    pub cold_solves: u64,
-    /// Packet-plane burst events modeling more than one packet (0 with
-    /// `pkt_burst = 1` or without a hybrid packet plane).
-    #[serde(default)]
-    pub pkt_bursts_formed: u64,
-    /// Packet-plane decision-cache hits (bursts that skipped the table
-    /// walk).
-    #[serde(default)]
-    pub pkt_cache_hits: u64,
-    /// Packet-plane decision-cache misses.
-    #[serde(default)]
-    pub pkt_cache_misses: u64,
-    /// Cached decisions invalidated by a switch-generation bump.
-    #[serde(default)]
-    pub pkt_cache_invalidations: u64,
-    /// Events cancelled before firing (superseded flow completions).
-    pub queue_cancelled: u64,
-    /// High-water mark of pending events in the queue.
-    pub queue_peak_pending: u64,
     /// Recovery-time summary (seconds from a fault knocking a flow off
     /// its path to its re-admission); all-zero in a fault-free run.
-    #[serde(default)]
     pub recovery: Summary,
     /// Fault-injection counters (all zero in a fault-free run).
-    #[serde(default)]
     pub chaos: ChaosCounters,
-    /// The run's metrics-registry snapshot (allocator, queue, OpenFlow,
-    /// hybrid and utilization counters). Deterministic quantities only —
-    /// part of the reproducible report.
+    /// Every count of the run by name, and the tracer registry's cells
+    /// ([`SimResults::metrics`]). Reports embed the names they declare.
     pub metrics: MetricsSnapshot,
 }
 
@@ -114,7 +65,6 @@ impl RunMetrics {
         let sim_secs = r.sim_time.as_secs_f64();
         RunMetrics {
             sim_secs,
-            events: r.events,
             flows_admitted: r.flows_admitted,
             flows_completed: r.flows_completed,
             flows_dropped: r.flows_dropped,
@@ -128,27 +78,15 @@ impl RunMetrics {
             },
             fct: r.fct,
             goodput: r.goodput,
-            msgs_to_controller: r.msgs_to_controller,
-            msgs_to_switch: r.msgs_to_switch,
-            flow_ins: r.flow_ins,
-            epochs: r.epochs,
-            epoch_batch_mean: r.mean_epoch_batch(),
-            epoch_batch_max: r.max_epoch_batch,
-            realloc_runs: r.realloc_runs,
-            realloc_saved: r.realloc_saved(),
-            realloc_flows_touched: r.realloc_flows_touched,
-            macro_flows: r.macro_flows,
-            cold_solves: r.cold_solves,
-            pkt_bursts_formed: r.pkt_bursts_formed,
-            pkt_cache_hits: r.pkt_cache_hits,
-            pkt_cache_misses: r.pkt_cache_misses,
-            pkt_cache_invalidations: r.pkt_cache_invalidations,
-            queue_cancelled: r.queue.cancelled,
-            queue_peak_pending: r.queue.peak_pending,
             recovery: r.recovery,
             chaos: r.chaos.clone(),
             metrics: r.metrics.clone(),
         }
+    }
+
+    /// The count `name` (0 when the run did not record it).
+    pub fn count(&self, name: &str) -> u64 {
+        self.metrics.count(name)
     }
 }
 
@@ -398,7 +336,10 @@ mod tests {
         assert_eq!(report.runs.len(), 4);
         for (i, r) in report.runs.iter().enumerate() {
             assert_eq!(r.index, i);
-            assert!(r.metrics.events > 0, "run {i} simulated nothing");
+            assert!(
+                r.metrics.count("sim.events") > 0,
+                "run {i} simulated nothing"
+            );
             assert!(r.wall_seconds >= 0.0);
         }
     }

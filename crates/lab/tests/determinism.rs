@@ -60,8 +60,8 @@ fn replicate_seeds_differ_but_are_stable() {
     assert_eq!(r0.params[0], r1.params[0], "same axis point");
     assert_ne!(r0.params.last(), r1.params.last(), "different seed");
     assert_ne!(
-        (r0.metrics.events, r0.metrics.flows_admitted),
-        (r1.metrics.events, r1.metrics.flows_admitted),
+        (r0.metrics.count("sim.events"), r0.metrics.flows_admitted),
+        (r1.metrics.count("sim.events"), r1.metrics.flows_admitted),
         "different seeds should not shadow each other"
     );
 }

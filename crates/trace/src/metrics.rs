@@ -27,6 +27,10 @@ use std::sync::{Arc, Mutex};
 /// every input with no configuration.
 const HIST_BUCKETS: usize = (u64::BITS + 1) as usize;
 
+/// The statistics a histogram `name` expands to in a snapshot, each
+/// under `name.<stat>`.
+pub const HIST_STATS: [&str; 6] = ["count", "sum", "mean", "max", "p50", "p99"];
+
 struct CounterCell(AtomicU64);
 
 /// Gauge cells store `f64` bit patterns.
@@ -248,12 +252,12 @@ impl MetricsRegistry {
     }
 
     /// Flattens every metric into a name-sorted snapshot. Histograms
-    /// expand to `name.count/.sum/.mean/.max/.p50/.p99` (quantiles are
-    /// bucket upper bounds — deterministic, not exact).
+    /// expand to [`HIST_STATS`] (quantiles are bucket upper bounds —
+    /// deterministic, not exact).
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut entries: Vec<(String, f64)> = Vec::new();
         let Some(inner) = &self.inner else {
-            return MetricsSnapshot { entries };
+            return MetricsSnapshot::default();
         };
         for (name, cell) in inner.counters.lock().expect("metrics lock").iter() {
             entries.push((name.to_string(), cell.0.load(Ordering::Relaxed) as f64));
@@ -272,18 +276,19 @@ impl MetricsRegistry {
             } else {
                 0.0
             };
-            entries.push((format!("{name}.count"), count as f64));
-            entries.push((format!("{name}.sum"), sum as f64));
-            entries.push((format!("{name}.mean"), mean));
-            entries.push((
-                format!("{name}.max"),
+            let stats = [
+                count as f64,
+                sum as f64,
+                mean,
                 cell.max.load(Ordering::Relaxed) as f64,
-            ));
-            entries.push((format!("{name}.p50"), bucket_quantile(cell, count, 0.50)));
-            entries.push((format!("{name}.p99"), bucket_quantile(cell, count, 0.99)));
+                bucket_quantile(cell, count, 0.50),
+                bucket_quantile(cell, count, 0.99),
+            ];
+            for (stat, v) in HIST_STATS.iter().zip(stats) {
+                entries.push((format!("{name}.{stat}"), v));
+            }
         }
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        MetricsSnapshot { entries }
+        entries.into_iter().collect()
     }
 }
 
@@ -472,6 +477,21 @@ impl MetricsSnapshot {
             .map(|&(_, v)| v)
     }
 
+    /// The count `name` (0 when the run did not record it).
+    pub fn count(&self, name: &str) -> u64 {
+        self.get(name).map_or(0, |v| v as u64)
+    }
+
+    /// The entries `names` lists, a histogram's [`HIST_STATS`] by the
+    /// histogram's own name, in name order.
+    pub fn select<'a>(&'a self, names: &'a [&str]) -> impl Iterator<Item = &'a (String, f64)> {
+        self.entries.iter().filter(|(k, _)| {
+            names.contains(&k.as_str())
+                || k.rsplit_once('.')
+                    .is_some_and(|(hist, stat)| HIST_STATS.contains(&stat) && names.contains(&hist))
+        })
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -480,6 +500,22 @@ impl MetricsSnapshot {
     /// True when no metrics were recorded.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+}
+
+impl FromIterator<(String, f64)> for MetricsSnapshot {
+    fn from_iter<I: IntoIterator<Item = (String, f64)>>(iter: I) -> Self {
+        let mut snap = MetricsSnapshot::default();
+        snap.extend(iter);
+        snap
+    }
+}
+
+impl Extend<(String, f64)> for MetricsSnapshot {
+    /// Adds entries, keeping the snapshot sorted by name.
+    fn extend<I: IntoIterator<Item = (String, f64)>>(&mut self, iter: I) {
+        self.entries.extend(iter);
+        self.entries.sort_by(|a, b| a.0.cmp(&b.0));
     }
 }
 
@@ -592,6 +628,26 @@ mod tests {
         let v = serde::to_value(&snap);
         let back = MetricsSnapshot::from_value(&v).unwrap();
         assert_eq!(back, snap);
+    }
+
+    #[test]
+    fn select_keeps_listed_names_and_their_histograms() {
+        let reg = MetricsRegistry::new();
+        reg.counter("a.listed").inc();
+        reg.counter("a.unlisted").inc();
+        reg.counter("b.count").inc();
+        reg.histogram("h").observe(3);
+        let mut snap = reg.snapshot();
+        snap.extend([("a.row".to_string(), 2.0)]);
+        let names: Vec<&str> = (snap.select(&["a.listed", "a.row", "h"]))
+            .map(|(n, _)| n.as_str())
+            .collect();
+        assert_eq!(
+            names,
+            ["a.listed", "a.row", "h.count", "h.max", "h.mean", "h.p50", "h.p99", "h.sum"]
+        );
+        assert_eq!(snap.count("a.row"), 2);
+        assert_eq!(snap.count("absent"), 0);
     }
 
     #[test]

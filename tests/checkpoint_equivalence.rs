@@ -401,7 +401,9 @@ fn malformed_snapshots_fail_loudly() {
         Simulation::resume(&versioned),
         Err(ResumeError::BadVersion(99))
     ));
-    // So are the previous formats: version 9 wrote the path database's
+    // So are the previous formats: version 10's metrics-registry dump
+    // held the event, epoch and allocator counts that the snapshotted
+    // fields now keep alone, version 9 wrote the path database's
     // ECMP sets as one port list per (switch, host) cell, version 8 wrote
     // the workload's traffic matrix as `n²` dense rates, version 7 wrote
     // a switch's port state as a port-keyed map and the load balancer
@@ -409,8 +411,8 @@ fn malformed_snapshots_fail_loudly() {
     // state as a self-describing value tree (every field name a string),
     // and version 5 keyed the packet plane's port queues by `(node, port)`
     // instead of one per directed link.
-    assert_eq!(horse::sim::SNAPSHOT_VERSION, 10);
-    for old in [9, 8, 7, 6, 5] {
+    assert_eq!(horse::sim::SNAPSHOT_VERSION, 11);
+    for old in [10, 9, 8, 7, 6, 5] {
         versioned[17] = old;
         assert!(matches!(
             Simulation::resume(&versioned),

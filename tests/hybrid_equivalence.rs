@@ -96,7 +96,10 @@ fn all_packet_hybrid_run_matches_packetsim_verbatim() {
         "drop counts must match"
     );
     // no fluid flows existed: the fluid plane carried nothing itself
-    assert_eq!(results.pkt_flows, hybrid_records.len() as u64);
+    assert_eq!(
+        results.metrics.count("hybrid.pkt_flows"),
+        hybrid_records.len() as u64
+    );
 }
 
 #[test]
@@ -131,7 +134,7 @@ fn mixed_fidelity_foreground_fct_tracks_full_packet_run() {
     let hybrid = sim.hybrid().expect("hybrid attached");
     let hybrid_records = hybrid.pkt_records(horizon);
     assert_eq!(hybrid_records.len(), foreground);
-    assert_eq!(results.pkt_flows, foreground as u64);
+    assert_eq!(results.metrics.count("hybrid.pkt_flows"), foreground as u64);
     assert!(
         hybrid.couplings > 0,
         "the planes must actually exchange load at shared links"

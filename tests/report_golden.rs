@@ -15,7 +15,10 @@ fn check(name: &str) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let spec = SweepSpec::load(&root.join(format!("examples/sweeps/{name}.toml"))).unwrap();
     let report = run_sweep(&spec, 1).unwrap();
-    for (ext, got) in [("csv", report.metrics_csv()), ("json", report.metrics_json())] {
+    for (ext, got) in [
+        ("csv", report.metrics_csv()),
+        ("json", report.metrics_json()),
+    ] {
         let path = root.join(format!("tests/golden/{name}.{ext}"));
         let want = std::fs::read_to_string(&path).unwrap();
         if got != want {

@@ -11,7 +11,7 @@
 //! | `PerEventFull` | the per-event cadence, re-solving every flow | epoch |
 //! | `Traced` | the full tracer on: spans and the event journal | exact, metrics masked |
 //! | `Resumed` | checkpoint at each cut, drop, resume, finish | against `Traced`: exact with metrics, journal byte for byte |
-//! | `HybridAttached` | `enable_hybrid()` on a pure fluid case | exact, packet plane masked |
+//! | `HybridAttached` | `enable_hybrid()` on a pure fluid case | exact, packet plane and metrics masked |
 //!
 //! *Exact* compares the whole fingerprint bit for bit; only the engine's
 //! own work counters may differ, and only on the first three points.
@@ -26,8 +26,9 @@
 //! case names them), resuming from the bytes with the oracles set again.
 //! Its prefix and suffix journals together must equal the `Traced`
 //! journal byte for byte, which proves both that resuming is invisible
-//! and that journals are deterministic; the metrics registry a
-//! checkpoint carries must resume seamlessly too.
+//! and that journals are deterministic; the run's metrics (the counts'
+//! fields and the registry dump a checkpoint carries) must resume
+//! seamlessly too.
 //!
 //! A point runs where its reference path exists: the pipeline point
 //! needs a packet plane, the per-event points and `HybridAttached` a
@@ -117,10 +118,13 @@ impl Point {
                 f.work.metrics = Default::default();
                 f
             }
-            Point::HybridAttached => Fingerprint {
-                packet: None,
-                ..f.clone()
-            },
+            // The packet plane's counts are metrics too.
+            Point::HybridAttached => {
+                let mut f = f.clone();
+                f.packet = None;
+                f.work.metrics = Default::default();
+                f
+            }
             Point::Resumed | Point::PerEvent | Point::PerEventFull => f.clone(),
         }
     }
@@ -262,8 +266,13 @@ impl Lattice {
             }
             Point::UncachedPipeline => b.work.pkt_cache[0] > 0 && o.work.pkt_cache == [0; 3],
             Point::PerEvent | Point::PerEventFull => o.realloc_runs > b.realloc_runs,
+            // Only an attached registry records the solver-round
+            // histogram, one observation per component solve.
             Point::Traced => {
-                !run.journal.is_empty() && o.work.metrics.get("sim.events") == Some(o.events as f64)
+                let m = &o.work.metrics;
+                !run.journal.is_empty()
+                    && m.get("alloc.rounds.count").is_some()
+                    && m.get("alloc.rounds.count") == m.get("alloc.components")
             }
             Point::Resumed => {
                 !run.cuts.is_empty()

@@ -53,6 +53,16 @@ pub struct Fingerprint {
     pub work: Work,
 }
 
+/// The resident allocation components' counts, left out of a
+/// fingerprint: the components are derived state that a restore rebuilds
+/// from scratch, so these count from the last build or restore.
+pub const RESIDENT: [&str; 4] = [
+    "alloc.merges",
+    "alloc.splits",
+    "alloc.split_checks",
+    "alloc.rebuilds",
+];
+
 /// `(id, started ns, finished ns, completed, bytes bits, dropped bits)`.
 pub type Record = (u64, u64, u64, bool, u64, u64);
 
@@ -78,8 +88,10 @@ pub struct Work {
     pub cold_solves: u64,
     /// Decision cache `[hits, misses, invalidations]`.
     pub pkt_cache: [u64; 3],
-    /// The metrics registry (empty without a tracer). A checkpoint
-    /// carries a lossless dump of it, so it resumes seamlessly too.
+    /// The run's metrics: every count by name, plus the tracer registry's
+    /// cells when one is attached, less [`RESIDENT`]. A checkpoint
+    /// carries the counts' fields and a lossless dump of the registry, so
+    /// they resume seamlessly too.
     pub metrics: horse::tracing::MetricsSnapshot,
 }
 
@@ -113,7 +125,7 @@ pub fn fingerprint(sim: &Simulation, r: &SimResults) -> Fingerprint {
         events: r.events,
         epochs: r.epochs,
         max_epoch_batch: r.max_epoch_batch,
-        realloc_requests: r.realloc_requests,
+        realloc_requests: r.metrics.count("sim.realloc_requests"),
         realloc_runs: r.realloc_runs,
         stale_completions: r.stale_completions,
         flows_admitted: r.flows_admitted,
@@ -124,8 +136,8 @@ pub fn fingerprint(sim: &Simulation, r: &SimResults) -> Fingerprint {
         bytes_dropped: r.bytes_dropped.to_bits(),
         msgs_to_controller: r.msgs_to_controller,
         msgs_to_switch: r.msgs_to_switch,
-        flow_ins: r.flow_ins,
-        pkt_flows: r.pkt_flows,
+        flow_ins: r.metrics.count("ctrl.flow_ins"),
+        pkt_flows: r.metrics.count("hybrid.pkt_flows"),
         fct: summary_bits(&r.fct),
         goodput: summary_bits(&r.goodput),
         fct_foreground: summary_bits(&r.fct_foreground),
@@ -202,9 +214,12 @@ pub fn fingerprint(sim: &Simulation, r: &SimResults) -> Fingerprint {
             pkt_cache: [
                 r.pkt_cache_hits,
                 r.pkt_cache_misses,
-                r.pkt_cache_invalidations,
+                r.metrics.count("pkt.cache_invalidations"),
             ],
-            metrics: r.metrics.clone(),
+            metrics: (r.metrics.entries().iter())
+                .filter(|(name, _)| !RESIDENT.contains(&name.as_str()))
+                .cloned()
+                .collect(),
         },
     }
 }
