@@ -36,6 +36,22 @@ pub struct ChaosCounters {
     pub flows_stranded: u64,
 }
 
+/// Mean events per epoch (batch size) of a run's metrics; 0 before any
+/// epoch ran.
+pub fn mean_epoch_batch(m: &MetricsSnapshot) -> f64 {
+    match m.count("sim.epochs") {
+        0 => 0.0,
+        epochs => m.count("sim.events") as f64 / epochs as f64,
+    }
+}
+
+/// Allocator runs a run's epoch batching saved: reallocation requests
+/// collapsed into an already-pending epoch run (0, never an underflow,
+/// when the runs outnumber the requests).
+pub fn realloc_saved(m: &MetricsSnapshot) -> u64 {
+    (m.count("sim.realloc_requests")).saturating_sub(m.count("alloc.runs"))
+}
+
 /// Everything a run produced: the flow outcomes, summaries and series,
 /// and every count by name in [`SimResults::metrics`].
 ///
@@ -127,15 +143,6 @@ impl SimResults {
         }
     }
 
-    /// Mean events per epoch (batch size); 0 before any epoch ran.
-    pub fn mean_epoch_batch(&self) -> f64 {
-        if self.epochs > 0 {
-            self.events as f64 / self.epochs as f64
-        } else {
-            0.0
-        }
-    }
-
     /// Simulated seconds per wall second (>1 ⇒ faster than real time).
     pub fn speedup(&self) -> f64 {
         if self.wall_seconds > 0.0 {
@@ -196,12 +203,11 @@ impl SimResults {
             self.msgs_to_switch,
             m.count("ctrl.flow_ins"),
             self.epochs,
-            self.mean_epoch_batch(),
+            mean_epoch_batch(m),
             self.max_epoch_batch,
             self.realloc_runs,
             self.realloc_flows_touched,
-            m.count("sim.realloc_requests")
-                .saturating_sub(self.realloc_runs),
+            realloc_saved(m),
             self.macro_flows,
             self.cold_solves,
             m.count("pkt.bursts_formed"),
@@ -273,12 +279,25 @@ mod tests {
         assert_eq!(r.speedup(), 0.0);
     }
 
+    fn counts(rows: &[(&str, u64)]) -> MetricsSnapshot {
+        (rows.iter())
+            .map(|&(k, v)| (k.to_string(), v as f64))
+            .collect()
+    }
+
     #[test]
     fn batch_metrics_derive() {
-        let r = blank();
-        assert_eq!(r.mean_epoch_batch(), 1000.0 / 800.0);
-        let mut empty = blank();
-        empty.epochs = 0;
-        assert_eq!(empty.mean_epoch_batch(), 0.0);
+        let m = counts(&[
+            ("sim.events", 1000),
+            ("sim.epochs", 800),
+            ("sim.realloc_requests", 30),
+            ("alloc.runs", 18),
+        ]);
+        assert_eq!(mean_epoch_batch(&m), 1000.0 / 800.0);
+        assert_eq!(realloc_saved(&m), 12);
+        assert_eq!(mean_epoch_batch(&counts(&[("sim.events", 5)])), 0.0);
+        // More runs than requests saturates, never underflows.
+        let m = counts(&[("sim.realloc_requests", 30), ("alloc.runs", 99)]);
+        assert_eq!(realloc_saved(&m), 0);
     }
 }

@@ -534,9 +534,10 @@ impl Simulation {
         self.events
     }
 
-    /// Installs a tracer: registers the data plane's hot-path counters
-    /// with its metrics registry and enables allocator phase timing when
-    /// span collection is on. Call before [`Simulation::run`].
+    /// Installs a tracer: registers the data plane's histograms
+    /// (`alloc.component_flows`, `alloc.rounds`) with its metrics registry
+    /// and enables allocator phase timing when span collection is on.
+    /// Plain counts need no tracer. Call before [`Simulation::run`].
     pub fn set_tracer(&mut self, mut tracer: SimTracer) {
         // On a simulation resumed from a journaling run's checkpoint the
         // new journal continues the old one: same digest chain, ordinals

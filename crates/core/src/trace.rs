@@ -8,7 +8,7 @@
 //!
 //! * **metrics** — the tracer owns a [`MetricsRegistry`] for what only a
 //!   registry records: the allocator's per-component flow and
-//!   solver-round histograms and its byte-sync count. Every plain count
+//!   solver-round histograms. Every plain count
 //!   (events, epochs, allocator runs, queue, OpenFlow, chaos, packet
 //!   plane) is a snapshotted field of its subsystem, kept once; the
 //!   simulation lists them by name when it builds

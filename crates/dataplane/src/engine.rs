@@ -105,7 +105,7 @@ use crate::stats::{DropCause, DropRecord, FlowRecord, LinkStats};
 use horse_openflow::messages::{CtrlMsg, SwitchMsg};
 use horse_openflow::switch::{DropReason, OpenFlowSwitch, PipelineResult, Switches, Verdict};
 use horse_topology::{LinkState, Topology};
-use horse_trace::{Counter, Histogram, MetricsRegistry};
+use horse_trace::{Histogram, MetricsRegistry};
 use horse_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use horse_types::{ByteSize, FlowId, FlowKey, LinkId, NodeId, PortNo, Rate, SimTime};
 use std::collections::HashSet;
@@ -197,17 +197,16 @@ struct CompRange {
     ext: (u32, u32),
 }
 
-/// Metric handles only a registry records (no-ops until
-/// [`FluidNet::attach_metrics`]): distributions, and the byte-sync count.
-/// An update through a detached handle is a single branch, so the
-/// zero-allocation steady state is preserved either way (pinned down by
-/// the `alloc_free` integration test, which runs with metrics attached).
-/// Plain counts are fields, listed by [`FluidNet::counts`].
+/// Distributions only a registry records (no-ops until
+/// [`FluidNet::attach_metrics`]). An update through a detached handle is
+/// a single branch, so the zero-allocation steady state is preserved
+/// either way (pinned down by the `alloc_free` integration test, which
+/// runs with metrics attached). Plain counts are fields, listed by
+/// [`FluidNet::counts`].
 #[derive(Default)]
 struct EngineMetrics {
     component_flows: Histogram,
     rounds: Histogram,
-    byte_syncs: Counter,
 }
 
 /// Wall-clock timing of the last [`FluidNet::reallocate`] call, split by
@@ -337,6 +336,9 @@ pub struct FluidNet {
     pub macro_flows: u64,
     /// Component water-fills executed (one per queued component).
     pub cold_solves: u64,
+    /// Byte syncs: integrations of one flow's bytes up to a read point or
+    /// a rate change.
+    byte_syncs: u64,
     /// Components absorbed by an admission that bridged them (the
     /// re-admissions of a rebuild are not counted).
     merges: u64,
@@ -392,6 +394,7 @@ impl FluidNet {
             realloc_flows_touched: 0,
             macro_flows: 0,
             cold_solves: 0,
+            byte_syncs: 0,
             merges: 0,
             splits: 0,
             split_checks: 0,
@@ -403,29 +406,36 @@ impl FluidNet {
         }
     }
 
-    /// Registers the engine's registry-only metrics (the per-component
-    /// flow and solver-round histograms, the byte-sync count) with a
-    /// metrics registry. Without this call (or with a disabled registry)
-    /// every handle is a no-op branch.
+    /// Registers the engine's histograms (per-component flows and
+    /// solver rounds) with a metrics registry. Without this call (or with
+    /// a disabled registry) every handle is a no-op branch.
     pub fn attach_metrics(&mut self, registry: &MetricsRegistry) {
         self.metrics = EngineMetrics {
             component_flows: registry.histogram("alloc.component_flows"),
             rounds: registry.histogram("alloc.rounds"),
-            byte_syncs: registry.counter("alloc.byte_syncs"),
         };
     }
 
     /// The engine's counts as `(metric name, value)` rows, which the
-    /// simulation lists in its results' metrics. A new count is a field
-    /// and a row here. The resident components' merges, splits, split
-    /// checks and rebuilds are host-side: not snapshotted, so they count
-    /// from the last build or restore.
-    pub fn counts(&self) -> [(&'static str, u64); 8] {
+    /// simulation lists in its results' metrics. A new count is a
+    /// snapshotted field and a row here.
+    pub fn counts(&self) -> [(&'static str, u64); 5] {
         [
             ("alloc.runs", self.realloc_runs),
             ("alloc.flows_touched", self.realloc_flows_touched),
             ("alloc.components", self.cold_solves),
             ("alloc.macro_flows", self.macro_flows),
+            ("alloc.byte_syncs", self.byte_syncs),
+        ]
+    }
+
+    /// The resident components' merges, splits, split checks and
+    /// rebuilds, as `(name, value)` rows. The components are derived
+    /// state that a restore rebuilds from scratch, so these are not
+    /// snapshotted and count from the last build or restore; they stay
+    /// out of a run's metrics, which a resumed run reproduces exactly.
+    pub fn resident_counts(&self) -> [(&'static str, u64); 4] {
+        [
             ("alloc.merges", self.merges),
             ("alloc.splits", self.splits),
             ("alloc.split_checks", self.split_checks),
@@ -976,7 +986,7 @@ impl FluidNet {
     /// inside it is credited only its own share (see
     /// [`OpenFlowSwitch::credit_bytes`]).
     fn sync_flow_slot(&mut self, slot: u32, now: SimTime) {
-        self.metrics.byte_syncs.inc();
+        self.byte_syncs += 1;
         let flow = self.flows.flow_at_mut(slot);
         let from = flow.last_update;
         let moved = flow.sync_to(now);
@@ -1674,6 +1684,7 @@ impl FluidNet {
         self.realloc_flows_touched.snap(w);
         self.macro_flows.snap(w);
         self.cold_solves.snap(w);
+        self.byte_syncs.snap(w);
     }
 
     /// Restores state captured by [`FluidNet::snapshot_state`] into a
@@ -1776,6 +1787,7 @@ impl FluidNet {
         self.realloc_flows_touched = u64::unsnap(r)?;
         self.macro_flows = u64::unsnap(r)?;
         self.cold_solves = u64::unsnap(r)?;
+        self.byte_syncs = u64::unsnap(r)?;
         self.rebuild_all();
         Ok(())
     }
@@ -2138,8 +2150,6 @@ mod tests {
         // integrated only when something reads them.
         for full in [true, false] {
             let (mut net, members) = star_net(3);
-            let registry = MetricsRegistry::new();
-            net.attach_metrics(&registry);
             let realloc = |net: &mut FluidNet, t: SimTime| {
                 if full {
                     net.mark_all_dirty();
@@ -2170,14 +2180,7 @@ mod tests {
             assert!((fa.bytes_sent - 100e6 * 3.0 / 8.0).abs() < 1e-3);
             // One sync per rate change (a at 0 s, b at 1 s), one for b's
             // removal and one for a at the read point.
-            let syncs = registry
-                .dump()
-                .counters
-                .into_iter()
-                .find(|(name, _)| name == "alloc.byte_syncs")
-                .expect("byte-sync counter registered")
-                .1;
-            assert_eq!(syncs, 4, "full {full}");
+            assert_eq!(net.byte_syncs, 4, "full {full}");
         }
     }
 

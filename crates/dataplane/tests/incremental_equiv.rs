@@ -400,7 +400,7 @@ fn stress_resident_matches_both_references() {
     let mut total = std::collections::BTreeMap::new();
     for seed in 1..=2000u64 {
         let net = matches_references(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15), 400);
-        for (name, n) in net.counts() {
+        for (name, n) in net.counts().into_iter().chain(net.resident_counts()) {
             *total.entry(name).or_insert(0u64) += n;
         }
     }

@@ -6,6 +6,7 @@ use crate::runner::RunMetrics;
 use crate::sweep::value_text;
 use horse::monitoring::export::table_to_csv;
 use horse::monitoring::series::{summarize, Summary};
+use horse::results::{mean_epoch_batch, realloc_saved};
 use serde::{Serialize, Value};
 
 /// One finished run: its sweep coordinates, deterministic metrics and
@@ -126,17 +127,10 @@ const REPORT: &[(&str, Src)] = &[
     ("msgs_to_switch", Src::Count("ctrl.msgs_to_switch")),
     ("flow_ins", Src::Count("ctrl.flow_ins")),
     ("epochs", Src::Count("sim.epochs")),
-    ("epoch_batch_mean", Src::Value(|m| match m.count("sim.epochs") {
-        0 => 0.0.to_value(),
-        epochs => (m.count("sim.events") as f64 / epochs as f64).to_value(),
-    })),
+    ("epoch_batch_mean", Src::Value(|m| mean_epoch_batch(&m.metrics).to_value())),
     ("epoch_batch_max", Src::Count("sim.max_epoch_batch")),
     ("realloc_runs", Src::Count("alloc.runs")),
-    // Allocator runs the epoch batching saved: requests collapsed into
-    // an already-pending epoch run.
-    ("realloc_saved", Src::Value(|m| {
-        m.count("sim.realloc_requests").saturating_sub(m.count("alloc.runs")).to_value()
-    })),
+    ("realloc_saved", Src::Value(|m| realloc_saved(&m.metrics).to_value())),
     ("realloc_flows_touched", Src::Count("alloc.flows_touched")),
     ("macro_flows", Src::Count("alloc.macro_flows")),
     ("cold_solves", Src::Count("alloc.components")),

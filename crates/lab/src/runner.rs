@@ -122,9 +122,10 @@ pub struct TraceOut {
 }
 
 /// Executes one plan to completion (builds scenario + config, runs the
-/// simulation, extracts metrics). Every run carries a metrics-only
-/// tracer, so [`RunMetrics::metrics`] is populated with or without the
-/// optional span/journal machinery.
+/// simulation, extracts metrics). Every run carries a tracer, so the
+/// registry-only metrics [`crate::report::REPORTED`] lists (the
+/// allocator's two histograms) exist with or without the optional
+/// span/journal machinery; plain counts need no tracer.
 pub fn execute_plan(plan: &RunPlan) -> Result<RunRecord, LabError> {
     execute_plan_opts(plan, &RunOptions::default()).map(|(rec, _)| rec)
 }

@@ -401,9 +401,9 @@ fn malformed_snapshots_fail_loudly() {
         Simulation::resume(&versioned),
         Err(ResumeError::BadVersion(99))
     ));
-    // So are the previous formats: version 10's metrics-registry dump
-    // held the event, epoch and allocator counts that the snapshotted
-    // fields now keep alone, version 9 wrote the path database's
+    // So are the previous formats: version 10 had no byte-sync field
+    // and its metrics-registry dump held the event, epoch and allocator
+    // counts that the snapshotted fields now keep alone, version 9 wrote the path database's
     // ECMP sets as one port list per (switch, host) cell, version 8 wrote
     // the workload's traffic matrix as `n²` dense rates, version 7 wrote
     // a switch's port state as a port-keyed map and the load balancer

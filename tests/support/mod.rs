@@ -53,16 +53,6 @@ pub struct Fingerprint {
     pub work: Work,
 }
 
-/// The resident allocation components' counts, left out of a
-/// fingerprint: the components are derived state that a restore rebuilds
-/// from scratch, so these count from the last build or restore.
-pub const RESIDENT: [&str; 4] = [
-    "alloc.merges",
-    "alloc.splits",
-    "alloc.split_checks",
-    "alloc.rebuilds",
-];
-
 /// `(id, started ns, finished ns, completed, bytes bits, dropped bits)`.
 pub type Record = (u64, u64, u64, bool, u64, u64);
 
@@ -89,9 +79,8 @@ pub struct Work {
     /// Decision cache `[hits, misses, invalidations]`.
     pub pkt_cache: [u64; 3],
     /// The run's metrics: every count by name, plus the tracer registry's
-    /// cells when one is attached, less [`RESIDENT`]. A checkpoint
-    /// carries the counts' fields and a lossless dump of the registry, so
-    /// they resume seamlessly too.
+    /// cells when one is attached. A checkpoint carries the counts' fields
+    /// and a lossless dump of the registry, so they resume seamlessly too.
     pub metrics: horse::tracing::MetricsSnapshot,
 }
 
@@ -216,10 +205,7 @@ pub fn fingerprint(sim: &Simulation, r: &SimResults) -> Fingerprint {
                 r.pkt_cache_misses,
                 r.metrics.count("pkt.cache_invalidations"),
             ],
-            metrics: (r.metrics.entries().iter())
-                .filter(|(name, _)| !RESIDENT.contains(&name.as_str()))
-                .cloned()
-                .collect(),
+            metrics: r.metrics.clone(),
         },
     }
 }
