@@ -60,7 +60,7 @@ pub struct SimConfig {
     pub hybrid_min_drain_frac: f64,
     /// Accepted and ignored: the allocator always water-fills its
     /// components serially. Kept only because the frozen benchmark
-    /// harness still sets it; ROADMAP direction 1's benchmark PR deletes
+    /// harness still sets it; ROADMAP direction 2's benchmark PR deletes
     /// it together with [`SimConfig::with_engine_threads`].
     #[serde(default)]
     pub engine_threads: usize,

@@ -124,8 +124,7 @@ pub struct SimResults {
     pub chaos: ChaosCounters,
     /// Event-queue statistics (`queue.*`; re-base).
     pub queue: QueueStats,
-    /// Every count of the run by name, tracer or not, plus the cells of
-    /// the tracer's registry (its histograms) when one was attached.
+    /// Every count and histogram of the run by name, tracer or not.
     /// Deterministic quantities only; lab reports embed the names they
     /// declare.
     pub metrics: MetricsSnapshot,

@@ -94,7 +94,7 @@ impl std::error::Error for BuildError {}
 /// Magic prefix of the checkpoint format.
 pub const SNAPSHOT_MAGIC: &[u8; 9] = b"HORSESNAP";
 /// Current checkpoint format version.
-pub const SNAPSHOT_VERSION: u32 = 11;
+pub const SNAPSHOT_VERSION: u32 = 12;
 
 /// Errors raised while resuming or forking from a checkpoint.
 #[derive(Debug)]
@@ -172,7 +172,7 @@ impl From<BuildError> for ResumeError {
 #[derive(Clone, Debug, Default)]
 pub struct ForkSpec {
     /// Accepted and ignored, like [`SimConfig::engine_threads`]: the
-    /// frozen benchmark harness still sets it. ROADMAP direction 1's
+    /// frozen benchmark harness still sets it. ROADMAP direction 2's
     /// benchmark PR deletes it.
     pub engine_threads: Option<usize>,
     /// Override [`SimConfig::ctrl_latency`] from the fork point on.
@@ -251,11 +251,6 @@ pub struct Simulation {
     /// [`Simulation::set_tracer`] seeds a new tracer from it so the
     /// resumed journal is a byte-exact suffix.
     journal_cont: Option<(u64, u64)>,
-    /// Metrics continuation carried through a checkpoint when the
-    /// original run had a tracer: a lossless registry dump at snapshot
-    /// time. [`Simulation::set_tracer`] seeds the new registry from it,
-    /// so the resumed run's final metrics equal an uninterrupted run's.
-    metrics_cont: Option<horse_trace::MetricsDump>,
     // Counters.
     events: u64,
     epochs: u64,
@@ -475,7 +470,6 @@ impl Simulation {
             late_band,
             late_used,
             journal_cont: None,
-            metrics_cont: None,
             events: 0,
             epochs: 0,
             max_epoch_batch: 0,
@@ -534,10 +528,9 @@ impl Simulation {
         self.events
     }
 
-    /// Installs a tracer: registers the data plane's histograms
-    /// (`alloc.component_flows`, `alloc.rounds`) with its metrics registry
-    /// and enables allocator phase timing when span collection is on.
-    /// Plain counts need no tracer. Call before [`Simulation::run`].
+    /// Installs a tracer and enables allocator phase timing when span
+    /// collection is on. Metrics need no tracer: a tracer changes no
+    /// count. Call before [`Simulation::run`].
     pub fn set_tracer(&mut self, mut tracer: SimTracer) {
         // On a simulation resumed from a journaling run's checkpoint the
         // new journal continues the old one: same digest chain, ordinals
@@ -545,12 +538,6 @@ impl Simulation {
         if let Some((digest, entries)) = self.journal_cont {
             tracer.seed_journal_cont(digest, entries);
         }
-        // Likewise the metrics registry continues the prefix's counters,
-        // so end-of-run snapshots match an uninterrupted run's.
-        if let Some(dump) = &self.metrics_cont {
-            tracer.registry().seed(dump);
-        }
-        self.fluid.attach_metrics(tracer.registry());
         self.fluid.set_phase_timing(tracer.spans_enabled());
         self.tracer = Some(Box::new(tracer));
     }
@@ -1341,12 +1328,6 @@ impl Simulation {
             .and_then(|t| t.journal_cont())
             .or(self.journal_cont);
         cont.snap(w);
-        let metrics = self
-            .tracer
-            .as_ref()
-            .map(|t| t.registry().dump())
-            .or_else(|| self.metrics_cont.clone());
-        metrics.snap(w);
     }
 
     /// Overlays state written by [`Simulation::snapshot_state`] onto a
@@ -1447,7 +1428,6 @@ impl Simulation {
         self.msgs_to_switch = Snap::unsnap(r)?;
         self.flow_ins = Snap::unsnap(r)?;
         self.journal_cont = Snap::unsnap(r)?;
-        self.metrics_cont = Snap::unsnap(r)?;
         self.realloc_buf.clear();
         Ok(())
     }
@@ -1509,10 +1489,9 @@ impl Simulation {
 
     /// The run's metrics: every count, by name, from the one field that
     /// keeps it (this table is where a count of the simulation is
-    /// declared; the allocator declares its own in `FluidNet::counts`),
-    /// plus the cells of the tracer's registry when one is attached.
-    /// Lab reports embed only the names they declare, so a new row moves
-    /// no report.
+    /// declared; the allocator declares its own in `FluidNet::counts`
+    /// and `FluidNet::hists`), tracer or not. Lab reports embed only the
+    /// names they declare, so a new row moves no report.
     fn metrics(&self, queue: &QueueStats) -> MetricsSnapshot {
         let (mut table_hits, mut table_misses) = (0u64, 0u64);
         for &sw in self.fluid.switch_ids() {
@@ -1578,13 +1557,11 @@ impl Simulation {
         let peak = (self.collector.epochs.iter())
             .map(|e| e.max_utilization)
             .fold(0.0f64, f64::max);
-        let mut metrics = (self.tracer.as_ref())
-            .map_or_else(MetricsSnapshot::default, |t| t.registry().snapshot());
-        metrics.extend(
-            rows.chain(bursts)
-                .chain([("links.peak_utilization".into(), peak)]),
-        );
-        metrics
+        let hists = (self.fluid.hists().into_iter()).flat_map(|(name, h)| h.rows(name));
+        rows.chain(hists)
+            .chain(bursts)
+            .chain([("links.peak_utilization".into(), peak)])
+            .collect()
     }
 }
 
@@ -1632,8 +1609,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn proactive_flow_completes_without_controller() {
+    /// A star whose hosts 0 and 1 exchange one 1 MiB flow at t = 1 s
+    /// over proactive MAC-forwarding rules.
+    fn one_flow_scenario() -> Scenario {
         let mut s = star_scenario(PolicySpec::new().with(PolicyRule::MacForwarding), 10);
         let spec = s
             .flow_between(
@@ -1646,7 +1624,12 @@ mod tests {
             )
             .unwrap();
         s.explicit_flows.push((SimTime::from_secs(1), spec));
-        let mut sim = Simulation::new(s, SimConfig::default()).unwrap();
+        s
+    }
+
+    #[test]
+    fn proactive_flow_completes_without_controller() {
+        let mut sim = Simulation::new(one_flow_scenario(), SimConfig::default()).unwrap();
         let r = sim.run();
         assert_eq!(r.flows_admitted, 1);
         assert_eq!(r.flows_completed, 1);
@@ -1657,15 +1640,46 @@ mod tests {
         );
         // 1 MiB at 1 Gbps ≈ 8.4 ms
         assert!(r.fct.p50 > 0.008 && r.fct.p50 < 0.009, "fct {}", r.fct.p50);
-        // Without a tracer the metrics still name every count, and hold
-        // no registry cell.
+        // Without a tracer the metrics still name every count, and the
+        // allocator's histograms hold one solve per component.
         let m = &r.metrics;
         assert_eq!(m.count("sim.events"), r.events);
         assert_eq!(m.count("sim.epochs"), r.epochs);
         assert_eq!(m.count("alloc.runs"), r.realloc_runs);
         assert_eq!(m.count("alloc.components"), r.cold_solves);
         assert_eq!(m.count("queue.scheduled"), r.queue.scheduled);
-        assert!(r.events > 0 && m.get("alloc.rounds.count").is_none());
+        assert!(r.events > 0 && r.cold_solves > 0);
+        assert_eq!(m.count("alloc.rounds.count"), r.cold_solves);
+        assert_eq!(m.count("alloc.component_flows.count"), r.cold_solves);
+    }
+
+    #[test]
+    fn a_tracer_changes_no_metric() {
+        let run = |tracer: Option<SimTracer>| {
+            let mut sim = Simulation::new(one_flow_scenario(), SimConfig::default()).unwrap();
+            if let Some(t) = tracer {
+                sim.set_tracer(t);
+            }
+            let r = sim.run();
+            let spans = sim.take_tracer().and_then(|mut t| {
+                t.finish_journal();
+                t.take_spans()
+            });
+            (r.metrics, spans.map_or(0, |s| s.len()))
+        };
+        let journal = horse_trace::journal::SharedBuf::new();
+        let traced = SimTracer::new().with_spans().with_journal(journal.clone());
+        let ((plain, _), (traced, spans)) = (run(None), run(Some(traced)));
+        assert!(
+            spans > 0 && !journal.contents().is_empty(),
+            "the tracer ran"
+        );
+        assert_eq!(plain, traced);
+        assert!(plain.count("alloc.rounds.count") > 0);
+        assert_eq!(
+            plain.count("alloc.rounds.count"),
+            plain.count("alloc.components")
+        );
     }
 
     #[test]

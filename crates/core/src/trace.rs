@@ -3,21 +3,20 @@
 //!
 //! Everything here is **off by default** — a simulation without a tracer
 //! (or with a default [`SimTracer`]) takes one `Option` branch per epoch
-//! and produces byte-identical results to an instrumented run. The three
-//! facilities compose independently:
+//! and produces byte-identical results to an instrumented run.
 //!
-//! * **metrics** — the tracer owns a [`MetricsRegistry`] for what only a
-//!   registry records: the allocator's per-component flow and
-//!   solver-round histograms. Every plain count
-//!   (events, epochs, allocator runs, queue, OpenFlow, chaos, packet
-//!   plane) is a snapshotted field of its subsystem, kept once; the
-//!   simulation lists them by name when it builds
-//!   [`SimResults::metrics`], tracer or not, and adds the registry's
-//!   cells. A count is declared where its field lives (the simulation's
-//!   end-of-run table, or a subsystem's own rows such as
-//!   `FluidNet::counts`). Lab reports embed only the names their
-//!   `REPORTED` list declares, so a new count moves no report until a
-//!   one-line addition there. Every metric is a deterministic quantity.
+//! Metrics are not the tracer's: every count and histogram (events,
+//! epochs, allocator runs and solver rounds, queue, OpenFlow, chaos,
+//! packet plane) is a snapshotted field of its subsystem, kept once, and
+//! the simulation lists them by name in [`SimResults::metrics`], tracer
+//! or not. A count is declared where its field lives (the simulation's
+//! end-of-run table, or a subsystem's own rows such as
+//! `FluidNet::counts`). Lab reports embed only the names their
+//! `REPORTED` list declares, so a new count moves no report until a
+//! one-line addition there. Every metric is a deterministic quantity.
+//!
+//! The tracer's facilities compose independently:
+//!
 //! * **spans** ([`SimTracer::with_spans`]) — wall-clock phase timing of
 //!   the epoch loop and the allocator's discovery → build → solve →
 //!   apply passes, collected into a [`SpanLog`] for Chrome-trace export.
@@ -34,7 +33,7 @@
 use crate::event::SimEvent;
 use horse_dataplane::ReallocTiming;
 use horse_trace::journal::fold_digest;
-use horse_trace::{JournalWriter, MetricsRegistry, SpanLog};
+use horse_trace::{JournalWriter, SpanLog};
 use horse_types::SimTime;
 use std::io::Write;
 use std::time::{Duration, Instant};
@@ -92,7 +91,6 @@ struct Progress {
 /// [`Simulation::set_tracer`]: crate::sim::Simulation::set_tracer
 /// [`Simulation::take_tracer`]: crate::sim::Simulation::take_tracer
 pub struct SimTracer {
-    registry: MetricsRegistry,
     spans: Option<SpanLog>,
     journal: Option<JournalWriter<Box<dyn Write + Send>>>,
     /// Running state digest the journal chains (folds event identities
@@ -108,11 +106,9 @@ impl Default for SimTracer {
 }
 
 impl SimTracer {
-    /// A tracer with an enabled (but empty) metrics registry and no
-    /// spans, journal or progress reporting.
+    /// A tracer with no spans, journal or progress reporting.
     pub fn new() -> Self {
         SimTracer {
-            registry: MetricsRegistry::new(),
             spans: None,
             journal: None,
             digest: 0,
@@ -141,11 +137,6 @@ impl SimTracer {
             last_events: 0,
         });
         self
-    }
-
-    /// The tracer's metrics registry (always enabled).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
     }
 
     /// True when span collection is on.
@@ -406,7 +397,6 @@ mod tests {
         assert!(!t.journal_enabled());
         t.journal_event(1, "pkt", 0); // no journal: a no-op
         assert_eq!(t.finish_journal(), 0);
-        assert!(t.registry().is_enabled(), "metrics registry always on");
     }
 
     #[test]

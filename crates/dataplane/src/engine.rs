@@ -105,7 +105,7 @@ use crate::stats::{DropCause, DropRecord, FlowRecord, LinkStats};
 use horse_openflow::messages::{CtrlMsg, SwitchMsg};
 use horse_openflow::switch::{DropReason, OpenFlowSwitch, PipelineResult, Switches, Verdict};
 use horse_topology::{LinkState, Topology};
-use horse_trace::{Histogram, MetricsRegistry};
+use horse_trace::Hist;
 use horse_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use horse_types::{ByteSize, FlowId, FlowKey, LinkId, NodeId, PortNo, Rate, SimTime};
 use std::collections::HashSet;
@@ -195,18 +195,6 @@ struct CompRange {
     lnk: (u32, u32),
     /// Virtual external-demand flows: range into `ext_links`.
     ext: (u32, u32),
-}
-
-/// Distributions only a registry records (no-ops until
-/// [`FluidNet::attach_metrics`]). An update through a detached handle is
-/// a single branch, so the zero-allocation steady state is preserved
-/// either way (pinned down by the `alloc_free` integration test, which
-/// runs with metrics attached). Plain counts are fields, listed by
-/// [`FluidNet::counts`].
-#[derive(Default)]
-struct EngineMetrics {
-    component_flows: Histogram,
-    rounds: Histogram,
 }
 
 /// Wall-clock timing of the last [`FluidNet::reallocate`] call, split by
@@ -352,7 +340,11 @@ pub struct FluidNet {
     /// (every active flow), plus one per split or compacted component
     /// (its live members).
     rebuilds: u64,
-    metrics: EngineMetrics,
+    /// Live flows of each queued component, one observation per
+    /// component a run solves.
+    component_flows: Hist,
+    /// Water-filling rounds of each component solve.
+    rounds: Hist,
     /// Capture wall-clock phase timing on the next `reallocate` calls.
     timing_enabled: bool,
     timing: ReallocTiming,
@@ -399,21 +391,12 @@ impl FluidNet {
             splits: 0,
             split_checks: 0,
             rebuilds: 0,
-            metrics: EngineMetrics::default(),
+            component_flows: Hist::default(),
+            rounds: Hist::default(),
             timing_enabled: false,
             timing: ReallocTiming::default(),
             per_flow_variables: false,
         }
-    }
-
-    /// Registers the engine's histograms (per-component flows and
-    /// solver rounds) with a metrics registry. Without this call (or with
-    /// a disabled registry) every handle is a no-op branch.
-    pub fn attach_metrics(&mut self, registry: &MetricsRegistry) {
-        self.metrics = EngineMetrics {
-            component_flows: registry.histogram("alloc.component_flows"),
-            rounds: registry.histogram("alloc.rounds"),
-        };
     }
 
     /// The engine's counts as `(metric name, value)` rows, which the
@@ -426,6 +409,15 @@ impl FluidNet {
             ("alloc.components", self.cold_solves),
             ("alloc.macro_flows", self.macro_flows),
             ("alloc.byte_syncs", self.byte_syncs),
+        ]
+    }
+
+    /// The engine's histograms by metric name, which the simulation
+    /// lists in its results' metrics beside [`FluidNet::counts`].
+    pub fn hists(&self) -> [(&'static str, &Hist); 2] {
+        [
+            ("alloc.component_flows", &self.component_flows),
+            ("alloc.rounds", &self.rounds),
         ]
     }
 
@@ -1122,7 +1114,7 @@ impl FluidNet {
                 let comp = &mut self.res.comps[c as usize];
                 comp.visit = epoch;
                 touched += u64::from(comp.live);
-                self.metrics.component_flows.observe(u64::from(comp.live));
+                self.component_flows.observe(u64::from(comp.live));
                 self.scratch.comps.push(CompRange {
                     comp: c,
                     ..CompRange::default()
@@ -1262,7 +1254,7 @@ impl FluidNet {
                     &mut rates[d0..d1],
                     &mut self.maxmin,
                 );
-                self.metrics.rounds.observe(rounds as u64);
+                self.rounds.observe(rounds as u64);
                 let mut var = d0;
                 for class in &mut self.res.comps[c.comp as usize].classes {
                     if class.weight > 0 {
@@ -1647,9 +1639,9 @@ impl FluidNet {
     /// active flows in admission order (so a restore re-inserts them into
     /// an identical arena layout order-wise), records, pending dirty
     /// links, hybrid coupling vectors, crash set and the engine's
-    /// cumulative counters. The resident components, solver scratch and
-    /// wall-clock timing are rebuildable and deliberately excluded — a
-    /// restore admits the restored flows again and computes
+    /// cumulative counts and histograms. The resident components, solver
+    /// scratch and wall-clock timing are rebuildable and deliberately
+    /// excluded — a restore admits the restored flows again and computes
     /// bit-identical rates regardless.
     pub fn snapshot_state(&self, w: &mut SnapWriter) {
         // Directed link states, in link-id order.
@@ -1685,13 +1677,14 @@ impl FluidNet {
         self.macro_flows.snap(w);
         self.cold_solves.snap(w);
         self.byte_syncs.snap(w);
+        self.component_flows.snap(w);
+        self.rounds.snap(w);
     }
 
     /// Restores state captured by [`FluidNet::snapshot_state`] into a
     /// *freshly built* plane over the same topology (same nodes/links;
-    /// link states are overwritten from the snapshot). Metrics handles
-    /// are not part of the snapshot — call [`FluidNet::attach_metrics`]
-    /// afterwards if the restored run is traced.
+    /// link states are overwritten from the snapshot). A histogram whose
+    /// buckets disagree with its count is refused.
     pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         let nl = r.len_prefix()?;
         if nl != self.topo.link_count() {
@@ -1788,6 +1781,10 @@ impl FluidNet {
         self.macro_flows = u64::unsnap(r)?;
         self.cold_solves = u64::unsnap(r)?;
         self.byte_syncs = u64::unsnap(r)?;
+        for hist in [&mut self.component_flows, &mut self.rounds] {
+            *hist = Hist::unsnap(r)?;
+            hist.check().map_err(|e| SnapError::new(e, r.position()))?;
+        }
         self.rebuild_all();
         Ok(())
     }
@@ -2280,8 +2277,6 @@ mod tests {
         // `alloc.rounds` sees exactly one observation per component.
         let run = |full: bool| {
             let (mut net, members) = star_net(8);
-            let registry = MetricsRegistry::new();
-            net.attach_metrics(&registry);
             let topo = net.topology().clone();
             let mk = |src: usize, dst: usize, sport: u16| FlowSpec {
                 key: FlowKey::tcp(
@@ -2320,15 +2315,7 @@ mod tests {
                 .iter()
                 .map(|c| (c.id, c.rate.as_bps().to_bits()))
                 .collect();
-            let components = net.cold_solves;
-            let rounds = registry
-                .dump()
-                .hists
-                .into_iter()
-                .find(|(name, _)| name == "alloc.rounds")
-                .expect("rounds histogram registered")
-                .1;
-            (changes, components, rounds)
+            (changes, net.cold_solves, net.rounds.clone())
         };
         for full in [true, false] {
             let (changes, components, rounds) = run(full);

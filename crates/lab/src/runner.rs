@@ -54,7 +54,7 @@ pub struct RunMetrics {
     pub recovery: Summary,
     /// Fault-injection counters (all zero in a fault-free run).
     pub chaos: ChaosCounters,
-    /// Every count of the run by name, and the tracer registry's cells
+    /// Every count and histogram of the run by name
     /// ([`SimResults::metrics`]). Reports embed the names they declare.
     pub metrics: MetricsSnapshot,
 }
@@ -104,6 +104,11 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
+    /// Whether any option asks for a tracer.
+    fn traced(&self) -> bool {
+        self.trace || self.journal_dir.is_some() || self.progress
+    }
+
     fn journal_path(&self, index: usize) -> Option<PathBuf> {
         self.journal_dir
             .as_ref()
@@ -122,10 +127,9 @@ pub struct TraceOut {
 }
 
 /// Executes one plan to completion (builds scenario + config, runs the
-/// simulation, extracts metrics). Every run carries a tracer, so the
-/// registry-only metrics [`crate::report::REPORTED`] lists (the
-/// allocator's two histograms) exist with or without the optional
-/// span/journal machinery; plain counts need no tracer.
+/// simulation, extracts metrics). A run carries a tracer only when an
+/// observability option asks for one; its metrics are the same either
+/// way.
 pub fn execute_plan(plan: &RunPlan) -> Result<RunRecord, LabError> {
     execute_plan_opts(plan, &RunOptions::default()).map(|(rec, _)| rec)
 }
@@ -141,24 +145,26 @@ pub fn execute_plan_opts(
     let started = Instant::now();
     let mut sim = Simulation::new(scenario, config)
         .map_err(|e| LabError::build(format!("run {} ({}): {e}", plan.index, plan.label())))?;
-    let mut tracer = SimTracer::new();
-    if opts.trace {
-        tracer = tracer.with_spans();
+    if opts.traced() {
+        let mut tracer = SimTracer::new();
+        if opts.trace {
+            tracer = tracer.with_spans();
+        }
+        if let Some(path) = opts.journal_path(plan.index) {
+            let file = std::fs::File::create(&path).map_err(|e| {
+                LabError::build(format!(
+                    "run {}: journal {}: {e}",
+                    plan.index,
+                    path.display()
+                ))
+            })?;
+            tracer = tracer.with_journal(BufWriter::new(file));
+        }
+        if opts.progress {
+            tracer = tracer.with_progress(Duration::from_secs(2));
+        }
+        sim.set_tracer(tracer);
     }
-    if let Some(path) = opts.journal_path(plan.index) {
-        let file = std::fs::File::create(&path).map_err(|e| {
-            LabError::build(format!(
-                "run {}: journal {}: {e}",
-                plan.index,
-                path.display()
-            ))
-        })?;
-        tracer = tracer.with_journal(BufWriter::new(file));
-    }
-    if opts.progress {
-        tracer = tracer.with_progress(Duration::from_secs(2));
-    }
-    sim.set_tracer(tracer);
     let results = sim.run();
     let spans = sim.take_tracer().and_then(|mut t| {
         t.finish_journal();

@@ -580,7 +580,7 @@ pub struct SimConfigSpec {
     /// Congestion alarm threshold (link utilization 0–1).
     pub alarm_threshold: Option<f64>,
     /// Accepted and ignored: the frozen benchmark harness still writes
-    /// this key. ROADMAP direction 1's benchmark PR deletes it.
+    /// this key. ROADMAP direction 2's benchmark PR deletes it.
     pub engine_threads: Option<usize>,
     /// Packet-plane burst cap (max packets one burst event models).
     /// Defaults to 32; `1` is the per-packet oracle, so `[1, 32]` sweeps

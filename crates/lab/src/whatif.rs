@@ -164,11 +164,6 @@ pub fn run_forked(
                 let config = group.prefix.config.to_config()?;
                 let mut sim = Simulation::new(scenario, config)
                     .map_err(|e| LabError::build(format!("prefix of group {gi}: {e}")))?;
-                // The tracer must be on during the prefix so the
-                // checkpoint carries the metrics-registry dump — forked
-                // reports embed registry snapshots and must match naive
-                // runs bitwise.
-                sim.set_tracer(SimTracer::new());
                 sim.run_until(group.at);
                 (sim.checkpoint(), sim.events_processed(), false)
             }
@@ -197,7 +192,6 @@ pub fn run_forked(
             };
             let mut sim = Simulation::fork(&snapshot, &overrides)
                 .map_err(|e| LabError::build(format!("run {}: fork failed: {e}", plan.index)))?;
-            sim.set_tracer(SimTracer::new());
             let results = sim.run();
             let record = RunRecord {
                 index: plan.index,

@@ -54,8 +54,7 @@ fn forked_sweep_matches_naive_byte_for_byte() {
     assert_eq!(
         naive.metrics_json(),
         forked.metrics_json(),
-        "JSON (including per-run metrics-registry snapshots) must be \
-         byte-identical"
+        "JSON (including per-run metrics snapshots) must be byte-identical"
     );
 
     assert_eq!(stats.groups, 1);

@@ -3,13 +3,12 @@
 //! The determinism-safe observability layer of the Horse workspace.
 //! Three independent pieces, composable by the embedding simulator:
 //!
-//! * [`metrics`] — a [`MetricsRegistry`] of monotonic counters, gauges
-//!   and power-of-two histograms keyed by static names. Registration
-//!   allocates; the increment path is a single branch plus one relaxed
-//!   atomic op, so instrumented hot loops stay allocation-free (pinned
-//!   down by `crates/dataplane/tests/alloc_free.rs`). Snapshots are
-//!   sorted by name and contain **only deterministic quantities** — they
-//!   may be embedded in reproducible reports.
+//! * [`metrics`] — plain metric values: the power-of-two [`Hist`] a
+//!   subsystem keeps as a field beside the state it measures (observing
+//!   never allocates, pinned down by `crates/dataplane/tests/alloc_free.rs`),
+//!   and the name-sorted [`MetricsSnapshot`] a run's counts are listed
+//!   into. Snapshots contain **only deterministic quantities** — they may
+//!   be embedded in reproducible reports.
 //! * [`span`] — a [`SpanLog`] of wall-clock phase spans plus a
 //!   [`chrome_trace`] exporter producing Chrome-trace / Perfetto JSON.
 //!   Wall clock never feeds deterministic outputs: span logs live next
@@ -34,7 +33,5 @@ pub use journal::{
     describe_divergence, first_divergence, fold_digest, parse_journal, read_journal, Divergence,
     JournalEntry, JournalWriter,
 };
-pub use metrics::{
-    Counter, Gauge, HistDump, Histogram, MetricsDump, MetricsRegistry, MetricsSnapshot,
-};
+pub use metrics::{Hist, MetricsSnapshot};
 pub use span::{chrome_trace, SpanLog, SpanRec};

@@ -401,7 +401,9 @@ fn malformed_snapshots_fail_loudly() {
         Simulation::resume(&versioned),
         Err(ResumeError::BadVersion(99))
     ));
-    // So are the previous formats: version 10 had no byte-sync field
+    // So are the previous formats: version 11 kept the allocator's
+    // histograms in an optional metrics-registry dump instead of the
+    // data plane's fields, version 10 had no byte-sync field
     // and its metrics-registry dump held the event, epoch and allocator
     // counts that the snapshotted fields now keep alone, version 9 wrote the path database's
     // ECMP sets as one port list per (switch, host) cell, version 8 wrote
@@ -411,13 +413,36 @@ fn malformed_snapshots_fail_loudly() {
     // state as a self-describing value tree (every field name a string),
     // and version 5 keyed the packet plane's port queues by `(node, port)`
     // instead of one per directed link.
-    assert_eq!(horse::sim::SNAPSHOT_VERSION, 11);
-    for old in [10, 9, 8, 7, 6, 5] {
+    assert_eq!(horse::sim::SNAPSHOT_VERSION, 12);
+    for old in [11, 10, 9, 8, 7, 6, 5] {
         versioned[17] = old;
         assert!(matches!(
             Simulation::resume(&versioned),
             Err(ResumeError::BadVersion(v)) if v == old as u32
         ));
+    }
+    // A histogram whose buckets disagree with its count is refused, not
+    // misread: the solver-round histogram with its zero bucket bumped,
+    // and with its top bucket set so high the buckets' sum overflows.
+    let (name, rounds) = sim.fluid().hists()[1];
+    assert!(name == "alloc.rounds" && rounds.count > 0);
+    let mut w = horse::types::snap::SnapWriter::new();
+    horse::types::Snap::snap(rounds, &mut w);
+    let hist = w.into_bytes();
+    let at = (good.windows(hist.len()))
+        .position(|w| w == hist.as_slice())
+        .expect("the snapshot carries the histogram");
+    let bucket = |b: usize| at + 24 + 8 * b..at + 32 + 8 * b;
+    for (b, value) in [(0, rounds.buckets[0] + 1), (64, u64::MAX)] {
+        let mut forged = good.clone();
+        forged[bucket(b)].copy_from_slice(&value.to_le_bytes());
+        let err = Simulation::resume(&forged)
+            .err()
+            .expect("inconsistent histogram is refused");
+        assert!(
+            matches!(&err, ResumeError::Corrupt(e) if e.to_string().contains("histogram")),
+            "{err}"
+        );
     }
 }
 

@@ -9,7 +9,7 @@
 //! | `UncachedPipeline` | every packet walks the OpenFlow tables | exact |
 //! | `PerEvent` | one allocator run per event instead of per epoch | epoch |
 //! | `PerEventFull` | the per-event cadence, re-solving every flow | epoch |
-//! | `Traced` | the full tracer on: spans and the event journal | exact, metrics masked |
+//! | `Traced` | the full tracer on: spans and the event journal | exact |
 //! | `Resumed` | checkpoint at each cut, drop, resume, finish | against `Traced`: exact with metrics, journal byte for byte |
 //! | `HybridAttached` | `enable_hybrid()` on a pure fluid case | exact, packet plane and metrics masked |
 //!
@@ -26,9 +26,8 @@
 //! case names them), resuming from the bytes with the oracles set again.
 //! Its prefix and suffix journals together must equal the `Traced`
 //! journal byte for byte, which proves both that resuming is invisible
-//! and that journals are deterministic; the run's metrics (the counts'
-//! fields and the registry dump a checkpoint carries) must resume
-//! seamlessly too.
+//! and that journals are deterministic; the run's metrics (the fields a
+//! checkpoint carries) must resume seamlessly too.
 //!
 //! A point runs where its reference path exists: the pipeline point
 //! needs a packet plane, the per-event points and `HybridAttached` a
@@ -113,11 +112,6 @@ impl Point {
     fn compared(self, f: &Fingerprint) -> Fingerprint {
         match self {
             Point::Full | Point::PerFlowVariables | Point::UncachedPipeline => f.without_work(),
-            Point::Traced => {
-                let mut f = f.clone();
-                f.work.metrics = Default::default();
-                f
-            }
             // The packet plane's counts are metrics too.
             Point::HybridAttached => {
                 let mut f = f.clone();
@@ -125,7 +119,7 @@ impl Point {
                 f.work.metrics = Default::default();
                 f
             }
-            Point::Resumed | Point::PerEvent | Point::PerEventFull => f.clone(),
+            Point::Traced | Point::Resumed | Point::PerEvent | Point::PerEventFull => f.clone(),
         }
     }
 }
@@ -186,6 +180,8 @@ pub struct Run {
     pub fp: Fingerprint,
     /// The event journal (empty unless the run kept one).
     pub journal: String,
+    /// Spans the run's tracer collected (0 unless it kept them).
+    pub spans: usize,
     /// The state at each `Resumed` cut.
     pub cuts: Vec<Cut>,
 }
@@ -225,12 +221,14 @@ fn run(case: &Case, point: Option<Point>, journal: bool) -> Run {
         }
     }
     let r = sim.run();
-    if let Some(mut t) = sim.take_tracer() {
+    let spans = sim.take_tracer().map_or(0, |mut t| {
         t.finish_journal();
-    }
+        t.take_spans().map_or(0, |s| s.len())
+    });
     Run {
         fp: fingerprint(&sim, &r),
         journal: buf.contents(),
+        spans,
         cuts,
     }
 }
@@ -266,14 +264,8 @@ impl Lattice {
             }
             Point::UncachedPipeline => b.work.pkt_cache[0] > 0 && o.work.pkt_cache == [0; 3],
             Point::PerEvent | Point::PerEventFull => o.realloc_runs > b.realloc_runs,
-            // Only an attached registry records the solver-round
-            // histogram, one observation per component solve.
-            Point::Traced => {
-                let m = &o.work.metrics;
-                !run.journal.is_empty()
-                    && m.get("alloc.rounds.count").is_some()
-                    && m.get("alloc.rounds.count") == m.get("alloc.components")
-            }
+            // The tracer journaled every event and timed the run.
+            Point::Traced => run.journal.lines().count() as u64 == o.events && run.spans > 0,
             Point::Resumed => {
                 !run.cuts.is_empty()
                     && (run.cuts.iter()).all(|c| c.active_flows > 0 && c.pending() > 0)

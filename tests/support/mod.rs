@@ -78,9 +78,9 @@ pub struct Work {
     pub cold_solves: u64,
     /// Decision cache `[hits, misses, invalidations]`.
     pub pkt_cache: [u64; 3],
-    /// The run's metrics: every count by name, plus the tracer registry's
-    /// cells when one is attached. A checkpoint carries the counts' fields
-    /// and a lossless dump of the registry, so they resume seamlessly too.
+    /// The run's metrics: every count and histogram by name, tracer or
+    /// not. A checkpoint carries the fields they read, so they resume
+    /// seamlessly too.
     pub metrics: horse::tracing::MetricsSnapshot,
 }
 
